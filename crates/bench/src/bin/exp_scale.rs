@@ -1,5 +1,5 @@
 //! **P2 — scale & fast-path benchmark**: how fast does the simulator run
-//! as the system grows, and what did the shared-envelope fast path buy?
+//! as the system grows, and what does the shared-envelope fast path buy?
 //!
 //! Sweeps `n ∈ {64, 256, 1024} × horizon ∈ {100, 400}` plus the
 //! `n = 4096, horizon = 100` flagship cell under full participation
@@ -8,37 +8,28 @@
 //! per cell (under full synchrony the once-per-round tally serves
 //! `(n − 1)/n` of honest tallies from the cohort cache — that sharing,
 //! plus the incremental fallback, is what makes per-round work scale
-//! with messages rather than `n ×` messages and lands n = 4096). One
-//! cell — `n = 256, horizon = 400` — additionally re-runs in **naive
-//! delivery** mode (`SimConfig::naive_delivery`: per-receiver envelope
-//! deep clone + per-receiver signature re-verification, the seed's
-//! full-view propose dedup scan and `split_off` vote pruning, no pool
-//! compaction — the faithful pre-refactor cost model) so the end-to-end
-//! fast-path gain is measured *in the same run* rather than against a
-//! stale number.
+//! with messages rather than `n ×` messages and lands n = 4096).
 //!
-//! Before anything is timed, a **consistency spot-check** re-runs one
-//! cell with the shared tally disabled (every process recomputes its
-//! own) and byte-compares the serialised reports; a mismatch exits
-//! non-zero without touching `BENCH_sim.json`. The same check gates the
-//! `--smoke` CI pass.
+//! Before anything is timed, a **consistency spot-check** runs one cell
+//! under a [`st_sim::TallyOracle`], which compares every tally a process
+//! consumed (cohort-shared or incremental) with the stateless window
+//! tally; a mismatch exits with status 2 without touching
+//! `BENCH_sim.json`. The same check gates the `--smoke` CI pass.
 //!
-//! A second measurement isolates the **delivery subsystem** the
-//! refactor replaced — pool storage, fan-out and signature checking for
-//! the same message volume as the comparison cell, with no protocol
-//! processing on top. That is where the `O(n²·horizon)` clone+re-verify
-//! wall actually lived, and where the ≥ 5× speedup is demonstrated.
-//! End-to-end, the gain at these sizes is smaller (reported honestly
-//! per cell): the simulation's *model* signatures verify in ~60 ns, so
-//! per-receiver re-verification was a far smaller share of wall-clock
-//! than it would be with real (µs-scale) signatures — the per-message
-//! verification count (`verifies/msg`: 1 vs n) is the structural
-//! invariant that transfers to deployments.
+//! A second measurement isolates the **delivery subsystem** — pool
+//! storage, fan-out and signature checking for the message volume of the
+//! `n = 256, horizon = 400` cell, no protocol processing — against an
+//! emulation, through public APIs only, of per-receiver deep clone +
+//! fresh verification with no compaction: the `O(n²·horizon)` wall the
+//! shared-envelope path avoids. The simulation's *model* signatures
+//! verify in ~60 ns, so the verification count per message
+//! ([`st_crypto::verification_count`]; `verifies/msg`: 1 vs n) is the
+//! structural invariant that transfers to real (µs-scale) signatures.
 //!
-//! The signature-verification counter ([`st_crypto::verification_count`])
-//! demonstrates the verify-once property directly: the fast path performs
-//! ≈ 1 verification per unique envelope (the `verifies/msg` column),
-//! while naive delivery performs ≈ `n` — one per receiver.
+//! The committed `exp_scale` section of `BENCH_sim.json` predates the
+//! removal of the simulator's naive mode: its `mode: "naive"` row and
+//! `speedup_fast_over_naive_e2e` are frozen history (EXPERIMENTS.md P2)
+//! that a fresh full run no longer produces.
 //!
 //! Results are printed as a table, written as CSV next to the other
 //! experiments, and merged into `BENCH_sim.json` under the `"exp_scale"`
@@ -47,14 +38,13 @@
 //! never overwrite the committed full-grid numbers.
 //!
 //! Run with `cargo run --release -p st-bench --bin exp_scale [--smoke]`.
-//! `--smoke` restricts the sweep to `n = 64, horizon = 100` (plus its
-//! naive comparison) for CI.
+//! `--smoke` restricts the sweep to `n = 64, horizon = 100` for CI.
 
 use serde::Serialize;
 use st_analysis::Table;
 use st_bench::{bench_section, emit, f3, write_bench_section};
 use st_sim::adversary::SilentAdversary;
-use st_sim::{Schedule, SimBuilder, SimConfig, Sweep};
+use st_sim::{Schedule, SimBuilder, SimConfig, Sweep, TallyOracle};
 use st_types::Params;
 use std::time::Instant;
 
@@ -63,20 +53,17 @@ use std::time::Instant;
 struct Measurement {
     n: usize,
     horizon: u64,
-    /// `"fast"` (shared envelopes) or `"naive"` (pre-refactor model).
-    mode: String,
     seconds: f64,
     rounds_per_sec: f64,
     messages_per_sec: f64,
     messages: usize,
     /// Signature verifications performed during the run.
     sig_verifications: u64,
-    /// Verifications per unique message — ≈ 1 for the fast path, ≈ n for
-    /// naive per-receiver re-verification.
+    /// Verifications per unique message — ≈ 1: each multicast envelope
+    /// is verified once, not once per receiver.
     verifies_per_message: f64,
     /// Fraction of honest tallies served from the shared once-per-round
-    /// cache — `(n − 1)/n` under full synchronous participation, 0 in
-    /// naive mode (the cohort pass is disabled there).
+    /// cache — `(n − 1)/n` under full synchronous participation.
     tally_cache_hit_rate: f64,
     decisions: usize,
     safe: bool,
@@ -103,26 +90,21 @@ struct BenchReport {
     experiment: &'static str,
     smoke: bool,
     runs: Vec<Measurement>,
-    /// End-to-end wall-clock ratio naive/fast for the comparison cell.
-    speedup_fast_over_naive_e2e: f64,
-    comparison_cell: (usize, u64),
     delivery: DeliveryBench,
 }
 
-fn measure(n: usize, horizon: u64, naive: bool) -> Measurement {
+fn cell_config(n: usize, horizon: u64) -> SimConfig {
     let params = Params::builder(n)
         .expiration(2)
         .build()
         .expect("valid params");
-    let mut config = SimConfig::new(params, 0xBE7C).horizon(horizon).txs_every(8);
-    if naive {
-        config = config.naive_delivery();
-    } else {
-        // Grid cells report the shared-tally hit rate; the counters are
-        // instrument-gated so equivalence-guarded runs stay pure.
-        config = config.instrument();
-    }
-    let sim = SimBuilder::from_config(config)
+    SimConfig::new(params, 0xBE7C).horizon(horizon).txs_every(8)
+}
+
+fn measure(n: usize, horizon: u64) -> Measurement {
+    // Grid cells report the shared-tally hit rate; the counters are
+    // instrument-gated.
+    let sim = SimBuilder::from_config(cell_config(n, horizon).instrument())
         .schedule(Schedule::full(n, horizon))
         .adversary(SilentAdversary)
         .build()
@@ -135,7 +117,6 @@ fn measure(n: usize, horizon: u64, naive: bool) -> Measurement {
     Measurement {
         n,
         horizon,
-        mode: if naive { "naive" } else { "fast" }.to_string(),
         seconds,
         rounds_per_sec: (horizon + 1) as f64 / seconds,
         messages_per_sec: report.messages_sent as f64 / seconds,
@@ -148,42 +129,40 @@ fn measure(n: usize, horizon: u64, naive: bool) -> Measurement {
     }
 }
 
-/// The consistency spot-check: one uninstrumented cell run with the
-/// shared once-per-round tally against the same cell with every process
-/// recomputing its own. The reports must serialise byte-identically;
-/// anything else means the cohort certificate admitted a process whose
-/// tally inputs differed, and the whole benchmark is untrustworthy.
-/// Exits the process with a non-zero status on mismatch.
-fn assert_shared_tally_consistent(n: usize, horizon: u64) {
-    let params = Params::builder(n)
-        .expiration(2)
-        .build()
-        .expect("valid params");
-    let config = SimConfig::new(params, 0xBE7C).horizon(horizon).txs_every(8);
-    let shared = SimBuilder::from_config(config.clone())
+/// The consistency spot-check: one uninstrumented cell under the tally
+/// oracle. Every tally a process consumed — almost all served from the
+/// cohort cache at full participation — must equal the stateless window
+/// tally over that process's own state; anything else means the cohort
+/// certificate admitted a process whose tally inputs differed. Exits the
+/// process with status 2 on mismatch.
+fn assert_tallies_consistent(n: usize, horizon: u64) {
+    let (oracle, log) = TallyOracle::new();
+    SimBuilder::from_config(cell_config(n, horizon))
         .schedule(Schedule::full(n, horizon))
         .adversary(SilentAdversary)
+        .observer(oracle)
         .run();
-    let unshared = SimBuilder::from_config(config.unshared_tally())
-        .schedule(Schedule::full(n, horizon))
-        .adversary(SilentAdversary)
-        .run();
-    let a = serde_json::to_string(&shared).expect("serialise shared report");
-    let b = serde_json::to_string(&unshared).expect("serialise unshared report");
-    if a != b {
+    let check = log.borrow();
+    if check.checked == 0 || !check.mismatches.is_empty() {
         eprintln!(
-            "FATAL: shared tally diverged from per-process recomputation at \
-             n={n} horizon={horizon}; refusing to record benchmark numbers"
+            "FATAL: {} of {} consumed tallies diverged from the stateless window tally at \
+             n={n} horizon={horizon} (first: {:?}); refusing to record benchmark numbers",
+            check.mismatches.len(),
+            check.checked,
+            check.mismatches.first()
         );
         std::process::exit(2);
     }
-    println!("[shared-tally consistency spot-check passed at n={n} horizon={horizon}]");
+    println!(
+        "[tally-oracle spot-check passed at n={n} horizon={horizon}: {} tallies, 0 mismatches]",
+        check.checked
+    );
 }
 
 /// Times the delivery subsystem alone: `rounds` rounds of `2n` signed
 /// multicasts each, fanned out to `n` receivers who check every
-/// signature — via the shared fast path or the pre-refactor model
-/// (deep clone + fresh verification, no compaction).
+/// signature — via the shared path, or an emulation of per-receiver
+/// deep clone + fresh verification with no compaction.
 fn delivery_bench(n: usize, rounds: u64) -> DeliveryBench {
     use st_blocktree::Block;
     use st_messages::{KeyDirectory, Payload, Propose, Vote};
@@ -277,7 +256,9 @@ fn delivery_bench(n: usize, rounds: u64) -> DeliveryBench {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (grid, comparison): (Vec<(usize, u64)>, (usize, u64)) = if smoke {
+    // `volume` is the (n, rounds) traffic the delivery microbench replays;
+    // the spot-check runs at the same n.
+    let (grid, volume): (Vec<(usize, u64)>, (usize, u64)) = if smoke {
         (vec![(64, 100)], (64, 100))
     } else {
         (
@@ -288,18 +269,16 @@ fn main() {
                 (256, 400),
                 (1024, 100),
                 (1024, 400),
-                // The flagship cell the shared + incremental tally lands:
-                // fast mode only (a naive run here would verify ~n× the
-                // signatures and recompute every tally from scratch).
+                // The flagship cell the shared + incremental tally lands.
                 (4096, 100),
             ],
             (256, 400),
         )
     };
 
-    // Gate everything on the consistency spot-check (non-zero exit on
+    // Gate everything on the consistency spot-check (exit 2 on
     // divergence, before any timing or JSON writing happens).
-    assert_shared_tally_consistent(comparison.0, if smoke { comparison.1 } else { 100 });
+    assert_tallies_consistent(volume.0, 100);
 
     // The verification counter is process-global and every cell reports
     // wall-clock, so the sweep runs `sequential()`: each measurement's
@@ -308,24 +287,14 @@ fn main() {
     // `Sweep` driver the library experiments use. Seeds are fixed inside
     // `measure` (the committed-grid semantics), so the derived per-cell
     // seed is ignored.
-    let mut runs: Vec<Measurement> = Sweep::over(grid.clone())
+    let runs: Vec<Measurement> = Sweep::over(grid)
         .sequential()
-        .run(|&(n, horizon), _seed| measure(n, horizon, false));
-    // Naive comparison, same process, same build, same seed.
-    let naive = measure(comparison.0, comparison.1, true);
-    let fast_cmp = runs
-        .iter()
-        .find(|m| (m.n, m.horizon) == comparison)
-        .expect("comparison cell measured")
-        .clone();
-    let speedup = naive.seconds / fast_cmp.seconds;
-    runs.push(naive.clone());
-    let delivery = delivery_bench(comparison.0, if smoke { 100 } else { comparison.1 });
+        .run(|&(n, horizon), _seed| measure(n, horizon));
+    let delivery = delivery_bench(volume.0, volume.1);
 
     let mut table = Table::new(vec![
         "n",
         "horizon",
-        "mode",
         "seconds",
         "rounds/s",
         "msgs/s",
@@ -338,7 +307,6 @@ fn main() {
         table.row(vec![
             m.n.to_string(),
             m.horizon.to_string(),
-            m.mode.clone(),
             f3(m.seconds),
             format!("{:.0}", m.rounds_per_sec),
             format!("{:.0}", m.messages_per_sec),
@@ -355,25 +323,12 @@ fn main() {
     );
 
     println!(
-        "\nEnd-to-end, n={} horizon={}: {:.2}x faster than the naive\n\
-         pre-refactor cost model ({}s fast vs {}s naive); {} verifies/msg\n\
-         fast vs {} naive — each unique envelope is verified once instead\n\
-         of once per receiver.",
-        comparison.0,
-        comparison.1,
-        speedup,
-        f3(fast_cmp.seconds),
-        f3(naive.seconds),
-        f3(fast_cmp.verifies_per_message),
-        f3(naive.verifies_per_message),
-    );
-    println!(
         "\nDelivery subsystem (pool + fan-out + signature checks, {} deliveries\n\
          at n={}): {:.1}x faster ({}s vs {}s; {} vs {} signature\n\
          verifications). This is the O(n²·horizon) clone+re-verify wall the\n\
-         shared-envelope fast path removed; end-to-end gains are smaller\n\
-         because the simulation's model signatures are ~60ns (real\n\
-         signatures are micro-seconds, where verify-once dominates).",
+         shared-envelope path avoids; the simulation's model signatures are\n\
+         ~60ns (real signatures are micro-seconds, where verify-once\n\
+         dominates).",
         delivery.deliveries,
         delivery.n,
         delivery.speedup,
@@ -387,8 +342,6 @@ fn main() {
         experiment: "exp_scale",
         smoke,
         runs,
-        speedup_fast_over_naive_e2e: speedup,
-        comparison_cell: comparison,
         delivery,
     };
     match write_bench_section(&bench_section("exp_scale", smoke), &bench) {

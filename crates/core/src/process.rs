@@ -5,8 +5,7 @@ use st_blocktree::{Block, BlockTree};
 use st_crypto::Keypair;
 use st_ga::{tally, GaOutput, SupportIndex};
 use st_messages::{
-    Envelope, InsertOutcome, LatestVotes, Payload, Propose, ProposeStore, SharedEnvelope, Vote,
-    VoteStore,
+    Envelope, InsertOutcome, Payload, Propose, ProposeStore, SharedEnvelope, Vote, VoteStore,
 };
 use st_types::fasthash::{mix64_pair, set_into_sorted_vec};
 use st_types::{BlockId, FastMap, FastSet, ProcessId, Round, RoundKind, TxId, View};
@@ -40,14 +39,11 @@ pub struct TobProcess {
     last_vote_tip: BlockId,
     /// Output of the most recent graded-agreement tally (diagnostics).
     last_ga_output: Option<GaOutput>,
-    /// Reusable scratch for the per-round tally input (naive mode only;
-    /// the fast path maintains `support` incrementally instead).
-    tally_scratch: LatestVotes,
-    /// Incremental tally state (fast mode): chain support of every
-    /// counted in-window vote, updated per sender delta instead of being
-    /// rebuilt from the whole window each round. The stateless
-    /// [`st_ga::tally`] survives as the naive-mode oracle, so the
-    /// fast-vs-naive equivalence grid proves the two paths byte-equal.
+    /// Incremental tally state: chain support of every counted in-window
+    /// vote, updated per sender delta instead of being rebuilt from the
+    /// whole window each round. The stateless [`st_ga::tally`] survives
+    /// as [`TobProcess::reference_tally`], the oracle this bookkeeping is
+    /// checked against.
     support: SupportIndex,
     /// sender → (round of its counted record, tip it voted for). Present
     /// iff the sender currently contributes to perceived participation
@@ -70,12 +66,6 @@ pub struct TobProcess {
     /// ([`crate::Protocol::install_shared_tally`]); consumed by the next
     /// [`TobProcess::step_send`] for that round.
     shared_tally: Option<(Round, Arc<GaOutput>)>,
-    /// Benchmarking baseline switch: route proposal inserts through the
-    /// pre-fast-path full-view duplicate scan
-    /// ([`ProposeStore::insert_full_scan`]) and the stateless full-window
-    /// tally. Identical behaviour, seed cost model. Off everywhere except
-    /// `SimConfig::naive_delivery`.
-    naive_receive: bool,
 }
 
 impl TobProcess {
@@ -95,21 +85,13 @@ impl TobProcess {
             decided_tip: BlockId::GENESIS,
             last_vote_tip: BlockId::GENESIS,
             last_ga_output: None,
-            tally_scratch: LatestVotes::empty(),
             support: SupportIndex::new(),
             counted: FastMap::default(),
             dirty: FastSet::default(),
             unknown: FastSet::default(),
             expiries: BTreeMap::new(),
             shared_tally: None,
-            naive_receive: false,
         }
-    }
-
-    /// Switches this process to the pre-fast-path receive cost model (see
-    /// the `naive_receive` field). Benchmarking only.
-    pub fn set_naive_receive(&mut self, naive: bool) {
-        self.naive_receive = naive;
     }
 
     /// This process's id.
@@ -212,18 +194,9 @@ impl TobProcess {
             }
             Payload::Propose(proposal) => {
                 self.receive_block(proposal.block_arc().clone());
-                self.store_proposal(proposal.clone());
+                self.proposes
+                    .insert(proposal.clone(), self.config.directory());
             }
-        }
-    }
-
-    /// Records a proposal, honouring the naive-baseline switch.
-    fn store_proposal(&mut self, proposal: Propose) {
-        if self.naive_receive {
-            self.proposes
-                .insert_full_scan(proposal, self.config.directory());
-        } else {
-            self.proposes.insert(proposal, self.config.directory());
         }
     }
 
@@ -354,11 +327,11 @@ impl TobProcess {
     /// (Section 2.1's expiration window for round `r`). With `η = 0` this
     /// is exactly the vanilla single-round tally of Figure 2.
     ///
-    /// Three paths, all producing the same output for the same state:
-    /// an installed shared tally (a driver certified this process's
-    /// inputs identical to a cohort representative's and computed once),
-    /// the incremental support index (fast mode), or the stateless
-    /// full-window recompute (naive mode — the equivalence oracle).
+    /// Two paths, both producing the same output for the same state: an
+    /// installed shared tally (a driver certified this process's inputs
+    /// identical to a cohort representative's and computed once), or the
+    /// incremental support index. [`TobProcess::reference_tally`] is the
+    /// stateless statement of what either must return.
     fn tally_previous_round(&mut self, round: Round) -> GaOutput {
         let Some(prev) = round.prev() else {
             return GaOutput::empty();
@@ -369,14 +342,28 @@ impl TobProcess {
             }
         }
         let lo = prev.saturating_sub(self.config.params().expiration());
-        if self.naive_receive {
-            self.votes
-                .latest_in_window_into(lo, prev, &mut self.tally_scratch);
-            return tally(&self.tree, &self.tally_scratch, self.config.thresholds());
-        }
         self.reconcile_window(lo, prev);
         self.support
             .outputs(&self.tree, self.config.thresholds(), self.counted.len())
+    }
+
+    /// The paper's rule, stated statelessly: the tally of the latest
+    /// unexpired votes from `[r − 1 − η, r − 1]` over this process's
+    /// current vote store and tree. Read-only and independent of the
+    /// incremental bookkeeping and of any installed shared tally, so it
+    /// is the oracle both are checked against: called right before
+    /// [`TobProcess::step_send`]`(round)`, it must equal the
+    /// [`TobProcess::last_ga_output`] that step leaves behind.
+    pub fn reference_tally(&self, round: Round) -> GaOutput {
+        let Some(prev) = round.prev() else {
+            return GaOutput::empty();
+        };
+        let lo = prev.saturating_sub(self.config.params().expiration());
+        tally(
+            &self.tree,
+            &self.votes.latest_in_window(lo, prev),
+            self.config.thresholds(),
+        )
     }
 
     /// Brings the incremental tally state in line with the window
@@ -458,12 +445,8 @@ impl TobProcess {
 
     /// Hasher-independent digest of the tally-relevant state (vote store
     /// combined with block tree): two processes with equal fingerprints
-    /// answer every windowed tally identically. `None` in naive mode,
-    /// which opts out of tally sharing.
+    /// answer every windowed tally identically.
     pub fn tally_fingerprint(&self) -> Option<u64> {
-        if self.naive_receive {
-            return None;
-        }
         Some(mix64_pair(
             self.votes.fingerprint(),
             self.tree.fingerprint(),
@@ -512,11 +495,7 @@ impl TobProcess {
     fn prune(&mut self, round: Round) {
         // Keep a safety margin of one extra window to serve diagnostics.
         let horizon = round.saturating_sub(2 * self.config.params().expiration() + 4);
-        if self.naive_receive {
-            self.votes.prune_below_presplit(horizon);
-        } else {
-            self.votes.prune_below(horizon);
-        }
+        self.votes.prune_below(horizon);
         let view = RoundKind::of(round).view();
         if view.as_u64() > 1 {
             self.proposes.prune_below(View::new(view.as_u64() - 1));
@@ -722,6 +701,25 @@ mod tests {
                 assert_eq!(dv.tip, de.tip, "decided different logs at {:?}", dv.round);
             }
         }
+    }
+
+    #[test]
+    fn reference_tally_exposes_a_wrong_shared_tally() {
+        // The oracle can fail: a driver that installs a tally the process
+        // would not have computed is caught by comparing what step_send
+        // consumed against the stateless reference.
+        let mut procs = run_lockstep(4, 2, 5, 17);
+        let round = Round::new(6);
+        let reference = procs[0].reference_tally(round);
+        assert!(!reference.is_empty(), "votes are in flight by round 6");
+        procs[0].install_shared_tally(round, Arc::new(GaOutput::empty()));
+        procs[0].step_send(round);
+        assert_ne!(procs[0].last_ga_output(), Some(&reference));
+        // An honestly shared one passes the same comparison.
+        let shared = procs[1].shared_round_tally(round);
+        procs[2].install_shared_tally(round, Arc::new(shared));
+        procs[2].step_send(round);
+        assert_eq!(procs[2].last_ga_output(), Some(&reference));
     }
 
     #[test]

@@ -68,13 +68,6 @@ pub trait Protocol: Sized + 'static {
     /// exactly-once round-batch ingestion.
     fn on_receive_shared(&mut self, envelope: &SharedEnvelope);
 
-    /// Handles a received owned envelope. The default wraps it into a
-    /// fresh [`SharedEnvelope`] (re-verifying from scratch); multicast
-    /// drivers should prefer [`Protocol::on_receive_shared`].
-    fn on_receive(&mut self, envelope: Envelope) {
-        self.on_receive_shared(&SharedEnvelope::new(envelope));
-    }
-
     /// Executes the send phase of `round` and returns the messages this
     /// process multicasts. Call only for rounds the process is awake in.
     fn step_send(&mut self, round: Round) -> Vec<Envelope>;
@@ -125,14 +118,6 @@ pub trait Protocol: Sized + 'static {
     /// against.
     fn tree(&self) -> &BlockTree;
 
-    /// Switches to the pre-fast-path receive cost model (benchmarking
-    /// baseline; see `SimConfig::naive_delivery` in st-sim). Behaviour
-    /// must be identical either way; the default ignores the switch,
-    /// which is correct for protocols without a tuned receive path.
-    fn set_naive_receive(&mut self, naive: bool) {
-        let _ = naive;
-    }
-
     /// Installs externally obtained blocks — the checkpoint/wake-up
     /// bootstrap hook (see [`crate::Checkpoint`]). Orphans must buffer
     /// exactly like blocks arriving in proposals. The default ignores
@@ -169,10 +154,6 @@ impl Protocol for crate::TobProcess {
         crate::TobProcess::on_receive_shared(self, envelope);
     }
 
-    fn on_receive(&mut self, envelope: Envelope) {
-        crate::TobProcess::on_receive(self, envelope);
-    }
-
     fn step_send(&mut self, round: Round) -> Vec<Envelope> {
         crate::TobProcess::step_send(self, round)
     }
@@ -203,10 +184,6 @@ impl Protocol for crate::TobProcess {
 
     fn tree(&self) -> &BlockTree {
         crate::TobProcess::tree(self)
-    }
-
-    fn set_naive_receive(&mut self, naive: bool) {
-        crate::TobProcess::set_naive_receive(self, naive);
     }
 
     fn install_blocks(&mut self, blocks: &[Block]) {

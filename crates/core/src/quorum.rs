@@ -63,7 +63,6 @@ pub struct QuorumProcess {
     decisions: Vec<DecisionEvent>,
     decided_tip: BlockId,
     mempool: Vec<TxId>,
-    naive_receive: bool,
 }
 
 impl QuorumProcess {
@@ -82,7 +81,6 @@ impl QuorumProcess {
             decisions: Vec::new(),
             decided_tip: BlockId::GENESIS,
             mempool: Vec::new(),
-            naive_receive: false,
         }
     }
 
@@ -163,7 +161,8 @@ impl QuorumProcess {
         let proposal = Propose::new(self.id, round, view, block.clone(), vrf_value, vrf_proof);
         // A process hears its own multicast: record locally right away.
         self.buffer.insert(&mut self.tree, block);
-        self.store_proposal(proposal.clone());
+        self.proposes
+            .insert(proposal.clone(), self.config.directory());
         vec![Envelope::sign(&self.keypair, Payload::Propose(proposal))]
     }
 
@@ -198,15 +197,6 @@ impl QuorumProcess {
             .or_default()
             .entry(vote.sender())
             .or_insert(vote.tip());
-    }
-
-    fn store_proposal(&mut self, proposal: Propose) {
-        if self.naive_receive {
-            self.proposes
-                .insert_full_scan(proposal, self.config.directory());
-        } else {
-            self.proposes.insert(proposal, self.config.directory());
-        }
     }
 
     /// Drops proposal state for past views (ballots for undecided views
@@ -248,10 +238,10 @@ impl Protocol for QuorumProcess {
                 self.record_vote(&vote);
             }
             Payload::Propose(proposal) => {
-                let proposal = proposal.clone();
                 self.buffer
                     .insert(&mut self.tree, proposal.block_arc().clone());
-                self.store_proposal(proposal);
+                self.proposes
+                    .insert(proposal.clone(), self.config.directory());
             }
         }
     }
@@ -286,10 +276,6 @@ impl Protocol for QuorumProcess {
 
     fn tree(&self) -> &BlockTree {
         &self.tree
-    }
-
-    fn set_naive_receive(&mut self, naive: bool) {
-        self.naive_receive = naive;
     }
 
     fn install_blocks(&mut self, blocks: &[Block]) {
@@ -333,10 +319,10 @@ mod tests {
             for (i, p) in procs.iter_mut().enumerate() {
                 if awake(r + 1, i) {
                     for env in queued[i].drain(..) {
-                        p.on_receive(env);
+                        p.on_receive_shared(&env.into());
                     }
                     for env in &batches {
-                        p.on_receive(env.clone());
+                        p.on_receive_shared(&env.clone().into());
                     }
                 } else {
                     queued[i].extend(batches.iter().cloned());
@@ -427,7 +413,7 @@ mod tests {
             for batch in &batches {
                 for env in batch {
                     for p in procs.iter_mut() {
-                        p.on_receive(env.clone());
+                        p.on_receive_shared(&env.clone().into());
                     }
                 }
             }
@@ -449,7 +435,7 @@ mod tests {
         let mut p = QuorumProcess::new(ProcessId::new(0), cfg);
         let alien = Keypair::derive(ProcessId::new(1), 999);
         let vote = Vote::new(ProcessId::new(1), Round::new(2), BlockId::GENESIS);
-        Protocol::on_receive(&mut p, Envelope::sign(&alien, Payload::Vote(vote)));
+        p.on_receive_shared(&Envelope::sign(&alien, Payload::Vote(vote)).into());
         assert!(p.votes.is_empty());
     }
 }

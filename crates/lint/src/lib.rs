@@ -1,8 +1,8 @@
 //! `st-lint` — the workspace's offline determinism & layering analyzer.
 //!
 //! Every claim the repro makes rests on simulation runs being **pure
-//! functions of their seed**: the fast-vs-naive, timeline-shim,
-//! step-vs-run, observer and protocol-alias suites all assert
+//! functions of their seed**: the timeline-shim, step-vs-run,
+//! observer, protocol-alias and sim-vs-cluster suites all assert
 //! byte-identical [`SimReport`]s across structurally different
 //! executions. Nothing in the compiler enforces the discipline that
 //! makes those suites meaningful — `std::collections::HashMap`

@@ -65,34 +65,6 @@ impl ProposeStore {
         true
     }
 
-    /// [`ProposeStore::insert`] with the *pre-fast-path* duplicate check:
-    /// a linear scan over **every** proposal recorded for the view (the
-    /// seed implementation) instead of the sender's own bucket.
-    /// Semantically identical — a duplicate can only live in its own
-    /// sender's bucket, since equality implies equal senders — but costed
-    /// like the original `O(view size)` scan. Exists solely so the naive
-    /// benchmarking baseline (`SimConfig::naive_delivery` in `st-sim`)
-    /// reproduces the pre-refactor hot path faithfully.
-    pub fn insert_full_scan(&mut self, proposal: Propose, directory: &KeyDirectory) -> bool {
-        let Some(pk) = directory.key_of(proposal.sender()) else {
-            return false;
-        };
-        if !Vrf::verify(
-            pk,
-            proposal.view().as_u64(),
-            proposal.vrf_value(),
-            proposal.vrf_proof(),
-        ) {
-            return false;
-        }
-        let senders = self.by_view.entry(proposal.view()).or_default();
-        if senders.values().flatten().any(|q| q == &proposal) {
-            return false;
-        }
-        senders.entry(proposal.sender()).or_default().push(proposal);
-        true
-    }
-
     /// All proposals recorded for `view`, in (sender, insertion) order.
     pub fn proposals_for(&self, view: View) -> Vec<&Propose> {
         self.by_view

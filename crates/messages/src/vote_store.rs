@@ -179,9 +179,7 @@ impl VoteStore {
     }
 
     /// [`VoteStore::latest_in_window`] into a caller-owned buffer, reusing
-    /// its allocation. The tally runs once per process per round, so the
-    /// hot loop keeps one scratch [`LatestVotes`] alive instead of
-    /// allocating (and dropping) an `n`-entry vector every round.
+    /// its allocation (for callers that query every round).
     pub fn latest_in_window_into(&self, lo: Round, hi: Round, out: &mut LatestVotes) {
         out.votes.clear();
         // Sender-sorted iteration: the canonical adapter makes the output
@@ -204,11 +202,8 @@ impl VoteStore {
     /// must scale with what is *actually removed* (usually one round's
     /// worth per sender, often nothing), not with what is retained:
     /// entries are popped from the front of each sender's round map only
-    /// while they are expired. The previous `split_off`-based
-    /// implementation rebuilt every sender's whole map every round — an
-    /// `O(n · η)` allocation wall per process per round; it survives as
-    /// [`VoteStore::prune_below_presplit`] for the naive benchmarking
-    /// baseline.
+    /// while they are expired (rebuilding every sender's whole map each
+    /// round is an `O(n · η)` allocation wall per process per round).
     pub fn prune_below(&mut self, lo: Round) {
         let mut any_emptied = false;
         // stlint::allow(iterorder, reason = "per-sender pops are independent and the fingerprint/count updates are XOR/sum folds, both order-insensitive")
@@ -229,26 +224,6 @@ impl VoteStore {
         if any_emptied {
             self.by_sender.retain(|_, rounds| !rounds.is_empty());
         }
-    }
-
-    /// The seed implementation of [`VoteStore::prune_below`]: rebuilds
-    /// every sender's round map via `split_off` whether or not anything is
-    /// expired. Identical observable behaviour, pre-refactor cost model —
-    /// used only by the naive benchmarking baseline.
-    pub fn prune_below_presplit(&mut self, lo: Round) {
-        // stlint::allow(iterorder, reason = "per-sender rebuilds are independent and the fingerprint/count updates are XOR/sum folds, both order-insensitive")
-        for (&sender, rounds) in self.by_sender.iter_mut() {
-            let keep = rounds.split_off(&lo);
-            for (&round, rec) in rounds.iter() {
-                self.distinct_votes -= match rec {
-                    RoundRecord::Single(_) => 1,
-                    RoundRecord::Equivocated(_, _) => 2,
-                };
-                self.fingerprint ^= record_digest(sender, round, rec);
-            }
-            *rounds = keep;
-        }
-        self.by_sender.retain(|_, rounds| !rounds.is_empty());
     }
 
     /// The senders with at least one stored vote (for diagnostics).
@@ -488,21 +463,15 @@ mod tests {
 
     #[test]
     fn fingerprint_after_prune_matches_fresh_store() {
-        for presplit in [false, true] {
-            let mut pruned = VoteStore::new();
-            pruned.insert(v(1, 1, 10));
-            pruned.insert(v(1, 1, 11)); // equivocation below the horizon
-            pruned.insert(v(1, 5, 50));
-            pruned.insert(v(2, 2, 20));
-            if presplit {
-                pruned.prune_below_presplit(Round::new(3));
-            } else {
-                pruned.prune_below(Round::new(3));
-            }
-            let mut fresh = VoteStore::new();
-            fresh.insert(v(1, 5, 50));
-            assert_eq!(pruned.fingerprint(), fresh.fingerprint());
-        }
+        let mut pruned = VoteStore::new();
+        pruned.insert(v(1, 1, 10));
+        pruned.insert(v(1, 1, 11)); // equivocation below the horizon
+        pruned.insert(v(1, 5, 50));
+        pruned.insert(v(2, 2, 20));
+        pruned.prune_below(Round::new(3));
+        let mut fresh = VoteStore::new();
+        fresh.insert(v(1, 5, 50));
+        assert_eq!(pruned.fingerprint(), fresh.fingerprint());
     }
 
     #[test]

@@ -205,6 +205,12 @@ fn read_peer(mut stream: TcpStream, inbox: Sender<RoundBatch>, board: Arc<Livene
     let Ok(NodeFrame::Hello { from }) = frame::decode_frame(&first) else {
         return; // not one of ours; drop the connection
     };
+    // `from` is unauthenticated outside input and indexes the liveness
+    // board (and the runtime's per-peer inboxes): a claimed id outside
+    // the cluster is dropped at hello, before any of its frames is read.
+    if from.index() >= board.peers.len() {
+        return;
+    }
     let mut pending: Vec<Envelope> = Vec::new();
     while let Some(bytes) = read_frame(&mut stream) {
         board.heard(from.index());
@@ -309,4 +315,63 @@ pub fn spawn_writer(
             flushed[j].store(0, Ordering::Release);
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use st_crypto::Keypair;
+    use st_messages::{Payload, Vote};
+    use st_types::{BlockId, Round};
+
+    /// A client that claims to be `from`, sends one well-formed envelope
+    /// and `Mark{1}`, and hangs up; `read_peer` serves it **on the test
+    /// thread** (in production it runs detached, where a panic would go
+    /// unseen).
+    fn serve_one(
+        listener: &TcpListener,
+        from: ProcessId,
+        inbox: &Sender<RoundBatch>,
+        board: &Arc<Liveness>,
+    ) {
+        let vote = Vote::new(ProcessId::new(0), Round::new(1), BlockId::GENESIS);
+        let env = Envelope::sign(&Keypair::derive(ProcessId::new(0), 7), Payload::Vote(vote));
+        let frames = [
+            NodeFrame::Hello { from },
+            NodeFrame::Env(env),
+            NodeFrame::Mark { round: 1 },
+        ];
+        let addr = listener.local_addr().expect("bound listener");
+        let client = thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect to test listener");
+            // The reader may legitimately hang up on us mid-stream.
+            let _ = frames
+                .iter()
+                .try_for_each(|f| stream.write_all(&frame::encode_frame(f)));
+        });
+        let (stream, _) = listener.accept().expect("accept test client");
+        read_peer(stream, inbox.clone(), board.clone());
+        client.join().expect("client thread");
+    }
+
+    #[test]
+    fn hello_claiming_an_id_outside_the_cluster_is_dropped() {
+        let n = 3;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let board = Arc::new(Liveness::new(n));
+        let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
+
+        // Rogue id n + 3: nothing reaches the inbox or the board, and the
+        // reader returns instead of indexing out of range.
+        serve_one(&listener, ProcessId::new(n as u32 + 3), &tx, &board);
+        assert!(inbox.try_recv().is_err(), "rogue batch reached the inbox");
+        assert!(board.snapshot().iter().all(|p| p.heard_ms_ago == u64::MAX));
+
+        // A genuine peer served afterwards still gets its batch through.
+        let peer = ProcessId::new(1);
+        serve_one(&listener, peer, &tx, &board);
+        let (from, round, batch) = inbox.try_recv().expect("genuine batch delivered");
+        assert_eq!((from, round, batch.len()), (peer, 1, 1));
+        assert_ne!(board.snapshot()[1].heard_ms_ago, u64::MAX);
+    }
 }

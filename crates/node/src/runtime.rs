@@ -172,7 +172,9 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
                             p.batches.pop_first();
                         }
                         Some((&br, _)) if br <= required => {
-                            let (br, batch) = p.batches.pop_first().unwrap();
+                            let Some((br, batch)) = p.batches.pop_first() else {
+                                break;
+                            };
                             for env in batch {
                                 proc.on_receive_shared(&SharedEnvelope::new(env));
                             }

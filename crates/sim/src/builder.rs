@@ -1,9 +1,8 @@
 //! The fluent simulation builder.
 //!
-//! [`SimBuilder`] replaces the positional
-//! `Simulation::new(config, schedule, Box<dyn Adversary>)` constructor:
-//! parameters, horizon, environment timeline, schedule, a *typed*
-//! adversary (no mandatory `Box`) and any number of user
+//! [`SimBuilder`] is the one way to construct a
+//! [`Simulation`]: parameters, horizon, environment timeline, schedule, a
+//! *typed* adversary (no mandatory `Box`) and any number of user
 //! [`Observer`](crate::Observer)s are assembled in one chain, and
 //! [`SimBuilder::build`] validates the whole configuration with a proper
 //! error path instead of panicking:
@@ -106,8 +105,7 @@ impl SimBuilder {
         SimBuilder::from_config(SimConfig::new(params, seed))
     }
 
-    /// Starts a builder from an already-assembled [`SimConfig`] (the
-    /// migration path from the legacy constructor).
+    /// Starts a builder from an already-assembled [`SimConfig`].
     pub fn from_config(config: SimConfig) -> SimBuilder {
         SimBuilder::for_protocol_config(config)
     }
@@ -173,32 +171,6 @@ impl<P: Protocol> SimBuilder<P> {
     #[must_use]
     pub fn txs_every(mut self, k: u64) -> SimBuilder<P> {
         self.config = self.config.txs_every(k);
-        self
-    }
-
-    /// Forces the pre-fast-path delivery cost model (see
-    /// [`SimConfig::naive_delivery`]).
-    #[must_use]
-    pub fn naive_delivery(mut self) -> SimBuilder<P> {
-        self.config = self.config.naive_delivery();
-        self
-    }
-
-    /// Disables the shared once-per-round tally so every process
-    /// recomputes its own (see [`SimConfig::unshared_tally`]) — the
-    /// shared-vs-unshared equivalence guard's other arm.
-    #[must_use]
-    pub fn unshared_tally(mut self) -> SimBuilder<P> {
-        self.config = self.config.unshared_tally();
-        self
-    }
-
-    /// Turns on per-phase wall-clock instrumentation (see
-    /// [`SimConfig::instrument`]). Off by default: instrumented fields
-    /// serialise as zero when disabled, keeping reports byte-comparable.
-    #[must_use]
-    pub fn instrument(mut self) -> SimBuilder<P> {
-        self.config = self.config.instrument();
         self
     }
 
@@ -349,24 +321,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("outside the system (n = 8)"));
-    }
-
-    #[test]
-    fn legacy_shim_still_panics_with_the_historic_messages() {
-        // The deprecated positional constructor keeps its panic-based
-        // contract for old callers; new code gets the Result path above.
-        #[allow(deprecated)]
-        let attempt = std::panic::catch_unwind(|| {
-            let _ = Simulation::new(
-                SimConfig::new(params(4, 0), 1),
-                Schedule::full(5, 10),
-                Box::new(SilentAdversary),
-            );
-        });
-        let payload = attempt.expect_err("legacy shim accepted a bad schedule");
-        let msg = payload
-            .downcast::<String>()
-            .expect("panic carries a String");
-        assert!(msg.contains("schedule covers 5 processes but params specify 4"));
     }
 }

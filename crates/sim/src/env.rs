@@ -424,8 +424,7 @@ impl EnvView {
 /// message's **global** pool index (stable across
 /// [`crate::Network::compact`]) and the receiver — a pure function, so
 /// the same message gets the same delay no matter when or how often it
-/// is asked, which is what keeps bounded-delay runs byte-reproducible
-/// and the naive-delivery equivalence intact.
+/// is asked, which is what keeps bounded-delay runs byte-reproducible.
 pub fn bounded_delay_of(seed: u64, msg_index: usize, receiver: ProcessId, delta: u64) -> u64 {
     if delta == 0 {
         return 0;

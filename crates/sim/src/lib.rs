@@ -37,6 +37,9 @@
 //! * [`Observer`] + [`SimEvent`] — the execution narrated as an event
 //!   stream; the built-in monitors ride the same trait user probes do,
 //!   and the report is assembled from the observer pipeline;
+//! * [`TallyOracle`] — the per-round, per-process check that every path
+//!   computing the paper's windowed tally (cohort-shared or incremental)
+//!   agrees with the stateless reference, on the production path;
 //! * [`Sweep`] — cartesian config grids with deterministic per-cell
 //!   seeds, run across worker threads in input order;
 //!   [`Sweep::compare`] runs the same cells and seeds through two
@@ -98,7 +101,10 @@ pub use env::{bounded_delay_of, Disruption, EnvView, EnvWindow, Partition, Segme
 pub use metrics::{RoundCost, RoundSample, RoundTrace};
 pub use monitor::{RecoveryRecord, SafetyViolation, SimReport, TxRecord};
 pub use network::{Network, Recipients, SentMessage};
-pub use observer::{DecisionLog, DecisionTap, ObsCtx, Observer, SimEvent, ViolationKind};
+pub use observer::{
+    DecisionLog, DecisionTap, ObsCtx, Observer, SimEvent, TallyCheck, TallyCheckLog, TallyOracle,
+    ViolationKind,
+};
 pub use runner::{AsyncWindow, SimConfig, Simulation};
 pub use schedule::{ChurnOptions, Schedule};
 pub use sweep::{Sweep, SweepComparison, SweepReports};

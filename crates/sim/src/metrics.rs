@@ -11,8 +11,8 @@ use st_types::Round;
 
 /// Per-round execution cost, measured by the runner when instrumentation
 /// is on ([`crate::SimConfig::instrument`]) and all-zero otherwise — the
-/// zeros keep instrument-off reports byte-identical across code paths,
-/// which is what the determinism-equivalence suites compare.
+/// zeros keep instrument-off reports pure functions of the seed, which
+/// is what the byte-identity suites compare.
 ///
 /// The phase attribution: `tally_us` is the runner-side shared-tally
 /// cohort pass (certification + the one representative tally per

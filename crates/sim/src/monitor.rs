@@ -172,25 +172,6 @@ impl SimReport {
         self.resilience_violations.is_empty()
     }
 
-    /// Healing lag `k`: rounds from the end of the **last** disruption
-    /// window to the first subsequent decision (Definition 6/Theorem 3).
-    /// `None` if no window was configured or no decision followed.
-    ///
-    /// **Deprecated:** the singular lag describes only the final spell.
-    /// Use [`SimReport::max_recovery_rounds`] (worst spell) or the
-    /// per-window `recovery_rounds` in [`SimReport::recoveries`].
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `max_recovery_rounds()` or the per-window `recovery_rounds` in `recoveries`"
-    )]
-    pub fn healing_lag(&self) -> Option<u64> {
-        #[allow(deprecated)]
-        match (self.async_window_end, self.first_decision_after_async) {
-            (Some(end), Some(first)) => Some(first.as_u64().saturating_sub(end.as_u64())),
-            _ => None,
-        }
-    }
-
     /// Whether a decision followed **every** disruption window — the
     /// multi-spell form of the paper's resilience claim (vacuously true
     /// without windows).
@@ -591,15 +572,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy singular surface is exercised on purpose
     fn report_helpers() {
         let mut r = SimReport::default();
         assert!(r.is_safe());
         assert!(r.is_asynchrony_resilient());
         assert_eq!(r.tx_inclusion_rate(), 1.0);
-        r.async_window_end = Some(Round::new(10));
-        r.first_decision_after_async = Some(Round::new(11));
-        assert_eq!(r.healing_lag(), Some(1));
         r.txs.push(TxRecord {
             tx: TxId::new(1),
             submitted: Round::new(2),

@@ -10,16 +10,18 @@
 //! inspect processes and mutate the schedule (mid-run interventions),
 //! which is what grid-scale experiments and scenario probes build on.
 //!
-//! Construct with [`crate::SimBuilder`]; the positional
-//! [`Simulation::new`] constructor is a deprecated shim kept for old
-//! callers.
+//! Construct with [`crate::SimBuilder`]. There is one execution path:
+//! each round is a sequence of named phases (`step_round`), and its
+//! receive phase is *plan, then apply* — one immutable pass decides per
+//! receiver which pool messages arrive (a `DeliveryPlan`), one loop
+//! applies the plans through the zero-copy shared-envelope path.
 
 use crate::adversary::{Adversary, AdversaryCtx};
 use crate::builder::BuildError;
 use crate::env::{bounded_delay_of, Disruption, EnvView, SegmentKind, Timeline};
 use crate::metrics::RoundCost;
 use crate::monitor::SimReport;
-use crate::network::{Network, Recipients};
+use crate::network::{Network, Recipients, SentMessage};
 use crate::observer::{
     DecisionLedger, ObsCtx, Observer, ResilienceObserver, SafetyObserver, SimEvent, TraceObserver,
     TxLedger,
@@ -29,7 +31,7 @@ use crate::workload::{WorkloadInjector, WorkloadSpec};
 use st_blocktree::BlockTree;
 use st_core::{Protocol, TobConfig, TobProcess};
 use st_crypto::Keypair;
-use st_messages::{Payload, SharedEnvelope};
+use st_messages::{Envelope, Payload, SharedEnvelope};
 use st_types::fasthash::mix64_pair;
 use st_types::FastSet;
 use st_types::{Params, ProcessId, Round, TxId};
@@ -100,8 +102,6 @@ pub struct SimConfig {
     horizon: u64,
     timeline: Timeline,
     txs_every: Option<u64>,
-    naive_delivery: bool,
-    shared_tally: bool,
     instrument: bool,
 }
 
@@ -116,8 +116,6 @@ impl SimConfig {
             horizon: 40,
             timeline: Timeline::synchronous(),
             txs_every: None,
-            naive_delivery: false,
-            shared_tally: true,
             instrument: false,
         }
     }
@@ -157,37 +155,11 @@ impl SimConfig {
         self
     }
 
-    /// Forces the pre-fast-path delivery behaviour: every receiver gets a
-    /// **deep clone** of each envelope and re-verifies its signature from
-    /// scratch, and the message pool is never compacted. Semantically
-    /// identical to the shared-envelope fast path (the
-    /// determinism-equivalence suite asserts byte-identical reports); it
-    /// exists so benches can measure the fast path against a faithful
-    /// naive baseline *in the same run*.
-    #[must_use]
-    pub fn naive_delivery(mut self) -> SimConfig {
-        self.naive_delivery = true;
-        self
-    }
-
-    /// Disables the shared once-per-round tally: every process computes
-    /// its own round tally inside `step_send`, with no runner-side cohort
-    /// pass. Behaviour must be identical either way — the shared path
-    /// hands a cohort exactly the tally each member would have computed —
-    /// and the determinism-equivalence suite asserts byte-identical
-    /// reports. This switch exists for that guard and for benchmarking
-    /// the sharing win.
-    #[must_use]
-    pub fn unshared_tally(mut self) -> SimConfig {
-        self.shared_tally = false;
-        self
-    }
-
     /// Enables per-phase wall-clock timing and tally-cache hit/miss
     /// accounting, surfaced per round via [`crate::RoundCost`] /
     /// [`crate::RoundSample`]. Off by default: uninstrumented runs never
     /// read the clock and serialise the cost fields as zero, keeping
-    /// reports byte-comparable across code paths.
+    /// reports pure functions of the seed.
     #[must_use]
     pub fn instrument(mut self) -> SimConfig {
         self.instrument = true;
@@ -304,9 +276,14 @@ fn pump_emitted<P: Protocol>(observers: &mut [Box<dyn Observer<P>>], ctx: &ObsCt
 
 /// Builds the observer read-context for the current round. A macro rather
 /// than a method so the borrow stays scoped to the named fields (the
-/// observer pipeline is borrowed mutably at the same time).
+/// observer pipeline is borrowed mutably at the same time). The
+/// four-argument form takes a pre-read `messages_sent`, for use while the
+/// network itself is mutably borrowed (mid-delivery narration).
 macro_rules! obs_ctx {
     ($sim:expr, $round:expr, $env:expr) => {
+        obs_ctx!($sim, $round, $env, $sim.network.messages_sent())
+    };
+    ($sim:expr, $round:expr, $env:expr, $sent:expr) => {
         ObsCtx {
             round: $round,
             env: $env,
@@ -314,32 +291,58 @@ macro_rules! obs_ctx {
             schedule: &$sim.schedule,
             global_tree: &$sim.global_tree,
             config: &$sim.config,
-            messages_sent: $sim.network.messages_sent(),
+            messages_sent: $sent,
         }
     };
 }
 
-impl Simulation {
-    /// Builds a simulation (legacy positional constructor). Pinned to
-    /// the default [`TobProcess`] protocol — exactly the surface it had
-    /// before the runner went generic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule's process count differs from
-    /// `config.params().n()` or a timeline partition group names a
-    /// process outside the system. [`crate::SimBuilder::build`] reports
-    /// both conditions as [`BuildError`]s instead.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use SimBuilder: SimBuilder::from_config(config).schedule(schedule).adversary(adversary).build()"
-    )]
-    pub fn new(config: SimConfig, schedule: Schedule, adversary: Box<dyn Adversary>) -> Simulation {
-        match Simulation::assemble(config, schedule, adversary, Vec::new(), None) {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"), // stlint::allow(panic, reason = "deprecated shim deliberately preserves the historic panic contract; SimBuilder::build is the fallible path")
+/// Builds the adversary's full-knowledge context for the current round —
+/// a macro for the same reason as [`obs_ctx!`]: the adversary itself is
+/// borrowed mutably while the context is alive.
+macro_rules! adv_ctx {
+    ($sim:expr, $round:expr, $env:expr, $corrupted:expr) => {
+        AdversaryCtx {
+            round: $round,
+            env: $env,
+            corrupted: $corrupted,
+            keypairs: &$sim.byz_cache.1,
+            processes: &$sim.procs,
+            schedule: &$sim.schedule,
+            global_tree: &$sim.global_tree,
+            config: &$sim.tob_config,
         }
+    };
+}
+
+/// Microseconds since an instrument-gated clock read (zero when
+/// instrumentation is off and the clock was never read).
+fn micros_since(start: Option<Instant>) -> u64 {
+    start.map_or(0, |t| t.elapsed().as_micros() as u64)
+}
+
+/// Keeps the global tree complete (the monitors' and the full-knowledge
+/// adversary's view): every block ever proposed enters it, including ones
+/// only a corrupted machine or the adversary built.
+fn absorb_proposal(global_tree: &mut BlockTree, envelope: &Envelope) {
+    if let Payload::Propose(prop) = envelope.payload() {
+        st_core::BlockBuffer::new().insert(global_tree, prop.block_arc().clone());
     }
+}
+
+/// What one receiver gets in a round's receive phase — decided for every
+/// receiver in one immutable planning pass ([`Simulation::plan_deliveries`])
+/// before any process state changes, then applied in one loop.
+enum DeliveryPlan {
+    /// Everything not yet delivered, in pool order: the synchronous,
+    /// unpartitioned round. No payload, so the common case never allocates.
+    Sweep,
+    /// Exactly these pool indices; everything else stays queued —
+    /// delayed, never lost. Adversarial asynchrony, and every partitioned
+    /// round (cross-group traffic arrives once the partition heals).
+    Marked(Vec<usize>),
+    /// Everything whose `delta`-round deadline has passed, plus the
+    /// `early` indices whose sampled delay elapsed this round.
+    Deadline { delta: u64, early: Vec<usize> },
 }
 
 impl<P: Protocol> Simulation<P> {
@@ -366,11 +369,7 @@ impl<P: Protocol> Simulation<P> {
         }
         let tob_config = TobConfig::new(config.params, config.seed);
         let procs: Vec<P> = ProcessId::all(n)
-            .map(|p| {
-                let mut proc = P::new(p, tob_config.clone());
-                proc.set_naive_receive(config.naive_delivery);
-                proc
-            })
+            .map(|p| P::new(p, tob_config.clone()))
             .collect();
         let keypairs: Vec<Keypair> = ProcessId::all(n)
             .map(|p| Keypair::derive(p, config.seed))
@@ -490,55 +489,78 @@ impl<P: Protocol> Simulation<P> {
         &self.network
     }
 
-    /// Rebuilds the Byzantine keypair cache iff the corrupted set changed.
-    fn refresh_byz_cache(&mut self, corrupted: &[ProcessId]) {
-        if self.byz_cache.0 != corrupted {
-            self.byz_cache.0 = corrupted.to_vec();
-            self.byz_cache.1 = corrupted
-                .iter()
-                .map(|p| self.keypairs[p.index()].clone())
-                .collect();
-        }
-    }
-
-    /// Delivers one shared envelope to process `p`. In naive mode the
-    /// envelope is deep-cloned and re-wrapped so the receiver re-verifies
-    /// it from scratch — the faithful pre-fast-path cost model.
-    fn deliver_to(procs: &mut [P], naive: bool, p: ProcessId, env: &SharedEnvelope) {
-        if naive {
-            let fresh = SharedEnvelope::new(env.envelope().clone());
-            procs[p.index()].on_receive_shared(&fresh);
-        } else {
-            procs[p.index()].on_receive_shared(env);
-        }
-    }
-
+    /// One round, as a sequence of phases.
     fn step_round(&mut self, round: Round) {
-        let env_view = self.config.timeline.view_at(round);
+        let env = self.config.timeline.view_at(round);
+        let instrument = self.config.instrument;
+        self.narrate_round_start(round, env);
+        let corrupted = self.note_participation(round);
+        self.inject_workload(round, env);
 
-        // ------ narration: round start + windows opening this round ------
-        {
-            let ctx = obs_ctx!(self, round, env_view);
-            dispatch(&mut self.observers, &ctx, &SimEvent::RoundStart { round });
-            for (index, d) in self.disruptions.iter().enumerate() {
-                if d.start == round {
-                    dispatch(
-                        &mut self.observers,
-                        &ctx,
-                        &SimEvent::WindowEnter {
-                            index,
-                            disruption: *d,
-                        },
-                    );
-                }
+        let honest = self.schedule.honest_awake(round);
+        let mut cost = self.share_tallies(round, env, &honest);
+
+        let t_send = instrument.then(Instant::now);
+        self.send_honest(round, &honest);
+        cost.step_send_us = micros_since(t_send);
+        self.send_corrupted(round, env, &corrupted);
+
+        // Decisions happen in step_send.
+        self.observe_decisions(round, env);
+
+        let t_recv = instrument.then(Instant::now);
+        let delivered = self.deliver(round, env, &corrupted);
+        // Drop the pool prefix every delivery cursor has passed.
+        self.network.compact();
+        cost.delivery_us = micros_since(t_recv);
+
+        self.narrate_round_end(round, env, delivered, cost);
+    }
+
+    /// Narrates one event to every observer, in order.
+    fn emit(&mut self, round: Round, env: EnvView, event: SimEvent) {
+        let ctx = obs_ctx!(self, round, env);
+        dispatch(&mut self.observers, &ctx, &event);
+    }
+
+    /// `RoundStart`, then one `WindowEnter` per disruption opening now.
+    fn narrate_round_start(&mut self, round: Round, env: EnvView) {
+        self.emit(round, env, SimEvent::RoundStart { round });
+        for index in 0..self.disruptions.len() {
+            let disruption = self.disruptions[index];
+            if disruption.start == round {
+                self.emit(round, env, SimEvent::WindowEnter { index, disruption });
             }
         }
+    }
 
-        // ------ participation bookkeeping (the runner-side half of the
-        // shared-tally cohort certificate): corruption is sticky — a
-        // machine whose sends were ever discarded is no longer a pure
-        // function of the delivered stream — and every process's awake
-        // history is chained into a fingerprint ------
+    /// One `WindowExit` per disruption closing now, then `RoundEnd` (the
+    /// tx ledger's inclusion bookkeeping and the round trace's sample
+    /// both hang off `RoundEnd`, in observer order).
+    fn narrate_round_end(&mut self, round: Round, env: EnvView, delivered: usize, cost: RoundCost) {
+        for index in 0..self.disruptions.len() {
+            let disruption = self.disruptions[index];
+            if disruption.end == round {
+                self.emit(round, env, SimEvent::WindowExit { index, disruption });
+            }
+        }
+        self.emit(
+            round,
+            env,
+            SimEvent::RoundEnd {
+                round,
+                delivered,
+                cost,
+            },
+        );
+    }
+
+    /// Participation bookkeeping — the runner-side half of the
+    /// shared-tally cohort certificate: corruption is sticky (a machine
+    /// whose sends were ever discarded is no longer a pure function of
+    /// the delivered stream) and every process's awake history is chained
+    /// into a fingerprint. Returns the round's corrupted set `B_r`.
+    fn note_participation(&mut self, round: Round) -> Vec<ProcessId> {
         let corrupted = self.schedule.byzantine(round);
         for &p in &corrupted {
             self.ever_byz[p.index()] = true;
@@ -549,71 +571,65 @@ impl<P: Protocol> Simulation<P> {
                 *fp = mix64_pair(*fp, round.as_u64());
             }
         }
+        corrupted
+    }
 
-        // ------ transaction workload: the injector offers this round's
-        // open-loop arrivals to the mempool and drains the submission
-        // batch; each drained transaction reaches every honest awake
-        // process's mempool (modelling transaction gossip, which floods
-        // independently of the consensus rounds). The `TxSubmitted`
-        // event carries the transaction's mempool *arrival* round, so
-        // downstream latency includes the queueing delay; under the
-        // legacy `txs_every` shim arrival and drain coincide, keeping
-        // those reports byte-identical. ------
-        if self.workload.is_some() {
-            let targets = self.schedule.honest_awake(round);
-            let drained = self
-                .workload
-                .as_mut()
-                .map(|inj| inj.step(round.as_u64(), !targets.is_empty()))
-                .unwrap_or_default();
-            for pending in drained {
-                self.tx_counter += 1;
-                let tx = TxId::new(self.tx_counter);
-                for &target in &targets {
-                    self.procs[target.index()].submit_tx(tx);
-                }
-                let ctx = obs_ctx!(self, round, env_view);
-                dispatch(
-                    &mut self.observers,
-                    &ctx,
-                    &SimEvent::TxSubmitted {
-                        tx,
-                        round: Round::new(pending.arrived),
-                    },
-                );
+    /// Transaction workload: the injector offers this round's open-loop
+    /// arrivals to the mempool and drains the submission batch; each
+    /// drained transaction reaches every honest awake process's mempool
+    /// (modelling transaction gossip, which floods independently of the
+    /// consensus rounds). The `TxSubmitted` event carries the
+    /// transaction's mempool *arrival* round, so downstream latency
+    /// includes the queueing delay; under the legacy `txs_every` shim
+    /// arrival and drain coincide.
+    fn inject_workload(&mut self, round: Round, env: EnvView) {
+        let Some(injector) = self.workload.as_mut() else {
+            return;
+        };
+        let targets = self.schedule.honest_awake(round);
+        for pending in injector.step(round.as_u64(), !targets.is_empty()) {
+            self.tx_counter += 1;
+            let tx = TxId::new(self.tx_counter);
+            for &target in &targets {
+                self.procs[target.index()].submit_tx(tx);
             }
+            let arrived = Round::new(pending.arrived);
+            self.emit(round, env, SimEvent::TxSubmitted { tx, round: arrived });
         }
+    }
 
-        // ------ shared once-per-round tally: partition the honest awake
-        // set into cohorts whose previous-round tallies are provably
-        // identical, compute each cohort's tally once through the
-        // representative, and hand the members a shared handle that
-        // `step_send` consumes instead of recomputing.
-        //
-        // The certificate is structural, not fingerprint-trust: a member
-        // must (a) never have been corrupted (a corrupted machine's sends
-        // are discarded from the pool, so its self-inserted votes were
-        // never part of any delivered stream), (b) have no extras pending
-        // and an untainted cursor (so "delivered" ≡ "pool prefix up to
-        // cursor"), and (c) share the delivery cursor with the rest of
-        // the cohort. Equal awake-history and tally fingerprints are
-        // layered on top as belt-and-braces. The pass only runs in fully
-        // synchronous, unpartitioned rounds; everything else falls back
-        // to the per-process incremental tally. ------
-        let honest = self.schedule.honest_awake(round);
+    /// Shared once-per-round tally: partition the honest awake set into
+    /// cohorts whose previous-round tallies are provably identical,
+    /// compute each cohort's tally once through the representative, and
+    /// hand the members a shared handle that `step_send` consumes instead
+    /// of recomputing. Returns the round's cost record with the tally
+    /// fields filled (all zero unless instrumented, so reports stay pure
+    /// functions of the seed).
+    ///
+    /// The certificate is structural, not fingerprint-trust: a member
+    /// must (a) never have been corrupted (a corrupted machine's sends
+    /// are discarded from the pool, so its self-inserted votes were never
+    /// part of any delivered stream), (b) have no extras pending and an
+    /// untainted cursor (so "delivered" ≡ "pool prefix up to cursor"),
+    /// and (c) share the delivery cursor with the rest of the cohort.
+    /// Equal awake-history and tally fingerprints are layered on top as
+    /// belt-and-braces. The pass only runs in fully synchronous,
+    /// unpartitioned rounds; everything else falls back to the
+    /// per-process incremental tally. `TallyOracle` checks both against
+    /// the stateless reference.
+    fn share_tallies(&mut self, round: Round, env: EnvView, honest: &[ProcessId]) -> RoundCost {
         let mut cost = RoundCost::default();
+        if round == Round::ZERO {
+            return cost;
+        }
         let instrument = self.config.instrument;
-        if self.config.shared_tally
-            && !self.config.naive_delivery
-            && round > Round::ZERO
-            && matches!(env_view.kind, SegmentKind::Synchronous)
-            && self.config.timeline.partition_at(round).is_none()
-        {
+        let mut hits = 0u64;
+        if matches!(env.kind, SegmentKind::Synchronous) && !env.partitioned {
             let t_tally = instrument.then(Instant::now);
             // BTreeMap keying keeps cohort ordering (and so the choice of
             // representative) independent of hasher state.
             let mut cohorts: BTreeMap<(usize, u64, u64), Vec<ProcessId>> = BTreeMap::new();
-            for &p in &honest {
+            for &p in honest {
                 if self.ever_byz[p.index()]
                     || self.network.has_extras(p)
                     || self.network.targeted_below_cursor(p)
@@ -642,86 +658,58 @@ impl<P: Protocol> Simulation<P> {
                 for &m in &members {
                     self.procs[m.index()].install_shared_tally(round, Arc::clone(&shared));
                 }
-                cost.tally_cache_hits += members.len() as u64 - 1;
+                hits += members.len() as u64 - 1;
             }
-            if let Some(t) = t_tally {
-                cost.tally_us = t.elapsed().as_micros() as u64;
-            }
+            cost.tally_us = micros_since(t_tally);
         }
-        if instrument && round > Round::ZERO {
-            cost.tally_cache_misses = honest.len() as u64 - cost.tally_cache_hits;
-        } else {
-            // Counters serialise as zero when uninstrumented so reports
-            // stay byte-comparable across sharing modes.
-            cost.tally_cache_hits = 0;
+        if instrument {
+            cost.tally_cache_hits = hits;
+            cost.tally_cache_misses = honest.len() as u64 - hits;
         }
+        cost
+    }
 
-        // ------ send phase: honest processes ------
-        let t_send = instrument.then(Instant::now);
-        for &p in &honest {
-            let envs = self.procs[p.index()].step_send(round);
-            for env in envs {
-                if let Payload::Propose(prop) = env.payload() {
-                    // Keep the global tree complete (monitor/adversary view).
-                    let mut buf = st_core::BlockBuffer::new();
-                    buf.insert(&mut self.global_tree, prop.block_arc().clone());
-                }
-                // Moves the envelope into one shared pool allocation; the
-                // process already recorded its own multicast locally.
+    /// Send phase, honest processes: each envelope moves into one shared
+    /// pool allocation (the process already recorded its own multicast
+    /// locally).
+    fn send_honest(&mut self, round: Round, honest: &[ProcessId]) {
+        for &p in honest {
+            for env in self.procs[p.index()].step_send(round) {
+                absorb_proposal(&mut self.global_tree, &env);
                 self.network.send(round, p, Recipients::All, env);
             }
         }
-        if let Some(t) = t_send {
-            cost.step_send_us = t.elapsed().as_micros() as u64;
-        }
+    }
 
-        // ------ send phase: corrupted machines ------
-        // A corrupted process's *machine* keeps executing the honest code
-        // (Byzantine processes never sleep; the adversary controls the
-        // wire, not the silicon): its output is discarded — the adversary
-        // speaks for it via `Adversary::send` below — but its internal
-        // state keeps advancing, so a process whose corruption ends
-        // (windowed corruption, churn experiments) resumes from live
-        // state. Discarded proposals still enter the global tree: the
-        // full-knowledge adversary and the monitors know every block ever
-        // built, including ones only a corrupted machine has seen.
-        for &p in &corrupted {
-            let envs = self.procs[p.index()].step_send(round);
-            for env in envs {
-                if let Payload::Propose(prop) = env.payload() {
-                    let mut buf = st_core::BlockBuffer::new();
-                    buf.insert(&mut self.global_tree, prop.block_arc().clone());
-                }
+    /// Send phase, corrupted machines and the adversary that speaks for
+    /// them.
+    ///
+    /// A corrupted process's *machine* keeps executing the honest code
+    /// (Byzantine processes never sleep; the adversary controls the wire,
+    /// not the silicon): its output is discarded — the adversary speaks
+    /// for it via `Adversary::send` — but its internal state keeps
+    /// advancing, so a process whose corruption ends (windowed
+    /// corruption, churn experiments) resumes from live state. Discarded
+    /// proposals still enter the global tree.
+    fn send_corrupted(&mut self, round: Round, env: EnvView, corrupted: &[ProcessId]) {
+        for &p in corrupted {
+            for discarded in self.procs[p.index()].step_send(round) {
+                absorb_proposal(&mut self.global_tree, &discarded);
             }
         }
-
-        // ------ send phase: adversary ------
+        // The Byzantine keypair cache is rebuilt iff the corrupted set
+        // changed, which is also exactly when observers hear about it.
         if self.byz_cache.0 != corrupted {
-            self.refresh_byz_cache(&corrupted);
-            let ctx = obs_ctx!(self, round, env_view);
-            dispatch(
-                &mut self.observers,
-                &ctx,
-                &SimEvent::CorruptionChange {
-                    round,
-                    corrupted: corrupted.clone(),
-                },
-            );
+            self.byz_cache.0 = corrupted.to_vec();
+            self.byz_cache.1 = corrupted
+                .iter()
+                .map(|p| self.keypairs[p.index()].clone())
+                .collect();
+            let corrupted = corrupted.to_vec();
+            self.emit(round, env, SimEvent::CorruptionChange { round, corrupted });
         }
-        let byz_msgs = {
-            let ctx = AdversaryCtx {
-                round,
-                env: env_view,
-                corrupted: &corrupted,
-                keypairs: &self.byz_cache.1,
-                processes: &self.procs,
-                schedule: &self.schedule,
-                global_tree: &self.global_tree,
-                config: &self.tob_config,
-            };
-            self.adversary.send(&ctx)
-        };
-        for msg in byz_msgs {
+        let ctx = adv_ctx!(self, round, env, corrupted);
+        for msg in self.adversary.send(&ctx) {
             let sender = msg.envelope.payload().sender();
             // The adversary can only author messages from corrupted
             // processes; anything else would be a forgery.
@@ -729,277 +717,159 @@ impl<P: Protocol> Simulation<P> {
                 corrupted.contains(&sender),
                 "adversary attempted to send as uncorrupted {sender}"
             );
-            if let Payload::Propose(prop) = msg.envelope.payload() {
-                let mut buf = st_core::BlockBuffer::new();
-                buf.insert(&mut self.global_tree, prop.block_arc().clone());
-            }
+            absorb_proposal(&mut self.global_tree, &msg.envelope);
             self.network
                 .send(round, sender, msg.recipients, msg.envelope);
         }
+    }
 
-        // ------ decision monitoring (decisions happen in step_send) ------
-        self.observe_decisions(round);
-
-        // ------ receive phase: processes awake at the END of this round,
-        // i.e. at the beginning of round + 1 ------
-        let t_recv = instrument.then(Instant::now);
+    /// Receive phase for the processes awake at the END of this round
+    /// (i.e. at the beginning of `round + 1`): plan what every honest
+    /// receiver gets, apply the plans, then feed the corrupted machines.
+    /// Returns the number of envelopes delivered to honest receivers.
+    fn deliver(&mut self, round: Round, env: EnvView, corrupted: &[ProcessId]) -> usize {
         let next = round.next();
-        let naive = self.config.naive_delivery;
         let receivers: Vec<ProcessId> = ProcessId::all(self.schedule.n())
             .filter(|&p| self.schedule.is_awake(p, next) && !self.schedule.is_byzantine(p, next))
             .collect();
-        // Partition reachability as a dense group map (two array reads
-        // per (sender, receiver) pair). While a partition is active,
-        // delivery goes through the marking path (`deliver_async` /
-        // chosen indices) so cross-group messages stay queued — delayed,
-        // never lost — and arrive once the partition heals.
-        let part_map: Option<Vec<u32>> = self
-            .config
-            .timeline
-            .partition_at(round)
-            .map(|p| p.group_map(self.schedule.n()));
+        let plans = self.plan_deliveries(round, env, corrupted, &receivers);
+
+        let messages_sent = self.network.messages_sent();
         let mut delivered = 0usize;
-        let reachable =
-            |map: &Vec<u32>, s: ProcessId, r: ProcessId| map[s.index()] == map[r.index()];
-        match env_view.kind {
-            SegmentKind::Asynchronous => {
-                // First ask the adversary what everyone gets (immutable
-                // phase), then apply (mutable phase). An active partition
-                // constrains the adversary: it cannot deliver across the
-                // cut.
-                let mut plan: Vec<(ProcessId, Vec<usize>)> = Vec::new();
-                {
-                    let ctx = AdversaryCtx {
-                        round,
-                        env: env_view,
-                        corrupted: &corrupted,
-                        keypairs: &self.byz_cache.1,
-                        processes: &self.procs,
-                        schedule: &self.schedule,
-                        global_tree: &self.global_tree,
-                        config: &self.tob_config,
+        for (&p, plan) in receivers.iter().zip(plans) {
+            let receive = |envelope: &SharedEnvelope| {
+                self.procs[p.index()].on_receive_shared(envelope);
+                if self.wants_deliveries {
+                    let ctx = obs_ctx!(self, round, env, messages_sent);
+                    let event = SimEvent::EnvelopeDelivered {
+                        receiver: p,
+                        sender: envelope.payload().sender(),
                     };
-                    for &p in &receivers {
-                        let available = self.network.available_for(p, round);
-                        let mut chosen = self.adversary.deliver(&ctx, p, &available);
-                        if let Some(map) = &part_map {
-                            let reach: FastSet<usize> = available
-                                .iter()
-                                .filter(|m| reachable(map, m.sender, p))
-                                .map(|m| m.index)
-                                .collect();
-                            chosen.retain(|i| reach.contains(i));
-                        }
-                        plan.push((p, chosen));
-                    }
+                    dispatch(&mut self.observers, &ctx, &event);
                 }
-                for (p, chosen) in plan {
-                    for env in self.network.deliver_async(p, round, &chosen) {
-                        delivered += 1;
-                        Self::deliver_to(&mut self.procs, naive, p, &env);
-                        self.note_delivery(round, env_view, p, &env);
-                    }
+            };
+            let batch = match plan {
+                DeliveryPlan::Sweep => {
+                    delivered += self.network.deliver_sync_with(p, round, receive);
+                    continue;
                 }
-            }
-            SegmentKind::BoundedDelay { delta } => {
-                // Every message is delivered within `delta` rounds of
-                // being sent: a message becomes *due* once its sampled
-                // delay elapses (deterministic per (message, receiver)
-                // from the run seed, or adversary-chosen within the
-                // bound), and the network enforces the deadline
-                // unconditionally.
-                let seed = self.config.seed;
-                let mut plan: Vec<(ProcessId, Vec<usize>)> = Vec::new();
-                {
-                    let ctx = AdversaryCtx {
-                        round,
-                        env: env_view,
-                        corrupted: &corrupted,
-                        keypairs: &self.byz_cache.1,
-                        processes: &self.procs,
-                        schedule: &self.schedule,
-                        global_tree: &self.global_tree,
-                        config: &self.tob_config,
-                    };
-                    for &p in &receivers {
-                        let available = self.network.available_for(p, round);
-                        let mut chosen = Vec::with_capacity(available.len());
-                        for m in &available {
-                            if let Some(map) = &part_map {
-                                if !reachable(map, m.sender, p) {
-                                    continue;
-                                }
-                            }
-                            let d = self
-                                .adversary
-                                .delay(&ctx, p, m, delta)
-                                .map(|d| d.min(delta))
-                                .unwrap_or_else(|| bounded_delay_of(seed, m.index, p, delta));
-                            if m.round.as_u64() + d <= round.as_u64() {
-                                chosen.push(m.index);
-                            }
-                        }
-                        plan.push((p, chosen));
-                    }
+                DeliveryPlan::Marked(chosen) => self.network.deliver_async(p, round, &chosen),
+                DeliveryPlan::Deadline { delta, early } => {
+                    self.network.deliver_bounded(p, round, delta, &early)
                 }
-                for (p, chosen) in plan {
-                    let envs = if part_map.is_some() {
-                        // The deadline must not force messages across the
-                        // cut: partition rounds use the marking path, and
-                        // the backlog arrives when the partition heals.
-                        self.network.deliver_async(p, round, &chosen)
-                    } else {
-                        self.network.deliver_bounded(p, round, delta, &chosen)
-                    };
-                    for env in envs {
-                        delivered += 1;
-                        Self::deliver_to(&mut self.procs, naive, p, &env);
-                        self.note_delivery(round, env_view, p, &env);
-                    }
-                }
-            }
-            SegmentKind::Synchronous => {
-                if let Some(map) = &part_map {
-                    // Synchronous delivery restricted to same-group
-                    // traffic; cross-group messages stay queued. No
-                    // adversary context is borrowed here, so each
-                    // receiver's choice can be applied immediately.
-                    for &p in &receivers {
-                        let chosen: Vec<usize> = self
-                            .network
-                            .available_for(p, round)
-                            .iter()
-                            .filter(|m| reachable(map, m.sender, p))
-                            .map(|m| m.index)
-                            .collect();
-                        for env in self.network.deliver_async(p, round, &chosen) {
-                            delivered += 1;
-                            Self::deliver_to(&mut self.procs, naive, p, &env);
-                            self.note_delivery(round, env_view, p, &env);
-                        }
-                    }
-                } else if self.wants_deliveries {
-                    // Event-generating sync path: materialise the batch so
-                    // each delivery can be narrated between mutations.
-                    for &p in &receivers {
-                        for env in self.network.deliver_sync(p, round) {
-                            delivered += 1;
-                            Self::deliver_to(&mut self.procs, naive, p, &env);
-                            self.note_delivery(round, env_view, p, &env);
-                        }
-                    }
-                } else {
-                    let procs = &mut self.procs;
-                    for &p in &receivers {
-                        delivered += self.network.deliver_sync_with(p, round, |env| {
-                            Self::deliver_to(procs, naive, p, env)
-                        });
-                    }
-                }
-            }
+            };
+            batch.iter().for_each(receive);
+            delivered += batch.len();
         }
+
         // Corrupted machines receive everything regardless of the round's
         // synchrony — the full-knowledge adversary already sees the whole
         // pool, so feeding its machines the complete traffic models that
         // knowledge (and keeps their delivery cursors advancing, which is
-        // what lets the pool compact under static corruption).
-        {
-            let procs = &mut self.procs;
-            for &p in &self.schedule.byzantine(next) {
-                self.network
-                    .deliver_sync_with(p, round, |env| Self::deliver_to(procs, naive, p, env));
-            }
+        // what lets the pool compact under static corruption). Not
+        // counted and not narrated.
+        for p in self.schedule.byzantine(next) {
+            let machine = &mut self.procs[p.index()];
+            self.network
+                .deliver_sync_with(p, round, |envelope| machine.on_receive_shared(envelope));
         }
-
-        // ------ pool compaction: drop messages every cursor has passed.
-        // Skipped in naive mode (the pre-refactor pool never shrank). ------
-        if !naive {
-            self.network.compact();
-        }
-        if let Some(t) = t_recv {
-            cost.delivery_us = t.elapsed().as_micros() as u64;
-        }
-
-        // ------ narration: windows closing this round + round end (the
-        // tx ledger's inclusion bookkeeping and the round trace's sample
-        // both hang off `RoundEnd`, in observer order) ------
-        {
-            let ctx = obs_ctx!(self, round, env_view);
-            for (index, d) in self.disruptions.iter().enumerate() {
-                if d.end == round {
-                    dispatch(
-                        &mut self.observers,
-                        &ctx,
-                        &SimEvent::WindowExit {
-                            index,
-                            disruption: *d,
-                        },
-                    );
-                }
-            }
-            dispatch(
-                &mut self.observers,
-                &ctx,
-                &SimEvent::RoundEnd {
-                    round,
-                    delivered,
-                    cost,
-                },
-            );
-        }
+        delivered
     }
 
-    /// Narrates one honest delivery, when some observer asked for
-    /// per-envelope events ([`Observer::wants_delivery_events`]).
-    fn note_delivery(
+    /// The planning pass: one [`DeliveryPlan`] per receiver, computed
+    /// against the state at the end of the send phase. Owns every
+    /// environment decision about delivery — the partition reachability
+    /// filter, the adversary's `deliver` (asynchrony) and `delay`
+    /// (bounded delay) hooks, and the seeded default delay.
+    fn plan_deliveries(
         &mut self,
         round: Round,
         env: EnvView,
-        receiver: ProcessId,
-        envelope: &SharedEnvelope,
-    ) {
-        if !self.wants_deliveries {
-            return;
+        corrupted: &[ProcessId],
+        receivers: &[ProcessId],
+    ) -> Vec<DeliveryPlan> {
+        // Partition reachability as a dense group map (two array reads
+        // per (sender, receiver) pair).
+        let groups: Option<Vec<u32>> = self
+            .config
+            .timeline
+            .partition_at(round)
+            .map(|p| p.group_map(self.schedule.n()));
+        if groups.is_none() && matches!(env.kind, SegmentKind::Synchronous) {
+            return receivers.iter().map(|_| DeliveryPlan::Sweep).collect();
         }
-        let ctx = obs_ctx!(self, round, env);
-        dispatch(
-            &mut self.observers,
-            &ctx,
-            &SimEvent::EnvelopeDelivered {
-                receiver,
-                sender: envelope.payload().sender(),
-            },
-        );
+        let seed = self.config.seed;
+        let ctx = adv_ctx!(self, round, env, corrupted);
+        let mut plans = Vec::with_capacity(receivers.len());
+        for &p in receivers {
+            let available = self.network.available_for(p, round);
+            let reachable = |m: &&SentMessage| match &groups {
+                Some(g) => g[m.sender.index()] == g[p.index()],
+                None => true,
+            };
+            plans.push(match env.kind {
+                SegmentKind::Synchronous => DeliveryPlan::Marked(
+                    (available.iter().copied().filter(reachable))
+                        .map(|m| m.index)
+                        .collect(),
+                ),
+                SegmentKind::Asynchronous => {
+                    // An active partition constrains the adversary: it
+                    // cannot deliver across the cut.
+                    let mut chosen = self.adversary.deliver(&ctx, p, &available);
+                    if groups.is_some() {
+                        let reach: FastSet<usize> = (available.iter().copied().filter(reachable))
+                            .map(|m| m.index)
+                            .collect();
+                        chosen.retain(|i| reach.contains(i));
+                    }
+                    DeliveryPlan::Marked(chosen)
+                }
+                SegmentKind::BoundedDelay { delta } => {
+                    // A message becomes *due* once its delay elapses:
+                    // adversary-chosen within the bound, else
+                    // deterministic per (message, receiver) from the run
+                    // seed. The network enforces the deadline regardless.
+                    let mut early = Vec::with_capacity(available.len());
+                    for m in available.iter().copied().filter(reachable) {
+                        let d = (self.adversary.delay(&ctx, p, m, delta))
+                            .map(|d| d.min(delta))
+                            .unwrap_or_else(|| bounded_delay_of(seed, m.index, p, delta));
+                        if m.round.as_u64() + d <= round.as_u64() {
+                            early.push(m.index);
+                        }
+                    }
+                    // The deadline must not force messages across the
+                    // cut: partitioned rounds mark instead, and the
+                    // backlog arrives when the partition heals.
+                    if groups.is_some() {
+                        DeliveryPlan::Marked(early)
+                    } else {
+                        DeliveryPlan::Deadline { delta, early }
+                    }
+                }
+            });
+        }
+        plans
     }
 
     /// Drains new decision events from every process into the observer
     /// pipeline, then forwards whatever the monitors emitted (violation
     /// events) to every observer.
-    fn observe_decisions(&mut self, round: Round) {
-        let env = self.config.timeline.view_at(round);
-        for p in ProcessId::all(self.schedule.n()) {
+    fn observe_decisions(&mut self, round: Round, env: EnvView) {
+        for process in ProcessId::all(self.schedule.n()) {
             // Corrupted processes' "decisions" don't count for safety —
             // the definitions quantify over well-behaved processes. The
             // cursor still advances past them: a process corrupted at
             // round r and honest again at r′ must not have its
             // Byzantine-era events replayed into the monitors as honest
-            // decisions the moment it recovers.
-            if self.schedule.is_byzantine(p, round) {
-                // Drain and discard: the events existed but never count.
-                let _ = self.procs[p.index()].drain_decisions();
+            // decisions the moment it recovers: drain, then discard.
+            let events = self.procs[process.index()].drain_decisions();
+            if self.schedule.is_byzantine(process, round) {
                 continue;
             }
-            let events = self.procs[p.index()].drain_decisions();
-            for event in events {
-                let ctx = obs_ctx!(self, round, env);
-                dispatch(
-                    &mut self.observers,
-                    &ctx,
-                    &SimEvent::DecisionObserved {
-                        process: p,
-                        decision: event,
-                    },
-                );
+            for decision in events {
+                self.emit(round, env, SimEvent::DecisionObserved { process, decision });
             }
         }
         let ctx = obs_ctx!(self, round, env);
@@ -1084,41 +954,6 @@ mod tests {
             "rate {}",
             report.tx_inclusion_rate()
         );
-    }
-
-    #[test]
-    fn shared_tally_actually_shares_under_full_participation() {
-        // Non-vacuity check for the shared-vs-unshared equivalence
-        // guards: on a fully synchronous full-participation run the
-        // cohort pass must serve almost every honest tally from the
-        // shared cache — one computed tally per round, (n − 1) hits.
-        let n = 8;
-        let report = sim(
-            SimConfig::new(params(n, 2), 1)
-                .horizon(30)
-                .txs_every(4)
-                .instrument(),
-            Schedule::full(n, 30),
-            SilentAdversary,
-        )
-        .run();
-        let rate = report.timeline.tally_cache_hit_rate();
-        assert!(
-            rate > 0.8,
-            "expected near-(n-1)/n cache hit rate under full participation, got {rate}"
-        );
-        // And the unshared arm records none.
-        let unshared = sim(
-            SimConfig::new(params(n, 2), 1)
-                .horizon(30)
-                .txs_every(4)
-                .instrument()
-                .unshared_tally(),
-            Schedule::full(n, 30),
-            SilentAdversary,
-        )
-        .run();
-        assert_eq!(unshared.timeline.tally_cache_hit_rate(), 0.0);
     }
 
     #[test]
@@ -1339,34 +1174,6 @@ mod tests {
                 .unwrap()
                 .max_decided_height
                 > 0
-        );
-    }
-
-    // The legacy positional constructor keeps its panic contract; the
-    // builder reports the same conditions as `BuildError`s (see the
-    // builder's own tests for the error path).
-
-    #[test]
-    #[should_panic(expected = "outside the system")]
-    fn legacy_shim_panics_on_partition_member_outside_system() {
-        let timeline =
-            Timeline::synchronous().partition(Round::new(5), 2, vec![vec![ProcessId::new(12)]]);
-        #[allow(deprecated)]
-        let _ = Simulation::new(
-            SimConfig::new(params(8, 2), 1).timeline(timeline),
-            Schedule::full(8, 40),
-            Box::new(SilentAdversary),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "schedule covers")]
-    fn legacy_shim_panics_on_mismatched_schedule() {
-        #[allow(deprecated)]
-        let _ = Simulation::new(
-            SimConfig::new(params(4, 0), 1),
-            Schedule::full(5, 10),
-            Box::new(SilentAdversary),
         );
     }
 
