@@ -6,13 +6,13 @@
 //! (the message-densest case: every process multicasts every round) and
 //! reports rounds/sec, messages/sec and the shared-tally cache hit rate
 //! per cell (under full synchrony the once-per-round tally serves
-//! `(n − 1)/n` of honest tallies from the cohort cache — that sharing,
+//! `(n − 1)/n` of honest tallies from the round's memo — that sharing,
 //! plus the incremental fallback, is what makes per-round work scale
 //! with messages rather than `n ×` messages and lands n = 4096).
 //!
 //! Before anything is timed, a **consistency spot-check** runs one cell
 //! under a [`st_sim::TallyOracle`], which compares every tally a process
-//! consumed (cohort-shared or incremental) with the stateless window
+//! consumed (memo-shared or incremental) with the stateless window
 //! tally; a mismatch exits with status 2 without touching
 //! `BENCH_sim.json`. The same check gates the `--smoke` CI pass.
 //!
@@ -130,10 +130,10 @@ fn measure(n: usize, horizon: u64) -> Measurement {
 }
 
 /// The consistency spot-check: one uninstrumented cell under the tally
-/// oracle. Every tally a process consumed — almost all served from the
-/// cohort cache at full participation — must equal the stateless window
-/// tally over that process's own state; anything else means the cohort
-/// certificate admitted a process whose tally inputs differed. Exits the
+/// oracle. Every tally a process consumed — almost all adopted from the
+/// round's memo at full participation — must equal the stateless window
+/// tally over that process's own state; anything else means two
+/// processes with different tally inputs shared a memo key. Exits the
 /// process with status 2 on mismatch.
 fn assert_tallies_consistent(n: usize, horizon: u64) {
     let (oracle, log) = TallyOracle::new();

@@ -153,7 +153,7 @@ impl BlockTree {
     /// A hasher-independent digest of the member block-id set (XOR of a
     /// fixed 64-bit mix over every id). Two trees holding the same blocks
     /// have equal fingerprints regardless of insertion order or FxHash
-    /// seed — the tree half of the simulator's tally-cohort cache key.
+    /// seed — the tree half of the key tallies are shared under.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

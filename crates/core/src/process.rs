@@ -38,7 +38,9 @@ pub struct TobProcess {
     /// The log this process voted for most recently (diagnostics/fallback).
     last_vote_tip: BlockId,
     /// Output of the most recent graded-agreement tally (diagnostics).
-    last_ga_output: Option<GaOutput>,
+    /// Behind an `Arc` so a tally adopted from a driver's memo is held,
+    /// not copied.
+    last_ga_output: Option<Arc<GaOutput>>,
     /// Incremental tally state: chain support of every counted in-window
     /// vote, updated per sender delta instead of being rebuilt from the
     /// whole window each round. The stateless [`st_ga::tally`] survives
@@ -61,10 +63,9 @@ pub struct TobProcess {
     /// round leaves its old entry behind), so each pop re-checks against
     /// `counted` before acting.
     expiries: BTreeMap<Round, Vec<ProcessId>>,
-    /// A tally for a specific round, installed by a driver that computed
-    /// it once for a certified cohort of identical-state receivers
-    /// ([`crate::Protocol::install_shared_tally`]); consumed by the next
-    /// [`TobProcess::step_send`] for that round.
+    /// The tally [`TobProcess::share_tally`] settled on for a specific
+    /// round (adopted from the driver's memo, or computed and published);
+    /// consumed by the next [`TobProcess::step_send`] for that round.
     shared_tally: Option<(Round, Arc<GaOutput>)>,
 }
 
@@ -145,7 +146,7 @@ impl TobProcess {
 
     /// The most recent graded-agreement output (diagnostics).
     pub fn last_ga_output(&self) -> Option<&GaOutput> {
-        self.last_ga_output.as_ref()
+        self.last_ga_output.as_deref()
     }
 
     /// Queues a transaction for inclusion in this process's future
@@ -327,30 +328,32 @@ impl TobProcess {
     /// (Section 2.1's expiration window for round `r`). With `η = 0` this
     /// is exactly the vanilla single-round tally of Figure 2.
     ///
-    /// Two paths, both producing the same output for the same state: an
-    /// installed shared tally (a driver certified this process's inputs
-    /// identical to a cohort representative's and computed once), or the
-    /// incremental support index. [`TobProcess::reference_tally`] is the
-    /// stateless statement of what either must return.
-    fn tally_previous_round(&mut self, round: Round) -> GaOutput {
+    /// Two paths, both producing the same output for the same state:
+    /// the tally [`TobProcess::share_tally`] settled on for this round,
+    /// or the incremental support index.
+    /// [`TobProcess::reference_tally`] is the stateless statement of what
+    /// either must return.
+    fn tally_previous_round(&mut self, round: Round) -> Arc<GaOutput> {
         let Some(prev) = round.prev() else {
-            return GaOutput::empty();
+            return Arc::new(GaOutput::empty());
         };
         if let Some((r, shared)) = self.shared_tally.take() {
             if r == round {
-                return GaOutput::clone(&shared);
+                return shared;
             }
         }
         let lo = prev.saturating_sub(self.config.params().expiration());
         self.reconcile_window(lo, prev);
-        self.support
-            .outputs(&self.tree, self.config.thresholds(), self.counted.len())
+        Arc::new(
+            self.support
+                .outputs(&self.tree, self.config.thresholds(), self.counted.len()),
+        )
     }
 
     /// The paper's rule, stated statelessly: the tally of the latest
     /// unexpired votes from `[r − 1 − η, r − 1]` over this process's
     /// current vote store and tree. Read-only and independent of the
-    /// incremental bookkeeping and of any installed shared tally, so it
+    /// incremental bookkeeping and of any memoised tally, so it
     /// is the oracle both are checked against: called right before
     /// [`TobProcess::step_send`]`(round)`, it must equal the
     /// [`TobProcess::last_ga_output`] that step leaves behind.
@@ -428,29 +431,36 @@ impl TobProcess {
         }
     }
 
-    /// Computes the round-`round` tally for sharing across a certified
-    /// cohort (drivers call this on one representative, then install the
-    /// result into every member via
-    /// [`crate::Protocol::install_shared_tally`]).
-    pub fn shared_round_tally(&mut self, round: Round) -> GaOutput {
-        self.tally_previous_round(round)
-    }
-
-    /// Installs a cohort-shared tally for `round`, consumed by the next
-    /// [`TobProcess::step_send`] for that round (a stale round is
-    /// silently discarded and the tally recomputed locally).
-    pub fn install_shared_tally(&mut self, round: Round, tally: Arc<GaOutput>) {
-        self.shared_tally = Some((round, tally));
+    /// Tally sharing keyed by content alone. `memo` is a driver's
+    /// round-scoped map from [`TobProcess::tally_fingerprint`] to the
+    /// round-`round` tally. On a hit this process adopts the memoised
+    /// tally and returns `true`; on a miss it computes its own through
+    /// the ordinary incremental path, publishes it and returns `false`.
+    /// Either way the next [`TobProcess::step_send`]`(round)` consumes
+    /// the result instead of tallying again.
+    ///
+    /// Why a hit is sound: the tally reads only the vote store, the block
+    /// tree and the (run-wide) parameters, and the fingerprint digests
+    /// the vote store and the tree — equal fingerprints mean equal
+    /// tallies, up to a 64-bit collision, for any two processes in any
+    /// kind of round.
+    pub fn share_tally(&mut self, round: Round, memo: &mut BTreeMap<u64, Arc<GaOutput>>) -> bool {
+        let fp = self.tally_fingerprint();
+        if let Some(shared) = memo.get(&fp) {
+            self.shared_tally = Some((round, Arc::clone(shared)));
+            return true;
+        }
+        let own = self.tally_previous_round(round);
+        memo.insert(fp, Arc::clone(&own));
+        self.shared_tally = Some((round, own));
+        false
     }
 
     /// Hasher-independent digest of the tally-relevant state (vote store
     /// combined with block tree): two processes with equal fingerprints
     /// answer every windowed tally identically.
-    pub fn tally_fingerprint(&self) -> Option<u64> {
-        Some(mix64_pair(
-            self.votes.fingerprint(),
-            self.tree.fingerprint(),
-        ))
+    pub fn tally_fingerprint(&self) -> u64 {
+        mix64_pair(self.votes.fingerprint(), self.tree.fingerprint())
     }
 
     fn make_vote(&mut self, round: Round, tip: BlockId) -> Envelope {
@@ -705,21 +715,74 @@ mod tests {
 
     #[test]
     fn reference_tally_exposes_a_wrong_shared_tally() {
-        // The oracle can fail: a driver that installs a tally the process
-        // would not have computed is caught by comparing what step_send
+        // The oracle can fail: a memo holding a tally the process would
+        // not have computed is caught by comparing what step_send
         // consumed against the stateless reference.
         let mut procs = run_lockstep(4, 2, 5, 17);
         let round = Round::new(6);
         let reference = procs[0].reference_tally(round);
         assert!(!reference.is_empty(), "votes are in flight by round 6");
-        procs[0].install_shared_tally(round, Arc::new(GaOutput::empty()));
+        let mut poisoned =
+            BTreeMap::from([(procs[0].tally_fingerprint(), Arc::new(GaOutput::empty()))]);
+        assert!(procs[0].share_tally(round, &mut poisoned));
         procs[0].step_send(round);
         assert_ne!(procs[0].last_ga_output(), Some(&reference));
-        // An honestly shared one passes the same comparison.
-        let shared = procs[1].shared_round_tally(round);
-        procs[2].install_shared_tally(round, Arc::new(shared));
+        // An honest memo passes the same comparison: p1 misses and
+        // publishes, p2 hits and consumes p1's tally.
+        let mut memo = BTreeMap::new();
+        assert!(!procs[1].share_tally(round, &mut memo));
+        assert!(procs[2].share_tally(round, &mut memo));
         procs[2].step_send(round);
         assert_eq!(procs[2].last_ga_output(), Some(&reference));
+    }
+
+    #[test]
+    fn equal_received_streams_do_not_mean_equal_tally_state() {
+        // Why the sharing certificate is content, not delivery history:
+        // after a blackout every process has *received* the identical
+        // stream (everything up to round 5, then nothing), yet each
+        // inserted its own round-6 and round-7 votes, so no two states —
+        // and no two tallies' inputs — are equal.
+        let mut procs = run_lockstep(4, 2, 5, 23);
+        let mut withheld: Vec<Envelope> = Vec::new();
+        for r in 6..=7u64 {
+            for p in procs.iter_mut() {
+                withheld.extend(p.step_send(Round::new(r)));
+            }
+        }
+        for (i, a) in procs.iter().enumerate() {
+            for b in &procs[i + 1..] {
+                assert_ne!(a.tally_fingerprint(), b.tally_fingerprint());
+            }
+        }
+        let round = Round::new(8);
+        let mut memo = BTreeMap::new();
+        for p in procs.iter_mut() {
+            assert!(!p.share_tally(round, &mut memo), "nobody may adopt");
+            let reference = p.reference_tally(round);
+            withheld.extend(p.step_send(round));
+            assert_eq!(p.last_ga_output(), Some(&reference));
+        }
+        assert_eq!(memo.len(), procs.len());
+        // One fully delivered round later the states agree again: the
+        // first process computes, everyone else adopts.
+        for env in withheld {
+            for p in procs.iter_mut() {
+                p.on_receive(env.clone());
+            }
+        }
+        let round = Round::new(9);
+        let mut memo = BTreeMap::new();
+        let hits: Vec<bool> = procs
+            .iter_mut()
+            .map(|p| p.share_tally(round, &mut memo))
+            .collect();
+        assert_eq!(hits, [false, true, true, true]);
+        for p in procs.iter_mut() {
+            let reference = p.reference_tally(round);
+            p.step_send(round);
+            assert_eq!(p.last_ga_output(), Some(&reference));
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use st_blocktree::{Block, BlockTree};
 use st_ga::GaOutput;
 use st_messages::{Envelope, SharedEnvelope};
 use st_types::{BlockId, ProcessId, Round, TxId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A per-process consensus state machine the simulator can drive.
@@ -83,31 +84,18 @@ pub trait Protocol: Sized + 'static {
     /// exposes only what has not been drained yet.
     fn drain_decisions(&mut self) -> Vec<DecisionEvent>;
 
-    /// Hasher-independent digest of the state a round tally reads (vote
-    /// window + block tree). Two processes returning equal fingerprints
-    /// must produce identical tallies for the same round; `None` (the
-    /// default) opts the process out of tally sharing entirely, which is
-    /// always sound.
-    fn tally_fingerprint(&self) -> Option<u64> {
-        None
-    }
-
-    /// Computes the round-`round` tally once for a cohort of receivers
-    /// certified identical (equal [`Protocol::tally_fingerprint`] among
-    /// other driver-side checks). Drivers call this on one
-    /// representative, then hand the result to every member via
-    /// [`Protocol::install_shared_tally`]. The default `None` means the
-    /// protocol has no shareable tally.
-    fn shared_round_tally(&mut self, round: Round) -> Option<GaOutput> {
-        let _ = round;
-        None
-    }
-
-    /// Installs a cohort-shared tally for `round`, to be consumed by this
-    /// process's next [`Protocol::step_send`] for that round. The default
-    /// discards it (correct for protocols without a shareable tally).
-    fn install_shared_tally(&mut self, round: Round, tally: Arc<GaOutput>) {
-        let _ = (round, tally);
+    /// Tally sharing across the processes a driver steps in one round:
+    /// `memo` is the driver's round-scoped map from a digest of the state
+    /// the round-`round` tally reads to that tally. An implementor whose
+    /// digest is already present adopts the memoised tally for its next
+    /// [`Protocol::step_send`]`(round)` and returns `true` (a hit);
+    /// otherwise it computes its own, publishes it under its digest and
+    /// returns `false`. Equal digests must mean equal tallies — that is
+    /// the whole certificate. The default shares nothing, which is always
+    /// sound.
+    fn share_tally(&mut self, round: Round, memo: &mut BTreeMap<u64, Arc<GaOutput>>) -> bool {
+        let _ = (round, memo);
+        false
     }
 
     /// The tip of the longest decided log (genesis before any decision).
@@ -166,16 +154,8 @@ impl Protocol for crate::TobProcess {
         crate::TobProcess::drain_decisions(self)
     }
 
-    fn tally_fingerprint(&self) -> Option<u64> {
-        crate::TobProcess::tally_fingerprint(self)
-    }
-
-    fn shared_round_tally(&mut self, round: Round) -> Option<GaOutput> {
-        Some(crate::TobProcess::shared_round_tally(self, round))
-    }
-
-    fn install_shared_tally(&mut self, round: Round, tally: Arc<GaOutput>) {
-        crate::TobProcess::install_shared_tally(self, round, tally);
+    fn share_tally(&mut self, round: Round, memo: &mut BTreeMap<u64, Arc<GaOutput>>) -> bool {
+        crate::TobProcess::share_tally(self, round, memo)
     }
 
     fn decided_tip(&self) -> BlockId {

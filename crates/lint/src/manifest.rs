@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! st-types / st-load → st-crypto → st-blocktree → st-messages
-//!          → st-ga/st-gossip → st-core → st-sim → st-analysis
+//!          → st-ga → st-core → st-sim → st-analysis
 //!          → st-bench / sleepy-tob
 //! ```
 //!
@@ -19,7 +19,7 @@ use crate::diag::{Diagnostic, RuleId};
 
 /// Stack position of each workspace package. A package may depend (in
 /// `[dependencies]`) only on packages with a strictly smaller layer.
-pub const LAYERS: [(&str, u8); 14] = [
+pub const LAYERS: [(&str, u8); 13] = [
     ("st-types", 0),
     // Dependency-free workload vocabulary (generators, mempool,
     // histogram): sits at the bottom so st-sim and st-bench can both
@@ -29,7 +29,6 @@ pub const LAYERS: [(&str, u8); 14] = [
     ("st-blocktree", 2),
     ("st-messages", 3),
     ("st-ga", 4),
-    ("st-gossip", 4),
     ("st-core", 5),
     ("st-sim", 6),
     ("st-node", 7),
@@ -196,7 +195,7 @@ pub fn check_layering(rel_path: &str, m: &Manifest) -> Vec<Diagnostic> {
                     format!(
                         "`{name}` (layer {my_layer}) may only depend on crates strictly below \
                          it, but `{dep_name}` is layer {dep_layer}; the legal direction is \
-                         types → crypto → blocktree → messages → ga/gossip → core → sim → \
+                         types → crypto → blocktree → messages → ga → core → sim → \
                          analysis → bench",
                     ),
                 ));

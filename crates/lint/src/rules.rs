@@ -16,13 +16,12 @@ use std::collections::BTreeSet;
 /// Crates whose non-test code carries the determinism discipline: the
 /// protocol/sim stack whose byte-equivalence suites assume runs are pure
 /// functions of the seed.
-pub const PROTOCOL_CRATES: [&str; 8] = [
+pub const PROTOCOL_CRATES: [&str; 7] = [
     "st-types",
     "st-crypto",
     "st-ga",
     "st-messages",
     "st-blocktree",
-    "st-gossip",
     "st-core",
     "st-sim",
 ];
@@ -578,7 +577,7 @@ mod tests {
     fn n1_catches_iter_collect_chain() {
         let src =
             "fn f(seen: &FastSet<u64>) -> Vec<u64> {\n    seen.iter().copied().collect()\n}\n";
-        let fired = rules_fired(&ctx("st-gossip"), src);
+        let fired = rules_fired(&ctx("st-ga"), src);
         assert_eq!(fired, vec![(RuleId::N1, 2)]);
     }
 

@@ -97,8 +97,7 @@ impl Envelope {
         &self.payload
     }
 
-    /// The raw signature (used by vote aggregation, which repacks
-    /// constituent signatures into batch messages).
+    /// The raw signature (the wire codec carries it verbatim).
     pub fn signature(&self) -> &Signature {
         &self.signature
     }

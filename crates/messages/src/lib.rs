@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod aggregate;
 mod envelope;
 mod propose_store;
 mod shared;
@@ -49,7 +48,6 @@ mod types;
 mod vote_store;
 pub mod wire;
 
-pub use aggregate::{AggregatedVote, VoteAggregator};
 pub use envelope::{Envelope, KeyDirectory, Payload};
 pub use propose_store::ProposeStore;
 pub use shared::SharedEnvelope;

@@ -70,8 +70,8 @@ pub struct VoteStore {
     /// fingerprint, maintained incrementally by [`VoteStore::insert`] and
     /// both prune variants. Equal fingerprints certify (up to 64-bit
     /// collision) that two stores answer every latest-in-window query
-    /// identically, which is what the simulator's shared-tally cohort
-    /// check needs.
+    /// identically — the vote half of the key tallies are shared under
+    /// (`TobProcess::share_tally` in st-core).
     fingerprint: u64,
 }
 

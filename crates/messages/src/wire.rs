@@ -30,7 +30,6 @@
 
 use crate::envelope::{Envelope, Payload};
 use crate::types::{Propose, Vote};
-use crate::AggregatedVote;
 use st_blocktree::Block;
 use st_crypto::{Signature, VrfProof};
 use st_types::{BlockId, ProcessId, Round, TxId, View};
@@ -47,8 +46,6 @@ pub const KIND_PROPOSE: u8 = 0x02;
 pub const KIND_BLOCK: u8 = 0x03;
 /// Frame kind: a signed [`Envelope`].
 pub const KIND_ENVELOPE: u8 = 0x04;
-/// Frame kind: an [`AggregatedVote`] relay batch.
-pub const KIND_AGGREGATE: u8 = 0x05;
 
 /// Why a frame failed to decode. Decoding is total: every input maps to
 /// `Ok` or one of these — never a panic.
@@ -339,40 +336,6 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope, WireError> {
     Ok(Envelope::from_wire_parts(payload, signature))
 }
 
-/// Encodes an [`AggregatedVote`] frame.
-pub fn encode_aggregate(a: &AggregatedVote) -> Vec<u8> {
-    let entries = a.signer_entries();
-    let mut body = Vec::with_capacity(20 + entries.len() * 12);
-    body.extend_from_slice(&a.round().as_u64().to_le_bytes());
-    body.extend_from_slice(&a.tip().as_u64().to_le_bytes());
-    body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (signer, sig) in entries {
-        body.extend_from_slice(&signer.as_u32().to_le_bytes());
-        body.extend_from_slice(&sig.as_wire_tag().to_le_bytes());
-    }
-    frame(KIND_AGGREGATE, &body)
-}
-
-/// Decodes an [`AggregatedVote`] frame. Entries are kept as transmitted;
-/// [`AggregatedVote::verified_votes`] re-verifies every signature.
-pub fn decode_aggregate(bytes: &[u8]) -> Result<AggregatedVote, WireError> {
-    let mut r = ByteReader::new(expect_kind(bytes, KIND_AGGREGATE)?);
-    let round = Round::new(r.u64()?);
-    let tip = BlockId::new(r.u64()?);
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 12 {
-        return Err(WireError::Truncated);
-    }
-    let mut signers = Vec::with_capacity(count);
-    for _ in 0..count {
-        let signer = ProcessId::new(r.u32()?);
-        let sig = Signature::from_wire_tag(r.u64()?);
-        signers.push((signer, sig));
-    }
-    r.done()?;
-    Ok(AggregatedVote::from_wire_parts(round, tip, signers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,30 +435,16 @@ mod tests {
         );
         // Wrong kind for the decoder.
         assert_eq!(decode_propose(&good), Err(WireError::BadKind(KIND_VOTE)));
+        // A kind no decoder owns (0x05 was the retired aggregate frame).
+        let mut bad = good.clone();
+        bad[5] = 0x05;
+        assert_eq!(decode_vote(&bad), Err(WireError::BadKind(0x05)));
+        assert_eq!(decode_envelope(&bad), Err(WireError::BadKind(0x05)));
         // Trailing garbage inside a consistent outer frame.
         let mut bad = good.clone();
         bad.push(0);
         let len = (bad.len() - 4) as u32;
         bad[0..4].copy_from_slice(&len.to_le_bytes());
         assert_eq!(decode_vote(&bad), Err(WireError::Trailing(1)));
-    }
-
-    #[test]
-    fn aggregate_frame_round_trips_and_verifies() {
-        let dir = KeyDirectory::derive(4, 7);
-        let tip = BlockId::new(30);
-        let mut agg = AggregatedVote::new(Round::new(6), tip);
-        for i in 0..4u32 {
-            let kp = Keypair::derive(ProcessId::new(i), 7);
-            let env = Envelope::sign(
-                &kp,
-                Payload::Vote(Vote::new(ProcessId::new(i), Round::new(6), tip)),
-            );
-            assert!(agg.absorb(&env, &dir));
-        }
-        let bytes = encode_aggregate(&agg);
-        let back = decode_aggregate(&bytes).expect("decode");
-        assert_eq!(back.verified_votes(&dir).len(), 4);
-        assert_eq!(encode_aggregate(&back), bytes);
     }
 }

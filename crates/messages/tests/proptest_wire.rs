@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use st_blocktree::Block;
 use st_crypto::Keypair;
-use st_messages::{wire, AggregatedVote, Envelope, KeyDirectory, Payload, Propose, Vote};
+use st_messages::{wire, Envelope, KeyDirectory, Payload, Propose, Vote};
 use st_types::{BlockId, ProcessId, Round, TxId, View};
 
 const SEED: u64 = 7;
@@ -123,34 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn aggregate_binary_identity_json_agreement_and_verification(
-        round in 1u64..1_000_000,
-        tip in any::<u64>(),
-        signer_bits in any::<u16>(),
-    ) {
-        let n = 16usize;
-        let dir = KeyDirectory::derive(n, SEED);
-        let tip = BlockId::new(tip);
-        let round = Round::new(round);
-        let mut agg = AggregatedVote::new(round, tip);
-        for i in 0..n {
-            if signer_bits & (1 << i) != 0 {
-                let owner = ProcessId::new(i as u32);
-                let kp = Keypair::derive(owner, SEED);
-                let env = Envelope::sign(&kp, Payload::Vote(Vote::new(owner, round, tip)));
-                prop_assert!(agg.absorb(&env, &dir));
-            }
-        }
-        let bytes = wire::encode_aggregate(&agg);
-        let back = wire::decode_aggregate(&bytes).unwrap();
-        prop_assert_eq!(back.verified_votes(&dir).len(), agg.len());
-        prop_assert_eq!(wire::encode_aggregate(&back), bytes.clone());
-        let json: AggregatedVote =
-            serde_json::from_str(&serde_json::to_string(&agg).unwrap()).unwrap();
-        prop_assert_eq!(wire::encode_aggregate(&json), bytes);
-    }
-
-    #[test]
     fn random_garbage_never_panics_the_decoders(
         bytes in prop::collection::vec(any::<u8>(), 0..64),
     ) {
@@ -160,7 +132,6 @@ proptest! {
         let _ = wire::decode_propose(&bytes);
         let _ = wire::decode_block(&bytes);
         let _ = wire::decode_envelope(&bytes);
-        let _ = wire::decode_aggregate(&bytes);
         let _ = wire::split_frame(&bytes);
     }
 }

@@ -3,7 +3,7 @@
 
 use st_blocktree::Block;
 use st_crypto::Keypair;
-use st_messages::{AggregatedVote, Envelope, KeyDirectory, Payload, Propose, SharedEnvelope, Vote};
+use st_messages::{Envelope, KeyDirectory, Payload, Propose, SharedEnvelope, Vote};
 use st_types::{BlockId, ProcessId, Round, TxId, View};
 
 fn keypair() -> Keypair {
@@ -86,29 +86,6 @@ fn shared_envelope_roundtrip_does_not_import_remote_verdict() {
     let json = serde_json::to_string(&forged).unwrap();
     let back: SharedEnvelope = serde_json::from_str(&json).unwrap();
     assert!(!back.verify_cached(&directory));
-}
-
-#[test]
-fn aggregated_vote_roundtrip_preserves_verifiable_signers() {
-    let directory = KeyDirectory::derive(8, 42);
-    let tip = BlockId::new(31);
-    let round = Round::new(6);
-    let mut agg = AggregatedVote::new(round, tip);
-    for i in 0..5u32 {
-        let kp = Keypair::derive(ProcessId::new(i), 42);
-        let env = Envelope::sign(&kp, Payload::Vote(Vote::new(kp.owner(), round, tip)));
-        assert!(agg.absorb(&env, &directory));
-    }
-    let json = serde_json::to_string(&agg).unwrap();
-    let back: AggregatedVote = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.round(), round);
-    assert_eq!(back.tip(), tip);
-    let votes = back.verified_votes(&directory);
-    assert_eq!(votes.len(), 5, "all five signatures must survive the trip");
-    for v in votes {
-        assert_eq!(v.round(), round);
-        assert_eq!(v.tip(), tip);
-    }
 }
 
 #[test]

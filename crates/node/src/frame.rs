@@ -107,5 +107,10 @@ mod tests {
             decode_frame(&bytes),
             Err(WireError::BadKind(wire::KIND_VOTE))
         );
+        // So is a kind nobody owns (0x05 was the retired aggregate frame).
+        assert_eq!(
+            decode_frame(&wire::frame(0x05, &[])),
+            Err(WireError::BadKind(0x05))
+        );
     }
 }

@@ -40,6 +40,15 @@ const IDLE: Duration = Duration::from_millis(1);
 /// Reconnect backoff bounds.
 const BACKOFF_MIN: Duration = Duration::from_millis(5);
 const BACKOFF_MAX: Duration = Duration::from_millis(250);
+/// Largest frame (bytes after the length prefix) accepted from a peer
+/// that has said who it is. A frame is at most a round's multicast batch;
+/// 16 MiB is far beyond any honest frame and bounds a corrupt length
+/// prefix.
+const MAX_FRAME: usize = 16 << 20;
+/// Largest frame accepted before that: exactly an encoded `Hello`
+/// (version, kind, `from: u32`). A connection cannot make the reader
+/// allocate more than this until it has sent a valid, in-range one.
+const HELLO_FRAME: usize = 6;
 
 /// Point-in-time view of one peer link, for diagnostics and the cluster
 /// report.
@@ -199,7 +208,7 @@ pub fn spawn_listener(
 }
 
 fn read_peer(mut stream: TcpStream, inbox: Sender<RoundBatch>, board: Arc<Liveness>) {
-    let Some(first) = read_frame(&mut stream) else {
+    let Some(first) = read_frame(&mut stream, HELLO_FRAME) else {
         return;
     };
     let Ok(NodeFrame::Hello { from }) = frame::decode_frame(&first) else {
@@ -212,7 +221,7 @@ fn read_peer(mut stream: TcpStream, inbox: Sender<RoundBatch>, board: Arc<Livene
         return;
     }
     let mut pending: Vec<Envelope> = Vec::new();
-    while let Some(bytes) = read_frame(&mut stream) {
+    while let Some(bytes) = read_frame(&mut stream, MAX_FRAME) {
         board.heard(from.index());
         match frame::decode_frame(&bytes) {
             Ok(NodeFrame::Env(env)) => pending.push(env),
@@ -227,15 +236,14 @@ fn read_peer(mut stream: TcpStream, inbox: Sender<RoundBatch>, board: Arc<Livene
     }
 }
 
-/// Reads one full frame (length prefix + that many bytes); `None` on EOF
-/// or any transport error.
-fn read_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
+/// Reads one full frame (length prefix + that many bytes, at most `cap`);
+/// `None` on EOF, any transport error, or a length prefix outside
+/// `2..=cap` — checked before anything is allocated for the body.
+fn read_frame(stream: &mut TcpStream, cap: usize) -> Option<Vec<u8>> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len).ok()?;
     let n = u32::from_le_bytes(len) as usize;
-    // A frame is at most a round's multicast batch; 16 MiB is far beyond
-    // any honest frame and bounds a corrupt length prefix.
-    if !(2..=16 << 20).contains(&n) {
+    if !(2..=cap).contains(&n) {
         return None;
     }
     let mut frame = vec![0u8; 4 + n];
@@ -324,10 +332,26 @@ mod tests {
     use st_messages::{Payload, Vote};
     use st_types::{BlockId, Round};
 
+    /// Runs `client` against one accepted connection; `read_peer` serves
+    /// it **on the test thread** (in production it runs detached, where a
+    /// panic would go unseen). Returns what the client returned.
+    fn serve<T: Send + 'static>(
+        listener: &TcpListener,
+        inbox: &Sender<RoundBatch>,
+        board: &Arc<Liveness>,
+        client: impl FnOnce(TcpStream) -> T + Send + 'static,
+    ) -> T {
+        let addr = listener.local_addr().expect("bound listener");
+        let client = thread::spawn(move || {
+            client(TcpStream::connect(addr).expect("connect to test listener"))
+        });
+        let (stream, _) = listener.accept().expect("accept test client");
+        read_peer(stream, inbox.clone(), board.clone());
+        client.join().expect("client thread")
+    }
+
     /// A client that claims to be `from`, sends one well-formed envelope
-    /// and `Mark{1}`, and hangs up; `read_peer` serves it **on the test
-    /// thread** (in production it runs detached, where a panic would go
-    /// unseen).
+    /// and `Mark{1}`, and hangs up.
     fn serve_one(
         listener: &TcpListener,
         from: ProcessId,
@@ -341,17 +365,12 @@ mod tests {
             NodeFrame::Env(env),
             NodeFrame::Mark { round: 1 },
         ];
-        let addr = listener.local_addr().expect("bound listener");
-        let client = thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect to test listener");
+        serve(listener, inbox, board, move |mut stream| {
             // The reader may legitimately hang up on us mid-stream.
             let _ = frames
                 .iter()
                 .try_for_each(|f| stream.write_all(&frame::encode_frame(f)));
         });
-        let (stream, _) = listener.accept().expect("accept test client");
-        read_peer(stream, inbox.clone(), board.clone());
-        client.join().expect("client thread");
     }
 
     #[test]
@@ -373,5 +392,47 @@ mod tests {
         let (from, round, batch) = inbox.try_recv().expect("genuine batch delivered");
         assert_eq!((from, round, batch.len()), (peer, 1, 1));
         assert_ne!(board.snapshot()[1].heard_ms_ago, u64::MAX);
+    }
+
+    #[test]
+    fn oversized_length_before_hello_is_dropped_unread() {
+        // The pre-hello cap is exactly an encoded hello, nothing larger.
+        let hello = frame::encode_frame(&NodeFrame::Hello {
+            from: ProcessId::new(0),
+        });
+        assert_eq!(hello.len(), 4 + HELLO_FRAME);
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let board = Arc::new(Liveness::new(3));
+        let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
+
+        // A stranger's first four bytes announce the post-hello maximum
+        // and nothing follows. The reader must hang up on the prefix
+        // alone; one that allocates 16 MiB and waits for the body leaves
+        // the client's read pending until its timeout instead.
+        let hung_up = serve(&listener, &tx, &board, |mut stream| {
+            stream
+                .write_all(&(MAX_FRAME as u32).to_le_bytes())
+                .expect("send length prefix");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .expect("set client timeout");
+            // EOF or a reset is the hang-up; only the timeout is not.
+            !matches!(
+                stream.read(&mut [0u8; 1]),
+                Err(e) if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                )
+            )
+        });
+        assert!(hung_up, "reader waited for a 16 MiB body before any hello");
+        assert!(inbox.try_recv().is_err());
+
+        // A genuine peer served afterwards still gets its batch through.
+        let peer = ProcessId::new(2);
+        serve_one(&listener, peer, &tx, &board);
+        let (from, round, batch) = inbox.try_recv().expect("genuine batch delivered");
+        assert_eq!((from, round, batch.len()), (peer, 1, 1));
     }
 }

@@ -38,7 +38,7 @@
 //!   stream; the built-in monitors ride the same trait user probes do,
 //!   and the report is assembled from the observer pipeline;
 //! * [`TallyOracle`] — the per-round, per-process check that every path
-//!   computing the paper's windowed tally (cohort-shared or incremental)
+//!   computing the paper's windowed tally (memo-shared or incremental)
 //!   agrees with the stateless reference, on the production path;
 //! * [`Sweep`] — cartesian config grids with deterministic per-cell
 //!   seeds, run across worker threads in input order;

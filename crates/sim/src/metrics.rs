@@ -15,25 +15,25 @@ use st_types::Round;
 /// is what the byte-identity suites compare.
 ///
 /// The phase attribution: `tally_us` is the runner-side shared-tally
-/// cohort pass (certification + the one representative tally per
-/// cohort); per-process fallback tallies run *inside* `step_send` and
-/// therefore land in `step_send_us`.
+/// pass (one memo lookup per honest awake process, plus one tally per
+/// distinct tally state); a protocol that shares nothing tallies *inside*
+/// `step_send`, which lands in `step_send_us`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct RoundCost {
-    /// Microseconds spent in the honest send phase (`step_send` calls,
-    /// including any per-process fallback tallies, plus send-side
-    /// bookkeeping).
+    /// Microseconds spent in the honest send phase (`step_send` calls
+    /// plus send-side bookkeeping).
     pub step_send_us: u64,
     /// Microseconds spent in the receive phase (delivery to honest
     /// receivers and corrupted machines, plus pool compaction).
     pub delivery_us: u64,
-    /// Microseconds spent in the shared-tally cohort pass.
+    /// Microseconds spent in the shared-tally pass.
     pub tally_us: u64,
-    /// Honest `step_send` tallies served from a cohort-shared result
-    /// this round.
+    /// Honest `step_send` tallies adopted from the round's memo (another
+    /// process with equal tally state had already computed it).
     pub tally_cache_hits: u64,
-    /// Honest `step_send` tallies computed rather than served (cohort
-    /// representatives, singleton cohorts, uncertified fallbacks).
+    /// Honest `step_send` tallies computed rather than adopted (the first
+    /// process with each distinct tally state, and every process of a
+    /// protocol that shares nothing).
     pub tally_cache_misses: u64,
 }
 
@@ -72,7 +72,7 @@ pub struct RoundSample {
     /// Receive-phase microseconds (0 unless instrumented; see
     /// [`RoundCost::delivery_us`]).
     pub delivery_us: u64,
-    /// Shared-tally cohort-pass microseconds (0 unless instrumented; see
+    /// Shared-tally pass microseconds (0 unless instrumented; see
     /// [`RoundCost::tally_us`]).
     pub tally_us: u64,
     /// Tallies served from the shared cache this round (0 unless

@@ -86,12 +86,6 @@ pub struct Network {
     /// Round of the most recent send — persisted separately from the pool
     /// so the round-monotonicity guard survives compaction emptying it.
     last_sent_round: Option<Round>,
-    /// Global index of the first targeted ([`Recipients::Only`]) send, if
-    /// any. Targeted sends make two equal delivery cursors stop certifying
-    /// equal received streams (one receiver may have been addressed and
-    /// the other not), so the shared-tally cohort pass consults
-    /// [`Network::targeted_below_cursor`] before grouping.
-    first_targeted: Option<usize>,
     delivery: Vec<DeliveryState>,
 }
 
@@ -102,7 +96,6 @@ impl Network {
             pool: Vec::new(),
             base: 0,
             last_sent_round: None,
-            first_targeted: None,
             delivery: (0..n).map(|_| DeliveryState::default()).collect(),
         }
     }
@@ -131,9 +124,6 @@ impl Network {
         }
         self.last_sent_round = Some(round);
         let index = self.messages_sent();
-        if matches!(recipients, Recipients::Only(_)) && self.first_targeted.is_none() {
-            self.first_targeted = Some(index);
-        }
         self.pool.push(SentMessage {
             index,
             round,
@@ -329,34 +319,6 @@ impl Network {
     /// diagnostics): messages with global indices `pool_base()..`.
     pub fn pool(&self) -> &[SentMessage] {
         &self.pool
-    }
-
-    /// `p`'s delivery cursor (global index): every message below it was
-    /// either delivered to `p` or not addressed to it. Two processes with
-    /// equal cursors, no pending [`Network::has_extras`] and no
-    /// [`Network::targeted_below_cursor`] send have received exactly the
-    /// same envelope stream in the same order — the network half of the
-    /// shared-tally cohort certificate.
-    pub fn delivery_cursor(&self, p: ProcessId) -> usize {
-        self.delivery[p.index()].cursor
-    }
-
-    /// Whether `p` holds early (asynchronous/bounded-delay) deliveries at
-    /// or beyond its cursor. While any are pending, `p`'s received stream
-    /// is not a pure cursor prefix and it must not join a tally cohort.
-    pub fn has_extras(&self, p: ProcessId) -> bool {
-        !self.delivery[p.index()].extras.is_empty()
-    }
-
-    /// Whether any targeted ([`Recipients::Only`]) send lies below `p`'s
-    /// delivery cursor. Once one does, `p`'s cursor no longer certifies
-    /// which messages it actually received (addressing filtered the
-    /// prefix), so `p` is permanently excluded from tally cohorts —
-    /// targeted sends only occur under Byzantine adversaries, where
-    /// sharing is already marginal.
-    pub fn targeted_below_cursor(&self, p: ProcessId) -> bool {
-        self.first_targeted
-            .is_some_and(|t| t < self.delivery[p.index()].cursor)
     }
 }
 
@@ -638,31 +600,6 @@ mod tests {
             Recipients::All,
             env(0, 3, 1),
         );
-    }
-
-    #[test]
-    fn cohort_accessors_track_cursor_extras_and_targeting() {
-        let mut net = Network::new(2);
-        let p0 = ProcessId::new(0);
-        let p1 = ProcessId::new(1);
-        net.send(Round::new(1), p0, Recipients::All, env(0, 1, 1));
-        assert_eq!(net.delivery_cursor(p0), 0);
-        assert!(!net.has_extras(p0));
-        assert!(!net.targeted_below_cursor(p0));
-        // Early (async) delivery leaves an extra pending.
-        assert_eq!(net.deliver_async(p1, Round::new(1), &[0]).len(), 1);
-        assert!(net.has_extras(p1));
-        // The synchronous catch-up consumes it and advances the cursor.
-        assert!(net.deliver_sync(p1, Round::new(1)).is_empty());
-        assert!(!net.has_extras(p1));
-        assert_eq!(net.delivery_cursor(p1), 1);
-        // A targeted send taints cursors only once they pass it.
-        net.send(Round::new(2), p0, Recipients::Only(vec![p1]), env(0, 2, 2));
-        assert!(!net.targeted_below_cursor(p0));
-        let _ = net.deliver_sync(p0, Round::new(2));
-        let _ = net.deliver_sync(p1, Round::new(2));
-        assert!(net.targeted_below_cursor(p0));
-        assert!(net.targeted_below_cursor(p1));
     }
 
     #[test]

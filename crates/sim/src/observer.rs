@@ -711,7 +711,7 @@ pub type TallyCheckLog = Rc<RefCell<TallyCheck>>;
 /// process that will step in round `r` (honest-awake or Byzantine:
 /// corrupted machines keep executing); at `RoundEnd(r)` it compares each
 /// with the tally `step_send` consumed ([`TobProcess::last_ga_output`]).
-/// A cohort-shared tally, the incremental `SupportIndex` bookkeeping and
+/// A memo-shared tally, the incremental `SupportIndex` bookkeeping and
 /// pool compaction all sit between the two read-outs. The oracle does not
 /// ask for delivery events, so the run it watches is the production
 /// zero-copy path.

@@ -32,11 +32,9 @@ use st_blocktree::BlockTree;
 use st_core::{Protocol, TobConfig, TobProcess};
 use st_crypto::Keypair;
 use st_messages::{Envelope, Payload, SharedEnvelope};
-use st_types::fasthash::mix64_pair;
 use st_types::FastSet;
 use st_types::{Params, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 // stlint::allow(wallclock, reason = "instrument-gated per-phase timing only: every Instant read is behind SimConfig::instrument, and instrumented fields serialise as zero when it is off, so reports stay pure functions of the seed")
 use std::time::Instant;
 
@@ -220,17 +218,6 @@ pub struct Simulation<P: Protocol = TobProcess> {
     /// One disruption per timeline window/partition (start order) —
     /// drives the `WindowEnter`/`WindowExit` events.
     disruptions: Vec<Disruption>,
-    /// Whether each process has *ever* been Byzantine. A corrupted
-    /// machine's sends are discarded (the adversary speaks for it), so
-    /// its local state is no longer a pure function of the delivered
-    /// stream — it is excluded from tally cohorts for the rest of the
-    /// run.
-    ever_byz: Vec<bool>,
-    /// Per-process awake-history fingerprint: a [`mix64_pair`] chain over
-    /// the rounds the process was awake in. Equal fingerprints certify
-    /// identical participation histories — one of the shared-tally cohort
-    /// keys.
-    awake_fp: Vec<u64>,
     /// Cached Byzantine keypair set: `(corrupted processes, their
     /// keypairs)`. Corruption sets change at most a handful of times per
     /// run (growing adversary / corruption windows), so the per-round
@@ -406,8 +393,6 @@ impl<P: Protocol> Simulation<P> {
             observers,
             wants_deliveries,
             disruptions,
-            ever_byz: vec![false; n],
-            awake_fp: vec![0; n],
             byz_cache: (Vec::new(), Vec::new()),
             workload,
             tx_counter: 0,
@@ -494,11 +479,11 @@ impl<P: Protocol> Simulation<P> {
         let env = self.config.timeline.view_at(round);
         let instrument = self.config.instrument;
         self.narrate_round_start(round, env);
-        let corrupted = self.note_participation(round);
+        let corrupted = self.schedule.byzantine(round);
         self.inject_workload(round, env);
 
         let honest = self.schedule.honest_awake(round);
-        let mut cost = self.share_tallies(round, env, &honest);
+        let mut cost = self.share_tallies(round, &honest);
 
         let t_send = instrument.then(Instant::now);
         self.send_honest(round, &honest);
@@ -555,25 +540,6 @@ impl<P: Protocol> Simulation<P> {
         );
     }
 
-    /// Participation bookkeeping — the runner-side half of the
-    /// shared-tally cohort certificate: corruption is sticky (a machine
-    /// whose sends were ever discarded is no longer a pure function of
-    /// the delivered stream) and every process's awake history is chained
-    /// into a fingerprint. Returns the round's corrupted set `B_r`.
-    fn note_participation(&mut self, round: Round) -> Vec<ProcessId> {
-        let corrupted = self.schedule.byzantine(round);
-        for &p in &corrupted {
-            self.ever_byz[p.index()] = true;
-        }
-        for p in ProcessId::all(self.schedule.n()) {
-            if self.schedule.is_awake(p, round) {
-                let fp = &mut self.awake_fp[p.index()];
-                *fp = mix64_pair(*fp, round.as_u64());
-            }
-        }
-        corrupted
-    }
-
     /// Transaction workload: the injector offers this round's open-loop
     /// arrivals to the mempool and drains the submission batch; each
     /// drained transaction reaches every honest awake process's mempool
@@ -598,71 +564,32 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Shared once-per-round tally: partition the honest awake set into
-    /// cohorts whose previous-round tallies are provably identical,
-    /// compute each cohort's tally once through the representative, and
-    /// hand the members a shared handle that `step_send` consumes instead
-    /// of recomputing. Returns the round's cost record with the tally
-    /// fields filled (all zero unless instrumented, so reports stay pure
-    /// functions of the seed).
-    ///
-    /// The certificate is structural, not fingerprint-trust: a member
-    /// must (a) never have been corrupted (a corrupted machine's sends
-    /// are discarded from the pool, so its self-inserted votes were never
-    /// part of any delivered stream), (b) have no extras pending and an
-    /// untainted cursor (so "delivered" ≡ "pool prefix up to cursor"),
-    /// and (c) share the delivery cursor with the rest of the cohort.
-    /// Equal awake-history and tally fingerprints are layered on top as
-    /// belt-and-braces. The pass only runs in fully synchronous,
-    /// unpartitioned rounds; everything else falls back to the
-    /// per-process incremental tally. `TallyOracle` checks both against
-    /// the stateless reference.
-    fn share_tallies(&mut self, round: Round, env: EnvView, honest: &[ProcessId]) -> RoundCost {
+    /// Shared once-per-round tally: every honest awake process looks its
+    /// tally-relevant state up in one round-scoped memo
+    /// ([`Protocol::share_tally`]); the first process with a given state
+    /// computes the tally, everyone else with that state adopts it, and
+    /// `step_send` consumes it instead of recomputing. The certificate is
+    /// content equality alone — the tally is a function of the vote
+    /// store, the block tree and the run's parameters, and the memo key
+    /// digests the first two — so it holds in every kind of round
+    /// (synchronous, asynchronous, bounded-delay, partitioned) and for
+    /// any delivery history; `TallyOracle` checks it against the
+    /// stateless reference. Returns the round's cost record with the
+    /// tally fields filled (all zero unless instrumented, so reports stay
+    /// pure functions of the seed).
+    fn share_tallies(&mut self, round: Round, honest: &[ProcessId]) -> RoundCost {
         let mut cost = RoundCost::default();
         if round == Round::ZERO {
             return cost;
         }
-        let instrument = self.config.instrument;
+        let t_tally = self.config.instrument.then(Instant::now);
+        let mut memo = BTreeMap::new();
         let mut hits = 0u64;
-        if matches!(env.kind, SegmentKind::Synchronous) && !env.partitioned {
-            let t_tally = instrument.then(Instant::now);
-            // BTreeMap keying keeps cohort ordering (and so the choice of
-            // representative) independent of hasher state.
-            let mut cohorts: BTreeMap<(usize, u64, u64), Vec<ProcessId>> = BTreeMap::new();
-            for &p in honest {
-                if self.ever_byz[p.index()]
-                    || self.network.has_extras(p)
-                    || self.network.targeted_below_cursor(p)
-                {
-                    continue;
-                }
-                let Some(fp) = self.procs[p.index()].tally_fingerprint() else {
-                    continue;
-                };
-                let key = (
-                    self.network.delivery_cursor(p),
-                    self.awake_fp[p.index()],
-                    fp,
-                );
-                cohorts.entry(key).or_default().push(p);
-            }
-            for members in cohorts.into_values() {
-                if members.len() < 2 {
-                    continue;
-                }
-                let rep = members[0];
-                let Some(out) = self.procs[rep.index()].shared_round_tally(round) else {
-                    continue;
-                };
-                let shared = Arc::new(out);
-                for &m in &members {
-                    self.procs[m.index()].install_shared_tally(round, Arc::clone(&shared));
-                }
-                hits += members.len() as u64 - 1;
-            }
-            cost.tally_us = micros_since(t_tally);
+        for &p in honest {
+            hits += u64::from(self.procs[p.index()].share_tally(round, &mut memo));
         }
-        if instrument {
+        cost.tally_us = micros_since(t_tally);
+        if self.config.instrument {
             cost.tally_cache_hits = hits;
             cost.tally_cache_misses = honest.len() as u64 - hits;
         }

@@ -2,7 +2,8 @@
 //!
 //! * **Tally oracle** — the paper's one rule ("tally the latest unexpired
 //!   votes from `[r − 1 − η, r − 1]`") is computed in production once per
-//!   certified cohort or from each process's incremental `SupportIndex`.
+//!   distinct tally state per round (a memo keyed by a digest of the vote
+//!   store and the block tree), from a process's incremental `SupportIndex`.
 //!   A [`TallyOracle`] watches every grid cell and compares, per process
 //!   and round, the tally `step_send` consumed with the stateless
 //!   reference — on the zero-copy path the benchmarks run. (The negative
@@ -25,6 +26,15 @@ use st_types::{Params, ProcessId, Round};
 fn params(n: usize, eta: u64) -> Params {
     Params::builder(n).expiration(eta).build().unwrap()
 }
+
+const ADVERSARIES: [&str; 5] = ["silent", "blackout", "partition", "reorg", "equivocator"];
+
+/// Per-round sleep probabilities the sharing property draws from.
+const CHURN_RATES: [f64; 4] = [0.0, 0.05, 0.15, 0.3];
+
+/// Cases of the sharing property: as many as keep this file under ~10 s
+/// in a debug build.
+const CASES: u32 = 400;
 
 fn adversary(name: &str) -> Box<dyn Adversary> {
     match name {
@@ -126,9 +136,9 @@ fn asynchronous_grid_tallies_match_reference() {
 }
 
 /// Multi-window asynchrony, bounded-delay segments (whose forced-deadline
-/// cursor advance interacts with pool compaction) and partitions all
-/// disable or fragment cohorts, so these cells exercise the incremental
-/// fallback.
+/// cursor advance interacts with pool compaction) and partitions make
+/// processes' states diverge, so these cells exercise many distinct memo
+/// keys per round.
 #[test]
 fn timeline_grid_tallies_match_reference() {
     let evens: Vec<ProcessId> = ProcessId::all(10).filter(|p| p.index() % 2 == 0).collect();
@@ -361,8 +371,8 @@ fn explicit_protocol_parameterisation_matches_defaulted_alias() {
 
 /// **Shared tally ≡ own tally** over the same guard grid as the API
 /// guards: churn, corruption windows, multi-window asynchrony and bounded
-/// delay all fragment or disable cohorts, so both the sharing and the
-/// fallback paths are exercised.
+/// delay all make states diverge, so both memo hits and misses are
+/// exercised.
 #[test]
 fn guard_grid_tallies_match_reference() {
     for (adv, sched, eta, t, seed) in guard_grid() {
@@ -371,9 +381,9 @@ fn guard_grid_tallies_match_reference() {
 }
 
 /// **Non-vacuity**: on a full-participation cell the oracle compared
-/// every (process, round ≥ 1) step, and the cohort pass served almost all
-/// of them from the shared cache (one computed tally per round, `n − 1`
-/// hits) — a clean verdict above really is about shared tallies.
+/// every (process, round ≥ 1) step, and almost all of them were adopted
+/// from the round's memo (one computed tally per round, `n − 1` hits) —
+/// a clean verdict above really is about shared tallies.
 #[test]
 fn oracle_checks_every_step_and_the_cache_actually_shares() {
     let (n, horizon) = (8, 30);
@@ -392,49 +402,73 @@ fn oracle_checks_every_step_and_the_cache_actually_shares() {
 }
 
 proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(CASES))]
 
-    /// **Cohort-split property**: random churn (mid-window sleep/wake
-    /// fragments the awake-history fingerprints), a randomly placed
-    /// corruption window (flipping a process Byzantine and back trips the
-    /// sticky `ever_byz` exclusion) and a randomly placed asynchronous
-    /// window (rounds where the cohort pass is disabled entirely and
-    /// every process falls back to its incremental tally) — under every
-    /// such fragmentation every consumed tally must equal the stateless
-    /// reference, i.e. the cache never serves a stale or wrong-cohort
-    /// tally.
+    /// **Sharing property**: whatever the delivery history, a process
+    /// only ever consumes a tally equal to the stateless reference over
+    /// its *own* state. The regime is the one in which delivery history
+    /// and state come apart: every adversary, every kind of disruption
+    /// (in particular the first synchronous round after a blackout, when
+    /// every process has received the same stream but holds its own
+    /// votes from the window), churn up to 0.3 per round, and up to two
+    /// corruption windows (a corrupted machine's sends never reach the
+    /// pool, so its state is not a function of anything delivered). A
+    /// memo key that is weaker than content equality — the vote store
+    /// alone, or a constant — fails here.
     #[test]
-    fn cohort_splits_never_serve_a_stale_tally(
-        n in 6usize..12,
-        eta in 0u64..6,
+    fn memo_never_serves_a_stale_tally(
+        n in 6usize..16,
+        eta in 0u64..7,
         seed in 0u64..500,
+        adv in 0usize..ADVERSARIES.len(),
+        disruption in 0usize..5,
+        window_from in 6u64..16,
+        window_len in 1u64..5,
+        churn in 0usize..CHURN_RATES.len(),
         churn_seed in 0u64..500,
+        corruptions in 0usize..3,
         corrupt_target in 0usize..6,
-        corrupt_from in 4u64..12,
+        corrupt_from in 4u64..14,
         corrupt_len in 1u64..6,
-        async_from in 8u64..18,
-        async_len in 1u64..4,
     ) {
         let horizon = 30;
-        let sched = Schedule::random_churn(n, horizon, 0.15, churn_seed, &ChurnOptions::default())
-            .with_corrupted_window(
-                ProcessId::new((corrupt_target % n) as u32),
-                Round::new(corrupt_from),
-                Round::new(corrupt_from + corrupt_len),
+        let mut sched = Schedule::random_churn(
+            n,
+            horizon,
+            CHURN_RATES[churn],
+            churn_seed,
+            &ChurnOptions { max_dropped_frac: 1.0, ..ChurnOptions::default() },
+        );
+        for k in 0..corruptions as u64 {
+            sched = sched.with_corrupted_window(
+                ProcessId::new(((corrupt_target + 3 * k as usize) % n) as u32),
+                Round::new(corrupt_from + 5 * k),
+                Round::new(corrupt_from + 5 * k + corrupt_len),
             );
-        let timeline = Timeline::synchronous().asynchronous(Round::new(async_from), async_len);
+        }
+        let evens: Vec<ProcessId> = ProcessId::all(n).filter(|p| p.index() % 2 == 0).collect();
+        let from = Round::new(window_from);
+        let timeline = match disruption {
+            0 => Timeline::synchronous(),
+            1 => Timeline::synchronous().asynchronous(from, window_len),
+            2 => Timeline::synchronous().bounded_delay(from, 2 * window_len, 2),
+            3 => Timeline::synchronous().partition(from, window_len, vec![evens]),
+            _ => Timeline::synchronous()
+                .asynchronous(from, window_len)
+                .bounded_delay(Round::new(window_from + window_len + 2), 4, 2),
+        };
         let config = SimConfig::new(params(n, eta), seed)
             .horizon(horizon)
             .txs_every(3)
             .timeline(timeline);
-        let (_, check) = run_with_oracle(config, sched, adversary("equivocator"));
+        let (_, check) = run_with_oracle(config, sched, adversary(ADVERSARIES[adv]));
         proptest::prop_assert!(check.checked > 0);
         proptest::prop_assert!(
             check.mismatches.is_empty(),
-            "stale or wrong-cohort tally under cohort splits: n={} eta={} seed={} churn_seed={} \
-             corrupt=({},{},{}) async=({},{}) mismatches={:?}",
-            n, eta, seed, churn_seed, corrupt_target, corrupt_from, corrupt_len,
-            async_from, async_len, check.mismatches
+            "{} of {} consumed tallies were stale, first at {:?}",
+            check.mismatches.len(),
+            check.checked,
+            check.mismatches.first()
         );
     }
 }

@@ -121,7 +121,7 @@ impl Hasher for FxHasher {
 
 /// SplitMix64 finalizer: a fixed, hasher-independent 64-bit mixing
 /// function. Unlike [`FxHasher`] it never reads the process-wide seed, so
-/// values built from it (content fingerprints, cohort cache keys) are
+/// values built from it (content fingerprints, tally memo keys) are
 /// identical under `stsan`'s hasher perturbation — use it wherever a
 /// digest must not depend on bucket order *or* on the FxHash seed.
 #[inline]

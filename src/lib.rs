@@ -85,7 +85,6 @@ pub use st_blocktree as blocktree;
 pub use st_core as core;
 pub use st_crypto as crypto;
 pub use st_ga as ga;
-pub use st_gossip as gossip;
 pub use st_load as load;
 pub use st_messages as messages;
 pub use st_node as node;
