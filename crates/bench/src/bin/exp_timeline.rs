@@ -2,8 +2,7 @@
 //! synchrony at scale.
 //!
 //! The paper's central claim is that the extended protocol recovers after
-//! **every** asynchronous spell. `exp_scale` (P2) measures throughput on
-//! a clean synchronous run; this experiment drives the [`st_sim::Timeline`]
+//! **every** asynchronous spell. This experiment drives the [`st_sim::Timeline`]
 //! environment model across the two scenario families the claim is about,
 //! at `n ∈ {64, 256}`:
 //!

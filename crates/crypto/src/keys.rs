@@ -27,21 +27,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The verify-once envelope fast path promises *at most one* signature
 /// check per unique honest envelope per process set; this counter is how
-/// benches and tests demonstrate the promise instead of asserting it
+/// stbench and tests demonstrate the promise instead of asserting it
 /// rhetorically. Relaxed ordering: the counter is a metric, not a
 /// synchronisation point.
 static VERIFICATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Total signature verifications performed by this process since start
-/// (or since the last [`reset_verification_count`]).
+/// Total signature verifications performed by this process since start.
+/// Read it twice and subtract to count a window.
 pub fn verification_count() -> u64 {
     VERIFICATIONS.load(Ordering::Relaxed)
-}
-
-/// Resets the global verification counter (bench bookkeeping). Returns
-/// the value the counter had before the reset.
-pub fn reset_verification_count() -> u64 {
-    VERIFICATIONS.swap(0, Ordering::Relaxed)
 }
 
 /// A process's public (verification) key.

@@ -45,5 +45,5 @@ mod keys;
 mod vrf;
 
 pub use hash::{hash64, Hasher64};
-pub use keys::{reset_verification_count, verification_count, Keypair, PublicKey, Signature};
+pub use keys::{verification_count, Keypair, PublicKey, Signature};
 pub use vrf::{Vrf, VrfOutput, VrfProof};

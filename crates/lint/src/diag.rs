@@ -22,9 +22,9 @@ pub enum RuleId {
     /// `unsafe` is forbidden everywhere outside `third_party/`.
     U1,
     /// `Cargo.toml` layering: dependencies must point strictly down the
-    /// crate stack; `criterion` only in `st-bench` dev-deps; nothing
-    /// depends on `st-bench`; externals restricted to the offline
-    /// `third_party/` set.
+    /// crate stack; nothing depends on `st-bench`; only `st-bench` and
+    /// `sleepy-tob` depend on `st-node`; externals restricted to the
+    /// offline `third_party/` set.
     L1,
     /// Allow-annotation hygiene: `stlint::allow(...)` must name a known
     /// rule and carry a non-empty `reason = "..."`.

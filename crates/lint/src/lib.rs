@@ -21,7 +21,7 @@
 //! | D2 | wallclock | all but `st-bench`, non-test  | `std::time::{Instant,SystemTime}`, OS entropy |
 //! | P1 | panic     | protocol crates, non-test     | `unwrap`/`expect`/`panic!`/`unreachable!` without allow-with-reason |
 //! | U1 | unsafe    | everywhere but `third_party/` | the `unsafe` keyword |
-//! | L1 | layering  | every workspace `Cargo.toml`  | upward dependencies, `criterion` outside `st-bench`, unknown externals |
+//! | L1 | layering  | every workspace `Cargo.toml`  | upward dependencies, `st-bench` as a dependency, `st-node` outside its two consumers, unknown externals |
 //! | A1 | allow     | everywhere scanned            | malformed `stlint::allow` annotations |
 //! | N1 | iterorder | protocol crates, non-test     | unordered-map iteration feeding an ordered sink (loop `push`/send, chain `collect`/`fold`) |
 //! | DP | deadpub   | crate `src/`, gating          | `pub fn` with zero workspace references (item-graph resolved) |

@@ -10,10 +10,10 @@
 //! ```
 //!
 //! plus three side conditions: nothing depends on `st-bench` (it is the
-//! top of the stack and the only crate allowed wall-clock time);
-//! `criterion` appears only in `st-bench`'s dev-dependencies; and
-//! external dependencies are restricted to the offline `third_party/`
-//! set (`proptest` dev-only).
+//! top of the stack and the only crate allowed wall-clock time); only
+//! `st-bench` and `sleepy-tob` depend on `st-node`; and external
+//! dependencies are restricted to the offline `third_party/` set
+//! (`proptest` dev-only).
 
 use crate::diag::{Diagnostic, RuleId};
 
@@ -42,14 +42,8 @@ pub const LAYERS: [(&str, u8); 13] = [
 
 /// External crates the offline `third_party/` tree provides. Anything
 /// else in a dependency table cannot resolve without a registry.
-pub const ALLOWED_EXTERNALS: [&str; 6] = [
-    "serde",
-    "serde_derive",
-    "serde_json",
-    "rand",
-    "proptest",
-    "criterion",
-];
+pub const ALLOWED_EXTERNALS: [&str; 5] =
+    ["serde", "serde_derive", "serde_json", "rand", "proptest"];
 
 fn layer_of(name: &str) -> Option<u8> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|&(_, l)| l)
@@ -200,16 +194,6 @@ pub fn check_layering(rel_path: &str, m: &Manifest) -> Vec<Diagnostic> {
                     ),
                 ));
             }
-        } else if dep_name == "criterion" {
-            if !(name == "st-bench" && dep.dev) {
-                out.push(Diagnostic::new(
-                    RuleId::L1,
-                    rel_path,
-                    dep.line,
-                    1,
-                    "criterion is allowed only in st-bench's [dev-dependencies]",
-                ));
-            }
         } else if dep_name == "proptest" {
             if !dep.dev {
                 out.push(Diagnostic::new(
@@ -286,16 +270,6 @@ mod tests {
         let diags = check("[package]\nname = \"sleepy-tob\"\n[dev-dependencies]\nst-bench = {}\n");
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("st-bench"));
-    }
-
-    #[test]
-    fn criterion_only_in_bench_dev() {
-        let ok = check("[package]\nname = \"st-bench\"\n[dev-dependencies]\ncriterion = {}\n");
-        assert!(ok.is_empty());
-        let bad = check("[package]\nname = \"st-core\"\n[dev-dependencies]\ncriterion = {}\n");
-        assert_eq!(bad.len(), 1);
-        let bad2 = check("[package]\nname = \"st-bench\"\n[dependencies]\ncriterion = {}\n");
-        assert_eq!(bad2.len(), 1);
     }
 
     #[test]

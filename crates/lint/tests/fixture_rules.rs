@@ -179,13 +179,13 @@ fn l1_fixture_fails_on_every_illegal_dependency() {
     assert_eq!(m.package_name.as_deref(), Some("st-types"));
     let diags = check_layering("fixtures/layering_bad.toml", &m);
     // st-core (upward), st-bench (forbidden target), regex (unknown
-    // external), criterion (outside st-bench dev-deps), proptest
+    // external), st-node (outside its two consumers), proptest
     // (non-dev) — one finding each, on the dependency's own line.
     assert_eq!(lines_of(&diags, RuleId::L1), vec![8, 9, 10, 11, 12]);
     assert!(diags.iter().any(|d| d.message.contains("strictly below")));
     assert!(diags.iter().any(|d| d.message.contains("st-bench")));
     assert!(diags.iter().any(|d| d.message.contains("`regex`")));
-    assert!(diags.iter().any(|d| d.message.contains("criterion")));
+    assert!(diags.iter().any(|d| d.message.contains("deployment leaf")));
     assert!(diags.iter().any(|d| d.message.contains("dev-dependencies")));
 }
 

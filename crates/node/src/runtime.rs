@@ -82,13 +82,21 @@ struct PeerInbox {
     max_mark: Option<u64>,
 }
 
-fn drain(inbox: &Receiver<RoundBatch>, peers: &mut [PeerInbox]) -> bool {
+/// Moves everything queued on `inbox` into the per-peer inboxes; `false`
+/// once the listener side has hung up. A batch marked past `horizon` is
+/// dropped untouched: no node running this plan can mark past it, and
+/// letting it raise `max_mark` would switch pacing off and end the linger
+/// early.
+fn drain(inbox: &Receiver<RoundBatch>, peers: &mut [PeerInbox], horizon: u64) -> bool {
     loop {
         match inbox.try_recv() {
             Ok((from, round, batch)) => {
                 let Some(p) = peers.get_mut(from.index()) else {
                     continue;
                 };
+                if round > horizon {
+                    continue;
+                }
                 p.max_mark = p.max_mark.max(Some(round));
                 if p.consumed.is_some_and(|c| round <= c) {
                     continue; // stale re-send of an already-consumed round
@@ -162,7 +170,7 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
             };
             let mut polls = 0u64;
             loop {
-                if !drain(&inbox, &mut peers) {
+                if !drain(&inbox, &mut peers, plan.horizon) {
                     return Err("listener channel closed".into());
                 }
                 let p = &mut peers[q];
@@ -251,7 +259,7 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
     // replay history from us. Bounded so a peer that died for good cannot
     // hold us hostage.
     for _ in 0..LINGER_POLL_CAP {
-        drain(&inbox, &mut peers);
+        drain(&inbox, &mut peers, plan.horizon);
         let all_done = (0..n).all(|q| {
             q == me
                 || match plan.final_awake_round(q) {
@@ -296,4 +304,24 @@ pub fn serve(plan_path: &str, id: u32, out_path: &str) -> Result<(), String> {
     let rendered = serde_json::to_string(&outcome).map_err(|e| format!("render outcome: {e:?}"))?;
     std::fs::write(out_path, rendered).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drain_drops_a_mark_beyond_the_horizon() {
+        let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
+        let mut peers: Vec<PeerInbox> = (0..3).map(|_| PeerInbox::default()).collect();
+        tx.send((ProcessId::new(1), 4, Vec::new())).unwrap();
+        assert!(drain(&inbox, &mut peers, 10));
+        tx.send((ProcessId::new(1), u64::MAX, Vec::new())).unwrap();
+        assert!(drain(&inbox, &mut peers, 10));
+        assert_eq!(peers[1].max_mark, Some(4));
+        assert_eq!(
+            peers[1].batches.keys().copied().collect::<Vec<_>>(),
+            vec![4]
+        );
+    }
 }

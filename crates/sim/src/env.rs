@@ -332,12 +332,6 @@ impl Timeline {
         out
     }
 
-    /// Last round of the final disruption, if any — the point after which
-    /// the run is expected to fully heal.
-    pub fn last_disruption_end(&self) -> Option<Round> {
-        self.disruptions().iter().map(|d| d.end).max()
-    }
-
     /// The environment as seen at round `r` (by the round loop and, via
     /// [`crate::AdversaryCtx`], by the adversary).
     pub fn view_at(&self, r: Round) -> EnvView {
@@ -450,7 +444,6 @@ mod tests {
         assert_eq!(t.kind_at(Round::new(5)), SegmentKind::Synchronous);
         assert_eq!(t.view_at(Round::new(5)), EnvView::synchronous());
         assert!(t.disruptions().is_empty());
-        assert_eq!(t.last_disruption_end(), None);
     }
 
     #[test]
@@ -470,7 +463,6 @@ mod tests {
         assert_eq!(t.windows().len(), 2);
         assert_eq!(t.windows()[0].ra(), Round::new(9));
         assert_eq!(t.windows()[0].len(), 3);
-        assert_eq!(t.last_disruption_end(), Some(Round::new(23)));
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub mod workload;
 pub use adversary::{Adversary, AdversaryCtx, TargetedMessage};
 pub use builder::{BuildError, SimBuilder};
 pub use env::{bounded_delay_of, Disruption, EnvView, EnvWindow, Partition, SegmentKind, Timeline};
-pub use metrics::{RoundCost, RoundSample, RoundTrace};
+pub use metrics::{RoundSample, RoundTrace};
 pub use monitor::{RecoveryRecord, SafetyViolation, SimReport, TxRecord};
 pub use network::{Network, Recipients, SentMessage};
 pub use observer::{

@@ -9,34 +9,6 @@
 use serde::Serialize;
 use st_types::Round;
 
-/// Per-round execution cost, measured by the runner when instrumentation
-/// is on ([`crate::SimConfig::instrument`]) and all-zero otherwise — the
-/// zeros keep instrument-off reports pure functions of the seed, which
-/// is what the byte-identity suites compare.
-///
-/// The phase attribution: `tally_us` is the runner-side shared-tally
-/// pass (one memo lookup per honest awake process, plus one tally per
-/// distinct tally state); a protocol that shares nothing tallies *inside*
-/// `step_send`, which lands in `step_send_us`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct RoundCost {
-    /// Microseconds spent in the honest send phase (`step_send` calls
-    /// plus send-side bookkeeping).
-    pub step_send_us: u64,
-    /// Microseconds spent in the receive phase (delivery to honest
-    /// receivers and corrupted machines, plus pool compaction).
-    pub delivery_us: u64,
-    /// Microseconds spent in the shared-tally pass.
-    pub tally_us: u64,
-    /// Honest `step_send` tallies adopted from the round's memo (another
-    /// process with equal tally state had already computed it).
-    pub tally_cache_hits: u64,
-    /// Honest `step_send` tallies computed rather than adopted (the first
-    /// process with each distinct tally state, and every process of a
-    /// protocol that shares nothing).
-    pub tally_cache_misses: u64,
-}
-
 /// One round's sample.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct RoundSample {
@@ -66,19 +38,12 @@ pub struct RoundSample {
     pub max_decided_height: u64,
     /// Minimum decided-log height over honest *awake* processes.
     pub min_decided_height: u64,
-    /// Honest send-phase microseconds (0 unless instrumented; see
-    /// [`RoundCost::step_send_us`]).
-    pub step_send_us: u64,
-    /// Receive-phase microseconds (0 unless instrumented; see
-    /// [`RoundCost::delivery_us`]).
-    pub delivery_us: u64,
-    /// Shared-tally pass microseconds (0 unless instrumented; see
-    /// [`RoundCost::tally_us`]).
-    pub tally_us: u64,
-    /// Tallies served from the shared cache this round (0 unless
-    /// instrumented).
+    /// Honest `step_send` tallies adopted from the round's shared memo
+    /// (another process with equal tally state had already computed it).
     pub tally_cache_hits: u64,
-    /// Tallies computed rather than served (0 unless instrumented).
+    /// Honest `step_send` tallies computed rather than adopted (the first
+    /// process with each distinct tally state, and every process of a
+    /// protocol that shares nothing).
     pub tally_cache_misses: u64,
 }
 
@@ -159,11 +124,11 @@ impl RoundTrace {
         self.total_messages() as f64 / self.samples.len() as f64
     }
 
-    /// Fraction of instrumented honest tallies served from the shared
-    /// cache over the whole run: `hits / (hits + misses)`, or 0.0 when
-    /// nothing was instrumented. On a fully synchronous full-participation
-    /// run this approaches `(n − 1) / n` — one computed tally per round,
-    /// shared with everyone else.
+    /// Fraction of honest tallies served from the shared cache over the
+    /// whole run: `hits / (hits + misses)`, or 0.0 when no round tallied.
+    /// On a fully synchronous full-participation run this approaches
+    /// `(n − 1) / n` — one computed tally per round, shared with everyone
+    /// else.
     pub fn tally_cache_hit_rate(&self) -> f64 {
         let hits: u64 = self.samples.iter().map(|s| s.tally_cache_hits).sum();
         let misses: u64 = self.samples.iter().map(|s| s.tally_cache_misses).sum();
@@ -188,12 +153,11 @@ impl RoundTrace {
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "round,honest_awake,byzantine,is_async,delta,partitioned,messages_sent,messages_delivered,decisions,\
-             max_decided_height,min_decided_height,step_send_us,delivery_us,tally_us,tally_cache_hits,\
-             tally_cache_misses\n",
+             max_decided_height,min_decided_height,tally_cache_hits,tally_cache_misses\n",
         );
         for s in &self.samples {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 s.round,
                 s.honest_awake,
                 s.byzantine,
@@ -205,9 +169,6 @@ impl RoundTrace {
                 s.decisions,
                 s.max_decided_height,
                 s.min_decided_height,
-                s.step_send_us,
-                s.delivery_us,
-                s.tally_us,
                 s.tally_cache_hits,
                 s.tally_cache_misses
             ));
@@ -287,7 +248,7 @@ mod tests {
         t.push(a);
         t.push(b);
         assert!((t.tally_cache_hit_rate() - 0.6).abs() < 1e-9);
-        // Uninstrumented runs (all zeros) report 0.0, not NaN.
+        // Runs without a tallied round (all zeros) report 0.0, not NaN.
         assert_eq!(timeline().tally_cache_hit_rate(), 0.0);
     }
 

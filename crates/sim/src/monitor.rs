@@ -126,28 +126,6 @@ pub struct SimReport {
     pub final_decided_height: u64,
     /// Total messages that entered the network.
     pub messages_sent: usize,
-    /// Round of the first decision strictly after the **last** disruption
-    /// window, if any window was configured.
-    ///
-    /// **Deprecated:** this singular field describes only the final spell
-    /// of a multi-window timeline. Read the per-window
-    /// [`SimReport::recoveries`] records (each carries its own
-    /// `first_decision_after`) instead.
-    #[deprecated(
-        since = "0.5.0",
-        note = "read the per-window `recoveries` records (each has `first_decision_after`)"
-    )]
-    pub first_decision_after_async: Option<Round>,
-    /// The last round of the final disruption window, if any was
-    /// configured.
-    ///
-    /// **Deprecated:** singular last-spell view; the per-window
-    /// [`SimReport::recoveries`] records carry each window's `end`.
-    #[deprecated(
-        since = "0.5.0",
-        note = "read the per-window `recoveries` records (each has `end`)"
-    )]
-    pub async_window_end: Option<Round>,
     /// Per-disruption recovery records, in window start order (one per
     /// async/bounded-delay/partition window of the timeline).
     pub recoveries: Vec<RecoveryRecord>,

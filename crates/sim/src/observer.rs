@@ -36,7 +36,7 @@
 //!    this round, then [`SimEvent::RoundEnd`].
 
 use crate::env::{Disruption, EnvView, Timeline};
-use crate::metrics::{RoundCost, RoundSample, RoundTrace};
+use crate::metrics::{RoundSample, RoundTrace};
 use crate::monitor::{
     RecoveryRecord, ResilienceMonitor, SafetyMonitor, SafetyViolation, SimReport, TxRecord,
 };
@@ -157,9 +157,10 @@ pub enum SimEvent {
         round: Round,
         /// Envelopes delivered to honest receivers this round.
         delivered: usize,
-        /// Per-phase execution cost — all zero unless the run was built
-        /// with [`SimConfig::instrument`](crate::SimConfig::instrument).
-        cost: RoundCost,
+        /// Honest tallies adopted from the round's shared memo.
+        tally_cache_hits: u64,
+        /// Honest tallies computed rather than adopted.
+        tally_cache_misses: u64,
     },
 }
 
@@ -211,13 +212,8 @@ pub trait Observer<P: Protocol = TobProcess> {
             }
             SimEvent::Violation { kind, violation } => self.on_violation(ctx, *kind, violation),
             SimEvent::RoundEnd {
-                round,
-                delivered,
-                cost,
-            } => {
-                self.on_round_cost(ctx, cost);
-                self.on_round_end(ctx, *round, *delivered)
-            }
+                round, delivered, ..
+            } => self.on_round_end(ctx, *round, *delivered),
         }
     }
 
@@ -265,12 +261,6 @@ pub trait Observer<P: Protocol = TobProcess> {
         violation: &SafetyViolation,
     ) {
         let _ = (ctx, kind, violation);
-    }
-
-    /// The round's per-phase cost, dispatched immediately before
-    /// [`Observer::on_round_end`] (all zero unless instrumented).
-    fn on_round_cost(&mut self, ctx: &ObsCtx<'_, P>, cost: &RoundCost) {
-        let _ = (ctx, cost);
     }
 
     /// A round finished executing.
@@ -344,15 +334,11 @@ impl<P: Protocol> Observer<P> for SafetyObserver {
 }
 
 /// Definition 5 + per-window recovery bookkeeping, as an observer. Owns
-/// [`SimReport::resilience_violations`], [`SimReport::recoveries`] and the
-/// deprecated singular `first_decision_after_async` / `async_window_end`
-/// fields.
+/// [`SimReport::resilience_violations`] and [`SimReport::recoveries`].
 pub(crate) struct ResilienceObserver {
     disruptions: Vec<Disruption>,
     monitors: Vec<ResilienceMonitor>,
     first_after: Vec<Option<Round>>,
-    last_disruption_end: Option<Round>,
-    first_decision_after_last: Option<Round>,
     emitted: Vec<SimEvent>,
 }
 
@@ -371,11 +357,9 @@ impl ResilienceObserver {
             .collect();
         let first_after = vec![None; disruptions.len()];
         ResilienceObserver {
-            last_disruption_end: timeline.last_disruption_end(),
             monitors,
             first_after,
             disruptions,
-            first_decision_after_last: None,
             emitted: Vec::new(),
         }
     }
@@ -400,11 +384,6 @@ impl<P: Protocol> Observer<P> for ResilienceObserver {
         for (i, d) in self.disruptions.iter().enumerate() {
             if decision.round > d.end && self.first_after[i].is_none() {
                 self.first_after[i] = Some(decision.round);
-            }
-        }
-        if let Some(end) = self.last_disruption_end {
-            if decision.round > end && self.first_decision_after_last.is_none() {
-                self.first_decision_after_last = Some(decision.round);
             }
         }
     }
@@ -433,11 +412,6 @@ impl<P: Protocol> Observer<P> for ResilienceObserver {
             .iter_mut()
             .flat_map(|m| std::mem::take(&mut m.violations))
             .collect();
-        #[allow(deprecated)]
-        {
-            report.first_decision_after_async = self.first_decision_after_last;
-            report.async_window_end = self.last_disruption_end;
-        }
     }
 }
 
@@ -568,7 +542,6 @@ pub(crate) struct TraceObserver {
     trace: RoundTrace,
     messages_at_round_start: usize,
     decisions_this_round: usize,
-    cost_this_round: RoundCost,
 }
 
 impl TraceObserver {
@@ -577,30 +550,18 @@ impl TraceObserver {
             trace: RoundTrace::new(),
             messages_at_round_start: 0,
             decisions_this_round: 0,
-            cost_this_round: RoundCost::default(),
         }
     }
-}
 
-impl<P: Protocol> Observer<P> for TraceObserver {
-    fn name(&self) -> &str {
-        "round-trace"
-    }
-
-    fn on_round_start(&mut self, ctx: &ObsCtx<'_, P>, _round: Round) {
-        self.messages_at_round_start = ctx.messages_sent;
-        self.decisions_this_round = 0;
-    }
-
-    fn on_decision(&mut self, _ctx: &ObsCtx<'_, P>, _process: ProcessId, _decision: DecisionEvent) {
-        self.decisions_this_round += 1;
-    }
-
-    fn on_round_cost(&mut self, _ctx: &ObsCtx<'_, P>, cost: &RoundCost) {
-        self.cost_this_round = *cost;
-    }
-
-    fn on_round_end(&mut self, ctx: &ObsCtx<'_, P>, round: Round, delivered: usize) {
+    /// Appends the sample of the round that just ended.
+    fn sample<P: Protocol>(
+        &mut self,
+        ctx: &ObsCtx<'_, P>,
+        round: Round,
+        delivered: usize,
+        tally_cache_hits: u64,
+        tally_cache_misses: u64,
+    ) {
         let honest = ctx.schedule.honest_awake(round);
         let height = |p: ProcessId| {
             let proc = &ctx.processes[p.index()];
@@ -624,12 +585,34 @@ impl<P: Protocol> Observer<P> for TraceObserver {
             decisions: self.decisions_this_round,
             max_decided_height: all_max,
             min_decided_height: heights.iter().copied().min().unwrap_or(0),
-            step_send_us: self.cost_this_round.step_send_us,
-            delivery_us: self.cost_this_round.delivery_us,
-            tally_us: self.cost_this_round.tally_us,
-            tally_cache_hits: self.cost_this_round.tally_cache_hits,
-            tally_cache_misses: self.cost_this_round.tally_cache_misses,
+            tally_cache_hits,
+            tally_cache_misses,
         });
+    }
+}
+
+impl<P: Protocol> Observer<P> for TraceObserver {
+    fn name(&self) -> &str {
+        "round-trace"
+    }
+
+    /// Handles its three events directly: `RoundEnd`'s tally counts
+    /// reach no per-event hook.
+    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent) {
+        match *event {
+            SimEvent::RoundStart { .. } => {
+                self.messages_at_round_start = ctx.messages_sent;
+                self.decisions_this_round = 0;
+            }
+            SimEvent::DecisionObserved { .. } => self.decisions_this_round += 1,
+            SimEvent::RoundEnd {
+                round,
+                delivered,
+                tally_cache_hits,
+                tally_cache_misses,
+            } => self.sample(ctx, round, delivered, tally_cache_hits, tally_cache_misses),
+            _ => {}
+        }
     }
 
     fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {

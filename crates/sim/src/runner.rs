@@ -19,7 +19,6 @@
 use crate::adversary::{Adversary, AdversaryCtx};
 use crate::builder::BuildError;
 use crate::env::{bounded_delay_of, Disruption, EnvView, SegmentKind, Timeline};
-use crate::metrics::RoundCost;
 use crate::monitor::SimReport;
 use crate::network::{Network, Recipients, SentMessage};
 use crate::observer::{
@@ -35,8 +34,6 @@ use st_messages::{Envelope, Payload, SharedEnvelope};
 use st_types::FastSet;
 use st_types::{Params, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
-// stlint::allow(wallclock, reason = "instrument-gated per-phase timing only: every Instant read is behind SimConfig::instrument, and instrumented fields serialise as zero when it is off, so reports stay pure functions of the seed")
-use std::time::Instant;
 
 /// An asynchronous window `[start, start + len − 1]` during which message
 /// delivery is adversarial. In the paper's notation the window is
@@ -100,7 +97,6 @@ pub struct SimConfig {
     horizon: u64,
     timeline: Timeline,
     txs_every: Option<u64>,
-    instrument: bool,
 }
 
 impl SimConfig {
@@ -114,7 +110,6 @@ impl SimConfig {
             horizon: 40,
             timeline: Timeline::synchronous(),
             txs_every: None,
-            instrument: false,
         }
     }
 
@@ -150,17 +145,6 @@ impl SimConfig {
     #[must_use]
     pub fn txs_every(mut self, k: u64) -> SimConfig {
         self.txs_every = Some(k.max(1));
-        self
-    }
-
-    /// Enables per-phase wall-clock timing and tally-cache hit/miss
-    /// accounting, surfaced per round via [`crate::RoundCost`] /
-    /// [`crate::RoundSample`]. Off by default: uninstrumented runs never
-    /// read the clock and serialise the cost fields as zero, keeping
-    /// reports pure functions of the seed.
-    #[must_use]
-    pub fn instrument(mut self) -> SimConfig {
-        self.instrument = true;
         self
     }
 
@@ -299,12 +283,6 @@ macro_rules! adv_ctx {
             config: &$sim.tob_config,
         }
     };
-}
-
-/// Microseconds since an instrument-gated clock read (zero when
-/// instrumentation is off and the clock was never read).
-fn micros_since(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_micros() as u64)
 }
 
 /// Keeps the global tree complete (the monitors' and the full-knowledge
@@ -477,29 +455,24 @@ impl<P: Protocol> Simulation<P> {
     /// One round, as a sequence of phases.
     fn step_round(&mut self, round: Round) {
         let env = self.config.timeline.view_at(round);
-        let instrument = self.config.instrument;
         self.narrate_round_start(round, env);
         let corrupted = self.schedule.byzantine(round);
         self.inject_workload(round, env);
 
         let honest = self.schedule.honest_awake(round);
-        let mut cost = self.share_tallies(round, &honest);
+        let tallies = self.share_tallies(round, &honest);
 
-        let t_send = instrument.then(Instant::now);
         self.send_honest(round, &honest);
-        cost.step_send_us = micros_since(t_send);
         self.send_corrupted(round, env, &corrupted);
 
         // Decisions happen in step_send.
         self.observe_decisions(round, env);
 
-        let t_recv = instrument.then(Instant::now);
         let delivered = self.deliver(round, env, &corrupted);
         // Drop the pool prefix every delivery cursor has passed.
         self.network.compact();
-        cost.delivery_us = micros_since(t_recv);
 
-        self.narrate_round_end(round, env, delivered, cost);
+        self.narrate_round_end(round, env, delivered, tallies);
     }
 
     /// Narrates one event to every observer, in order.
@@ -519,10 +492,17 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// One `WindowExit` per disruption closing now, then `RoundEnd` (the
+    /// One `WindowExit` per disruption closing now, then `RoundEnd` with
+    /// the round's delivery and shared-tally `(hits, misses)` counts (the
     /// tx ledger's inclusion bookkeeping and the round trace's sample
     /// both hang off `RoundEnd`, in observer order).
-    fn narrate_round_end(&mut self, round: Round, env: EnvView, delivered: usize, cost: RoundCost) {
+    fn narrate_round_end(
+        &mut self,
+        round: Round,
+        env: EnvView,
+        delivered: usize,
+        (tally_cache_hits, tally_cache_misses): (u64, u64),
+    ) {
         for index in 0..self.disruptions.len() {
             let disruption = self.disruptions[index];
             if disruption.end == round {
@@ -535,7 +515,8 @@ impl<P: Protocol> Simulation<P> {
             SimEvent::RoundEnd {
                 round,
                 delivered,
-                cost,
+                tally_cache_hits,
+                tally_cache_misses,
             },
         );
     }
@@ -574,26 +555,19 @@ impl<P: Protocol> Simulation<P> {
     /// digests the first two — so it holds in every kind of round
     /// (synchronous, asynchronous, bounded-delay, partitioned) and for
     /// any delivery history; `TallyOracle` checks it against the
-    /// stateless reference. Returns the round's cost record with the
-    /// tally fields filled (all zero unless instrumented, so reports stay
-    /// pure functions of the seed).
-    fn share_tallies(&mut self, round: Round, honest: &[ProcessId]) -> RoundCost {
-        let mut cost = RoundCost::default();
+    /// stateless reference. Returns the round's `(hits, misses)`: the
+    /// processes that adopted a memoised tally and those that computed
+    /// one (both zero in round 0, which has no tally).
+    fn share_tallies(&mut self, round: Round, honest: &[ProcessId]) -> (u64, u64) {
         if round == Round::ZERO {
-            return cost;
+            return (0, 0);
         }
-        let t_tally = self.config.instrument.then(Instant::now);
         let mut memo = BTreeMap::new();
         let mut hits = 0u64;
         for &p in honest {
             hits += u64::from(self.procs[p.index()].share_tally(round, &mut memo));
         }
-        cost.tally_us = micros_since(t_tally);
-        if self.config.instrument {
-            cost.tally_cache_hits = hits;
-            cost.tally_cache_misses = honest.len() as u64 - hits;
-        }
-        cost
+        (hits, honest.len() as u64 - hits)
     }
 
     /// Send phase, honest processes: each envelope moves into one shared
@@ -1169,13 +1143,6 @@ mod tests {
         }
         assert!(report.recovered_after_every_window());
         assert!(report.max_recovery_rounds().unwrap() <= 4);
-        // The deprecated legacy singular fields keep describing the
-        // *last* spell for old readers.
-        #[allow(deprecated)]
-        {
-            assert_eq!(report.async_window_end, Some(Round::new(27)));
-            assert!(report.first_decision_after_async.unwrap() > Round::new(27));
-        }
     }
 
     #[test]

@@ -389,8 +389,7 @@ fn oracle_checks_every_step_and_the_cache_actually_shares() {
     let (n, horizon) = (8, 30);
     let config = SimConfig::new(params(n, 2), 1)
         .horizon(horizon)
-        .txs_every(4)
-        .instrument();
+        .txs_every(4);
     let (report, check) = run_with_oracle(config, Schedule::full(n, horizon), adversary("silent"));
     assert_eq!(check.checked, n * horizon as usize);
     assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);

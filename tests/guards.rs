@@ -1,0 +1,56 @@
+//! Tier-1 guards on the shared tally: `TallyOracle` compares, per process
+//! and round, the tally `step_send` consumed (usually adopted from the
+//! round's shared memo) with the stateless window tally over that
+//! process's own state. The full grid and the 400-case property test live
+//! in `crates/sim/tests/determinism_equivalence.rs`; these two cells keep
+//! the facade-only test command tripping when the oracle does.
+
+use sleepy_tob::prelude::*;
+use sleepy_tob::sim::{TallyCheck, TallyOracle};
+
+fn run_with_oracle(
+    config: SimConfig,
+    schedule: Schedule,
+    adversary: impl Adversary + 'static,
+) -> (SimReport, TallyCheck) {
+    let (oracle, log) = TallyOracle::new();
+    let report = SimBuilder::from_config(config)
+        .schedule(schedule)
+        .adversary(adversary)
+        .observer(oracle)
+        .run();
+    let check = log.borrow().clone();
+    (report, check)
+}
+
+/// Full participation: every (process, round ≥ 1) step is checked, none
+/// diverges, and nearly all were adopted from the memo (one computed
+/// tally per round, `n − 1` hits), so the clean verdict is about shared
+/// tallies.
+#[test]
+fn full_participation_shares_tallies_without_a_mismatch() {
+    let (n, horizon) = (8, 24);
+    let params = Params::builder(n).expiration(2).build().unwrap();
+    let config = SimConfig::new(params, 1).horizon(horizon).txs_every(4);
+    let (report, check) = run_with_oracle(config, Schedule::full(n, horizon), SilentAdversary);
+    assert_eq!(check.checked, n * horizon as usize);
+    assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);
+    let rate = report.timeline.tally_cache_hit_rate();
+    assert!(rate > 0.8, "hit rate {rate} under full participation");
+}
+
+/// PR 14's counterexample (DESIGN.md §2.4): after a blackout every
+/// process has received the same stream but holds its own votes from the
+/// window, so a memo keyed by the received stream serves stale tallies in
+/// round 9. Keyed by content, it serves none.
+#[test]
+fn blackout_counterexample_serves_no_stale_tally() {
+    let (n, horizon) = (13, 20);
+    let params = Params::builder(n).expiration(0).build().unwrap();
+    let config = SimConfig::new(params, 1)
+        .horizon(horizon)
+        .async_window(AsyncWindow::new(Round::new(6), 3));
+    let (_, check) = run_with_oracle(config, Schedule::full(n, horizon), BlackoutAdversary);
+    assert!(check.checked > 0, "the oracle checked nothing");
+    assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);
+}
