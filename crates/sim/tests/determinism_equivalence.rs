@@ -12,6 +12,10 @@
 //!   `step()` vs `run()`, with vs without user observers, explicit vs
 //!   defaulted protocol parameter, `txs_every` vs the equivalent workload,
 //!   `async_window` vs the one-segment timeline.
+//! * **Golden digests** — every oracle- and guard-grid cell's report JSON,
+//!   digested with `st_crypto::hash64`, equals its line in the committed
+//!   `golden/report_digests.txt`. A change to any report byte fails here
+//!   and prints the lines to paste.
 
 use st_sim::adversary::{
     Adversary, BlackoutAdversary, EquivocatingVoter, PartitionAttacker, ReorgAttacker,
@@ -80,11 +84,16 @@ fn run_with_oracle(
 }
 
 /// One `n = 10` cell: every tally it consumed equals the stateless
-/// reference, and the check was not vacuous.
-fn assert_tallies_match_reference(adv: &str, sched: &str, config: SimConfig) {
-    let label = format!("adversary={adv} schedule={sched} {config:?}");
+/// reference, and the check was not vacuous. Returns the cell's golden
+/// line, `label = hex`, where `hex` digests the report's JSON.
+fn assert_tallies_match_reference(
+    label: String,
+    adv: &str,
+    sched: &str,
+    config: SimConfig,
+) -> String {
     let sched = schedule(sched, 10, config.horizon_rounds());
-    let (_, check) = run_with_oracle(config, sched, adversary(adv));
+    let (report, check) = run_with_oracle(config, sched, adversary(adv));
     assert!(check.checked > 0, "oracle checked nothing for {label}");
     assert!(
         check.mismatches.is_empty(),
@@ -93,6 +102,29 @@ fn assert_tallies_match_reference(adv: &str, sched: &str, config: SimConfig) {
         check.mismatches.len(),
         check.checked,
         check.mismatches.first()
+    );
+    let json = serde_json::to_string(&report).unwrap();
+    format!("{label} = {:016x}", st_crypto::hash64(json.as_bytes()))
+}
+
+/// The committed report digests of every oracle- and guard-grid cell.
+const GOLDEN: &str = include_str!("golden/report_digests.txt");
+
+/// Every computed golden line must appear verbatim in the committed file.
+/// On a mismatch all of this test's lines are printed, so a declared
+/// report change is one paste into `golden/report_digests.txt`.
+fn assert_golden(lines: &[String]) {
+    let changed: Vec<&str> = lines
+        .iter()
+        .map(String::as_str)
+        .filter(|line| !GOLDEN.lines().any(|g| g == *line))
+        .collect();
+    assert!(
+        changed.is_empty(),
+        "{} report digest(s) differ from golden/report_digests.txt: {changed:?}\n\
+         this test computed:\n{}",
+        changed.len(),
+        lines.join("\n")
     );
 }
 
@@ -105,6 +137,7 @@ fn grid_config(eta: u64, seed: u64, horizon: u64, t: &Timeline) -> SimConfig {
 
 #[test]
 fn synchronous_grid_tallies_match_reference() {
+    let mut lines = Vec::new();
     for &(sched, eta, seed) in &[
         ("full", 0, 1),
         ("full", 2, 2),
@@ -114,12 +147,17 @@ fn synchronous_grid_tallies_match_reference() {
         ("byz-window", 2, 6),
     ] {
         let config = grid_config(eta, seed, 24, &Timeline::synchronous());
-        assert_tallies_match_reference("silent", sched, config);
+        let label = format!("sync/silent/{sched}/eta{eta}/seed{seed}");
+        lines.push(assert_tallies_match_reference(
+            label, "silent", sched, config,
+        ));
     }
+    assert_golden(&lines);
 }
 
 #[test]
 fn asynchronous_grid_tallies_match_reference() {
+    let mut lines = Vec::new();
     for &(adv, sched, eta, pi, seed) in &[
         ("blackout", "full", 4, 3, 7),
         ("partition", "full", 0, 4, 8),
@@ -131,8 +169,11 @@ fn asynchronous_grid_tallies_match_reference() {
         ("blackout", "churn", 4, 2, 14),
     ] {
         let window = Timeline::synchronous().asynchronous(Round::new(10), pi);
-        assert_tallies_match_reference(adv, sched, grid_config(eta, seed, 24, &window));
+        let label = format!("async-pi{pi}/{adv}/{sched}/eta{eta}/seed{seed}");
+        let config = grid_config(eta, seed, 24, &window);
+        lines.push(assert_tallies_match_reference(label, adv, sched, config));
     }
+    assert_golden(&lines);
 }
 
 /// Multi-window asynchrony, bounded-delay segments (whose forced-deadline
@@ -152,17 +193,21 @@ fn timeline_grid_tallies_match_reference() {
         .asynchronous(Round::new(10), 2)
         .bounded_delay(Round::new(18), 4, 1)
         .partition(Round::new(26), 3, vec![evens]);
-    for (adv, sched, eta, t, seed) in [
-        ("partition", "full", 6, &multi_async, 21),
-        ("blackout", "full", 4, &multi_async, 22),
-        ("silent", "full", 4, &bounded, 23),
-        ("silent", "churn", 4, &gst_like, 24),
-        ("silent", "full", 6, &partition, 25),
-        ("reorg", "static-byz", 4, &mixed, 26),
-        ("silent", "mass-sleep", 2, &mixed, 27),
+    let mut lines = Vec::new();
+    for (adv, sched, eta, (name, t), seed) in [
+        ("partition", "full", 6, ("multi-async", &multi_async), 21),
+        ("blackout", "full", 4, ("multi-async", &multi_async), 22),
+        ("silent", "full", 4, ("bounded", &bounded), 23),
+        ("silent", "churn", 4, ("gst-like", &gst_like), 24),
+        ("silent", "full", 6, ("partition", &partition), 25),
+        ("reorg", "static-byz", 4, ("mixed", &mixed), 26),
+        ("silent", "mass-sleep", 2, ("mixed", &mixed), 27),
     ] {
-        assert_tallies_match_reference(adv, sched, grid_config(eta, seed, 34, t));
+        let label = format!("timeline-{name}/{adv}/{sched}/eta{eta}/seed{seed}");
+        let config = grid_config(eta, seed, 34, t);
+        lines.push(assert_tallies_match_reference(label, adv, sched, config));
     }
+    assert_golden(&lines);
 }
 
 /// The `async_window(w)` shim must stay a *pure* alias for the
@@ -375,9 +420,13 @@ fn explicit_protocol_parameterisation_matches_defaulted_alias() {
 /// exercised.
 #[test]
 fn guard_grid_tallies_match_reference() {
+    let mut lines = Vec::new();
     for (adv, sched, eta, t, seed) in guard_grid() {
-        assert_tallies_match_reference(adv, sched, guard_config(eta, &t, seed));
+        let label = format!("guard/{adv}/{sched}/eta{eta}/seed{seed}");
+        let config = guard_config(eta, &t, seed);
+        lines.push(assert_tallies_match_reference(label, adv, sched, config));
     }
+    assert_golden(&lines);
 }
 
 /// **Non-vacuity**: on a full-participation cell the oracle compared
