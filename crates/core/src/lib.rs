@@ -59,7 +59,7 @@
 //!     }
 //! }
 //! // By round 5 every process has decided the view-1 common log.
-//! assert!(procs.iter().all(|p| !p.decisions().is_empty()));
+//! assert!(procs.iter_mut().all(|p| !p.drain_decisions().is_empty()));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

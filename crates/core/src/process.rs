@@ -116,18 +116,12 @@ impl TobProcess {
         self.decided_tip
     }
 
-    /// Every decision event not yet drained, in the order they occurred.
-    /// Conflicting decisions (possible only when model assumptions are
-    /// violated) are recorded faithfully so monitors can detect them.
-    pub fn decisions(&self) -> &[DecisionEvent] {
-        &self.decisions
-    }
-
     /// Removes and returns every decision event recorded since the last
-    /// drain. Long-running drivers consume decisions through this so a
-    /// process's event log stays bounded on unbounded horizons;
-    /// [`TobProcess::decisions`] exposes whatever has not been drained
-    /// yet.
+    /// drain, in the order they occurred. Draining is the only way to
+    /// read decisions, so a process's event log stays bounded on
+    /// unbounded horizons. Conflicting decisions (possible only when
+    /// model assumptions are violated) are recorded faithfully so
+    /// monitors can detect them.
     pub fn drain_decisions(&mut self) -> Vec<DecisionEvent> {
         std::mem::take(&mut self.decisions)
     }
@@ -546,10 +540,10 @@ mod tests {
     #[test]
     fn synchronous_run_decides_and_agrees() {
         for eta in [0u64, 2, 4] {
-            let procs = run_lockstep(4, eta, 12, 7);
-            for p in &procs {
+            let mut procs = run_lockstep(4, eta, 12, 7);
+            for p in &mut procs {
                 assert!(
-                    !p.decisions().is_empty(),
+                    !p.drain_decisions().is_empty(),
                     "η={eta}: process {:?} never decided",
                     p.id()
                 );
@@ -613,18 +607,19 @@ mod tests {
 
     #[test]
     fn decisions_progress_once_per_view_under_synchrony() {
-        let procs = run_lockstep(4, 2, 24, 5);
+        let mut procs = run_lockstep(4, 2, 24, 5);
         // With honest unanimity, every view from the second on decides:
         // roughly (rounds/2 − 1) decisions.
-        for p in &procs {
+        for p in &mut procs {
+            let decisions = p.drain_decisions();
             assert!(
-                p.decisions().len() >= 8,
+                decisions.len() >= 8,
                 "expected ≥8 decisions, got {} for {:?}",
-                p.decisions().len(),
+                decisions.len(),
                 p.id()
             );
             // Views strictly increase.
-            for w in p.decisions().windows(2) {
+            for w in decisions.windows(2) {
                 assert!(w[0].view < w[1].view);
             }
         }
@@ -673,7 +668,7 @@ mod tests {
             }
         }
         // p3 decided after waking, and its log agrees with the others.
-        assert!(!procs[3].decisions().is_empty());
+        assert!(!procs[3].drain_decisions().is_empty());
         let tree = procs[0].tree();
         assert!(tree.compatible(procs[3].decided_tip(), procs[0].decided_tip()));
     }
@@ -698,15 +693,12 @@ mod tests {
         // must match the vanilla protocol's decisions (claim: it "matches
         // the latency and throughput of the original protocol when the
         // synchrony bound holds").
-        let vanilla = run_lockstep(4, 0, 14, 21);
-        let extended = run_lockstep(4, 4, 14, 21);
-        for (v, e) in vanilla.iter().zip(extended.iter()) {
-            assert_eq!(
-                v.decisions().len(),
-                e.decisions().len(),
-                "decision counts diverge"
-            );
-            for (dv, de) in v.decisions().iter().zip(e.decisions().iter()) {
+        let mut vanilla = run_lockstep(4, 0, 14, 21);
+        let mut extended = run_lockstep(4, 4, 14, 21);
+        for (v, e) in vanilla.iter_mut().zip(extended.iter_mut()) {
+            let (v, e) = (v.drain_decisions(), e.drain_decisions());
+            assert_eq!(v.len(), e.len(), "decision counts diverge");
+            for (dv, de) in v.iter().zip(e.iter()) {
                 assert_eq!(dv.round, de.round);
                 assert_eq!(dv.tip, de.tip, "decided different logs at {:?}", dv.round);
             }

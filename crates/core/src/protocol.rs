@@ -3,10 +3,10 @@
 //! The simulator's round loop (st-sim's `Simulation`) does not care
 //! *which* consensus protocol it is driving: it constructs one state
 //! machine per process, feeds delivered envelopes in, asks each awake
-//! machine for a round's outgoing messages, and reads decisions and
-//! decided-log views out for the monitors. [`Protocol`] captures exactly
-//! that surface, so the whole simulation stack — builder, runner,
-//! observers, sweeps — is generic over the protocol under test:
+//! machine for a round's outgoing messages, and drains decisions and
+//! reads decided-log views out for the monitors. [`Protocol`] captures
+//! exactly that surface, so the whole simulation stack — builder,
+//! runner, observers, sweeps — is generic over the protocol under test:
 //!
 //! * [`crate::TobProcess`] — the paper's sleepy protocol (Algorithm 1
 //!   with message expiration), the default everywhere;
@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// the ordinary receive path.
 pub trait Protocol: Sized + 'static {
     /// The protocol's display name (reports, sweep comparisons, CLIs).
-    fn protocol_name() -> &'static str;
+    const NAME: &'static str;
 
     /// Creates the process `id` under the shared `config` (parameters,
     /// seed, key directory).
@@ -73,15 +73,14 @@ pub trait Protocol: Sized + 'static {
     /// process multicasts. Call only for rounds the process is awake in.
     fn step_send(&mut self, round: Round) -> Vec<Envelope>;
 
-    /// Every decision event not yet drained, in occurrence order.
-    /// Conflicting decisions (possible only when model assumptions are
-    /// violated) must be recorded faithfully so monitors can detect them.
-    fn decisions(&self) -> &[DecisionEvent];
-
     /// Removes and returns every decision event recorded since the last
-    /// drain. Drivers consume decisions through this so per-process event
-    /// logs stay bounded on long horizons; [`Protocol::decisions`]
-    /// exposes only what has not been drained yet.
+    /// drain, in occurrence order. This is the only way to read
+    /// decisions, so reading one consumes it, and per-process event logs
+    /// stay bounded on long horizons. (st-sim's runner drains every
+    /// process every round; code that wants the decisions after a run
+    /// registers st-sim's `DecisionTap`.) Conflicting decisions (possible
+    /// only when model assumptions are violated) must be recorded
+    /// faithfully so monitors can detect them.
     fn drain_decisions(&mut self) -> Vec<DecisionEvent>;
 
     /// Tally sharing across the processes a driver steps in one round:
@@ -122,9 +121,7 @@ pub trait Protocol: Sized + 'static {
 /// generic runner is call-for-call the code path the non-generic runner
 /// used (the determinism suite asserts byte-identical reports).
 impl Protocol for crate::TobProcess {
-    fn protocol_name() -> &'static str {
-        "sleepy-tob"
-    }
+    const NAME: &'static str = "sleepy-tob";
 
     fn new(id: ProcessId, config: TobConfig) -> Self {
         crate::TobProcess::new(id, config)
@@ -144,10 +141,6 @@ impl Protocol for crate::TobProcess {
 
     fn step_send(&mut self, round: Round) -> Vec<Envelope> {
         crate::TobProcess::step_send(self, round)
-    }
-
-    fn decisions(&self) -> &[DecisionEvent] {
-        crate::TobProcess::decisions(self)
     }
 
     fn drain_decisions(&mut self) -> Vec<DecisionEvent> {
@@ -204,9 +197,9 @@ mod tests {
 
     #[test]
     fn trait_driver_runs_the_sleepy_protocol() {
-        let procs = lockstep::<TobProcess>(4, 12, 7);
-        for p in &procs {
-            assert!(!Protocol::decisions(p).is_empty());
+        let mut procs = lockstep::<TobProcess>(4, 12, 7);
+        for p in &mut procs {
+            assert!(!Protocol::drain_decisions(p).is_empty());
             assert_ne!(Protocol::decided_tip(p), BlockId::GENESIS);
         }
     }
@@ -215,7 +208,7 @@ mod tests {
     fn trait_and_inherent_paths_agree() {
         // Driving via the trait must be the same computation as driving
         // via the inherent methods: identical decision streams.
-        let via_trait = lockstep::<TobProcess>(4, 12, 9);
+        let mut via_trait = lockstep::<TobProcess>(4, 12, 9);
         let params = Params::builder(4).expiration(2).build().unwrap();
         let config = TobConfig::new(params, 9);
         let mut direct: Vec<TobProcess> = (0..4u32)
@@ -234,8 +227,8 @@ mod tests {
                 }
             }
         }
-        for (t, d) in via_trait.iter().zip(direct.iter()) {
-            assert_eq!(Protocol::decisions(t), d.decisions());
+        for (t, d) in via_trait.iter_mut().zip(direct.iter_mut()) {
+            assert_eq!(Protocol::drain_decisions(t), d.drain_decisions());
             assert_eq!(Protocol::decided_tip(t), d.decided_tip());
         }
     }

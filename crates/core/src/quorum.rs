@@ -210,9 +210,7 @@ impl QuorumProcess {
 }
 
 impl Protocol for QuorumProcess {
-    fn protocol_name() -> &'static str {
-        "static-quorum"
-    }
+    const NAME: &'static str = "static-quorum";
 
     fn new(id: ProcessId, config: TobConfig) -> Self {
         QuorumProcess::new(id, config)
@@ -260,10 +258,6 @@ impl Protocol for QuorumProcess {
         };
         self.prune(round);
         out
-    }
-
-    fn decisions(&self) -> &[DecisionEvent] {
-        &self.decisions
     }
 
     fn drain_decisions(&mut self) -> Vec<DecisionEvent> {
@@ -336,16 +330,17 @@ mod tests {
     fn full_participation_decides_every_view() {
         let n = 9;
         let rounds = 20;
-        let procs = run_partial(n, rounds, 3, |_, _| true);
+        let mut procs = run_partial(n, rounds, 3, |_, _| true);
         // Views 1..=9 vote at rounds 2..=18 and decide at rounds 3..=19;
         // view 10's votes (round 20) are only integrated at round 21,
         // past the horizon.
-        for p in &procs {
-            let views: Vec<u64> = p.decisions().iter().map(|d| d.view.as_u64()).collect();
+        for p in &mut procs {
+            let decisions = p.drain_decisions();
+            let views: Vec<u64> = decisions.iter().map(|d| d.view.as_u64()).collect();
             assert_eq!(views, (1..=9).collect::<Vec<u64>>(), "{:?}", p.id);
             // Decided exactly one round after the analytical decision
             // round 2v.
-            for d in p.decisions() {
+            for d in decisions {
                 assert_eq!(d.round.as_u64(), 2 * d.view.as_u64() + 1);
             }
         }
@@ -356,10 +351,11 @@ mod tests {
         let n = 9;
         // 4 of 9 sleep (> n/3) through rounds 6..=14: views whose vote
         // round lands in the window can never reach the 2n/3 quorum.
-        let procs = run_partial(n, 24, 5, |r, i| !((6..=14).contains(&r) && i < 4));
+        let mut procs = run_partial(n, 24, 5, |r, i| !((6..=14).contains(&r) && i < 4));
         let decided: FastSet<u64> = procs
-            .iter()
-            .flat_map(|p| p.decisions().iter().map(|d| d.view.as_u64()))
+            .iter_mut()
+            .flat_map(|p| p.drain_decisions())
+            .map(|d| d.view.as_u64())
             .collect();
         for v in 3..=7u64 {
             assert!(!decided.contains(&v), "stalled view {v} decided");
@@ -379,9 +375,13 @@ mod tests {
         // p5 sleeps through rounds 4..=9 while the rest keep the quorum
         // (5 of 6 > 2n/3): the awake processes decide views 2..=4; p5
         // replays the backlog on wake and decides them at its first step.
-        let procs = run_partial(n, 16, 7, |r, i| !((4..=9).contains(&r) && i == 5));
+        let mut procs = run_partial(n, 16, 7, |r, i| !((4..=9).contains(&r) && i == 5));
+        let views: Vec<u64> = procs[5]
+            .drain_decisions()
+            .iter()
+            .map(|d| d.view.as_u64())
+            .collect();
         let woken = &procs[5];
-        let views: Vec<u64> = woken.decisions().iter().map(|d| d.view.as_u64()).collect();
         assert!(views.contains(&2) && views.contains(&3), "{views:?}");
         assert!(procs[0]
             .tree()

@@ -121,10 +121,11 @@ fn first_decision_is_at_round_3() {
     for r in 0..=3 {
         h.round(r);
     }
-    for p in &h.procs {
-        assert!(!p.decisions().is_empty());
-        assert_eq!(p.decisions()[0].round, Round::new(3));
-        assert_eq!(p.decisions()[0].view, View::new(2));
+    for p in &mut h.procs {
+        let decisions = p.drain_decisions();
+        assert!(!decisions.is_empty());
+        assert_eq!(decisions[0].round, Round::new(3));
+        assert_eq!(decisions[0].view, View::new(2));
     }
 }
 

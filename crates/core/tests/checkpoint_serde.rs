@@ -28,7 +28,7 @@ fn checkpoint_roundtrip_validates_and_bootstraps() {
             }
         }
     }
-    assert!(!procs[0].decisions().is_empty(), "run must decide");
+    assert!(!procs[0].drain_decisions().is_empty(), "run must decide");
 
     let cp = Checkpoint::capture(&procs[0], Round::new(horizon), &retained);
     let json = serde_json::to_string(&cp).unwrap();

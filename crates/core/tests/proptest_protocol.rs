@@ -10,12 +10,14 @@
 //! * liveness trend — with enough all-awake suffix rounds, the chain grows.
 
 use proptest::prelude::*;
-use st_core::{TobConfig, TobProcess};
+use st_core::{DecisionEvent, TobConfig, TobProcess};
 use st_messages::Envelope;
 use st_types::{Params, ProcessId, Round, TxId};
 
 struct Execution {
     procs: Vec<TobProcess>,
+    /// Every process's decisions, drained once the run ends.
+    decisions: Vec<Vec<DecisionEvent>>,
 }
 
 /// Drives `n` processes through `rounds` lock-step rounds; process `p`
@@ -93,7 +95,8 @@ fn run(n: usize, eta: u64, rounds: u64, sleep_bits: &[u64], txs: &[u8]) -> Execu
             }
         }
     }
-    Execution { procs }
+    let decisions = procs.iter_mut().map(|p| p.drain_decisions()).collect();
+    Execution { procs, decisions }
 }
 
 fn check_invariants(ex: &Execution) -> Result<(), TestCaseError> {
@@ -106,8 +109,8 @@ fn check_invariants(ex: &Execution) -> Result<(), TestCaseError> {
 
     // Agreement across all decision events of all processes.
     let mut all: Vec<(usize, st_types::BlockId)> = Vec::new();
-    for (i, p) in ex.procs.iter().enumerate() {
-        for d in p.decisions() {
+    for (i, (p, decisions)) in ex.procs.iter().zip(&ex.decisions).enumerate() {
+        for d in decisions {
             prop_assert!(
                 p.tree().contains(d.tip),
                 "p{i} decided a block missing from its own tree"
@@ -125,9 +128,9 @@ fn check_invariants(ex: &Execution) -> Result<(), TestCaseError> {
     }
 
     // Per-process monotonicity.
-    for (i, p) in ex.procs.iter().enumerate() {
+    for (i, decisions) in ex.decisions.iter().enumerate() {
         let mut prev: Option<st_types::BlockId> = None;
-        for d in p.decisions() {
+        for d in decisions {
             if let Some(prev_tip) = prev {
                 prop_assert!(
                     global.is_ancestor(prev_tip, d.tip) || global.is_ancestor(d.tip, prev_tip),
@@ -161,11 +164,11 @@ proptest! {
     ) {
         let ex = run(n, eta, 30, &[0u64], &[0]);
         check_invariants(&ex)?;
-        for p in &ex.procs {
+        for (p, decisions) in ex.procs.iter().zip(&ex.decisions) {
             prop_assert!(
-                p.decisions().len() >= 10,
+                decisions.len() >= 10,
                 "only {} decisions with full participation",
-                p.decisions().len()
+                decisions.len()
             );
             let height = p.tree().height(p.decided_tip()).unwrap_or(0);
             prop_assert!(height >= 10, "chain stalled at height {height}");

@@ -148,11 +148,9 @@ fn round_zero_votes_rejected() {
         TobProcess::new(ProcessId::new(2), config(3, 0)),
     ];
     lockstep(&mut procs, 5);
-    assert!(!procs[0].decisions().is_empty());
-    assert!(procs[0]
-        .decisions()
-        .iter()
-        .all(|d| d.round >= Round::new(3)));
+    let decisions = procs[0].drain_decisions();
+    assert!(!decisions.is_empty());
+    assert!(decisions.iter().all(|d| d.round >= Round::new(3)));
 }
 
 /// Pruning keeps memory bounded: after many rounds the vote store holds
@@ -170,10 +168,10 @@ fn state_is_pruned_over_long_runs() {
     // the only unbounded state; proposals and votes are windowed.
     // Indirect check: a process clone is cheap enough to be usable and
     // decisions track the chain height.
-    let p = &procs[0];
+    let p = &mut procs[0];
     let height = p.tree().height(p.decided_tip()).unwrap();
     assert!(height >= 45, "height {height}");
-    assert!(p.decisions().len() >= 45);
+    assert!(p.drain_decisions().len() >= 45);
 }
 
 /// The same config can be shared across processes and reused for late

@@ -108,9 +108,7 @@ pub use observer::{
 pub use runner::{AsyncWindow, SimConfig, Simulation};
 pub use schedule::{ChurnOptions, Schedule};
 pub use sweep::{Sweep, SweepComparison, SweepReports};
-pub use workload::{
-    diurnal_schedule, LatencyObserver, WorkloadObserver, WorkloadSpec, WorkloadSummary,
-};
+pub use workload::{diurnal_schedule, WorkloadSpec, WorkloadSummary};
 
 // The workload layer's own vocabulary (generators, mempool, histogram),
 // re-exported so simulation drivers need only this crate in scope.

@@ -252,10 +252,6 @@ pub(crate) struct SafetyMonitor {
 }
 
 impl SafetyMonitor {
-    pub(crate) fn new() -> SafetyMonitor {
-        SafetyMonitor::default()
-    }
-
     /// Records a decision, checking it against the **whole** frontier.
     ///
     /// Every frontier entry is examined before anything is concluded: with
@@ -404,7 +400,7 @@ mod tests {
     #[test]
     fn compatible_decisions_pass() {
         let (tree, a, a2, _) = mk_tree();
-        let mut m = SafetyMonitor::new();
+        let mut m = SafetyMonitor::default();
         m.observe(&tree, ProcessId::new(0), ev(3, a));
         m.observe(&tree, ProcessId::new(1), ev(5, a2));
         m.observe(&tree, ProcessId::new(2), ev(5, a)); // prefix of frontier
@@ -415,7 +411,7 @@ mod tests {
     #[test]
     fn conflicting_decisions_flagged() {
         let (tree, a, _, b) = mk_tree();
-        let mut m = SafetyMonitor::new();
+        let mut m = SafetyMonitor::default();
         m.observe(&tree, ProcessId::new(0), ev(3, a));
         m.observe(&tree, ProcessId::new(1), ev(3, b));
         assert_eq!(m.violations.len(), 1);
@@ -429,12 +425,12 @@ mod tests {
         // returned on the covering entry and missed the conflict with the
         // other branch.
         let (tree, a, a2, b) = mk_tree();
-        let mut order1 = SafetyMonitor::new();
+        let mut order1 = SafetyMonitor::default();
         order1.observe(&tree, ProcessId::new(0), ev(3, a2));
         order1.observe(&tree, ProcessId::new(1), ev(3, b)); // fork: 1 violation
         order1.observe(&tree, ProcessId::new(2), ev(5, a)); // covered by a2, conflicts b
 
-        let mut order2 = SafetyMonitor::new();
+        let mut order2 = SafetyMonitor::default();
         order2.observe(&tree, ProcessId::new(1), ev(3, b));
         order2.observe(&tree, ProcessId::new(0), ev(3, a2));
         order2.observe(&tree, ProcessId::new(2), ev(5, a));
@@ -453,7 +449,7 @@ mod tests {
     #[test]
     fn repeated_conflicting_pair_recorded_once() {
         let (tree, a, _, b) = mk_tree();
-        let mut m = SafetyMonitor::new();
+        let mut m = SafetyMonitor::default();
         m.observe(&tree, ProcessId::new(0), ev(3, a));
         m.observe(&tree, ProcessId::new(1), ev(3, b));
         // The same processes re-decide the same conflicting tips on later
@@ -476,7 +472,7 @@ mod tests {
         // reclassify a genuine post-window violation as an in-window
         // orphaning.
         let (tree, a, _, b) = mk_tree();
-        let mut m = SafetyMonitor::new();
+        let mut m = SafetyMonitor::default();
         m.observe(&tree, ProcessId::new(0), ev(5, a)); // in-window
         m.observe(&tree, ProcessId::new(1), ev(5, b)); // conflict @ (5,5)
         m.observe(&tree, ProcessId::new(0), ev(9, a)); // post-window re-decisions

@@ -26,8 +26,11 @@
 //! 3. [`SimEvent::CorruptionChange`] if `B_r` differs from the previous
 //!    round's corrupted set;
 //! 4. one [`SimEvent::DecisionObserved`] per decision event drained from
-//!    a well-behaved process, followed by the [`SimEvent::Violation`]s
-//!    those decisions triggered (via [`Observer::drain_emitted`]);
+//!    a well-behaved process, each directly followed by the
+//!    [`SimEvent::Violation`]s it triggered: the monitors push those into
+//!    [`Observer::on_event`]'s `emit`, and the round loop forwards what
+//!    one event's handlers emitted to every observer before it narrates
+//!    the next event;
 //! 5. [`SimEvent::EnvelopeDelivered`] per honest delivery — only
 //!    generated when some registered observer returns `true` from
 //!    [`Observer::wants_delivery_events`], so the fast path pays nothing
@@ -40,7 +43,6 @@ use crate::metrics::{RoundSample, RoundTrace};
 use crate::monitor::{
     RecoveryRecord, ResilienceMonitor, SafetyMonitor, SafetyViolation, SimReport, TxRecord,
 };
-use crate::runner::SimConfig;
 use crate::schedule::Schedule;
 use st_blocktree::BlockTree;
 use st_core::{DecisionEvent, Protocol, TobProcess};
@@ -49,17 +51,14 @@ use st_types::{BlockId, FastSet, ProcessId, Round, TxId};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Read-only view of the execution handed to every observer hook: the
+/// Read-only view of the execution handed to every observer call: the
 /// full-knowledge vantage point the paper's monitors have (every process's
 /// state, the schedule, a tree absorbing every block ever proposed).
 ///
 /// Generic over the [`Protocol`] being observed, defaulted to
 /// [`TobProcess`] so sleepy-protocol probes read exactly as before.
 pub struct ObsCtx<'a, P: Protocol = TobProcess> {
-    /// The round being executed (for [`Observer::finish`]: the last
-    /// executed round).
-    pub round: Round,
-    /// The environment at this round (segment kind, window offsets,
+    /// The environment at the current round (segment kind, window offsets,
     /// partition overlay).
     pub env: EnvView,
     /// Every process's state, read-only.
@@ -68,8 +67,6 @@ pub struct ObsCtx<'a, P: Protocol = TobProcess> {
     pub schedule: &'a Schedule,
     /// A tree absorbing every block ever proposed (monitor knowledge).
     pub global_tree: &'a BlockTree,
-    /// The run's configuration.
-    pub config: &'a SimConfig,
     /// Cumulative messages sent to the network so far.
     pub messages_sent: usize,
 }
@@ -166,21 +163,17 @@ pub enum SimEvent {
 
 /// A pluggable execution observer.
 ///
-/// Every hook is optional (default no-op); [`Observer::on_event`] is the
-/// uniform entry point and by default dispatches to the per-event hooks,
-/// so implementors can override either granularity. Observers run in
-/// registration order — built-ins first — and see every event of the run.
+/// One entry point, [`Observer::on_event`], sees every event of the run;
+/// implementors `match` on the [`SimEvent`] variants they care about.
+/// Observers run in registration order — built-ins first.
 ///
-/// Observers that *detect* things (the built-in monitors) can publish
-/// events of their own by buffering them and returning them from
-/// [`Observer::drain_emitted`]; the round loop forwards drained events to
-/// every observer after each decision wave.
+/// An observer that *detects* something (the built-in monitors) publishes
+/// it by pushing events into `emit`. The round loop forwards whatever one
+/// event's handlers emitted to every observer right after that event, and
+/// keeps forwarding until nothing more is emitted — so an observer must
+/// not emit in response to emitted events without a termination
+/// condition.
 pub trait Observer<P: Protocol = TobProcess> {
-    /// Human-readable observer name (diagnostics).
-    fn name(&self) -> &str {
-        "observer"
-    }
-
     /// Opt-in for per-envelope [`SimEvent::EnvelopeDelivered`] events.
     /// The default `false` keeps the zero-copy delivery fast path free of
     /// per-envelope event construction; return `true` only if the
@@ -189,92 +182,9 @@ pub trait Observer<P: Protocol = TobProcess> {
         false
     }
 
-    /// Uniform event entry point; the default dispatches to the
-    /// fine-grained hooks below.
-    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent) {
-        match event {
-            SimEvent::RoundStart { round } => self.on_round_start(ctx, *round),
-            SimEvent::TxSubmitted { tx, round } => self.on_tx_submitted(ctx, *tx, *round),
-            SimEvent::CorruptionChange { round, corrupted } => {
-                self.on_corruption_change(ctx, *round, corrupted)
-            }
-            SimEvent::WindowEnter { index, disruption } => {
-                self.on_window_enter(ctx, *index, disruption)
-            }
-            SimEvent::WindowExit { index, disruption } => {
-                self.on_window_exit(ctx, *index, disruption)
-            }
-            SimEvent::DecisionObserved { process, decision } => {
-                self.on_decision(ctx, *process, *decision)
-            }
-            SimEvent::EnvelopeDelivered { receiver, sender } => {
-                self.on_delivery(ctx, *receiver, *sender)
-            }
-            SimEvent::Violation { kind, violation } => self.on_violation(ctx, *kind, violation),
-            SimEvent::RoundEnd {
-                round, delivered, ..
-            } => self.on_round_end(ctx, *round, *delivered),
-        }
-    }
-
-    /// A round is about to execute.
-    fn on_round_start(&mut self, ctx: &ObsCtx<'_, P>, round: Round) {
-        let _ = (ctx, round);
-    }
-
-    /// The workload submitted a transaction.
-    fn on_tx_submitted(&mut self, ctx: &ObsCtx<'_, P>, tx: TxId, round: Round) {
-        let _ = (ctx, tx, round);
-    }
-
-    /// The corrupted set changed.
-    fn on_corruption_change(&mut self, ctx: &ObsCtx<'_, P>, round: Round, corrupted: &[ProcessId]) {
-        let _ = (ctx, round, corrupted);
-    }
-
-    /// A disruption window opened.
-    fn on_window_enter(&mut self, ctx: &ObsCtx<'_, P>, index: usize, disruption: &Disruption) {
-        let _ = (ctx, index, disruption);
-    }
-
-    /// A disruption window closed.
-    fn on_window_exit(&mut self, ctx: &ObsCtx<'_, P>, index: usize, disruption: &Disruption) {
-        let _ = (ctx, index, disruption);
-    }
-
-    /// A well-behaved process decided.
-    fn on_decision(&mut self, ctx: &ObsCtx<'_, P>, process: ProcessId, decision: DecisionEvent) {
-        let _ = (ctx, process, decision);
-    }
-
-    /// An envelope reached an honest receiver (only with
-    /// [`Observer::wants_delivery_events`]).
-    fn on_delivery(&mut self, ctx: &ObsCtx<'_, P>, receiver: ProcessId, sender: ProcessId) {
-        let _ = (ctx, receiver, sender);
-    }
-
-    /// A monitor flagged a violation.
-    fn on_violation(
-        &mut self,
-        ctx: &ObsCtx<'_, P>,
-        kind: ViolationKind,
-        violation: &SafetyViolation,
-    ) {
-        let _ = (ctx, kind, violation);
-    }
-
-    /// A round finished executing.
-    fn on_round_end(&mut self, ctx: &ObsCtx<'_, P>, round: Round, delivered: usize) {
-        let _ = (ctx, round, delivered);
-    }
-
-    /// Events this observer wants to publish to the other observers,
-    /// drained by the round loop after each decision wave. Handlers must
-    /// not emit in response to drained events without a termination
-    /// condition (the loop pumps until quiescence).
-    fn drain_emitted(&mut self) -> Vec<SimEvent> {
-        Vec::new()
-    }
+    /// Handles one event; events to publish to every observer go into
+    /// `emit`.
+    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, emit: &mut Vec<SimEvent>);
 
     /// Contribute this observer's findings to the final report. Built-in
     /// observers fill the [`SimReport`] fields they own; user observers
@@ -292,40 +202,26 @@ pub trait Observer<P: Protocol = TobProcess> {
 
 /// Definition 2 (agreement), as an observer. Owns
 /// [`SimReport::safety_violations`].
+#[derive(Default)]
 pub(crate) struct SafetyObserver {
     monitor: SafetyMonitor,
-    emitted: Vec<SimEvent>,
-}
-
-impl SafetyObserver {
-    pub(crate) fn new() -> SafetyObserver {
-        SafetyObserver {
-            monitor: SafetyMonitor::new(),
-            emitted: Vec::new(),
-        }
-    }
 }
 
 impl<P: Protocol> Observer<P> for SafetyObserver {
-    fn name(&self) -> &str {
-        "safety-monitor"
-    }
-
-    fn on_decision(&mut self, ctx: &ObsCtx<'_, P>, process: ProcessId, decision: DecisionEvent) {
+    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, emit: &mut Vec<SimEvent>) {
+        let SimEvent::DecisionObserved { process, decision } = *event else {
+            return;
+        };
         let before = self.monitor.violations.len();
         self.monitor.observe(ctx.global_tree, process, decision);
         // New conflicting pairs become events; witness upgrades of pairs
         // already reported do not re-fire.
         for v in &self.monitor.violations[before..] {
-            self.emitted.push(SimEvent::Violation {
+            emit.push(SimEvent::Violation {
                 kind: ViolationKind::Safety,
                 violation: v.clone(),
             });
         }
-    }
-
-    fn drain_emitted(&mut self) -> Vec<SimEvent> {
-        std::mem::take(&mut self.emitted)
     }
 
     fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
@@ -339,7 +235,6 @@ pub(crate) struct ResilienceObserver {
     disruptions: Vec<Disruption>,
     monitors: Vec<ResilienceMonitor>,
     first_after: Vec<Option<Round>>,
-    emitted: Vec<SimEvent>,
 }
 
 impl ResilienceObserver {
@@ -360,22 +255,20 @@ impl ResilienceObserver {
             monitors,
             first_after,
             disruptions,
-            emitted: Vec::new(),
         }
     }
 }
 
 impl<P: Protocol> Observer<P> for ResilienceObserver {
-    fn name(&self) -> &str {
-        "resilience-monitor"
-    }
-
-    fn on_decision(&mut self, ctx: &ObsCtx<'_, P>, process: ProcessId, decision: DecisionEvent) {
+    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, emit: &mut Vec<SimEvent>) {
+        let SimEvent::DecisionObserved { process, decision } = *event else {
+            return;
+        };
         for (i, mon) in self.monitors.iter_mut().enumerate() {
             let before = mon.violations.len();
             mon.observe(ctx.global_tree, process, decision);
             for v in &mon.violations[before..] {
-                self.emitted.push(SimEvent::Violation {
+                emit.push(SimEvent::Violation {
                     kind: ViolationKind::Resilience { window: i },
                     violation: v.clone(),
                 });
@@ -386,10 +279,6 @@ impl<P: Protocol> Observer<P> for ResilienceObserver {
                 self.first_after[i] = Some(decision.round);
             }
         }
-    }
-
-    fn drain_emitted(&mut self) -> Vec<SimEvent> {
-        std::mem::take(&mut self.emitted)
     }
 
     fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
@@ -431,23 +320,10 @@ impl TxLedger {
             decided_txs: vec![(BlockId::GENESIS, FastSet::default()); n],
         }
     }
-}
 
-impl<P: Protocol> Observer<P> for TxLedger {
-    fn name(&self) -> &str {
-        "tx-ledger"
-    }
-
-    fn on_tx_submitted(&mut self, _ctx: &ObsCtx<'_, P>, tx: TxId, round: Round) {
-        self.txs.push(TxRecord {
-            tx,
-            submitted: round,
-            included_everywhere: None,
-            decided_round: None,
-        });
-    }
-
-    fn on_round_end(&mut self, ctx: &ObsCtx<'_, P>, round: Round, _delivered: usize) {
+    /// Refreshes the decided-log cache and the inclusion marks at the end
+    /// of `round`.
+    fn round_end<P: Protocol>(&mut self, ctx: &ObsCtx<'_, P>, round: Round) {
         if self.txs.is_empty() {
             return;
         }
@@ -488,6 +364,21 @@ impl<P: Protocol> Observer<P> for TxLedger {
             }
         }
     }
+}
+
+impl<P: Protocol> Observer<P> for TxLedger {
+    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+        match *event {
+            SimEvent::TxSubmitted { tx, round } => self.txs.push(TxRecord {
+                tx,
+                submitted: round,
+                included_everywhere: None,
+                decided_round: None,
+            }),
+            SimEvent::RoundEnd { round, .. } => self.round_end(ctx, round),
+            _ => {}
+        }
+    }
 
     fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
         report.txs = std::mem::take(&mut self.txs);
@@ -514,19 +405,17 @@ impl DecisionLedger {
 }
 
 impl<P: Protocol> Observer<P> for DecisionLedger {
-    fn name(&self) -> &str {
-        "decision-ledger"
-    }
-
-    fn on_decision(&mut self, _ctx: &ObsCtx<'_, P>, process: ProcessId, _decision: DecisionEvent) {
-        self.observed[process.index()] += 1;
-        self.any_this_round = true;
-    }
-
-    fn on_round_end(&mut self, _ctx: &ObsCtx<'_, P>, _round: Round, _delivered: usize) {
-        if self.any_this_round {
-            self.deciding_rounds += 1;
-            self.any_this_round = false;
+    fn on_event(&mut self, _ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+        match event {
+            SimEvent::DecisionObserved { process, .. } => {
+                self.observed[process.index()] += 1;
+                self.any_this_round = true;
+            }
+            SimEvent::RoundEnd { .. } if self.any_this_round => {
+                self.deciding_rounds += 1;
+                self.any_this_round = false;
+            }
+            _ => {}
         }
     }
 
@@ -538,6 +427,7 @@ impl<P: Protocol> Observer<P> for DecisionLedger {
 }
 
 /// Per-round time series, as an observer. Owns [`SimReport::timeline`].
+#[derive(Default)]
 pub(crate) struct TraceObserver {
     trace: RoundTrace,
     messages_at_round_start: usize,
@@ -545,14 +435,6 @@ pub(crate) struct TraceObserver {
 }
 
 impl TraceObserver {
-    pub(crate) fn new() -> TraceObserver {
-        TraceObserver {
-            trace: RoundTrace::new(),
-            messages_at_round_start: 0,
-            decisions_this_round: 0,
-        }
-    }
-
     /// Appends the sample of the round that just ended.
     fn sample<P: Protocol>(
         &mut self,
@@ -592,13 +474,7 @@ impl TraceObserver {
 }
 
 impl<P: Protocol> Observer<P> for TraceObserver {
-    fn name(&self) -> &str {
-        "round-trace"
-    }
-
-    /// Handles its three events directly: `RoundEnd`'s tally counts
-    /// reach no per-event hook.
-    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent) {
+    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         match *event {
             SimEvent::RoundStart { .. } => {
                 self.messages_at_round_start = ctx.messages_sent;
@@ -625,13 +501,15 @@ impl<P: Protocol> Observer<P> for TraceObserver {
 pub type DecisionLog = Rc<RefCell<Vec<Vec<DecisionEvent>>>>;
 
 /// A user observer that records every honest decision per process for
-/// reading *after* the run.
+/// reading *after* the run: **the** way to keep decisions past a
+/// [`crate::Simulation`].
 ///
-/// The round loop **drains** each process's decision log every round (so
-/// per-process event storage stays bounded on long horizons), which means
-/// post-run code can no longer read `decisions()` off the processes —
-/// everything has been consumed into the observer pipeline. Code that
-/// wants the full history registers a tap and reads the shared log:
+/// [`Protocol::drain_decisions`] is the only way to read a process's
+/// decisions, and the round loop drains every process every round (so
+/// per-process event storage stays bounded on long horizons). Once a run
+/// is over the processes hold no decisions; everything went into the
+/// observer pipeline. Code that wants the full history registers a tap
+/// and reads the shared log:
 ///
 /// ```
 /// use st_sim::{DecisionTap, SimBuilder};
@@ -665,12 +543,10 @@ impl DecisionTap {
 }
 
 impl<P: Protocol> Observer<P> for DecisionTap {
-    fn name(&self) -> &str {
-        "decision-tap"
-    }
-
-    fn on_decision(&mut self, _ctx: &ObsCtx<'_, P>, process: ProcessId, decision: DecisionEvent) {
-        self.log.borrow_mut()[process.index()].push(decision);
+    fn on_event(&mut self, _ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+        if let SimEvent::DecisionObserved { process, decision } = *event {
+            self.log.borrow_mut()[process.index()].push(decision);
+        }
     }
 }
 
@@ -718,30 +594,27 @@ impl TallyOracle {
 }
 
 impl Observer for TallyOracle {
-    fn name(&self) -> &str {
-        "tally-oracle"
-    }
-
-    fn on_round_start(&mut self, ctx: &ObsCtx<'_>, round: Round) {
-        // Round 0 is the propose-only bootstrap: nothing is tallied.
-        if round == Round::ZERO {
-            return;
-        }
-        self.expected = ctx
-            .schedule
-            .online(round)
-            .into_iter()
-            .map(|p| (p, ctx.processes[p.index()].reference_tally(round)))
-            .collect();
-    }
-
-    fn on_round_end(&mut self, ctx: &ObsCtx<'_>, round: Round, _delivered: usize) {
-        let mut log = self.log.borrow_mut();
-        for (p, reference) in self.expected.drain(..) {
-            log.checked += 1;
-            if ctx.processes[p.index()].last_ga_output() != Some(&reference) {
-                log.mismatches.push((round, p));
+    fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+        match *event {
+            // Round 0 is the propose-only bootstrap: nothing is tallied.
+            SimEvent::RoundStart { round } if round != Round::ZERO => {
+                self.expected = ctx
+                    .schedule
+                    .online(round)
+                    .into_iter()
+                    .map(|p| (p, ctx.processes[p.index()].reference_tally(round)))
+                    .collect();
             }
+            SimEvent::RoundEnd { round, .. } => {
+                let mut log = self.log.borrow_mut();
+                for (p, reference) in self.expected.drain(..) {
+                    log.checked += 1;
+                    if ctx.processes[p.index()].last_ga_output() != Some(&reference) {
+                        log.mismatches.push((round, p));
+                    }
+                }
+            }
+            _ => {}
         }
     }
 }

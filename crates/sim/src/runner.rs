@@ -217,51 +217,39 @@ pub struct Simulation<P: Protocol = TobProcess> {
     next: u64,
 }
 
-/// Dispatches one event to every observer, in order.
+/// Dispatches one event to every observer, in order, then forwards
+/// whatever that dispatch emitted (violations, mostly) the same way —
+/// each emitted event right after the event that caused it — until
+/// nothing more is emitted.
 fn dispatch<P: Protocol>(
     observers: &mut [Box<dyn Observer<P>>],
     ctx: &ObsCtx<'_, P>,
     event: &SimEvent,
 ) {
+    let mut emitted = Vec::new();
     for o in observers.iter_mut() {
-        o.on_event(ctx, event);
+        o.on_event(ctx, event, &mut emitted);
     }
-}
-
-/// Forwards observer-emitted events (violations, mostly) to every
-/// observer until the pipeline is quiescent.
-fn pump_emitted<P: Protocol>(observers: &mut [Box<dyn Observer<P>>], ctx: &ObsCtx<'_, P>) {
-    loop {
-        let mut pending = Vec::new();
-        for o in observers.iter_mut() {
-            pending.append(&mut o.drain_emitted());
-        }
-        if pending.is_empty() {
-            return;
-        }
-        for event in &pending {
-            dispatch(observers, ctx, event);
-        }
+    for event in &emitted {
+        dispatch(observers, ctx, event);
     }
 }
 
 /// Builds the observer read-context for the current round. A macro rather
 /// than a method so the borrow stays scoped to the named fields (the
 /// observer pipeline is borrowed mutably at the same time). The
-/// four-argument form takes a pre-read `messages_sent`, for use while the
-/// network itself is mutably borrowed (mid-delivery narration).
+/// three-argument form takes a pre-read `messages_sent`, for use while
+/// the network itself is mutably borrowed (mid-delivery narration).
 macro_rules! obs_ctx {
-    ($sim:expr, $round:expr, $env:expr) => {
-        obs_ctx!($sim, $round, $env, $sim.network.messages_sent())
+    ($sim:expr, $env:expr) => {
+        obs_ctx!($sim, $env, $sim.network.messages_sent())
     };
-    ($sim:expr, $round:expr, $env:expr, $sent:expr) => {
+    ($sim:expr, $env:expr, $sent:expr) => {
         ObsCtx {
-            round: $round,
             env: $env,
             processes: &$sim.procs,
             schedule: &$sim.schedule,
             global_tree: &$sim.global_tree,
-            config: &$sim.config,
             messages_sent: $sent,
         }
     };
@@ -341,21 +329,21 @@ impl<P: Protocol> Simulation<P> {
             .collect();
         let disruptions = config.timeline.disruptions();
         let mut observers: Vec<Box<dyn Observer<P>>> = vec![
-            Box::new(SafetyObserver::new()),
+            Box::new(SafetyObserver::default()),
             Box::new(ResilienceObserver::new(&config.timeline)),
             Box::new(TxLedger::new(n)),
             Box::new(DecisionLedger::new(n)),
-            Box::new(TraceObserver::new()),
+            Box::new(TraceObserver::default()),
         ];
         // An explicit workload wins over the legacy `txs_every` knob;
         // the knob itself is re-expressed as a ConstantRate shim through
-        // the same injector. The workload observers (mempool accounting,
-        // latency join) sit between the built-ins and user observers so
+        // the same injector. The workload ledger (mempool accounting,
+        // latency join) sits between the built-ins and user observers so
         // user probes still run last.
         let workload = workload.or_else(|| config.txs_every.map(WorkloadSpec::legacy_shim));
         let workload = workload.map(WorkloadInjector::new);
         if let Some(inj) = &workload {
-            observers.extend(inj.observers());
+            observers.push(Box::new(inj.observer()));
         }
         observers.extend(user_observers);
         let wants_deliveries = observers.iter().any(|o| o.wants_delivery_events());
@@ -476,18 +464,18 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Narrates one event to every observer, in order.
-    fn emit(&mut self, round: Round, env: EnvView, event: SimEvent) {
-        let ctx = obs_ctx!(self, round, env);
+    fn narrate(&mut self, env: EnvView, event: SimEvent) {
+        let ctx = obs_ctx!(self, env);
         dispatch(&mut self.observers, &ctx, &event);
     }
 
     /// `RoundStart`, then one `WindowEnter` per disruption opening now.
     fn narrate_round_start(&mut self, round: Round, env: EnvView) {
-        self.emit(round, env, SimEvent::RoundStart { round });
+        self.narrate(env, SimEvent::RoundStart { round });
         for index in 0..self.disruptions.len() {
             let disruption = self.disruptions[index];
             if disruption.start == round {
-                self.emit(round, env, SimEvent::WindowEnter { index, disruption });
+                self.narrate(env, SimEvent::WindowEnter { index, disruption });
             }
         }
     }
@@ -506,11 +494,10 @@ impl<P: Protocol> Simulation<P> {
         for index in 0..self.disruptions.len() {
             let disruption = self.disruptions[index];
             if disruption.end == round {
-                self.emit(round, env, SimEvent::WindowExit { index, disruption });
+                self.narrate(env, SimEvent::WindowExit { index, disruption });
             }
         }
-        self.emit(
-            round,
+        self.narrate(
             env,
             SimEvent::RoundEnd {
                 round,
@@ -541,7 +528,7 @@ impl<P: Protocol> Simulation<P> {
                 self.procs[target.index()].submit_tx(tx);
             }
             let arrived = Round::new(pending.arrived);
-            self.emit(round, env, SimEvent::TxSubmitted { tx, round: arrived });
+            self.narrate(env, SimEvent::TxSubmitted { tx, round: arrived });
         }
     }
 
@@ -607,7 +594,7 @@ impl<P: Protocol> Simulation<P> {
                 .map(|p| self.keypairs[p.index()].clone())
                 .collect();
             let corrupted = corrupted.to_vec();
-            self.emit(round, env, SimEvent::CorruptionChange { round, corrupted });
+            self.narrate(env, SimEvent::CorruptionChange { round, corrupted });
         }
         let ctx = adv_ctx!(self, round, env, corrupted);
         for msg in self.adversary.send(&ctx) {
@@ -641,7 +628,7 @@ impl<P: Protocol> Simulation<P> {
             let receive = |envelope: &SharedEnvelope| {
                 self.procs[p.index()].on_receive_shared(envelope);
                 if self.wants_deliveries {
-                    let ctx = obs_ctx!(self, round, env, messages_sent);
+                    let ctx = obs_ctx!(self, env, messages_sent);
                     let event = SimEvent::EnvelopeDelivered {
                         receiver: p,
                         sender: envelope.payload().sender(),
@@ -755,8 +742,7 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Drains new decision events from every process into the observer
-    /// pipeline, then forwards whatever the monitors emitted (violation
-    /// events) to every observer.
+    /// pipeline; the violations each one triggers follow it directly.
     fn observe_decisions(&mut self, round: Round, env: EnvView) {
         for process in ProcessId::all(self.schedule.n()) {
             // Corrupted processes' "decisions" don't count for safety —
@@ -770,11 +756,9 @@ impl<P: Protocol> Simulation<P> {
                 continue;
             }
             for decision in events {
-                self.emit(round, env, SimEvent::DecisionObserved { process, decision });
+                self.narrate(env, SimEvent::DecisionObserved { process, decision });
             }
         }
-        let ctx = obs_ctx!(self, round, env);
-        pump_emitted(&mut self.observers, &ctx);
     }
 
     /// Assembles the report from the observer pipeline. Callable after
@@ -808,7 +792,7 @@ impl<P: Protocol> Simulation<P> {
             ..SimReport::default()
         };
         let env = self.config.timeline.view_at(last);
-        let ctx = obs_ctx!(self, last, env);
+        let ctx = obs_ctx!(self, env);
         for o in self.observers.iter_mut() {
             o.finish(&ctx, &mut report);
         }

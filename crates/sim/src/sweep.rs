@@ -211,8 +211,8 @@ impl<C: Sync> Sweep<C> {
         FR: Fn(&C, u64) -> Simulation<PR> + Sync,
     {
         SweepComparison {
-            left_protocol: PL::protocol_name().to_string(),
-            right_protocol: PR::protocol_name().to_string(),
+            left_protocol: PL::NAME.to_string(),
+            right_protocol: PR::NAME.to_string(),
             left: self.run_reports(build_left),
             right: self.run_reports(build_right),
         }

@@ -2,24 +2,24 @@
 //! generators feeding a bounded mempool feeding `submit_tx`, with
 //! submit→decide latency accounting on the way out.
 //!
-//! Three pieces cooperate, split along the runner's mutability seam:
+//! Two pieces cooperate, split along the runner's mutability seam:
 //!
-//! * [`WorkloadSpec`] + the crate-internal injector own the **write**
-//!   side. Observers see processes read-only by design (the
-//!   [`crate::ObsCtx`] contract), so the one place that must call
-//!   `submit_tx` is a small runner-held injector invoked at the exact
-//!   point the legacy `txs_every` knob fired: per round it asks the
-//!   [`Workload`] for arrivals, offers them to the [`Mempool`], and —
-//!   when an honest proposer is awake — drains a batch for submission.
-//! * [`WorkloadObserver`] owns the **accounting** side: it shares the
-//!   injector's mempool handle (the `DecisionTap` idiom) and publishes
-//!   admission/drop/occupancy statistics into
-//!   [`SimReport::workload`](crate::SimReport).
-//! * [`LatencyObserver`] owns the **join**: each drained transaction's
-//!   `TxSubmitted` event carries its mempool *arrival* round (not the
-//!   drain round), so the tx ledger's `decided_round` minus `submitted`
-//!   is the full client-observed latency — queueing delay included,
-//!   which is what makes saturation knees visible in the percentiles.
+//! * [`WorkloadSpec`] + the injector own the **write** side. Observers
+//!   see processes read-only by design (the [`crate::ObsCtx`] contract),
+//!   so the one place that must call `submit_tx` is a small runner-held
+//!   injector invoked at the exact point the legacy `txs_every` knob
+//!   fired: per round it asks the [`Workload`] for arrivals, offers them
+//!   to the [`Mempool`], and — when an honest proposer is awake — drains
+//!   a batch for submission.
+//! * The workload ledger, an observer sharing the injector's mempool
+//!   handle (the `DecisionTap` idiom), owns the **read** side. At finish
+//!   it publishes admission/drop/occupancy statistics into
+//!   [`SimReport::workload`](crate::SimReport), then joins submit rounds
+//!   against decided rounds: each drained transaction's `TxSubmitted`
+//!   event carries its mempool *arrival* round (not the drain round), so
+//!   the tx ledger's `decided_round` minus `submitted` is the full
+//!   client-observed latency — queueing delay included, which is what
+//!   makes saturation knees visible in the percentiles.
 //!
 //! The legacy `txs_every(k)` knob is re-expressed as a
 //! [`WorkloadSpec::legacy_shim`] over `ConstantRate::every(k)` with
@@ -28,7 +28,7 @@
 //! byte-identical reports.
 
 use crate::monitor::SimReport;
-use crate::observer::{ObsCtx, Observer};
+use crate::observer::{ObsCtx, Observer, SimEvent};
 use crate::schedule::Schedule;
 use serde::Serialize;
 use st_core::Protocol;
@@ -100,7 +100,7 @@ impl WorkloadSpec {
 
 /// The runner-held write seam: turns per-round arrivals into admitted
 /// mempool entries and drains the submission batch. Shares its mempool
-/// with the [`WorkloadObserver`] through an `Rc<RefCell<…>>` handle.
+/// with the [`WorkloadLedger`] through an `Rc<RefCell<…>>` handle.
 pub(crate) struct WorkloadInjector {
     spec: WorkloadSpec,
     mempool: Rc<RefCell<Mempool>>,
@@ -115,17 +115,13 @@ impl WorkloadInjector {
         WorkloadInjector { spec, mempool }
     }
 
-    /// The observers wired to this injector's mempool, in the order they
-    /// should run (accounting before the latency join).
-    pub(crate) fn observers<P: Protocol>(&self) -> Vec<Box<dyn Observer<P>>> {
-        vec![
-            Box::new(WorkloadObserver {
-                mempool: Rc::clone(&self.mempool),
-                generator: self.spec.workload.name().to_string(),
-                clients: self.spec.workload.clients(),
-            }),
-            Box::new(LatencyObserver::new()),
-        ]
+    /// The ledger observer wired to this injector's mempool.
+    pub(crate) fn observer(&self) -> WorkloadLedger {
+        WorkloadLedger {
+            mempool: Rc::clone(&self.mempool),
+            generator: self.spec.workload.name().to_string(),
+            clients: self.spec.workload.clients(),
+        }
     }
 
     /// Runs one round of the workload: offers this round's arrivals,
@@ -154,7 +150,7 @@ impl WorkloadInjector {
 }
 
 /// Workload accounting in one [`SimReport`](crate::SimReport), filled by
-/// the workload observers at finish. All counters are zero / `None` on
+/// the workload ledger at finish. All counters are zero / `None` on
 /// runs without a configured workload.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct WorkloadSummary {
@@ -199,19 +195,19 @@ pub struct WorkloadSummary {
     pub latency_mean: Option<f64>,
 }
 
-/// Publishes the mempool's admission/drop/occupancy accounting into
-/// [`SimReport::workload`](crate::SimReport) — the read half of the
-/// injector, riding the observer pipeline.
-pub struct WorkloadObserver {
+/// Fills [`SimReport::workload`](crate::SimReport) at finish: first the
+/// mempool's admission/drop/occupancy accounting (the read half of the
+/// injector), then exact submit→decide latency percentiles joined over
+/// `report.txs`. Runs after the built-in tx ledger, which fills
+/// [`crate::TxRecord::decided_round`]. Handles no event.
+pub(crate) struct WorkloadLedger {
     mempool: Rc<RefCell<Mempool>>,
     generator: String,
     clients: usize,
 }
 
-impl<P: Protocol> Observer<P> for WorkloadObserver {
-    fn name(&self) -> &str {
-        "workload-mempool"
-    }
+impl<P: Protocol> Observer<P> for WorkloadLedger {
+    fn on_event(&mut self, _ctx: &ObsCtx<'_, P>, _event: &SimEvent, _emit: &mut Vec<SimEvent>) {}
 
     fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
         let mempool = self.mempool.borrow();
@@ -234,31 +230,7 @@ impl<P: Protocol> Observer<P> for WorkloadObserver {
         } else {
             0.0
         };
-    }
-}
 
-/// Joins submit rounds against decided rounds into exact submit→decide
-/// latency percentiles. Runs after the built-in tx ledger (which fills
-/// [`crate::TxRecord::decided_round`]), so its `finish` is a pure
-/// post-processing pass over `report.txs`.
-#[derive(Default)]
-pub struct LatencyObserver {
-    _private: (),
-}
-
-impl LatencyObserver {
-    /// A latency observer (stateless until `finish`).
-    pub fn new() -> LatencyObserver {
-        LatencyObserver::default()
-    }
-}
-
-impl<P: Protocol> Observer<P> for LatencyObserver {
-    fn name(&self) -> &str {
-        "workload-latency"
-    }
-
-    fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
         let mut histogram = Histogram::new();
         for rec in &report.txs {
             if let Some(decided) = rec.decided_round {

@@ -7,6 +7,11 @@
 //! cursor passes a message, and the vote window expires old rounds.
 //! This suite runs a horizon-10⁴ simulation and asserts every
 //! memory-relevant store is bounded by a horizon-independent constant.
+//!
+//! Decisions are not among the stores checked: draining is the only way
+//! to read a process's decisions, so observing one removes it and there
+//! is nothing left to count. What this suite checks for decisions is
+//! that the drained stream kept pace with the horizon.
 
 use st_sim::adversary::SilentAdversary;
 use st_sim::{DecisionTap, Schedule, SimBuilder, SimConfig};
@@ -28,16 +33,7 @@ fn horizon_10k_stores_stay_bounded() {
         .expect("valid simulation");
     while sim.step().is_some() {}
 
-    // Decision events were drained into the observers each round, so no
-    // process retains any — the store that used to grow ~1 event/round
-    // per process now stays empty at every horizon.
     for p in sim.processes() {
-        assert_eq!(
-            p.decisions().len(),
-            0,
-            "undrained decision events on {:?}",
-            p.id()
-        );
         // The vote window holds a few rounds of votes per sender (the
         // [r−1−η, r−1] window plus pruning lag) — horizon-independent.
         // The bound is deliberately loose; the regression it guards is

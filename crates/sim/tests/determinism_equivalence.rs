@@ -284,15 +284,16 @@ struct CountingProbe {
 }
 
 impl st_sim::Observer for CountingProbe {
-    fn name(&self) -> &str {
-        "counting-probe"
-    }
-
     fn wants_delivery_events(&self) -> bool {
         true
     }
 
-    fn on_event(&mut self, _ctx: &st_sim::ObsCtx<'_>, event: &st_sim::SimEvent) {
+    fn on_event(
+        &mut self,
+        _ctx: &st_sim::ObsCtx<'_>,
+        event: &st_sim::SimEvent,
+        _emit: &mut Vec<st_sim::SimEvent>,
+    ) {
         self.events += 1;
         if matches!(event, st_sim::SimEvent::EnvelopeDelivered { .. }) {
             self.deliveries += 1;

@@ -1,6 +1,7 @@
 //! Behavioural tests of the event-driven driving API: the `SimEvent`
-//! stream an [`Observer`] sees, the delivery-event opt-in gate, and
-//! mid-run interventions through the stepping surface.
+//! stream an [`Observer`] sees and the order emitted events join it in,
+//! the delivery-event opt-in gate, and mid-run interventions through the
+//! stepping surface.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,15 +35,11 @@ struct Probe {
 }
 
 impl Observer for Probe {
-    fn name(&self) -> &str {
-        "probe"
-    }
-
     fn wants_delivery_events(&self) -> bool {
         self.want_deliveries
     }
 
-    fn on_event(&mut self, _ctx: &ObsCtx<'_>, event: &SimEvent) {
+    fn on_event(&mut self, _ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         let mut seen = self.seen.borrow_mut();
         match event {
             SimEvent::RoundStart { .. } => seen.round_starts += 1,
@@ -149,6 +146,61 @@ fn violation_events_reach_user_observers() {
     assert_eq!(seen.safety_violations, report.safety_violations.len());
 }
 
+/// Records every event it sees with the round it arrived in.
+struct Recorder {
+    round: u64,
+    log: Rc<RefCell<Vec<(u64, SimEvent)>>>,
+}
+
+impl Observer for Recorder {
+    fn on_event(&mut self, _ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+        if let SimEvent::RoundStart { round } = event {
+            self.round = round.as_u64();
+        }
+        self.log.borrow_mut().push((self.round, event.clone()));
+    }
+}
+
+/// The forwarding order: under the Section-1 attack each violation
+/// arrives directly after the decision that produced it — nothing but
+/// that decision's other violations in between — and in the same round.
+#[test]
+fn violations_directly_follow_the_decision_that_produced_them() {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let report = SimBuilder::new(params(8, 0), 5)
+        .horizon(22)
+        .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4))
+        .adversary(PartitionAttacker::new())
+        .observer(Recorder {
+            round: 0,
+            log: Rc::clone(&log),
+        })
+        .run();
+    let log = log.borrow();
+    let is_violation = |e: &SimEvent| matches!(e, SimEvent::Violation { .. });
+    let violations = log.iter().filter(|(_, e)| is_violation(e)).count();
+    assert!(violations > 0, "the Section-1 attack should land");
+    assert_eq!(
+        violations,
+        report.safety_violations.len() + report.resilience_violations.len()
+    );
+    for (i, (round, event)) in log.iter().enumerate() {
+        let SimEvent::Violation { violation, .. } = event else {
+            continue;
+        };
+        let (cause_round, cause) = log[..i]
+            .iter()
+            .rev()
+            .find(|(_, e)| !is_violation(e))
+            .expect("a violation has a cause");
+        let SimEvent::DecisionObserved { process, decision } = cause else {
+            panic!("violation #{i} follows {cause:?}, not a decision");
+        };
+        assert_eq!(cause_round, round, "violation #{i} left its round");
+        assert_eq!(violation.second, (*process, *decision));
+    }
+}
+
 /// Corruption changes are narrated with the new set when `B_r` shifts.
 #[test]
 fn corruption_changes_are_narrated() {
@@ -250,11 +302,12 @@ fn observers_ride_the_generic_runner() {
     }
 
     impl Observer<QuorumProcess> for QuorumProbe {
-        fn name(&self) -> &str {
-            "quorum-probe"
-        }
-
-        fn on_event(&mut self, ctx: &ObsCtx<'_, QuorumProcess>, event: &SimEvent) {
+        fn on_event(
+            &mut self,
+            ctx: &ObsCtx<'_, QuorumProcess>,
+            event: &SimEvent,
+            _emit: &mut Vec<SimEvent>,
+        ) {
             if let SimEvent::DecisionObserved { .. } = event {
                 self.decisions += 1;
             }
@@ -282,8 +335,13 @@ fn observers_ride_the_generic_runner() {
         out: Rc<RefCell<(usize, u64)>>,
     }
     impl Observer<QuorumProcess> for Sharing {
-        fn on_event(&mut self, ctx: &ObsCtx<'_, QuorumProcess>, event: &SimEvent) {
-            self.inner.on_event(ctx, event);
+        fn on_event(
+            &mut self,
+            ctx: &ObsCtx<'_, QuorumProcess>,
+            event: &SimEvent,
+            emit: &mut Vec<SimEvent>,
+        ) {
+            self.inner.on_event(ctx, event, emit);
             *self.out.borrow_mut() = (self.inner.decisions, self.inner.max_seen_height);
         }
     }

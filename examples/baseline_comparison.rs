@@ -71,17 +71,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(advantage.iter().all(|&d| d > 0));
 
     // The generic protocol surface is ordinary library code: any
-    // `Protocol` implementor exposes the same decision/ledger views.
+    // `Protocol` implementor's decisions reach the same observers, and a
+    // `DecisionTap` keeps them past the run.
     let params = Params::builder(n).build()?;
-    let mut sim = SimBuilder::<QuorumProcess>::for_protocol(params, 7)
+    let (tap, log) = DecisionTap::new(n);
+    SimBuilder::<QuorumProcess>::for_protocol(params, 7)
         .horizon(20)
-        .build()?;
-    while sim.step().is_some() {}
-    let decided_views: Vec<u64> = sim.processes()[0]
-        .decisions()
-        .iter()
-        .map(|d| d.view.as_u64())
-        .collect();
+        .observer(tap)
+        .run();
+    let decided_views: Vec<u64> = log.borrow()[0].iter().map(|d| d.view.as_u64()).collect();
     println!("quorum baseline under full participation decided views {decided_views:?}");
     assert_eq!(decided_views, (1..=9).collect::<Vec<u64>>());
     println!("\nSame simulator, same seeds, different protocol — that is the whole diff.");

@@ -97,8 +97,9 @@ pub use st_types as types;
 /// [`SimBuilder`](st_sim::SimBuilder) chain (schedule, timeline, typed
 /// adversary, observers), the stepping surface on
 /// [`Simulation`](st_sim::Simulation), the
-/// [`Observer`](st_sim::Observer)/[`SimEvent`](st_sim::SimEvent) hooks,
-/// the [`Sweep`](st_sim::Sweep) grid driver, the
+/// [`Observer`](st_sim::Observer)/[`SimEvent`](st_sim::SimEvent) stream
+/// with the [`DecisionTap`](st_sim::DecisionTap) that keeps decisions past
+/// a run, the [`Sweep`](st_sim::Sweep) grid driver, the
 /// [`Scenario`](st_sim::scenario::Scenario) presets, and the report /
 /// trace types they produce — plus the
 /// [`Adversary`](st_sim::Adversary) trait itself with its context and
@@ -127,10 +128,10 @@ pub mod prelude {
     pub use st_sim::baseline::StaticQuorumBft;
     pub use st_sim::scenario::{alternating, gst, Scenario};
     pub use st_sim::{
-        diurnal_schedule, Adversary, AdversaryCtx, AsyncWindow, BuildError, EnvView, ObsCtx,
-        Observer, Recipients, RecoveryRecord, RoundSample, RoundTrace, SafetyViolation, Schedule,
-        SegmentKind, SentMessage, SimBuilder, SimConfig, SimEvent, SimReport, Simulation, Sweep,
-        SweepComparison, SweepReports, TargetedMessage, Timeline, TxRecord, ViolationKind,
+        diurnal_schedule, Adversary, AdversaryCtx, AsyncWindow, BuildError, DecisionTap, EnvView,
+        ObsCtx, Observer, Recipients, RecoveryRecord, RoundSample, RoundTrace, SafetyViolation,
+        Schedule, SegmentKind, SentMessage, SimBuilder, SimConfig, SimEvent, SimReport, Simulation,
+        Sweep, SweepComparison, SweepReports, TargetedMessage, Timeline, TxRecord, ViolationKind,
         WorkloadSpec, WorkloadSummary,
     };
     pub use st_types::{BlockId, Grade, Params, ProcessId, Round, RoundKind, TxId, View};

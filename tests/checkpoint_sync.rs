@@ -84,10 +84,10 @@ fn checkpoint_joiner_rejoins_live_network() {
         retained.retain(|e| filter(e));
     }
 
-    let joiner = joiner.expect("joined");
+    let mut joiner = joiner.expect("joined");
     // The joiner participates: it voted and its decided log converged
     // with the live network's.
-    assert!(!joiner.decisions().is_empty(), "joiner never decided");
+    assert!(!joiner.drain_decisions().is_empty(), "joiner never decided");
     let live_tip = procs[0].decided_tip();
     assert!(
         joiner.tree().compatible(joiner.decided_tip(), live_tip),

@@ -40,13 +40,17 @@ fn manual_run() -> Vec<TobProcess> {
 
 #[test]
 fn engine_matches_manual_driver() {
+    let (tap, log) = DecisionTap::new(N);
     let report = SimBuilder::from_config(SimConfig::new(params(), SEED).horizon(HORIZON))
         .schedule(Schedule::full(N, HORIZON))
         .adversary(SilentAdversary)
+        .observer(tap)
         .build()
         .expect("valid simulation")
         .run();
-    let manual = manual_run();
+    let mut manual = manual_run();
+    let manual_decisions: Vec<Vec<DecisionEvent>> =
+        manual.iter_mut().map(|p| p.drain_decisions()).collect();
 
     // Same decision count per process, same final decided height.
     let manual_heights: Vec<u64> = manual
@@ -57,16 +61,13 @@ fn engine_matches_manual_driver() {
         report.final_decided_height,
         *manual_heights.iter().max().unwrap()
     );
-    let manual_decisions: Vec<usize> = manual.iter().map(|p| p.decisions().len()).collect();
-    assert_eq!(report.per_process_decisions, manual_decisions);
+    let manual_counts: Vec<usize> = manual_decisions.iter().map(Vec::len).collect();
+    assert_eq!(report.per_process_decisions, manual_counts);
 
-    // Same decision *contents* for process 0 (round + tip, in order):
-    // decisions are observable through the manual procs; the engine's are
-    // summarized in the report, so compare via a second engine-free rerun
-    // (determinism already covered elsewhere) — here cross-check decision
-    // rounds against the timeline's deciding-round count.
-    let manual_deciding_rounds: std::collections::BTreeSet<u64> = manual[0]
-        .decisions()
+    // Same decision *contents* on every process (round, view and tip, in
+    // order), and the timeline's deciding rounds are process 0's.
+    assert_eq!(*log.borrow(), manual_decisions);
+    let manual_deciding_rounds: std::collections::BTreeSet<u64> = manual_decisions[0]
         .iter()
         .map(|d| d.round.as_u64())
         .collect();

@@ -46,7 +46,7 @@ fn replay_has_no_effect() {
             }
         }
         procs[0]
-            .decisions()
+            .drain_decisions()
             .iter()
             .map(|d| (d.round.as_u64(), d.tip))
             .collect()
