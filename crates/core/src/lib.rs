@@ -73,6 +73,7 @@ mod decision;
 mod process;
 pub mod protocol;
 mod quorum;
+mod txpool;
 
 pub use buffer::BlockBuffer;
 pub use checkpoint::Checkpoint;

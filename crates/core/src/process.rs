@@ -1,5 +1,6 @@
 //! The per-process state machine of Algorithm 1 (with message expiration).
 
+use crate::txpool::TxPool;
 use crate::{BlockBuffer, DecisionEvent, TobConfig};
 use st_blocktree::{Block, BlockTree};
 use st_crypto::Keypair;
@@ -31,7 +32,7 @@ pub struct TobProcess {
     buffer: BlockBuffer,
     votes: VoteStore,
     proposes: ProposeStore,
-    mempool: Vec<TxId>,
+    pool: TxPool,
     decisions: Vec<DecisionEvent>,
     /// Tip of the longest decided log (genesis until the first decision).
     decided_tip: BlockId,
@@ -81,7 +82,7 @@ impl TobProcess {
             buffer: BlockBuffer::new(),
             votes: VoteStore::new(),
             proposes: ProposeStore::new(),
-            mempool: Vec::new(),
+            pool: TxPool::new(),
             decisions: Vec::new(),
             decided_tip: BlockId::GENESIS,
             last_vote_tip: BlockId::GENESIS,
@@ -143,12 +144,17 @@ impl TobProcess {
         self.last_ga_output.as_deref()
     }
 
+    /// Submitted transactions not yet on the decided chain — the part of
+    /// the pool every proposal scans (diagnostics; the bounded-memory
+    /// regression suite watches its size).
+    pub fn pending_txs(&self) -> usize {
+        self.pool.pending_len()
+    }
+
     /// Queues a transaction for inclusion in this process's future
-    /// proposals.
+    /// proposals. See [`crate::Protocol::submit_tx`] for the dedupe rule.
     pub fn submit_tx(&mut self, tx: TxId) {
-        if !self.mempool.contains(&tx) {
-            self.mempool.push(tx);
-        }
+        self.pool.submit(tx);
     }
 
     /// Handles a received message: verifies the signature (unverifiable
@@ -294,7 +300,7 @@ impl TobProcess {
         // Line 12: propose b‖C_v for view v+1 with VRF(v+1). The body is
         // built once and shared between the proposal and the local tree.
         let next_view = view.next();
-        let payload = self.take_payload_for(c_v);
+        let payload = self.pool.payload_for(&self.tree, c_v);
         let block = Arc::new(Block::build(c_v, next_view, self.id, payload));
         let (vrf_value, vrf_proof) = self.keypair.vrf_eval(next_view.as_u64());
         let proposal = Propose::new(
@@ -474,23 +480,8 @@ impl TobProcess {
         // the exposed decided log stays monotone for downstream readers.
         if self.tree.is_ancestor(self.decided_tip, tip) {
             self.decided_tip = tip;
+            self.pool.advance(&self.tree, tip);
         }
-    }
-
-    /// Transactions to include in the next proposal: pending mempool
-    /// entries not already present in the log being extended.
-    fn take_payload_for(&mut self, parent_tip: BlockId) -> Vec<TxId> {
-        if self.mempool.is_empty() {
-            return Vec::new();
-        }
-        let onchain: FastSet<TxId> = self.tree.log_transactions(parent_tip).into_iter().collect();
-        let payload: Vec<TxId> = self
-            .mempool
-            .iter()
-            .copied()
-            .filter(|tx| !onchain.contains(tx))
-            .collect();
-        payload
     }
 
     /// Drops state that can no longer influence any future tally:
@@ -778,12 +769,46 @@ mod tests {
     }
 
     #[test]
-    fn mempool_dedupes_and_drains() {
-        let params = Params::builder(1).build().unwrap();
+    fn pool_dedupes_and_drains() {
+        let params = Params::builder(4).expiration(2).build().unwrap();
         let config = TobConfig::new(params, 2);
-        let mut p = TobProcess::new(ProcessId::new(0), config);
-        p.submit_tx(TxId::new(1));
-        p.submit_tx(TxId::new(1));
-        assert_eq!(p.mempool.len(), 1);
+        let mut procs: Vec<TobProcess> = (0..4u32)
+            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
+            .collect();
+        let tx = TxId::new(1);
+        procs[0].submit_tx(tx);
+        procs[0].submit_tx(tx);
+        assert_eq!(procs[0].pending_txs(), 1);
+        let mut r = 0;
+        while !procs[0].tree().log_contains_tx(procs[0].decided_tip(), tx) {
+            lockstep_round(&mut procs, Round::new(r));
+            r += 1;
+            assert!(r < 20, "tx never decided");
+        }
+        assert_eq!(procs[0].pending_txs(), 0, "a decided tx leaves pending");
+        procs[0].submit_tx(tx);
+        assert_eq!(procs[0].pending_txs(), 0, "re-submission stays out");
+        let mut proposals = 0;
+        for round in r..r + 6 {
+            let own = procs[0].step_send(Round::new(round));
+            for env in &own {
+                if let Payload::Propose(p) = env.payload() {
+                    assert!(!p.block().payload().contains(&tx), "re-proposed");
+                    proposals += 1;
+                }
+            }
+            let mut batches = vec![own];
+            batches.extend(
+                procs[1..]
+                    .iter_mut()
+                    .map(|p| p.step_send(Round::new(round))),
+            );
+            for env in batches.iter().flatten() {
+                for p in procs.iter_mut() {
+                    p.on_receive(env.clone());
+                }
+            }
+        }
+        assert!(proposals >= 2);
     }
 }

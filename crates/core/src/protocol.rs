@@ -48,6 +48,13 @@ pub trait Protocol: Sized + 'static {
     fn id(&self) -> ProcessId;
 
     /// Queues a transaction for inclusion in future proposals.
+    ///
+    /// A proposal extending a log carries every transaction submitted to
+    /// this process, in first-submission order, minus those already in
+    /// that log. Submission is deduplicated: re-submitting a transaction
+    /// keeps its first place and changes nothing else, and one that is
+    /// already on the decided chain — decided, then submitted (again) —
+    /// is not proposed on any extension of that chain.
     fn submit_tx(&mut self, tx: TxId);
 
     /// Handles a received shared envelope (the multicast fast path: the
@@ -98,6 +105,12 @@ pub trait Protocol: Sized + 'static {
     }
 
     /// The tip of the longest decided log (genesis before any decision).
+    ///
+    /// Both implementors only ever move it to a descendant of its previous
+    /// value (a conflicting decision is still recorded for the monitors,
+    /// but the tip does not move to it), so readers may extend per-tip state incrementally by
+    /// walking just the newly decided blocks — st-sim's tx ledger does,
+    /// and keeps a from-genesis rebuild for an implementor that does not.
     fn decided_tip(&self) -> BlockId;
 
     /// The process's view of the block tree (decided chain + known side

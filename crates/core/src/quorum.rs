@@ -36,6 +36,7 @@
 //! stall on honest synchronous schedules; a regression test holds this
 //! implementation to that prediction.
 
+use crate::txpool::TxPool;
 use crate::{BlockBuffer, DecisionEvent, Protocol, TobConfig};
 use st_blocktree::{Block, BlockTree};
 use st_crypto::Keypair;
@@ -62,7 +63,7 @@ pub struct QuorumProcess {
     decided_views: FastSet<u64>,
     decisions: Vec<DecisionEvent>,
     decided_tip: BlockId,
-    mempool: Vec<TxId>,
+    pool: TxPool,
 }
 
 impl QuorumProcess {
@@ -80,7 +81,7 @@ impl QuorumProcess {
             decided_views: FastSet::default(),
             decisions: Vec::new(),
             decided_tip: BlockId::GENESIS,
-            mempool: Vec::new(),
+            pool: TxPool::new(),
         }
     }
 
@@ -132,20 +133,9 @@ impl QuorumProcess {
             self.decisions.push(DecisionEvent { round, view, tip });
             self.decided_tip = tip;
         }
-    }
-
-    /// Transactions to include in the next proposal: pending mempool
-    /// entries not already on the chain being extended.
-    fn payload_for(&self, parent_tip: BlockId) -> Vec<TxId> {
-        if self.mempool.is_empty() {
-            return Vec::new();
-        }
-        let onchain: FastSet<TxId> = self.tree.log_transactions(parent_tip).into_iter().collect();
-        self.mempool
-            .iter()
-            .copied()
-            .filter(|tx| !onchain.contains(tx))
-            .collect()
+        // Every newly decided tip extends the decided tip this scan
+        // started from, so the last one does too.
+        self.pool.advance(&self.tree, self.decided_tip);
     }
 
     /// First round of view `v`: propose a block extending the decided
@@ -155,7 +145,7 @@ impl QuorumProcess {
             self.decided_tip,
             view,
             self.id,
-            self.payload_for(self.decided_tip),
+            self.pool.payload_for(&self.tree, self.decided_tip),
         ));
         let (vrf_value, vrf_proof) = self.keypair.vrf_eval(view.as_u64());
         let proposal = Propose::new(self.id, round, view, block.clone(), vrf_value, vrf_proof);
@@ -221,9 +211,7 @@ impl Protocol for QuorumProcess {
     }
 
     fn submit_tx(&mut self, tx: TxId) {
-        if !self.mempool.contains(&tx) {
-            self.mempool.push(tx);
-        }
+        self.pool.submit(tx);
     }
 
     fn on_receive_shared(&mut self, envelope: &SharedEnvelope) {
@@ -427,6 +415,47 @@ mod tests {
                 p.id
             );
         }
+    }
+
+    #[test]
+    fn pool_dedupes_and_drains() {
+        let cfg = config(4, 2);
+        let mut procs: Vec<QuorumProcess> = (0..4u32)
+            .map(|i| QuorumProcess::new(ProcessId::new(i), cfg.clone()))
+            .collect();
+        let tx = TxId::new(1);
+        Protocol::submit_tx(&mut procs[0], tx);
+        Protocol::submit_tx(&mut procs[0], tx);
+        assert_eq!(procs[0].pool.pending_len(), 1);
+        let mut proposals = 0;
+        for r in 0..=12u64 {
+            let round = Round::new(r);
+            let decided = procs[0].tree().log_contains_tx(procs[0].decided_tip(), tx);
+            if decided {
+                assert_eq!(
+                    procs[0].pool.pending_len(),
+                    0,
+                    "a decided tx leaves pending"
+                );
+                Protocol::submit_tx(&mut procs[0], tx);
+                assert_eq!(procs[0].pool.pending_len(), 0, "re-submission stays out");
+            }
+            let batches: Vec<Vec<Envelope>> =
+                procs.iter_mut().map(|p| p.step_send(round)).collect();
+            for env in batches.iter().flatten() {
+                if let Payload::Propose(p) = env.payload() {
+                    if decided && p.sender() == ProcessId::new(0) {
+                        assert!(!p.block().payload().contains(&tx), "re-proposed");
+                        proposals += 1;
+                    }
+                }
+                for p in procs.iter_mut() {
+                    p.on_receive_shared(&env.clone().into());
+                }
+            }
+        }
+        assert!(procs[0].tree().log_contains_tx(procs[0].decided_tip(), tx));
+        assert!(proposals >= 2);
     }
 
     #[test]

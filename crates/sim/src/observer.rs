@@ -308,8 +308,8 @@ impl<P: Protocol> Observer<P> for ResilienceObserver {
 /// an observer. Owns [`SimReport::txs`].
 pub(crate) struct TxLedger {
     txs: Vec<TxRecord>,
-    /// Cached set of txs in each process's decided log (refreshed when
-    /// the decided tip changes).
+    /// Cached set of txs in each process's decided log, keyed by the tip
+    /// it was computed for.
     decided_txs: Vec<(BlockId, FastSet<TxId>)>,
 }
 
@@ -330,11 +330,26 @@ impl TxLedger {
         let next = round.next();
         for p in ProcessId::all(ctx.schedule.n()) {
             let proc = &ctx.processes[p.index()];
-            let tip = proc.decided_tip();
-            if self.decided_txs[p.index()].0 != tip {
-                let set: FastSet<TxId> = proc.tree().log_transactions(tip).into_iter().collect();
-                self.decided_txs[p.index()] = (tip, set);
+            let (tree, tip) = (proc.tree(), proc.decided_tip());
+            let (cached, set) = &mut self.decided_txs[p.index()];
+            if *cached == tip {
+                continue;
             }
+            // A decided tip only moves to a descendant (`Protocol::
+            // decided_tip`), so the cache grows by the newly decided
+            // blocks; a tip that does not extend it is rebuilt from genesis
+            // and reported as it stands.
+            if tree.is_ancestor(*cached, tip) {
+                let fresh = tree.chain(tip).take_while(|&b| b != *cached);
+                set.extend(
+                    fresh
+                        .filter_map(|b| tree.block(b))
+                        .flat_map(|b| b.payload()),
+                );
+            } else {
+                *set = tree.log_transactions(tip).into_iter().collect();
+            }
+            *cached = tip;
         }
         let awake_next: Vec<ProcessId> = ctx.schedule.honest_awake(next).into_iter().collect();
         if awake_next.is_empty() {

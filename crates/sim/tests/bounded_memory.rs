@@ -4,14 +4,23 @@
 //! memory: decision events are drained into the observer pipeline every
 //! round (processes no longer accumulate an ever-growing
 //! `Vec<DecisionEvent>`), the message pool compacts once every delivery
-//! cursor passes a message, and the vote window expires old rounds.
-//! This suite runs a horizon-10⁴ simulation and asserts every
-//! memory-relevant store is bounded by a horizon-independent constant.
+//! cursor passes a message, the vote window expires old rounds, and a
+//! transaction leaves a process's pending pool once it is decided.
+//! This suite runs a horizon-10⁴ simulation and asserts that the stores
+//! sized by in-flight work — vote window, pool backlog, pending
+//! transactions — are bounded by a horizon-independent constant.
 //!
-//! Decisions are not among the stores checked: draining is the only way
-//! to read a process's decisions, so observing one removes it and there
-//! is nothing left to count. What this suite checks for decisions is
-//! that the drained stream kept pace with the horizon.
+//! Not checked, because they grow with the run by design:
+//! * the block tree, which holds the decided chain;
+//! * each process's transaction submission index, which remembers every
+//!   transaction ever submitted to it (so a re-submission is recognised)
+//!   and therefore grows with submitted transactions, exactly as the
+//!   plain submission list it replaced did.
+//!
+//! Decisions are not among the stores checked either: draining is the
+//! only way to read a process's decisions, so observing one removes it
+//! and there is nothing left to count. What this suite checks for
+//! decisions is that the drained stream kept pace with the horizon.
 
 use st_sim::adversary::SilentAdversary;
 use st_sim::{DecisionTap, Schedule, SimBuilder, SimConfig};
@@ -42,6 +51,14 @@ fn horizon_10k_stores_stay_bounded() {
             p.votes().len() <= 20 * n,
             "vote window grew past its η-bound: {}",
             p.votes().len()
+        );
+        // One transaction every 8 rounds is decided a few rounds after
+        // submission, so at most a couple are pending at once; without
+        // the drain this would be every transaction of the run (~10⁴/8).
+        assert!(
+            p.pending_txs() <= 4,
+            "pending pool grew with the horizon: {}",
+            p.pending_txs()
         );
     }
 

@@ -1,9 +1,20 @@
-//! Tier-1 guards on the shared tally: `TallyOracle` compares, per process
-//! and round, the tally `step_send` consumed (usually adopted from the
-//! round's shared memo) with the stateless window tally over that
-//! process's own state. The full grid and the 400-case property test live
-//! in `crates/sim/tests/determinism_equivalence.rs`; these two cells keep
-//! the facade-only test command tripping when the oracle does.
+//! Tier-1 guards on the two stateful shortcuts behind `step_send`.
+//!
+//! * The shared tally: `TallyOracle` compares, per process and round, the
+//!   tally `step_send` consumed (usually adopted from the round's shared
+//!   memo) with the stateless window tally over that process's own state.
+//!   The full grid and the 400-case property test live in
+//!   `crates/sim/tests/determinism_equivalence.rs`.
+//! * The transaction pool: every proposal's payload is compared with the
+//!   stateless rule (submitted, in order, minus the log being extended).
+//!   The other cases and a property test live in
+//!   `crates/core/tests/payload_oracle.rs`.
+//!
+//! These cells keep the facade-only test command tripping when either
+//! oracle does.
+
+#[path = "../crates/core/tests/support/oracle_net.rs"]
+mod oracle_net;
 
 use sleepy_tob::prelude::*;
 use sleepy_tob::sim::{TallyCheck, TallyOracle};
@@ -53,4 +64,16 @@ fn blackout_counterexample_serves_no_stale_tally() {
     let (_, check) = run_with_oracle(config, Schedule::full(n, horizon), BlackoutAdversary);
     assert!(check.checked > 0, "the oracle checked nothing");
     assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);
+}
+
+/// A proposal whose parent conflicts with the proposer's decided tip: the
+/// pool's from-genesis arm re-proposes the decided-elsewhere transaction
+/// and leaves out the one on the forked branch.
+#[test]
+fn forked_proposal_matches_the_reference_payload() {
+    let (net, [a, _, z]) = oracle_net::forked_lockstep(7);
+    let procs: &[TobProcess] = &net.procs;
+    assert!(procs.iter().all(|p| p.decided_tip() != BlockId::GENESIS));
+    assert!(net.checked > 0);
+    assert_eq!(net.off_decided.first(), Some(&vec![a, z]));
 }
