@@ -37,8 +37,7 @@
 //! `--smoke` restricts the sweep to `n = 16` for CI.
 
 use serde::Serialize;
-use st_analysis::Table;
-use st_bench::{bench_section, emit, opt, write_bench_section};
+use st_bench::{bench_section, emit, opt, write_bench_section, Table};
 use st_sim::adversary::{Adversary, PartitionAttacker, SilentAdversary};
 use st_sim::scenario::gst;
 use st_sim::{QuorumProcess, Schedule, SimBuilder, SimConfig, SimReport, Sweep, Timeline};

@@ -19,9 +19,8 @@
 //!
 //! Per cell the table reports wall-clock, decisions, safety/resilience,
 //! the per-window recovery latencies (mean and worst) and whether every
-//! window healed. Results are printed, written as CSV next to the other
-//! experiments, and merged into `BENCH_sim.json` under the
-//! `"exp_timeline"` key (smoke runs write to the separate
+//! window healed. Results are printed and merged into `BENCH_sim.json`
+//! under the `"exp_timeline"` key (smoke runs write to the separate
 //! `"exp_timeline_smoke"` section, so a `--smoke` pass can never
 //! overwrite the committed full-grid numbers).
 //!
@@ -30,8 +29,7 @@
 //! scenario shapes are horizon-anchored, only the n sweep shrinks).
 
 use serde::Serialize;
-use st_analysis::Table;
-use st_bench::{bench_section, emit, f3, opt, write_bench_section};
+use st_bench::{bench_section, emit, f3, opt, write_bench_section, Table};
 use st_sim::adversary::{Adversary, BlackoutAdversary, PartitionAttacker, SilentAdversary};
 use st_sim::scenario::{alternating, gst};
 use st_sim::{Schedule, SimBuilder, SimConfig, Sweep, Timeline};

@@ -29,7 +29,7 @@
 //! (`p99(rate 16) > p99(rate 1)` at both sizes) or the binary exits
 //! non-zero without writing numbers.
 //!
-//! Results are printed as a table, written as CSV, and merged into
+//! Results are printed as a table and merged into
 //! `BENCH_workload.json` under `"exp_workload"` (smoke runs under
 //! `"exp_workload_smoke"`, never clobbering the committed full grid).
 //!
@@ -38,8 +38,7 @@
 //! `{1, 16}` for CI.
 
 use serde::Serialize;
-use st_analysis::Table;
-use st_bench::{bench_section, emit, f3, opt, write_bench_section_at};
+use st_bench::{bench_section, emit, f3, opt, write_bench_section_at, Table};
 use st_sim::adversary::SilentAdversary;
 use st_sim::{
     diurnal_schedule, ConstantRate, Diurnal, FlashCrowd, Schedule, SimBuilder, SimConfig, Sweep,

@@ -1,30 +1,87 @@
-//! Shared plumbing for the experiment binaries (one per paper
-//! figure/claim; see DESIGN.md §4 for the index) and the Criterion
-//! micro-benchmarks.
+//! Shared plumbing for the bench binaries that write committed sections
+//! (`exp_timeline`, `exp_baseline_head_to_head`, `exp_cluster`,
+//! `exp_workload`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use serde::{Serialize, Value};
-use st_analysis::Table;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Where experiment CSVs are written (`target/experiments/`).
-pub fn output_dir() -> PathBuf {
-    PathBuf::from("target/experiments")
+/// A simple column-aligned table that prints paper-style rows to stdout.
+///
+/// ```
+/// use st_bench::Table;
+/// let mut t = Table::new(vec!["cell", "p99 latency"]);
+/// t.row(vec!["steady".into(), "5".into()]);
+/// assert!(t.render().contains("p99 latency"));
+/// ```
+#[derive(Clone, Debug)]
+pub struct Table {
+    headers: Vec<String>,
+    rows: Vec<Vec<String>>,
 }
 
-/// Prints a titled table to stdout and writes its CSV next to the other
-/// experiment outputs. IO failures are reported but non-fatal — the
-/// printed table is the primary artifact.
+impl Table {
+    /// A table with the given column headers.
+    pub fn new<S: Into<String>>(headers: Vec<S>) -> Table {
+        Table {
+            headers: headers.into_iter().map(Into::into).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row width differs from the header width.
+    pub fn row(&mut self, cells: Vec<String>) {
+        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
+        self.rows.push(cells);
+    }
+
+    /// Renders a column-aligned textual table.
+    pub fn render(&self) -> String {
+        let ncols = self.headers.len();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(cell.chars().count());
+            }
+        }
+        let fmt_row = |cells: &[String]| -> String {
+            let mut line = String::new();
+            for i in 0..ncols {
+                if i > 0 {
+                    line.push_str("  ");
+                }
+                let cell = &cells[i];
+                line.push_str(cell);
+                for _ in cell.chars().count()..widths[i] {
+                    line.push(' ');
+                }
+            }
+            line.trim_end().to_string()
+        };
+        let mut out = String::new();
+        out.push_str(&fmt_row(&self.headers));
+        out.push('\n');
+        let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
+        out.push_str(&"-".repeat(total));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&fmt_row(row));
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Prints a titled table to stdout.
 pub fn emit(experiment_id: &str, title: &str, table: &Table) {
     println!("\n=== {experiment_id}: {title} ===\n");
     print!("{}", table.render());
-    let path = output_dir().join(format!("{experiment_id}.csv"));
-    match table.write_csv(&path) {
-        Ok(()) => println!("\n[written {}]", path.display()),
-        Err(e) => println!("\n[could not write {}: {e}]", path.display()),
-    }
 }
 
 /// Upserts one experiment's report into `BENCH_sim.json` in the working
@@ -83,12 +140,6 @@ pub fn write_bench_section_at(
     std::fs::write(path, json)
 }
 
-/// The seeds experiments average over. Fixed so every run of an
-/// experiment binary reproduces the same numbers.
-pub fn seeds(count: usize) -> Vec<u64> {
-    (0..count as u64).map(|i| 0xC0FFEE + 7 * i).collect()
-}
-
 /// Formats a fraction as a fixed-width ratio string (`0.333`).
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
@@ -104,19 +155,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seeds_are_deterministic_and_distinct() {
-        let a = seeds(5);
-        let b = seeds(5);
-        assert_eq!(a, b);
-        let set: std::collections::HashSet<_> = a.iter().collect();
-        assert_eq!(set.len(), 5);
-    }
-
-    #[test]
     fn formatting_helpers() {
         assert_eq!(f3(1.0 / 3.0), "0.333");
         assert_eq!(opt(Some(3)), "3");
         assert_eq!(opt::<u64>(None), "—");
+    }
+
+    #[test]
+    fn table_aligns_columns() {
+        let mut t = Table::new(vec!["a", "long-header"]);
+        t.row(vec!["1".into(), "x".into()]);
+        t.row(vec!["22".into(), "y".into()]);
+        assert_eq!(
+            t.render(),
+            "a   long-header\n---------------\n1   x\n22  y\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn ragged_row_panics() {
+        let mut t = Table::new(vec!["a", "b"]);
+        t.row(vec!["1".into()]);
     }
 
     #[derive(serde::Serialize)]

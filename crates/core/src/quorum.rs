@@ -1,40 +1,4 @@
-//! A classic fixed-quorum BFT baseline, as a message-passing
-//! [`Protocol`] implementor.
-//!
-//! The introduction motivates dynamic availability with the observation
-//! that "traditional BFT protocols (synchronous or partially synchronous)
-//! get stuck when participation drops below their fixed (usually 1/2 or
-//! 2/3) quorum threshold". [`QuorumProcess`] is that comparator, runnable
-//! under the *same* simulator — network pool, participation schedules,
-//! environment timeline, adversarial delivery — as the sleepy protocol,
-//! so experiment B1 and the head-to-head sweeps compare executions, not
-//! an execution against a formula.
-//!
-//! The protocol is deliberately simple, honest-only (the comparison is
-//! about availability, not attack resistance), and mirrors the sleepy
-//! protocol's two-rounds-per-view cadence so decision counts are
-//! directly comparable:
-//!
-//! * **first round of view `v`** (`r = 2v − 1`): every awake process
-//!   multicasts a proposal extending its decided chain;
-//! * **second round of view `v`** (`r = 2v`): every awake process votes
-//!   for the admissible view-`v` proposal with the largest VRF (the same
-//!   leader rule the sleepy protocol uses);
-//! * a view **decides** once some process counts votes for one proposal
-//!   from **strictly more than `2n/3` of all `n` processes** — the
-//!   static quorum, counted against fixed membership rather than
-//!   perceived participation. Votes are never expired: a quorum observed
-//!   late (woken process replaying its backlog) still decides.
-//!
-//! Under full participation and synchrony every view decides (at the
-//! first send step after its vote round). When more than a third of the
-//! processes sleep through a view's vote round, that view can never
-//! reach quorum and is **permanently stalled** — the protocol only
-//! resumes deciding with the first view whose vote round sees enough
-//! participation again. The closed-form schedule walk in st-sim's
-//! `baseline` module predicts exactly which views decide and which
-//! stall on honest synchronous schedules; a regression test holds this
-//! implementation to that prediction.
+//! A classic fixed-quorum BFT baseline, [`QuorumProcess`].
 
 use crate::txpool::TxPool;
 use crate::{BlockBuffer, DecisionEvent, Protocol, TobConfig};
@@ -45,8 +9,43 @@ use st_types::{BlockId, FastSet, ProcessId, Round, RoundKind, TxId, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A well-behaved process running the fixed-quorum baseline. See the
-/// [module docs](self) for the protocol.
+/// A well-behaved process running the fixed-quorum baseline, as a
+/// message-passing [`Protocol`] implementor.
+///
+/// The introduction motivates dynamic availability with the observation
+/// that "traditional BFT protocols (synchronous or partially synchronous)
+/// get stuck when participation drops below their fixed (usually 1/2 or
+/// 2/3) quorum threshold". `QuorumProcess` is that comparator, runnable
+/// under the *same* simulator — network pool, participation schedules,
+/// environment timeline, adversarial delivery — as the sleepy protocol,
+/// so the dynamic-availability tests and head-to-head sweeps compare
+/// executions, not an execution against a formula.
+///
+/// The protocol is deliberately simple, honest-only (the comparison is
+/// about availability, not attack resistance), and mirrors the sleepy
+/// protocol's two-rounds-per-view cadence so decision counts are
+/// directly comparable:
+///
+/// * **first round of view `v`** (`r = 2v − 1`): every awake process
+///   multicasts a proposal extending its decided chain;
+/// * **second round of view `v`** (`r = 2v`): every awake process votes
+///   for the admissible view-`v` proposal with the largest VRF (the same
+///   leader rule the sleepy protocol uses);
+/// * a view **decides** once some process counts votes for one proposal
+///   from **strictly more than `2n/3` of all `n` processes** — the
+///   static quorum, counted against fixed membership rather than
+///   perceived participation. Votes are never expired: a quorum observed
+///   late (woken process replaying its backlog) still decides.
+///
+/// Under full participation and synchrony every view decides (at the
+/// first send step after its vote round). When more than a third of the
+/// processes sleep through a view's vote round, that view can never
+/// reach quorum and is **permanently stalled** — the protocol only
+/// resumes deciding with the first view whose vote round sees enough
+/// participation again. The closed-form schedule walk in st-sim's
+/// `baseline` module predicts exactly which views decide and which
+/// stall on honest synchronous schedules; a regression test holds this
+/// implementation to that prediction.
 #[derive(Clone, Debug)]
 pub struct QuorumProcess {
     id: ProcessId,

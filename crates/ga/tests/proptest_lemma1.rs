@@ -200,6 +200,37 @@ proptest! {
     }
 }
 
+/// The control group: Lemma 1's assumption is load-bearing. With more
+/// than half as many Byzantine as honest voters (so `|H_r| ≤ 2/3·|O_r|`)
+/// playing a coordinated split — even receivers see every Byzantine vote
+/// for one block, odd receivers for a conflicting one — the properties
+/// fail.
+#[test]
+fn lemma1_fails_when_the_assumption_is_broken() {
+    let mut instances = 0;
+    let mut violated = 0;
+    // Trees with at least two conflicting children of genesis (ids 1, 2).
+    for tree_choices in [vec![0u8, 0], vec![0, 0, 1, 2], vec![0, 0, 2, 1, 4]] {
+        for honest_choice in [vec![0u8], vec![1], vec![0, 1, 2]] {
+            for n_honest in 5usize..12 {
+                let n_byz = n_honest / 2 + 1;
+                let byz_choice: Vec<Vec<u8>> = (0..n_honest)
+                    .map(|recv| vec![1 + (recv % 2) as u8; n_byz])
+                    .collect();
+                let ex = run_ga(&tree_choices, n_honest, n_byz, &honest_choice, &byz_choice);
+                instances += 1;
+                if check_lemma1(&ex).is_err() {
+                    violated += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        violated > 0,
+        "no property failed in {instances} instances with the assumption broken"
+    );
+}
+
 /// Clique validity (the new Lemma 1 property): a set `H′` of processes
 /// whose members all voted extensions of Λ — some fresh, some via `M₀` —
 /// makes every member output Λ with grade 1, provided

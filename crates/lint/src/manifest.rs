@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! st-types / st-load → st-crypto → st-blocktree → st-messages
-//!          → st-ga → st-core → st-sim → st-analysis
+//!          → st-ga → st-core → st-sim → st-node
 //!          → st-bench / sleepy-tob
 //! ```
 //!
@@ -19,7 +19,7 @@ use crate::diag::{Diagnostic, RuleId};
 
 /// Stack position of each workspace package. A package may depend (in
 /// `[dependencies]`) only on packages with a strictly smaller layer.
-pub const LAYERS: [(&str, u8); 13] = [
+pub const LAYERS: [(&str, u8); 12] = [
     ("st-types", 0),
     // Dependency-free workload vocabulary (generators, mempool,
     // histogram): sits at the bottom so st-sim and st-bench can both
@@ -32,7 +32,6 @@ pub const LAYERS: [(&str, u8); 13] = [
     ("st-core", 5),
     ("st-sim", 6),
     ("st-node", 7),
-    ("st-analysis", 7),
     ("st-bench", 8),
     ("sleepy-tob", 8),
     // The linter polices the graph, so it sits outside it: layer 0 with
@@ -190,7 +189,7 @@ pub fn check_layering(rel_path: &str, m: &Manifest) -> Vec<Diagnostic> {
                         "`{name}` (layer {my_layer}) may only depend on crates strictly below \
                          it, but `{dep_name}` is layer {dep_layer}; the legal direction is \
                          types → crypto → blocktree → messages → ga → core → sim → \
-                         analysis → bench",
+                         node → bench",
                     ),
                 ));
             }
@@ -278,8 +277,8 @@ mod tests {
         assert!(ok.is_empty(), "{ok:?}");
         let ok2 = check("[package]\nname = \"sleepy-tob\"\n[dependencies]\nst-node = {}\n");
         assert!(ok2.is_empty(), "{ok2:?}");
-        // Even a downward-looking consumer (st-analysis is layer 7 too,
-        // but the restriction is by name, not layer) is rejected.
+        // Even a consumer below st-node's layer is rejected: the
+        // restriction is by name, not layer.
         let bad = check("[package]\nname = \"st-sim\"\n[dependencies]\nst-node = {}\n");
         assert_eq!(bad.len(), 1);
         assert!(bad[0].message.contains("deployment leaf"));
@@ -296,8 +295,13 @@ mod tests {
         assert!(ok.is_empty(), "{ok:?}");
         let bad = check("[package]\nname = \"st-node\"\n[dependencies]\nst-sim = {}\n");
         assert!(bad.is_empty(), "sim (6) is below node (7): {bad:?}");
-        let bad2 = check("[package]\nname = \"st-node\"\n[dependencies]\nst-analysis = {}\n");
-        assert_eq!(bad2.len(), 1, "same layer is not strictly below");
+        let bad2 = check("[package]\nname = \"st-node\"\n[dependencies]\nsleepy-tob = {}\n");
+        assert_eq!(
+            bad2.len(),
+            1,
+            "the facade (8) is not strictly below node (7)"
+        );
+        assert!(bad2[0].message.contains("strictly below"));
     }
 
     #[test]

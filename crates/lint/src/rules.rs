@@ -513,7 +513,7 @@ mod tests {
     #[test]
     fn d2_catches_time_and_entropy_everywhere_but_bench() {
         let src = "use std::time::Instant;\nfn f() { let _ = rand::thread_rng(); }\n";
-        let fired = rules_fired(&ctx("st-analysis"), src);
+        let fired = rules_fired(&ctx("st-load"), src);
         assert_eq!(fired, vec![(RuleId::D2, 1), (RuleId::D2, 2)]);
         assert!(rules_fired(&ctx("st-bench"), src).is_empty());
     }
@@ -604,7 +604,7 @@ mod tests {
     #[test]
     fn n1_skips_test_files_and_non_protocol_crates() {
         let src = "fn f(seen: &FastSet<u64>) -> Vec<u64> { seen.iter().copied().collect() }\n";
-        assert!(rules_fired(&ctx("st-analysis"), src).is_empty());
+        assert!(rules_fired(&ctx("st-load"), src).is_empty());
         let test_ctx = FileCtx {
             rel_path: "x.rs",
             crate_name: "st-core",

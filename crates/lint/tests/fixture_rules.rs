@@ -50,7 +50,7 @@ fn d1_is_scoped_to_protocol_crates() {
     let src = include_str!("fixtures/d1_fail.rs");
     let ctx = FileCtx {
         rel_path: "fixtures/d1_fail.rs",
-        crate_name: "st-analysis",
+        crate_name: "st-load",
         test_file: false,
     };
     assert!(lines_of(&lint_source(&ctx, src), RuleId::D1).is_empty());

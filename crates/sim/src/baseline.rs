@@ -7,17 +7,16 @@
 //! 2/3) quorum threshold". The *simulated* form of that comparator is
 //! [`st_core::QuorumProcess`] — a real message-passing [`Protocol`]
 //! implementor driven by the same runner, schedules and timelines as the
-//! sleepy protocol (experiments B1/B2). This module keeps the original
-//! analytical walk: per view, count the honest awake processes at the
-//! decision round and compare against `> 2n/3` of **all** `n`.
+//! sleepy protocol. This module keeps the original analytical walk: per
+//! view, count the honest awake processes at the decision round and
+//! compare against `> 2n/3` of **all** `n`.
 //!
 //! On honest synchronous schedules the two must agree exactly — the walk
 //! is the *cross-check* for the simulation (see
-//! `crates/sim/tests/quorum_protocol.rs` and the assertion inside
-//! `exp_dynamic_availability`): every analytically decided view must be
-//! decided by some simulated process (the simulation integrates a view's
-//! votes one round later, at round `2v + 1`), and no analytically
-//! stalled view may ever decide.
+//! `crates/sim/tests/quorum_protocol.rs`): every analytically decided
+//! view must be decided by some simulated process (the simulation
+//! integrates a view's votes one round later, at round `2v + 1`), and no
+//! analytically stalled view may ever decide.
 //!
 //! [`Protocol`]: st_core::Protocol
 

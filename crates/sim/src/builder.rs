@@ -1,31 +1,4 @@
-//! The fluent simulation builder.
-//!
-//! [`SimBuilder`] is the one way to construct a
-//! [`Simulation`]: parameters, horizon, environment timeline, schedule, a
-//! *typed* adversary (no mandatory `Box`) and any number of user
-//! [`Observer`](crate::Observer)s are assembled in one chain, and
-//! [`SimBuilder::build`] validates the whole configuration with a proper
-//! error path instead of panicking:
-//!
-//! ```
-//! use st_sim::{adversary::PartitionAttacker, SimBuilder, Timeline};
-//! use st_types::{Params, Round};
-//!
-//! let params = Params::builder(10).expiration(6).build()?;
-//! let report = SimBuilder::new(params, 42)
-//!     .horizon(30)
-//!     .timeline(Timeline::synchronous().asynchronous(Round::new(12), 4))
-//!     .txs_every(4)
-//!     .adversary(PartitionAttacker::new())
-//!     .build()?
-//!     .run();
-//! assert!(report.is_safe());
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
-//!
-//! The schedule defaults to full participation over the configured
-//! horizon; the adversary defaults to
-//! [`SilentAdversary`](crate::adversary::SilentAdversary).
+//! The fluent simulation builder, [`SimBuilder`].
 
 use crate::adversary::Adversary;
 use crate::adversary::SilentAdversary;
@@ -78,8 +51,31 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Fluent builder for a [`Simulation`]. See the [module docs](self) for
-/// an end-to-end example.
+/// Fluent builder for a [`Simulation`], and the one way to construct one:
+/// parameters, horizon, environment timeline, schedule, a *typed*
+/// adversary (no mandatory `Box`) and any number of user [`Observer`]s
+/// are assembled in one chain, and
+/// [`SimBuilder::build`] validates the whole configuration with a proper
+/// error path instead of panicking:
+///
+/// ```
+/// use st_sim::{adversary::PartitionAttacker, SimBuilder, Timeline};
+/// use st_types::{Params, Round};
+///
+/// let params = Params::builder(10).expiration(6).build()?;
+/// let report = SimBuilder::new(params, 42)
+///     .horizon(30)
+///     .timeline(Timeline::synchronous().asynchronous(Round::new(12), 4))
+///     .txs_every(4)
+///     .adversary(PartitionAttacker::new())
+///     .build()?
+///     .run();
+/// assert!(report.is_safe());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// The schedule defaults to full participation over the configured
+/// horizon; the adversary defaults to [`SilentAdversary`].
 ///
 /// Generic over the [`Protocol`] to drive, defaulted to [`TobProcess`]:
 /// [`SimBuilder::new`] / [`SimBuilder::from_config`] build the sleepy

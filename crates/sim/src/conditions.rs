@@ -3,13 +3,13 @@
 //!
 //! The theorems hold *conditionally*: Theorem 1 under Equations 1–2 (plus
 //! η-sleepiness), Theorem 2 additionally under Equations 4–5 during the
-//! asynchronous window. Experiments use this checker both to certify that
-//! a run's assumptions held and, in ablations, to confirm that a failing
-//! run indeed violated them.
+//! asynchronous window. Tests use this checker both to certify that a
+//! run's assumptions held and, in ablations, to confirm that a failing run
+//! indeed violated them.
 
-use crate::formulas::beta_tilde;
-use st_sim::{AsyncWindow, Schedule};
-use st_types::Round;
+use crate::runner::AsyncWindow;
+use crate::schedule::Schedule;
+use st_types::{adjusted_failure_ratio, Round};
 
 /// Which of the paper's conditions held over a schedule.
 #[derive(Clone, Debug, Default)]
@@ -58,7 +58,7 @@ pub fn check_conditions(
     eta: u64,
     window: Option<AsyncWindow>,
 ) -> ConditionReport {
-    let bt = beta_tilde(beta, gamma);
+    let bt = adjusted_failure_ratio(beta, gamma);
     let mut report = ConditionReport {
         eq5_holds: true,
         ..Default::default()
@@ -123,7 +123,6 @@ pub fn check_conditions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_sim::Schedule;
 
     const BETA: f64 = 1.0 / 3.0;
 

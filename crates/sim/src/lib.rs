@@ -53,10 +53,12 @@
 //! * [`SimReport`] — decisions, safety/resilience violations (Definitions
 //!   2 and 5), transaction-liveness statistics, per-window recovery
 //!   records;
+//! * [`conditions::check_conditions`] — the paper's model conditions
+//!   (Equations 1–5) verified round by round against a [`Schedule`];
 //! * [`baseline::StaticQuorumBft`] — the closed-form schedule walk that
 //!   cross-checks the message-passing [`st_core::QuorumProcess`]
 //!   baseline used to demonstrate what *dynamic availability* buys
-//!   (experiments B1/B2).
+//!   (`crates/sim/tests/quorum_protocol.rs`, `exp_baseline_head_to_head`).
 //!
 //! # Example: a synchronous run with churn
 //!
@@ -83,6 +85,7 @@
 pub mod adversary;
 pub mod baseline;
 mod builder;
+pub mod conditions;
 pub mod env;
 pub mod explore;
 mod metrics;

@@ -110,8 +110,9 @@ impl Schedule {
     /// recently-awake-but-asleep set (the quantity Equation 1 bounds by
     /// `γ`) small by construction; when the envelope binds, realized churn
     /// is below the formula. Set `max_dropped_frac: 1.0` for raw
-    /// independent sleep events, and use `st-analysis`'s condition
-    /// checkers to verify what a generated schedule actually satisfies.
+    /// independent sleep events, and use
+    /// [`check_conditions`](crate::conditions::check_conditions) to verify
+    /// what a generated schedule actually satisfies.
     pub fn random_churn(
         n: usize,
         horizon: u64,

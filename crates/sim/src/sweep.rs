@@ -1,41 +1,40 @@
-//! The grid sweep driver.
-//!
-//! Every experiment in this repository has the same shape: a cartesian
-//! grid of configurations, one deterministic simulation per cell, and an
-//! aggregate over the per-cell [`SimReport`]s. [`Sweep`] makes that shape
-//! a library call instead of a hand-rolled loop: it owns the cell list,
-//! derives a **deterministic per-cell seed** from the sweep seed and the
-//! cell's position (re-running a grid reproduces every cell exactly, and
-//! *appending* cells never perturbs existing ones; inserting or
-//! reordering shifts positions and thus seeds), and executes cells
-//! across scoped worker threads in input order — cells are pure
-//! functions of `(cell, seed)`, so parallelism can only change
-//! wall-clock, never results.
-//!
-//! ```
-//! use st_sim::{adversary::PartitionAttacker, SimBuilder, Sweep, Timeline};
-//! use st_types::{Params, Round};
-//!
-//! // η × π grid: Theorem 2 says every η > π cell shrugs the attack off.
-//! let sweep = Sweep::grid(vec![5u64, 6], vec![2u64, 4]).seed(7);
-//! let outcome = sweep.run_reports(|&(eta, pi), seed| {
-//!     SimBuilder::new(Params::builder(8).expiration(eta).build().unwrap(), seed)
-//!         .horizon(26)
-//!         .timeline(Timeline::synchronous().asynchronous(Round::new(10), pi))
-//!         .adversary(PartitionAttacker::new())
-//!         .build()
-//!         .expect("valid cell")
-//! });
-//! assert_eq!(outcome.len(), 4);
-//! assert!(outcome.all_safe() && outcome.all_recovered());
-//! ```
+//! The grid sweep driver, [`Sweep`].
 
 use crate::monitor::SimReport;
 use crate::runner::Simulation;
 use st_core::Protocol;
 
-/// A deterministic cartesian sweep over configuration cells. See the
-/// [module docs](self) for an end-to-end example.
+/// A deterministic cartesian sweep over configuration cells.
+///
+/// Grid experiments share one shape: a cartesian grid of configurations,
+/// one deterministic simulation per cell, and an aggregate over the
+/// per-cell [`SimReport`]s. `Sweep` makes that shape a library call
+/// instead of a hand-rolled loop: it owns the cell list, derives a
+/// **deterministic per-cell seed** from the sweep seed and the cell's
+/// position (re-running a grid reproduces every cell exactly, and
+/// *appending* cells never perturbs existing ones; inserting or
+/// reordering shifts positions and thus seeds), and executes cells
+/// across scoped worker threads in input order — cells are pure
+/// functions of `(cell, seed)`, so parallelism can only change
+/// wall-clock, never results.
+///
+/// ```
+/// use st_sim::{adversary::PartitionAttacker, SimBuilder, Sweep, Timeline};
+/// use st_types::{Params, Round};
+///
+/// // η × π grid: Theorem 2 says every η > π cell shrugs the attack off.
+/// let sweep = Sweep::grid(vec![5u64, 6], vec![2u64, 4]).seed(7);
+/// let outcome = sweep.run_reports(|&(eta, pi), seed| {
+///     SimBuilder::new(Params::builder(8).expiration(eta).build().unwrap(), seed)
+///         .horizon(26)
+///         .timeline(Timeline::synchronous().asynchronous(Round::new(10), pi))
+///         .adversary(PartitionAttacker::new())
+///         .build()
+///         .expect("valid cell")
+/// });
+/// assert_eq!(outcome.len(), 4);
+/// assert!(outcome.all_safe() && outcome.all_recovered());
+/// ```
 #[derive(Clone, Debug)]
 pub struct Sweep<C> {
     cells: Vec<C>,

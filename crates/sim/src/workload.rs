@@ -22,7 +22,7 @@
 //!   makes saturation knees visible in the percentiles.
 //!
 //! The legacy `txs_every(k)` knob is re-expressed as a
-//! [`WorkloadSpec::legacy_shim`] over `ConstantRate::every(k)` with
+//! `WorkloadSpec::legacy_shim` over `ConstantRate::every(k)` with
 //! unbounded admission, unbounded batch, and drop-when-asleep semantics;
 //! the determinism-equivalence suite asserts the two paths produce
 //! byte-identical reports.
@@ -149,7 +149,7 @@ impl WorkloadInjector {
     }
 }
 
-/// Workload accounting in one [`SimReport`](crate::SimReport), filled by
+/// Workload accounting in one [`SimReport`], filled by
 /// the workload ledger at finish. All counters are zero / `None` on
 /// runs without a configured workload.
 #[derive(Clone, Debug, Default, Serialize)]

@@ -1,11 +1,13 @@
 //! Scenario tests: every adversary strategy against the configuration it
-//! should and should not beat.
+//! should and should not beat, plus a randomized soak over in-model
+//! configurations.
 
+use proptest::prelude::*;
 use st_sim::adversary::{
-    BlackoutAdversary, EquivocatingVoter, JunkVoter, PartitionAttacker, ReorgAttacker,
+    Adversary, BlackoutAdversary, EquivocatingVoter, JunkVoter, PartitionAttacker, ReorgAttacker,
     SilentAdversary, WithholdingLeader,
 };
-use st_sim::{AsyncWindow, Schedule, SimBuilder, SimConfig, Timeline};
+use st_sim::{AsyncWindow, ChurnOptions, Schedule, SimBuilder, SimConfig, Timeline};
 use st_types::{Params, ProcessId, Round};
 
 fn params(n: usize, eta: u64) -> Params {
@@ -51,7 +53,10 @@ fn junk_voter_within_budget_no_effect() {
 }
 
 /// The withholding leader never endangers safety — it is a pure liveness
-/// nuisance (its block is simply decided one view late).
+/// nuisance (its block is simply decided one view late). Without a
+/// Byzantine proposer every view decides and a transaction takes exactly
+/// 4 rounds: submitted, proposed in the next view, decided the view after
+/// (MMR's constant expected latency).
 #[test]
 fn withholding_leader_is_liveness_only() {
     let n = 12;
@@ -61,6 +66,13 @@ fn withholding_leader_is_liveness_only() {
         .run();
     assert!(report.is_safe());
     assert!(report.tx_inclusion_rate() > 0.8);
+
+    let clean = SimBuilder::from_config(SimConfig::new(params(16, 2), 11).horizon(60).txs_every(6))
+        .schedule(Schedule::full(16, 60))
+        .adversary(WithholdingLeader::new())
+        .run();
+    assert!(clean.is_safe());
+    assert_eq!(clean.mean_tx_latency(), Some(4.0));
 }
 
 /// A growing adversary corrupting processes mid-run (outside any
@@ -273,4 +285,78 @@ fn adversarial_runs_are_deterministic() {
     assert_eq!(a.safety_violations.len(), b.safety_violations.len());
     assert_eq!(a.messages_sent, b.messages_sent);
     assert_eq!(a.final_decided_height, b.final_decided_height);
+}
+
+fn adversary_named(index: usize) -> Box<dyn Adversary> {
+    match index {
+        0 => Box::new(SilentAdversary),
+        1 => Box::new(BlackoutAdversary),
+        2 => Box::new(PartitionAttacker::new()),
+        3 => Box::new(ReorgAttacker::new()),
+        4 => Box::new(EquivocatingVoter::new()),
+        5 => Box::new(JunkVoter::new()),
+        _ => Box::new(WithholdingLeader::new()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+
+    /// Randomized soak over in-model configurations: n 4–19, η 2–7, an
+    /// asynchronous window with π < η in three runs of five, a Byzantine
+    /// count within 0.8·n/3, optional 1 % per-round churn, and any of the
+    /// seven adversaries. `D_ra` is never reverted, no post-window
+    /// decisions conflict, agreement holds outright (in-window orphaning
+    /// needs eclipse choreography none of these strategies performs), and
+    /// a silent synchronous run makes progress.
+    #[test]
+    fn in_model_configurations_uphold_every_invariant(
+        n in 4usize..20,
+        eta in 2u64..8,
+        window in (0u8..5, any::<u64>()),
+        byz_pick in any::<u64>(),
+        adversary in 0usize..7,
+        churn in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let pi = (window.0 < 3).then(|| 1 + window.1 % (eta - 1));
+        let byz = (byz_pick % ((n as f64 / 3.0 * 0.8).floor() as u64 + 1)) as usize;
+        let horizon = 40 + 2 * pi.unwrap_or(0);
+        let params = Params::builder(n).expiration(eta).churn_rate(0.1).build().unwrap();
+        let schedule = if churn {
+            Schedule::random_churn(
+                n,
+                horizon,
+                0.01,
+                seed,
+                &ChurnOptions {
+                    min_awake_frac: 0.75,
+                    wake_prob: 0.5,
+                    max_dropped_frac: 1.0,
+                    ..Default::default()
+                },
+            )
+        } else {
+            Schedule::full(n, horizon)
+        }
+        .with_static_byzantine(byz);
+        let mut config = SimConfig::new(params, seed).horizon(horizon).txs_every(5);
+        if let Some(pi) = pi {
+            config = config.async_window(AsyncWindow::new(Round::new(14), pi));
+        }
+        let report = SimBuilder::from_config(config)
+            .schedule(schedule)
+            .adversary_boxed(adversary_named(adversary))
+            .run();
+        prop_assert!(report.resilience_violations.is_empty(), "D_ra reverted");
+        prop_assert!(report.post_window_violations().is_empty(), "post-window conflict");
+        prop_assert!(report.is_safe(), "agreement broken");
+        if adversary == 0 && pi.is_none() {
+            prop_assert!(
+                report.final_decided_height >= 10,
+                "stalled at {}",
+                report.final_decided_height
+            );
+        }
+    }
 }

@@ -148,13 +148,22 @@ impl Default for Params {
 ///
 /// This is the failure ratio that must be enforced per round once the
 /// protocol counts latest unexpired messages over an `η`-round window with
-/// churn bounded by `γ`. Free function so the analysis crate can sweep it
-/// without building full parameter sets.
+/// churn bounded by `γ`: asleep processes' stale votes hand the adversary
+/// extra leverage that this discount pays for. A free function so
+/// callers (Figure 1's table, `stob curve`, the condition checker) can
+/// sweep it without building full parameter sets.
 ///
 /// ```
 /// use st_types::adjusted_failure_ratio;
-/// // Figure 1's specialisation: β = 1/3 gives (1 − 3γ)/(3 − 5γ).
 /// let beta = 1.0 / 3.0;
+/// // γ = 0 gives β: static participation costs nothing.
+/// assert!((adjusted_failure_ratio(beta, 0.0) - beta).abs() < 1e-12);
+/// // Strictly decreasing in γ on [0, β].
+/// let curve: Vec<f64> = (0..=33)
+///     .map(|i| adjusted_failure_ratio(beta, i as f64 / 100.0))
+///     .collect();
+/// assert!(curve.windows(2).all(|w| w[1] < w[0]));
+/// // Figure 1's specialisation: β = 1/3 gives (1 − 3γ)/(3 − 5γ).
 /// for g in [0.0, 0.1, 0.2, 0.3] {
 ///     let lhs = adjusted_failure_ratio(beta, g);
 ///     let rhs = (1.0 - 3.0 * g) / (3.0 - 5.0 * g);

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // What does η cost? The churn/failure trade-off of Figure 1.
     println!("\nγ (churn/η)   β̃ (max failure ratio)   max f of n={n}");
     for gamma in [0.0, 0.05, 0.10, 0.20, 0.30] {
-        let bt = beta_tilde(1.0 / 3.0, gamma);
+        let bt = adjusted_failure_ratio(1.0 / 3.0, gamma);
         let max_f = ((bt * n as f64).ceil() as usize).saturating_sub(1);
         println!("{gamma:<13.2} {bt:<23.3} {max_f}");
     }

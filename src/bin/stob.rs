@@ -259,7 +259,7 @@ fn cmd_curve(args: &Args) -> ExitCode {
     println!("γ      β̃(β = {beta:.4})");
     let mut g = 0.0;
     while g < beta + 0.07 {
-        let v = beta_tilde(beta, g).max(0.0);
+        let v = adjusted_failure_ratio(beta, g).max(0.0);
         let bars = (v * 120.0) as usize;
         println!("{g:.2}   {v:.3}  {}", "█".repeat(bars));
         g += 0.02;

@@ -17,16 +17,15 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`types`] | `st-types` | ids, rounds/views, validated parameters |
+//! | [`types`] | `st-types` | ids, rounds/views, validated parameters, the Figure-1 formula `adjusted_failure_ratio` |
 //! | [`crypto`] | `st-crypto` | simulated signatures + VRF |
 //! | [`blocktree`] | `st-blocktree` | logs as chains in a block tree |
 //! | [`messages`] | `st-messages` | votes/proposals, expiration-window stores |
 //! | [`ga`] | `st-ga` | graded agreement (Figures 2–3, Lemma 1) |
 //! | [`core`] | `st-core` | Algorithm 1 with expiration (the contribution); the `Protocol` trait + the fixed-quorum baseline |
 //! | [`load`] | `st-load` | open-loop workload generators, bounded mempool, latency histograms |
-//! | [`sim`] | `st-sim` | sleepy-model simulator (generic over `Protocol`), adversaries, monitors, workload injection |
+//! | [`sim`] | `st-sim` | sleepy-model simulator (generic over `Protocol`), adversaries, monitors, workload injection, Eq. 1–5 checkers |
 //! | [`node`] | `st-node` | deployable socket node runtime (`stob serve`) + multi-process cluster harness |
-//! | [`analysis`] | `st-analysis` | Figure-1 formulas, Eq. 1–5 checkers |
 //!
 //! # Quickstart
 //!
@@ -80,7 +79,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use st_analysis as analysis;
 pub use st_blocktree as blocktree;
 pub use st_core as core;
 pub use st_crypto as crypto;
@@ -116,7 +114,6 @@ pub use st_types as types;
 /// [`WorkloadSummary`](st_sim::WorkloadSummary) latency percentiles in
 /// every report.
 pub mod prelude {
-    pub use st_analysis::{beta_tilde, beta_tilde_two_thirds, check_conditions};
     pub use st_blocktree::{Block, BlockTree};
     pub use st_core::{DecisionEvent, Protocol, QuorumProcess, TobConfig, TobProcess};
     pub use st_ga::{tally, GaInstance, GaOutput, Thresholds};
@@ -126,6 +123,7 @@ pub mod prelude {
         BlackoutAdversary, EquivocatingVoter, PartitionAttacker, ReorgAttacker, SilentAdversary,
     };
     pub use st_sim::baseline::StaticQuorumBft;
+    pub use st_sim::conditions::check_conditions;
     pub use st_sim::scenario::{alternating, gst, Scenario};
     pub use st_sim::{
         diurnal_schedule, Adversary, AdversaryCtx, AsyncWindow, BuildError, DecisionTap, EnvView,
@@ -134,5 +132,7 @@ pub mod prelude {
         Sweep, SweepComparison, SweepReports, TargetedMessage, Timeline, TxRecord, ViolationKind,
         WorkloadSpec, WorkloadSummary,
     };
-    pub use st_types::{BlockId, Grade, Params, ProcessId, Round, RoundKind, TxId, View};
+    pub use st_types::{
+        adjusted_failure_ratio, BlockId, Grade, Params, ProcessId, Round, RoundKind, TxId, View,
+    };
 }

@@ -1,9 +1,12 @@
-//! Integration tests tying the analysis crate's condition checkers to
-//! actual protocol behaviour: when the checkers certify a schedule, the
-//! theorems' conclusions hold in simulation; the formulas agree with the
-//! parameter validation in `st-types`.
+//! Integration tests tying the model-condition checkers
+//! (`st_sim::conditions`) and the β̃ formula to actual protocol
+//! behaviour: when the checkers certify a schedule, the theorems'
+//! conclusions hold in simulation; Figure 1's curve is pinned as a table
+//! and its budget is sound; parameter validation rejects what the theory
+//! rejects.
 
 use sleepy_tob::prelude::*;
+use sleepy_tob::sim::adversary::JunkVoter;
 use sleepy_tob::sim::ChurnOptions;
 
 /// Schedules certified by the Equation 1–3 checkers yield safe + live
@@ -61,20 +64,111 @@ fn certified_schedules_behave() {
     );
 }
 
-/// The analytic β̃ agrees between `st-analysis` and `st-types`, including
-/// the Figure-1 specialisation.
+/// Figure 1: the allowable failure ratio `β̃ = (1 − 3γ)/(3 − 5γ)` for the
+/// MMR threshold (β = 1/3) over the γ range the paper plots, to three
+/// decimals and clamped at 0 (from γ = β on no adversary is tolerable).
+const FIGURE_1: &str = "\
+0.00 0.333
+0.02 0.324
+0.04 0.314
+0.06 0.304
+0.08 0.292
+0.10 0.280
+0.12 0.267
+0.14 0.252
+0.16 0.236
+0.18 0.219
+0.20 0.200
+0.22 0.179
+0.24 0.156
+0.26 0.129
+0.28 0.100
+0.30 0.067
+0.32 0.029
+0.34 0.000
+0.36 0.000
+0.38 0.000
+0.40 0.000
+";
+
 #[test]
-fn beta_tilde_consistency_across_crates() {
-    for i in 0..=30 {
-        let gamma = i as f64 / 100.0;
-        let p = Params::builder(10)
-            .expiration(4)
+fn figure1_table_matches_adjusted_failure_ratio() {
+    let table: String = (0..=20)
+        .map(|i| {
+            let gamma = i as f64 / 50.0;
+            let bt = adjusted_failure_ratio(1.0 / 3.0, gamma).max(0.0);
+            format!("{gamma:.2} {bt:.3}\n")
+        })
+        .collect();
+    assert_eq!(table, FIGURE_1);
+}
+
+/// Figure 1's bound is sound: under worst-case rotating sleepers at churn
+/// γ (n = 30, η = 4), the full budget `f = ⌈β̃·n⌉ − 1` of junk-voting
+/// Byzantine processes leaves the chain safe and growing.
+#[test]
+fn figure1_budget_is_sound_under_rotating_sleep() {
+    let (n, horizon, eta) = (30, 60u64, 4u64);
+    for (gamma, budget) in [(0.0, 9usize), (0.2, 5)] {
+        let f = ((adjusted_failure_ratio(1.0 / 3.0, gamma) * n as f64).ceil() as usize)
+            .saturating_sub(1);
+        assert_eq!(f, budget, "γ = {gamma}");
+        let params = Params::builder(n)
+            .expiration(eta)
             .churn_rate(gamma)
             .build()
             .unwrap();
-        assert!((p.adjusted_failure_ratio() - beta_tilde(1.0 / 3.0, gamma)).abs() < 1e-12);
-        assert!((beta_tilde(1.0 / 3.0, gamma) - beta_tilde_two_thirds(gamma)).abs() < 1e-12);
+        let report = SimBuilder::from_config(SimConfig::new(params, 3).horizon(horizon))
+            .schedule(Schedule::rotating_sleep(n, horizon, gamma, eta).with_static_byzantine(f))
+            .adversary(JunkVoter::new())
+            .run();
+        assert!(report.is_safe(), "γ = {gamma}, f = {f}: agreement broken");
+        assert!(
+            report.final_decided_height >= horizon / 6,
+            "γ = {gamma}, f = {f}: stalled at {}",
+            report.final_decided_height
+        );
     }
+}
+
+/// Equation 1 is a liveness premise, not a safety one: driving the actual
+/// churn per η from 0.02 to 0.50, far past the configured γ = 0.10,
+/// multiplies the rounds that violate it while agreement holds.
+#[test]
+fn churn_past_gamma_violates_eq1_but_not_agreement() {
+    let (n, horizon, eta, gamma) = (20, 60u64, 4u64, 0.10);
+    let eq1_violations = |per_eta: f64| {
+        let sleep_prob = 1.0 - (1.0 - per_eta).powf(1.0 / eta as f64);
+        let schedule = Schedule::random_churn(
+            n,
+            horizon,
+            sleep_prob,
+            3,
+            &ChurnOptions {
+                min_awake_frac: 0.2,
+                wake_prob: 0.15,
+                max_dropped_frac: 1.0,
+                ..Default::default()
+            },
+        )
+        .with_static_byzantine(2);
+        let violations = check_conditions(&schedule, 1.0 / 3.0, gamma, eta, None)
+            .churn_violations
+            .len();
+        let params = Params::builder(n)
+            .expiration(eta)
+            .churn_rate(gamma)
+            .build()
+            .unwrap();
+        let report = SimBuilder::from_config(SimConfig::new(params, 3).horizon(horizon))
+            .schedule(schedule)
+            .adversary(JunkVoter::new())
+            .run();
+        assert!(report.is_safe(), "churn {per_eta}/η broke agreement");
+        violations
+    };
+    let (low, high) = (eq1_violations(0.02), eq1_violations(0.50));
+    assert!(high > low, "Eq. 1 violations {low} → {high}");
 }
 
 /// Equation 4 is what protects D_ra: the same attack flips from failing
