@@ -12,6 +12,12 @@
 //! the case where survivors block on history lost with the victim —
 //! restart-and-replay is what unblocks them).
 //!
+//! The victim parks before the window's first round until it is killed
+//! (see [`crate::runtime`]), so the kill lands on the planned round even
+//! when rounds are far shorter than a harness poll. Its new life runs its
+//! own plan file, `plan_<node>_<window>.json`: the same plan without the
+//! windows that have fired, so it does not park at them again.
+//!
 //! No wall clock is read here (st-lint D2 holds for this file): timeouts
 //! and stall detection are poll counters over `thread::sleep`.
 
@@ -91,6 +97,23 @@ enum KillState {
     Pending,
     Down,
     Done,
+}
+
+/// The plan a restarted victim runs: the harness's plan keeping only the
+/// kill windows still pending. A node parks before each window that names
+/// it, so without this its new life would park again, at a window the
+/// harness has already fired and will never kill it for. The awake
+/// matrix, and so every decision, is unchanged.
+fn restart_plan(plan: &ClusterPlan, states: &[KillState]) -> ClusterPlan {
+    let mut plan = plan.clone();
+    plan.kills = plan
+        .kills
+        .into_iter()
+        .zip(states)
+        .filter(|(_, st)| **st == KillState::Pending)
+        .map(|(win, _)| win)
+        .collect();
+    plan
 }
 
 fn spawn_node(
@@ -208,7 +231,11 @@ pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
                     // frames they still need died with the victim; replay
                     // after restart is what feeds them, so restart early.
                     if others_past || quiet_polls >= STALL_POLLS {
-                        procs[k].child = spawn_node(opts, &plan_path, k, &progress[k])?;
+                        let path = opts.dir.join(format!("plan_{k}_{w}.json"));
+                        let plan = restart_plan(&opts.plan, &kill_states);
+                        std::fs::write(&path, plan.to_json())
+                            .map_err(|e| format!("write {}: {e}", path.display()))?;
+                        procs[k].child = spawn_node(opts, &path, k, &progress[k])?;
                         procs[k].exit_code = None;
                         procs[k].done = false;
                         restarts[k] += 1;
@@ -282,4 +309,39 @@ pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
         timed_out,
         polls,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::KillWindow;
+
+    #[test]
+    fn restart_plan_drops_the_fired_windows_only() {
+        let mut plan = ClusterPlan::full(3, 30);
+        for (node, start, end) in [(2, 5, 7), (1, 10, 12), (2, 20, 22)] {
+            plan.sleep(node, start, end);
+            plan.kills.push(KillWindow { node, start, end });
+        }
+        // Node 2's first window is being restarted; node 1's is still to
+        // come, and so is node 2's second.
+        let states = [KillState::Down, KillState::Pending, KillState::Pending];
+        let next = restart_plan(&plan, &states);
+        let windows = |p: &ClusterPlan| {
+            p.kills
+                .iter()
+                .map(|w| (w.node, w.start, w.end))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(windows(&next), vec![(1, 10, 12), (2, 20, 22)]);
+        assert_eq!(next.awake, plan.awake, "the schedule is unchanged");
+        next.validate().expect("a restart plan is a valid plan");
+
+        // Restarting node 2 again after its second window: nothing of
+        // node 2's is left to park at, and a fired window never returns.
+        let states = [KillState::Done, KillState::Done, KillState::Down];
+        assert_eq!(windows(&restart_plan(&plan, &states)), vec![]);
+        let states = [KillState::Done, KillState::Pending, KillState::Down];
+        assert_eq!(windows(&restart_plan(&plan, &states)), vec![(1, 10, 12)]);
+    }
 }

@@ -9,6 +9,17 @@
 //! decisions — the runtime's round barrier is driven purely by `Mark`
 //! frames, so determinism of the decided chain never depends on timing.
 //!
+//! ## Waiting
+//!
+//! Nothing on the per-round path polls. A writer blocks on [`Outbound`]'s
+//! work condvar, which a new batch signals, or a round change that may
+//! release a batch a partition held back; the runtime
+//! blocks on its flush condvar, which a writer signals after each flush.
+//! A writer's wait times out after `IDLE` only so it can peek at its
+//! stream: our peers never write on it, so a readable EOF means the peer
+//! died, and the writer reconnects and replays without waiting for a
+//! write to fail. Only reconnect backoff and listener re-binding sleep.
+//!
 //! ## Connection model
 //!
 //! For each ordered pair `(i, j)` node `i` dials node `j`'s listener and
@@ -28,14 +39,14 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// One round's worth of envelopes from one peer, terminated by its mark.
 pub type RoundBatch = (ProcessId, u64, Vec<Envelope>);
 
-/// Writer poll interval while idle or withheld.
+/// Longest a writer waits for work before it checks its peer is alive.
 const IDLE: Duration = Duration::from_millis(1);
 /// Reconnect backoff bounds.
 const BACKOFF_MIN: Duration = Duration::from_millis(5);
@@ -126,32 +137,76 @@ impl Liveness {
 }
 
 /// The node's outbound history: one immutable `(round, bytes)` batch per
-/// completed awake round, shared read-only by every writer thread. The
-/// `round` atomic is the sender's current round, consulted by writers for
-/// partition holdback.
+/// completed awake round, shared read-only by every writer thread, plus
+/// the two events around it. Writers wait on `work`, which [`push`]
+/// signals (a new batch) and [`set_round`] signals when a writer is held
+/// back by a partition (the round change may release it). The runtime
+/// waits on `flush`, which a writer signals after each flushed batch and
+/// on disconnect.
+///
+/// [`push`]: Outbound::push
+/// [`set_round`]: Outbound::set_round
 pub struct Outbound {
-    batches: Mutex<Vec<(u64, Arc<Vec<u8>>)>>,
+    state: Mutex<History>,
+    work: Condvar,
+    flush: Condvar,
+}
+
+struct History {
+    batches: Vec<(u64, Arc<Vec<u8>>)>,
     /// The sender's current round (for `ClusterPlan::withheld`).
-    pub round: AtomicU64,
+    round: u64,
+    /// Whether a writer waits on a batch a partition holds back (only
+    /// then does a round change need to wake the writers).
+    held: bool,
+    /// Per peer: batches fully flushed on the live connection (0 while
+    /// it is down).
+    flushed: Vec<u64>,
 }
 
 impl Outbound {
-    /// An empty history at round 0.
-    pub fn new() -> Outbound {
+    /// An empty history at round 0, for a cluster of `n` nodes.
+    pub fn new(n: usize) -> Outbound {
         Outbound {
-            batches: Mutex::new(Vec::new()),
-            round: AtomicU64::new(0),
+            state: Mutex::new(History {
+                batches: Vec::new(),
+                round: 0,
+                held: false,
+                flushed: vec![0; n],
+            }),
+            work: Condvar::new(),
+            flush: Condvar::new(),
         }
     }
 
-    /// Appends the batch for `round` (its envelopes plus trailing mark).
+    /// The history, whatever thread last held it: every update is a
+    /// single assignment or push, so a panic elsewhere cannot leave it
+    /// half-written.
+    fn lock(&self) -> MutexGuard<'_, History> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends the batch for `round` (its envelopes plus trailing mark)
+    /// and wakes the writers.
     pub fn push(&self, round: u64, bytes: Vec<u8>) {
-        self.batches.lock().unwrap().push((round, Arc::new(bytes)));
+        self.lock().batches.push((round, Arc::new(bytes)));
+        self.work.notify_all();
+    }
+
+    /// Enters `round`: it is what releases a batch a partition held back,
+    /// so it wakes the writers if one is waiting on such a batch.
+    pub fn set_round(&self, round: u64) {
+        let mut h = self.lock();
+        h.round = round;
+        if std::mem::take(&mut h.held) {
+            drop(h);
+            self.work.notify_all();
+        }
     }
 
     /// Number of batches in history.
     pub fn len(&self) -> usize {
-        self.batches.lock().unwrap().len()
+        self.lock().batches.len()
     }
 
     /// Whether no batch was pushed yet.
@@ -159,14 +214,45 @@ impl Outbound {
         self.len() == 0
     }
 
-    fn get(&self, i: usize) -> Option<(u64, Arc<Vec<u8>>)> {
-        self.batches.lock().unwrap().get(i).cloned()
+    /// Blocks until `lagging(flushed counts)` is false or `cap` has
+    /// passed; re-checked after every flush or disconnect of any writer.
+    pub fn wait_flushed(&self, cap: Duration, mut lagging: impl FnMut(&[u64]) -> bool) {
+        let _ = self
+            .flush
+            .wait_timeout_while(self.lock(), cap, |h| lagging(&h.flushed))
+            .unwrap_or_else(PoisonError::into_inner);
     }
-}
 
-impl Default for Outbound {
-    fn default() -> Outbound {
-        Outbound::new()
+    /// Batch `cursor` once it exists and `withheld(its round, current
+    /// round)` is false; `None` if that does not happen within `timeout`.
+    fn next(
+        &self,
+        cursor: usize,
+        timeout: Duration,
+        withheld: impl Fn(u64, u64) -> bool,
+    ) -> Option<Arc<Vec<u8>>> {
+        let (h, _) = self
+            .work
+            .wait_timeout_while(self.lock(), timeout, |h| {
+                let Some(&(s, _)) = h.batches.get(cursor) else {
+                    return true;
+                };
+                let held = withheld(s, h.round);
+                h.held |= held;
+                held
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        h.batches
+            .get(cursor)
+            .filter(|(s, _)| !withheld(*s, h.round))
+            .map(|(_, bytes)| bytes.clone())
+    }
+
+    /// Publishes that `count` batches are flushed to peer `j` on its
+    /// live connection (0: the connection is gone).
+    fn set_flushed(&self, j: usize, count: u64) {
+        self.lock().flushed[j] = count;
+        self.flush.notify_all();
     }
 }
 
@@ -252,11 +338,29 @@ fn read_frame(stream: &mut TcpStream, cap: usize) -> Option<Vec<u8>> {
     Some(frame)
 }
 
+/// Whether the peer behind our `i → j` stream is gone. The peer never
+/// writes on it, so a readable EOF or a reset means it died or hung up.
+/// A non-blocking peek, so checking a live idle peer never blocks.
+fn peer_gone(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let gone = match stream.peek(&mut [0u8; 1]) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+    };
+    gone || stream.set_nonblocking(false).is_err()
+}
+
 /// Spawns the writer thread for peer `j`: dials `j`'s listener with
 /// exponential backoff, opens with `Hello`, then streams the outbound
 /// history in order — restarting from the beginning on every reconnect —
-/// while honouring partition holdback. `flushed[j]` publishes how many
-/// batches are fully flushed on the live connection (the runtime's
+/// while honouring partition holdback. It waits on `outbound` for work;
+/// on a wait that times out it checks the peer is still alive
+/// (`peer_gone`), so a survivor that has nothing left to send still
+/// reconnects to a killed and restarted peer. After each flush it
+/// publishes how many batches are on the live connection (the runtime's
 /// best-effort "round data is on the wire" signal).
 pub fn spawn_writer(
     me: ProcessId,
@@ -264,7 +368,6 @@ pub fn spawn_writer(
     plan: Arc<ClusterPlan>,
     outbound: Arc<Outbound>,
     board: Arc<Liveness>,
-    flushed: Arc<Vec<AtomicU64>>,
 ) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let addr = format!("127.0.0.1:{}", plan.port_of(j));
@@ -294,18 +397,16 @@ pub fn spawn_writer(
                 continue;
             }
             board.peers[j].connected.store(true, Ordering::Relaxed);
-            flushed[j].store(0, Ordering::Release);
+            outbound.set_flushed(j, 0);
             let mut cursor = 0usize;
             loop {
-                let Some((round, bytes)) = outbound.get(cursor) else {
-                    thread::sleep(IDLE);
+                let withheld = |s, current| plan.withheld(s, me.index(), j, current);
+                let Some(bytes) = outbound.next(cursor, IDLE, withheld) else {
+                    if peer_gone(&stream) {
+                        break;
+                    }
                     continue;
                 };
-                let current = outbound.round.load(Ordering::Acquire);
-                if plan.withheld(round, me.index(), j, current) {
-                    thread::sleep(IDLE);
-                    continue;
-                }
                 if stream
                     .write_all(&bytes)
                     .and_then(|_| stream.flush())
@@ -317,10 +418,10 @@ pub fn spawn_writer(
                 board.peers[j]
                     .batches_sent
                     .store(cursor as u64, Ordering::Relaxed);
-                flushed[j].store(cursor as u64, Ordering::Release);
+                outbound.set_flushed(j, cursor as u64);
             }
             board.peers[j].connected.store(false, Ordering::Relaxed);
-            flushed[j].store(0, Ordering::Release);
+            outbound.set_flushed(j, 0);
         }
     })
 }
@@ -392,6 +493,78 @@ mod tests {
         let (from, round, batch) = inbox.try_recv().expect("genuine batch delivered");
         assert_eq!((from, round, batch.len()), (peer, 1, 1));
         assert_ne!(board.snapshot()[1].heard_ms_ago, u64::MAX);
+    }
+
+    #[test]
+    fn a_round_change_releases_a_held_back_writer() {
+        let outbound = Arc::new(Outbound::new(2));
+        outbound.push(8, vec![1]);
+        let writer = outbound.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            // Held back while the sender is at or before round 10.
+            let held = |s, current| s == 8 && current <= 10;
+            let _ = tx.send(writer.next(0, Duration::from_secs(60), held));
+        });
+        outbound.set_round(9);
+        // `held` is set under the lock just before the writer waits, so
+        // once it is seen the writer is waiting on the round-8 batch.
+        while !outbound.lock().held {
+            thread::yield_now();
+        }
+        assert!(rx.try_recv().is_err(), "still held back at round 9");
+        outbound.set_round(11);
+        let got = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the round change woke the writer");
+        assert_eq!(got.as_deref(), Some(&vec![1]));
+    }
+
+    /// Accepts one connection on `listener`, or `None` after 5 s.
+    fn accept_within_5s(listener: &TcpListener) -> Option<TcpStream> {
+        listener
+            .set_nonblocking(true)
+            .expect("non-blocking listener");
+        for _ in 0..5_000 {
+            if let Ok((stream, _)) = listener.accept() {
+                stream.set_nonblocking(false).expect("blocking stream");
+                return Some(stream);
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        None
+    }
+
+    #[test]
+    fn an_idle_writer_reconnects_to_a_peer_that_died() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let mut plan = ClusterPlan::full(2, 4);
+        plan.base_port = listener.local_addr().expect("bound listener").port();
+        let outbound = Arc::new(Outbound::new(2));
+        let batch = frame::encode_frame(&NodeFrame::Mark { round: 0 });
+        outbound.push(0, batch.clone());
+        // Node 1's writer to node 0, which listens on `base_port + 0`.
+        let board = Arc::new(Liveness::new(2));
+        spawn_writer(ProcessId::new(1), 0, Arc::new(plan), outbound, board);
+
+        let hello = frame::encode_frame(&NodeFrame::Hello {
+            from: ProcessId::new(1),
+        });
+        let expect = [hello, batch].concat();
+        let read_all = |mut stream: TcpStream| {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("set read timeout");
+            let mut got = vec![0u8; expect.len()];
+            stream.read_exact(&mut got).expect("hello + batch");
+            got
+        };
+        let first = accept_within_5s(&listener).expect("first connection");
+        assert_eq!(read_all(first), expect);
+        // The first stream is dropped: the peer "died". Nothing new is
+        // pushed, so only the idle writer's liveness check can notice.
+        let second = accept_within_5s(&listener).expect("the idle writer reconnected");
+        assert_eq!(read_all(second), expect, "history replayed from its start");
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct PartitionWindow {
 }
 
 /// A kill fault: the harness SIGKILLs `node` once it has completed round
-/// `start − 1` and restarts it near the end of the window. The window
+/// `start − 1` (the node parks there until then) and restarts it near
+/// the end of the window. The window
 /// `start..=end` must be marked asleep for `node` in the awake matrix —
 /// physically down and logically asleep coincide, which is what makes the
 /// simulator cross-check meaningful.
@@ -211,6 +212,14 @@ impl ClusterPlan {
     /// The TCP port node `p` listens on.
     pub fn port_of(&self, p: usize) -> u16 {
         self.base_port.wrapping_add(p as u16)
+    }
+
+    /// Whether a kill window for `p` starts at round `r` (where `p` parks
+    /// until the harness kills it).
+    pub fn kill_starts(&self, p: usize, r: u64) -> bool {
+        self.kills
+            .iter()
+            .any(|w| w.node as usize == p && w.start == r)
     }
 
     /// The last awake round of `p` (its final `Mark`), if it is ever

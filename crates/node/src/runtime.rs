@@ -15,6 +15,19 @@
 //! node is demonstrably behind the cluster (a peer's mark is ahead of
 //! it) — then ticks are skipped, which is what makes kill/restart
 //! recovery by plain re-execution fast.
+//!
+//! Waiting: every wait blocks on the event it waits for. The barrier,
+//! the kill-window park and the end-of-run linger block on the inbox
+//! channel, so a batch wakes the node the moment its reader forwards it;
+//! the flush confirmation blocks on the writers' flush condvar
+//! ([`Outbound::wait_flushed`]). Each inbox wait is bounded by `POLL`,
+//! and only waits that time out count towards a cap. The one
+//! `thread::sleep` left is tick pacing. No clock is read here: the caps
+//! are counts of timed-out waits.
+//!
+//! Kill placement: a node named by a `KillWindow` parks before the
+//! window's first round until the harness kills it, so the kill lands on
+//! the planned round boundary however short rounds are.
 
 use crate::frame::{self, NodeFrame};
 use crate::io::{self, Liveness, Outbound, PeerStat, RoundBatch};
@@ -25,21 +38,20 @@ use st_messages::SharedEnvelope;
 use st_types::{Params, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// Barrier poll interval.
+/// Longest single wait on the inbox.
 const POLL: Duration = Duration::from_millis(1);
-/// Barrier poll cap before the node gives up and reports itself stuck
-/// (the harness enforces its own global timeout well below this).
+/// Timed-out barrier waits before the node gives up and reports itself
+/// stuck (the harness enforces its own global timeout well below this).
 const BARRIER_POLL_CAP: u64 = 120_000;
-/// Poll cap for the best-effort per-round flush confirmation.
-const FLUSH_POLL_CAP: u64 = 500;
-/// Poll cap for the end-of-run linger (keeps our history servable while
-/// slower peers finish).
+/// Bound on the best-effort per-round flush confirmation.
+const FLUSH_WAIT: Duration = Duration::from_millis(500);
+/// Timed-out waits of the end-of-run linger (keeps our history servable
+/// while slower peers finish), and of the park before a kill window.
 const LINGER_POLL_CAP: u64 = 15_000;
 
 /// What a node writes to its `--out` file: the decided chain plus link
@@ -82,31 +94,86 @@ struct PeerInbox {
     max_mark: Option<u64>,
 }
 
-/// Moves everything queued on `inbox` into the per-peer inboxes; `false`
-/// once the listener side has hung up. A batch marked past `horizon` is
-/// dropped untouched: no node running this plan can mark past it, and
+/// Waits up to `wait` for a batch on `inbox`, then moves it and everything
+/// else queued into the per-peer inboxes. Errs on a wait that timed out
+/// and once the listener side has hung up. A batch marked past `horizon`
+/// is dropped untouched: no node running this plan can mark past it, and
 /// letting it raise `max_mark` would switch pacing off and end the linger
 /// early.
-fn drain(inbox: &Receiver<RoundBatch>, peers: &mut [PeerInbox], horizon: u64) -> bool {
-    loop {
-        match inbox.try_recv() {
-            Ok((from, round, batch)) => {
-                let Some(p) = peers.get_mut(from.index()) else {
-                    continue;
-                };
-                if round > horizon {
-                    continue;
-                }
-                p.max_mark = p.max_mark.max(Some(round));
-                if p.consumed.is_some_and(|c| round <= c) {
-                    continue; // stale re-send of an already-consumed round
-                }
-                p.batches.insert(round, batch);
-            }
-            Err(TryRecvError::Empty) => return true,
-            Err(TryRecvError::Disconnected) => return false,
+fn drain(
+    inbox: &Receiver<RoundBatch>,
+    peers: &mut [PeerInbox],
+    horizon: u64,
+    wait: Duration,
+) -> Result<(), RecvTimeoutError> {
+    let first = inbox.recv_timeout(wait)?;
+    for (from, round, batch) in std::iter::once(first).chain(inbox.try_iter()) {
+        let Some(p) = peers.get_mut(from.index()) else {
+            continue;
+        };
+        if round > horizon {
+            continue;
+        }
+        p.max_mark = p.max_mark.max(Some(round));
+        if p.consumed.is_some_and(|c| round <= c) {
+            continue; // stale re-send of an already-consumed round
+        }
+        p.batches.insert(round, batch);
+    }
+    Ok(())
+}
+
+/// Blocks on `inbox` until `done` holds, filing every batch that arrives.
+/// Gives up — `Ok(false)` — after `cap` waits that time out; a batch that
+/// arrives does not count, so a chatty peer cannot use the cap up.
+fn wait_until(
+    inbox: &Receiver<RoundBatch>,
+    peers: &mut [PeerInbox],
+    horizon: u64,
+    cap: u64,
+    mut done: impl FnMut(&mut [PeerInbox]) -> bool,
+) -> Result<bool, String> {
+    let mut timeouts = 0u64;
+    while !done(peers) {
+        match drain(inbox, peers, horizon, POLL) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) if timeouts < cap => timeouts += 1,
+            Err(RecvTimeoutError::Timeout) => return Ok(false),
+            Err(RecvTimeoutError::Disconnected) => return Err("listener channel closed".into()),
         }
     }
+    Ok(true)
+}
+
+/// Feeds `proc` peer `p`'s batches up to round `required`, in round
+/// order; true once `required` is consumed. `drain` files only rounds
+/// past `consumed`, and this pops in key order, so every filed batch is
+/// new.
+fn ingest<P: Protocol>(proc: &mut P, p: &mut PeerInbox, required: u64) -> bool {
+    while let Some(entry) = p.batches.first_entry().filter(|e| *e.key() <= required) {
+        p.consumed = Some(*entry.key());
+        for env in entry.remove() {
+            proc.on_receive_shared(&SharedEnvelope::new(env));
+        }
+    }
+    p.consumed >= Some(required)
+}
+
+/// Whether node `me` still owes some peer the batch of round `r`: the
+/// peer's writer is connected, the batch is not withheld from it (a
+/// partition holds it back on purpose), and fewer than `target` batches
+/// are flushed on its connection.
+fn lagging(
+    plan: &ClusterPlan,
+    me: usize,
+    r: u64,
+    stats: &[PeerStat],
+    flushed: &[u64],
+    target: u64,
+) -> bool {
+    (0..plan.n).any(|j| {
+        j != me && stats[j].connected && !plan.withheld(r, me, j, r) && flushed[j] < target
+    })
 }
 
 /// Runs `P` as node `id` of `plan` to completion. Blocks for the whole
@@ -126,19 +193,11 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
     let listener =
         io::bind_listener(plan.port_of(me)).map_err(|e| format!("bind node {me}: {e}"))?;
     io::spawn_listener(listener, tx, board.clone());
-    let outbound = Arc::new(Outbound::new());
-    let flushed: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
+    let outbound = Arc::new(Outbound::new(n));
     let plan_arc = Arc::new(plan.clone());
     for j in 0..n {
         if j != me {
-            io::spawn_writer(
-                id,
-                j,
-                plan_arc.clone(),
-                outbound.clone(),
-                board.clone(),
-                flushed.clone(),
-            );
+            io::spawn_writer(id, j, plan_arc.clone(), outbound.clone(), board.clone());
         }
     }
 
@@ -148,7 +207,14 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
     let stdout = std::io::stdout();
 
     for r in 0..=plan.horizon {
-        outbound.round.store(r, Ordering::Release);
+        if plan.kill_starts(me, r) {
+            // The harness kills us once we have reported round r − 1.
+            // Parking here makes the kill land on that boundary even when
+            // a round is shorter than the harness's poll. Bounded: run
+            // without the harness, the node sleeps through the window.
+            wait_until(&inbox, &mut peers, plan.horizon, LINGER_POLL_CAP, |_| false)?;
+        }
+        outbound.set_round(r);
         if !plan.is_awake(me, r) {
             // Logically asleep: no barrier, no send, no mark. Report the
             // round immediately so the harness sees progress.
@@ -168,41 +234,19 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
             let Some(required) = plan.required_mark(me, q, r) else {
                 continue;
             };
-            let mut polls = 0u64;
-            loop {
-                if !drain(&inbox, &mut peers, plan.horizon) {
-                    return Err("listener channel closed".into());
-                }
-                let p = &mut peers[q];
-                loop {
-                    match p.batches.first_key_value() {
-                        Some((&br, _)) if p.consumed.is_some_and(|c| br <= c) => {
-                            p.batches.pop_first();
-                        }
-                        Some((&br, _)) if br <= required => {
-                            let Some((br, batch)) = p.batches.pop_first() else {
-                                break;
-                            };
-                            for env in batch {
-                                proc.on_receive_shared(&SharedEnvelope::new(env));
-                            }
-                            p.consumed = Some(br);
-                        }
-                        _ => break,
-                    }
-                }
-                if p.consumed >= Some(required) {
-                    break;
-                }
-                polls += 1;
-                if polls > BARRIER_POLL_CAP {
-                    return Err(format!(
-                        "node {me} stuck at round {r}: waiting for mark {required} from peer {q} \
-                         (have {:?})",
-                        peers[q].consumed
-                    ));
-                }
-                thread::sleep(POLL);
+            let met = wait_until(
+                &inbox,
+                &mut peers,
+                plan.horizon,
+                BARRIER_POLL_CAP,
+                |peers| ingest(&mut proc, &mut peers[q], required),
+            )?;
+            if !met {
+                return Err(format!(
+                    "node {me} stuck at round {r}: waiting for mark {required} from peer {q} \
+                     (have {:?})",
+                    peers[q].consumed
+                ));
             }
         }
 
@@ -227,17 +271,11 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
         // Best-effort: wait for connected writers to flush this round
         // before reporting it, so a kill right after the report rarely
         // loses the round's frames (and if it does, reconnect re-sends).
+        // Writers a partition holds back are not waited for.
         let target = outbound.len() as u64;
-        for _ in 0..FLUSH_POLL_CAP {
-            let stats = board.snapshot();
-            let lagging = (0..n).any(|j| {
-                j != me && stats[j].connected && flushed[j].load(Ordering::Acquire) < target
-            });
-            if !lagging {
-                break;
-            }
-            thread::sleep(POLL);
-        }
+        outbound.wait_flushed(FLUSH_WAIT, |flushed| {
+            lagging(plan, me, r, &board.snapshot(), flushed, target)
+        });
 
         let mut out = stdout.lock();
         let _ = writeln!(out, "ROUND {r}");
@@ -258,20 +296,14 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
     // final mark implies it completed its run and no longer needs to pull
     // replay history from us. Bounded so a peer that died for good cannot
     // hold us hostage.
-    for _ in 0..LINGER_POLL_CAP {
-        drain(&inbox, &mut peers, plan.horizon);
-        let all_done = (0..n).all(|q| {
+    let _ = wait_until(&inbox, &mut peers, plan.horizon, LINGER_POLL_CAP, |peers| {
+        (0..n).all(|q| {
             q == me
-                || match plan.final_awake_round(q) {
-                    None => true,
-                    Some(fin) => peers[q].max_mark >= Some(fin),
-                }
-        });
-        if all_done {
-            break;
-        }
-        thread::sleep(POLL);
-    }
+                || plan
+                    .final_awake_round(q)
+                    .is_none_or(|fin| peers[q].max_mark >= Some(fin))
+        })
+    });
 
     let outcome = NodeOutcome {
         node: id.as_u32(),
@@ -315,13 +347,70 @@ mod tests {
         let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
         let mut peers: Vec<PeerInbox> = (0..3).map(|_| PeerInbox::default()).collect();
         tx.send((ProcessId::new(1), 4, Vec::new())).unwrap();
-        assert!(drain(&inbox, &mut peers, 10));
+        assert_eq!(drain(&inbox, &mut peers, 10, Duration::ZERO), Ok(()));
         tx.send((ProcessId::new(1), u64::MAX, Vec::new())).unwrap();
-        assert!(drain(&inbox, &mut peers, 10));
+        assert_eq!(drain(&inbox, &mut peers, 10, Duration::ZERO), Ok(()));
         assert_eq!(peers[1].max_mark, Some(4));
         assert_eq!(
             peers[1].batches.keys().copied().collect::<Vec<_>>(),
             vec![4]
         );
+        assert_eq!(
+            drain(&inbox, &mut peers, 10, Duration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        );
+        drop(tx);
+        assert_eq!(
+            drain(&inbox, &mut peers, 10, Duration::ZERO),
+            Err(RecvTimeoutError::Disconnected)
+        );
+    }
+
+    #[test]
+    fn barrier_cap_counts_only_timed_out_waits() {
+        let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
+        let mut peers: Vec<PeerInbox> = (0..2).map(|_| PeerInbox::default()).collect();
+        // Five batches queued one at a time: each arrival wakes the wait
+        // without spending the cap of one timeout.
+        let mut arrivals = 0;
+        let met = wait_until(&inbox, &mut peers, 10, 1, |_| {
+            arrivals += 1;
+            if arrivals <= 5 {
+                tx.send((ProcessId::new(1), arrivals, Vec::new())).unwrap();
+            }
+            false
+        });
+        assert_eq!(met, Ok(false));
+        assert_eq!(peers[1].max_mark, Some(5));
+        // Two timed-out waits after the last arrival exceed the cap.
+        assert_eq!(arrivals, 5 + 2);
+    }
+
+    #[test]
+    fn a_withheld_peer_is_not_lagging() {
+        let mut plan = ClusterPlan::full(4, 20);
+        plan.partitions.push(crate::plan::PartitionWindow {
+            start: 8,
+            end: 10,
+            groups: vec![vec![0, 1]],
+        });
+        let up = PeerStat {
+            connected: true,
+            ..PeerStat::default()
+        };
+        let mut stats = vec![up; 4];
+        // Node 0 at round 9 has pushed 10 batches. Peer 1 (its group) has
+        // them all; peers 2 and 3 are across the partition and have only
+        // the 9 before this round's.
+        let flushed = [0, 10, 9, 9];
+        assert!(!lagging(&plan, 0, 9, &stats, &flushed, 10));
+        // Peer 1 missing this round's batch does lag.
+        assert!(lagging(&plan, 0, 9, &stats, &[0, 9, 9, 9], 10));
+        // Once the window has passed, peers 2 and 3 are owed it too...
+        assert!(lagging(&plan, 0, 11, &stats, &flushed, 10));
+        // ...unless their writers are down.
+        stats[2].connected = false;
+        stats[3].connected = false;
+        assert!(!lagging(&plan, 0, 11, &stats, &flushed, 10));
     }
 }
