@@ -7,10 +7,11 @@
 //! [`ClusterPlan`]); kill faults are the harness's job because only it can
 //! destroy a process. Progress is observed through the `ROUND r` lines
 //! each node prints after completing a round; a kill window fires once its
-//! victim has completed `start − 1`, and the victim is restarted once
-//! every other node has passed the window's end (with a stall fallback for
-//! the case where survivors block on history lost with the victim —
-//! restart-and-replay is what unblocks them).
+//! victim has completed `start − 1`, and the victim is restarted once it
+//! has been down for `RESTART_DELAY` and every other node has passed the
+//! window's end (with a stall fallback for the case where survivors block
+//! on history lost with the victim — restart-and-replay is what unblocks
+//! them).
 //!
 //! The victim parks before the window's first round until it is killed
 //! (see [`crate::runtime`]), so the kill lands on the planned round even
@@ -34,6 +35,14 @@ use std::time::Duration;
 /// Polls of global silence before a pending restart fires early (covers
 /// history lost with the victim: survivors stall until it replays).
 const STALL_POLLS: u64 = 400;
+/// Least time a killed node stays down, as a process supervisor holds a
+/// crashed service before restarting it. A kill window is counted in
+/// rounds, and at tick 0 its rounds take microseconds: without this floor
+/// the outage is one process spawn, too short for the survivors to
+/// notice, and a fault run's wall is thread-scheduling noise. With it,
+/// the outage is this second plus the survivors' redial on their fixed
+/// backoff schedule (`io::spawn_writer`), the same in every run.
+const RESTART_DELAY: Duration = Duration::from_secs(1);
 
 /// How to run a cluster.
 #[derive(Clone, Debug)]
@@ -221,6 +230,9 @@ pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
                     } else if progress[k].completed.load(Ordering::Relaxed) >= win.start {
                         let _ = procs[k].child.kill();
                         let _ = procs[k].child.wait();
+                        // Blocking is harmless: every other node runs on
+                        // its own or is parked, waiting to be killed.
+                        thread::sleep(RESTART_DELAY);
                         kill_states[w] = KillState::Down;
                     }
                 }

@@ -375,24 +375,21 @@ pub fn spawn_writer(
         let mut backoff = BACKOFF_MIN;
         let mut first_attempt = true;
         loop {
-            let started = Instant::now();
             let Ok(mut stream) = TcpStream::connect(&addr) else {
-                // Exponential backoff, reset once attempts stop failing
-                // fast (the peer is down rather than briefly busy).
+                // Exponential backoff while the peer is down.
                 thread::sleep(backoff);
                 backoff = (backoff * 2).min(BACKOFF_MAX);
                 continue;
             };
+            // A connection resets the backoff, so redialing a peer that
+            // died follows one schedule (5, 15, 35, … ms after it went
+            // away) however many dials start-up took.
+            backoff = BACKOFF_MIN;
             let _ = stream.set_nodelay(true);
             if !first_attempt {
                 board.peers[j].reconnects.fetch_add(1, Ordering::Relaxed);
             }
             first_attempt = false;
-            backoff = if started.elapsed() > BACKOFF_MAX {
-                BACKOFF_MIN
-            } else {
-                backoff
-            };
             if stream.write_all(&hello).is_err() {
                 continue;
             }
