@@ -21,8 +21,8 @@
 //! declared as a map anywhere in a file is treated as a map everywhere
 //! in that file — but it is a *conservative-enough* one for a codebase
 //! that already bans `std` maps from protocol crates (D1), and the
-//! `stsan` hasher-perturbation harness dynamically falsifies whatever
-//! the approximation misses.
+//! hasher-perturbation test (`crates/sim/tests/hasher_perturbation.rs`)
+//! dynamically falsifies whatever the approximation misses.
 
 use crate::lexer::{Token, TokenKind};
 use std::collections::BTreeSet;

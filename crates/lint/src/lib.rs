@@ -33,9 +33,9 @@
 //! rules; the item tree adds the structure the nondeterminism-flow rule
 //! needs — per-function bodies, `for`-loop headers, method-call chains,
 //! and the file's unordered-map bindings. What the structural
-//! approximation cannot see, the `stsan` hasher-perturbation harness
-//! (in `st-bench`) falsifies dynamically by replaying the guard grid
-//! under perturbed FxHash seeds.
+//! approximation cannot see, the hasher-perturbation test
+//! (`crates/sim/tests/hasher_perturbation.rs`) falsifies dynamically by
+//! replaying the guard grid under perturbed FxHash seeds.
 //!
 //! # Escape hatch
 //!

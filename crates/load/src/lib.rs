@@ -30,7 +30,7 @@
 //! global state, no platform-dependent iteration order, and the only
 //! randomness is the explicitly seeded [`SplitMix64`]. Two runs with
 //! the same configuration produce byte-identical traces — the property
-//! the simulator's equivalence suites and the `stsan` hasher sanitizer
+//! the simulator's equivalence suites and its hasher-perturbation test
 //! assert across the whole stack.
 
 #![forbid(unsafe_code)]

@@ -306,12 +306,21 @@ fn read_peer(mut stream: TcpStream, inbox: Sender<RoundBatch>, board: Arc<Livene
     if from.index() >= board.peers.len() {
         return;
     }
+    // A round's frames are buffered until its mark. An honest round batch
+    // is far below one frame's cap, so a peer that buffers more than that
+    // between marks is dropped rather than grow `pending` without bound.
     let mut pending: Vec<Envelope> = Vec::new();
+    let mut pending_bytes = 0usize;
     while let Some(bytes) = read_frame(&mut stream, MAX_FRAME) {
+        pending_bytes += bytes.len();
+        if pending_bytes > MAX_FRAME {
+            return;
+        }
         board.heard(from.index());
         match frame::decode_frame(&bytes) {
             Ok(NodeFrame::Env(env)) => pending.push(env),
             Ok(NodeFrame::Mark { round }) => {
+                pending_bytes = 0;
                 let batch = std::mem::take(&mut pending);
                 if inbox.send((from, round, batch)).is_err() {
                     return; // runtime finished; stop reading
@@ -426,9 +435,10 @@ pub fn spawn_writer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_blocktree::Block;
     use st_crypto::Keypair;
-    use st_messages::{Payload, Vote};
-    use st_types::{BlockId, Round};
+    use st_messages::{Payload, Propose, Vote};
+    use st_types::{BlockId, Round, TxId, View};
 
     /// Runs `client` against one accepted connection; `read_peer` serves
     /// it **on the test thread** (in production it runs detached, where a
@@ -564,6 +574,21 @@ mod tests {
         assert_eq!(read_all(second), expect, "history replayed from its start");
     }
 
+    /// Whether the reader hangs up on the client's `stream` within 2 s:
+    /// EOF or a reset is the hang-up; only the read timeout is not.
+    fn hung_up_within_2s(stream: &mut TcpStream) -> bool {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("set client timeout");
+        !matches!(
+            stream.read(&mut [0u8; 1]),
+            Err(e) if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )
+        )
+    }
+
     #[test]
     fn oversized_length_before_hello_is_dropped_unread() {
         // The pre-hello cap is exactly an encoded hello, nothing larger.
@@ -584,17 +609,7 @@ mod tests {
             stream
                 .write_all(&(MAX_FRAME as u32).to_le_bytes())
                 .expect("send length prefix");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .expect("set client timeout");
-            // EOF or a reset is the hang-up; only the timeout is not.
-            !matches!(
-                stream.read(&mut [0u8; 1]),
-                Err(e) if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                )
-            )
+            hung_up_within_2s(&mut stream)
         });
         assert!(hung_up, "reader waited for a 16 MiB body before any hello");
         assert!(inbox.try_recv().is_err());
@@ -604,5 +619,41 @@ mod tests {
         serve_one(&listener, peer, &tx, &board);
         let (from, round, batch) = inbox.try_recv().expect("genuine batch delivered");
         assert_eq!((from, round, batch.len()), (peer, 1, 1));
+    }
+
+    #[test]
+    fn frames_past_the_cap_without_a_mark_are_dropped() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let board = Arc::new(Liveness::new(3));
+        let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
+
+        // A proposal just over half a frame cap: two of them with no mark
+        // between pass the cap in two frames.
+        let sender = ProcessId::new(1);
+        let txs = (0..(MAX_FRAME / 16 + 1024) as u64).map(TxId::new).collect();
+        let block = Block::build(BlockId::GENESIS, View::new(1), sender, txs);
+        let kp = Keypair::derive(sender, 7);
+        let (rho, proof) = kp.vrf_eval(1);
+        let propose = Propose::new(sender, Round::new(1), View::new(1), block, rho, proof);
+        let env = frame::encode_frame(&NodeFrame::Env(Envelope::sign(
+            &kp,
+            Payload::Propose(propose),
+        )));
+        assert!(env.len() <= MAX_FRAME && 2 * env.len() > MAX_FRAME);
+
+        let hung_up = serve(&listener, &tx, &board, move |mut stream| {
+            let hello = frame::encode_frame(&NodeFrame::Hello { from: sender });
+            let sent = [hello.as_slice(), &env, &env]
+                .iter()
+                .try_for_each(|bytes| stream.write_all(bytes));
+            sent.is_err() || hung_up_within_2s(&mut stream)
+        });
+        assert!(hung_up, "reader kept buffering past the cap without a mark");
+        assert!(inbox.try_recv().is_err());
+
+        // A genuine peer served afterwards still gets its batch through.
+        serve_one(&listener, sender, &tx, &board);
+        let (from, round, batch) = inbox.try_recv().expect("genuine batch delivered");
+        assert_eq!((from, round, batch.len()), (sender, 1, 1));
     }
 }

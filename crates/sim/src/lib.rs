@@ -58,7 +58,8 @@
 //! * [`baseline::StaticQuorumBft`] — the closed-form schedule walk that
 //!   cross-checks the message-passing [`st_core::QuorumProcess`]
 //!   baseline used to demonstrate what *dynamic availability* buys
-//!   (`crates/sim/tests/quorum_protocol.rs`, `exp_baseline_head_to_head`).
+//!   (`crates/sim/tests/quorum_protocol.rs`, which also runs the two
+//!   protocols head to head).
 //!
 //! # Example: a synchronous run with churn
 //!

@@ -39,7 +39,6 @@ use st_core::Protocol;
 pub struct Sweep<C> {
     cells: Vec<C>,
     seed: u64,
-    sequential: bool,
 }
 
 impl<C: Sync> Sweep<C> {
@@ -48,7 +47,6 @@ impl<C: Sync> Sweep<C> {
         Sweep {
             cells: cells.into_iter().collect(),
             seed: 0,
-            sequential: false,
         }
     }
 
@@ -57,15 +55,6 @@ impl<C: Sync> Sweep<C> {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Sweep<C> {
         self.seed = seed;
-        self
-    }
-
-    /// Forces cells to run one at a time on the calling thread. Use when
-    /// cells measure wall-clock or share a process-global counter (the
-    /// scale benchmarks do both); results are identical either way.
-    #[must_use]
-    pub fn sequential(mut self) -> Sweep<C> {
-        self.sequential = true;
         self
     }
 
@@ -100,15 +89,14 @@ impl<C: Sync> Sweep<C> {
 
     /// Runs `job(cell, cell_seed)` for every cell and returns the outputs
     /// in input order. Parallel across scoped worker threads (striped,
-    /// one per core) unless [`Sweep::sequential`] was requested; the job
-    /// must be a pure function of its arguments for the determinism
-    /// guarantee to mean anything.
+    /// one per core); the job must be a pure function of its arguments
+    /// for the determinism guarantee to mean anything.
     pub fn run<R, F>(&self, job: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&C, u64) -> R + Sync,
     {
-        if self.sequential || self.cells.len() <= 1 {
+        if self.cells.len() <= 1 {
             return self
                 .cells
                 .iter()
@@ -229,22 +217,6 @@ impl<A: Clone + Sync, B: Clone + Sync> Sweep<(A, B)> {
     }
 }
 
-impl<A: Clone + Sync, B: Clone + Sync, C: Clone + Sync> Sweep<(A, B, C)> {
-    /// The cartesian grid `xs × ys × zs`, row-major (`zs` varies
-    /// fastest).
-    pub fn grid3(xs: Vec<A>, ys: Vec<B>, zs: Vec<C>) -> Sweep<(A, B, C)> {
-        let mut cells = Vec::with_capacity(xs.len() * ys.len() * zs.len());
-        for x in &xs {
-            for y in &ys {
-                for z in &zs {
-                    cells.push((x.clone(), y.clone(), z.clone()));
-                }
-            }
-        }
-        Sweep::over(cells)
-    }
-}
-
 /// The reports of a [`Sweep::run_reports`] call, in cell order, with
 /// grid-level aggregates.
 #[derive(Clone, Debug)]
@@ -352,19 +324,6 @@ impl SweepComparison {
             .map(|(l, r)| l.decisions_total as i64 - r.decisions_total as i64)
             .collect()
     }
-
-    /// Indices of cells where the predicate holds for the `(left,
-    /// right)` report pair — the building block for head-to-head gates
-    /// ("every cell where the baseline stalled but the sleepy protocol
-    /// decided").
-    pub fn cells_where(&self, pred: impl Fn(&SimReport, &SimReport) -> bool) -> Vec<usize> {
-        // stlint::allow(deadpub, reason = "the generic predicate behind the head-to-head gates; comparative suites phrase new gates with it without growing this struct")
-        self.pairs()
-            .enumerate()
-            .filter(|(_, (l, r))| pred(l, r))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -381,8 +340,6 @@ mod tests {
         assert_eq!(s.cells()[0], (1, "a"));
         assert_eq!(s.cells()[2], (1, "c"));
         assert_eq!(s.cells()[3], (2, "a"));
-        let s3 = Sweep::grid3(vec![1u8], vec![2u8, 3], vec![4u8]);
-        assert_eq!(s3.cells(), &[(1, 2, 4), (1, 3, 4)]);
     }
 
     #[test]
@@ -398,12 +355,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_in_input_order() {
+    fn run_returns_outputs_in_input_order_equal_to_a_plain_loop() {
         let s = Sweep::over(0..23u64).seed(9);
-        let par = s.run(|&c, seed| (c, seed));
-        let seq = s.clone().sequential().run(|&c, seed| (c, seed));
-        assert_eq!(par, seq);
-        assert_eq!(par[5].0, 5);
+        let plain: Vec<(u64, u64)> = (0..23).map(|c| (c, s.cell_seed(c as usize))).collect();
+        assert_eq!(s.run(|&c, seed| (c, seed)), plain);
         // Empty sweeps are fine.
         assert!(Sweep::over(Vec::<u64>::new()).run(|&c, _| c).is_empty());
     }

@@ -15,21 +15,19 @@
 //! * **Golden digests** — every oracle- and guard-grid cell's report JSON,
 //!   digested with `st_crypto::hash64`, equals its line in the committed
 //!   `golden/report_digests.txt`. A change to any report byte fails here
-//!   and prints the lines to paste.
+//!   and prints the lines to paste. `hasher_perturbation.rs` checks the
+//!   guard grid and its workload cells against the same file under
+//!   perturbed FxHash seeds.
 
-use st_sim::adversary::{
-    Adversary, BlackoutAdversary, EquivocatingVoter, PartitionAttacker, ReorgAttacker,
-    SilentAdversary,
-};
+mod support;
+
+use st_sim::adversary::Adversary;
 use st_sim::{
     AsyncWindow, ChurnOptions, Schedule, SimBuilder, SimConfig, SimReport, TallyCheck, TallyOracle,
     Timeline,
 };
-use st_types::{Params, ProcessId, Round};
-
-fn params(n: usize, eta: u64) -> Params {
-    Params::builder(n).expiration(eta).build().unwrap()
-}
+use st_types::{ProcessId, Round};
+use support::{adversary, assert_golden, golden_line, guard_config, guard_grid, params, schedule};
 
 const ADVERSARIES: [&str; 5] = ["silent", "blackout", "partition", "reorg", "equivocator"];
 
@@ -39,32 +37,6 @@ const CHURN_RATES: [f64; 4] = [0.0, 0.05, 0.15, 0.3];
 /// Cases of the sharing property: as many as keep this file under ~10 s
 /// in a debug build.
 const CASES: u32 = 400;
-
-fn adversary(name: &str) -> Box<dyn Adversary> {
-    match name {
-        "silent" => Box::new(SilentAdversary),
-        "blackout" => Box::new(BlackoutAdversary),
-        "partition" => Box::new(PartitionAttacker::new()),
-        "reorg" => Box::new(ReorgAttacker::new()),
-        "equivocator" => Box::new(EquivocatingVoter::new()),
-        other => panic!("unknown adversary {other}"),
-    }
-}
-
-fn schedule(name: &str, n: usize, horizon: u64) -> Schedule {
-    match name {
-        "full" => Schedule::full(n, horizon),
-        "mass-sleep" => Schedule::mass_sleep(n, horizon, 0.5, 6, 12),
-        "churn" => Schedule::random_churn(n, horizon, 0.05, 42, &ChurnOptions::default()),
-        "static-byz" => Schedule::full(n, horizon).with_static_byzantine(3),
-        "byz-window" => Schedule::full(n, horizon).with_corrupted_window(
-            ProcessId::new(1),
-            Round::new(6),
-            Round::new(14),
-        ),
-        other => panic!("unknown schedule {other}"),
-    }
-}
 
 /// Runs one cell under a [`TallyOracle`]; returns the report and the
 /// oracle's findings.
@@ -103,29 +75,7 @@ fn assert_tallies_match_reference(
         check.checked,
         check.mismatches.first()
     );
-    let json = serde_json::to_string(&report).unwrap();
-    format!("{label} = {:016x}", st_crypto::hash64(json.as_bytes()))
-}
-
-/// The committed report digests of every oracle- and guard-grid cell.
-const GOLDEN: &str = include_str!("golden/report_digests.txt");
-
-/// Every computed golden line must appear verbatim in the committed file.
-/// On a mismatch all of this test's lines are printed, so a declared
-/// report change is one paste into `golden/report_digests.txt`.
-fn assert_golden(lines: &[String]) {
-    let changed: Vec<&str> = lines
-        .iter()
-        .map(String::as_str)
-        .filter(|line| !GOLDEN.lines().any(|g| g == *line))
-        .collect();
-    assert!(
-        changed.is_empty(),
-        "{} report digest(s) differ from golden/report_digests.txt: {changed:?}\n\
-         this test computed:\n{}",
-        changed.len(),
-        lines.join("\n")
-    );
+    golden_line(&label, &report)
 }
 
 fn grid_config(eta: u64, seed: u64, horizon: u64, t: &Timeline) -> SimConfig {
@@ -299,34 +249,6 @@ impl st_sim::Observer for CountingProbe {
             self.deliveries += 1;
         }
     }
-}
-
-/// The grid the new-API guards run over: a representative slice of the
-/// (adversary × schedule × η × timeline) space.
-fn guard_grid() -> Vec<(&'static str, &'static str, u64, Option<Timeline>, u64)> {
-    let multi = Timeline::synchronous()
-        .asynchronous(Round::new(10), 3)
-        .asynchronous(Round::new(20), 3);
-    let bounded = Timeline::synchronous().bounded_delay(Round::new(8), 8, 2);
-    vec![
-        ("silent", "full", 2, None, 51),
-        ("silent", "churn", 2, None, 52),
-        ("partition", "full", 0, Some(multi.clone()), 53),
-        ("partition", "full", 6, Some(multi), 54),
-        ("blackout", "mass-sleep", 4, Some(bounded.clone()), 55),
-        ("reorg", "static-byz", 4, Some(bounded), 56),
-        ("equivocator", "byz-window", 2, None, 57),
-    ]
-}
-
-fn guard_config(eta: u64, t: &Option<Timeline>, seed: u64) -> SimConfig {
-    let mut config = SimConfig::new(params(10, eta), seed)
-        .horizon(28)
-        .txs_every(4);
-    if let Some(t) = t {
-        config = config.timeline(t.clone());
-    }
-    config
 }
 
 /// **Step-vs-run equivalence**: driving the simulation with an arbitrary

@@ -10,11 +10,19 @@
 //! * **Property tests** — the module-doc claims, executed: under full
 //!   participation every view decides; when more than a third of the
 //!   processes sleep, no affected view ever does.
+//! * **Head to head** (EXPERIMENTS.md B2) — the sleepy protocol and the
+//!   baseline on the same cells and seeds: the baseline stalls through
+//!   every disruption while the sleepy protocol decides or recovers.
 
 use proptest::prelude::*;
+use st_core::TobProcess;
 use st_sim::adversary::{PartitionAttacker, SilentAdversary};
 use st_sim::baseline::StaticQuorumBft;
-use st_sim::{DecisionTap, Protocol, QuorumProcess, Schedule, SimBuilder, Timeline};
+use st_sim::scenario::gst;
+use st_sim::{
+    DecisionTap, Protocol, QuorumProcess, Schedule, SimBuilder, SimConfig, SimReport, Simulation,
+    Sweep, Timeline,
+};
 use st_types::{Params, Round};
 use std::collections::BTreeSet;
 
@@ -182,7 +190,7 @@ fn quorum_baseline_is_safe_but_stalls_through_asynchrony() {
     // has no cross-view locking, so this is a property of the delivery
     // pattern, not a general safety proof. The windowed views stall
     // permanently, while the sleepy protocol under the same cell
-    // (η > π) recovers — see the exp_baseline_head_to_head bench.
+    // (η > π) recovers — see `sleepy_decides_where_the_quorum_baseline_stalls`.
     let n = 9;
     let horizon = 40;
     let params = Params::builder(n).build().expect("valid params");
@@ -212,4 +220,137 @@ fn quorum_baseline_is_safe_but_stalls_through_asynchrony() {
     }
     // Synchrony resumes and the baseline decides again.
     assert!(decided.iter().any(|&v| v >= 11), "no post-window recovery");
+}
+
+/// One head-to-head cell: a disruption both protocols run through.
+struct Duel {
+    name: &'static str,
+    /// The sleepy protocol's expiration (the baseline has none).
+    eta: u64,
+    /// First and last disrupted round.
+    span: (u64, u64),
+    /// A participation dip over the span: the fraction asleep and the
+    /// sleepy protocol's decisions inside it. Without one, the schedule is
+    /// full and the sleepy protocol must recover after the window.
+    dip: Option<(f64, usize)>,
+    timeline: fn() -> Timeline,
+    /// Partition attacker (else silent), on both sides.
+    partition: bool,
+    /// Decision totals, sleepy then quorum.
+    totals: (usize, usize),
+}
+
+const DUEL_N: usize = 16;
+const DUEL_HORIZON: u64 = 60;
+
+fn duels() -> [Duel; 5] {
+    let dip = |name, asleep, decisions, sleepy_total| Duel {
+        name,
+        eta: 4,
+        span: (16, 40),
+        dip: Some((asleep, decisions)),
+        timeline: Timeline::synchronous,
+        partition: false,
+        totals: (sleepy_total, 256),
+    };
+    [
+        dip("dip-40", 0.4, 120, 392),
+        dip("dip-60", 0.6, 84, 356),
+        dip("dip-80", 0.8, 48, 320),
+        Duel {
+            name: "async-partition",
+            eta: 6,
+            span: (20, 23),
+            dip: None,
+            timeline: || Timeline::synchronous().asynchronous(Round::new(20), 4),
+            partition: true,
+            totals: (464, 432),
+        },
+        Duel {
+            name: "gst-delta2",
+            eta: 4,
+            span: (1, 30),
+            dip: None,
+            timeline: || gst(2, Round::new(DUEL_HORIZON / 2 + 1)),
+            partition: false,
+            totals: (464, 224),
+        },
+    ]
+}
+
+fn duel_side<P: Protocol>(duel: &Duel, params: Params, seed: u64) -> Simulation<P> {
+    let (n, h) = (DUEL_N, DUEL_HORIZON);
+    let schedule = match duel.dip {
+        Some((asleep, _)) => Schedule::mass_sleep(n, h, asleep, duel.span.0, duel.span.1),
+        None => Schedule::full(n, h),
+    };
+    let builder = SimBuilder::<P>::for_protocol_config(
+        SimConfig::new(params, seed)
+            .horizon(h)
+            .txs_every(8)
+            .timeline((duel.timeline)()),
+    )
+    .schedule(schedule);
+    let builder = if duel.partition {
+        builder.adversary(PartitionAttacker::new())
+    } else {
+        builder.adversary(SilentAdversary)
+    };
+    builder.build().expect("valid head-to-head cell")
+}
+
+/// Decision events observed in rounds `span.0..=span.1`.
+fn decisions_in_span(report: &SimReport, span: (u64, u64)) -> usize {
+    report
+        .timeline
+        .samples()
+        .iter()
+        .filter(|s| (span.0..=span.1).contains(&s.round))
+        .map(|s| s.decisions)
+        .sum()
+}
+
+/// The paper's comparative claim on three disruption families at n = 16,
+/// same cells, schedules, timelines and per-cell seeds on both sides.
+/// Through participation dips of 40–80 %, an asynchronous window under
+/// the partition attacker (π = 4 < η = 6) and bounded delay until GST, the
+/// static `> 2n/3` quorum decides nothing, while the sleepy protocol stays
+/// safe, decides inside every dip, recovers after every window and
+/// decides more in total.
+#[test]
+fn sleepy_decides_where_the_quorum_baseline_stalls() {
+    let duels = duels();
+    let outcome = Sweep::over(0..duels.len()).seed(0xB1B1).compare(
+        |&i, seed| {
+            let params = Params::builder(DUEL_N).expiration(duels[i].eta).build();
+            duel_side::<TobProcess>(&duels[i], params.expect("valid params"), seed)
+        },
+        |&i, seed| {
+            let params = Params::builder(DUEL_N).build().expect("valid params");
+            duel_side::<QuorumProcess>(&duels[i], params, seed)
+        },
+    );
+    for (duel, (sleepy, quorum)) in duels.iter().zip(outcome.pairs()) {
+        let name = duel.name;
+        assert_eq!(
+            decisions_in_span(quorum, duel.span),
+            0,
+            "{name}: the quorum baseline decided inside the disruption"
+        );
+        assert!(sleepy.is_safe(), "{name}: {:?}", sleepy.safety_violations);
+        match duel.dip {
+            Some((_, expected)) => assert_eq!(
+                decisions_in_span(sleepy, duel.span),
+                expected,
+                "{name}: sleepy decisions inside the dip"
+            ),
+            None => assert!(
+                sleepy.recovered_after_every_window(),
+                "{name}: the sleepy protocol did not recover after the window"
+            ),
+        }
+        let totals = (sleepy.decisions_total, quorum.decisions_total);
+        assert!(totals.0 > totals.1, "{name}: no decision advantage");
+        assert_eq!(totals, duel.totals, "{name}: decision totals");
+    }
 }

@@ -1,13 +1,15 @@
 //! Integration tests for the open-loop workload layer (st-load threaded
 //! through the simulator): saturation behaviour, fairness drops, the
-//! diurnal workload↔schedule coupling, and the latency pipeline's
-//! end-to-end accounting in [`st_sim::SimReport`].
+//! diurnal workload↔schedule coupling, the latency pipeline's
+//! end-to-end accounting in [`st_sim::SimReport`], and the open-loop
+//! scenario grid (EXPERIMENTS.md W1).
 
+use st_sim::adversary::SilentAdversary;
 use st_sim::{
-    diurnal_schedule, ConstantRate, Diurnal, FlashCrowd, Schedule, SimBuilder, Workload,
-    WorkloadSpec,
+    diurnal_schedule, ConstantRate, Diurnal, FlashCrowd, Schedule, SimBuilder, SimConfig,
+    SimReport, Timeline, Workload, WorkloadSpec,
 };
-use st_types::Params;
+use st_types::{Params, Round};
 
 fn params(n: usize) -> Params {
     Params::builder(n)
@@ -211,4 +213,102 @@ fn workload_trait_objects_drive_the_pipeline() {
         .run();
     assert_eq!(report.workload.offered, horizon / 3);
     assert_eq!(report.workload.submitted, horizon / 3);
+}
+
+const GRID_N: usize = 16;
+const GRID_HORIZON: u64 = 60;
+
+/// One cell of the open-loop grid: `rate` offered per round (the peak
+/// rate for diurnal) by 4 clients, into a mempool of capacity 64 drained
+/// 4 per round. Returns the report and, for diurnal, its trace.
+fn grid_cell(scenario: &str, rate: u64) -> (SimReport, Option<Diurnal>) {
+    let params = Params::builder(GRID_N).expiration(2).build();
+    let mut config = SimConfig::new(params.expect("valid params"), 0xC0FFEE).horizon(GRID_HORIZON);
+    let mut schedule = Schedule::full(GRID_N, GRID_HORIZON);
+    let mut trace = None;
+    let spec = match scenario {
+        "steady" => WorkloadSpec::new(ConstantRate::per_round(rate).clients(4)),
+        "flash-crowd" => WorkloadSpec::new(
+            FlashCrowd::new(rate)
+                .clients(4)
+                .burst(20, 12, rate * 8)
+                .jitter(0xC0FFEE),
+        ),
+        "diurnal-churn" => {
+            // Participation derived from the same trace as the load.
+            let workload = Diurnal::new(rate, 0.25, 20).clients(4);
+            schedule = diurnal_schedule(&workload, GRID_N, GRID_HORIZON);
+            trace = Some(workload.clone());
+            WorkloadSpec::new(workload)
+        }
+        "gst-d2" => {
+            config = config.timeline(Timeline::synchronous().bounded_delay(Round::new(20), 20, 2));
+            WorkloadSpec::new(ConstantRate::per_round(rate).clients(4))
+        }
+        other => panic!("unknown scenario {other}"),
+    };
+    let report = SimBuilder::from_config(config)
+        .workload_spec(spec.capacity(64).batch(4))
+        .schedule(schedule)
+        .adversary(SilentAdversary)
+        .run();
+    (report, trace)
+}
+
+/// Mean decide latency of the transactions that arrived while the
+/// diurnal load fraction was at or above (`peak`) or below its midpoint.
+fn phase_mean(report: &SimReport, trace: &Diurnal, peak: bool) -> f64 {
+    let mid = (0.25 + 1.0) / 2.0;
+    let lats: Vec<u64> = report
+        .txs
+        .iter()
+        .filter(|rec| (trace.load_fraction(rec.submitted.as_u64()) >= mid) == peak)
+        .filter_map(|rec| rec.decide_latency())
+        .collect();
+    assert!(!lats.is_empty(), "no decided txs in this half of the trace");
+    lats.iter().sum::<u64>() as f64 / lats.len() as f64
+}
+
+/// The open-loop grid, four scenarios × offered rate {1, 16} against a
+/// service rate of 4 per round: every cell is safe, decides and balances
+/// its admission accounting. The tail shows the saturation knee (steady
+/// p99 at rate 16 above rate 1), partial synchrony (gst-d2 p99 above
+/// steady at rate 1), and latency tracking participation (diurnal
+/// trough-half mean above peak-half mean at rate 16).
+#[test]
+fn open_loop_grid_is_healthy_and_shows_the_knee() {
+    let mut p99 = std::collections::BTreeMap::new();
+    for scenario in ["steady", "flash-crowd", "diurnal-churn", "gst-d2"] {
+        for rate in [1, 16] {
+            let (report, trace) = grid_cell(scenario, rate);
+            let w = &report.workload;
+            let cell = format!("{scenario} rate {rate}");
+            assert!(report.is_safe(), "{cell}: {:?}", report.safety_violations);
+            assert!(w.decided > 0, "{cell} decided no txs");
+            assert_eq!(
+                w.offered,
+                w.admitted + w.dropped_capacity + w.dropped_fairness + w.dropped_asleep,
+                "{cell}: admission accounting must balance"
+            );
+            p99.insert((scenario, rate), w.latency_p99.expect("decided txs"));
+            if let (Some(trace), 16) = (trace, rate) {
+                let peak = phase_mean(&report, &trace, true);
+                let trough = phase_mean(&report, &trace, false);
+                assert!(
+                    trough > peak,
+                    "{cell}: trough-half mean {trough} vs peak {peak}"
+                );
+            }
+        }
+    }
+    let p99 = |scenario, rate| p99[&(scenario, rate)];
+    assert!(p99("steady", 16) > p99("steady", 1), "no saturation knee");
+    assert!(
+        p99("gst-d2", 1) > p99("steady", 1),
+        "bounded delay left the tail alone"
+    );
+    assert_eq!(
+        (p99("steady", 1), p99("steady", 16), p99("gst-d2", 1)),
+        (5, 20, 25)
+    );
 }

@@ -19,8 +19,8 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide FxHash seed. Zero (the default) reproduces the historic
-/// unseeded behavior bit-for-bit; the `stsan` sanitizer perturbs it to
-/// prove that no simulation output depends on bucket order.
+/// unseeded behavior bit-for-bit; st-sim's hasher-perturbation test
+/// perturbs it to prove that no simulation output depends on bucket order.
 static HASHER_SEED: AtomicU64 = AtomicU64::new(0);
 
 /// Sets the process-wide FxHash seed. Only tables **created after** the
@@ -28,8 +28,8 @@ static HASHER_SEED: AtomicU64 = AtomicU64::new(0);
 /// so a perturbation harness must set the seed before building the
 /// simulation it measures. Production code never calls this — the
 /// default seed of 0 keeps every run byte-identical to the committed
-/// baselines; the call exists so `stsan` can falsify iteration-order
-/// dependence dynamically.
+/// baselines; the call exists so the hasher-perturbation test can
+/// falsify iteration-order dependence dynamically.
 pub fn set_hasher_seed(seed: u64) {
     HASHER_SEED.store(seed, Ordering::Relaxed);
 }
@@ -122,7 +122,7 @@ impl Hasher for FxHasher {
 /// SplitMix64 finalizer: a fixed, hasher-independent 64-bit mixing
 /// function. Unlike [`FxHasher`] it never reads the process-wide seed, so
 /// values built from it (content fingerprints, tally memo keys) are
-/// identical under `stsan`'s hasher perturbation — use it wherever a
+/// identical under the hasher-perturbation test — use it wherever a
 /// digest must not depend on bucket order *or* on the FxHash seed.
 #[inline]
 pub const fn mix64(mut x: u64) -> u64 {

@@ -1,4 +1,5 @@
-//! Integration tests for replay immunity and the execution timeline.
+//! Integration tests for replay immunity, the execution timeline, and
+//! recovery after every asynchronous window.
 
 use sleepy_tob::prelude::*;
 use sleepy_tob::sim::adversary::ReplayDriver;
@@ -116,4 +117,62 @@ fn timeline_divergence_indicator() {
         vanilla.timeline.max_height_spread(),
         extended.timeline.max_height_spread()
     );
+}
+
+/// One n = 64 timeline cell (EXPERIMENTS.md P3): safe, no Definition-5
+/// violation, one recovery per window, each within two rounds.
+fn assert_recovers_after_every_window(
+    eta: u64,
+    timeline: Timeline,
+    adversary: impl Adversary + 'static,
+    windows: usize,
+) {
+    let (n, horizon) = (64, 60);
+    let params = Params::builder(n).expiration(eta).build().unwrap();
+    let report = SimBuilder::from_config(
+        SimConfig::new(params, 0x71AE)
+            .horizon(horizon)
+            .txs_every(8)
+            .timeline(timeline),
+    )
+    .schedule(Schedule::full(n, horizon))
+    .adversary(adversary)
+    .build()
+    .expect("valid timeline cell")
+    .run();
+    assert!(report.is_safe(), "{:?}", report.safety_violations);
+    assert!(report.is_asynchrony_resilient());
+    assert!(
+        report.recovered_after_every_window(),
+        "{:?}",
+        report.recoveries
+    );
+    assert_eq!(report.recoveries.len(), windows);
+    assert_eq!(report.max_recovery_rounds(), Some(2));
+}
+
+/// The paper's central claim: the extended protocol recovers after
+/// *every* asynchronous spell, here three of π = 4 < η = 6 under the
+/// partition attacker.
+#[test]
+fn alternating_partition_recovers_after_every_window() {
+    assert_recovers_after_every_window(6, alternating(4, 12, 3), PartitionAttacker::new(), 3);
+}
+
+/// The same three spells as a total blackout.
+#[test]
+fn alternating_blackout_recovers_after_every_window() {
+    assert_recovers_after_every_window(6, alternating(4, 12, 3), BlackoutAdversary, 3);
+}
+
+/// Partial synchrony: bounded delay Δ = 2 < η = 4 until GST at round 30.
+#[test]
+fn gst_delta_2_recovers_after_gst() {
+    assert_recovers_after_every_window(4, gst(2, Round::new(30)), SilentAdversary, 1);
+}
+
+/// Partial synchrony: bounded delay Δ = 4 < η = 6 until GST at round 30.
+#[test]
+fn gst_delta_4_recovers_after_gst() {
+    assert_recovers_after_every_window(6, gst(4, Round::new(30)), SilentAdversary, 1);
 }
