@@ -358,8 +358,12 @@ impl BlockTree {
         for node in missing {
             // Parent must exist: other is a valid tree and we insert in
             // height order.
+            #[expect(
+                clippy::expect_used,
+                reason = "missing nodes are inserted in ascending height order out of a valid tree, so each parent is present by the time its child arrives"
+            )]
             self.insert_or_get(node.block.clone())
-                .expect("absorb preserves parent-before-child order"); // stlint::allow(panic, reason = "missing nodes are inserted in ascending height order out of a valid tree, so each parent is present by the time its child arrives")
+                .expect("absorb preserves parent-before-child order");
         }
     }
 

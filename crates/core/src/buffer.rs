@@ -61,7 +61,11 @@ impl BlockBuffer {
                         queue.extend(children);
                     }
                 }
-                Err(_) => unreachable!("parent presence checked above"), // stlint::allow(panic, reason = "insert_or_get only errs on a missing parent, and this arm is reached only after tree.contains(b.parent()) held")
+                #[expect(
+                    clippy::unreachable,
+                    reason = "insert_or_get only errs on a missing parent, and this arm is reached only after tree.contains(b.parent()) held"
+                )]
+                Err(_) => unreachable!("parent presence checked above"),
             }
         }
         inserted

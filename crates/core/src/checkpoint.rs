@@ -86,7 +86,7 @@ impl Checkpoint {
 
     /// Number of blocks shipped.
     pub fn block_count(&self) -> usize {
-        // stlint::allow(deadpub, reason = "checkpoint size accessor paired with message_count; kept so wake-cost accounting can weigh blocks when the socket runtime lands")
+        // stlint::allow(deadpub, reason = "checkpoint size accessor paired with message_count; kept until a restarted node fetches checkpoints, whose transfer accounting would weigh blocks")
         self.blocks.len()
     }
 

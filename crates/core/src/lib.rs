@@ -63,7 +63,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// Determinism and panic discipline (clippy.toml; DESIGN §6), tests exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![warn(missing_docs)]
 
 mod buffer;

@@ -116,12 +116,16 @@ impl<P: Protocol> OracleNet<P> {
 /// votes for `fork` from p1..p3. Its next proposal then extends `fork`,
 /// which conflicts with its decided tip: `a` is decided but not on that
 /// branch, so it must be proposed again, while `y` (submitted to p0 too)
-/// is on it and must not. Returns the network a few synchronous rounds
-/// later, with `(a, y, z)`; `z` was submitted to p0 alone.
-pub fn forked_lockstep(seed: u64) -> (OracleNet<TobProcess>, [TxId; 3]) {
+/// is on it and must not. Sixteen more were submitted to p0 alone, in
+/// descending id order, which the pool's hash index does not reproduce:
+/// the from-genesis payload is in submission order only if it is sorted.
+/// Returns the network a few synchronous rounds later, with `a`, `y` and
+/// the p0-only transactions in submission order.
+pub fn forked_lockstep(seed: u64) -> (OracleNet<TobProcess>, [TxId; 2], Vec<TxId>) {
     let n = 4;
     let mut net = OracleNet::<TobProcess>::new(n, 0, seed);
-    let [a, y, z] = [TxId::new(1), TxId::new(2), TxId::new(3)];
+    let [a, y] = [TxId::new(1), TxId::new(2)];
+    let solo: Vec<TxId> = (3..19).rev().map(TxId::new).collect();
     for i in 0..n {
         net.submit(i, a);
     }
@@ -147,7 +151,9 @@ pub fn forked_lockstep(seed: u64) -> (OracleNet<TobProcess>, [TxId; 3]) {
     );
     net.procs[0].install_blocks(std::slice::from_ref(&fork));
     net.submit(0, y);
-    net.submit(0, z);
+    for &tx in &solo {
+        net.submit(0, tx);
+    }
 
     while !matches!(RoundKind::of(Round::new(r)), RoundKind::ViewFirst(_)) {
         net.lockstep(Round::new(r));
@@ -172,5 +178,5 @@ pub fn forked_lockstep(seed: u64) -> (OracleNet<TobProcess>, [TxId; 3]) {
     for r in r + 1..r + 8 {
         net.lockstep(Round::new(r));
     }
-    (net, [a, y, z])
+    (net, [a, y], solo)
 }

@@ -84,20 +84,36 @@ impl SupportIndex {
             Some(old) if old == tip => { /* no movement */ }
             Some(old) => {
                 // Moved vote: adjust only the symmetric difference.
-                let lca = tree.lca(old, tip).expect("both tips known"); // stlint::allow(panic, reason = "old was accepted by a prior set_vote contains() check and tip by this one, so both are in the tree and share the genesis ancestor")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "old was accepted by a prior set_vote contains() check and tip by this one, so both are in the tree and share the genesis ancestor"
+                )]
+                let lca = tree.lca(old, tip).expect("both tips known");
                 let mut cur = old;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the walk stops at lca(old, tip), which is a proper ancestor, before ever stepping past genesis"
+                )]
                 while cur != lca {
-                    let e = self.support.get_mut(&cur).expect("counted chain"); // stlint::allow(panic, reason = "every block on old's chain was incremented when the vote landed on old, so the entry exists until this decrement")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every block on old's chain was incremented when the vote landed on old, so the entry exists until this decrement"
+                    )]
+                    let e = self.support.get_mut(&cur).expect("counted chain");
                     *e -= 1;
                     if *e == 0 {
                         self.support.remove(&cur);
                     }
-                    cur = tree.parent(cur).expect("lca is an ancestor"); // stlint::allow(panic, reason = "the walk stops at lca(old, tip), which is a proper ancestor, before ever stepping past genesis")
+                    cur = tree.parent(cur).expect("lca is an ancestor");
                 }
                 let mut cur = tip;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the walk stops at lca(old, tip), which is a proper ancestor, before ever stepping past genesis"
+                )]
                 while cur != lca {
                     *self.support.entry(cur).or_insert(0) += 1;
-                    cur = tree.parent(cur).expect("lca is an ancestor"); // stlint::allow(panic, reason = "the walk stops at lca(old, tip), which is a proper ancestor, before ever stepping past genesis")
+                    cur = tree.parent(cur).expect("lca is an ancestor");
                 }
             }
         }
@@ -111,7 +127,11 @@ impl SupportIndex {
             return false;
         };
         for b in tree.chain(old) {
-            let e = self.support.get_mut(&b).expect("counted chain"); // stlint::allow(panic, reason = "old's whole chain was incremented when the vote was recorded; entries only disappear when their count hits zero")
+            #[expect(
+                clippy::expect_used,
+                reason = "old's whole chain was incremented when the vote was recorded; entries only disappear when their count hits zero"
+            )]
+            let e = self.support.get_mut(&b).expect("counted chain");
             *e -= 1;
             if *e == 0 {
                 self.support.remove(&b);

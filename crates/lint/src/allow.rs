@@ -6,17 +6,19 @@
 //! stlint::allow(<rule>, reason = "<non-empty text>")
 //! ```
 //!
-//! `<rule>` is a rule id (`P1`) or slug (`panic`). The reason is
+//! `<rule>` is a rule id (`N1`) or slug (`iterorder`). The reason is
 //! **mandatory**: an annotation without one does not suppress anything
 //! and is itself reported as an `A1` diagnostic — the whole point of
 //! the hatch is that every suppressed site states the invariant that
-//! makes it safe.
+//! makes it safe. Only N1 and DP findings are suppressible this way;
+//! compiler lints take `#[expect(lint, reason = "…")]` instead.
 //!
 //! Placement: a trailing comment suppresses its own line; a comment
 //! alone on its line suppresses the next code line. Example:
 //!
 //! ```text
-//! let lca = tree.lca(a, b).expect("tips are in the tree"); // stlint::allow(panic, reason = "both tips were inserted above")
+//! // stlint::allow(iterorder, reason = "xor-fold is commutative")
+//! let digest = seen.iter().fold(0, |acc, x| acc ^ x);
 //! ```
 
 use crate::diag::{Diagnostic, RuleId};
@@ -168,18 +170,19 @@ mod tests {
 
     #[test]
     fn trailing_allow_targets_own_line() {
-        let (allows, diags) =
-            parse_file("let x = a.unwrap(); // stlint::allow(panic, reason = \"a is Some\")\n");
+        let (allows, diags) = parse_file(
+            "let v: Vec<_> = m.keys().collect(); // stlint::allow(iterorder, reason = \"sorted below\")\n",
+        );
         assert!(diags.is_empty());
         assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].rule, RuleId::P1);
+        assert_eq!(allows[0].rule, RuleId::N1);
         assert_eq!(allows[0].target_line, 1);
-        assert_eq!(allows[0].reason, "a is Some");
+        assert_eq!(allows[0].reason, "sorted below");
     }
 
     #[test]
     fn own_line_allow_targets_next_code_line() {
-        let src = "// stlint::allow(D1, reason = \"the fasthash implementation itself\")\n// more prose\nuse std::collections::HashMap;\n";
+        let src = "// stlint::allow(DP, reason = \"kept for the socket runtime\")\n// more prose\npub fn f() {}\n";
         let (allows, diags) = parse_file(src);
         assert!(diags.is_empty());
         assert_eq!(allows[0].target_line, 3);
@@ -187,7 +190,7 @@ mod tests {
 
     #[test]
     fn missing_reason_is_rejected_and_reported() {
-        let (allows, diags) = parse_file("x.unwrap(); // stlint::allow(panic)\n");
+        let (allows, diags) = parse_file("pub fn f() {} // stlint::allow(deadpub)\n");
         assert!(allows.is_empty());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RuleId::A1);
@@ -196,29 +199,34 @@ mod tests {
 
     #[test]
     fn empty_reason_is_rejected() {
-        let (allows, diags) = parse_file("// stlint::allow(P1, reason = \"  \")\nx.unwrap();\n");
+        let (allows, diags) = parse_file("// stlint::allow(N1, reason = \"  \")\nm.keys();\n");
         assert!(allows.is_empty());
         assert_eq!(diags.len(), 1);
     }
 
     #[test]
     fn unknown_rule_is_rejected() {
-        let (allows, diags) = parse_file("// stlint::allow(Z9, reason = \"whatever\")\nf();\n");
-        assert!(allows.is_empty());
-        assert!(diags[0].message.contains("unknown rule"));
+        // `panic` was a rule until clippy took it over; it is unknown now.
+        for rule in ["Z9", "panic"] {
+            let (allows, diags) = parse_file(&format!(
+                "// stlint::allow({rule}, reason = \"whatever\")\nf();\n"
+            ));
+            assert!(allows.is_empty());
+            assert!(diags[0].message.contains("unknown rule"));
+        }
     }
 
     #[test]
     fn reason_may_contain_parens() {
         let (allows, diags) =
-            parse_file("f(); // stlint::allow(unsafe, reason = \"see fn docs (above)\")\n");
+            parse_file("f(); // stlint::allow(deadpub, reason = \"see fn docs (above)\")\n");
         assert!(diags.is_empty());
         assert_eq!(allows[0].reason, "see fn docs (above)");
     }
 
     #[test]
     fn doc_comments_are_inert() {
-        let src = "/// stlint::allow(panic, reason = \"doc example\")\n//! stlint::allow(bogus)\nfn f() {}\n";
+        let src = "/// stlint::allow(iterorder, reason = \"doc example\")\n//! stlint::allow(bogus)\nfn f() {}\n";
         let (allows, diags) = parse_file(src);
         assert!(allows.is_empty());
         assert!(diags.is_empty());
@@ -227,12 +235,12 @@ mod tests {
     #[test]
     fn suppression_is_rule_and_line_scoped() {
         let allows = vec![Allow {
-            rule: RuleId::P1,
+            rule: RuleId::N1,
             reason: "r".into(),
             target_line: 4,
         }];
-        assert!(suppressed(&allows, RuleId::P1, 4));
-        assert!(!suppressed(&allows, RuleId::P1, 5));
-        assert!(!suppressed(&allows, RuleId::D1, 4));
+        assert!(suppressed(&allows, RuleId::N1, 4));
+        assert!(!suppressed(&allows, RuleId::N1, 5));
+        assert!(!suppressed(&allows, RuleId::DP, 4));
     }
 }

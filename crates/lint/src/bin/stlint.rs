@@ -1,10 +1,13 @@
-//! `stlint` — CLI for the workspace determinism & layering analyzer.
+//! `stlint` — CLI for the workspace layering & iteration-order analyzer.
 //!
 //! ```text
 //! stlint check [--json] [--out FILE] [--root DIR]   lint the workspace; exit 1 on findings
 //! stlint rules                                      print the rule table
 //! stlint deadpub [--root DIR]                       dead-public-API check; exit 1 on findings
 //! ```
+
+// A crate attribute in lib.rs does not reach this bin target.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use st_lint::{check_workspace, dead_public_diagnostics, diag, find_workspace_root, ALL_RULES};
 use std::path::PathBuf;
@@ -56,6 +59,7 @@ fn main() -> ExitCode {
             println!();
             println!("escape hatch: // stlint::allow(<rule>, reason = \"<the invariant>\")");
             println!("(reason is mandatory; a reason-less allow suppresses nothing and is an A1)");
+            println!("(std maps, wall clock, panics, unsafe: clippy.toml + root [lints])");
             ExitCode::SUCCESS
         }
         "check" => {

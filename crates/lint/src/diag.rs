@@ -4,30 +4,19 @@ use std::fmt;
 
 /// The rule families `stlint` enforces. Each has a short id (used in
 /// reports) and a mnemonic slug (accepted interchangeably in
-/// `stlint::allow(...)` annotations).
+/// `stlint::allow(...)` annotations). The retired ids D1, D2, P1 and U1
+/// are compiler lints now (see the crate docs), so an annotation naming
+/// them is an unknown rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// No `std::collections::{HashMap,HashSet}` in non-test code of
-    /// protocol/sim crates (randomized iteration order breaks
-    /// byte-reproducibility) — use `st_types::fasthash` or `BTreeMap`.
-    D1,
-    /// No wall-clock (`std::time::{Instant,SystemTime}`) or OS entropy
-    /// (`thread_rng`, `OsRng`, `RandomState`, …) outside `st-bench` and
-    /// tests.
-    D2,
-    /// No bare `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
-    /// `unimplemented!` in protocol-crate non-test code without an
-    /// allow-with-reason stating the invariant.
-    P1,
-    /// `unsafe` is forbidden everywhere outside `third_party/`.
-    U1,
     /// `Cargo.toml` layering: dependencies must point strictly down the
     /// crate stack; nothing depends on `st-bench`; only `st-bench` and
     /// `sleepy-tob` depend on `st-node`; externals restricted to the
     /// offline `third_party/` set.
     L1,
     /// Allow-annotation hygiene: `stlint::allow(...)` must name a known
-    /// rule and carry a non-empty `reason = "..."`.
+    /// rule and carry a non-empty `reason = "..."`. Lint attributes are
+    /// held to the same standard by `clippy::allow_attributes_without_reason`.
     A1,
     /// Nondeterminism flow: iterating a `FastMap`/`FastSet`/`HashMap`/
     /// `HashSet` in protocol-crate non-test code where the iteration
@@ -43,25 +32,12 @@ pub enum RuleId {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 8] = [
-    RuleId::D1,
-    RuleId::D2,
-    RuleId::P1,
-    RuleId::U1,
-    RuleId::L1,
-    RuleId::A1,
-    RuleId::N1,
-    RuleId::DP,
-];
+pub const ALL_RULES: [RuleId; 4] = [RuleId::L1, RuleId::A1, RuleId::N1, RuleId::DP];
 
 impl RuleId {
-    /// Short id, e.g. `"D1"`.
+    /// Short id, e.g. `"N1"`.
     pub fn key(self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
-            RuleId::D2 => "D2",
-            RuleId::P1 => "P1",
-            RuleId::U1 => "U1",
             RuleId::L1 => "L1",
             RuleId::A1 => "A1",
             RuleId::N1 => "N1",
@@ -69,13 +45,9 @@ impl RuleId {
         }
     }
 
-    /// Mnemonic slug, e.g. `"hashmap"`.
+    /// Mnemonic slug, e.g. `"iterorder"`.
     pub fn slug(self) -> &'static str {
         match self {
-            RuleId::D1 => "hashmap",
-            RuleId::D2 => "wallclock",
-            RuleId::P1 => "panic",
-            RuleId::U1 => "unsafe",
             RuleId::L1 => "layering",
             RuleId::A1 => "allow",
             RuleId::N1 => "iterorder",
@@ -86,14 +58,6 @@ impl RuleId {
     /// One-line description for `stlint rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            RuleId::D1 => {
-                "std HashMap/HashSet banned in protocol/sim non-test code (use st_types::fasthash)"
-            }
-            RuleId::D2 => "wall-clock and OS entropy banned outside st-bench and tests",
-            RuleId::P1 => {
-                "unwrap/expect/panic!/unreachable! in protocol non-test code need allow-with-reason"
-            }
-            RuleId::U1 => "unsafe forbidden outside third_party/",
             RuleId::L1 => "Cargo.toml dependency layering and offline third_party policy",
             RuleId::A1 => "stlint::allow annotations must name a known rule and give a reason",
             RuleId::N1 => {
@@ -222,15 +186,16 @@ mod tests {
 
     #[test]
     fn rule_parse_accepts_id_and_slug() {
-        assert_eq!(RuleId::parse("P1"), Some(RuleId::P1));
-        assert_eq!(RuleId::parse("p1"), Some(RuleId::P1));
-        assert_eq!(RuleId::parse("panic"), Some(RuleId::P1));
+        assert_eq!(RuleId::parse("N1"), Some(RuleId::N1));
+        assert_eq!(RuleId::parse("n1"), Some(RuleId::N1));
+        assert_eq!(RuleId::parse("iterorder"), Some(RuleId::N1));
+        assert_eq!(RuleId::parse("panic"), None);
         assert_eq!(RuleId::parse("nonsense"), None);
     }
 
     #[test]
     fn json_escapes_and_counts() {
-        let diags = vec![Diagnostic::new(RuleId::U1, "a\"b.rs", 3, 5, "say \"no\"")];
+        let diags = vec![Diagnostic::new(RuleId::N1, "a\"b.rs", 3, 5, "say \"no\"")];
         let json = to_json(&diags, 7);
         assert!(json.contains("\"files_scanned\": 7"));
         assert!(json.contains("\"col\": 5"));

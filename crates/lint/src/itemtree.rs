@@ -20,9 +20,10 @@
 //! Everything is an approximation of real name/type resolution — a name
 //! declared as a map anywhere in a file is treated as a map everywhere
 //! in that file — but it is a *conservative-enough* one for a codebase
-//! that already bans `std` maps from protocol crates (D1), and the
-//! hasher-perturbation test (`crates/sim/tests/hasher_perturbation.rs`)
-//! dynamically falsifies whatever the approximation misses.
+//! whose protocol crates deny `std` maps (`clippy::disallowed_types`),
+//! and the hasher-perturbation test
+//! (`crates/sim/tests/hasher_perturbation.rs`) dynamically falsifies
+//! whatever the approximation misses.
 
 use crate::lexer::{Token, TokenKind};
 use std::collections::BTreeSet;

@@ -1,15 +1,14 @@
-//! `st-lint` — the workspace's offline determinism & layering analyzer.
+//! `st-lint` — the workspace's offline layering & iteration-order analyzer.
 //!
 //! Every claim the repro makes rests on simulation runs being **pure
 //! functions of their seed**: the timeline-shim, step-vs-run,
 //! observer, protocol-alias and sim-vs-cluster suites all assert
 //! byte-identical [`SimReport`]s across structurally different
-//! executions. Nothing in the compiler enforces the discipline that
-//! makes those suites meaningful — `std::collections::HashMap`
-//! iteration order is randomized per process, `std::time` reads the
-//! wall clock, and a bare `unwrap()` is an invariant nobody wrote down.
-//! `stlint` enforces all of it statically, with file/line diagnostics,
-//! at CI time.
+//! executions. Most of the discipline that makes those suites meaningful
+//! is compiler-enforced (root `clippy.toml`, the workspace `[lints]`
+//! table and each crate root's `deny` list); `stlint` checks what the
+//! compiler cannot: crate layering, whether a hash map's bucket order
+//! escapes into an ordered value, and unreferenced public API.
 //!
 //! [`SimReport`]: ../st_sim/struct.SimReport.html
 //!
@@ -17,20 +16,20 @@
 //!
 //! | id | slug      | scope                         | what it rejects |
 //! |----|-----------|-------------------------------|-----------------|
-//! | D1 | hashmap   | protocol crates, non-test     | `std::collections::{HashMap,HashSet}` |
-//! | D2 | wallclock | all but `st-bench`, non-test  | `std::time::{Instant,SystemTime}`, OS entropy |
-//! | P1 | panic     | protocol crates, non-test     | `unwrap`/`expect`/`panic!`/`unreachable!` without allow-with-reason |
-//! | U1 | unsafe    | everywhere but `third_party/` | the `unsafe` keyword |
 //! | L1 | layering  | every workspace `Cargo.toml`  | upward dependencies, `st-bench` as a dependency, `st-node` outside its two consumers, unknown externals |
 //! | A1 | allow     | everywhere scanned            | malformed `stlint::allow` annotations |
 //! | N1 | iterorder | protocol crates, non-test     | unordered-map iteration feeding an ordered sink (loop `push`/send, chain `collect`/`fold`) |
 //! | DP | deadpub   | crate `src/`, gating          | `pub fn` with zero workspace references (item-graph resolved) |
 //!
+//! The token rules it used to carry (D1 `hashmap`, D2 `wallclock`, P1
+//! `panic`, U1 `unsafe`) are compiler lints now; DESIGN.md §6 maps each
+//! to its lint.
+//!
 //! The analyzer is a **hand-rolled lexer plus a brace-matched item
 //! tree** ([`itemtree`]), not a `syn` parse: the offline `third_party/`
 //! policy applies to the linter too. Lexical accuracy (strings, raw
-//! strings, doc comments, `#[cfg(test)]` regions) serves the token
-//! rules; the item tree adds the structure the nondeterminism-flow rule
+//! strings, doc comments, `#[cfg(test)]` regions) keeps quoted code
+//! inert; the item tree adds the structure the nondeterminism-flow rule
 //! needs — per-function bodies, `for`-loop headers, method-call chains,
 //! and the file's unordered-map bindings. What the structural
 //! approximation cannot see, the hasher-perturbation test
@@ -39,13 +38,17 @@
 //!
 //! # Escape hatch
 //!
-//! A finding that is actually an invariant gets suppressed in place,
-//! with the invariant written down — the reason is mandatory, and a
-//! reason-less annotation is itself a diagnostic (A1):
+//! An N1 or DP finding that is actually an invariant gets suppressed in
+//! place, with the invariant written down — the reason is mandatory, and
+//! a reason-less annotation is itself a diagnostic (A1):
 //!
 //! ```rust,ignore
-//! let e = map.get_mut(&cur).expect("counted chain"); // stlint::allow(panic, reason = "every block on the walk was counted on insert")
+//! // stlint::allow(iterorder, reason = "xor-fold is commutative; bucket order cannot reach the result")
+//! let digest = seen.iter().fold(0, |acc, x| acc ^ x);
 //! ```
+//!
+//! Compiler lints are suppressed with `#[expect(lint, reason = "…")]`,
+//! which also warns once its lint stops firing.
 //!
 //! # Driving it
 //!
@@ -56,7 +59,8 @@
 //! cargo run -p st-lint -- deadpub          # gating dead-public-API check
 //! ```
 
-#![forbid(unsafe_code)]
+// No wall clock or OS entropy (clippy.toml; DESIGN §6), tests exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod allow;

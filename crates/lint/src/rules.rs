@@ -1,11 +1,8 @@
-//! The per-file rule families: D1 (hash maps), D2 (wall clock &
-//! entropy), P1 (panic family), U1 (unsafe), and the structural N1
-//! (unordered-map iteration order flowing into ordered sinks).
-//!
-//! Each rule walks the token stream of one file with its test-region
-//! mask and the file's crate context — N1 additionally consults the
-//! [`ItemTree`] — and emits [`Diagnostic`]s that the caller filters
-//! through the allow annotations.
+//! The per-file rule N1: unordered-map iteration order flowing into
+//! ordered sinks. It walks the token stream of one file with its
+//! test-region mask, the file's crate context and its [`ItemTree`], and
+//! emits [`Diagnostic`]s that the caller filters through the allow
+//! annotations.
 
 use crate::allow::{collect_allows, suppressed};
 use crate::diag::{Diagnostic, RuleId};
@@ -15,7 +12,8 @@ use std::collections::BTreeSet;
 
 /// Crates whose non-test code carries the determinism discipline: the
 /// protocol/sim stack whose byte-equivalence suites assume runs are pure
-/// functions of the seed.
+/// functions of the seed. N1 covers exactly these; each of their
+/// `lib.rs` roots also denies the clippy determinism and panic lints.
 pub const PROTOCOL_CRATES: [&str; 7] = [
     "st-types",
     "st-crypto",
@@ -25,23 +23,6 @@ pub const PROTOCOL_CRATES: [&str; 7] = [
     "st-core",
     "st-sim",
 ];
-
-/// Identifiers whose mere presence means OS entropy (D2). `rand` in this
-/// workspace is the deterministic `third_party/` stand-in, so seeded use
-/// is fine — these are the APIs that reach outside the seed.
-const ENTROPY_IDENTS: [&str; 5] = [
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-    "RandomState",
-    "getrandom",
-];
-
-/// Panicking method calls (`.name(`) covered by P1.
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-/// Panicking macros (`name!`) covered by P1.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Per-file lint context, decoupled from the workspace walker so fixture
 /// tests can lint a file *as if* it belonged to any crate.
@@ -60,17 +41,6 @@ impl FileCtx<'_> {
     fn is_protocol(&self) -> bool {
         PROTOCOL_CRATES.contains(&self.crate_name)
     }
-
-    /// Whether D2 (wall clock & entropy) is waived for this file.
-    /// `st-bench` is exempt wholesale (it measures time); `st-node` is
-    /// exempt in exactly one file — its socket I/O module, where backoff
-    /// and liveness ages are inherently wall-clock concerns. The rest of
-    /// st-node (plan arithmetic, round barrier, cluster harness) must
-    /// stay deterministic, so the exemption is scoped by path, not crate.
-    fn d2_exempt(&self) -> bool {
-        self.crate_name == "st-bench"
-            || (self.crate_name == "st-node" && self.rel_path.ends_with("src/io.rs"))
-    }
 }
 
 /// Lints one file's source, returning the diagnostics that survive its
@@ -82,14 +52,8 @@ pub fn lint_source(ctx: &FileCtx<'_>, src: &str) -> Vec<Diagnostic> {
 
     let mut raw = Vec::new();
     if ctx.is_protocol() {
-        rule_d1(ctx, &lexed.tokens, &mask, &mut raw);
-        rule_p1(ctx, &lexed.tokens, &mask, &mut raw);
         rule_n1(ctx, &lexed.tokens, &mask, &mut raw);
     }
-    if !ctx.d2_exempt() {
-        rule_d2(ctx, &lexed.tokens, &mask, &mut raw);
-    }
-    rule_u1(ctx, &lexed.tokens, &mut raw);
 
     diags.extend(
         raw.into_iter()
@@ -97,186 +61,6 @@ pub fn lint_source(ctx: &FileCtx<'_>, src: &str) -> Vec<Diagnostic> {
     );
     diags.sort_by_key(|d| (d.line, d.col, d.rule));
     diags
-}
-
-/// Matches `lhs :: rhs` ending at index `i` of `rhs`: returns whether
-/// tokens `i-3..i` are `Ident(lhs) : :`.
-fn path_prefix_is(tokens: &[Token], i: usize, lhs: &str) -> bool {
-    i >= 3
-        && tokens[i - 1].is_punct(':')
-        && tokens[i - 2].is_punct(':')
-        && tokens[i - 3].is_ident(lhs)
-}
-
-/// After `prefix ::` at position `i` (the token following the second
-/// `:`), collects the banned identifiers named by the path tail: either
-/// a single segment (`HashMap`) or a brace group
-/// (`{HashMap, hash_map::Entry, HashSet}`).
-fn banned_in_path_tail<'t>(tokens: &'t [Token], i: usize, banned: &[&str]) -> Vec<&'t Token> {
-    let mut hits = Vec::new();
-    match tokens.get(i) {
-        Some(t) if t.kind == TokenKind::Ident && banned.contains(&t.text.as_str()) => {
-            hits.push(t);
-        }
-        Some(t) if t.is_punct('{') => {
-            let mut depth = 1usize;
-            let mut j = i + 1;
-            while let Some(t) = tokens.get(j) {
-                if t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if t.kind == TokenKind::Ident && banned.contains(&t.text.as_str()) {
-                    hits.push(t);
-                }
-                j += 1;
-            }
-        }
-        _ => {}
-    }
-    hits
-}
-
-/// D1: `std::collections::{HashMap,HashSet}` (imports or qualified
-/// paths) in protocol-crate non-test code. Flagging the import/path is
-/// sufficient — bare `HashMap` uses require one of these to exist.
-fn rule_d1(ctx: &FileCtx<'_>, tokens: &[Token], mask: &[bool], out: &mut Vec<Diagnostic>) {
-    if ctx.test_file {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || !t.is_ident("collections") || !path_prefix_is(tokens, i, "std") {
-            continue;
-        }
-        if !(tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct(':')))
-        {
-            continue;
-        }
-        for hit in banned_in_path_tail(tokens, i + 3, &["HashMap", "HashSet"]) {
-            out.push(Diagnostic::new(
-                RuleId::D1,
-                ctx.rel_path,
-                hit.line,
-                hit.col,
-                format!(
-                    "std::collections::{} iterates in randomized order, which breaks \
-                     byte-reproducibility; use st_types::fasthash::{} (or a BTreeMap \
-                     when iteration order is observable)",
-                    hit.text,
-                    if hit.text == "HashMap" {
-                        "FastMap"
-                    } else {
-                        "FastSet"
-                    },
-                ),
-            ));
-        }
-    }
-}
-
-/// D2: `std::time::{Instant,SystemTime}` paths/imports and OS-entropy
-/// identifiers outside `st-bench` and tests.
-fn rule_d2(ctx: &FileCtx<'_>, tokens: &[Token], mask: &[bool], out: &mut Vec<Diagnostic>) {
-    if ctx.test_file {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] {
-            continue;
-        }
-        if t.is_ident("time") && path_prefix_is(tokens, i, "std") {
-            if !(tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && tokens.get(i + 2).is_some_and(|t| t.is_punct(':')))
-            {
-                continue;
-            }
-            for hit in banned_in_path_tail(tokens, i + 3, &["Instant", "SystemTime"]) {
-                out.push(Diagnostic::new(
-                    RuleId::D2,
-                    ctx.rel_path,
-                    hit.line,
-                    hit.col,
-                    format!(
-                        "std::time::{} reads the wall clock; simulation state must be a pure \
-                         function of the seed — timing belongs in st-bench",
-                        hit.text,
-                    ),
-                ));
-            }
-        } else if t.kind == TokenKind::Ident && ENTROPY_IDENTS.contains(&t.text.as_str()) {
-            out.push(Diagnostic::new(
-                RuleId::D2,
-                ctx.rel_path,
-                t.line,
-                t.col,
-                format!(
-                    "`{}` draws OS entropy; every random choice must derive from the run seed",
-                    t.text,
-                ),
-            ));
-        }
-    }
-}
-
-/// P1: panic-family calls in protocol-crate non-test code. These are
-/// undocumented invariants — either convert to a fallible return or
-/// annotate with `stlint::allow(panic, reason = "<the invariant>")`.
-fn rule_p1(ctx: &FileCtx<'_>, tokens: &[Token], mask: &[bool], out: &mut Vec<Diagnostic>) {
-    if ctx.test_file {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = t.text.as_str();
-        let is_method = PANIC_METHODS.contains(&name)
-            && i >= 1
-            && tokens[i - 1].is_punct('.')
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
-        let is_macro =
-            PANIC_MACROS.contains(&name) && tokens.get(i + 1).is_some_and(|t| t.is_punct('!'));
-        if is_method || is_macro {
-            let shown = if is_macro {
-                format!("{name}!")
-            } else {
-                format!(".{name}()")
-            };
-            out.push(Diagnostic::new(
-                RuleId::P1,
-                ctx.rel_path,
-                t.line,
-                t.col,
-                format!(
-                    "`{shown}` in protocol code is an undocumented invariant: return an error, \
-                     or state the invariant via `// stlint::allow(panic, reason = \"…\")`",
-                ),
-            ));
-        }
-    }
-}
-
-/// U1: the `unsafe` keyword, anywhere outside `third_party/` (which the
-/// walker never scans) — tests included; every `st-*` crate also carries
-/// `#![forbid(unsafe_code)]`, so this is the lint-time mirror of that
-/// guarantee.
-fn rule_u1(ctx: &FileCtx<'_>, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    for t in tokens {
-        if t.is_ident("unsafe") {
-            out.push(Diagnostic::new(
-                RuleId::U1,
-                ctx.rel_path,
-                t.line,
-                t.col,
-                "`unsafe` is forbidden outside third_party/; the whole workspace builds under \
-                 #![forbid(unsafe_code)]",
-            ));
-        }
-    }
 }
 
 /// Methods that begin iteration over an unordered map (N1).
@@ -489,81 +273,6 @@ mod tests {
             .into_iter()
             .map(|d| (d.rule, d.line))
             .collect()
-    }
-
-    #[test]
-    fn d1_catches_import_group_and_qualified_path() {
-        let src = "use std::collections::{HashMap, BTreeMap, HashSet};\nfn f() -> std::collections::HashMap<u8, u8> { Default::default() }\n";
-        let fired = rules_fired(&ctx("st-core"), src);
-        assert_eq!(
-            fired,
-            vec![(RuleId::D1, 1), (RuleId::D1, 1), (RuleId::D1, 2)]
-        );
-    }
-
-    #[test]
-    fn d1_ignores_non_protocol_crates_and_tests() {
-        let src = "use std::collections::HashMap;\n";
-        assert!(rules_fired(&ctx("st-bench"), src).is_empty());
-        assert!(rules_fired(&ctx("st-lint"), src).is_empty());
-        let masked = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        assert!(rules_fired(&ctx("st-core"), masked).is_empty());
-    }
-
-    #[test]
-    fn d2_catches_time_and_entropy_everywhere_but_bench() {
-        let src = "use std::time::Instant;\nfn f() { let _ = rand::thread_rng(); }\n";
-        let fired = rules_fired(&ctx("st-load"), src);
-        assert_eq!(fired, vec![(RuleId::D2, 1), (RuleId::D2, 2)]);
-        assert!(rules_fired(&ctx("st-bench"), src).is_empty());
-    }
-
-    #[test]
-    fn d2_allows_duration() {
-        let src = "use std::time::Duration;\n";
-        assert!(rules_fired(&ctx("st-core"), src).is_empty());
-    }
-
-    #[test]
-    fn p1_catches_methods_and_macros() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    if x.is_none() { panic!(\"no\"); }\n    x.unwrap()\n}\n";
-        let fired = rules_fired(&ctx("st-messages"), src);
-        assert_eq!(fired, vec![(RuleId::P1, 2), (RuleId::P1, 3)]);
-    }
-
-    #[test]
-    fn p1_allow_with_reason_suppresses() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // stlint::allow(panic, reason = \"caller checked is_some\")\n}\n";
-        assert!(rules_fired(&ctx("st-messages"), src).is_empty());
-    }
-
-    #[test]
-    fn p1_allow_without_reason_reports_a1_and_keeps_p1() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // stlint::allow(panic)\n}\n";
-        let fired = rules_fired(&ctx("st-messages"), src);
-        assert!(fired.contains(&(RuleId::A1, 2)));
-        assert!(fired.contains(&(RuleId::P1, 2)));
-    }
-
-    #[test]
-    fn p1_ignores_identifier_lookalikes() {
-        // `unwrap` as a plain ident (no `.` receiver, no call) and
-        // `should_panic` attributes are not panic sites.
-        let src = "fn unwrap() {}\nfn g() { unwrap(); }\n";
-        assert!(rules_fired(&ctx("st-core"), src).is_empty());
-    }
-
-    #[test]
-    fn u1_fires_even_in_test_code() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { unsafe { std::hint::unreachable_unchecked() } }\n}\n";
-        let fired = rules_fired(&ctx("st-bench"), src);
-        assert_eq!(fired, vec![(RuleId::U1, 3)]);
-    }
-
-    #[test]
-    fn u1_ignores_strings_and_comments() {
-        let src = "// unsafe in prose\nconst S: &str = \"unsafe\";\n";
-        assert!(rules_fired(&ctx("st-core"), src).is_empty());
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Directories never scanned: generated output, the vendored stand-ins
-/// (the one place `unsafe`/wall-clock would be externally imposed), VCS
-/// internals, and lint fixture corpora (deliberate violations).
+/// (external code in all but location), VCS internals, and lint fixture
+/// corpora (deliberate violations).
 const SKIP_DIRS: [&str; 5] = ["target", "third_party", ".git", "fixtures", "node_modules"];
 
 /// A source file queued for linting.

@@ -1,6 +1,6 @@
-//! Fixture-driven self-tests: one passing and one failing specimen per
-//! rule family, with exact file/line assertions, plus the meta-test that
-//! the live workspace is lint-clean.
+//! Fixture-driven self-tests: passing and failing specimens for L1, N1
+//! and A1, with exact file/line assertions, a synthetic workspace for
+//! deadpub, plus the meta-test that the live workspace is lint-clean.
 //!
 //! The fixtures live under `tests/fixtures/`, which the workspace walker
 //! deliberately skips — they exist to be linted *by hand* with a chosen
@@ -26,150 +26,14 @@ fn lines_of(diags: &[Diagnostic], rule: RuleId) -> Vec<u32> {
 }
 
 #[test]
-fn d1_fixture_fails_on_each_table_site() {
-    let src = include_str!("fixtures/d1_fail.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/d1_fail.rs"), src);
-    // Line 3: imported HashMap; line 4: HashSet inside a brace group
-    // (BTreeMap in the same group stays legal); line 7: fully-qualified
-    // path use.
-    assert_eq!(lines_of(&diags, RuleId::D1), vec![3, 4, 7]);
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert!(diags[0].message.contains("FastMap"));
-    assert!(diags[0].file.contains("d1_fail.rs"));
-}
-
-#[test]
-fn d1_fixture_passes_with_fasthash_and_test_confined_tables() {
-    let src = include_str!("fixtures/d1_pass.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/d1_pass.rs"), src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn d1_is_scoped_to_protocol_crates() {
-    let src = include_str!("fixtures/d1_fail.rs");
-    let ctx = FileCtx {
-        rel_path: "fixtures/d1_fail.rs",
-        crate_name: "st-load",
-        test_file: false,
-    };
-    assert!(lines_of(&lint_source(&ctx, src), RuleId::D1).is_empty());
-}
-
-#[test]
-fn d2_fixture_fails_on_clock_and_entropy() {
-    let src = include_str!("fixtures/d2_fail.rs");
-    let ctx = FileCtx {
-        rel_path: "fixtures/d2_fail.rs",
-        crate_name: "st-sim",
-        test_file: false,
-    };
-    let diags = lint_source(&ctx, src);
-    // Line 3: Instant import; line 6: SystemTime::now() path; line 8:
-    // thread_rng (OS entropy).
-    assert_eq!(lines_of(&diags, RuleId::D2), vec![3, 6, 8]);
-    assert_eq!(diags.len(), 3, "{diags:?}");
-}
-
-#[test]
-fn d2_fixture_is_exempt_in_st_bench() {
-    let src = include_str!("fixtures/d2_fail.rs");
-    let ctx = FileCtx {
-        rel_path: "fixtures/d2_fail.rs",
-        crate_name: "st-bench",
-        test_file: false,
-    };
-    assert!(lines_of(&lint_source(&ctx, src), RuleId::D2).is_empty());
-}
-
-#[test]
-fn d2_exemption_in_st_node_is_scoped_to_the_io_module() {
-    let src = include_str!("fixtures/d2_node_io.rs");
-    // The same Instant-using source is clean when it lives in st-node's
-    // socket I/O module...
-    let io_ctx = FileCtx {
-        rel_path: "crates/node/src/io.rs",
-        crate_name: "st-node",
-        test_file: false,
-    };
-    assert!(lines_of(&lint_source(&io_ctx, src), RuleId::D2).is_empty());
-    // ...and fires anywhere else in the crate: the exemption follows the
-    // file, not the crate (line 5: the Instant import).
-    let runtime_ctx = FileCtx {
-        rel_path: "crates/node/src/runtime.rs",
-        crate_name: "st-node",
-        test_file: false,
-    };
-    assert_eq!(
-        lines_of(&lint_source(&runtime_ctx, src), RuleId::D2),
-        vec![5]
-    );
-}
-
-#[test]
-fn d2_fixture_passes_when_seeded_and_test_confined() {
-    let src = include_str!("fixtures/d2_pass.rs");
-    let ctx = FileCtx {
-        rel_path: "fixtures/d2_pass.rs",
-        crate_name: "st-sim",
-        test_file: false,
-    };
-    let diags = lint_source(&ctx, src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn p1_fixture_fails_on_each_panic_site() {
-    let src = include_str!("fixtures/p1_fail.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/p1_fail.rs"), src);
-    // Line 4: .unwrap(); line 6: panic!; line 9: unreachable!.
-    assert_eq!(lines_of(&diags, RuleId::P1), vec![4, 6, 9]);
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert!(diags.iter().any(|d| d.message.contains(".unwrap()")));
-    assert!(diags.iter().any(|d| d.message.contains("panic!")));
-}
-
-#[test]
-fn p1_fixture_passes_with_fallible_returns_and_reasoned_allow() {
-    let src = include_str!("fixtures/p1_pass.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/p1_pass.rs"), src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn u1_fixture_fails_on_the_unsafe_keyword() {
-    let src = include_str!("fixtures/u1_fail.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/u1_fail.rs"), src);
-    assert_eq!(lines_of(&diags, RuleId::U1), vec![4]);
-}
-
-#[test]
-fn u1_fires_even_in_test_files() {
-    let src = include_str!("fixtures/u1_fail.rs");
-    let ctx = FileCtx {
-        rel_path: "fixtures/u1_fail.rs",
-        crate_name: "st-lint",
-        test_file: true,
-    };
-    assert_eq!(lines_of(&lint_source(&ctx, src), RuleId::U1), vec![4]);
-}
-
-#[test]
-fn u1_fixture_ignores_unsafe_in_comments_and_strings() {
-    let src = include_str!("fixtures/u1_pass.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/u1_pass.rs"), src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
 fn a1_rejects_reasonless_allows_and_keeps_the_finding() {
     let src = include_str!("fixtures/a1_no_reason.rs");
     let diags = lint_source(&protocol_ctx("fixtures/a1_no_reason.rs"), src);
     // Each of the three bad annotations (no reason, empty reason,
     // unknown rule) earns an A1 — and suppresses nothing, so the
-    // underlying P1 finding on the same line survives.
-    assert_eq!(lines_of(&diags, RuleId::A1), vec![5, 9, 13]);
-    assert_eq!(lines_of(&diags, RuleId::P1), vec![5, 9, 13]);
+    // underlying N1 finding on the same line survives.
+    assert_eq!(lines_of(&diags, RuleId::A1), vec![6, 10, 14]);
+    assert_eq!(lines_of(&diags, RuleId::N1), vec![6, 10, 14]);
     assert_eq!(diags.len(), 6, "{diags:?}");
 }
 
@@ -303,16 +167,16 @@ fn diagnostics_sort_and_json_are_byte_stable() {
         Diagnostic::new(rule, file, line, col, format!("{file}:{line}:{col}"))
     };
     let mut diags = vec![
-        mk(RuleId::P1, "crates/b/src/lib.rs", 4, 9),
+        mk(RuleId::DP, "crates/b/src/lib.rs", 4, 9),
         mk(RuleId::N1, "crates/a/src/lib.rs", 10, 1),
-        mk(RuleId::D1, "crates/b/src/lib.rs", 4, 2),
-        mk(RuleId::U1, "crates/a/src/lib.rs", 2, 5),
-        mk(RuleId::D2, "crates/b/src/lib.rs", 4, 2),
+        mk(RuleId::A1, "crates/b/src/lib.rs", 4, 2),
+        mk(RuleId::L1, "crates/a/src/lib.rs", 2, 5),
+        mk(RuleId::N1, "crates/b/src/lib.rs", 4, 2),
     ];
     let expect: Vec<String> = vec![
         "crates/a/src/lib.rs:2:5".into(),
         "crates/a/src/lib.rs:10:1".into(),
-        "crates/b/src/lib.rs:4:2".into(), // D1 before D2 at the same spot
+        "crates/b/src/lib.rs:4:2".into(), // A1 before N1 at the same spot
         "crates/b/src/lib.rs:4:2".into(),
         "crates/b/src/lib.rs:4:9".into(),
     ];
@@ -322,8 +186,8 @@ fn diagnostics_sort_and_json_are_byte_stable() {
         sorted.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         let got: Vec<String> = sorted.iter().map(|d| d.message.clone()).collect();
         assert_eq!(got, expect);
-        assert_eq!(sorted[2].rule, RuleId::D1);
-        assert_eq!(sorted[3].rule, RuleId::D2);
+        assert_eq!(sorted[2].rule, RuleId::A1);
+        assert_eq!(sorted[3].rule, RuleId::N1);
         // The JSON rendering of the sorted set is byte-deterministic.
         assert_eq!(
             st_lint::diag::to_json(&sorted, 5),

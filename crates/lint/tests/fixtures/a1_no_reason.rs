@@ -1,14 +1,15 @@
 //! A1 failing fixture: allow annotations that are rejected — and that
-//! therefore suppress nothing, so the underlying P1 findings survive.
+//! therefore suppress nothing, so the underlying N1 findings survive.
+use st_types::FastSet;
 
-pub fn first(xs: &[u32]) -> u32 {
-    *xs.first().unwrap() // stlint::allow(panic)
+fn first(seen: &FastSet<u64>) -> Vec<u64> {
+    seen.iter().copied().collect() // stlint::allow(iterorder)
 }
 
-pub fn second(xs: &[u32]) -> u32 {
-    *xs.get(1).unwrap() // stlint::allow(panic, reason = "")
+fn second(seen: &FastSet<u64>) -> Vec<u64> {
+    seen.iter().copied().collect() // stlint::allow(iterorder, reason = "")
 }
 
-pub fn third(xs: &[u32]) -> u32 {
-    *xs.get(2).unwrap() // stlint::allow(frobnicate, reason = "no such rule")
+fn third(seen: &FastSet<u64>) -> Vec<u64> {
+    seen.iter().copied().collect() // stlint::allow(frobnicate, reason = "no such rule")
 }

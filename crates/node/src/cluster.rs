@@ -19,7 +19,7 @@
 //! own plan file, `plan_<node>_<window>.json`: the same plan without the
 //! windows that have fired, so it does not park at them again.
 //!
-//! No wall clock is read here (st-lint D2 holds for this file): timeouts
+//! No wall clock is read here (`clippy::disallowed_methods` holds): timeouts
 //! and stall detection are poll counters over `thread::sleep`.
 
 use crate::plan::ClusterPlan;

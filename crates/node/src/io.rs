@@ -3,11 +3,12 @@
 //! board.
 //!
 //! This is the **only** file in the workspace outside st-bench allowed to
-//! read the wall clock (`std::time::Instant`, scoped st-lint D2
-//! exemption): socket timeouts, backoff, and liveness ages are inherently
-//! wall-clock concerns. Nothing here feeds time back into protocol
-//! decisions — the runtime's round barrier is driven purely by `Mark`
-//! frames, so determinism of the decided chain never depends on timing.
+//! read the wall clock (`Instant::now`, the module-level
+//! `expect(clippy::disallowed_methods)` below): socket timeouts, backoff,
+//! and liveness ages are inherently wall-clock concerns. Nothing here
+//! feeds time back into protocol decisions — the runtime's round barrier
+//! is driven purely by `Mark` frames, so determinism of the decided chain
+//! never depends on timing.
 //!
 //! ## Waiting
 //!
@@ -30,6 +31,11 @@
 //! deduplicates whole round-batches by their trailing mark, so re-sending
 //! everything is the simplest correct recovery (and what makes
 //! kill/restart recovery WAL-free).
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "socket timeouts, backoff and liveness ages are wall-clock concerns; no reading feeds a protocol decision"
+)]
 
 use crate::frame::{self, NodeFrame};
 use crate::plan::ClusterPlan;

@@ -38,10 +38,15 @@
 //!
 //! Layering: depends on `st-types`/`st-messages`/`st-core` only; nothing
 //! below the bench/facade layer may depend on it (enforced by st-lint's
-//! L1 rule). All of the crate is wallclock-free except [`io`], which has
-//! a scoped st-lint D2 exemption for socket timeouts and backoff.
+//! L1 rule). All of the crate is wallclock-free except [`io`], whose
+//! module-level `expect(clippy::disallowed_methods)` admits
+//! `Instant::now` for socket timeouts and backoff.
 
-#![forbid(unsafe_code)]
+// Determinism and panic discipline (clippy.toml; DESIGN §6), tests exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -206,7 +206,11 @@ impl Adversary for EquivocatingVoter {
         let Some(&leader) = ctx.corrupted.first() else {
             return Vec::new();
         };
-        let kp_leader = ctx.keypair_of(leader).expect("leader is corrupted"); // stlint::allow(panic, reason = "leader came out of ctx.corrupted, and keypair_of covers exactly the corrupted set")
+        #[expect(
+            clippy::expect_used,
+            reason = "leader came out of ctx.corrupted, and keypair_of covers exactly the corrupted set"
+        )]
+        let kp_leader = ctx.keypair_of(leader).expect("leader is corrupted");
         let mut out = Vec::new();
 
         if !self.planted {
@@ -404,7 +408,11 @@ impl Adversary for JunkVoter {
         let Some(&leader) = ctx.corrupted.first() else {
             return Vec::new();
         };
-        let kp_leader = ctx.keypair_of(leader).expect("leader is corrupted"); // stlint::allow(panic, reason = "leader came out of ctx.corrupted, and keypair_of covers exactly the corrupted set")
+        #[expect(
+            clippy::expect_used,
+            reason = "leader came out of ctx.corrupted, and keypair_of covers exactly the corrupted set"
+        )]
+        let kp_leader = ctx.keypair_of(leader).expect("leader is corrupted");
         let mut out = Vec::new();
         if self.junk.is_none() {
             let view = View::from_round(ctx.round).next();
@@ -417,7 +425,11 @@ impl Adversary for JunkVoter {
             });
             self.junk = Some(junk);
         }
-        let junk = self.junk.as_ref().expect("planted above"); // stlint::allow(panic, reason = "the is_none branch directly above fills self.junk before this read")
+        #[expect(
+            clippy::expect_used,
+            reason = "the is_none branch directly above fills self.junk before this read"
+        )]
+        let junk = self.junk.as_ref().expect("planted above");
         for (i, &byz) in ctx.corrupted.iter().enumerate() {
             out.push(TargetedMessage {
                 envelope: Envelope::sign(
@@ -550,7 +562,11 @@ impl Adversary for ReorgAttacker {
             return Vec::new();
         }
         let leader = ctx.corrupted[0];
-        let kp_leader = ctx.keypair_of(leader).expect("leader is corrupted"); // stlint::allow(panic, reason = "leader came out of ctx.corrupted, and keypair_of covers exactly the corrupted set")
+        #[expect(
+            clippy::expect_used,
+            reason = "leader came out of ctx.corrupted, and keypair_of covers exactly the corrupted set"
+        )]
+        let kp_leader = ctx.keypair_of(leader).expect("leader is corrupted");
         let mut out = Vec::new();
         if self.fork.is_none() {
             // Plant X off genesis: conflicts with every decided log of
@@ -565,7 +581,11 @@ impl Adversary for ReorgAttacker {
             });
             self.fork = Some(x);
         }
-        let x = self.fork.as_ref().expect("planted above"); // stlint::allow(panic, reason = "the is_none branch directly above fills self.fork before this read")
+        #[expect(
+            clippy::expect_used,
+            reason = "the is_none branch directly above fills self.fork before this read"
+        )]
+        let x = self.fork.as_ref().expect("planted above");
         for (i, &byz) in ctx.corrupted.iter().enumerate() {
             let kp = &ctx.keypairs[i];
             out.push(TargetedMessage {

@@ -261,8 +261,12 @@ impl<P: Protocol> SimBuilder<P> {
     /// Panics on an invalid configuration (the [`BuildError`] message);
     /// library code that wants to handle configuration errors should call
     /// [`SimBuilder::build`] instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic contract of this convenience entry point; the fallible path is build()"
+    )]
     pub fn run(self) -> SimReport {
-        self.build().unwrap_or_else(|e| panic!("{e}")).run() // stlint::allow(panic, reason = "documented panic contract of this convenience entry point; the fallible path is build()")
+        self.build().unwrap_or_else(|e| panic!("{e}")).run()
     }
 }
 

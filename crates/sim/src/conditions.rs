@@ -82,7 +82,10 @@ pub fn check_conditions(
         // non-finite β̃ as a violation, hence the negated form.
         let b_r = schedule.byzantine(r).len();
         let o_r = schedule.online(r).len();
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        #[expect(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "NaN must count as a violation"
+        )]
         if !((b_r as f64) < bt * (o_r as f64)) && (b_r > 0 || o_r == 0) {
             report.failure_ratio_violations.push(r);
         }
@@ -90,7 +93,10 @@ pub fn check_conditions(
         // Equation 3: η-sleepiness |H_r| > (1 − β)·|O_{r−η,r}|.
         let h_r = schedule.honest_awake(r).len();
         let o_union = schedule.online_union(window_lo, r).len();
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        #[expect(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "NaN must count as a violation"
+        )]
         if !((h_r as f64) > (1.0 - beta) * (o_union as f64)) {
             report.eta_sleepiness_violations.push(r);
         }
@@ -110,7 +116,10 @@ pub fn check_conditions(
                 .filter(|&&p| !schedule.is_byzantine(p, r))
                 .count();
             let o_union = schedule.online_union(r.saturating_sub(eta), r).len();
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            #[expect(
+                clippy::neg_cmp_op_on_partial_ord,
+                reason = "NaN must count as a violation"
+            )]
             if !((survivors as f64) > (1.0 - beta) * (o_union as f64)) {
                 report.eq4_violations.push(r);
             }

@@ -72,15 +72,22 @@ impl EnvWindow {
 
     /// The last synchronous round before the window (`ra` in the paper's
     /// notation; windows never start at round 0).
+    #[expect(
+        clippy::expect_used,
+        reason = "Timeline window constructors reject windows starting at round 0, so prev() always exists"
+    )]
     pub fn ra(&self) -> Round {
         self.start
             .prev()
-            .expect("window start > 0 enforced at build") // stlint::allow(panic, reason = "Timeline window constructors reject windows starting at round 0, so prev() always exists")
+            .expect("window start > 0 enforced at build")
     }
 
     /// Window length in rounds (always ≥ 1 — the builders reject empty
     /// windows, so there is no `is_empty`).
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "the builders reject empty windows"
+    )]
     pub fn len(&self) -> u64 {
         self.end.as_u64() - self.start.as_u64() + 1
     }

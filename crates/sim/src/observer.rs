@@ -240,13 +240,17 @@ pub(crate) struct ResilienceObserver {
 impl ResilienceObserver {
     pub(crate) fn new(timeline: &Timeline) -> ResilienceObserver {
         let disruptions = timeline.disruptions();
+        #[expect(
+            clippy::expect_used,
+            reason = "Timeline window constructors reject windows starting at round 0, so prev() always exists"
+        )]
         let monitors = disruptions
             .iter()
             .map(|d| {
                 ResilienceMonitor::new(
                     d.start
                         .prev()
-                        .expect("timeline windows start after round 0"), // stlint::allow(panic, reason = "Timeline window constructors reject windows starting at round 0, so prev() always exists")
+                        .expect("timeline windows start after round 0"),
                 )
             })
             .collect();

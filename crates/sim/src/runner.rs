@@ -62,10 +62,14 @@ impl AsyncWindow {
     }
 
     /// The last synchronous round before the window (`ra`).
+    #[expect(
+        clippy::expect_used,
+        reason = "AsyncWindow::new asserts start > 0, so prev() always exists"
+    )]
     pub fn ra(&self) -> Round {
         self.start
             .prev()
-            .expect("start > 0 enforced at construction") // stlint::allow(panic, reason = "AsyncWindow::new asserts start > 0, so prev() always exists")
+            .expect("start > 0 enforced at construction")
     }
 
     /// The first asynchronous round (`ra + 1`).

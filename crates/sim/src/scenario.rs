@@ -26,8 +26,12 @@ use st_types::{Params, Round, TypesError};
 /// Unwraps a preset's parameter build. Every [`Scenario`] arm feeds
 /// constants chosen to satisfy the [`Params`] validation rules, and the
 /// `all_presets_build` test exercises each arm.
+#[expect(
+    clippy::expect_used,
+    reason = "preset parameters are compile-time constants validated by the all_presets_build test"
+)]
 fn preset(params: Result<Params, TypesError>) -> Params {
-    params.expect("scenario presets are statically valid") // stlint::allow(panic, reason = "preset parameters are compile-time constants validated by the all_presets_build test")
+    params.expect("scenario presets are statically valid")
 }
 
 /// Timeline preset: `k` asynchronous spells of `pi` rounds each,
@@ -264,10 +268,14 @@ impl Scenario {
 
     /// Builds and runs the scenario under `seed` (shorthand for
     /// [`Scenario::builder`]` + build + run`).
+    #[expect(
+        clippy::expect_used,
+        reason = "preset schedules and timelines are compile-time constants validated by the all_presets_build test"
+    )]
     pub fn run(&self, seed: u64) -> SimReport {
         self.builder(seed)
             .build()
-            .expect("scenario presets are valid") // stlint::allow(panic, reason = "preset schedules and timelines are compile-time constants validated by the all_presets_build test")
+            .expect("scenario presets are valid")
             .run()
     }
 }
@@ -287,7 +295,7 @@ mod tests {
 
     #[test]
     fn all_presets_build() {
-        // Backs the allow(panic) annotations on `preset` and
+        // Backs the `expect(clippy::expect_used)` on `preset` and
         // `Scenario::run`: every arm's constants pass validation.
         for s in Scenario::ALL {
             s.builder(1).build().unwrap();

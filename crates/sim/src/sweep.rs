@@ -91,6 +91,10 @@ impl<C: Sync> Sweep<C> {
     /// in input order. Parallel across scoped worker threads (striped,
     /// one per core); the job must be a pure function of its arguments
     /// for the determinism guarantee to mean anything.
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned slot means a worker already panicked, so propagating is the right response; the striped loop assigns every index below cells.len() to exactly one worker, so each slot is filled"
+    )]
     pub fn run<R, F>(&self, job: F) -> Vec<R>
     where
         R: Send,
@@ -121,7 +125,7 @@ impl<C: Sync> Sweep<C> {
                     let mut i = w;
                     while i < cells.len() {
                         let out = job(&cells[i], sweep.cell_seed(i));
-                        *slots[i].lock().expect("sweep slot poisoned") = Some(out); // stlint::allow(panic, reason = "a poisoned slot means a sibling worker already panicked; propagating is the right response")
+                        *slots[i].lock().expect("sweep slot poisoned") = Some(out);
                         i += workers;
                     }
                 });
@@ -131,8 +135,8 @@ impl<C: Sync> Sweep<C> {
             .into_iter()
             .map(|s| {
                 s.into_inner()
-                    .expect("sweep slot poisoned") // stlint::allow(panic, reason = "a poisoned slot means a worker already panicked; propagating is the right response")
-                    .expect("sweep cell never ran") // stlint::allow(panic, reason = "the striped loop assigns every index below cells.len() to exactly one worker, so each slot is filled")
+                    .expect("sweep slot poisoned")
+                    .expect("sweep cell never ran")
             })
             .collect()
     }

@@ -13,7 +13,11 @@
 //! identical across runs, which also makes map iteration order stable
 //! for debugging.
 
-// stlint::allow(hashmap, reason = "this module IS the sanctioned wrapper: FastMap/FastSet are std tables re-keyed with the deterministic FxHasher")
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module IS the sanctioned wrapper: FastMap/FastSet are std tables re-keyed with the deterministic FxHasher"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};

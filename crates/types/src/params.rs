@@ -134,13 +134,17 @@ impl Params {
 impl Default for Params {
     /// A small but representative default: 40 processes, `η = 4`, `π = 2`,
     /// `γ = 0.05`, `β = 1/3`, `δ = 100 ms`.
+    #[expect(
+        clippy::expect_used,
+        reason = "constant builder inputs that satisfy every Params validation rule; exercised by the default_params_are_resilient test"
+    )]
     fn default() -> Self {
         Params::builder(40)
             .expiration(4)
             .max_asynchrony(2)
             .churn_rate(0.05)
             .build()
-            .expect("default parameters are valid") // stlint::allow(panic, reason = "constant builder inputs that satisfy every Params validation rule; exercised by the default_params_are_resilient test")
+            .expect("default parameters are valid")
     }
 }
 
@@ -248,7 +252,6 @@ impl ParamsBuilder {
         if !(self.beta > 0.0 && self.beta <= 0.5 && self.beta.is_finite()) {
             return Err(TypesError::InvalidFailureRatio(self.beta));
         }
-        #[allow(clippy::manual_range_contains)]
         if !(0.0..1.0).contains(&self.gamma) || !self.gamma.is_finite() {
             return Err(TypesError::InvalidChurnRate(self.gamma));
         }
@@ -261,7 +264,7 @@ impl ParamsBuilder {
                 beta: self.beta,
             });
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail the check
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must fail the check")]
         if !(self.delta_ms > 0.0) || !self.delta_ms.is_finite() {
             return Err(TypesError::InvalidDelta(self.delta_ms));
         }

@@ -29,6 +29,9 @@
 //! so only the delivery-control adversaries `silent` / `blackout` /
 //! `partition` apply, and `--eta` is ignored).
 
+// A crate attribute in lib.rs does not reach this bin target.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use sleepy_tob::prelude::*;
 use sleepy_tob::sim::adversary::{Adversary, JunkVoter, WithholdingLeader};
 use sleepy_tob::sim::ChurnOptions;
