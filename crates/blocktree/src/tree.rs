@@ -197,17 +197,6 @@ impl BlockTree {
         idx
     }
 
-    /// The ancestor of `id` at exactly `target_height`, or `None` if `id`
-    /// is unknown or shallower than the target.
-    pub fn ancestor_at_height(&self, id: BlockId, target_height: u64) -> Option<BlockId> {
-        let idx = self.idx(id)?;
-        if self.nodes[idx as usize].height < target_height {
-            return None;
-        }
-        let a = self.ancestor_idx_at(idx, target_height);
-        Some(self.nodes[a as usize].block.id())
-    }
-
     /// Whether `a` is an ancestor of `b` **or equal to it** — i.e. whether
     /// the log with tip `a` is a prefix of the log with tip `b`
     /// (`Λ_a ⪯ Λ_b` in the paper's notation).
@@ -268,29 +257,6 @@ impl BlockTree {
         Some(self.nodes[x as usize].block.id())
     }
 
-    /// The longest common prefix (deepest common ancestor) of a non-empty
-    /// set of tips. Unknown tips are ignored; returns `None` if no tip is
-    /// known.
-    ///
-    /// Used by graded-agreement validity: "processes output with grade 1
-    /// the longest common prefix among well-behaved processes' input logs".
-    pub fn longest_common_prefix<I>(&self, tips: I) -> Option<BlockId>
-    where
-        I: IntoIterator<Item = BlockId>,
-    {
-        let mut acc: Option<BlockId> = None;
-        for tip in tips {
-            if !self.contains(tip) {
-                continue;
-            }
-            acc = Some(match acc {
-                None => tip,
-                Some(cur) => self.lca(cur, tip)?,
-            });
-        }
-        acc
-    }
-
     /// Iterates the chain from `tip` down to genesis (inclusive), yielding
     /// tips first. Unknown tips yield an empty iterator.
     pub fn chain(&self, tip: BlockId) -> ChainIter<'_> {
@@ -305,23 +271,6 @@ impl BlockTree {
         let mut v: Vec<BlockId> = self.chain(tip).collect();
         v.reverse();
         v
-    }
-
-    /// Whether transaction `tx` appears in the log with tip `tip`.
-    pub fn log_contains_tx(&self, tip: BlockId, tx: TxId) -> bool {
-        let Some(mut idx) = self.idx(tip) else {
-            return false;
-        };
-        loop {
-            let node = &self.nodes[idx as usize];
-            if node.block.payload().contains(&tx) {
-                return true;
-            }
-            if node.height == 0 {
-                return false;
-            }
-            idx = node.parent;
-        }
     }
 
     /// All transactions in the log with tip `tip`, genesis-first order.
@@ -343,33 +292,6 @@ impl BlockTree {
             txs.extend_from_slice(self.nodes[i as usize].block.payload());
         }
         txs
-    }
-
-    /// Merges every block of `other` that this tree is missing (used by
-    /// the simulator to ship proposals between processes).
-    pub fn absorb(&mut self, other: &BlockTree) {
-        // Insert in height order so parents always precede children.
-        let mut missing: Vec<&Node> = other
-            .nodes
-            .iter()
-            .filter(|n| !self.contains(n.block.id()))
-            .collect();
-        missing.sort_by_key(|n| n.height);
-        for node in missing {
-            // Parent must exist: other is a valid tree and we insert in
-            // height order.
-            #[expect(
-                clippy::expect_used,
-                reason = "missing nodes are inserted in ascending height order out of a valid tree, so each parent is present by the time its child arrives"
-            )]
-            self.insert_or_get(node.block.clone())
-                .expect("absorb preserves parent-before-child order");
-        }
-    }
-
-    /// All block ids currently in the tree (unordered).
-    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.index.keys().copied()
     }
 }
 
@@ -507,15 +429,25 @@ mod tests {
     }
 
     #[test]
-    fn ancestor_at_height_jumps_correctly() {
+    fn ancestry_jumps_reach_every_height() {
+        // A 100-deep chain with a one-block side branch at every height:
+        // the jump pointers must land on exactly the chain block of each
+        // height, never on its sibling.
         let mut tree = BlockTree::new();
         let tips = extend_chain(&mut tree, BlockId::GENESIS, 100, 0);
         let deep = *tips.last().unwrap();
-        assert_eq!(tree.ancestor_at_height(deep, 0), Some(BlockId::GENESIS));
-        for h in 1..=100u64 {
-            assert_eq!(tree.ancestor_at_height(deep, h), Some(tips[h as usize - 1]));
+        assert!(tree.is_ancestor(BlockId::GENESIS, deep));
+        for (h, &t) in tips.iter().enumerate() {
+            assert!(tree.is_ancestor(t, deep), "height {}", h + 1);
+            let parent = if h == 0 {
+                BlockId::GENESIS
+            } else {
+                tips[h - 1]
+            };
+            let side = extend_chain(&mut tree, parent, 1, 1 + h as u32)[0];
+            assert!(!tree.is_ancestor(side, deep), "height {}", h + 1);
+            assert_eq!(tree.lca(side, deep), Some(parent));
         }
-        assert_eq!(tree.ancestor_at_height(deep, 101), None);
     }
 
     #[test]
@@ -556,22 +488,18 @@ mod tests {
     }
 
     #[test]
-    fn longest_common_prefix_of_tips() {
+    fn lca_folds_into_the_common_prefix_of_tips() {
+        // The longest common prefix of a tip set (graded agreement's
+        // validity) is `lca` folded over the set.
         let mut tree = BlockTree::new();
         let trunk = extend_chain(&mut tree, BlockId::GENESIS, 3, 0);
         let a = extend_chain(&mut tree, trunk[2], 2, 1);
         let b = extend_chain(&mut tree, trunk[2], 2, 2);
-        let lcp = tree
-            .longest_common_prefix([*a.last().unwrap(), *b.last().unwrap(), trunk[2]])
-            .unwrap();
-        assert_eq!(lcp, trunk[2]);
-        // Unknown tips are skipped.
-        let lcp2 = tree
-            .longest_common_prefix([*a.last().unwrap(), BlockId::new(12345)])
-            .unwrap();
-        assert_eq!(lcp2, *a.last().unwrap());
-        // All-unknown yields None.
-        assert_eq!(tree.longest_common_prefix([BlockId::new(777)]), None);
+        let lcp = [*a.last().unwrap(), *b.last().unwrap(), trunk[2]]
+            .into_iter()
+            .reduce(|x, y| tree.lca(x, y).unwrap());
+        assert_eq!(lcp, Some(trunk[2]));
+        assert_eq!(tree.lca(*a.last().unwrap(), BlockId::new(12345)), None);
     }
 
     #[test]
@@ -590,24 +518,27 @@ mod tests {
         let tips = extend_chain(&mut tree, BlockId::GENESIS, 3, 7);
         let tip = *tips.last().unwrap();
         let tx0 = TxId::new((7u64) << 32);
-        assert!(tree.log_contains_tx(tip, tx0));
-        assert!(!tree.log_contains_tx(tip, TxId::new(424242)));
-        assert_eq!(tree.log_transactions(tip).len(), 3);
+        let txs = tree.log_transactions(tip);
+        assert_eq!(txs.len(), 3);
+        assert_eq!(txs[0], tx0);
+        assert!(!txs.contains(&TxId::new(424242)));
     }
 
     #[test]
-    fn absorb_merges_missing_blocks() {
+    fn insert_or_get_merges_another_trees_blocks() {
+        // Another tree's blocks, inserted parents first, merge in once.
         let mut a = BlockTree::new();
         let mut b = BlockTree::new();
         let tips_a = extend_chain(&mut a, BlockId::GENESIS, 4, 0);
         let tips_b = extend_chain(&mut b, BlockId::GENESIS, 4, 1);
-        a.absorb(&b);
+        for _ in 0..2 {
+            for &id in &tips_b {
+                a.insert_or_get(b.block(id).unwrap().clone()).unwrap();
+            }
+        }
         assert!(a.contains(*tips_b.last().unwrap()));
         assert!(a.contains(*tips_a.last().unwrap()));
         assert_eq!(a.len(), 9); // genesis + 4 + 4
-                                // Absorb is idempotent.
-        a.absorb(&b);
-        assert_eq!(a.len(), 9);
     }
 
     #[test]

@@ -104,7 +104,7 @@ proptest! {
     #[test]
     fn lcp_is_prefix_of_all_inputs(choices in prop::collection::vec(any::<u8>(), 1..40)) {
         let (tree, ids) = grow_tree(&choices);
-        let lcp = tree.longest_common_prefix(ids.iter().copied()).unwrap();
+        let lcp = ids.iter().copied().reduce(|a, b| tree.lca(a, b).unwrap()).unwrap();
         for &a in &ids {
             prop_assert!(tree.is_ancestor(lcp, a));
         }
@@ -117,13 +117,16 @@ proptest! {
     }
 
     #[test]
-    fn absorb_is_union(
+    fn merging_another_tree_is_union(
         left in prop::collection::vec(any::<u8>(), 1..30),
         right in prop::collection::vec(any::<u8>(), 1..30),
     ) {
         let (mut a, ids_a) = grow_tree(&left);
         let (b, ids_b) = grow_tree(&right);
-        a.absorb(&b);
+        // `ids_b` lists parents before children.
+        for &id in &ids_b {
+            a.insert_or_get(b.block(id).unwrap().clone()).unwrap();
+        }
         for &id in ids_a.iter().chain(ids_b.iter()) {
             prop_assert!(a.contains(id));
         }

@@ -71,7 +71,6 @@
 #![warn(missing_docs)]
 
 mod buffer;
-mod checkpoint;
 mod config;
 mod decision;
 mod process;
@@ -80,7 +79,6 @@ mod quorum;
 mod txpool;
 
 pub use buffer::BlockBuffer;
-pub use checkpoint::Checkpoint;
 pub use config::TobConfig;
 pub use decision::DecisionEvent;
 pub use process::TobProcess;

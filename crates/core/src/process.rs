@@ -148,6 +148,7 @@ impl TobProcess {
     /// the pool every proposal scans (diagnostics; the bounded-memory
     /// regression suite watches its size).
     pub fn pending_txs(&self) -> usize {
+        // stlint::allow(deadpub, reason = "the pool-size probe of the bounded-memory regression suite (st-sim's bounded_memory.rs)")
         self.pool.pending_len()
     }
 
@@ -167,6 +168,7 @@ impl TobProcess {
     /// every receiver via [`TobProcess::on_receive_shared`] so the
     /// signature is checked once per envelope, not once per receiver.
     pub fn on_receive(&mut self, envelope: Envelope) {
+        // stlint::allow(deadpub, reason = "the single-receiver entry point for hand-driven processes (crate doc, conformance tests); multicast drivers use on_receive_shared")
         self.on_receive_shared(&SharedEnvelope::new(envelope));
     }
 
@@ -194,19 +196,14 @@ impl TobProcess {
                 }
             }
             Payload::Propose(proposal) => {
-                self.receive_block(proposal.block_arc().clone());
+                // The shared handle: a multicast block body is stored
+                // once, not once per receiver. Orphans buffer.
+                self.buffer
+                    .insert(&mut self.tree, proposal.block_arc().clone());
                 self.proposes
                     .insert(proposal.clone(), self.config.directory());
             }
         }
-    }
-
-    /// Adds a block body to the local tree (buffering orphans). Used for
-    /// proposal delivery and checkpoint installation. Takes the shared
-    /// handle so a multicast block body is stored once, not once per
-    /// receiver.
-    pub(crate) fn receive_block(&mut self, block: impl Into<Arc<Block>>) {
-        self.buffer.insert(&mut self.tree, block);
     }
 
     /// Executes the send phase of `round` and returns the messages this
@@ -589,7 +586,7 @@ mod tests {
         }
         for p in &procs {
             assert!(
-                p.tree().log_contains_tx(p.decided_tip(), tx),
+                p.tree().log_transactions(p.decided_tip()).contains(&tx),
                 "tx missing from {:?}'s decided log",
                 p.id()
             );
@@ -780,7 +777,11 @@ mod tests {
         procs[0].submit_tx(tx);
         assert_eq!(procs[0].pending_txs(), 1);
         let mut r = 0;
-        while !procs[0].tree().log_contains_tx(procs[0].decided_tip(), tx) {
+        while !procs[0]
+            .tree()
+            .log_transactions(procs[0].decided_tip())
+            .contains(&tx)
+        {
             lockstep_round(&mut procs, Round::new(r));
             r += 1;
             assert!(r < 20, "tx never decided");

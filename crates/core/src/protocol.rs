@@ -21,7 +21,7 @@
 //! particular protocol — work unchanged for any implementor.
 
 use crate::{DecisionEvent, TobConfig};
-use st_blocktree::{Block, BlockTree};
+use st_blocktree::BlockTree;
 use st_ga::GaOutput;
 use st_messages::{Envelope, SharedEnvelope};
 use st_types::{BlockId, ProcessId, Round, TxId};
@@ -117,15 +117,6 @@ pub trait Protocol: Sized + 'static {
     /// branches) — the shared vocabulary monitors resolve decision tips
     /// against.
     fn tree(&self) -> &BlockTree;
-
-    /// Installs externally obtained blocks — the checkpoint/wake-up
-    /// bootstrap hook (see [`crate::Checkpoint`]). Orphans must buffer
-    /// exactly like blocks arriving in proposals. The default ignores
-    /// the blocks, which is only correct for protocols that never
-    /// bootstrap from snapshots.
-    fn install_blocks(&mut self, blocks: &[Block]) {
-        let _ = blocks;
-    }
 }
 
 /// The sleepy protocol (Algorithm 1 with message expiration) is the
@@ -170,10 +161,6 @@ impl Protocol for crate::TobProcess {
 
     fn tree(&self) -> &BlockTree {
         crate::TobProcess::tree(self)
-    }
-
-    fn install_blocks(&mut self, blocks: &[Block]) {
-        crate::TobProcess::install_blocks(self, blocks);
     }
 }
 

@@ -258,12 +258,6 @@ impl Protocol for QuorumProcess {
     fn tree(&self) -> &BlockTree {
         &self.tree
     }
-
-    fn install_blocks(&mut self, blocks: &[Block]) {
-        for block in blocks {
-            self.buffer.insert(&mut self.tree, block.clone());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -409,7 +403,7 @@ mod tests {
         // every honest mempool), so the first decided view includes it.
         for p in &procs {
             assert!(
-                p.tree().log_contains_tx(p.decided_tip(), tx),
+                p.tree().log_transactions(p.decided_tip()).contains(&tx),
                 "tx missing from {:?}'s decided log",
                 p.id
             );
@@ -429,7 +423,10 @@ mod tests {
         let mut proposals = 0;
         for r in 0..=12u64 {
             let round = Round::new(r);
-            let decided = procs[0].tree().log_contains_tx(procs[0].decided_tip(), tx);
+            let decided = procs[0]
+                .tree()
+                .log_transactions(procs[0].decided_tip())
+                .contains(&tx);
             if decided {
                 assert_eq!(
                     procs[0].pool.pending_len(),
@@ -453,7 +450,10 @@ mod tests {
                 }
             }
         }
-        assert!(procs[0].tree().log_contains_tx(procs[0].decided_tip(), tx));
+        assert!(procs[0]
+            .tree()
+            .log_transactions(procs[0].decided_tip())
+            .contains(&tx));
         assert!(proposals >= 2);
     }
 

@@ -38,7 +38,7 @@ fn resubmission_after_decision<P: Protocol>() {
     net.submit(1, theirs);
     let decided = |net: &OracleNet<P>, tx| {
         let p = &net.procs[0];
-        p.tree().log_contains_tx(p.decided_tip(), tx)
+        p.tree().log_transactions(p.decided_tip()).contains(&tx)
     };
     let mut r = 0;
     while !(decided(&net, mine) && decided(&net, theirs)) {

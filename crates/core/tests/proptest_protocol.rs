@@ -10,12 +10,15 @@
 //! * liveness trend — with enough all-awake suffix rounds, the chain grows.
 
 use proptest::prelude::*;
+use st_blocktree::BlockTree;
 use st_core::{DecisionEvent, TobConfig, TobProcess};
-use st_messages::Envelope;
+use st_messages::{Envelope, Payload};
 use st_types::{Params, ProcessId, Round, TxId};
 
 struct Execution {
     procs: Vec<TobProcess>,
+    /// Every proposed block: a tree that has seen every proposal.
+    global: BlockTree,
     /// Every process's decisions, drained once the run ends.
     decisions: Vec<Vec<DecisionEvent>>,
 }
@@ -58,6 +61,7 @@ fn run(n: usize, eta: u64, rounds: u64, sleep_bits: &[u64], txs: &[u8]) -> Execu
 
     // Queued messages for sleeping processes.
     let mut queued: Vec<Vec<Envelope>> = vec![Vec::new(); n];
+    let mut global = BlockTree::new();
 
     for r in 0..=rounds {
         let round = Round::new(r);
@@ -79,6 +83,13 @@ fn run(n: usize, eta: u64, rounds: u64, sleep_bits: &[u64], txs: &[u8]) -> Execu
                 batch.extend(p.step_send(round));
             }
         }
+        // A proposal extends a block proposed in an earlier round, so
+        // inserting in send order always finds the parent.
+        for env in &batch {
+            if let Payload::Propose(p) = env.payload() {
+                global.insert_or_get(p.block_arc().clone()).unwrap();
+            }
+        }
         // Receive phase (end of round r): processes awake at the
         // beginning of round r+1 receive everything — queued backlog
         // first, then this round's batch. Others queue.
@@ -96,16 +107,15 @@ fn run(n: usize, eta: u64, rounds: u64, sleep_bits: &[u64], txs: &[u8]) -> Execu
         }
     }
     let decisions = procs.iter_mut().map(|p| p.drain_decisions()).collect();
-    Execution { procs, decisions }
+    Execution {
+        procs,
+        global,
+        decisions,
+    }
 }
 
 fn check_invariants(ex: &Execution) -> Result<(), TestCaseError> {
-    // A tree that has seen every proposal (p0 receives everything while
-    // awake; use the union for robustness).
-    let mut global = st_blocktree::BlockTree::new();
-    for p in &ex.procs {
-        global.absorb(p.tree());
-    }
+    let global = &ex.global;
 
     // Agreement across all decision events of all processes.
     let mut all: Vec<(usize, st_types::BlockId)> = Vec::new();

@@ -11,7 +11,7 @@
 use st_blocktree::{Block, BlockTree};
 use st_core::{Protocol, TobConfig, TobProcess};
 use st_crypto::Keypair;
-use st_messages::{Envelope, Payload, SharedEnvelope, Vote};
+use st_messages::{Envelope, Payload, Propose, SharedEnvelope, Vote};
 use st_types::{BlockId, Params, ProcessId, Round, RoundKind, TxId, View};
 
 /// The stateless payload rule.
@@ -111,7 +111,9 @@ impl<P: Protocol> OracleNet<P> {
 
 /// Forces p0 of a 4-process, `η = 0` sleepy network onto a fork. A
 /// transaction `a` submitted everywhere is decided; a block `fork` holding
-/// `y` is built on the parent of the block carrying `a`; in the next
+/// `y` is built on the parent of the block carrying `a` and reaches p0 as
+/// p3's (signed, far-future view) proposal, the path every block takes; in
+/// the next
 /// first round of a view p0 hears, besides its own vote, only forged
 /// votes for `fork` from p1..p3. Its next proposal then extends `fork`,
 /// which conflicts with its decided tip: `a` is decided but not on that
@@ -132,7 +134,8 @@ pub fn forked_lockstep(seed: u64) -> (OracleNet<TobProcess>, [TxId; 2], Vec<TxId
     let mut r = 0;
     while !net.procs[0]
         .tree()
-        .log_contains_tx(net.procs[0].decided_tip(), a)
+        .log_transactions(net.procs[0].decided_tip())
+        .contains(&a)
     {
         net.lockstep(Round::new(r));
         r += 1;
@@ -143,13 +146,27 @@ pub fn forked_lockstep(seed: u64) -> (OracleNet<TobProcess>, [TxId; 2], Vec<TxId
         .chain(net.procs[0].decided_tip())
         .find(|&b| tree.block(b).unwrap().payload().contains(&a))
         .unwrap();
+    let view = View::new(1_000);
     let fork = Block::build(
         tree.parent(carrier).unwrap(),
-        View::new(1_000),
+        view,
         ProcessId::new(3),
         vec![y],
     );
-    net.procs[0].install_blocks(std::slice::from_ref(&fork));
+    let p3 = Keypair::derive(ProcessId::new(3), net.seed);
+    let (rho, proof) = p3.vrf_eval(view.as_u64());
+    let propose = Propose::new(
+        p3.owner(),
+        Round::new(1_999),
+        view,
+        fork.clone(),
+        rho,
+        proof,
+    );
+    net.deliver(
+        0,
+        &SharedEnvelope::new(Envelope::sign(&p3, Payload::Propose(propose))),
+    );
     net.submit(0, y);
     for &tx in &solo {
         net.submit(0, tx);

@@ -81,24 +81,14 @@ impl Default for Hasher64 {
     }
 }
 
-/// One-shot hash of a byte slice.
-///
-/// ```
-/// use st_crypto::hash64;
-/// assert_ne!(hash64(b"a"), hash64(b"b"));
-/// assert_eq!(hash64(b"a"), hash64(b"a"));
-/// ```
-pub fn hash64(bytes: &[u8]) -> u64 {
-    Hasher64::new().chain(bytes).finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deterministic() {
-        assert_eq!(hash64(b"sleepy"), hash64(b"sleepy"));
+        let h = || Hasher64::new().chain(b"sleepy").finish();
+        assert_eq!(h(), h());
     }
 
     #[test]
@@ -118,7 +108,7 @@ mod tests {
         let mut h = Hasher64::new();
         h.update(b"ab");
         h.update(b"cd");
-        assert_eq!(h.finish(), hash64(b"abcd"));
+        assert_eq!(h.finish(), Hasher64::new().chain(b"abcd").finish());
     }
 
     #[test]

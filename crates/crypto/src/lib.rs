@@ -48,6 +48,6 @@ mod hash;
 mod keys;
 mod vrf;
 
-pub use hash::{hash64, Hasher64};
+pub use hash::Hasher64;
 pub use keys::{verification_count, Keypair, PublicKey, Signature};
 pub use vrf::{Vrf, VrfOutput, VrfProof};

@@ -23,9 +23,12 @@
 //! [`st_messages::VoteStore::latest_in_window`]; this crate implements the
 //! grading itself.
 //!
-//! [`GaInstance`] packages the Figure-3 object (explicit `M₀` + current
-//! round votes) for direct property testing of Lemma 1; the protocol crate
-//! (`st-core`) instead calls [`tally`] on its long-lived vote store.
+//! The Figure-3 object (an explicit `M₀` plus the current round's votes)
+//! is therefore a vote store and a window: insert `M₀` and the round-`r`
+//! votes, then [`tally`] `latest_in_window(lo, r)`, where `lo` is the
+//! oldest `M₀` round. The protocol crate (`st-core`) does exactly that on
+//! its long-lived store, and Lemma 1's property tests do it on a fresh
+//! one.
 //!
 //! # Example
 //!
@@ -55,12 +58,10 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![warn(missing_docs)]
 
-mod instance;
 mod output;
 mod support;
 mod thresholds;
 
-pub use instance::GaInstance;
 pub use output::GaOutput;
 pub use support::SupportIndex;
 pub use thresholds::Thresholds;

@@ -58,6 +58,7 @@ impl GaOutput {
     /// the id-sorted outputs — grade lookups are rare (tests, monitors),
     /// so the hot path no longer materialises a per-tally lookup map.
     pub fn grade_of(&self, block: BlockId) -> Option<Grade> {
+        // stlint::allow(deadpub, reason = "the graded-agreement query Lemma 1's property tests and the crate doc state their claims in")
         self.outputs
             .binary_search_by_key(&block.as_u64(), |&(b, _, _)| b.as_u64())
             .ok()
@@ -67,14 +68,6 @@ impl GaOutput {
     /// Iterates `(block, grade)` pairs, sorted by block id.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, Grade)> + '_ {
         self.outputs.iter().map(|&(b, g, _)| (b, g))
-    }
-
-    /// All logs output with grade 1 (the decision-grade set).
-    pub fn grade1_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.outputs
-            .iter()
-            .filter(|&&(_, g, _)| g == Grade::One)
-            .map(|&(b, _, _)| b)
     }
 
     /// The longest log output with grade 1 (Algorithm 1 line 9: the input
@@ -99,23 +92,6 @@ impl GaOutput {
     /// The number of graded logs.
     pub fn len(&self) -> usize {
         self.outputs.len()
-    }
-
-    /// The maximal conflicting logs among the outputs, i.e. the graded
-    /// tips (blocks with no graded descendant). Bounded divergence
-    /// (Definition 4) asserts there are at most two *conflicting* outputs;
-    /// monitors use this to verify it.
-    pub fn maximal_outputs(&self, tree: &BlockTree) -> Vec<BlockId> {
-        let blocks: Vec<BlockId> = self.outputs.iter().map(|&(b, _, _)| b).collect();
-        blocks
-            .iter()
-            .copied()
-            .filter(|&b| {
-                !blocks
-                    .iter()
-                    .any(|&other| other != b && tree.is_ancestor(b, other))
-            })
-            .collect()
     }
 }
 
@@ -163,57 +139,6 @@ mod tests {
         );
         assert_eq!(out.longest_grade1(), Some(ids[2]));
         assert_eq!(out.longest_any_grade(), Some(ids[3]));
-        assert_eq!(out.grade1_blocks().count(), 2);
         assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn maximal_outputs_on_chain_is_tip() {
-        let (tree, ids) = chain_tree(3);
-        let out = GaOutput::new(
-            vec![
-                (ids[1], Grade::One),
-                (ids[2], Grade::Zero),
-                (ids[3], Grade::Zero),
-            ],
-            6,
-            &tree,
-        );
-        assert_eq!(out.maximal_outputs(&tree), vec![ids[3]]);
-    }
-
-    #[test]
-    fn maximal_outputs_on_fork() {
-        let mut tree = BlockTree::new();
-        let a = tree
-            .insert(Block::build(
-                BlockId::GENESIS,
-                View::new(1),
-                ProcessId::new(0),
-                vec![],
-            ))
-            .unwrap();
-        let b = tree
-            .insert(Block::build(
-                BlockId::GENESIS,
-                View::new(1),
-                ProcessId::new(1),
-                vec![],
-            ))
-            .unwrap();
-        let out = GaOutput::new(
-            vec![
-                (a, Grade::Zero),
-                (b, Grade::Zero),
-                (BlockId::GENESIS, Grade::One),
-            ],
-            9,
-            &tree,
-        );
-        let mut maximal = out.maximal_outputs(&tree);
-        maximal.sort_by_key(|x| x.as_u64());
-        let mut expected = vec![a, b];
-        expected.sort_by_key(|x| x.as_u64());
-        assert_eq!(maximal, expected);
     }
 }

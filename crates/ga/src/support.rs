@@ -58,12 +58,8 @@ impl SupportIndex {
 
     /// The support of `block` (0 if never supported).
     pub fn support_of(&self, block: BlockId) -> usize {
+        // stlint::allow(deadpub, reason = "the per-block probe proptest_support.rs compares with the stateless tally")
         self.support.get(&block).copied().unwrap_or(0)
-    }
-
-    /// The tip currently counted for `sender`.
-    pub fn vote_of(&self, sender: ProcessId) -> Option<BlockId> {
-        self.current.get(&sender).copied()
     }
 
     /// Counts (or moves) `sender`'s vote to `tip`. Unknown tips are

@@ -104,7 +104,7 @@ fn main() -> ExitCode {
                 println!("{d}");
             }
             println!(
-                "stlint deadpub: {} unreferenced pub fn{}",
+                "stlint deadpub: {} pub fn{} no production code reaches",
                 diags.len(),
                 plural(diags.len()),
             );

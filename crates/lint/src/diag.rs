@@ -22,12 +22,14 @@ pub enum RuleId {
     /// `HashSet` in protocol-crate non-test code where the iteration
     /// order can reach an ordered sink (`push`/`extend`/`insert`/send
     /// inside the loop body, or a `collect`/`fold`-style chain) — route
-    /// through `st_types::fasthash::{iter_sorted, into_sorted_vec}` or
+    /// through `st_types::fasthash::{iter_sorted, set_into_sorted_vec}` or
     /// state the order-insensitivity invariant in an allow.
     N1,
-    /// Dead public API: a `pub fn` in crate `src/` with zero references
-    /// anywhere else in the workspace (item-graph resolved: occurrences
-    /// inside the defining function's own body don't count).
+    /// Dead public API: a `pub fn` in crate `src/` that no production code
+    /// names — a package's `src/` (bins included) or `examples/`, outside
+    /// `#[cfg(test)]` regions and `pub use` re-exports (item-graph
+    /// resolved: occurrences inside the defining function's own body don't
+    /// count).
     DP,
 }
 
@@ -62,9 +64,9 @@ impl RuleId {
             RuleId::A1 => "stlint::allow annotations must name a known rule and give a reason",
             RuleId::N1 => {
                 "unordered-map iteration feeding an ordered sink in protocol non-test code \
-                 (use st_types::fasthash::iter_sorted/into_sorted_vec)"
+                 (use st_types::fasthash::iter_sorted/set_into_sorted_vec)"
             }
-            RuleId::DP => "pub fn with zero workspace references (item-graph resolved)",
+            RuleId::DP => "pub fn no production code reaches (tests and re-exports do not count)",
         }
     }
 

@@ -8,7 +8,8 @@
 //! is compiler-enforced (root `clippy.toml`, the workspace `[lints]`
 //! table and each crate root's `deny` list); `stlint` checks what the
 //! compiler cannot: crate layering, whether a hash map's bucket order
-//! escapes into an ordered value, and unreferenced public API.
+//! escapes into an ordered value, and public API that production code
+//! never reaches.
 //!
 //! [`SimReport`]: ../st_sim/struct.SimReport.html
 //!
@@ -19,7 +20,7 @@
 //! | L1 | layering  | every workspace `Cargo.toml`  | upward dependencies, `st-bench` as a dependency, `st-node` outside its two consumers, unknown externals |
 //! | A1 | allow     | everywhere scanned            | malformed `stlint::allow` annotations |
 //! | N1 | iterorder | protocol crates, non-test     | unordered-map iteration feeding an ordered sink (loop `push`/send, chain `collect`/`fold`) |
-//! | DP | deadpub   | crate `src/`, gating          | `pub fn` with zero workspace references (item-graph resolved) |
+//! | DP | deadpub   | crate `src/`, gating          | `pub fn` no production code reaches: only production occurrences count, not tests, `#[cfg(test)]` code or `pub use` re-exports (item-graph resolved) |
 //!
 //! The token rules it used to carry (D1 `hashmap`, D2 `wallclock`, P1
 //! `panic`, U1 `unsafe`) are compiler lints now; DESIGN.md §6 maps each
@@ -56,7 +57,7 @@
 //! cargo run -p st-lint -- check            # lint the workspace, exit 1 on findings
 //! cargo run -p st-lint -- check --json     # machine-readable findings
 //! cargo run -p st-lint -- rules            # the rule table
-//! cargo run -p st-lint -- deadpub          # gating dead-public-API check
+//! cargo run -p st-lint -- deadpub          # gating check: pub fns production never reaches
 //! ```
 
 // No wall clock or OS entropy (clippy.toml; DESIGN §6), tests exempt.

@@ -119,8 +119,8 @@ const LOOP_EFFECTS: [&str; 7] = [
 ///   terminator ([`ORDER_SINKS`]).
 ///
 /// The canonical fix is `st_types::fasthash::{iter_sorted,
-/// into_sorted_vec, set_iter_sorted, set_into_sorted_vec}` — free
-/// functions, so routed call sites no longer match either shape. A
+/// set_into_sorted_vec}` — free functions, so routed call sites no
+/// longer match either shape. A
 /// genuinely order-insensitive effect keeps the map iteration and
 /// states its invariant via `stlint::allow(iterorder, reason = "…")`.
 fn rule_n1(ctx: &FileCtx<'_>, tokens: &[Token], mask: &[bool], out: &mut Vec<Diagnostic>) {
@@ -141,7 +141,7 @@ fn rule_n1(ctx: &FileCtx<'_>, tokens: &[Token], mask: &[bool], out: &mut Vec<Dia
                 name.col,
                 format!(
                     "iteration order of unordered map `{}` {how}; route through \
-                     st_types::fasthash::iter_sorted/into_sorted_vec, or state the \
+                     st_types::fasthash::iter_sorted/set_into_sorted_vec, or state the \
                      order-insensitivity invariant via \
                      `// stlint::allow(iterorder, reason = \"…\")`",
                     name.text,

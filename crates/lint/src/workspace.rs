@@ -3,7 +3,7 @@
 use crate::allow::collect_allows;
 use crate::diag::{Diagnostic, RuleId};
 use crate::itemtree::ItemTree;
-use crate::lexer::{lex, test_mask, TokenKind};
+use crate::lexer::{lex, test_mask, Token, TokenKind};
 use crate::manifest::{check_layering, parse_manifest};
 use crate::rules::{lint_source, FileCtx};
 use std::collections::BTreeMap;
@@ -22,6 +22,9 @@ struct SourceFile {
     rel_path: String,
     crate_name: String,
     test_file: bool,
+    /// Code a build of the workspace runs: `src/` (bins included) and
+    /// `examples/`. Only these files keep a `pub fn` alive (deadpub).
+    production: bool,
 }
 
 /// Result of a full workspace check.
@@ -87,14 +90,15 @@ fn rel(root: &Path, p: &Path) -> String {
 
 /// Collects the `.rs` files of one package. Files under `tests/`,
 /// `benches/` or `examples/` are test files; `src/` is live code (its
-/// `#[cfg(test)]` regions are masked token-wise instead).
+/// `#[cfg(test)]` regions are masked token-wise instead). `src/` and
+/// `examples/` are production: what a user of the workspace runs.
 fn package_sources(root: &Path, crate_name: &str, dir: &Path) -> Vec<SourceFile> {
     let mut files = Vec::new();
-    for (sub, test_file) in [
-        ("src", false),
-        ("tests", true),
-        ("benches", true),
-        ("examples", true),
+    for (sub, test_file, production) in [
+        ("src", false, true),
+        ("tests", true, false),
+        ("benches", true, false),
+        ("examples", true, true),
     ] {
         // For the root facade this scans only its own src/tests/examples
         // dirs; crates/ members are handled per package.
@@ -122,6 +126,7 @@ fn package_sources(root: &Path, crate_name: &str, dir: &Path) -> Vec<SourceFile>
                         path: p,
                         crate_name: crate_name.to_string(),
                         test_file,
+                        production,
                     });
                 }
             }
@@ -160,21 +165,26 @@ pub fn check_workspace(root: &Path) -> CheckReport {
     report
 }
 
-/// Gating dead-public-API check (DP/deadpub), item-graph resolved: a
-/// `pub fn` defined in non-test `src/` code is dead when its name has
-/// **zero** identifier occurrences anywhere else in the workspace —
-/// where "else" means outside the defining item's own token span (the
-/// signature plus brace-matched body), so self-recursion never keeps a
-/// function alive, and definition sites (`fn name`) never count as
-/// references to some *other* crate's function of the same name.
+/// Gating dead-public-API check (DP/deadpub): a `pub fn` defined in
+/// non-test `src/` code is dead when production code never names it.
 ///
-/// Test and bench references do count — a helper exercised only by a
-/// suite is still reachable API. Resolution stays name-based across
-/// files (the linter has no type information), but the item tree makes
-/// it span-accurate within the defining file, which is what the old
-/// advisory sweep lacked. Survivors that are intentionally public
-/// (e.g. kept as comparison baselines) carry
-/// `stlint::allow(deadpub, reason = "…")` on the definition line.
+/// Every identifier occurrence is classified by where it appears:
+/// * **production** — a package's `src/` (bins included) or `examples/`,
+///   outside `#[cfg(test)]`/`#[test]` regions;
+/// * **test** — `tests/`, `benches/` and those masked regions;
+/// * **re-export** — a token inside a `pub use …;`, which forwards
+///   reachability but is not itself a use.
+///
+/// Only production occurrences outside the defining item's own token
+/// span (signature plus brace-matched body) keep a function alive, so
+/// self-recursion does not, and `fn name` definition sites never count as
+/// references to another crate's function of the same name. Resolution
+/// is by name (the linter has no type information): a same-named
+/// function called from production keeps every definition of that name
+/// alive, which errs towards keeping. A function that is public on
+/// purpose without a production caller (an oracle or simulator API the
+/// paper-claim tests drive) carries `stlint::allow(deadpub, reason = "…")`
+/// anywhere within its span.
 pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
     struct Def {
         crate_name: String,
@@ -188,8 +198,8 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
         suppressed: bool,
     }
     let mut defs: Vec<Def> = Vec::new();
-    // name → occurrences as (file, token index), excluding `fn name`
-    // definition sites.
+    // name → production occurrences as (file, token index), excluding
+    // `fn name` definition sites.
     let mut refs: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
     for (crate_name, dir) in enumerate_packages(root) {
         for f in package_sources(root, &crate_name, &dir) {
@@ -237,9 +247,13 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
                     });
                 }
             }
+            if !f.production {
+                continue;
+            }
+            let reexport = reexport_mask(&lexed.tokens);
             for (i, t) in lexed.tokens.iter().enumerate() {
                 let is_def_site = i >= 1 && lexed.tokens[i - 1].is_ident("fn");
-                if t.kind == TokenKind::Ident && !is_def_site {
+                if t.kind == TokenKind::Ident && !is_def_site && !mask[i] && !reexport[i] {
                     refs.entry(t.text.clone())
                         .or_default()
                         .push((f.rel_path.clone(), i));
@@ -263,8 +277,9 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
                 d.line,
                 d.col,
                 format!(
-                    "pub fn `{}` in {} has no references anywhere in the workspace (tests \
-                     included); remove it, reduce its visibility, or keep it with \
+                    "pub fn `{}` in {} is not reached from production code (tests and \
+                     `pub use` re-exports do not count); remove it, reduce its visibility, \
+                     move it into test support, or keep it with \
                      `// stlint::allow(deadpub, reason = \"…\")`",
                     d.name, d.crate_name,
                 ),
@@ -274,6 +289,31 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
     out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     out.dedup();
     out
+}
+
+/// Marks the tokens of every `pub use …;`, from `pub` through the
+/// closing `;`.
+fn reexport_mask(tokens: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut i = 0;
+    while i < tokens.len() {
+        let is_reexport =
+            tokens[i].is_ident("pub") && tokens.get(i + 1).is_some_and(|t| t.is_ident("use"));
+        if !is_reexport {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 2;
+        while j < tokens.len() && !tokens[j].is_punct(';') {
+            j += 1;
+        }
+        let end = j.min(tokens.len() - 1);
+        for m in &mut mask[i..=end] {
+            *m = true;
+        }
+        i = end + 1;
+    }
+    mask
 }
 
 #[cfg(test)]

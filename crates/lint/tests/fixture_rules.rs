@@ -1,6 +1,7 @@
 //! Fixture-driven self-tests: passing and failing specimens for L1, N1
-//! and A1, with exact file/line assertions, a synthetic workspace for
-//! deadpub, plus the meta-test that the live workspace is lint-clean.
+//! and A1, with exact file/line assertions, synthetic workspaces for
+//! deadpub's item graph and its production-reference rule, plus the
+//! meta-test that the live workspace is lint-clean.
 //!
 //! The fixtures live under `tests/fixtures/`, which the workspace walker
 //! deliberately skips — they exist to be linted *by hand* with a chosen
@@ -109,32 +110,46 @@ fn n1_is_silent_in_test_files() {
 
 /// Builds a throwaway one-crate workspace on disk so the deadpub item
 /// graph can be exercised end to end (it resolves references across the
-/// whole tree, so `lint_source` alone cannot drive it).
-fn synthetic_workspace(lib_rs: &str) -> std::path::PathBuf {
-    let root = std::env::temp_dir().join(format!(
-        "stlint-deadpub-{}-{}",
-        std::process::id(),
-        lib_rs.len()
-    ));
-    let src = root.join("crates/foo/src");
-    std::fs::create_dir_all(&src).unwrap();
+/// whole tree, so `lint_source` alone cannot drive it). `files` are
+/// paths relative to the crate directory, with their contents.
+fn synthetic_workspace(tag: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!("stlint-deadpub-{}-{tag}", std::process::id()));
+    let krate = root.join("crates/foo");
+    std::fs::create_dir_all(&krate).unwrap();
     std::fs::write(
         root.join("Cargo.toml"),
         "[workspace]\nmembers = [\"crates/foo\"]\n",
     )
     .unwrap();
-    std::fs::write(
-        root.join("crates/foo/Cargo.toml"),
-        "[package]\nname = \"st-foo\"\n",
-    )
-    .unwrap();
-    std::fs::write(src.join("lib.rs"), lib_rs).unwrap();
+    std::fs::write(krate.join("Cargo.toml"), "[package]\nname = \"st-foo\"\n").unwrap();
+    for (path, contents) in files {
+        let path = krate.join(path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, contents).unwrap();
+    }
     root
+}
+
+/// The function names deadpub reports, in diagnostic order.
+fn dead_names(root: &std::path::Path) -> Vec<String> {
+    let diags = st_lint::dead_public_diagnostics(root);
+    assert!(diags.iter().all(|d| d.rule == RuleId::DP));
+    diags
+        .iter()
+        .map(|d| {
+            let start = d.message.find('`').unwrap() + 1;
+            d.message[start..start + d.message[start..].find('`').unwrap()].to_string()
+        })
+        .collect()
 }
 
 #[test]
 fn deadpub_resolves_references_across_the_item_graph() {
-    let root = synthetic_workspace(concat!(
+    let root = synthetic_workspace(
+        "graph",
+        &[(
+            "src/lib.rs",
+            concat!(
         "pub fn used() -> u64 { 1 }\n",
         "pub fn dead() -> u64 { dead_helper() }\n",
         "fn dead_helper() -> u64 { 2 }\n",
@@ -142,21 +157,48 @@ fn deadpub_resolves_references_across_the_item_graph() {
         "pub fn recursive_only(n: u64) -> u64 { if n == 0 { 0 } else { recursive_only(n - 1) } }\n",
         "fn caller() -> u64 { used() }\n",
         "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::caller(), 1); }\n}\n",
-    ));
-    let diags = st_lint::dead_public_diagnostics(&root);
+            ),
+        )],
+    );
+    let names = dead_names(&root);
     std::fs::remove_dir_all(&root).ok();
     // `used` is referenced, `kept` is allowed with a reason, `caller` is
     // private; `dead` has no callers (calling a private helper does not
     // save it) and `recursive_only`'s only mention is its own body.
-    let names: Vec<&str> = diags
-        .iter()
-        .map(|d| {
-            let start = d.message.find('`').unwrap() + 1;
-            &d.message[start..start + d.message[start..].find('`').unwrap()]
-        })
-        .collect();
-    assert_eq!(names, vec!["dead", "recursive_only"], "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == RuleId::DP));
+    assert_eq!(names, ["dead", "recursive_only"]);
+}
+
+#[test]
+fn deadpub_counts_only_production_references() {
+    let root = synthetic_workspace(
+        "origins",
+        &[
+            (
+                "src/lib.rs",
+                concat!(
+                    "pub fn only_tests() {}\n",
+                    "pub fn only_unit_tests() {}\n",
+                    "pub fn only_reexported() {}\n",
+                    "pub fn from_bin() {}\n",
+                    "pub fn from_example() {}\n",
+                    "pub fn allowed() {} // stlint::allow(deadpub, reason = \"fixture oracle\")\n",
+                    "pub mod api {\n    pub use super::only_reexported;\n}\n",
+                    "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::only_unit_tests(); }\n}\n",
+                ),
+            ),
+            ("src/bin/tool.rs", "fn main() { st_foo::from_bin(); }\n"),
+            ("examples/demo.rs", "fn main() { st_foo::from_example(); }\n"),
+            (
+                "tests/it.rs",
+                "#[test]\nfn it() { st_foo::only_tests(); st_foo::api::only_reexported(); }\n",
+            ),
+        ],
+    );
+    let names = dead_names(&root);
+    std::fs::remove_dir_all(&root).ok();
+    // A test file, a `#[cfg(test)]` module and a `pub use` do not keep a
+    // function alive; a bin, an example and a reasoned allow do.
+    assert_eq!(names, ["only_tests", "only_unit_tests", "only_reexported"]);
 }
 
 #[test]

@@ -47,5 +47,5 @@ mod workload;
 
 pub use latency::{Histogram, LatencyStats};
 pub use mempool::{Mempool, MempoolStats, PendingTx};
-pub use rng::{splitmix64, SplitMix64};
+pub use rng::SplitMix64;
 pub use workload::{ConstantRate, Diurnal, FlashCrowd, Workload};

@@ -6,17 +6,6 @@
 //! determinism discipline requires of anything that feeds a committed
 //! report.
 
-/// One application of the SplitMix64 output function: a well-mixed
-/// 64-bit value from a 64-bit input. Stateless form of [`SplitMix64`],
-/// for callers that key randomness by `(seed, round)` instead of
-/// walking a stream.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The sequential SplitMix64 generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -63,8 +52,8 @@ mod tests {
         // Distinct seeds diverge immediately.
         let mut c = SplitMix64::new(8);
         assert_ne!(xs[0], c.next_u64());
-        // The stateless form matches the reference constants.
-        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        // The stream matches the reference constants.
+        assert_eq!(SplitMix64::new(0).next_u64(), 0xe220_a839_7b1d_cdaf);
     }
 
     #[test]

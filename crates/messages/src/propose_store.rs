@@ -66,7 +66,8 @@ impl ProposeStore {
     }
 
     /// All proposals recorded for `view`, in (sender, insertion) order.
-    pub fn proposals_for(&self, view: View) -> Vec<&Propose> {
+    #[cfg(test)]
+    fn proposals_for(&self, view: View) -> Vec<&Propose> {
         self.by_view
             .get(&view)
             .map(|senders| senders.values().flatten().collect())
@@ -100,12 +101,14 @@ impl ProposeStore {
     }
 
     /// Number of views with at least one stored proposal.
-    pub fn views_tracked(&self) -> usize {
+    #[cfg(test)]
+    fn views_tracked(&self) -> usize {
         self.by_view.len()
     }
 
     /// The distinct proposers recorded for `view`.
-    pub fn proposers_for(&self, view: View) -> Vec<ProcessId> {
+    #[cfg(test)]
+    fn proposers_for(&self, view: View) -> Vec<ProcessId> {
         self.by_view
             .get(&view)
             .map(|senders| senders.keys().copied().collect())

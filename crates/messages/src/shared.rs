@@ -82,8 +82,9 @@ impl SharedEnvelope {
     }
 
     /// Whether two shared envelopes point at the same allocation
-    /// (diagnostics; content equality is [`PartialEq`]).
-    pub fn same_allocation(a: &SharedEnvelope, b: &SharedEnvelope) -> bool {
+    /// (content equality is [`PartialEq`]).
+    #[cfg(test)]
+    fn same_allocation(a: &SharedEnvelope, b: &SharedEnvelope) -> bool {
         Arc::ptr_eq(&a.inner, &b.inner)
     }
 }

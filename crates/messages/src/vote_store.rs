@@ -154,15 +154,6 @@ impl VoteStore {
         }
     }
 
-    /// Whether `sender` has an equivocation recorded for `round`.
-    pub fn is_equivocator_at(&self, sender: ProcessId, round: Round) -> bool {
-        // stlint::allow(deadpub, reason = "the queryable face of InsertOutcome::Equivocation; slashing-style accountability reads it once the protocol reports evidence upward")
-        matches!(
-            self.by_sender.get(&sender).and_then(|r| r.get(&round)),
-            Some(RoundRecord::Equivocated(_, _))
-        )
-    }
-
     /// The latest vote of every sender within the closed round window
     /// `[lo, hi]` — the tally input `M_i^r` of the extended graded
     /// agreement (Figure 3).
@@ -267,18 +258,11 @@ impl LatestVotes {
 
     /// The tip voted for by `sender`, if it contributed.
     pub fn vote_of(&self, sender: ProcessId) -> Option<BlockId> {
+        // stlint::allow(deadpub, reason = "the per-sender read of a window; the crate doc's expiration example and the store's unit tests state the window semantics through it")
         self.votes
             .binary_search_by_key(&sender, |&(s, _, _)| s)
             .ok()
             .map(|i| self.votes[i].2)
-    }
-
-    /// The distinct tips voted for (deduplicated, unordered).
-    pub fn distinct_tips(&self) -> Vec<BlockId> {
-        let mut tips: Vec<BlockId> = self.votes.iter().map(|&(_, _, t)| t).collect();
-        tips.sort_by_key(|t| t.as_u64());
-        tips.dedup();
-        tips
     }
 }
 
@@ -350,7 +334,6 @@ mod tests {
         s.insert(v(3, 2, 11));
         let w = s.latest_in_window(Round::new(1), Round::new(2));
         assert_eq!(w.participation(), 3);
-        assert_eq!(w.distinct_tips(), vec![BlockId::new(10), BlockId::new(11)]);
     }
 
     #[test]

@@ -19,13 +19,20 @@
 //! a block id (genesis is flagged explicitly because its reserved id 0 is
 //! outside the hash image).
 //!
+//! The only protocol kind is [`KIND_ENVELOPE`]: a signed vote or
+//! proposal. Any other kind byte is [`WireError::BadKind`] here; the node
+//! runtime's control frames reuse the outer layout with kinds of their
+//! own.
+//!
 //! ```
-//! use st_messages::{wire, Vote};
+//! use st_crypto::Keypair;
+//! use st_messages::{wire, Envelope, Payload, Vote};
 //! use st_types::{BlockId, ProcessId, Round};
 //! let vote = Vote::new(ProcessId::new(3), Round::new(9), BlockId::new(77));
-//! let bytes = wire::encode_vote(&vote);
-//! assert_eq!(wire::decode_vote(&bytes), Ok(vote));
-//! assert_eq!(wire::encode_vote(&vote), bytes);
+//! let env = Envelope::sign(&Keypair::derive(ProcessId::new(3), 7), Payload::Vote(vote));
+//! let bytes = wire::encode_envelope(&env);
+//! assert_eq!(wire::decode_envelope(&bytes).map(|e| e.payload().clone()), Ok(Payload::Vote(vote)));
+//! assert_eq!(wire::encode_envelope(&env), bytes);
 //! ```
 
 use crate::envelope::{Envelope, Payload};
@@ -38,13 +45,7 @@ use std::fmt;
 /// Current frame format version; the first header byte after the length.
 pub const WIRE_VERSION: u8 = 1;
 
-/// Frame kind: a bare [`Vote`].
-pub const KIND_VOTE: u8 = 0x01;
-/// Frame kind: a bare [`Propose`].
-pub const KIND_PROPOSE: u8 = 0x02;
-/// Frame kind: a bare [`Block`].
-pub const KIND_BLOCK: u8 = 0x03;
-/// Frame kind: a signed [`Envelope`].
+/// Frame kind: a signed [`Envelope`], the one protocol frame.
 pub const KIND_ENVELOPE: u8 = 0x04;
 
 /// Why a frame failed to decode. Decoding is total: every input maps to
@@ -177,14 +178,6 @@ pub fn split_frame(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
     Ok((kind, &bytes[6..]))
 }
 
-fn expect_kind(bytes: &[u8], want: u8) -> Result<&[u8], WireError> {
-    let (kind, body) = split_frame(bytes)?;
-    if kind != want {
-        return Err(WireError::BadKind(kind));
-    }
-    Ok(body)
-}
-
 // ---------------------------------------------------------------- bodies
 
 fn put_vote(out: &mut Vec<u8>, v: &Vote) {
@@ -257,52 +250,7 @@ fn get_propose(r: &mut ByteReader<'_>) -> Result<Propose, WireError> {
     ))
 }
 
-// ---------------------------------------------------------------- frames
-
-/// Encodes a [`Vote`] frame.
-pub fn encode_vote(v: &Vote) -> Vec<u8> {
-    let mut body = Vec::with_capacity(20);
-    put_vote(&mut body, v);
-    frame(KIND_VOTE, &body)
-}
-
-/// Decodes a [`Vote`] frame.
-pub fn decode_vote(bytes: &[u8]) -> Result<Vote, WireError> {
-    let mut r = ByteReader::new(expect_kind(bytes, KIND_VOTE)?);
-    let vote = get_vote(&mut r)?;
-    r.done()?;
-    Ok(vote)
-}
-
-/// Encodes a [`Propose`] frame.
-pub fn encode_propose(p: &Propose) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_propose(&mut body, p);
-    frame(KIND_PROPOSE, &body)
-}
-
-/// Decodes a [`Propose`] frame. The block id is recomputed from contents.
-pub fn decode_propose(bytes: &[u8]) -> Result<Propose, WireError> {
-    let mut r = ByteReader::new(expect_kind(bytes, KIND_PROPOSE)?);
-    let propose = get_propose(&mut r)?;
-    r.done()?;
-    Ok(propose)
-}
-
-/// Encodes a [`Block`] frame.
-pub fn encode_block(b: &Block) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_block(&mut body, b);
-    frame(KIND_BLOCK, &body)
-}
-
-/// Decodes a [`Block`] frame, recomputing the content-address.
-pub fn decode_block(bytes: &[u8]) -> Result<Block, WireError> {
-    let mut r = ByteReader::new(expect_kind(bytes, KIND_BLOCK)?);
-    let block = get_block(&mut r)?;
-    r.done()?;
-    Ok(block)
-}
+// ---------------------------------------------------------------- frame
 
 /// Encodes a signed [`Envelope`] frame.
 pub fn encode_envelope(e: &Envelope) -> Vec<u8> {
@@ -325,7 +273,11 @@ pub fn encode_envelope(e: &Envelope) -> Vec<u8> {
 /// reconstructs the claimed payload and signature verbatim; authenticity
 /// is established separately by [`Envelope::verify`].
 pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope, WireError> {
-    let mut r = ByteReader::new(expect_kind(bytes, KIND_ENVELOPE)?);
+    let (kind, body) = split_frame(bytes)?;
+    if kind != KIND_ENVELOPE {
+        return Err(WireError::BadKind(kind));
+    }
+    let mut r = ByteReader::new(body);
     let payload = match r.u8()? {
         0 => Payload::Vote(get_vote(&mut r)?),
         1 => Payload::Propose(get_propose(&mut r)?),
@@ -366,21 +318,18 @@ mod tests {
     }
 
     #[test]
-    fn vote_frame_round_trips() {
-        let vote = Vote::new(ProcessId::new(5), Round::new(11), BlockId::new(42));
-        let bytes = encode_vote(&vote);
-        assert_eq!(decode_vote(&bytes), Ok(vote));
-        assert_eq!(encode_vote(&vote), bytes);
-    }
-
-    #[test]
-    fn propose_frame_recomputes_block_id() {
+    fn propose_envelope_recomputes_block_id() {
+        let kp = Keypair::derive(ProcessId::new(1), 7);
         for genesis in [false, true] {
             let p = sample_propose(genesis);
-            let back = decode_propose(&encode_propose(&p)).expect("decode");
-            assert_eq!(back.block().id(), p.block().id());
-            assert_eq!(back.to_bytes(), p.to_bytes());
-            assert_eq!(encode_propose(&back), encode_propose(&p));
+            let env = Envelope::sign(&kp, Payload::Propose(p.clone()));
+            let back = decode_envelope(&encode_envelope(&env)).expect("decode");
+            let Payload::Propose(q) = back.payload() else {
+                panic!("a propose envelope decodes to a propose");
+            };
+            assert_eq!(q.block().id(), p.block().id());
+            assert_eq!(q.to_bytes(), p.to_bytes());
+            assert_eq!(encode_envelope(&back), encode_envelope(&env));
         }
     }
 
@@ -416,35 +365,36 @@ mod tests {
 
     #[test]
     fn malformed_frames_report_errors_not_panics() {
-        assert_eq!(decode_vote(&[]), Err(WireError::Truncated));
+        assert_eq!(decode_envelope(&[]), Err(WireError::Truncated));
+        let kp = Keypair::derive(ProcessId::new(0), 7);
         let vote = Vote::new(ProcessId::new(0), Round::new(1), BlockId::new(2));
-        let good = encode_vote(&vote);
+        let good = encode_envelope(&Envelope::sign(&kp, Payload::Vote(vote)));
         // Length prefix lies.
         let mut bad = good.clone();
         bad[0] ^= 0xff;
         assert!(matches!(
-            decode_vote(&bad),
+            decode_envelope(&bad),
             Err(WireError::BadLength { .. })
         ));
         // Future version.
         let mut bad = good.clone();
         bad[4] = WIRE_VERSION + 1;
         assert_eq!(
-            decode_vote(&bad),
+            decode_envelope(&bad),
             Err(WireError::BadVersion(WIRE_VERSION + 1))
         );
-        // Wrong kind for the decoder.
-        assert_eq!(decode_propose(&good), Err(WireError::BadKind(KIND_VOTE)));
-        // A kind no decoder owns (0x05 was the retired aggregate frame).
-        let mut bad = good.clone();
-        bad[5] = 0x05;
-        assert_eq!(decode_vote(&bad), Err(WireError::BadKind(0x05)));
-        assert_eq!(decode_envelope(&bad), Err(WireError::BadKind(0x05)));
+        // Every kind but the envelope's is foreign: 0x01–0x03 were the
+        // bare vote/propose/block frames, 0x05 the aggregate frame.
+        for kind in [0x01, 0x02, 0x03, 0x05] {
+            let mut bad = good.clone();
+            bad[5] = kind;
+            assert_eq!(decode_envelope(&bad), Err(WireError::BadKind(kind)));
+        }
         // Trailing garbage inside a consistent outer frame.
         let mut bad = good.clone();
         bad.push(0);
         let len = (bad.len() - 4) as u32;
         bad[0..4].copy_from_slice(&len.to_le_bytes());
-        assert_eq!(decode_vote(&bad), Err(WireError::Trailing(1)));
+        assert_eq!(decode_envelope(&bad), Err(WireError::Trailing(1)));
     }
 }

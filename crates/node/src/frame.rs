@@ -101,16 +101,39 @@ mod tests {
 
     #[test]
     fn protocol_kinds_are_rejected_at_the_control_layer() {
+        // The envelope is the only protocol kind; 0x01–0x03 were the bare
+        // vote/propose/block frames and 0x05 the aggregate frame. None is a
+        // protocol frame, and none is a control frame either.
+        let kp = Keypair::derive(ProcessId::new(0), 7);
         let vote = Vote::new(ProcessId::new(0), Round::new(1), BlockId::new(2));
-        let bytes = wire::encode_vote(&vote);
+        let body = wire::encode_envelope(&Envelope::sign(&kp, Payload::Vote(vote)));
+        let body = &body[6..];
+        for kind in [0x01, 0x02, 0x03, 0x05] {
+            let bytes = wire::frame(kind, body);
+            assert_eq!(wire::decode_envelope(&bytes), Err(WireError::BadKind(kind)));
+            assert_eq!(decode_frame(&bytes), Err(WireError::BadKind(kind)));
+        }
+        // The envelope frame itself is protocol, not control.
+        let env = wire::frame(wire::KIND_ENVELOPE, body);
+        assert!(wire::decode_envelope(&env).is_ok());
         assert_eq!(
-            decode_frame(&bytes),
-            Err(WireError::BadKind(wire::KIND_VOTE))
+            decode_frame(&env),
+            Err(WireError::BadKind(wire::KIND_ENVELOPE))
         );
-        // So is a kind nobody owns (0x05 was the retired aggregate frame).
-        assert_eq!(
-            decode_frame(&wire::frame(0x05, &[])),
-            Err(WireError::BadKind(0x05))
-        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Totality: arbitrary bytes give a value or a `WireError` from
+        /// every decoder a socket's bytes reach, never a panic.
+        #[test]
+        fn random_garbage_never_panics_the_decoders(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let _ = wire::split_frame(&bytes);
+            let _ = wire::decode_envelope(&bytes);
+            let _ = decode_frame(&bytes);
+        }
     }
 }

@@ -315,67 +315,12 @@ impl PartitionAttacker {
     /// full each time (the offset comes from [`EnvView`], replacing a
     /// start-round latch that only ever fired once).
     pub fn with_blackout(blackout: u64) -> PartitionAttacker {
+        // stlint::allow(deadpub, reason = "the π ≥ η variant of the Section-1 attack that tests/theorems.rs and adversary_behaviors.rs drive")
         PartitionAttacker { blackout }
     }
 
     fn same_half(a: ProcessId, b: ProcessId) -> bool {
         a.index() % 2 == b.index() % 2
-    }
-}
-
-/// Replays old, *authentic* protocol messages into processes, the way a
-/// misbehaving gossip layer (or an attacker echoing recorded traffic)
-/// would.
-///
-/// Signatures make replayed messages pass verification — the defence is
-/// the round tag: a replayed vote is keyed by its original round in every
-/// store, so re-delivery is a no-op (`InsertOutcome::Duplicate`) and can
-/// never resurrect an expired vote into a newer window. This driver
-/// exists to *test* that design: a correct implementation shows zero
-/// behavioural difference under replay (see the `replay_has_no_effect`
-/// integration test).
-#[derive(Clone, Debug)]
-pub struct ReplayDriver {
-    lag: u64,
-    replayed_upto: usize,
-}
-
-impl ReplayDriver {
-    /// Replays messages older than `lag` rounds.
-    pub fn new(lag: u64) -> ReplayDriver {
-        ReplayDriver {
-            lag,
-            replayed_upto: 0,
-        }
-    }
-
-    /// Re-delivers every pool message older than `round − lag` to every
-    /// process. Call once per round with the retained message pool
-    /// ([`crate::Network::pool`]). Progress is tracked by each message's
-    /// **global** [`crate::network::SentMessage::index`], so the driver
-    /// keeps working when the network compacts its fully-delivered prefix
-    /// away (messages dropped by compaction were, by definition,
-    /// delivered to everyone already — exactly what a replay would no-op
-    /// against).
-    pub fn replay_into(
-        &mut self,
-        pool: &[crate::network::SentMessage],
-        round: Round,
-        procs: &mut [st_core::TobProcess],
-    ) {
-        let cutoff = round.saturating_sub(self.lag);
-        for msg in pool {
-            if msg.index < self.replayed_upto {
-                continue;
-            }
-            if msg.round >= cutoff {
-                break; // pool is round-sorted: nothing older follows
-            }
-            for p in procs.iter_mut() {
-                p.on_receive_shared(&msg.envelope);
-            }
-            self.replayed_upto = msg.index + 1;
-        }
     }
 }
 
@@ -542,6 +487,7 @@ impl ReorgAttacker {
     /// window-relative and re-arms on every asynchronous window of the
     /// timeline.
     pub fn with_blackout(blackout: u64) -> ReorgAttacker {
+        // stlint::allow(deadpub, reason = "the blackout-prefixed reorg that adversary_behaviors.rs drives against the extended protocol")
         ReorgAttacker {
             blackout,
             fork: None,

@@ -224,14 +224,6 @@ impl<P: Protocol> SimBuilder<P> {
         self
     }
 
-    /// Registers an observer chosen at runtime (already boxed).
-    #[must_use]
-    pub fn observer_boxed(mut self, observer: Box<dyn Observer<P>>) -> SimBuilder<P> {
-        // stlint::allow(deadpub, reason = "the dyn registration path mirroring observer(); callers composing observer lists at runtime cannot use the impl-Trait form")
-        self.observers.push(observer);
-        self
-    }
-
     /// Validates the configuration and builds the [`Simulation`].
     ///
     /// # Errors

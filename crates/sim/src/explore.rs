@@ -259,20 +259,6 @@ impl Adversary for CoupledAdversary {
     }
 }
 
-/// Exhausts the coupled strategy space (`5^π` runs): every sequence of
-/// network-wide round patterns. Reaches windows the per-receiver mode
-/// cannot (`π = 3, 4`) at the price of coarser adversary granularity.
-/// The single-window form of [`exhaustive_check_coupled_timeline`]
-/// (`async_window` is a pure alias for the one-segment timeline).
-pub fn exhaustive_check_coupled(
-    params: Params,
-    window: AsyncWindow,
-    horizon: u64,
-) -> ExploreReport {
-    let timeline = Timeline::synchronous().asynchronous(window.start(), window.pi());
-    exhaustive_check_coupled_timeline(params, &timeline, horizon)
-}
-
 /// One strategy's verdict: post-window agreement broken, D_ra broken,
 /// and orphaning-only conflicts present.
 #[derive(Clone, Copy, Debug, Default)]
@@ -333,6 +319,7 @@ pub fn exhaustive_check_coupled_timeline(
     timeline: &Timeline,
     horizon: u64,
 ) -> ExploreReport {
+    // stlint::allow(deadpub, reason = "the coupled exhaustive check (5^π strategies) that reaches π = 3, 4; explore.rs's Theorem-2 tests run it, stob explore runs the per-receiver form")
     assert!(
         timeline
             .windows()
@@ -481,19 +468,19 @@ mod tests {
     /// extended protocol survives all 125.
     #[test]
     fn coupled_sweep_separates_vanilla_from_extended() {
-        let window = AsyncWindow::new(Round::new(10), 3);
-        let vanilla = exhaustive_check_coupled(
+        let window = Timeline::synchronous().asynchronous(Round::new(10), 3);
+        let vanilla = exhaustive_check_coupled_timeline(
             Params::builder(4).expiration(0).build().unwrap(),
-            window,
+            &window,
             22,
         );
         assert!(
             vanilla.violating.len() + vanilla.orphaning_only.len() > 0,
             "no witness found against vanilla MMR at π = 3"
         );
-        let extended = exhaustive_check_coupled(
+        let extended = exhaustive_check_coupled_timeline(
             Params::builder(4).expiration(4).build().unwrap(),
-            window,
+            &window,
             26,
         );
         assert!(

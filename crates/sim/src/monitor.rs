@@ -201,14 +201,6 @@ impl SimReport {
             .collect()
     }
 
-    /// Agreement violations involving at least one decision made inside
-    /// some disruption window or in its first post-window round (the
-    /// orphanable ones). Complements
-    /// [`SimReport::post_window_violations`].
-    pub fn in_window_orphanings(&self) -> usize {
-        self.safety_violations.len() - self.post_window_violations().len()
-    }
-
     /// Fraction of submitted transactions that were included everywhere.
     pub fn tx_inclusion_rate(&self) -> f64 {
         if self.txs.is_empty() {
@@ -539,7 +531,6 @@ mod tests {
         // Entirely after the last window: genuine.
         r.safety_violations.push(pair(30, 31));
         assert_eq!(r.post_window_violations().len(), 2);
-        assert_eq!(r.in_window_orphanings(), 2);
         // Without any window, every violation is genuine.
         r.recoveries.clear();
         assert_eq!(r.post_window_violations().len(), 4);

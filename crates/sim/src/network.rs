@@ -138,6 +138,7 @@ impl Network {
     /// in pool order, and marks them delivered. Each returned envelope is
     /// a shared handle into the pool — no payload is copied.
     pub fn deliver_sync(&mut self, p: ProcessId, r: Round) -> Vec<SharedEnvelope> {
+        // stlint::allow(deadpub, reason = "the collecting form hand-written drivers use (tests/cross_validation.rs, tests/replay_and_timeline.rs); the runner uses deliver_sync_with")
         let mut out = Vec::new();
         self.deliver_sync_with(p, r, |env| out.push(env.clone()));
         out
@@ -309,14 +310,9 @@ impl Network {
         k
     }
 
-    /// Global index of the first message still retained in memory
-    /// (everything below it was [`Network::compact`]ed away).
-    pub fn pool_base(&self) -> usize {
-        self.base
-    }
-
     /// Read-only view of the retained pool (adversary knowledge,
-    /// diagnostics): messages with global indices `pool_base()..`.
+    /// diagnostics): every message [`Network::compact`] has not dropped,
+    /// in global-index order.
     pub fn pool(&self) -> &[SentMessage] {
         &self.pool
     }
@@ -553,7 +549,7 @@ mod tests {
             net.deliver_bounded(p1, Round::new(6), 9, &[0, 1, 2]).len(),
             1
         );
-        assert_eq!(net.pool_base(), 2);
+        assert_eq!(net.pool()[0].index, 2);
     }
 
     #[test]

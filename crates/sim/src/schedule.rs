@@ -231,6 +231,7 @@ impl Schedule {
     /// participation inflation that the adjusted failure ratio `β̃` of
     /// Section 2.3 prices in. Used by the empirical Figure-1 boundary.
     pub fn rotating_sleep(n: usize, horizon: u64, gamma: f64, eta: u64) -> Schedule {
+        // stlint::allow(deadpub, reason = "the worst-case expiration pattern of the Figure-1 budget test (tests/conditions_and_formulas.rs)")
         let group = ((n as f64) * gamma.clamp(0.0, 0.9)).floor() as usize;
         let eta = eta.max(1);
         let awake = (0..=horizon)
@@ -261,6 +262,7 @@ impl Schedule {
     /// Oscillating participation: the awake fraction swings between
     /// `min_frac` and 1.0 with the given period (diurnal pattern).
     pub fn oscillating(n: usize, horizon: u64, min_frac: f64, period: u64) -> Schedule {
+        // stlint::allow(deadpub, reason = "the diurnal participation of the dynamic-availability theorem test (tests/theorems.rs)")
         let period = period.max(2);
         let awake = (0..=horizon)
             .map(|r| {
@@ -284,6 +286,7 @@ impl Schedule {
     /// Returns `self` for chaining.
     #[must_use]
     pub fn with_corrupted(mut self, p: ProcessId, from: Round) -> Schedule {
+        // stlint::allow(deadpub, reason = "the growing adversary of the Eq.-2 and adversary-behaviour tests")
         self.corrupt_from[p.index()] = Some(match self.corrupt_from[p.index()] {
             // Growing adversary: corruption can only move earlier, never
             // be revoked.
@@ -310,6 +313,7 @@ impl Schedule {
     /// Panics if `until <= from` (an empty window is no corruption).
     #[must_use]
     pub fn with_corrupted_window(mut self, p: ProcessId, from: Round, until: Round) -> Schedule {
+        // stlint::allow(deadpub, reason = "the corruption-churn cells of the guard grid and the tally-sharing property test")
         assert!(until > from, "corruption window must be non-empty");
         let idx = p.index();
         if let (Some(existing), None) = (self.corrupt_from[idx], self.corrupt_until[idx]) {

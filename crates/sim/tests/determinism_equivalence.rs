@@ -12,12 +12,12 @@
 //!   `step()` vs `run()`, with vs without user observers, explicit vs
 //!   defaulted protocol parameter, `txs_every` vs the equivalent workload,
 //!   `async_window` vs the one-segment timeline.
-//! * **Golden digests** — every oracle- and guard-grid cell's report JSON,
-//!   digested with `st_crypto::hash64`, equals its line in the committed
-//!   `golden/report_digests.txt`. A change to any report byte fails here
-//!   and prints the lines to paste. `hasher_perturbation.rs` checks the
-//!   guard grid and its workload cells against the same file under
-//!   perturbed FxHash seeds.
+//! * **Golden digests** — every cell of the golden table
+//!   (`support::golden_cells`), run under the oracle, digests to its line
+//!   in the committed `golden/report_digests.txt`. A change to any report
+//!   byte fails here and prints the whole new file. `hasher_perturbation.rs`
+//!   checks the same table under perturbed FxHash seeds, and the facade's
+//!   Tier-1 `tests/golden_reports.rs` without the oracle.
 
 mod support;
 
@@ -27,7 +27,9 @@ use st_sim::{
     Timeline,
 };
 use st_types::{ProcessId, Round};
-use support::{adversary, assert_golden, golden_line, guard_config, guard_grid, params, schedule};
+use support::{
+    adversary, assert_golden, golden_cells, golden_line, guard_config, guard_grid, params, schedule,
+};
 
 const ADVERSARIES: [&str; 5] = ["silent", "blackout", "partition", "reorg", "equivocator"];
 
@@ -55,107 +57,30 @@ fn run_with_oracle(
     (report, check)
 }
 
-/// One `n = 10` cell: every tally it consumed equals the stateless
-/// reference, and the check was not vacuous. Returns the cell's golden
-/// line, `label = hex`, where `hex` digests the report's JSON.
-fn assert_tallies_match_reference(
-    label: String,
-    adv: &str,
-    sched: &str,
-    config: SimConfig,
-) -> String {
-    let sched = schedule(sched, 10, config.horizon_rounds());
-    let (report, check) = run_with_oracle(config, sched, adversary(adv));
-    assert!(check.checked > 0, "oracle checked nothing for {label}");
-    assert!(
-        check.mismatches.is_empty(),
-        "{} of {} consumed tallies diverged from the stateless window tally for {label}, \
-         first at {:?}",
-        check.mismatches.len(),
-        check.checked,
-        check.mismatches.first()
-    );
-    golden_line(&label, &report)
-}
-
-fn grid_config(eta: u64, seed: u64, horizon: u64, t: &Timeline) -> SimConfig {
-    SimConfig::new(params(10, eta), seed)
-        .horizon(horizon)
-        .txs_every(4)
-        .timeline(t.clone())
-}
-
+/// **Shared tally ≡ own tally** on every cell of the golden table: each
+/// tally a process consumed equals the stateless reference, the check is
+/// not vacuous, and the report digests to its committed line. Churn,
+/// corruption windows, multi-window asynchrony, bounded delay and
+/// partitions all make states diverge, so both memo hits and misses are
+/// exercised.
 #[test]
-fn synchronous_grid_tallies_match_reference() {
+fn golden_cells_tallies_match_reference() {
     let mut lines = Vec::new();
-    for &(sched, eta, seed) in &[
-        ("full", 0, 1),
-        ("full", 2, 2),
-        ("full", 4, 3),
-        ("mass-sleep", 2, 4),
-        ("churn", 2, 5),
-        ("byz-window", 2, 6),
-    ] {
-        let config = grid_config(eta, seed, 24, &Timeline::synchronous());
-        let label = format!("sync/silent/{sched}/eta{eta}/seed{seed}");
-        lines.push(assert_tallies_match_reference(
-            label, "silent", sched, config,
-        ));
-    }
-    assert_golden(&lines);
-}
-
-#[test]
-fn asynchronous_grid_tallies_match_reference() {
-    let mut lines = Vec::new();
-    for &(adv, sched, eta, pi, seed) in &[
-        ("blackout", "full", 4, 3, 7),
-        ("partition", "full", 0, 4, 8),
-        ("partition", "full", 6, 4, 9),
-        ("reorg", "static-byz", 0, 1, 10),
-        ("reorg", "static-byz", 4, 1, 11),
-        ("equivocator", "static-byz", 2, 2, 12),
-        ("silent", "mass-sleep", 2, 3, 13),
-        ("blackout", "churn", 4, 2, 14),
-    ] {
-        let window = Timeline::synchronous().asynchronous(Round::new(10), pi);
-        let label = format!("async-pi{pi}/{adv}/{sched}/eta{eta}/seed{seed}");
-        let config = grid_config(eta, seed, 24, &window);
-        lines.push(assert_tallies_match_reference(label, adv, sched, config));
-    }
-    assert_golden(&lines);
-}
-
-/// Multi-window asynchrony, bounded-delay segments (whose forced-deadline
-/// cursor advance interacts with pool compaction) and partitions make
-/// processes' states diverge, so these cells exercise many distinct memo
-/// keys per round.
-#[test]
-fn timeline_grid_tallies_match_reference() {
-    let evens: Vec<ProcessId> = ProcessId::all(10).filter(|p| p.index() % 2 == 0).collect();
-    let multi_async = Timeline::synchronous()
-        .asynchronous(Round::new(10), 3)
-        .asynchronous(Round::new(20), 3);
-    let bounded = Timeline::synchronous().bounded_delay(Round::new(8), 12, 2);
-    let gst_like = Timeline::synchronous().bounded_delay(Round::new(1), 16, 3);
-    let partition = Timeline::synchronous().partition(Round::new(12), 4, vec![evens.clone()]);
-    let mixed = Timeline::synchronous()
-        .asynchronous(Round::new(10), 2)
-        .bounded_delay(Round::new(18), 4, 1)
-        .partition(Round::new(26), 3, vec![evens]);
-    let mut lines = Vec::new();
-    for (adv, sched, eta, (name, t), seed) in [
-        ("partition", "full", 6, ("multi-async", &multi_async), 21),
-        ("blackout", "full", 4, ("multi-async", &multi_async), 22),
-        ("silent", "full", 4, ("bounded", &bounded), 23),
-        ("silent", "churn", 4, ("gst-like", &gst_like), 24),
-        ("silent", "full", 6, ("partition", &partition), 25),
-        ("reorg", "static-byz", 4, ("mixed", &mixed), 26),
-        ("silent", "mass-sleep", 2, ("mixed", &mixed), 27),
-    ] {
-        let label = format!("timeline-{name}/{adv}/{sched}/eta{eta}/seed{seed}");
-        let config = grid_config(eta, seed, 34, t);
-        lines.push(assert_tallies_match_reference(label, adv, sched, config));
+    for cell in golden_cells() {
+        let (oracle, log) = TallyOracle::new();
+        let report = cell.builder().observer(oracle).run();
+        let check = log.borrow().clone();
+        let label = &cell.label;
+        assert!(check.checked > 0, "oracle checked nothing for {label}");
+        assert!(
+            check.mismatches.is_empty(),
+            "{} of {} consumed tallies diverged from the stateless window tally for {label}, \
+             first at {:?}",
+            check.mismatches.len(),
+            check.checked,
+            check.mismatches.first()
+        );
+        lines.push(golden_line(label, &report));
     }
     assert_golden(&lines);
 }
@@ -335,21 +260,6 @@ fn explicit_protocol_parameterisation_matches_defaulted_alias() {
              adversary={adv} schedule={sched} eta={eta}"
         );
     }
-}
-
-/// **Shared tally ≡ own tally** over the same guard grid as the API
-/// guards: churn, corruption windows, multi-window asynchrony and bounded
-/// delay all make states diverge, so both memo hits and misses are
-/// exercised.
-#[test]
-fn guard_grid_tallies_match_reference() {
-    let mut lines = Vec::new();
-    for (adv, sched, eta, t, seed) in guard_grid() {
-        let label = format!("guard/{adv}/{sched}/eta{eta}/seed{seed}");
-        let config = guard_config(eta, &t, seed);
-        lines.push(assert_tallies_match_reference(label, adv, sched, config));
-    }
-    assert_golden(&lines);
 }
 
 /// **Non-vacuity**: on a full-participation cell the oracle compared

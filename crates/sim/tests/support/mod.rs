@@ -1,11 +1,17 @@
-//! The guard grid and the golden report digests, shared by
-//! `determinism_equivalence.rs` and `hasher_perturbation.rs`.
+//! The golden table: every report cell whose digest
+//! `golden/report_digests.txt` pins, one labelled [`Cell`] each, in file
+//! order. Shared by `determinism_equivalence.rs` (under the tally oracle),
+//! `hasher_perturbation.rs` (under perturbed FxHash seeds) and the
+//! facade's Tier-1 `tests/golden_reports.rs`.
 
 use st_sim::adversary::{
     Adversary, BlackoutAdversary, EquivocatingVoter, PartitionAttacker, ReorgAttacker,
     SilentAdversary,
 };
-use st_sim::{ChurnOptions, Schedule, SimConfig, SimReport, Timeline};
+use st_sim::{
+    ChurnOptions, ConstantRate, Diurnal, FlashCrowd, Schedule, SimBuilder, SimConfig, SimReport,
+    Timeline, WorkloadSpec,
+};
 use st_types::{Params, ProcessId, Round};
 
 pub fn params(n: usize, eta: u64) -> Params {
@@ -38,6 +44,18 @@ pub fn schedule(name: &str, n: usize, horizon: u64) -> Schedule {
     }
 }
 
+/// Open-loop workloads behind a tight mempool (capacity 16, batch 2), so
+/// the admission, drop and hold-over paths are busy.
+fn workload_spec(kind: &str) -> WorkloadSpec {
+    let spec = match kind {
+        "steady" => WorkloadSpec::new(ConstantRate::per_round(3).clients(3)),
+        "flash-crowd" => WorkloadSpec::new(FlashCrowd::new(1).clients(3).burst(8, 6, 10).jitter(7)),
+        "diurnal" => WorkloadSpec::new(Diurnal::new(4, 0.25, 10).clients(3)),
+        other => panic!("unknown workload {other}"),
+    };
+    spec.capacity(16).batch(2)
+}
+
 /// A representative slice of the (adversary × schedule × η × timeline)
 /// space: `(adversary, schedule, η, timeline, seed)`, run at `n = 10`
 /// for 28 rounds by [`guard_config`].
@@ -67,30 +85,165 @@ pub fn guard_config(eta: u64, t: &Option<Timeline>, seed: u64) -> SimConfig {
     config
 }
 
+fn grid_config(eta: u64, seed: u64, horizon: u64, t: &Timeline) -> SimConfig {
+    SimConfig::new(params(10, eta), seed)
+        .horizon(horizon)
+        .txs_every(4)
+        .timeline(t.clone())
+}
+
+/// One `n = 10` run of the golden table.
+pub struct Cell {
+    /// The label of its line in `golden/report_digests.txt`.
+    pub label: String,
+    adversary: &'static str,
+    schedule: &'static str,
+    workload: Option<&'static str>,
+    config: SimConfig,
+}
+
+impl Cell {
+    fn new(
+        label: String,
+        adversary: &'static str,
+        schedule: &'static str,
+        config: SimConfig,
+    ) -> Cell {
+        Cell {
+            label,
+            adversary,
+            schedule,
+            workload: None,
+            config,
+        }
+    }
+
+    /// The cell's simulation, open for more observers.
+    pub fn builder(&self) -> SimBuilder {
+        let horizon = self.config.horizon_rounds();
+        let builder = SimBuilder::from_config(self.config.clone())
+            .schedule(schedule(self.schedule, 10, horizon))
+            .adversary_boxed(adversary(self.adversary));
+        match self.workload {
+            Some(w) => builder.workload_spec(workload_spec(w)),
+            None => builder,
+        }
+    }
+}
+
+/// The golden table, in the order of `golden/report_digests.txt`: 6
+/// synchronous, 8 single-window and 7 multi-segment oracle cells, the 7
+/// guard-grid cells and 4 open-loop workload cells.
+pub fn golden_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    let sync = Timeline::synchronous();
+    for (sched, eta, seed) in [
+        ("full", 0, 1),
+        ("full", 2, 2),
+        ("full", 4, 3),
+        ("mass-sleep", 2, 4),
+        ("churn", 2, 5),
+        ("byz-window", 2, 6),
+    ] {
+        let label = format!("sync/silent/{sched}/eta{eta}/seed{seed}");
+        cells.push(Cell::new(
+            label,
+            "silent",
+            sched,
+            grid_config(eta, seed, 24, &sync),
+        ));
+    }
+    for (adv, sched, eta, pi, seed) in [
+        ("blackout", "full", 4, 3, 7),
+        ("partition", "full", 0, 4, 8),
+        ("partition", "full", 6, 4, 9),
+        ("reorg", "static-byz", 0, 1, 10),
+        ("reorg", "static-byz", 4, 1, 11),
+        ("equivocator", "static-byz", 2, 2, 12),
+        ("silent", "mass-sleep", 2, 3, 13),
+        ("blackout", "churn", 4, 2, 14),
+    ] {
+        let window = Timeline::synchronous().asynchronous(Round::new(10), pi);
+        let label = format!("async-pi{pi}/{adv}/{sched}/eta{eta}/seed{seed}");
+        cells.push(Cell::new(
+            label,
+            adv,
+            sched,
+            grid_config(eta, seed, 24, &window),
+        ));
+    }
+    // Multi-window asynchrony, bounded-delay segments (whose forced-deadline
+    // cursor advance interacts with pool compaction) and partitions make
+    // processes' states diverge, so these cells exercise many distinct memo
+    // keys per round.
+    let evens: Vec<ProcessId> = ProcessId::all(10).filter(|p| p.index() % 2 == 0).collect();
+    let multi_async = Timeline::synchronous()
+        .asynchronous(Round::new(10), 3)
+        .asynchronous(Round::new(20), 3);
+    let bounded = Timeline::synchronous().bounded_delay(Round::new(8), 12, 2);
+    let gst_like = Timeline::synchronous().bounded_delay(Round::new(1), 16, 3);
+    let partition = Timeline::synchronous().partition(Round::new(12), 4, vec![evens.clone()]);
+    let mixed = Timeline::synchronous()
+        .asynchronous(Round::new(10), 2)
+        .bounded_delay(Round::new(18), 4, 1)
+        .partition(Round::new(26), 3, vec![evens]);
+    for (adv, sched, eta, (name, t), seed) in [
+        ("partition", "full", 6, ("multi-async", &multi_async), 21),
+        ("blackout", "full", 4, ("multi-async", &multi_async), 22),
+        ("silent", "full", 4, ("bounded", &bounded), 23),
+        ("silent", "churn", 4, ("gst-like", &gst_like), 24),
+        ("silent", "full", 6, ("partition", &partition), 25),
+        ("reorg", "static-byz", 4, ("mixed", &mixed), 26),
+        ("silent", "mass-sleep", 2, ("mixed", &mixed), 27),
+    ] {
+        let label = format!("timeline-{name}/{adv}/{sched}/eta{eta}/seed{seed}");
+        cells.push(Cell::new(label, adv, sched, grid_config(eta, seed, 34, t)));
+    }
+    for (adv, sched, eta, t, seed) in guard_grid() {
+        let label = format!("guard/{adv}/{sched}/eta{eta}/seed{seed}");
+        cells.push(Cell::new(label, adv, sched, guard_config(eta, &t, seed)));
+    }
+    for (w, adv, sched, seed) in [
+        ("steady", "silent", "churn", 61),
+        ("flash-crowd", "blackout", "mass-sleep", 62),
+        ("diurnal", "silent", "full", 63),
+        ("steady", "equivocator", "byz-window", 64),
+    ] {
+        let label = format!("guard-workload/{w}/{adv}/{sched}/eta2/seed{seed}");
+        let config = SimConfig::new(params(10, 2), seed).horizon(28);
+        cells.push(Cell {
+            workload: Some(w),
+            ..Cell::new(label, adv, sched, config)
+        });
+    }
+    cells
+}
+
 /// A cell's golden line, `label = hex`, where `hex` digests the report's
 /// JSON.
 pub fn golden_line(label: &str, report: &SimReport) -> String {
     let json = serde_json::to_string(report).unwrap();
-    format!("{label} = {:016x}", st_crypto::hash64(json.as_bytes()))
+    let digest = st_crypto::Hasher64::new().chain(json.as_bytes()).finish();
+    format!("{label} = {digest:016x}")
 }
 
 /// The committed report digests.
 const GOLDEN: &str = include_str!("../golden/report_digests.txt");
 
-/// Every computed golden line must appear verbatim in the committed file.
-/// On a mismatch all of the caller's lines are printed, so a declared
-/// report change is one paste into `golden/report_digests.txt`.
+/// `lines`, one per cell of [`golden_cells`] in table order, must be the
+/// committed file. On a mismatch the whole new file is printed, so a
+/// declared report change is one paste into `golden/report_digests.txt`.
 pub fn assert_golden(lines: &[String]) {
+    let file: String = lines.iter().map(|line| format!("{line}\n")).collect();
     let changed: Vec<&str> = lines
         .iter()
         .map(String::as_str)
         .filter(|line| !GOLDEN.lines().any(|g| g == *line))
         .collect();
     assert!(
-        changed.is_empty(),
+        file == GOLDEN,
         "{} report digest(s) differ from golden/report_digests.txt: {changed:?}\n\
-         this test computed:\n{}",
+         the whole new file:\n{file}",
         changed.len(),
-        lines.join("\n")
     );
 }

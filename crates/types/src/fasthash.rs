@@ -35,12 +35,8 @@ static HASHER_SEED: AtomicU64 = AtomicU64::new(0);
 /// baselines; the call exists so the hasher-perturbation test can
 /// falsify iteration-order dependence dynamically.
 pub fn set_hasher_seed(seed: u64) {
+    // stlint::allow(deadpub, reason = "the hasher-perturbation test's seed switch; production keeps the default seed 0")
     HASHER_SEED.store(seed, Ordering::Relaxed);
-}
-
-/// The current process-wide FxHash seed.
-pub fn hasher_seed() -> u64 {
-    HASHER_SEED.load(Ordering::Relaxed)
 }
 
 /// Multiply-mix hasher for small keys. See the module docs for when (and
@@ -65,8 +61,8 @@ const K: u64 = 0x517c_c1b7_2722_0a95;
 impl FxHasher {
     /// A hasher starting from an explicit seed, independent of the
     /// process-wide one. Seed 0 is the historic unseeded hasher.
-    #[inline]
-    pub fn with_seed(seed: u64) -> FxHasher {
+    #[cfg(test)]
+    fn with_seed(seed: u64) -> FxHasher {
         FxHasher { hash: seed }
     }
 
@@ -172,22 +168,6 @@ pub fn iter_sorted<K: Ord, V, S: BuildHasher>(
     entries.into_iter()
 }
 
-/// Consumes a `HashMap` into a key-sorted `Vec` of pairs.
-pub fn into_sorted_vec<K: Ord, V, S: BuildHasher>(map: HashMap<K, V, S>) -> Vec<(K, V)> {
-    // stlint::allow(iterorder, reason = "this IS the canonicalizing adapter: the collected vec is key-sorted before being returned")
-    let mut entries: Vec<(K, V)> = map.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    entries
-}
-
-/// Sorted iteration over any `HashSet` (in particular [`FastSet`]).
-pub fn set_iter_sorted<T: Ord, S: BuildHasher>(set: &HashSet<T, S>) -> std::vec::IntoIter<&T> {
-    // stlint::allow(iterorder, reason = "this IS the canonicalizing adapter: elements are sorted before anything downstream sees them")
-    let mut elems: Vec<&T> = set.iter().collect();
-    elems.sort_unstable();
-    elems.into_iter()
-}
-
 /// Consumes a `HashSet` into a sorted `Vec`.
 pub fn set_into_sorted_vec<T: Ord, S: BuildHasher>(set: HashSet<T, S>) -> Vec<T> {
     // stlint::allow(iterorder, reason = "this IS the canonicalizing adapter: the collected vec is sorted before being returned")
@@ -245,10 +225,7 @@ mod tests {
         }
         let pairs: Vec<(u64, u64)> = iter_sorted(&m).map(|(k, v)| (*k, *v)).collect();
         assert_eq!(pairs, vec![(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
-        assert_eq!(into_sorted_vec(m), pairs);
-        let elems: Vec<u64> = set_iter_sorted(&s).copied().collect();
-        assert_eq!(elems, vec![1, 3, 5, 7, 9]);
-        assert_eq!(set_into_sorted_vec(s), elems);
+        assert_eq!(set_into_sorted_vec(s), vec![1, 3, 5, 7, 9]);
     }
 
     #[test]
@@ -264,7 +241,6 @@ mod tests {
         let mut d = FxHasher::default();
         d.write_u64(42);
         set_hasher_seed(0);
-        assert_eq!(hasher_seed(), 0);
         assert_eq!(d.finish(), hash_with(7));
     }
 

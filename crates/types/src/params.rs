@@ -54,6 +54,7 @@ impl Params {
     ///
     /// Returns an error if `n == 0`.
     pub fn vanilla(n: usize) -> Result<Params, TypesError> {
+        // stlint::allow(deadpub, reason = "names the vanilla MMR baseline (η = 0) that the Section-1 attack and Theorem tests run against")
         Params::builder(n).expiration(0).churn_rate(0.0).build()
     }
 
@@ -85,11 +86,6 @@ impl Params {
     /// The synchrony bound `δ` in milliseconds.
     pub fn delta_ms(&self) -> f64 {
         self.delta_ms
-    }
-
-    /// Round duration `Δ = 3δ` in milliseconds (Section 2.1).
-    pub fn round_duration_ms(&self) -> f64 {
-        3.0 * self.delta_ms
     }
 
     /// The adjusted failure ratio `β̃ = (β − γ) / (γ(β − 2) + 1)` that the
@@ -380,12 +376,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(!q.is_asynchrony_resilient());
-    }
-
-    #[test]
-    fn round_duration_is_three_delta() {
-        let p = Params::builder(10).delta_ms(50.0).build().unwrap();
-        assert!((p.round_duration_ms() - 150.0).abs() < 1e-12);
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub use st_types as types;
 pub mod prelude {
     pub use st_blocktree::{Block, BlockTree};
     pub use st_core::{DecisionEvent, Protocol, QuorumProcess, TobConfig, TobProcess};
-    pub use st_ga::{tally, GaInstance, GaOutput, Thresholds};
+    pub use st_ga::{tally, GaOutput, Thresholds};
     pub use st_load::{ConstantRate, Diurnal, FlashCrowd, Histogram, Mempool, Workload};
     pub use st_messages::{Envelope, Payload, Propose, Vote, VoteStore};
     pub use st_sim::adversary::{

@@ -233,8 +233,10 @@ fn parameter_validation_matches_theory() {
 }
 
 /// The graded-agreement primitive and the full protocol agree on
-/// thresholds: a GA instance with the same votes the protocol would see
-/// produces the decision the protocol makes.
+/// thresholds: a Figure-3 GA instance (a vote store holding `M₀` plus the
+/// round's votes, tallied over the window back to the oldest `M₀` round)
+/// with the same votes the protocol would see produces the decision the
+/// protocol makes.
 #[test]
 fn ga_instance_matches_protocol_decision() {
     use sleepy_tob::blocktree::{Block, BlockTree};
@@ -251,18 +253,19 @@ fn ga_instance_matches_protocol_decision() {
 
     // 7 fresh votes + 2 stale (M₀) votes for the block, 1 stale vote for
     // genesis: all 10 count, 9 > 2/3·10 ⇒ grade 1.
-    let mut ga = GaInstance::new(Round::new(6), Thresholds::mmr());
+    let mut store = VoteStore::new();
     for i in 0..7 {
-        ga.receive(Vote::new(ProcessId::new(i), Round::new(6), block));
+        store.insert(Vote::new(ProcessId::new(i), Round::new(6), block));
     }
-    ga.init_with(Vote::new(ProcessId::new(7), Round::new(4), block));
-    ga.init_with(Vote::new(ProcessId::new(8), Round::new(4), block));
-    ga.init_with(Vote::new(
+    store.insert(Vote::new(ProcessId::new(7), Round::new(4), block));
+    store.insert(Vote::new(ProcessId::new(8), Round::new(4), block));
+    store.insert(Vote::new(
         ProcessId::new(9),
         Round::new(3),
         BlockId::GENESIS,
     ));
-    let out = ga.output(&tree);
+    let votes = store.latest_in_window(Round::new(3), Round::new(6));
+    let out = tally(&tree, &votes, Thresholds::mmr());
     assert_eq!(out.participation(), 10);
     assert_eq!(out.grade_of(block), Some(Grade::One));
     assert_eq!(out.longest_grade1(), Some(block));

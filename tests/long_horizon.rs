@@ -61,9 +61,9 @@ fn four_hundred_rounds_with_churn() {
     );
 }
 
-/// Repeated asynchronous windows across a long run (the model has a
-/// single window; we run sequential *simulations* chained by checkpoint
-/// to cover the "occasional periods" phrasing of the introduction).
+/// Repeated asynchronous windows (the model has a single window): three
+/// independent simulations with distinct seeds, one window each, cover
+/// the "occasional periods" phrasing of the introduction.
 #[test]
 fn sequential_disturbances_via_chained_runs() {
     let n = 8;

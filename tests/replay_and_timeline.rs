@@ -2,8 +2,38 @@
 //! recovery after every asynchronous window.
 
 use sleepy_tob::prelude::*;
-use sleepy_tob::sim::adversary::ReplayDriver;
-use sleepy_tob::sim::{Network, Recipients};
+use sleepy_tob::sim::{Network, Recipients, SentMessage};
+
+/// Replays old, *authentic* protocol messages into processes, the way a
+/// misbehaving gossip layer (or an attacker echoing recorded traffic)
+/// would. Signatures make replayed messages pass verification; the
+/// defence is the round tag.
+struct ReplayDriver {
+    lag: u64,
+    replayed_upto: usize,
+}
+
+impl ReplayDriver {
+    /// Re-delivers every pool message older than `round − lag` to every
+    /// process, once. Progress is tracked by each message's global index,
+    /// so compaction of the fully-delivered prefix cannot repeat or skip
+    /// one.
+    fn replay_into(&mut self, pool: &[SentMessage], round: Round, procs: &mut [TobProcess]) {
+        let cutoff = round.saturating_sub(self.lag);
+        for msg in pool {
+            if msg.index < self.replayed_upto {
+                continue;
+            }
+            if msg.round >= cutoff {
+                break; // pool is round-sorted: nothing older follows
+            }
+            for p in procs.iter_mut() {
+                p.on_receive_shared(&msg.envelope);
+            }
+            self.replayed_upto = msg.index + 1;
+        }
+    }
+}
 
 /// Replaying authentic old messages must change nothing: votes are keyed
 /// by their round tag, so re-delivery is a duplicate and cannot resurrect
@@ -20,7 +50,10 @@ fn replay_has_no_effect() {
             .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
             .collect();
         let mut network = Network::new(n);
-        let mut replayer = ReplayDriver::new(2);
+        let mut replayer = ReplayDriver {
+            lag: 2,
+            replayed_upto: 0,
+        };
         for r in 0..=24u64 {
             let round = Round::new(r);
             let batches: Vec<Vec<Envelope>> =
