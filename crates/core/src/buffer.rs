@@ -26,11 +26,16 @@ impl BlockBuffer {
     }
 
     /// Number of parked orphan blocks.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.waiting.values().map(Vec::len).sum()
+        self.waiting
+            .iter_sorted()
+            .map(|(_, orphans)| orphans.len())
+            .sum()
     }
 
     /// Whether no orphans are parked.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.waiting.is_empty()
     }

@@ -8,7 +8,7 @@ use st_ga::{tally, GaOutput, SupportIndex};
 use st_messages::{
     Envelope, InsertOutcome, Payload, Propose, ProposeStore, SharedEnvelope, Vote, VoteStore,
 };
-use st_types::fasthash::{mix64_pair, set_into_sorted_vec};
+use st_types::fasthash::mix64_pair;
 use st_types::{BlockId, FastMap, FastSet, ProcessId, Round, RoundKind, TxId, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -388,7 +388,7 @@ impl TobProcess {
             }
         }
         if !self.dirty.is_empty() {
-            for s in set_into_sorted_vec(std::mem::take(&mut self.dirty)) {
+            for s in std::mem::take(&mut self.dirty).into_sorted_vec() {
                 match self.votes.latest_of(s, lo, hi) {
                     Some((r, Some(tip))) => {
                         let prev_round = self.counted.insert(s, (r, tip)).map(|c| c.0);
@@ -415,7 +415,7 @@ impl TobProcess {
             }
         }
         if !self.unknown.is_empty() {
-            for s in set_into_sorted_vec(std::mem::take(&mut self.unknown)) {
+            for s in std::mem::take(&mut self.unknown).into_sorted_vec() {
                 let Some(&(_, tip)) = self.counted.get(&s) else {
                     continue;
                 };

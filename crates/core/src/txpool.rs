@@ -123,9 +123,8 @@ impl TxPool {
         if !tree.is_ancestor(self.base, parent) {
             let onchain: FastSet<TxId> = tree.log_transactions(parent).into_iter().collect();
             let mut submitted: Vec<(u64, TxId)> = self
-                // stlint::allow(iterorder, reason = "the collected entries are sorted by submission sequence before anything reads them")
                 .index
-                .iter()
+                .iter_sorted()
                 .filter_map(|(&tx, slot)| slot.seq().map(|seq| (seq, tx)))
                 .filter(|(_, tx)| !onchain.contains(tx))
                 .collect();

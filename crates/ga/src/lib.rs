@@ -68,7 +68,6 @@ pub use thresholds::Thresholds;
 
 use st_blocktree::BlockTree;
 use st_messages::LatestVotes;
-use st_types::fasthash::iter_sorted;
 use st_types::FastMap;
 use st_types::{BlockId, Grade};
 
@@ -100,14 +99,14 @@ pub fn tally(tree: &BlockTree, votes: &LatestVotes, thresholds: Thresholds) -> G
     // Accumulate tip counts up every ancestor chain. Chains share suffixes,
     // so cache accumulated blocks to stay near-linear in distinct blocks.
     let mut support: FastMap<BlockId, usize> = FastMap::default();
-    for (&tip, &count) in &tip_support {
+    for (&tip, &count) in tip_support.iter_sorted() {
         for block in tree.chain(tip) {
             *support.entry(block).or_insert(0) += count;
         }
     }
 
     let mut outputs: Vec<(BlockId, Grade)> = Vec::new();
-    for (&block, &s) in iter_sorted(&support) {
+    for (&block, &s) in support.iter_sorted() {
         if thresholds.meets_grade1(s, m) {
             outputs.push((block, Grade::One));
         } else if thresholds.meets_grade0(s, m) {

@@ -15,7 +15,6 @@
 
 use crate::{GaOutput, Thresholds};
 use st_blocktree::BlockTree;
-use st_types::fasthash::iter_sorted;
 use st_types::FastMap;
 use st_types::{BlockId, Grade, ProcessId};
 
@@ -145,7 +144,7 @@ impl SupportIndex {
             return GaOutput::empty();
         }
         let mut graded: Vec<(BlockId, Grade)> = Vec::new();
-        for (&block, &s) in iter_sorted(&self.support) {
+        for (&block, &s) in self.support.iter_sorted() {
             if thresholds.meets_grade1(s, m) {
                 graded.push((block, Grade::One));
             } else if thresholds.meets_grade0(s, m) {

@@ -1,4 +1,4 @@
-//! `stlint` — CLI for the workspace layering & iteration-order analyzer.
+//! `stlint` — CLI for the workspace layering & allow-hygiene analyzer.
 //!
 //! ```text
 //! stlint check [--json] [--out FILE] [--root DIR]   lint the workspace; exit 1 on findings

@@ -5,8 +5,9 @@ use std::fmt;
 /// The rule families `stlint` enforces. Each has a short id (used in
 /// reports) and a mnemonic slug (accepted interchangeably in
 /// `stlint::allow(...)` annotations). The retired ids D1, D2, P1 and U1
-/// are compiler lints now (see the crate docs), so an annotation naming
-/// them is an unknown rule.
+/// are compiler lints now and N1's guarantee is a type (`st_types::
+/// FastMap`/`FastSet`; see the crate docs), so an annotation naming them
+/// is an unknown rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// `Cargo.toml` layering: dependencies must point strictly down the
@@ -18,13 +19,6 @@ pub enum RuleId {
     /// rule and carry a non-empty `reason = "..."`. Lint attributes are
     /// held to the same standard by `clippy::allow_attributes_without_reason`.
     A1,
-    /// Nondeterminism flow: iterating a `FastMap`/`FastSet`/`HashMap`/
-    /// `HashSet` in protocol-crate non-test code where the iteration
-    /// order can reach an ordered sink (`push`/`extend`/`insert`/send
-    /// inside the loop body, or a `collect`/`fold`-style chain) — route
-    /// through `st_types::fasthash::{iter_sorted, set_into_sorted_vec}` or
-    /// state the order-insensitivity invariant in an allow.
-    N1,
     /// Dead public API: a `pub fn` in crate `src/` that no production code
     /// names — a package's `src/` (bins included) or `examples/`, outside
     /// `#[cfg(test)]` regions and `pub use` re-exports (item-graph
@@ -34,25 +28,23 @@ pub enum RuleId {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 4] = [RuleId::L1, RuleId::A1, RuleId::N1, RuleId::DP];
+pub const ALL_RULES: [RuleId; 3] = [RuleId::L1, RuleId::A1, RuleId::DP];
 
 impl RuleId {
-    /// Short id, e.g. `"N1"`.
+    /// Short id, e.g. `"DP"`.
     pub fn key(self) -> &'static str {
         match self {
             RuleId::L1 => "L1",
             RuleId::A1 => "A1",
-            RuleId::N1 => "N1",
             RuleId::DP => "DP",
         }
     }
 
-    /// Mnemonic slug, e.g. `"iterorder"`.
+    /// Mnemonic slug, e.g. `"deadpub"`.
     pub fn slug(self) -> &'static str {
         match self {
             RuleId::L1 => "layering",
             RuleId::A1 => "allow",
-            RuleId::N1 => "iterorder",
             RuleId::DP => "deadpub",
         }
     }
@@ -62,10 +54,6 @@ impl RuleId {
         match self {
             RuleId::L1 => "Cargo.toml dependency layering and offline third_party policy",
             RuleId::A1 => "stlint::allow annotations must name a known rule and give a reason",
-            RuleId::N1 => {
-                "unordered-map iteration feeding an ordered sink in protocol non-test code \
-                 (use st_types::fasthash::iter_sorted/set_into_sorted_vec)"
-            }
             RuleId::DP => "pub fn no production code reaches (tests and re-exports do not count)",
         }
     }
@@ -188,16 +176,17 @@ mod tests {
 
     #[test]
     fn rule_parse_accepts_id_and_slug() {
-        assert_eq!(RuleId::parse("N1"), Some(RuleId::N1));
-        assert_eq!(RuleId::parse("n1"), Some(RuleId::N1));
-        assert_eq!(RuleId::parse("iterorder"), Some(RuleId::N1));
+        assert_eq!(RuleId::parse("DP"), Some(RuleId::DP));
+        assert_eq!(RuleId::parse("dp"), Some(RuleId::DP));
+        assert_eq!(RuleId::parse("deadpub"), Some(RuleId::DP));
         assert_eq!(RuleId::parse("panic"), None);
+        assert_eq!(RuleId::parse("N1"), None);
         assert_eq!(RuleId::parse("nonsense"), None);
     }
 
     #[test]
     fn json_escapes_and_counts() {
-        let diags = vec![Diagnostic::new(RuleId::N1, "a\"b.rs", 3, 5, "say \"no\"")];
+        let diags = vec![Diagnostic::new(RuleId::DP, "a\"b.rs", 3, 5, "say \"no\"")];
         let json = to_json(&diags, 7);
         assert!(json.contains("\"files_scanned\": 7"));
         assert!(json.contains("\"col\": 5"));

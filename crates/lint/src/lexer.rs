@@ -2,9 +2,9 @@
 //!
 //! The offline `third_party/` policy rules out `syn`; none of the rules
 //! need a parse tree anyway. What they do need, and what a regex sweep
-//! cannot provide, is *lexical* accuracy: a `map.iter().collect()` inside
-//! a string literal or a doc-comment code example must not fire N1, and
-//! a `fn` name quoted in a string is no reference for deadpub.
+//! cannot provide, is *lexical* accuracy: a `fn` name quoted in a string
+//! literal is no reference for deadpub, and an allow annotation quoted
+//! there is no directive.
 //! So the lexer does full string/char/comment/raw-literal recognition
 //! and throws literal *contents* away, keeping only identifiers,
 //! punctuation and source lines.

@@ -1,11 +1,10 @@
 //! Workspace discovery and the full `check` / `deadpub` drivers.
 
-use crate::allow::collect_allows;
+use crate::allow::{collect_allows, lint_source};
 use crate::diag::{Diagnostic, RuleId};
-use crate::itemtree::ItemTree;
+use crate::itemtree::collect_fns;
 use crate::lexer::{lex, test_mask, Token, TokenKind};
 use crate::manifest::{check_layering, parse_manifest};
-use crate::rules::{lint_source, FileCtx};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,7 +19,6 @@ const SKIP_DIRS: [&str; 5] = ["target", "third_party", ".git", "fixtures", "node
 struct SourceFile {
     path: PathBuf,
     rel_path: String,
-    crate_name: String,
     test_file: bool,
     /// Code a build of the workspace runs: `src/` (bins included) and
     /// `examples/`. Only these files keep a `pub fn` alive (deadpub).
@@ -92,7 +90,7 @@ fn rel(root: &Path, p: &Path) -> String {
 /// `benches/` or `examples/` are test files; `src/` is live code (its
 /// `#[cfg(test)]` regions are masked token-wise instead). `src/` and
 /// `examples/` are production: what a user of the workspace runs.
-fn package_sources(root: &Path, crate_name: &str, dir: &Path) -> Vec<SourceFile> {
+fn package_sources(root: &Path, dir: &Path) -> Vec<SourceFile> {
     let mut files = Vec::new();
     for (sub, test_file, production) in [
         ("src", false, true),
@@ -124,7 +122,6 @@ fn package_sources(root: &Path, crate_name: &str, dir: &Path) -> Vec<SourceFile>
                     files.push(SourceFile {
                         rel_path: rel(root, &p),
                         path: p,
-                        crate_name: crate_name.to_string(),
                         test_file,
                         production,
                     });
@@ -138,7 +135,7 @@ fn package_sources(root: &Path, crate_name: &str, dir: &Path) -> Vec<SourceFile>
 /// Runs every rule family over the whole workspace.
 pub fn check_workspace(root: &Path) -> CheckReport {
     let mut report = CheckReport::default();
-    for (crate_name, dir) in enumerate_packages(root) {
+    for (_, dir) in enumerate_packages(root) {
         let manifest_path = dir.join("Cargo.toml");
         if let Ok(text) = fs::read_to_string(&manifest_path) {
             report.diagnostics.extend(check_layering(
@@ -146,17 +143,12 @@ pub fn check_workspace(root: &Path) -> CheckReport {
                 &parse_manifest(&text),
             ));
         }
-        for f in package_sources(root, &crate_name, &dir) {
+        for f in package_sources(root, &dir) {
             let Ok(src) = fs::read_to_string(&f.path) else {
                 continue;
             };
             report.files_scanned += 1;
-            let ctx = FileCtx {
-                rel_path: &f.rel_path,
-                crate_name: &f.crate_name,
-                test_file: f.test_file,
-            };
-            report.diagnostics.extend(lint_source(&ctx, &src));
+            report.diagnostics.extend(lint_source(&f.rel_path, &src));
         }
     }
     report
@@ -202,16 +194,15 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
     // `fn name` definition sites.
     let mut refs: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
     for (crate_name, dir) in enumerate_packages(root) {
-        for f in package_sources(root, &crate_name, &dir) {
+        for f in package_sources(root, &dir) {
             let Ok(src) = fs::read_to_string(&f.path) else {
                 continue;
             };
             let lexed = lex(&src);
             let mask = test_mask(&lexed.tokens);
-            let tree = ItemTree::build(&lexed.tokens);
             let (allows, _) = collect_allows(&f.rel_path, &lexed.comments, &lexed.tokens);
             if !f.test_file {
-                for item in &tree.fns {
+                for item in collect_fns(&lexed.tokens) {
                     // `pub fn` only (not `pub(crate) fn`): restricted
                     // visibility is not public API. Masked (cfg(test))
                     // and `main` items are out of scope.
@@ -238,7 +229,7 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
                     });
                     defs.push(Def {
                         crate_name: crate_name.clone(),
-                        name: item.name.clone(),
+                        name: item.name,
                         file: f.rel_path.clone(),
                         line: name_tok.line,
                         col: name_tok.col,
@@ -346,8 +337,8 @@ mod tests {
     #[test]
     fn scan_skips_fixtures_and_third_party() {
         let root = repo_root();
-        for (crate_name, dir) in enumerate_packages(&root) {
-            for f in package_sources(&root, &crate_name, &dir) {
+        for (_, dir) in enumerate_packages(&root) {
+            for f in package_sources(&root, &dir) {
                 assert!(!f.rel_path.contains("fixtures/"), "{}", f.rel_path);
                 assert!(!f.rel_path.starts_with("third_party/"), "{}", f.rel_path);
             }

@@ -1,22 +1,13 @@
-//! Fixture-driven self-tests: passing and failing specimens for L1, N1
-//! and A1, with exact file/line assertions, synthetic workspaces for
+//! Fixture-driven self-tests: passing and failing specimens for L1 and
+//! A1, with exact file/line assertions, synthetic workspaces for
 //! deadpub's item graph and its production-reference rule, plus the
 //! meta-test that the live workspace is lint-clean.
 //!
 //! The fixtures live under `tests/fixtures/`, which the workspace walker
-//! deliberately skips — they exist to be linted *by hand* with a chosen
-//! [`FileCtx`], as if they belonged to any crate.
+//! deliberately skips — they exist to be linted *by hand*.
 
 use st_lint::manifest::{check_layering, parse_manifest};
-use st_lint::{check_workspace, find_workspace_root, lint_source, Diagnostic, FileCtx, RuleId};
-
-fn protocol_ctx(rel_path: &str) -> FileCtx<'_> {
-    FileCtx {
-        rel_path,
-        crate_name: "st-core",
-        test_file: false,
-    }
-}
+use st_lint::{check_workspace, find_workspace_root, lint_source, Diagnostic, RuleId};
 
 fn lines_of(diags: &[Diagnostic], rule: RuleId) -> Vec<u32> {
     diags
@@ -24,18 +15,6 @@ fn lines_of(diags: &[Diagnostic], rule: RuleId) -> Vec<u32> {
         .filter(|d| d.rule == rule)
         .map(|d| d.line)
         .collect()
-}
-
-#[test]
-fn a1_rejects_reasonless_allows_and_keeps_the_finding() {
-    let src = include_str!("fixtures/a1_no_reason.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/a1_no_reason.rs"), src);
-    // Each of the three bad annotations (no reason, empty reason,
-    // unknown rule) earns an A1 — and suppresses nothing, so the
-    // underlying N1 finding on the same line survives.
-    assert_eq!(lines_of(&diags, RuleId::A1), vec![6, 10, 14]);
-    assert_eq!(lines_of(&diags, RuleId::N1), vec![6, 10, 14]);
-    assert_eq!(diags.len(), 6, "{diags:?}");
 }
 
 #[test]
@@ -76,38 +55,6 @@ fn live_workspace_is_lint_clean() {
     assert!(report.files_scanned > 50, "{}", report.files_scanned);
 }
 
-#[test]
-fn n1_fixture_fails_on_loop_and_chain_escapes() {
-    let src = include_str!("fixtures/n1_fail.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/n1_fail.rs"), src);
-    // Line 7: `support` iterated by a for-loop whose body pushes; line
-    // 14: `seen.iter()…collect()` chain. The diagnostic anchors on the
-    // map's name token.
-    assert_eq!(lines_of(&diags, RuleId::N1), vec![7, 14]);
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags[0].message.contains("`support`"));
-    assert!(diags[0].message.contains("iter_sorted"));
-    assert!(diags[1].message.contains("`seen`"));
-}
-
-#[test]
-fn n1_fixture_passes_adapters_commutative_and_allowed_sites() {
-    let src = include_str!("fixtures/n1_pass.rs");
-    let diags = lint_source(&protocol_ctx("fixtures/n1_pass.rs"), src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn n1_is_silent_in_test_files() {
-    let src = include_str!("fixtures/n1_fail.rs");
-    let ctx = FileCtx {
-        rel_path: "fixtures/n1_fail.rs",
-        crate_name: "st-core",
-        test_file: true,
-    };
-    assert!(lines_of(&lint_source(&ctx, src), RuleId::N1).is_empty());
-}
-
 /// Builds a throwaway one-crate workspace on disk so the deadpub item
 /// graph can be exercised end to end (it resolves references across the
 /// whole tree, so `lint_source` alone cannot drive it). `files` are
@@ -141,6 +88,23 @@ fn dead_names(root: &std::path::Path) -> Vec<String> {
             d.message[start..start + d.message[start..].find('`').unwrap()].to_string()
         })
         .collect()
+}
+
+#[test]
+fn a1_rejects_bad_allows_and_keeps_the_finding() {
+    let src = include_str!("fixtures/a1_no_reason.rs");
+    let diags = lint_source("fixtures/a1_no_reason.rs", src);
+    // No reason, an empty reason, an unknown rule and the retired
+    // iteration-order rule each earn an A1 on their own line...
+    assert_eq!(lines_of(&diags, RuleId::A1), vec![4, 6, 8, 10]);
+    assert_eq!(diags.len(), 4, "{diags:?}");
+    assert!(diags[2].message.contains("unknown rule"));
+    assert!(diags[3].message.contains("unknown rule"));
+    // ...and suppress nothing: every function is still reported dead.
+    let root = synthetic_workspace("a1", &[("src/lib.rs", src)]);
+    let names = dead_names(&root);
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(names, ["first", "second", "third", "fourth"]);
 }
 
 #[test]
@@ -210,15 +174,15 @@ fn diagnostics_sort_and_json_are_byte_stable() {
     };
     let mut diags = vec![
         mk(RuleId::DP, "crates/b/src/lib.rs", 4, 9),
-        mk(RuleId::N1, "crates/a/src/lib.rs", 10, 1),
+        mk(RuleId::DP, "crates/a/src/lib.rs", 10, 1),
         mk(RuleId::A1, "crates/b/src/lib.rs", 4, 2),
         mk(RuleId::L1, "crates/a/src/lib.rs", 2, 5),
-        mk(RuleId::N1, "crates/b/src/lib.rs", 4, 2),
+        mk(RuleId::DP, "crates/b/src/lib.rs", 4, 2),
     ];
     let expect: Vec<String> = vec![
         "crates/a/src/lib.rs:2:5".into(),
         "crates/a/src/lib.rs:10:1".into(),
-        "crates/b/src/lib.rs:4:2".into(), // A1 before N1 at the same spot
+        "crates/b/src/lib.rs:4:2".into(), // A1 before DP at the same spot
         "crates/b/src/lib.rs:4:2".into(),
         "crates/b/src/lib.rs:4:9".into(),
     ];
@@ -229,7 +193,7 @@ fn diagnostics_sort_and_json_are_byte_stable() {
         let got: Vec<String> = sorted.iter().map(|d| d.message.clone()).collect();
         assert_eq!(got, expect);
         assert_eq!(sorted[2].rule, RuleId::A1);
-        assert_eq!(sorted[3].rule, RuleId::N1);
+        assert_eq!(sorted[3].rule, RuleId::DP);
         // The JSON rendering of the sorted set is byte-deterministic.
         assert_eq!(
             st_lint::diag::to_json(&sorted, 5),

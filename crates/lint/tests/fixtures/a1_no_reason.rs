@@ -1,15 +1,10 @@
 //! A1 failing fixture: allow annotations that are rejected — and that
-//! therefore suppress nothing, so the underlying N1 findings survive.
-use st_types::FastSet;
+//! therefore suppress nothing, so every function here stays dead.
 
-fn first(seen: &FastSet<u64>) -> Vec<u64> {
-    seen.iter().copied().collect() // stlint::allow(iterorder)
-}
+pub fn first() {} // stlint::allow(deadpub)
 
-fn second(seen: &FastSet<u64>) -> Vec<u64> {
-    seen.iter().copied().collect() // stlint::allow(iterorder, reason = "")
-}
+pub fn second() {} // stlint::allow(deadpub, reason = "")
 
-fn third(seen: &FastSet<u64>) -> Vec<u64> {
-    seen.iter().copied().collect() // stlint::allow(frobnicate, reason = "no such rule")
-}
+pub fn third() {} // stlint::allow(frobnicate, reason = "no such rule")
+
+pub fn fourth() {} // stlint::allow(iterorder, reason = "a retired rule")

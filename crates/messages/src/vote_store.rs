@@ -7,7 +7,7 @@
 //! Figure 3).
 
 use crate::Vote;
-use st_types::fasthash::{iter_sorted, mix64, mix64_pair};
+use st_types::fasthash::{mix64, mix64_pair};
 use st_types::FastMap;
 use st_types::{BlockId, ProcessId, Round};
 use std::collections::BTreeMap;
@@ -54,6 +54,17 @@ fn record_digest(sender: ProcessId, round: Round, rec: &RoundRecord) -> u64 {
     }
 }
 
+/// What one round's records add up to, across senders: the share of
+/// [`VoteStore::len`] and of [`VoteStore::fingerprint`] that leaves when
+/// the round is pruned.
+#[derive(Clone, Copy, Debug, Default)]
+struct RoundTotals {
+    /// Distinct (sender, tip) votes recorded for the round.
+    votes: usize,
+    /// XOR of [`record_digest`] over the round's records.
+    digest: u64,
+}
+
 /// Stores every vote a process has received and answers latest-in-window
 /// queries.
 ///
@@ -63,15 +74,19 @@ pub struct VoteStore {
     /// sender → (round → record). `BTreeMap` gives cheap
     /// latest-within-window lookups via `range(..).next_back()`.
     by_sender: FastMap<ProcessId, BTreeMap<Round, RoundRecord>>,
+    /// round → what that round's records add up to. Kept by
+    /// [`VoteStore::insert`]; [`VoteStore::prune_below`] drops whole
+    /// rounds, so it reads here what leaves.
+    by_round: BTreeMap<Round, RoundTotals>,
     /// Total count of distinct (sender, round, tip) votes recorded.
     distinct_votes: usize,
     /// XOR of [`record_digest`] over every stored `(sender, round,
     /// record)` entry — an order-insensitive, hasher-independent content
     /// fingerprint, maintained incrementally by [`VoteStore::insert`] and
-    /// both prune variants. Equal fingerprints certify (up to 64-bit
-    /// collision) that two stores answer every latest-in-window query
-    /// identically — the vote half of the key tallies are shared under
-    /// (`TobProcess::share_tally` in st-core).
+    /// [`VoteStore::prune_below`]. Equal fingerprints certify (up to
+    /// 64-bit collision) that two stores answer every latest-in-window
+    /// query identically — the vote half of the key tallies are shared
+    /// under (`TobProcess::share_tally` in st-core).
     fingerprint: u64,
 }
 
@@ -95,34 +110,38 @@ impl VoteStore {
     /// remembered as poison for the (sender, round) pair.
     pub fn insert(&mut self, vote: Vote) -> InsertOutcome {
         let rounds = self.by_sender.entry(vote.sender()).or_default();
-        match rounds.get_mut(&vote.round()) {
+        let (digest, outcome) = match rounds.get_mut(&vote.round()) {
             None => {
                 let rec = RoundRecord::Single(vote.tip());
-                self.fingerprint ^= record_digest(vote.sender(), vote.round(), &rec);
+                let digest = record_digest(vote.sender(), vote.round(), &rec);
                 rounds.insert(vote.round(), rec);
-                self.distinct_votes += 1;
-                InsertOutcome::Recorded
+                (digest, InsertOutcome::Recorded)
             }
             Some(rec) => match *rec {
-                RoundRecord::Single(tip) if tip == vote.tip() => InsertOutcome::Duplicate,
+                RoundRecord::Single(tip) if tip == vote.tip() => return InsertOutcome::Duplicate,
                 RoundRecord::Single(first) => {
-                    self.fingerprint ^= record_digest(vote.sender(), vote.round(), rec);
+                    let before = record_digest(vote.sender(), vote.round(), rec);
                     *rec = RoundRecord::Equivocated(first, vote.tip());
-                    self.fingerprint ^= record_digest(vote.sender(), vote.round(), rec);
-                    self.distinct_votes += 1;
-                    InsertOutcome::Equivocation
+                    let after = record_digest(vote.sender(), vote.round(), rec);
+                    (before ^ after, InsertOutcome::Equivocation)
                 }
                 RoundRecord::Equivocated(a, b) => {
                     // A third distinct tip adds no evidence: the record —
                     // and with it the fingerprint — stays as-is.
-                    if a == vote.tip() || b == vote.tip() {
+                    return if a == vote.tip() || b == vote.tip() {
                         InsertOutcome::Duplicate
                     } else {
                         InsertOutcome::Equivocation
-                    }
+                    };
                 }
             },
-        }
+        };
+        let totals = self.by_round.entry(vote.round()).or_default();
+        totals.votes += 1;
+        totals.digest ^= digest;
+        self.distinct_votes += 1;
+        self.fingerprint ^= digest;
+        outcome
     }
 
     /// The store's content fingerprint (see the field docs). Two stores
@@ -173,9 +192,9 @@ impl VoteStore {
     /// its allocation (for callers that query every round).
     pub fn latest_in_window_into(&self, lo: Round, hi: Round, out: &mut LatestVotes) {
         out.votes.clear();
-        // Sender-sorted iteration: the canonical adapter makes the output
-        // order a function of the senders, not the hasher.
-        for (&sender, rounds) in iter_sorted(&self.by_sender) {
+        // Sender-sorted iteration: the output order is a function of the
+        // senders, not the hasher.
+        for (&sender, rounds) in self.by_sender.iter_sorted() {
             if let Some((&round, rec)) = rounds.range(lo..=hi).next_back() {
                 match rec {
                     RoundRecord::Single(tip) => out.votes.push((sender, round, *tip)),
@@ -191,35 +210,30 @@ impl VoteStore {
     ///
     /// Called once per round from the protocol's send phase, so the cost
     /// must scale with what is *actually removed* (usually one round's
-    /// worth per sender, often nothing), not with what is retained:
-    /// entries are popped from the front of each sender's round map only
-    /// while they are expired (rebuilding every sender's whole map each
-    /// round is an `O(n · η)` allocation wall per process per round).
+    /// worth per sender, often nothing), not with what is retained: the
+    /// per-round totals say what leaves, and each sender's round map is
+    /// popped from the front only while its entries are expired
+    /// (rebuilding every sender's whole map each round is an `O(n · η)`
+    /// allocation wall per process per round).
     pub fn prune_below(&mut self, lo: Round) {
-        let mut any_emptied = false;
-        // stlint::allow(iterorder, reason = "per-sender pops are independent and the fingerprint/count updates are XOR/sum folds, both order-insensitive")
-        for (&sender, rounds) in self.by_sender.iter_mut() {
-            while let Some(entry) = rounds.first_entry() {
-                if *entry.key() >= lo {
-                    break;
-                }
-                self.distinct_votes -= match entry.get() {
-                    RoundRecord::Single(_) => 1,
-                    RoundRecord::Equivocated(_, _) => 2,
-                };
-                self.fingerprint ^= record_digest(sender, *entry.key(), entry.get());
-                entry.remove();
+        let mut any_expired = false;
+        while let Some(entry) = self.by_round.first_entry() {
+            if *entry.key() >= lo {
+                break;
             }
-            any_emptied |= rounds.is_empty();
+            let totals = entry.remove();
+            self.distinct_votes -= totals.votes;
+            self.fingerprint ^= totals.digest;
+            any_expired = true;
         }
-        if any_emptied {
-            self.by_sender.retain(|_, rounds| !rounds.is_empty());
+        if any_expired {
+            self.by_sender.retain(|_, rounds| {
+                while rounds.first_key_value().is_some_and(|(&r, _)| r < lo) {
+                    rounds.pop_first();
+                }
+                !rounds.is_empty()
+            });
         }
-    }
-
-    /// The senders with at least one stored vote (for diagnostics).
-    pub fn senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.by_sender.keys().copied()
     }
 }
 
@@ -383,7 +397,7 @@ mod tests {
                 .vote_of(ProcessId::new(1)),
             Some(BlockId::new(50))
         );
-        assert_eq!(s.senders().count(), 1);
+        assert_eq!(s.by_sender.len(), 1);
     }
 
     #[test]

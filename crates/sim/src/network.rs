@@ -289,14 +289,7 @@ impl Network {
         let Some(safe) = self
             .delivery
             .iter()
-            .map(|s| {
-                s.extras
-                    .iter()
-                    .copied()
-                    .min()
-                    .unwrap_or(usize::MAX)
-                    .min(s.cursor)
-            })
+            .map(|s| s.extras.min().copied().unwrap_or(usize::MAX).min(s.cursor))
             .min()
         else {
             return 0;

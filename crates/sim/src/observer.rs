@@ -348,7 +348,7 @@ impl TxLedger {
                 set.extend(
                     fresh
                         .filter_map(|b| tree.block(b))
-                        .flat_map(|b| b.payload()),
+                        .flat_map(|b| b.payload().iter().copied()),
                 );
             } else {
                 *set = tree.log_transactions(tip).into_iter().collect();

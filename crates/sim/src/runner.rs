@@ -144,8 +144,9 @@ impl SimConfig {
         self
     }
 
-    /// Submits one fresh transaction every `k` rounds (to the first honest
-    /// awake process).
+    /// Submits one fresh transaction every `k` rounds, to every honest
+    /// awake process (transaction gossip floods independently of the
+    /// consensus rounds).
     #[must_use]
     pub fn txs_every(mut self, k: u64) -> SimConfig {
         self.txs_every = Some(k.max(1));

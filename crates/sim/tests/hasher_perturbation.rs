@@ -1,23 +1,24 @@
-//! The hasher-perturbation check: no report depends on `FastMap` /
-//! `FastSet` bucket order.
+//! The hasher-perturbation check: no report depends on the FxHash seed.
 //!
-//! stlint's N1/iterorder rule flags unordered-map iteration whose order
-//! syntactically reaches an ordered sink; no token-level analysis can
-//! prove there is no other leak. This test is the dynamic complement. It
-//! replays the golden table (the oracle grids, the guard grid and four
-//! open-loop workload cells behind a tight mempool, whose admission, drop
-//! and hold-over paths reach the serialised summary and `TxRecord`s)
-//! under perturbed FxHash seeds ([`set_hasher_seed`]), which scramble
-//! every table's bucket order in the process. Every report must still
-//! digest to its line in `golden/report_digests.txt`, which records the
-//! seed-0 runs.
+//! `FastMap` and `FastSet` offer no walk in bucket order, so a leak can
+//! come only through a path the types do not see: a std table hashed
+//! with `FxHasher`, or a hash value itself reaching an output. This test
+//! is the dynamic check. It replays the golden table (the oracle grids,
+//! the guard grid and four open-loop workload cells behind a tight
+//! mempool, whose admission, drop and hold-over paths reach the
+//! serialised summary and `TxRecord`s) under perturbed FxHash seeds
+//! ([`set_hasher_seed`]), which scramble every table's bucket order in
+//! the process. Every report must still digest to its line in
+//! `golden/report_digests.txt`, which records the seed-0 runs.
 //!
 //! The seed is process-global and read on every hash, so this file is a
 //! test binary of its own with exactly one `#[test]`.
 
 mod support;
 
-use st_types::fasthash::{set_hasher_seed, FastSet};
+use st_types::fasthash::{set_hasher_seed, FxHasher};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use support::{assert_golden, golden_cells, golden_line};
 
 /// Well-mixed odd constants, plus one single-bit seed for leaks that only
@@ -37,9 +38,10 @@ fn golden_lines() -> Vec<String> {
         .collect()
 }
 
-/// The iteration order of a `FastSet` built under the current seed.
+/// The bucket order of a std set hashed, as `FastSet` is, with
+/// `FxHasher` under the current seed. `FastSet` itself cannot show it.
 fn set_order() -> Vec<u64> {
-    let set: FastSet<u64> = (0..64).collect();
+    let set: HashSet<u64, BuildHasherDefault<FxHasher>> = (0..64).collect();
     set.into_iter().collect()
 }
 
@@ -51,7 +53,7 @@ fn reports_match_golden_under_perturbed_hasher_seeds() {
         assert_ne!(
             set_order(),
             unperturbed,
-            "hasher seed {seed:#x} left FastSet iteration order unchanged"
+            "hasher seed {seed:#x} left the FxHash bucket order unchanged"
         );
         assert_golden(&golden_lines());
     }

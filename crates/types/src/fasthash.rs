@@ -10,16 +10,23 @@
 //! of rustc's FxHash: not DoS-resistant (irrelevant in a closed,
 //! deterministic simulation; nothing here hashes attacker-chosen byte
 //! strings into exposed tables), but fast and — unlike `RandomState` —
-//! identical across runs, which also makes map iteration order stable
-//! for debugging.
+//! identical across runs.
+//!
+//! The tables built on it, [`FastMap`] and [`FastSet`], offer no walk in
+//! bucket order at all: keyed access, key-sorted walks and order-free
+//! reductions only. So no output can depend on the hasher, whatever its
+//! seed.
 
 #![expect(
     clippy::disallowed_types,
-    reason = "this module IS the sanctioned wrapper: FastMap/FastSet are std tables re-keyed with the deterministic FxHasher"
+    reason = "this module IS the sanctioned wrapper: FastMap/FastSet are std tables re-keyed with the deterministic FxHasher, minus their unordered iteration"
 )]
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide FxHash seed. Zero (the default) reproduces the historic
@@ -27,10 +34,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// perturbs it to prove that no simulation output depends on bucket order.
 static HASHER_SEED: AtomicU64 = AtomicU64::new(0);
 
-/// Sets the process-wide FxHash seed. Only tables **created after** the
-/// call observe the new seed (each hasher captures it at construction),
-/// so a perturbation harness must set the seed before building the
-/// simulation it measures. Production code never calls this — the
+/// Sets the process-wide FxHash seed. Every hash operation reads it
+/// afresh (each [`FxHasher`] captures it at construction, and tables
+/// build one per operation), so a perturbation harness must set the seed
+/// before building the simulation it measures and keep it until the run
+/// is done. Production code never calls this — the
 /// default seed of 0 keeps every run byte-identical to the committed
 /// baselines; the call exists so the hasher-perturbation test can
 /// falsify iteration-order dependence dynamically.
@@ -140,60 +148,255 @@ pub const fn mix64_pair(acc: u64, word: u64) -> u64 {
     mix64(acc ^ mix64(word))
 }
 
-/// `HashMap` keyed with [`FxHasher`].
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` keyed with [`FxHasher`].
-pub type FastSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+/// The build-hasher both tables use.
+type FxBuild = BuildHasherDefault<FxHasher>;
 
 // ---------------------------------------------------------------------
-// Canonicalizing iteration adapters.
+// The tables.
 //
-// Iterating a FastMap/FastSet yields entries in hasher-bucket order —
-// deterministic for a fixed seed, but still an implementation detail
-// that must never reach an ordered value (a Vec being built, a message
-// batch, a fold). These free functions are the sanctioned route: they
-// materialize the entries and sort by key, so downstream order is a
-// function of the *keys*, not the hasher. stlint's N1/iterorder rule
-// recognizes call sites routed through them (free-function calls don't
-// match its `map.iter()…` shapes) and flags direct iteration instead.
+// Iterating a hash table yields entries in bucket order: deterministic
+// for a fixed seed, but an implementation detail that must never reach
+// an ordered value (a Vec being built, a message batch, a report). So
+// FastMap and FastSet wrap the std tables and leave out every way to
+// walk them in that order: no `iter`, `keys`, `values`, `drain`,
+// `IntoIterator` or `Deref`. What they offer instead is keyed access,
+// key-sorted walks (`iter_sorted`, `FastSet::into_sorted_vec`, and
+// `Debug`, which prints in key order), `FastMap::retain` with an `Fn`
+// predicate, and reductions whose result cannot depend on order
+// (`FastSet::min`). Each exists because a caller needs it.
+// The hasher-perturbation test in st-sim replays the golden grid under
+// other seeds to check the guarantee end to end.
 
-/// Key-sorted iteration over any `HashMap` (in particular [`FastMap`]).
-pub fn iter_sorted<K: Ord, V, S: BuildHasher>(
-    map: &HashMap<K, V, S>,
-) -> std::vec::IntoIter<(&K, &V)> {
-    // stlint::allow(iterorder, reason = "this IS the canonicalizing adapter: entries are sorted by key before anything downstream sees them")
-    let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    entries.into_iter()
+/// Hash map keyed with [`FxHasher`] that cannot be iterated in bucket
+/// order.
+///
+/// Lookups cost what a `std` map's do; a walk over the entries goes
+/// through [`FastMap::iter_sorted`] and pays for a sort by key. There is
+/// no unordered walk:
+///
+/// ```compile_fail,E0277
+/// let m: st_types::FastMap<u64, u64> = Default::default();
+/// for _ in &m {}
+/// ```
+///
+/// ```compile_fail,E0599
+/// let m: st_types::FastMap<u64, u64> = Default::default();
+/// let _ = m.iter();
+/// ```
+///
+/// ```compile_fail,E0599
+/// let m: st_types::FastMap<u64, u64> = Default::default();
+/// let _ = m.keys();
+/// ```
+#[derive(Clone)]
+pub struct FastMap<K, V>(HashMap<K, V, FxBuild>);
+
+/// Hash set keyed with [`FxHasher`] that cannot be iterated in bucket
+/// order; see [`FastMap`].
+///
+/// ```compile_fail,E0599
+/// let s: st_types::FastSet<u64> = Default::default();
+/// let _ = s.iter();
+/// ```
+///
+/// ```compile_fail,E0599
+/// let s: st_types::FastSet<u64> = Default::default();
+/// let _ = s.into_iter();
+/// ```
+#[derive(Clone)]
+pub struct FastSet<T>(HashSet<T, FxBuild>);
+
+impl<K, V> Default for FastMap<K, V> {
+    fn default() -> FastMap<K, V> {
+        FastMap(HashMap::default())
+    }
 }
 
-/// Consumes a `HashSet` into a sorted `Vec`.
-pub fn set_into_sorted_vec<T: Ord, S: BuildHasher>(set: HashSet<T, S>) -> Vec<T> {
-    // stlint::allow(iterorder, reason = "this IS the canonicalizing adapter: the collected vec is sorted before being returned")
-    let mut elems: Vec<T> = set.into_iter().collect();
-    elems.sort_unstable();
-    elems
+impl<K, V> FastMap<K, V> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Keeps the entries for which `keep` returns `true`. The predicate
+    /// is `Fn`, so it cannot carry state from one entry to the next.
+    pub fn retain(&mut self, keep: impl Fn(&K, &mut V) -> bool) {
+        self.0.retain(keep);
+    }
+}
+
+impl<K: Eq + Hash, V> FastMap<K, V> {
+    /// The value under `key`.
+    pub fn get<Q: Eq + Hash + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get(key)
+    }
+
+    /// The value under `key`, mutably.
+    pub fn get_mut<Q: Eq + Hash + ?Sized>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get_mut(key)
+    }
+
+    /// Whether `key` has an entry.
+    pub fn contains_key<Q: Eq + Hash + ?Sized>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
+        self.0.contains_key(key)
+    }
+
+    /// Inserts `value` under `key`, returning the value it replaced.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    /// Removes the entry under `key`, returning its value.
+    pub fn remove<Q: Eq + Hash + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.remove(key)
+    }
+
+    /// The entry under `key`, for in-place update or insertion.
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+}
+
+impl<K: Ord, V> FastMap<K, V> {
+    /// The entries in key order.
+    pub fn iter_sorted(&self) -> std::vec::IntoIter<(&K, &V)> {
+        let mut entries: Vec<(&K, &V)> = self.0.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter()
+    }
+}
+
+impl<K: Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for FastMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter_sorted()).finish()
+    }
+}
+
+impl<T> Default for FastSet<T> {
+    fn default() -> FastSet<T> {
+        FastSet(HashSet::default())
+    }
+}
+
+impl<T> FastSet<T> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl<T: Eq + Hash> FastSet<T> {
+    /// Whether `value` is an element.
+    pub fn contains<Q: Eq + Hash + ?Sized>(&self, value: &Q) -> bool
+    where
+        T: Borrow<Q>,
+    {
+        self.0.contains(value)
+    }
+
+    /// Adds `value`; `false` if it was already an element.
+    pub fn insert(&mut self, value: T) -> bool {
+        self.0.insert(value)
+    }
+
+    /// Removes `value`; `false` if it was not an element.
+    pub fn remove<Q: Eq + Hash + ?Sized>(&mut self, value: &Q) -> bool
+    where
+        T: Borrow<Q>,
+    {
+        self.0.remove(value)
+    }
+}
+
+impl<T: Ord> FastSet<T> {
+    /// The elements in order.
+    pub fn iter_sorted(&self) -> std::vec::IntoIter<&T> {
+        let mut elems: Vec<&T> = self.0.iter().collect();
+        elems.sort_unstable();
+        elems.into_iter()
+    }
+
+    /// Consumes the set into its elements, in order.
+    pub fn into_sorted_vec(self) -> Vec<T> {
+        let mut elems: Vec<T> = self.0.into_iter().collect();
+        elems.sort_unstable();
+        elems
+    }
+
+    /// The least element: a reduction no walk order can change.
+    pub fn min(&self) -> Option<&T> {
+        self.0.iter().min()
+    }
+}
+
+impl<T: Ord + fmt::Debug> fmt::Debug for FastSet<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter_sorted()).finish()
+    }
+}
+
+impl<T: Eq + Hash> FromIterator<T> for FastSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> FastSet<T> {
+        FastSet(iter.into_iter().collect())
+    }
+}
+
+impl<T: Eq + Hash> Extend<T> for FastSet<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        self.0.extend(iter);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Tables hash under the process-wide seed at every operation, so the
+    /// tests that change it must not overlap any test that hashes.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn deterministic_and_distinct() {
+        let _serial = serial();
         let mut m: FastMap<u64, u64> = FastMap::default();
         for i in 0..1000u64 {
             m.insert(i, i * 2);
         }
         assert_eq!(m.len(), 1000);
         for i in 0..1000u64 {
-            assert_eq!(m[&i], i * 2);
+            assert_eq!(m.get(&i), Some(&(i * 2)));
         }
     }
 
     #[test]
     fn spreads_sequential_keys() {
+        let _serial = serial();
         // Sequential keys (the common BlockId/ProcessId pattern) must not
         // collapse into few buckets: all finish() values distinct and the
         // top byte takes many values.
@@ -216,20 +419,52 @@ mod tests {
     }
 
     #[test]
-    fn sorted_adapters_are_key_ordered_and_complete() {
+    fn sorted_walks_are_key_ordered_and_complete() {
+        let _serial = serial();
         let mut m: FastMap<u64, u64> = FastMap::default();
         let mut s: FastSet<u64> = FastSet::default();
         for i in [5u64, 1, 9, 3, 7] {
             m.insert(i, i * 10);
             s.insert(i);
         }
-        let pairs: Vec<(u64, u64)> = iter_sorted(&m).map(|(k, v)| (*k, *v)).collect();
+        let pairs: Vec<(u64, u64)> = m.iter_sorted().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(pairs, vec![(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
-        assert_eq!(set_into_sorted_vec(s), vec![1, 3, 5, 7, 9]);
+        assert_eq!(
+            s.iter_sorted().copied().collect::<Vec<_>>(),
+            [1, 3, 5, 7, 9]
+        );
+        assert_eq!(s.into_sorted_vec(), vec![1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn every_read_is_independent_of_the_hasher_seed() {
+        let _serial = serial();
+        // Every public read, under two seeds that do reorder the buckets.
+        let reads = |seed: u64| {
+            set_hasher_seed(seed);
+            let mut m: FastMap<u64, u64> = FastMap::default();
+            for i in 0..200u64 {
+                m.insert(i * 7919 % 1000, i);
+            }
+            m.retain(|k, _| k % 3 != 0);
+            let s: FastSet<u64> = (0..200u64).map(|i| i * 104_729 % 1000).collect();
+            let reads = (
+                m.iter_sorted().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
+                format!("{m:?}"),
+                s.iter_sorted().copied().collect::<Vec<_>>(),
+                format!("{s:?}"),
+                s.min().copied(),
+                s.into_sorted_vec(),
+            );
+            set_hasher_seed(0);
+            reads
+        };
+        assert_eq!(reads(0), reads(0x9e37_79b9_7f4a_7c15));
     }
 
     #[test]
     fn hasher_seed_perturbs_hashes_and_default_captures_it() {
+        let _serial = serial();
         let hash_with = |seed: u64| {
             let mut h = FxHasher::with_seed(seed);
             h.write_u64(42);
@@ -246,6 +481,7 @@ mod tests {
 
     #[test]
     fn byte_writes_cover_tails() {
+        let _serial = serial();
         let mut a = FxHasher::default();
         a.write(b"hello world");
         let mut b = FxHasher::default();
