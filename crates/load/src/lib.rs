@@ -1,8 +1,9 @@
 //! The open-loop workload layer: deterministic traffic generators, a
 //! bounded admission mempool, and exact latency percentiles.
 //!
-//! The simulator's historic `txs_every` knob injects one transaction
-//! every `k` rounds — enough to measure *inclusion*, useless for asking
+//! One transaction every `k` rounds (the simulator's
+//! `WorkloadSpec::txs_every`) is enough to measure *inclusion*, useless
+//! for asking
 //! what an operator cares about: **throughput-latency curves under
 //! offered load**. This crate supplies the three missing pieces:
 //!
@@ -11,7 +12,7 @@
 //!   system drains them (arrivals keep coming whether or not consensus
 //!   keeps up, which is what makes saturation knees visible).
 //!   Implementations: [`ConstantRate`] (cumulative-rational rate, so
-//!   `1/k` per round reproduces the legacy `txs_every` trace exactly),
+//!   `1/k` per round is exactly the `txs_every(k)` trace),
 //!   [`FlashCrowd`] (burst windows layered on a base rate, optionally
 //!   jittered by [`SplitMix64`]), and [`Diurnal`] (a cosine day/night
 //!   wave whose [`Workload::load_fraction`] doubles as a participation

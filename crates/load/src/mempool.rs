@@ -32,7 +32,7 @@ pub struct MempoolStats {
     /// Drops because the client was at its fairness cap.
     pub dropped_fairness: u64,
     /// Drops because no honest process was awake to receive the
-    /// transaction (legacy `txs_every` semantics only).
+    /// transaction (the simulator's `WorkloadSpec::txs_every` only).
     pub dropped_asleep: u64,
     /// Transactions drained into `submit_tx`.
     pub drained: u64,
@@ -99,9 +99,9 @@ impl Mempool {
     }
 
     /// Counts an arrival that was dropped before admission because no
-    /// honest process was awake — the legacy `txs_every` behaviour,
-    /// where a transaction offered to an empty room simply never
-    /// existed. Only the legacy shim calls this.
+    /// honest process was awake — the simulator's
+    /// `WorkloadSpec::txs_every` rule, where a transaction offered to an
+    /// empty room simply never existed. Only that workload calls this.
     pub fn note_asleep_drop(&mut self) {
         self.stats.offered += 1;
         self.stats.dropped_asleep += 1;

@@ -8,8 +8,7 @@
 //! rather than per-round floating-point rounding, so fractional rates
 //! distribute exactly: `1/k` per round yields one arrival at every
 //! round divisible by `k` — bit-for-bit the trace of the simulator's
-//! legacy `txs_every(k)` knob, which is what makes the shim
-//! byte-equivalence guard possible.
+//! `WorkloadSpec::txs_every(k)` and of st-node's `ClusterPlan`.
 
 use crate::rng::SplitMix64;
 
@@ -61,9 +60,8 @@ impl ConstantRate {
         ConstantRate::rational(rate, 1)
     }
 
-    /// One transaction every `k` rounds — the exact arrival trace of the
-    /// legacy `txs_every(k)` knob (an arrival at each round `r > 0` with
-    /// `r % k == 0`, none elsewhere).
+    /// One transaction every `k` rounds (an arrival at each round
+    /// `r > 0` with `r % k == 0`, none elsewhere; `k = 0` counts as 1).
     pub fn every(k: u64) -> ConstantRate {
         ConstantRate::rational(1, k.max(1))
     }

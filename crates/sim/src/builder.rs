@@ -2,15 +2,13 @@
 
 use crate::adversary::Adversary;
 use crate::adversary::SilentAdversary;
-use crate::env::Timeline;
 use crate::monitor::SimReport;
 use crate::observer::Observer;
-use crate::runner::{AsyncWindow, SimConfig, Simulation};
+use crate::runner::{SimConfig, Simulation};
 use crate::schedule::Schedule;
 use crate::workload::WorkloadSpec;
 use st_core::{Protocol, TobProcess};
-use st_load::Workload;
-use st_types::{Params, ProcessId};
+use st_types::ProcessId;
 
 /// Why a [`SimBuilder::build`] was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,22 +49,23 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Fluent builder for a [`Simulation`], and the one way to construct one:
-/// parameters, horizon, environment timeline, schedule, a *typed*
-/// adversary (no mandatory `Box`) and any number of user [`Observer`]s
-/// are assembled in one chain, and
-/// [`SimBuilder::build`] validates the whole configuration with a proper
-/// error path instead of panicking:
+/// Fluent builder for a [`Simulation`], and the one way to construct one.
+/// The run's values — parameters, seed, horizon, environment timeline —
+/// live in a [`SimConfig`]; the builder adds only the pluggable parts:
+/// schedule, workload, a *typed* adversary (no mandatory `Box`) and any
+/// number of user [`Observer`]s. [`SimBuilder::build`] validates the whole
+/// configuration with a proper error path instead of panicking:
 ///
 /// ```
-/// use st_sim::{adversary::PartitionAttacker, SimBuilder, Timeline};
+/// use st_sim::{adversary::PartitionAttacker, SimBuilder, SimConfig, Timeline, WorkloadSpec};
 /// use st_types::{Params, Round};
 ///
 /// let params = Params::builder(10).expiration(6).build()?;
-/// let report = SimBuilder::new(params, 42)
+/// let config = SimConfig::new(params, 42)
 ///     .horizon(30)
-///     .timeline(Timeline::synchronous().asynchronous(Round::new(12), 4))
-///     .txs_every(4)
+///     .timeline(Timeline::synchronous().asynchronous(Round::new(12), 4));
+/// let report = SimBuilder::from_config(config)
+///     .workload_spec(WorkloadSpec::txs_every(4))
 ///     .adversary(PartitionAttacker::new())
 ///     .build()?
 ///     .run();
@@ -75,12 +74,12 @@ impl std::error::Error for BuildError {}
 /// ```
 ///
 /// The schedule defaults to full participation over the configured
-/// horizon; the adversary defaults to [`SilentAdversary`].
+/// horizon; the adversary defaults to [`SilentAdversary`]; without a
+/// workload no transaction is submitted.
 ///
 /// Generic over the [`Protocol`] to drive, defaulted to [`TobProcess`]:
-/// [`SimBuilder::new`] / [`SimBuilder::from_config`] build the sleepy
-/// protocol exactly as before, while
-/// `SimBuilder::<QuorumProcess>::for_protocol(params, seed)` (or any
+/// [`SimBuilder::from_config`] builds the sleepy protocol, while
+/// `SimBuilder::<QuorumProcess>::for_protocol_config(config)` (or any
 /// other implementor) gets the same chain, validation and observer
 /// pipeline for a different protocol.
 pub struct SimBuilder<P: Protocol = TobProcess> {
@@ -92,44 +91,32 @@ pub struct SimBuilder<P: Protocol = TobProcess> {
 }
 
 impl SimBuilder {
-    /// Starts a builder for a run of the (sleepy) protocol described by
-    /// `params` under `seed` (defaults as in [`SimConfig::new`]: 40-round
-    /// horizon, fully synchronous timeline, no transaction workload, full
-    /// participation, silent adversary). For a different protocol, start
-    /// from [`SimBuilder::for_protocol`].
-    pub fn new(params: Params, seed: u64) -> SimBuilder {
-        SimBuilder::from_config(SimConfig::new(params, seed))
-    }
-
-    /// Starts a builder from an already-assembled [`SimConfig`].
+    /// Starts a builder for a run of the (sleepy) protocol configured by
+    /// `config`, with full participation, a silent adversary and no
+    /// workload. For a different protocol, start from
+    /// [`SimBuilder::for_protocol_config`].
     pub fn from_config(config: SimConfig) -> SimBuilder {
         SimBuilder::for_protocol_config(config)
     }
 }
 
 impl<P: Protocol> SimBuilder<P> {
-    /// Starts a builder for a run of protocol `P` — the generic form of
-    /// [`SimBuilder::new`]. Name the protocol explicitly:
+    /// Starts a builder for protocol `P` — the generic form of
+    /// [`SimBuilder::from_config`]. Name the protocol explicitly:
     ///
     /// ```
     /// use st_core::QuorumProcess;
-    /// use st_sim::SimBuilder;
+    /// use st_sim::{SimBuilder, SimConfig};
     /// use st_types::Params;
     ///
     /// let params = Params::builder(9).build()?;
-    /// let report = SimBuilder::<QuorumProcess>::for_protocol(params, 7)
-    ///     .horizon(20)
+    /// let config = SimConfig::new(params, 7).horizon(20);
+    /// let report = SimBuilder::<QuorumProcess>::for_protocol_config(config)
     ///     .build()?
     ///     .run();
     /// assert!(report.is_safe());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn for_protocol(params: Params, seed: u64) -> SimBuilder<P> {
-        SimBuilder::for_protocol_config(SimConfig::new(params, seed))
-    }
-
-    /// Starts a builder for protocol `P` from an already-assembled
-    /// [`SimConfig`] — the generic form of [`SimBuilder::from_config`].
     pub fn for_protocol_config(config: SimConfig) -> SimBuilder<P> {
         SimBuilder {
             config,
@@ -140,51 +127,11 @@ impl<P: Protocol> SimBuilder<P> {
         }
     }
 
-    /// Sets the number of rounds to execute (rounds `0..=horizon`).
-    #[must_use]
-    pub fn horizon(mut self, rounds: u64) -> SimBuilder<P> {
-        self.config = self.config.horizon(rounds);
-        self
-    }
-
-    /// Sets the environment [`Timeline`] (see [`SimConfig::timeline`]).
-    #[must_use]
-    pub fn timeline(mut self, timeline: Timeline) -> SimBuilder<P> {
-        self.config = self.config.timeline(timeline);
-        self
-    }
-
-    /// Injects a single asynchronous window (see
-    /// [`SimConfig::async_window`]).
-    #[must_use]
-    pub fn async_window(mut self, window: AsyncWindow) -> SimBuilder<P> {
-        self.config = self.config.async_window(window);
-        self
-    }
-
-    /// Submits one fresh transaction every `k` rounds (see
-    /// [`SimConfig::txs_every`]).
-    #[must_use]
-    pub fn txs_every(mut self, k: u64) -> SimBuilder<P> {
-        self.config = self.config.txs_every(k);
-        self
-    }
-
-    /// Installs an open-loop [`Workload`] with the default mempool
-    /// parameters ([`crate::workload::DEFAULT_MEMPOOL_CAPACITY`],
-    /// [`crate::workload::DEFAULT_BATCH`]): per-round arrivals enter a
-    /// bounded mempool and drained batches reach `submit_tx` on rounds
-    /// with an awake honest proposer. Takes precedence over
-    /// [`SimBuilder::txs_every`] (itself a `ConstantRate` shim through
-    /// the same machinery). For custom admission/batch parameters use
-    /// [`SimBuilder::workload_spec`].
-    #[must_use]
-    pub fn workload(self, workload: impl Workload + 'static) -> SimBuilder<P> {
-        self.workload_spec(WorkloadSpec::new(workload))
-    }
-
-    /// Installs a fully configured [`WorkloadSpec`] (generator plus
-    /// mempool capacity and submission batch).
+    /// Installs a [`WorkloadSpec`]: an open-loop generator plus the
+    /// mempool's capacity and submission batch. Per-round arrivals enter
+    /// the mempool and drained batches reach `submit_tx` on rounds with
+    /// an awake honest proposer ([`WorkloadSpec::txs_every`] is the
+    /// one-transaction-every-`k`-rounds workload).
     #[must_use]
     pub fn workload_spec(mut self, spec: WorkloadSpec) -> SimBuilder<P> {
         self.workload = Some(spec);
@@ -246,7 +193,7 @@ impl<P: Protocol> SimBuilder<P> {
     }
 
     /// Builds and runs to completion in one call — a convenience for
-    /// tests, examples and experiment binaries.
+    /// tests and examples.
     ///
     /// # Panics
     ///
@@ -265,7 +212,8 @@ impl<P: Protocol> SimBuilder<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_types::Round;
+    use crate::env::Timeline;
+    use st_types::{Params, Round};
 
     fn params(n: usize, eta: u64) -> Params {
         Params::builder(n).expiration(eta).build().unwrap()
@@ -273,15 +221,14 @@ mod tests {
 
     #[test]
     fn builder_defaults_run_green() {
-        let report = SimBuilder::new(params(8, 2), 1).horizon(20).run();
+        let report = SimBuilder::from_config(SimConfig::new(params(8, 2), 1).horizon(20)).run();
         assert!(report.is_safe());
         assert!(report.decisions_total > 0);
     }
 
     #[test]
     fn schedule_mismatch_is_an_error_not_a_panic() {
-        let err = SimBuilder::new(params(4, 0), 1)
-            .horizon(10)
+        let err = SimBuilder::from_config(SimConfig::new(params(4, 0), 1).horizon(10))
             .schedule(Schedule::full(5, 10))
             .build()
             .err()
@@ -300,8 +247,7 @@ mod tests {
     fn partition_member_out_of_range_is_an_error_not_a_panic() {
         let timeline =
             Timeline::synchronous().partition(Round::new(5), 2, vec![vec![ProcessId::new(12)]]);
-        let err = SimBuilder::new(params(8, 2), 1)
-            .timeline(timeline)
+        let err = SimBuilder::from_config(SimConfig::new(params(8, 2), 1).timeline(timeline))
             .build()
             .err()
             .expect("out-of-range partition member accepted");

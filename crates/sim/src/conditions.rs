@@ -7,7 +7,7 @@
 //! run's assumptions held and, in ablations, to confirm that a failing run
 //! indeed violated them.
 
-use crate::runner::AsyncWindow;
+use crate::env::EnvWindow;
 use crate::schedule::Schedule;
 use st_types::{adjusted_failure_ratio, Round};
 
@@ -41,13 +41,13 @@ impl ConditionReport {
 /// Checks Equations 1–5 for every round `1..=horizon` of `schedule`, with
 /// protocol parameters `beta` (original failure ratio), `gamma` (churn
 /// bound) and `eta` (expiration), and optionally an asynchronous window
-/// for Equations 4–5.
+/// for Equations 4–5 (a run's is `timeline.windows().first()`).
 pub fn check_conditions(
     schedule: &Schedule,
     beta: f64,
     gamma: f64,
     eta: u64,
-    window: Option<AsyncWindow>,
+    window: Option<&EnvWindow>,
 ) -> ConditionReport {
     let bt = adjusted_failure_ratio(beta, gamma);
     let mut report = ConditionReport {
@@ -123,14 +123,15 @@ pub fn check_conditions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::Timeline;
 
     const BETA: f64 = 1.0 / 3.0;
 
     #[test]
     fn full_participation_satisfies_everything() {
         let s = Schedule::full(9, 20);
-        let w = AsyncWindow::new(Round::new(8), 2);
-        let report = check_conditions(&s, BETA, 0.1, 4, Some(w));
+        let t = Timeline::synchronous().asynchronous(Round::new(8), 2);
+        let report = check_conditions(&s, BETA, 0.1, 4, t.windows().first());
         assert!(report.synchronous_conditions_hold(), "{report:?}");
         assert!(
             report.eq4_violations.is_empty() && report.eq5_holds,
@@ -193,8 +194,8 @@ mod tests {
         let mut awake = vec![vec![true; 10]; 21];
         awake[6][9] = false;
         let s = Schedule::custom(awake);
-        let w = AsyncWindow::new(Round::new(6), 2);
-        let report = check_conditions(&s, BETA, 0.0, 4, Some(w));
+        let t = Timeline::synchronous().asynchronous(Round::new(6), 2);
+        let report = check_conditions(&s, BETA, 0.0, 4, t.windows().first());
         assert!(!report.eq5_holds);
     }
 
@@ -207,8 +208,8 @@ mod tests {
             .with_corrupted(st_types::ProcessId::new(1), Round::new(9))
             .with_corrupted(st_types::ProcessId::new(2), Round::new(9))
             .with_corrupted(st_types::ProcessId::new(3), Round::new(9));
-        let w = AsyncWindow::new(Round::new(9), 2);
-        let report = check_conditions(&s, BETA, 0.0, 2, Some(w));
+        let t = Timeline::synchronous().asynchronous(Round::new(9), 2);
+        let report = check_conditions(&s, BETA, 0.0, 2, t.windows().first());
         assert!(!report.eq4_violations.is_empty());
     }
 }

@@ -17,7 +17,7 @@ use crate::adversary::{Adversary, AdversaryCtx, TargetedMessage};
 use crate::builder::SimBuilder;
 use crate::env::{SegmentKind, Timeline};
 use crate::network::SentMessage;
-use crate::runner::{AsyncWindow, SimConfig};
+use crate::runner::SimConfig;
 use crate::schedule::Schedule;
 use crate::sweep::Sweep;
 use st_types::{Params, ProcessId};
@@ -277,20 +277,6 @@ fn classify(outcome: &crate::SimReport) -> Verdict {
     }
 }
 
-/// Runs one scripted strategy.
-fn run_strategy(params: Params, window: AsyncWindow, horizon: u64, index: u64) -> Verdict {
-    let strategy = Strategy::decode(index, params.n(), window.pi());
-    let report = SimBuilder::from_config(
-        SimConfig::new(params, 1)
-            .horizon(horizon)
-            .async_window(window),
-    )
-    .schedule(Schedule::full(params.n(), horizon))
-    .adversary(ScriptedAdversary { strategy })
-    .run();
-    classify(&report)
-}
-
 /// Total asynchronous rounds of a timeline (the coupled strategy space
 /// exponent for [`exhaustive_check_coupled_timeline`]).
 fn async_rounds_of(timeline: &Timeline) -> u64 {
@@ -374,10 +360,32 @@ fn collect_verdicts(total: u64, verdicts: &[Verdict]) -> ExploreReport {
 ///
 /// Cost is `|menu|^(n·π)` simulations — keep `n ≤ 4` and `π ≤ 2`
 /// (`4^8 = 65 536` runs) unless you have time to spare.
-pub fn exhaustive_check(params: Params, window: AsyncWindow, horizon: u64) -> ExploreReport {
-    let total = Strategy::space_size(params.n(), window.pi());
-    let verdicts =
-        Sweep::over(0..total).run(|&index, _seed| run_strategy(params, window, horizon, index));
+///
+/// # Panics
+///
+/// Panics unless the timeline holds exactly one window, and that window
+/// is asynchronous (the strategy space is per receiver over its `π`
+/// rounds; [`exhaustive_check_coupled_timeline`] covers several windows).
+pub fn exhaustive_check(params: Params, timeline: &Timeline, horizon: u64) -> ExploreReport {
+    let windows = timeline.windows();
+    assert!(
+        windows.len() == 1 && windows[0].kind() == SegmentKind::Asynchronous,
+        "exhaustive_check covers exactly one asynchronous window"
+    );
+    let pi = windows[0].len();
+    let total = Strategy::space_size(params.n(), pi);
+    let verdicts = Sweep::over(0..total).run(|&index, _seed| {
+        let strategy = Strategy::decode(index, params.n(), pi);
+        let report = SimBuilder::from_config(
+            SimConfig::new(params, 1)
+                .horizon(horizon)
+                .timeline(timeline.clone()),
+        )
+        .schedule(Schedule::full(params.n(), horizon))
+        .adversary(ScriptedAdversary { strategy })
+        .run();
+        classify(&report)
+    });
     collect_verdicts(total, &verdicts)
 }
 
@@ -421,8 +429,8 @@ mod tests {
     #[test]
     fn extended_survives_every_one_round_strategy() {
         let params = Params::builder(4).expiration(3).build().unwrap();
-        let window = AsyncWindow::new(Round::new(10), 1);
-        let report = exhaustive_check(params, window, 18);
+        let timeline = Timeline::synchronous().asynchronous(Round::new(10), 1);
+        let report = exhaustive_check(params, &timeline, 18);
         assert_eq!(report.strategies_run, 256);
         assert!(
             report.all_safe(),

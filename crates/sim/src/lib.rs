@@ -26,12 +26,15 @@
 //!   signed messages from corrupted processes (equivocation, targeted
 //!   sends) and controls delivery during asynchronous rounds. Includes the
 //!   paper's split-vote safety attack (Section 1) among several strategies;
-//! * [`SimBuilder`] — the fluent driving API: schedule, timeline, typed
-//!   adversary and user observers in one chain, with a proper error path;
+//! * [`SimConfig`] + [`SimBuilder`] — the driving API: the config holds
+//!   the run's values (parameters, seed, horizon, timeline), the builder
+//!   its pluggable parts (schedule, workload, typed adversary, user
+//!   observers), with a proper error path;
 //! * [`Simulation`] — the round loop, generic over the
 //!   [`st_core::Protocol`] it drives (defaulted to
-//!   [`st_core::TobProcess`]; `SimBuilder::<QuorumProcess>::for_protocol`
-//!   runs the fixed-quorum baseline under the same harness) — steppable
+//!   [`st_core::TobProcess`];
+//!   `SimBuilder::<QuorumProcess>::for_protocol_config` runs the
+//!   fixed-quorum baseline under the same harness) — steppable
 //!   ([`Simulation::step`] / [`Simulation::run_until`] /
 //!   [`Simulation::finish`]) with mid-run inspection and intervention;
 //! * [`Observer`] + [`SimEvent`] — the execution narrated as an event
@@ -64,13 +67,12 @@
 //! # Example: a synchronous run with churn
 //!
 //! ```
-//! use st_sim::{Schedule, SimBuilder, adversary::SilentAdversary};
+//! use st_sim::{Schedule, SimBuilder, SimConfig, WorkloadSpec, adversary::SilentAdversary};
 //! use st_types::Params;
 //!
 //! let params = Params::builder(10).expiration(2).churn_rate(0.05).build()?;
-//! let report = SimBuilder::new(params, 123)
-//!     .horizon(40)
-//!     .txs_every(4)
+//! let report = SimBuilder::from_config(SimConfig::new(params, 123).horizon(40))
+//!     .workload_spec(WorkloadSpec::txs_every(4))
 //!     .schedule(Schedule::random_churn(10, 40, 0.02, 99, &Default::default()))
 //!     .adversary(SilentAdversary)
 //!     .build()?
@@ -113,7 +115,7 @@ pub use observer::{
     DecisionLog, DecisionTap, ObsCtx, Observer, SimEvent, TallyCheck, TallyCheckLog, TallyOracle,
     ViolationKind,
 };
-pub use runner::{AsyncWindow, SimConfig, Simulation};
+pub use runner::{SimConfig, Simulation};
 pub use schedule::{ChurnOptions, Schedule};
 pub use sweep::{Sweep, SweepComparison, SweepReports};
 pub use workload::{diurnal_schedule, WorkloadSpec, WorkloadSummary};

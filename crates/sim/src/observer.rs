@@ -531,12 +531,13 @@ pub type DecisionLog = Rc<RefCell<Vec<Vec<DecisionEvent>>>>;
 /// and reads the shared log:
 ///
 /// ```
-/// use st_sim::{DecisionTap, SimBuilder};
+/// use st_sim::{DecisionTap, SimBuilder, SimConfig};
 /// use st_types::Params;
 ///
 /// let params = Params::builder(6).expiration(2).build()?;
 /// let (tap, log) = DecisionTap::new(6);
-/// let report = SimBuilder::new(params, 3).horizon(20).observer(tap).run();
+/// let config = SimConfig::new(params, 3).horizon(20);
+/// let report = SimBuilder::from_config(config).observer(tap).run();
 /// assert_eq!(
 ///     log.borrow().iter().map(|d| d.len()).sum::<usize>(),
 ///     report.decisions_total,

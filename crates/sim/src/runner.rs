@@ -35,85 +35,26 @@ use st_types::FastSet;
 use st_types::{Params, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
 
-/// An asynchronous window `[start, start + len − 1]` during which message
-/// delivery is adversarial. In the paper's notation the window is
-/// `[ra + 1, ra + π]`, so `start = ra + 1` and `len = π`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AsyncWindow {
-    start: Round,
-    len: u64,
-}
-
-impl AsyncWindow {
-    /// A window of `pi` rounds beginning at `start` (= `ra + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi == 0` (an empty window is no window) or if
-    /// `start` is round 0 (there must exist a last synchronous round
-    /// `ra ≥ 0` before the window).
-    pub fn new(start: Round, pi: u64) -> AsyncWindow {
-        assert!(pi > 0, "asynchronous window must have positive length");
-        assert!(
-            start > Round::ZERO,
-            "the window must start after at least one synchronous round"
-        );
-        AsyncWindow { start, len: pi }
-    }
-
-    /// The last synchronous round before the window (`ra`).
-    #[expect(
-        clippy::expect_used,
-        reason = "AsyncWindow::new asserts start > 0, so prev() always exists"
-    )]
-    pub fn ra(&self) -> Round {
-        self.start
-            .prev()
-            .expect("start > 0 enforced at construction")
-    }
-
-    /// The first asynchronous round (`ra + 1`).
-    pub fn start(&self) -> Round {
-        self.start
-    }
-
-    /// The window length `π`.
-    pub fn pi(&self) -> u64 {
-        self.len
-    }
-
-    /// The last asynchronous round (`ra + π`).
-    pub fn end(&self) -> Round {
-        Round::new(self.start.as_u64() + self.len - 1)
-    }
-
-    /// Whether `r` lies inside the window.
-    pub fn contains(&self, r: Round) -> bool {
-        self.start <= r && r <= self.end()
-    }
-}
-
-/// Configuration of one simulation run.
+/// The values of one simulation run: protocol parameters, seed, horizon
+/// and environment [`Timeline`]. [`crate::SimBuilder`] adds the run's
+/// pluggable parts (schedule, workload, adversary, observers).
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     params: Params,
     seed: u64,
     horizon: u64,
     timeline: Timeline,
-    txs_every: Option<u64>,
 }
 
 impl SimConfig {
     /// A run of the protocol described by `params` under `seed`, with a
-    /// default horizon of 40 rounds, a fully synchronous timeline and no
-    /// transaction workload.
+    /// default horizon of 40 rounds and a fully synchronous timeline.
     pub fn new(params: Params, seed: u64) -> SimConfig {
         SimConfig {
             params,
             seed,
             horizon: 40,
             timeline: Timeline::synchronous(),
-            txs_every: None,
         }
     }
 
@@ -130,26 +71,6 @@ impl SimConfig {
     #[must_use]
     pub fn timeline(mut self, timeline: Timeline) -> SimConfig {
         self.timeline = timeline;
-        self
-    }
-
-    /// Injects a single asynchronous window — a thin shim over
-    /// [`SimConfig::timeline`] that builds the one-segment timeline
-    /// `Timeline::synchronous().asynchronous(window.start(), window.pi())`.
-    /// Replaces any previously configured timeline, matching the legacy
-    /// last-call-wins behaviour.
-    #[must_use]
-    pub fn async_window(mut self, window: AsyncWindow) -> SimConfig {
-        self.timeline = Timeline::synchronous().asynchronous(window.start(), window.pi());
-        self
-    }
-
-    /// Submits one fresh transaction every `k` rounds, to every honest
-    /// awake process (transaction gossip floods independently of the
-    /// consensus rounds).
-    #[must_use]
-    pub fn txs_every(mut self, k: u64) -> SimConfig {
-        self.txs_every = Some(k.max(1));
         self
     }
 
@@ -213,8 +134,8 @@ pub struct Simulation<P: Protocol = TobProcess> {
     /// keypair clones are hoisted into this cache and rebuilt only when
     /// the set itself changes — not twice per asynchronous round.
     byz_cache: (Vec<ProcessId>, Vec<Keypair>),
-    /// The workload injector, when a workload (or the legacy `txs_every`
-    /// shim) is configured: the one seam allowed to call `submit_tx`.
+    /// The workload injector, when a workload is configured: the one seam
+    /// allowed to call `submit_tx`.
     workload: Option<WorkloadInjector>,
     tx_counter: u64,
     /// The next round to execute (`step` cursor); the run is complete
@@ -340,12 +261,9 @@ impl<P: Protocol> Simulation<P> {
             Box::new(DecisionLedger::new(n)),
             Box::new(TraceObserver::default()),
         ];
-        // An explicit workload wins over the legacy `txs_every` knob;
-        // the knob itself is re-expressed as a ConstantRate shim through
-        // the same injector. The workload ledger (mempool accounting,
-        // latency join) sits between the built-ins and user observers so
-        // user probes still run last.
-        let workload = workload.or_else(|| config.txs_every.map(WorkloadSpec::legacy_shim));
+        // The workload ledger (mempool accounting, latency join) sits
+        // between the built-ins and user observers so user probes still
+        // run last.
         let workload = workload.map(WorkloadInjector::new);
         if let Some(inj) = &workload {
             observers.push(Box::new(inj.observer()));
@@ -523,7 +441,7 @@ impl<P: Protocol> Simulation<P> {
     /// (modelling transaction gossip, which floods independently of the
     /// consensus rounds). The `TxSubmitted` event carries the
     /// transaction's mempool *arrival* round, so downstream latency
-    /// includes the queueing delay; under the legacy `txs_every` shim
+    /// includes the queueing delay; under [`WorkloadSpec::txs_every`]
     /// arrival and drain coincide.
     fn inject_workload(&mut self, round: Round, env: EnvView) {
         let Some(injector) = self.workload.as_mut() else {
@@ -834,12 +752,9 @@ mod tests {
 
     #[test]
     fn synchronous_full_participation_is_safe_and_live() {
-        let report = sim(
-            SimConfig::new(params(8, 2), 1).horizon(30).txs_every(4),
-            Schedule::full(8, 30),
-            SilentAdversary,
-        )
-        .run();
+        let report = SimBuilder::from_config(SimConfig::new(params(8, 2), 1).horizon(30))
+            .workload_spec(WorkloadSpec::txs_every(4))
+            .run();
         assert!(report.is_safe());
         assert!(report.decisions_total > 0);
         assert!(report.final_decided_height > 0);
@@ -879,7 +794,7 @@ mod tests {
         let report = sim(
             SimConfig::new(params(n, 0), 5)
                 .horizon(22)
-                .async_window(AsyncWindow::new(Round::new(10), 4)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4)),
             Schedule::full(n, 22),
             PartitionAttacker::new(),
         )
@@ -901,7 +816,7 @@ mod tests {
         let report = sim(
             SimConfig::new(params(n, 6), 5)
                 .horizon(28)
-                .async_window(AsyncWindow::new(Round::new(10), 4)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4)),
             Schedule::full(n, 28),
             PartitionAttacker::new(),
         )
@@ -926,7 +841,7 @@ mod tests {
         let report = sim(
             SimConfig::new(params(n, eta), 5)
                 .horizon(34)
-                .async_window(AsyncWindow::new(Round::new(10), eta + 8)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), eta + 8)),
             Schedule::full(n, 34),
             PartitionAttacker::with_blackout(eta + 1),
         )
@@ -947,7 +862,7 @@ mod tests {
         let report = sim(
             SimConfig::new(params(n, 0), 5)
                 .horizon(20)
-                .async_window(AsyncWindow::new(Round::new(10), 1)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 1)),
             schedule,
             crate::adversary::ReorgAttacker::new(),
         )
@@ -965,7 +880,7 @@ mod tests {
         let report = sim(
             SimConfig::new(params(n, 4), 5)
                 .horizon(24)
-                .async_window(AsyncWindow::new(Round::new(10), 1)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 1)),
             schedule,
             crate::adversary::ReorgAttacker::new(),
         )
@@ -984,7 +899,7 @@ mod tests {
         let report = sim(
             SimConfig::new(params(n, 4), 9)
                 .horizon(30)
-                .async_window(AsyncWindow::new(Round::new(9), 3)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(9), 3)),
             Schedule::full(n, 30),
             BlackoutAdversary,
         )
@@ -1076,7 +991,7 @@ mod tests {
         let report = sim(
             SimConfig::new(params(8, 2), 1)
                 .horizon(20)
-                .async_window(AsyncWindow::new(Round::new(10), 2)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 2)),
             Schedule::mass_sleep(8, 20, 0.5, 4, 8),
             SilentAdversary,
         )
@@ -1112,15 +1027,10 @@ mod tests {
         let timeline = Timeline::synchronous()
             .asynchronous(Round::new(10), 4)
             .asynchronous(Round::new(24), 4);
-        let report = sim(
-            SimConfig::new(params(n, 6), 5)
-                .horizon(40)
-                .timeline(timeline)
-                .txs_every(4),
-            Schedule::full(n, 40),
-            PartitionAttacker::new(),
-        )
-        .run();
+        let report = SimBuilder::from_config(SimConfig::new(params(n, 6), 5).timeline(timeline))
+            .workload_spec(WorkloadSpec::txs_every(4))
+            .adversary(PartitionAttacker::new())
+            .run();
         assert!(report.is_safe(), "{:?}", report.safety_violations);
         assert!(report.is_asynchrony_resilient());
         assert_eq!(report.recoveries.len(), 2);
@@ -1225,18 +1135,5 @@ mod tests {
         let kinds: Vec<&str> = report.recoveries.iter().map(|r| r.kind.as_str()).collect();
         assert_eq!(kinds, vec!["async", "partition", "bounded-delay"]);
         assert!(report.recovered_after_every_window());
-    }
-
-    #[test]
-    fn async_window_accessors() {
-        let w = AsyncWindow::new(Round::new(5), 3);
-        assert_eq!(w.ra(), Round::new(4));
-        assert_eq!(w.start(), Round::new(5));
-        assert_eq!(w.end(), Round::new(7));
-        assert_eq!(w.pi(), 3);
-        assert!(w.contains(Round::new(5)));
-        assert!(w.contains(Round::new(7)));
-        assert!(!w.contains(Round::new(8)));
-        assert!(!w.contains(Round::new(4)));
     }
 }

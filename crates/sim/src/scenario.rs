@@ -21,6 +21,7 @@ use crate::env::Timeline;
 use crate::monitor::SimReport;
 use crate::runner::SimConfig;
 use crate::schedule::Schedule;
+use crate::workload::WorkloadSpec;
 use st_types::{Params, Round, TypesError};
 
 /// Unwraps a preset's parameter build. Every [`Scenario`] arm feeds
@@ -257,11 +258,11 @@ impl Scenario {
                 40,
             ),
         };
-        let mut config = SimConfig::new(params, seed).horizon(horizon).txs_every(4);
-        if let Some(t) = timeline {
-            config = config.timeline(t);
-        }
+        let config = SimConfig::new(params, seed)
+            .horizon(horizon)
+            .timeline(timeline.unwrap_or_default());
         SimBuilder::from_config(config)
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule)
             .adversary_boxed(adversary)
     }

@@ -19,15 +19,17 @@ use st_core::Protocol;
 /// wall-clock, never results.
 ///
 /// ```
-/// use st_sim::{adversary::PartitionAttacker, SimBuilder, Sweep, Timeline};
+/// use st_sim::{adversary::PartitionAttacker, SimBuilder, SimConfig, Sweep, Timeline};
 /// use st_types::{Params, Round};
 ///
 /// // η × π grid: Theorem 2 says every η > π cell shrugs the attack off.
 /// let sweep = Sweep::grid(vec![5u64, 6], vec![2u64, 4]).seed(7);
 /// let outcome = sweep.run_reports(|&(eta, pi), seed| {
-///     SimBuilder::new(Params::builder(8).expiration(eta).build().unwrap(), seed)
+///     let params = Params::builder(8).expiration(eta).build().unwrap();
+///     let config = SimConfig::new(params, seed)
 ///         .horizon(26)
-///         .timeline(Timeline::synchronous().asynchronous(Round::new(10), pi))
+///         .timeline(Timeline::synchronous().asynchronous(Round::new(10), pi));
+///     SimBuilder::from_config(config)
 ///         .adversary(PartitionAttacker::new())
 ///         .build()
 ///         .expect("valid cell")
@@ -167,23 +169,22 @@ impl<C: Sync> Sweep<C> {
     ///
     /// ```
     /// use st_core::QuorumProcess;
-    /// use st_sim::{Schedule, SimBuilder, Sweep};
+    /// use st_sim::{Schedule, SimBuilder, SimConfig, Sweep};
     /// use st_types::Params;
     ///
     /// // 50% of processes sleep mid-run: the sleepy protocol keeps
     /// // deciding, the fixed-quorum baseline stalls.
+    /// let config = |n, seed| SimConfig::new(Params::builder(n).build().unwrap(), seed).horizon(30);
     /// let sweep = Sweep::over(vec![9usize]).seed(3);
     /// let duel = sweep.compare(
     ///     |&n, seed| {
-    ///         SimBuilder::new(Params::builder(n).build().unwrap(), seed)
-    ///             .horizon(30)
+    ///         SimBuilder::from_config(config(n, seed))
     ///             .schedule(Schedule::mass_sleep(n, 30, 0.5, 8, 24))
     ///             .build()
     ///             .expect("valid cell")
     ///     },
     ///     |&n, seed| {
-    ///         SimBuilder::<QuorumProcess>::for_protocol(Params::builder(n).build().unwrap(), seed)
-    ///             .horizon(30)
+    ///         SimBuilder::<QuorumProcess>::for_protocol_config(config(n, seed))
     ///             .schedule(Schedule::mass_sleep(n, 30, 0.5, 8, 24))
     ///             .build()
     ///             .expect("valid cell")
@@ -300,6 +301,7 @@ mod tests {
     use super::*;
     use crate::adversary::SilentAdversary;
     use crate::builder::SimBuilder;
+    use crate::runner::SimConfig;
     use st_types::Params;
 
     #[test]
@@ -335,11 +337,12 @@ mod tests {
     #[test]
     fn run_reports_aggregates() {
         let outcome = Sweep::grid(vec![4usize, 6], vec![12u64, 16]).run_reports(|&(n, h), seed| {
-            SimBuilder::new(Params::builder(n).expiration(2).build().unwrap(), seed)
-                .horizon(h)
-                .adversary(SilentAdversary)
-                .build()
-                .expect("valid cell")
+            SimBuilder::from_config(
+                SimConfig::new(Params::builder(n).expiration(2).build().unwrap(), seed).horizon(h),
+            )
+            .adversary(SilentAdversary)
+            .build()
+            .expect("valid cell")
         });
         assert_eq!(outcome.len(), 4);
         assert!(outcome.all_safe());

@@ -7,10 +7,9 @@
 //! * [`WorkloadSpec`] + the injector own the **write** side. Observers
 //!   see processes read-only by design (the [`crate::ObsCtx`] contract),
 //!   so the one place that must call `submit_tx` is a small runner-held
-//!   injector invoked at the exact point the legacy `txs_every` knob
-//!   fired: per round it asks the [`Workload`] for arrivals, offers them
-//!   to the [`Mempool`], and — when an honest proposer is awake — drains
-//!   a batch for submission.
+//!   injector invoked at the start of every round: it asks the
+//!   [`Workload`] for arrivals, offers them to the [`Mempool`], and —
+//!   when an honest proposer is awake — drains a batch for submission.
 //! * The workload ledger, an observer sharing the injector's mempool
 //!   handle (the `DecisionTap` idiom), owns the **read** side. At finish
 //!   it publishes admission/drop/occupancy statistics into
@@ -21,11 +20,12 @@
 //!   client-observed latency — queueing delay included, which is what
 //!   makes saturation knees visible in the percentiles.
 //!
-//! The legacy `txs_every(k)` knob is re-expressed as a
-//! `WorkloadSpec::legacy_shim` over `ConstantRate::every(k)` with
-//! unbounded admission, unbounded batch, and drop-when-asleep semantics;
-//! the determinism-equivalence suite asserts the two paths produce
-//! byte-identical reports.
+//! [`WorkloadSpec::txs_every`] is the named workload for "one
+//! transaction every `k` rounds": `ConstantRate::every(k)` with unbounded
+//! admission, unbounded batch, and arrivals dropped while every honest
+//! process sleeps — the rule st-node's `ClusterPlan::tx_for_round`
+//! applies too, so a simulated run and a socket cluster submit the same
+//! transactions.
 
 use crate::monitor::SimReport;
 use crate::observer::{ObsCtx, Observer, SimEvent};
@@ -43,17 +43,15 @@ pub const DEFAULT_BATCH: usize = 8;
 
 /// A configured workload: the generator plus the mempool's admission and
 /// service parameters. Hand it to
-/// [`SimBuilder::workload`](crate::SimBuilder::workload) (which builds
-/// one with the defaults) or construct explicitly for custom
-/// capacity/batch.
+/// [`SimBuilder::workload_spec`](crate::SimBuilder::workload_spec).
 pub struct WorkloadSpec {
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) capacity: usize,
     pub(crate) batch: usize,
-    /// Legacy `txs_every` semantics: an arrival in a round where no
-    /// honest process is awake is dropped on the floor (the transaction
-    /// never existed) instead of queueing. Only the shim sets this.
-    pub(crate) legacy_drop: bool,
+    /// An arrival in a round where no honest process is awake is dropped
+    /// on the floor (the transaction never existed) instead of queueing.
+    /// Only [`WorkloadSpec::txs_every`] sets this.
+    drop_when_asleep: bool,
 }
 
 impl WorkloadSpec {
@@ -64,7 +62,7 @@ impl WorkloadSpec {
             workload: Box::new(workload),
             capacity: DEFAULT_MEMPOOL_CAPACITY,
             batch: DEFAULT_BATCH,
-            legacy_drop: false,
+            drop_when_asleep: false,
         }
     }
 
@@ -84,16 +82,17 @@ impl WorkloadSpec {
         self
     }
 
-    /// The spec that reproduces `txs_every(k)` exactly: one arrival at
-    /// every round divisible by `k`, no admission or batch limits, and
-    /// arrivals offered while every honest process sleeps are dropped
-    /// (never queued) — the legacy knob's behaviour to the byte.
-    pub(crate) fn legacy_shim(k: u64) -> WorkloadSpec {
+    /// One fresh transaction every `k` rounds (`k = 0` counts as 1), to
+    /// every honest awake process: one arrival at every round divisible
+    /// by `k`, no admission or batch limits, and an arrival offered while
+    /// every honest process sleeps is dropped, never queued — the rule
+    /// st-node's `ClusterPlan::tx_for_round` applies.
+    pub fn txs_every(k: u64) -> WorkloadSpec {
         WorkloadSpec {
             workload: Box::new(st_load::ConstantRate::every(k)),
             capacity: usize::MAX,
             batch: usize::MAX,
-            legacy_drop: true,
+            drop_when_asleep: true,
         }
     }
 }
@@ -127,13 +126,14 @@ impl WorkloadInjector {
     /// Runs one round of the workload: offers this round's arrivals,
     /// then — if an honest proposer is awake — drains the submission
     /// batch (each entry still carrying its *arrival* round). With no
-    /// awake proposer the queue holds over, except under legacy
-    /// semantics where the arrivals are dropped outright.
+    /// awake proposer the queue holds over, except under
+    /// [`WorkloadSpec::txs_every`], where the arrivals are dropped
+    /// outright.
     pub(crate) fn step(&mut self, round: u64, proposer_awake: bool) -> Vec<PendingTx> {
         let mut mempool = self.mempool.borrow_mut();
         for client in 0..self.spec.workload.clients() {
             for _ in 0..self.spec.workload.arrivals(round, client) {
-                if self.spec.legacy_drop && !proposer_awake {
+                if self.spec.drop_when_asleep && !proposer_awake {
                     mempool.note_asleep_drop();
                 } else {
                     mempool.offer(client, round);
@@ -167,8 +167,8 @@ pub struct WorkloadSummary {
     pub dropped_capacity: u64,
     /// Admission drops: client over its fairness cap.
     pub dropped_fairness: u64,
-    /// Arrivals dropped because no honest process was awake (legacy
-    /// `txs_every` semantics only).
+    /// Arrivals dropped because no honest process was awake
+    /// ([`WorkloadSpec::txs_every`] only).
     pub dropped_asleep: u64,
     /// Queue-rounds spent waiting through proposer-less rounds.
     pub held_over: u64,
@@ -286,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn injector_holds_over_without_a_proposer_and_legacy_drops() {
+    fn injector_holds_over_without_a_proposer_and_txs_every_drops() {
         // Real workloads queue through proposer-less rounds…
         let mut inj = WorkloadInjector::new(WorkloadSpec::new(ConstantRate::per_round(1)));
         assert!(inj.step(1, false).is_empty());
@@ -296,27 +296,27 @@ mod tests {
             batch[0].arrived, 1,
             "arrival round preserved across hold-over"
         );
-        // …the legacy shim drops them outright.
-        let mut shim = WorkloadInjector::new(WorkloadSpec::legacy_shim(1));
+        // …txs_every drops them outright.
+        let mut shim = WorkloadInjector::new(WorkloadSpec::txs_every(1));
         assert!(shim.step(1, false).is_empty());
         let batch = shim.step(2, true);
         assert_eq!(
             batch.len(),
             1,
-            "legacy arrival offered to an empty room never existed"
+            "an arrival offered to an empty room never existed"
         );
         assert_eq!(shim.mempool.borrow().stats().dropped_asleep, 1);
     }
 
     #[test]
-    fn legacy_shim_matches_txs_every_trace() {
-        let mut shim = WorkloadInjector::new(WorkloadSpec::legacy_shim(4));
+    fn txs_every_submits_every_kth_round() {
+        let mut shim = WorkloadInjector::new(WorkloadSpec::txs_every(4));
         for r in 0..=16 {
             let batch = shim.step(r, true);
             let expect = usize::from(r > 0 && r % 4 == 0);
             assert_eq!(batch.len(), expect, "round {r}");
             if let Some(p) = batch.first() {
-                assert_eq!(p.arrived, r, "shim arrivals drain the round they arrive");
+                assert_eq!(p.arrived, r, "arrivals drain the round they arrive");
             }
         }
     }

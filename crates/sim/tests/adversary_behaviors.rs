@@ -7,7 +7,7 @@ use st_sim::adversary::{
     Adversary, BlackoutAdversary, EquivocatingVoter, JunkVoter, PartitionAttacker, ReorgAttacker,
     SilentAdversary, WithholdingLeader,
 };
-use st_sim::{AsyncWindow, ChurnOptions, Schedule, SimBuilder, SimConfig, Timeline};
+use st_sim::{ChurnOptions, Schedule, SimBuilder, SimConfig, Timeline, WorkloadSpec};
 use st_types::{Params, ProcessId, Round};
 
 fn params(n: usize, eta: u64) -> Params {
@@ -19,7 +19,8 @@ fn params(n: usize, eta: u64) -> Params {
 #[test]
 fn equivocating_voter_is_harmless_within_budget() {
     let n = 12;
-    let report = SimBuilder::from_config(SimConfig::new(params(n, 4), 3).horizon(40).txs_every(4))
+    let report = SimBuilder::from_config(SimConfig::new(params(n, 4), 3).horizon(40))
+        .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(Schedule::full(n, 40).with_static_byzantine(3))
         .adversary(EquivocatingVoter::new())
         .run();
@@ -60,14 +61,16 @@ fn junk_voter_within_budget_no_effect() {
 #[test]
 fn withholding_leader_is_liveness_only() {
     let n = 12;
-    let report = SimBuilder::from_config(SimConfig::new(params(n, 2), 11).horizon(60).txs_every(4))
+    let report = SimBuilder::from_config(SimConfig::new(params(n, 2), 11).horizon(60))
+        .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(Schedule::full(n, 60).with_static_byzantine(4))
         .adversary(WithholdingLeader::new())
         .run();
     assert!(report.is_safe());
     assert!(report.tx_inclusion_rate() > 0.8);
 
-    let clean = SimBuilder::from_config(SimConfig::new(params(16, 2), 11).horizon(60).txs_every(6))
+    let clean = SimBuilder::from_config(SimConfig::new(params(16, 2), 11).horizon(60))
+        .workload_spec(WorkloadSpec::txs_every(6))
         .schedule(Schedule::full(16, 60))
         .adversary(WithholdingLeader::new())
         .run();
@@ -85,7 +88,8 @@ fn growing_adversary_within_budget_is_safe() {
         .with_corrupted(ProcessId::new(9), Round::new(10))
         .with_corrupted(ProcessId::new(10), Round::new(20))
         .with_corrupted(ProcessId::new(11), Round::new(30));
-    let report = SimBuilder::from_config(SimConfig::new(params(n, 4), 13).horizon(50).txs_every(4))
+    let report = SimBuilder::from_config(SimConfig::new(params(n, 4), 13).horizon(50))
+        .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(schedule)
         .adversary(SilentAdversary)
         .run();
@@ -106,7 +110,7 @@ fn reorg_with_growing_corruption_still_fails_for_small_pi() {
     let report = SimBuilder::from_config(
         SimConfig::new(params(n, 5), 3)
             .horizon(44)
-            .async_window(AsyncWindow::new(Round::new(14), 2)),
+            .timeline(Timeline::synchronous().asynchronous(Round::new(14), 2)),
     )
     .schedule(schedule)
     .adversary(ReorgAttacker::new())
@@ -135,9 +139,9 @@ fn blackout_then_mass_sleep_is_safe() {
     let report = SimBuilder::from_config(
         SimConfig::new(params(n, 5), 21)
             .horizon(50)
-            .async_window(AsyncWindow::new(Round::new(12), 3))
-            .txs_every(5),
+            .timeline(Timeline::synchronous().asynchronous(Round::new(12), 3)),
     )
+    .workload_spec(WorkloadSpec::txs_every(5))
     .schedule(schedule)
     .adversary(BlackoutAdversary)
     .run();
@@ -151,7 +155,8 @@ fn blackout_then_mass_sleep_is_safe() {
 #[test]
 fn partition_attacker_powerless_under_synchrony() {
     let n = 8;
-    let report = SimBuilder::from_config(SimConfig::new(params(n, 0), 5).horizon(30).txs_every(4))
+    let report = SimBuilder::from_config(SimConfig::new(params(n, 0), 5).horizon(30))
+        .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(Schedule::full(n, 30))
         .adversary(PartitionAttacker::new())
         .run();
@@ -274,7 +279,7 @@ fn adversarial_runs_are_deterministic() {
         SimBuilder::from_config(
             SimConfig::new(params(10, 0), 77)
                 .horizon(26)
-                .async_window(AsyncWindow::new(Round::new(10), 4)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4)),
         )
         .schedule(Schedule::full(10, 26))
         .adversary(PartitionAttacker::new())
@@ -340,11 +345,12 @@ proptest! {
             Schedule::full(n, horizon)
         }
         .with_static_byzantine(byz);
-        let mut config = SimConfig::new(params, seed).horizon(horizon).txs_every(5);
+        let mut config = SimConfig::new(params, seed).horizon(horizon);
         if let Some(pi) = pi {
-            config = config.async_window(AsyncWindow::new(Round::new(14), pi));
+            config = config.timeline(Timeline::synchronous().asynchronous(Round::new(14), pi));
         }
         let report = SimBuilder::from_config(config)
+            .workload_spec(WorkloadSpec::txs_every(5))
             .schedule(schedule)
             .adversary_boxed(adversary_named(adversary))
             .run();

@@ -23,7 +23,7 @@
 //! decisions is that the drained stream kept pace with the horizon.
 
 use st_sim::adversary::SilentAdversary;
-use st_sim::{DecisionTap, Schedule, SimBuilder, SimConfig};
+use st_sim::{DecisionTap, Schedule, SimBuilder, SimConfig, WorkloadSpec};
 use st_types::Params;
 
 const HORIZON: u64 = 10_000;
@@ -34,7 +34,8 @@ fn horizon_10k_stores_stay_bounded() {
     let eta = 2;
     let params = Params::builder(n).expiration(eta).build().expect("valid");
     let (tap, log) = DecisionTap::new(n);
-    let mut sim = SimBuilder::from_config(SimConfig::new(params, 7).horizon(HORIZON).txs_every(8))
+    let mut sim = SimBuilder::from_config(SimConfig::new(params, 7).horizon(HORIZON))
+        .workload_spec(WorkloadSpec::txs_every(8))
         .schedule(Schedule::full(n, HORIZON))
         .adversary(SilentAdversary)
         .observer(tap)

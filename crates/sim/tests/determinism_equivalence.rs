@@ -10,8 +10,8 @@
 //!   test — a wrong shared tally *is* caught — is in st-core.)
 //! * **Byte identity** — spellings that must not change a report byte:
 //!   `step()` vs `run()`, with vs without user observers, explicit vs
-//!   defaulted protocol parameter, `txs_every` vs the equivalent workload,
-//!   `async_window` vs the one-segment timeline.
+//!   defaulted protocol parameter, `WorkloadSpec::txs_every` vs the
+//!   equivalent open-loop workload.
 //! * **Golden digests** — every cell of the golden table
 //!   (`support::golden_cells`), run under the oracle, digests to its line
 //!   in the committed `golden/report_digests.txt`. A change to any report
@@ -23,8 +23,8 @@ mod support;
 
 use st_sim::adversary::Adversary;
 use st_sim::{
-    AsyncWindow, ChurnOptions, Schedule, SimBuilder, SimConfig, SimReport, TallyCheck, TallyOracle,
-    Timeline,
+    ChurnOptions, ConstantRate, Schedule, SimBuilder, SimConfig, SimReport, TallyCheck,
+    TallyOracle, Timeline, WorkloadSpec,
 };
 use st_types::{ProcessId, Round};
 use support::{
@@ -40,15 +40,17 @@ const CHURN_RATES: [f64; 4] = [0.0, 0.05, 0.15, 0.3];
 /// in a debug build.
 const CASES: u32 = 400;
 
-/// Runs one cell under a [`TallyOracle`]; returns the report and the
-/// oracle's findings.
+/// Runs one cell, with one transaction every `txs_every` rounds, under a
+/// [`TallyOracle`]; returns the report and the oracle's findings.
 fn run_with_oracle(
     config: SimConfig,
+    txs_every: u64,
     sched: Schedule,
     adv: Box<dyn Adversary>,
 ) -> (SimReport, TallyCheck) {
     let (oracle, log) = TallyOracle::new();
     let report = SimBuilder::from_config(config)
+        .workload_spec(WorkloadSpec::txs_every(txs_every))
         .schedule(sched)
         .adversary_boxed(adv)
         .observer(oracle)
@@ -85,55 +87,21 @@ fn golden_cells_tallies_match_reference() {
     assert_golden(&lines);
 }
 
-/// The `async_window(w)` shim must stay a *pure* alias for the
-/// one-segment timeline: both spellings produce byte-identical reports.
-#[test]
-fn single_async_segment_timeline_matches_legacy_async_window() {
-    for &(adv, eta, pi, seed) in &[
-        ("partition", 0u64, 4u64, 31u64),
-        ("partition", 6, 4, 32),
-        ("blackout", 4, 3, 33),
-    ] {
-        let horizon = 26;
-        let legacy = SimConfig::new(params(10, eta), seed)
-            .horizon(horizon)
-            .txs_every(4)
-            .async_window(AsyncWindow::new(Round::new(10), pi));
-        let timeline = SimConfig::new(params(10, eta), seed)
-            .horizon(horizon)
-            .txs_every(4)
-            .timeline(Timeline::synchronous().asynchronous(Round::new(10), pi));
-        let a = SimBuilder::from_config(legacy)
-            .schedule(schedule("full", 10, horizon))
-            .adversary_boxed(adversary(adv))
-            .run();
-        let b = SimBuilder::from_config(timeline)
-            .schedule(schedule("full", 10, horizon))
-            .adversary_boxed(adversary(adv))
-            .run();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "async_window shim diverged from explicit timeline (adv={adv} eta={eta} pi={pi})"
-        );
-    }
-}
-
 /// An explicitly all-synchronous timeline is the same run as the seed's
 /// window-less configuration.
 #[test]
 fn all_synchronous_timeline_matches_seed_sync_run() {
     for sched in ["full", "mass-sleep", "churn", "byz-window"] {
         let horizon = 24;
-        let seed_cfg = SimConfig::new(params(10, 2), 41)
-            .horizon(horizon)
-            .txs_every(4);
+        let seed_cfg = SimConfig::new(params(10, 2), 41).horizon(horizon);
         let explicit = seed_cfg.clone().timeline(Timeline::synchronous());
         let a = SimBuilder::from_config(seed_cfg)
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, horizon))
             .adversary_boxed(adversary("silent"))
             .run();
         let b = SimBuilder::from_config(explicit)
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, horizon))
             .adversary_boxed(adversary("silent"))
             .run();
@@ -184,10 +152,12 @@ fn stepped_run_is_byte_identical_to_one_shot_run() {
     for (adv, sched, eta, t, seed) in guard_grid() {
         let config = guard_config(eta, &t, seed);
         let one_shot = SimBuilder::from_config(config.clone())
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .run();
         let mut stepped = SimBuilder::from_config(config)
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .build()
@@ -217,10 +187,12 @@ fn user_observers_do_not_change_the_report() {
     for (adv, sched, eta, t, seed) in guard_grid() {
         let config = guard_config(eta, &t, seed);
         let bare = SimBuilder::from_config(config.clone())
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .run();
         let observed = SimBuilder::from_config(config)
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .observer(CountingProbe::default())
@@ -233,12 +205,12 @@ fn user_observers_do_not_change_the_report() {
     }
 }
 
-/// **Generic-runner equivalence**: `Simulation` / `SimBuilder` are now
+/// **Generic-runner equivalence**: `Simulation` / `SimBuilder` are
 /// generic over the protocol with `TobProcess` as the default. Naming
-/// the protocol explicitly (`SimBuilder::<TobProcess>::for_protocol`,
+/// the protocol explicitly (`SimBuilder::<TobProcess>::for_protocol_config`,
 /// the path every non-default protocol takes through the runner) must
-/// be byte-identical to the defaulted alias every pre-existing caller
-/// uses — i.e. the genericization added no observable behaviour. Runs
+/// be byte-identical to the defaulted `SimBuilder::from_config` — i.e.
+/// the genericization added no observable behaviour. Runs
 /// over the full (adversary × schedule × η × timeline) guard grid.
 #[test]
 fn explicit_protocol_parameterisation_matches_defaulted_alias() {
@@ -246,10 +218,12 @@ fn explicit_protocol_parameterisation_matches_defaulted_alias() {
     for (adv, sched, eta, t, seed) in guard_grid() {
         let config = guard_config(eta, &t, seed);
         let defaulted = SimBuilder::from_config(config.clone())
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .run();
         let explicit = SimBuilder::<TobProcess>::for_protocol_config(config)
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .run();
@@ -269,10 +243,9 @@ fn explicit_protocol_parameterisation_matches_defaulted_alias() {
 #[test]
 fn oracle_checks_every_step_and_the_cache_actually_shares() {
     let (n, horizon) = (8, 30);
-    let config = SimConfig::new(params(n, 2), 1)
-        .horizon(horizon)
-        .txs_every(4);
-    let (report, check) = run_with_oracle(config, Schedule::full(n, horizon), adversary("silent"));
+    let config = SimConfig::new(params(n, 2), 1).horizon(horizon);
+    let (report, check) =
+        run_with_oracle(config, 4, Schedule::full(n, horizon), adversary("silent"));
     assert_eq!(check.checked, n * horizon as usize);
     assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);
     let rate = report.timeline.tally_cache_hit_rate();
@@ -340,9 +313,8 @@ proptest::proptest! {
         };
         let config = SimConfig::new(params(n, eta), seed)
             .horizon(horizon)
-            .txs_every(3)
             .timeline(timeline);
-        let (_, check) = run_with_oracle(config, sched, adversary(ADVERSARIES[adv]));
+        let (_, check) = run_with_oracle(config, 3, sched, adversary(ADVERSARIES[adv]));
         proptest::prop_assert!(check.checked > 0);
         proptest::prop_assert!(
             check.mismatches.is_empty(),
@@ -354,28 +326,24 @@ proptest::proptest! {
     }
 }
 
-/// **txs_every-vs-workload equivalence**: the legacy `txs_every(k)` knob
-/// is now a `ConstantRate` shim through the workload injector; spelling
-/// the same traffic as an explicit open-loop workload
-/// (`ConstantRate::every(k)` with unbounded admission and batch) must
-/// produce a byte-identical report on every guard-grid cell. The grid's
-/// schedules all keep at least one honest process awake every round, so
-/// the shim's drop-when-asleep special case is unreachable and the two
-/// spellings coincide exactly — legacy reports stay stable down to the
-/// serialized byte.
+/// **txs_every-vs-workload equivalence**: [`WorkloadSpec::txs_every`]
+/// is `ConstantRate::every(k)` with unbounded admission and batch plus
+/// one rule of its own — an arrival in a round with no honest process
+/// awake is dropped, not queued. Spelling the same traffic as an explicit
+/// open-loop workload must produce a byte-identical report on every
+/// guard-grid cell: the grid's schedules all keep some honest process
+/// awake every round, so the drop rule never fires and the two spellings
+/// coincide exactly. (`tests/cross_validation.rs` runs the drop rule
+/// against st-node's plan.)
 #[test]
 fn txs_every_matches_explicit_constant_rate_workload() {
-    use st_sim::{ConstantRate, WorkloadSpec};
     for (adv, sched, eta, t, seed) in guard_grid() {
-        let legacy = SimBuilder::from_config(guard_config(eta, &t, seed))
+        let config = guard_config(eta, &t, seed);
+        let named = SimBuilder::from_config(config.clone())
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .run();
-        // Same config minus txs_every, with the equivalent workload.
-        let mut config = SimConfig::new(params(10, eta), seed).horizon(28);
-        if let Some(t) = &t {
-            config = config.timeline(t.clone());
-        }
         let explicit = SimBuilder::from_config(config)
             .workload_spec(
                 WorkloadSpec::new(ConstantRate::every(4))
@@ -386,9 +354,9 @@ fn txs_every_matches_explicit_constant_rate_workload() {
             .adversary_boxed(adversary(adv))
             .run();
         assert_eq!(
-            serde_json::to_string(&legacy).unwrap(),
+            serde_json::to_string(&named).unwrap(),
             serde_json::to_string(&explicit).unwrap(),
-            "txs_every shim diverged from the explicit ConstantRate workload for \
+            "WorkloadSpec::txs_every diverged from the explicit ConstantRate workload for \
              adversary={adv} schedule={sched} eta={eta}"
         );
     }

@@ -7,7 +7,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use st_sim::adversary::{PartitionAttacker, SilentAdversary};
-use st_sim::{ObsCtx, Observer, Schedule, SimBuilder, SimEvent, Timeline, ViolationKind};
+use st_sim::{
+    ObsCtx, Observer, Schedule, SimBuilder, SimConfig, SimEvent, Timeline, ViolationKind,
+    WorkloadSpec,
+};
 use st_types::{Params, ProcessId, Round};
 
 fn params(n: usize, eta: u64) -> Params {
@@ -74,17 +77,19 @@ fn event_stream_narrates_the_run() {
     let timeline = Timeline::synchronous()
         .asynchronous(Round::new(10), 3)
         .bounded_delay(Round::new(20), 4, 2);
-    let report = SimBuilder::new(params(8, 4), 5)
-        .horizon(horizon)
-        .timeline(timeline)
-        .txs_every(5)
-        .observer(Probe {
-            seen: seen.clone(),
-            want_deliveries: true,
-        })
-        .build()
-        .expect("valid sim")
-        .run();
+    let report = SimBuilder::from_config(
+        SimConfig::new(params(8, 4), 5)
+            .horizon(horizon)
+            .timeline(timeline),
+    )
+    .workload_spec(WorkloadSpec::txs_every(5))
+    .observer(Probe {
+        seen: seen.clone(),
+        want_deliveries: true,
+    })
+    .build()
+    .expect("valid sim")
+    .run();
     let seen = seen.borrow();
     assert_eq!(seen.round_starts as u64, horizon + 1);
     assert_eq!(seen.round_ends as u64, horizon + 1);
@@ -109,8 +114,7 @@ fn event_stream_narrates_the_run() {
 #[test]
 fn delivery_events_are_opt_in() {
     let seen = Rc::new(RefCell::new(Seen::default()));
-    SimBuilder::new(params(8, 2), 5)
-        .horizon(20)
+    SimBuilder::from_config(SimConfig::new(params(8, 2), 5).horizon(20))
         .observer(Probe {
             seen: seen.clone(),
             want_deliveries: false,
@@ -130,17 +134,19 @@ fn delivery_events_are_opt_in() {
 #[test]
 fn violation_events_reach_user_observers() {
     let seen = Rc::new(RefCell::new(Seen::default()));
-    let report = SimBuilder::new(params(8, 0), 5)
-        .horizon(22)
-        .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4))
-        .adversary(PartitionAttacker::new())
-        .observer(Probe {
-            seen: seen.clone(),
-            want_deliveries: false,
-        })
-        .build()
-        .expect("valid sim")
-        .run();
+    let report = SimBuilder::from_config(
+        SimConfig::new(params(8, 0), 5)
+            .horizon(22)
+            .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4)),
+    )
+    .adversary(PartitionAttacker::new())
+    .observer(Probe {
+        seen: seen.clone(),
+        want_deliveries: false,
+    })
+    .build()
+    .expect("valid sim")
+    .run();
     assert!(!report.is_safe(), "the Section-1 attack should land");
     let seen = seen.borrow();
     assert_eq!(seen.safety_violations, report.safety_violations.len());
@@ -167,15 +173,17 @@ impl Observer for Recorder {
 #[test]
 fn violations_directly_follow_the_decision_that_produced_them() {
     let log = Rc::new(RefCell::new(Vec::new()));
-    let report = SimBuilder::new(params(8, 0), 5)
-        .horizon(22)
-        .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4))
-        .adversary(PartitionAttacker::new())
-        .observer(Recorder {
-            round: 0,
-            log: Rc::clone(&log),
-        })
-        .run();
+    let report = SimBuilder::from_config(
+        SimConfig::new(params(8, 0), 5)
+            .horizon(22)
+            .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4)),
+    )
+    .adversary(PartitionAttacker::new())
+    .observer(Recorder {
+        round: 0,
+        log: Rc::clone(&log),
+    })
+    .run();
     let log = log.borrow();
     let is_violation = |e: &SimEvent| matches!(e, SimEvent::Violation { .. });
     let violations = log.iter().filter(|(_, e)| is_violation(e)).count();
@@ -210,8 +218,7 @@ fn corruption_changes_are_narrated() {
         Round::new(5),
         Round::new(11),
     );
-    SimBuilder::new(params(8, 2), 3)
-        .horizon(20)
+    SimBuilder::from_config(SimConfig::new(params(8, 2), 3).horizon(20))
         .schedule(schedule)
         .observer(Probe {
             seen: seen.clone(),
@@ -235,8 +242,7 @@ fn corruption_changes_are_narrated() {
 fn mid_run_schedule_flip_through_stepping() {
     let n = 12;
     let horizon = 40u64;
-    let mut sim = SimBuilder::new(params(n, 2), 7)
-        .horizon(horizon)
+    let mut sim = SimBuilder::from_config(SimConfig::new(params(n, 2), 7).horizon(horizon))
         .adversary(SilentAdversary)
         .build()
         .expect("valid sim");
@@ -263,8 +269,7 @@ fn mid_run_schedule_flip_through_stepping() {
 /// Early finish reports the rounds actually executed.
 #[test]
 fn early_finish_reports_partial_run() {
-    let mut sim = SimBuilder::new(params(8, 2), 3)
-        .horizon(40)
+    let mut sim = SimBuilder::from_config(SimConfig::new(params(8, 2), 3).horizon(40))
         .build()
         .expect("valid sim");
     sim.run_until(Round::new(12));
@@ -276,8 +281,7 @@ fn early_finish_reports_partial_run() {
     // Degenerate: finish before any step. `rounds_run` is 0 there too
     // (it reports the last executed round); the empty trace is the
     // documented disambiguator from "ran exactly round 0".
-    let report = SimBuilder::new(params(8, 2), 3)
-        .horizon(40)
+    let report = SimBuilder::from_config(SimConfig::new(params(8, 2), 3).horizon(40))
         .build()
         .expect("valid sim")
         .finish();
@@ -348,16 +352,17 @@ fn observers_ride_the_generic_runner() {
 
     let n = 9;
     let horizon = 20;
-    let report = SimBuilder::<QuorumProcess>::for_protocol(Params::builder(n).build().unwrap(), 5)
-        .horizon(horizon)
-        .txs_every(4)
-        .observer(Sharing {
-            inner: QuorumProbe::default(),
-            out: Rc::clone(&tally),
-        })
-        .build()
-        .expect("valid quorum sim")
-        .run();
+    let report = SimBuilder::<QuorumProcess>::for_protocol_config(
+        SimConfig::new(Params::builder(n).build().unwrap(), 5).horizon(horizon),
+    )
+    .workload_spec(WorkloadSpec::txs_every(4))
+    .observer(Sharing {
+        inner: QuorumProbe::default(),
+        out: Rc::clone(&tally),
+    })
+    .build()
+    .expect("valid quorum sim")
+    .run();
 
     let (decisions, height) = *tally.borrow();
     // Full participation: views 1..=9 decide on all 9 processes.

@@ -21,7 +21,7 @@ use st_sim::baseline::StaticQuorumBft;
 use st_sim::scenario::gst;
 use st_sim::{
     DecisionTap, Protocol, QuorumProcess, Schedule, SimBuilder, SimConfig, SimReport, Simulation,
-    Sweep, Timeline,
+    Sweep, Timeline, WorkloadSpec,
 };
 use st_types::{Params, Round};
 use std::collections::BTreeSet;
@@ -34,13 +34,14 @@ use std::collections::BTreeSet;
 fn simulated_decided_views(schedule: &Schedule, n: usize, seed: u64) -> BTreeSet<u64> {
     let params = Params::builder(n).build().expect("valid params");
     let (tap, log) = DecisionTap::new(n);
-    let mut sim = SimBuilder::<QuorumProcess>::for_protocol(params, seed)
-        .horizon(schedule.horizon())
-        .schedule(schedule.clone())
-        .adversary(SilentAdversary)
-        .observer(tap)
-        .build()
-        .expect("valid simulation");
+    let mut sim = SimBuilder::<QuorumProcess>::for_protocol_config(
+        SimConfig::new(params, seed).horizon(schedule.horizon()),
+    )
+    .schedule(schedule.clone())
+    .adversary(SilentAdversary)
+    .observer(tap)
+    .build()
+    .expect("valid simulation");
     while sim.step().is_some() {}
     let log = log.borrow();
     log.iter()
@@ -130,9 +131,7 @@ proptest! {
         let horizon = 2 * half_views + 1;
         let params = Params::builder(n).build().expect("valid params");
         let (tap, log) = DecisionTap::new(n);
-        let mut sim = SimBuilder::<QuorumProcess>::for_protocol(params, seed)
-            .horizon(horizon)
-            .observer(tap)
+        let mut sim = SimBuilder::<QuorumProcess>::for_protocol_config(SimConfig::new(params, seed).horizon(horizon)).observer(tap)
             .build()
             .expect("valid simulation");
         while sim.step().is_some() {}
@@ -196,14 +195,16 @@ fn quorum_baseline_is_safe_but_stalls_through_asynchrony() {
     let params = Params::builder(n).build().expect("valid params");
     let timeline = Timeline::synchronous().asynchronous(Round::new(13), 6);
     let (tap, log) = DecisionTap::new(n);
-    let mut sim = SimBuilder::<QuorumProcess>::for_protocol(params, 11)
-        .horizon(horizon)
-        .timeline(timeline)
-        .schedule(Schedule::full(n, horizon))
-        .adversary(PartitionAttacker::new())
-        .observer(tap)
-        .build()
-        .expect("valid simulation");
+    let mut sim = SimBuilder::<QuorumProcess>::for_protocol_config(
+        SimConfig::new(params, 11)
+            .horizon(horizon)
+            .timeline(timeline),
+    )
+    .schedule(Schedule::full(n, horizon))
+    .adversary(PartitionAttacker::new())
+    .observer(tap)
+    .build()
+    .expect("valid simulation");
     while sim.step().is_some() {}
     let decided: BTreeSet<u64> = log
         .borrow()
@@ -287,9 +288,9 @@ fn duel_side<P: Protocol>(duel: &Duel, params: Params, seed: u64) -> Simulation<
     let builder = SimBuilder::<P>::for_protocol_config(
         SimConfig::new(params, seed)
             .horizon(h)
-            .txs_every(8)
             .timeline((duel.timeline)()),
     )
+    .workload_spec(WorkloadSpec::txs_every(8))
     .schedule(schedule);
     let builder = if duel.partition {
         builder.adversary(PartitionAttacker::new())

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use st_sim::adversary::{
     Adversary, BlackoutAdversary, PartitionAttacker, ReorgAttacker, SilentAdversary,
 };
-use st_sim::{Schedule, SimBuilder, SimConfig, Timeline};
+use st_sim::{Schedule, SimBuilder, SimConfig, Timeline, WorkloadSpec};
 use st_types::{Params, Round};
 
 const N: usize = 10;
@@ -47,12 +47,15 @@ fn timeline(idx: usize) -> Timeline {
     }
 }
 
-fn config(timeline_idx: usize, eta: u64, seed: u64) -> SimConfig {
+fn builder(adv_idx: usize, timeline_idx: usize, eta: u64, seed: u64) -> SimBuilder {
     let params = Params::builder(N).expiration(eta).build().expect("valid");
-    SimConfig::new(params, seed)
+    let config = SimConfig::new(params, seed)
         .horizon(HORIZON)
-        .txs_every(4)
-        .timeline(timeline(timeline_idx))
+        .timeline(timeline(timeline_idx));
+    SimBuilder::from_config(config)
+        .workload_spec(WorkloadSpec::txs_every(4))
+        .schedule(schedule(adv_idx))
+        .adversary_boxed(adversary(adv_idx))
 }
 
 proptest! {
@@ -70,14 +73,9 @@ proptest! {
         splits in prop::collection::vec(0u64..(HORIZON + 4), 0..6),
         extra_steps in prop::collection::vec(any::<bool>(), 6),
     ) {
-        let one_shot = SimBuilder::from_config(config(timeline_idx, eta, seed))
-            .schedule(schedule(adv_idx))
-            .adversary_boxed(adversary(adv_idx))
-            .run();
+        let one_shot = builder(adv_idx, timeline_idx, eta, seed).run();
 
-        let mut sim = SimBuilder::from_config(config(timeline_idx, eta, seed))
-            .schedule(schedule(adv_idx))
-            .adversary_boxed(adversary(adv_idx))
+        let mut sim = builder(adv_idx, timeline_idx, eta, seed)
             .build()
             .expect("valid sim");
         for (i, &split) in splits.iter().enumerate() {

@@ -44,10 +44,12 @@ pub fn schedule(name: &str, n: usize, horizon: u64) -> Schedule {
     }
 }
 
-/// Open-loop workloads behind a tight mempool (capacity 16, batch 2), so
-/// the admission, drop and hold-over paths are busy.
+/// A cell's workload: one transaction every 4 rounds, or an open-loop
+/// workload behind a tight mempool (capacity 16, batch 2), so the
+/// admission, drop and hold-over paths are busy.
 fn workload_spec(kind: &str) -> WorkloadSpec {
     let spec = match kind {
+        "txs-every-4" => return WorkloadSpec::txs_every(4),
         "steady" => WorkloadSpec::new(ConstantRate::per_round(3).clients(3)),
         "flash-crowd" => WorkloadSpec::new(FlashCrowd::new(1).clients(3).burst(8, 6, 10).jitter(7)),
         "diurnal" => WorkloadSpec::new(Diurnal::new(4, 0.25, 10).clients(3)),
@@ -75,20 +77,15 @@ pub fn guard_grid() -> Vec<(&'static str, &'static str, u64, Option<Timeline>, u
     ]
 }
 
+/// A guard-grid cell's configuration; its runs add the `txs_every(4)`
+/// workload.
 pub fn guard_config(eta: u64, t: &Option<Timeline>, seed: u64) -> SimConfig {
-    let mut config = SimConfig::new(params(10, eta), seed)
-        .horizon(28)
-        .txs_every(4);
-    if let Some(t) = t {
-        config = config.timeline(t.clone());
-    }
-    config
+    grid_config(eta, seed, 28, &t.clone().unwrap_or_default())
 }
 
 fn grid_config(eta: u64, seed: u64, horizon: u64, t: &Timeline) -> SimConfig {
     SimConfig::new(params(10, eta), seed)
         .horizon(horizon)
-        .txs_every(4)
         .timeline(t.clone())
 }
 
@@ -98,7 +95,7 @@ pub struct Cell {
     pub label: String,
     adversary: &'static str,
     schedule: &'static str,
-    workload: Option<&'static str>,
+    workload: &'static str,
     config: SimConfig,
 }
 
@@ -113,7 +110,7 @@ impl Cell {
             label,
             adversary,
             schedule,
-            workload: None,
+            workload: "txs-every-4",
             config,
         }
     }
@@ -121,13 +118,10 @@ impl Cell {
     /// The cell's simulation, open for more observers.
     pub fn builder(&self) -> SimBuilder {
         let horizon = self.config.horizon_rounds();
-        let builder = SimBuilder::from_config(self.config.clone())
+        SimBuilder::from_config(self.config.clone())
+            .workload_spec(workload_spec(self.workload))
             .schedule(schedule(self.schedule, 10, horizon))
-            .adversary_boxed(adversary(self.adversary));
-        match self.workload {
-            Some(w) => builder.workload_spec(workload_spec(w)),
-            None => builder,
-        }
+            .adversary_boxed(adversary(self.adversary))
     }
 }
 
@@ -212,7 +206,7 @@ pub fn golden_cells() -> Vec<Cell> {
         let label = format!("guard-workload/{w}/{adv}/{sched}/eta2/seed{seed}");
         let config = SimConfig::new(params(10, 2), seed).horizon(28);
         cells.push(Cell {
-            workload: Some(w),
+            workload: w,
             ..Cell::new(label, adv, sched, config)
         });
     }

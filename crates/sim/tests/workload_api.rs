@@ -25,8 +25,7 @@ fn params(n: usize) -> Params {
 #[test]
 fn saturation_knee_shows_in_backlog_drops_and_latency() {
     let horizon = 40;
-    let congested = SimBuilder::new(params(6), 7)
-        .horizon(horizon)
+    let congested = SimBuilder::from_config(SimConfig::new(params(6), 7).horizon(horizon))
         .workload_spec(
             WorkloadSpec::new(ConstantRate::per_round(6))
                 .capacity(16)
@@ -52,8 +51,7 @@ fn saturation_knee_shows_in_backlog_drops_and_latency() {
     assert_eq!(w.admitted, w.submitted + w.backlog);
 
     // The same offered load with ample service shows no congestion…
-    let uncongested = SimBuilder::new(params(6), 7)
-        .horizon(horizon)
+    let uncongested = SimBuilder::from_config(SimConfig::new(params(6), 7).horizon(horizon))
         .workload_spec(
             WorkloadSpec::new(ConstantRate::per_round(6))
                 .capacity(1024)
@@ -84,8 +82,7 @@ fn fairness_cap_clips_a_flooding_client() {
     // both caps; fairness drops must appear alongside capacity drops.
     let horizon = 30;
     let burst = FlashCrowd::new(1).clients(4).burst(5, 10, 12).jitter(5);
-    let report = SimBuilder::new(params(5), 11)
-        .horizon(horizon)
+    let report = SimBuilder::from_config(SimConfig::new(params(5), 11).horizon(horizon))
         .workload_spec(WorkloadSpec::new(burst).capacity(8).batch(1))
         .schedule(Schedule::full(5, horizon))
         .run();
@@ -114,9 +111,8 @@ fn diurnal_workload_couples_to_its_derived_schedule() {
     let n = 8;
     let workload = Diurnal::new(4, 0.25, 12);
     let schedule = diurnal_schedule(&workload, n, horizon);
-    let report = SimBuilder::new(params(n), 23)
-        .horizon(horizon)
-        .workload(workload)
+    let report = SimBuilder::from_config(SimConfig::new(params(n), 23).horizon(horizon))
+        .workload_spec(WorkloadSpec::new(workload))
         .schedule(schedule)
         .run();
 
@@ -141,8 +137,7 @@ fn diurnal_workload_couples_to_its_derived_schedule() {
 #[test]
 fn decided_round_and_percentiles_join_exactly() {
     let horizon = 32;
-    let report = SimBuilder::new(params(6), 41)
-        .horizon(horizon)
+    let report = SimBuilder::from_config(SimConfig::new(params(6), 41).horizon(horizon))
         .workload_spec(WorkloadSpec::new(ConstantRate::per_round(2)).batch(4))
         .schedule(Schedule::full(6, horizon))
         .run();
@@ -180,12 +175,11 @@ fn decided_round_and_percentiles_join_exactly() {
 }
 
 /// Runs without a configured workload leave the summary at its zero
-/// default — no phantom accounting on legacy-free configs.
+/// default — no phantom accounting.
 #[test]
 fn no_workload_leaves_summary_empty() {
     let horizon = 12;
-    let report = SimBuilder::new(params(5), 3)
-        .horizon(horizon)
+    let report = SimBuilder::from_config(SimConfig::new(params(5), 3).horizon(horizon))
         .schedule(Schedule::full(5, horizon))
         .run();
     let w = &report.workload;
@@ -206,9 +200,8 @@ fn workload_trait_objects_drive_the_pipeline() {
     assert_eq!(boxed.arrivals(6, 0), 1);
     assert_eq!(boxed.arrivals(7, 0), 0);
     let horizon = 18;
-    let report = SimBuilder::new(params(4), 9)
-        .horizon(horizon)
-        .workload(ConstantRate::every(3))
+    let report = SimBuilder::from_config(SimConfig::new(params(4), 9).horizon(horizon))
+        .workload_spec(WorkloadSpec::new(ConstantRate::every(3)))
         .schedule(Schedule::full(4, horizon))
         .run();
     assert_eq!(report.workload.offered, horizon / 3);

@@ -26,21 +26,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let duel: SweepComparison = Sweep::over(vec![0u64, 1, 2]).seed(42).compare(
         |_, seed| {
             let params = Params::builder(n).expiration(4).build().expect("valid");
-            SimBuilder::new(params, seed)
-                .horizon(horizon)
-                .txs_every(4)
+            SimBuilder::from_config(SimConfig::new(params, seed).horizon(horizon))
+                .workload_spec(WorkloadSpec::txs_every(4))
                 .schedule(schedule())
                 .build()
                 .expect("valid sleepy cell")
         },
         |_, seed| {
             let params = Params::builder(n).build().expect("valid");
-            SimBuilder::<QuorumProcess>::for_protocol(params, seed)
-                .horizon(horizon)
-                .txs_every(4)
-                .schedule(schedule())
-                .build()
-                .expect("valid quorum cell")
+            SimBuilder::<QuorumProcess>::for_protocol_config(
+                SimConfig::new(params, seed).horizon(horizon),
+            )
+            .workload_spec(WorkloadSpec::txs_every(4))
+            .schedule(schedule())
+            .build()
+            .expect("valid quorum cell")
         },
     );
 
@@ -75,8 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `DecisionTap` keeps them past the run.
     let params = Params::builder(n).build()?;
     let (tap, log) = DecisionTap::new(n);
-    SimBuilder::<QuorumProcess>::for_protocol(params, 7)
-        .horizon(20)
+    SimBuilder::<QuorumProcess>::for_protocol_config(SimConfig::new(params, 7).horizon(20))
         .observer(tap)
         .run();
     let decided_views: Vec<u64> = log.borrow()[0].iter().map(|d| d.view.as_u64()).collect();

@@ -119,7 +119,7 @@ fn run(eta: u64) -> SimReport {
     SimBuilder::from_config(
         SimConfig::new(params, 99)
             .horizon(horizon)
-            .async_window(AsyncWindow::new(Round::new(14), 3)),
+            .timeline(Timeline::synchronous().asynchronous(Round::new(14), 3)),
     )
     .schedule(schedule)
     .adversary(FlipFlopEclipse::new(ProcessId::new(0)))

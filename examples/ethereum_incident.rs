@@ -28,7 +28,8 @@ fn run_sleepy(eta: u64, schedule: &Schedule) -> SimReport {
         .churn_rate(0.0)
         .build()
         .expect("valid parameters");
-    SimBuilder::from_config(SimConfig::new(params, 0xE7B).horizon(HORIZON).txs_every(4))
+    SimBuilder::from_config(SimConfig::new(params, 0xE7B).horizon(HORIZON))
+        .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(schedule.clone())
         .adversary(SilentAdversary)
         .build()

@@ -67,8 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     );
-    let window = AsyncWindow::new(Round::new(40), pi);
-    let conditions = check_conditions(&schedule, 1.0 / 3.0, 0.10, eta, Some(window));
+    let timeline = Timeline::synchronous().asynchronous(Round::new(40), pi);
+    let conditions = check_conditions(&schedule, 1.0 / 3.0, 0.10, eta, timeline.windows().first());
     println!(
         "model conditions: churn ok = {}, η-sleepiness ok = {}, Eq.4/5 ok = {}",
         conditions.churn_violations.is_empty(),
@@ -79,9 +79,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = SimBuilder::from_config(
         SimConfig::new(params, 7)
             .horizon(horizon)
-            .async_window(window)
-            .txs_every(4),
+            .timeline(timeline),
     )
+    .workload_spec(WorkloadSpec::txs_every(4))
     .schedule(schedule)
     .adversary(BlackoutAdversary) // worst blip: nothing is delivered
     .run();

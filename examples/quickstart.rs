@@ -36,10 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = 40;
     let config = SimConfig::new(params, 2024)
         .horizon(horizon)
-        .async_window(AsyncWindow::new(Round::new(10), 3))
-        .txs_every(4);
+        .timeline(Timeline::synchronous().asynchronous(Round::new(10), 3));
     let schedule = Schedule::full(10, horizon);
     let report = SimBuilder::from_config(config)
+        .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(schedule)
         .adversary(PartitionAttacker::new())
         .build()

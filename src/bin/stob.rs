@@ -14,8 +14,8 @@
 //!                 delivery strategy at n = 4 (Theorem 2, verified)
 //! stob serve      --plan plan.json --id 0 --out node_0.json — run one
 //!                 socket node of a scripted cluster (see `stob cluster`)
-//! stob cluster    [--smoke] [--n 5] [--rounds 60] [--seed 7] [--tick 10]
-//!                 [--base-port 39700] [--dir DIR] [--report FILE] —
+//! stob cluster    [--smoke] [--n 5] [--rounds 60] [--seed 7] [--txs 3]
+//!                 [--tick 10] [--base-port 39700] [--dir DIR] [--report FILE] —
 //!                 spawn a real multi-process TCP cluster with scripted
 //!                 kill/sleep/partition faults and byte-compare every
 //!                 node's decided chain against the equivalent simulation
@@ -160,7 +160,7 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
     .with_static_byzantine(byz);
 
-    let mut config = SimConfig::new(params, seed).horizon(rounds).txs_every(txs);
+    let mut config = SimConfig::new(params, seed).horizon(rounds);
     if let Some(at) = args.opt("async-at") {
         let at: u64 = at.parse().unwrap_or(0);
         let pi: u64 = args.get("pi", 1);
@@ -168,7 +168,11 @@ fn cmd_run(args: &Args) -> ExitCode {
             eprintln!("--async-at must be ≥ 1");
             return ExitCode::from(2);
         }
-        config = config.async_window(AsyncWindow::new(Round::new(at), pi));
+        if pi == 0 {
+            eprintln!("--pi must be ≥ 1");
+            return ExitCode::from(2);
+        }
+        config = config.timeline(Timeline::synchronous().asynchronous(Round::new(at), pi));
     }
 
     let report = match protocol {
@@ -180,17 +184,20 @@ fn cmd_run(args: &Args) -> ExitCode {
                 );
                 return ExitCode::from(2);
             };
-            SimBuilder::<QuorumProcess>::for_protocol_config(config)
-                .schedule(schedule)
-                .adversary_boxed(adversary)
-                .run()
+            with_txs(
+                SimBuilder::<QuorumProcess>::for_protocol_config(config),
+                txs,
+            )
+            .schedule(schedule)
+            .adversary_boxed(adversary)
+            .run()
         }
         _ => {
             let Some(adversary) = make_adversary(adversary_name) else {
                 eprintln!("unknown adversary {adversary_name:?}");
                 return ExitCode::from(2);
             };
-            SimBuilder::from_config(config)
+            with_txs(SimBuilder::from_config(config), txs)
                 .schedule(schedule)
                 .adversary_boxed(adversary)
                 .run()
@@ -240,7 +247,7 @@ fn cmd_attack(args: &Args) -> ExitCode {
         let report = SimBuilder::from_config(
             SimConfig::new(params, 5)
                 .horizon(horizon)
-                .async_window(AsyncWindow::new(Round::new(12), 4)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(12), 4)),
         )
         .schedule(Schedule::full(n, horizon))
         .adversary(PartitionAttacker::new())
@@ -350,16 +357,15 @@ fn cmd_scenario(argv: &[String]) -> ExitCode {
 
 fn cmd_explore(args: &Args) -> ExitCode {
     use sleepy_tob::sim::explore::exhaustive_check;
-    use sleepy_tob::sim::AsyncWindow;
     let pi: u64 = args.get("pi", 1);
     let eta: u64 = args.get("eta", 4);
-    if pi > 2 {
-        eprintln!("per-receiver exploration is 4^(4·π) runs; use π ≤ 2");
+    if !(1..=2).contains(&pi) {
+        eprintln!("per-receiver exploration is 4^(4·π) runs; use 1 ≤ π ≤ 2");
         return ExitCode::from(2);
     }
     let params = Params::builder(4).expiration(eta).build().expect("valid");
-    let window = AsyncWindow::new(Round::new(10), pi);
-    let report = exhaustive_check(params, window, 14 + pi + 8);
+    let timeline = Timeline::synchronous().asynchronous(Round::new(10), pi);
+    let report = exhaustive_check(params, &timeline, 14 + pi + 8);
     println!(
         "n = 4, η = {eta}, π = {pi}: {} strategies exhaustively executed",
         report.strategies_run
@@ -446,6 +452,16 @@ fn build_cluster_plan(args: &Args) -> sleepy_tob::node::ClusterPlan {
     plan
 }
 
+/// Installs one transaction every `k` rounds — or, for `k = 0`, no
+/// workload at all, as `ClusterPlan::tx_for_round` submits none.
+fn with_txs<P: Protocol>(builder: SimBuilder<P>, k: u64) -> SimBuilder<P> {
+    if k == 0 {
+        builder
+    } else {
+        builder.workload_spec(WorkloadSpec::txs_every(k))
+    }
+}
+
 /// Runs the byte-equivalent simulation of a cluster plan: same params,
 /// same seed, `Schedule::custom` from the awake matrix, `Timeline`
 /// partitions from the partition windows, same tx cadence. Returns the
@@ -462,16 +478,14 @@ fn run_equivalent_sim(
     for (start, len, groups) in plan.timeline_partitions() {
         timeline = timeline.partition(start, len, groups);
     }
-    let mut sim = SimBuilder::from_config(
-        SimConfig::new(params, plan.seed)
-            .horizon(plan.horizon)
-            .txs_every(plan.txs_every),
-    )
-    .schedule(Schedule::custom(plan.schedule_matrix()))
-    .timeline(timeline)
-    .observer(tap)
-    .build()
-    .map_err(|e| format!("sim build: {e}"))?;
+    let config = SimConfig::new(params, plan.seed)
+        .horizon(plan.horizon)
+        .timeline(timeline);
+    let mut sim = with_txs(SimBuilder::from_config(config), plan.txs_every)
+        .schedule(Schedule::custom(plan.schedule_matrix()))
+        .observer(tap)
+        .build()
+        .map_err(|e| format!("sim build: {e}"))?;
     while sim.step().is_some() {}
     let tips: Vec<u64> = sim
         .processes()

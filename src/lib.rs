@@ -41,11 +41,13 @@
 //! assert!(params.is_asynchrony_resilient());
 //!
 //! // Run it through a 2-round network partition: safety holds. The
-//! // builder chain is the driving API — schedule defaults to full
+//! // config holds the run's values (horizon, environment timeline); the
+//! // builder adds its parts — the schedule defaults to full
 //! // participation, the adversary is typed (no Box).
-//! let report = SimBuilder::new(params, 42)
+//! let config = SimConfig::new(params, 42)
 //!     .horizon(30)
-//!     .async_window(AsyncWindow::new(Round::new(10), 2))
+//!     .timeline(Timeline::synchronous().asynchronous(Round::new(10), 2));
+//! let report = SimBuilder::from_config(config)
 //!     .adversary(PartitionAttacker::new())
 //!     .build()?
 //!     .run();
@@ -53,13 +55,12 @@
 //!
 //! // The paper's claim is recovery after *every* spell: a two-spell
 //! // timeline yields one recovery record per window.
-//! let report = SimBuilder::new(params, 42)
-//!     .horizon(40)
-//!     .timeline(
-//!         Timeline::synchronous()
-//!             .asynchronous(Round::new(10), 2)
-//!             .asynchronous(Round::new(24), 2),
-//!     )
+//! let config = SimConfig::new(params, 42).horizon(40).timeline(
+//!     Timeline::synchronous()
+//!         .asynchronous(Round::new(10), 2)
+//!         .asynchronous(Round::new(24), 2),
+//! );
+//! let report = SimBuilder::from_config(config)
 //!     .adversary(PartitionAttacker::new())
 //!     .build()?
 //!     .run();
@@ -68,7 +69,7 @@
 //! assert!(report.recovered_after_every_window());
 //!
 //! // Execution is steppable: pause mid-run, inspect, intervene, resume.
-//! let mut sim = SimBuilder::new(params, 42).horizon(20).build()?;
+//! let mut sim = SimBuilder::from_config(SimConfig::new(params, 42).horizon(20)).build()?;
 //! sim.run_until(Round::new(10));
 //! assert_eq!(sim.next_round(), Some(Round::new(11)));
 //! let report = sim.finish(); // or keep stepping to the horizon
@@ -130,10 +131,10 @@ pub mod prelude {
     pub use st_sim::conditions::check_conditions;
     pub use st_sim::scenario::{alternating, gst, Scenario};
     pub use st_sim::{
-        diurnal_schedule, Adversary, AdversaryCtx, AsyncWindow, BuildError, DecisionTap, EnvView,
-        ObsCtx, Observer, Recipients, RecoveryRecord, RoundSample, RoundTrace, SafetyViolation,
-        Schedule, SegmentKind, SentMessage, SimBuilder, SimConfig, SimEvent, SimReport, Simulation,
-        Sweep, SweepComparison, SweepReports, TargetedMessage, Timeline, TxRecord, ViolationKind,
+        diurnal_schedule, Adversary, AdversaryCtx, BuildError, DecisionTap, EnvView, ObsCtx,
+        Observer, Recipients, RecoveryRecord, RoundSample, RoundTrace, SafetyViolation, Schedule,
+        SegmentKind, SentMessage, SimBuilder, SimConfig, SimEvent, SimReport, Simulation, Sweep,
+        SweepComparison, SweepReports, TargetedMessage, Timeline, TxRecord, ViolationKind,
         WorkloadSpec, WorkloadSummary,
     };
     pub use st_types::{

@@ -52,3 +52,10 @@ fn smoke_cluster_at_tick_0_matches_the_simulation() {
 fn full_cluster_at_tick_0_matches_the_simulation() {
     cluster_matches(&[], 23710, 5);
 }
+
+/// `--txs 0` means no transactions on both sides: the nodes submit none,
+/// and the equivalent simulation installs no workload.
+#[test]
+fn smoke_cluster_without_transactions_matches_the_simulation() {
+    cluster_matches(&["--smoke", "--txs", "0"], 23720, 3);
+}

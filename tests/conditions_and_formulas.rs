@@ -41,13 +41,13 @@ fn certified_schedules_behave() {
             .churn_rate(gamma)
             .build()
             .unwrap();
-        let sim =
-            SimBuilder::from_config(SimConfig::new(params, seed).horizon(horizon).txs_every(5))
-                .schedule(schedule)
-                .adversary(EquivocatingVoter::new())
-                .build()
-                .expect("valid simulation")
-                .run();
+        let sim = SimBuilder::from_config(SimConfig::new(params, seed).horizon(horizon))
+            .workload_spec(WorkloadSpec::txs_every(5))
+            .schedule(schedule)
+            .adversary(EquivocatingVoter::new())
+            .build()
+            .expect("valid simulation")
+            .run();
         assert!(
             sim.is_safe(),
             "certified schedule (seed {seed}) broke safety"
@@ -178,26 +178,29 @@ fn eq4_verdict_predicts_attack_outcome() {
     let n = 20;
     let eta = 4u64;
     let pi = 2u64;
-    let window = AsyncWindow::new(Round::new(12), pi);
+    let timeline = Timeline::synchronous().asynchronous(Round::new(12), pi);
     for (extra_corruptions, should_hold) in [(0usize, true), (10, false)] {
         let mut schedule = Schedule::full(n, 50).with_static_byzantine(3);
         for i in 0..extra_corruptions {
             schedule = schedule.with_corrupted(ProcessId::new(i as u32), Round::new(12));
         }
-        let verdict = check_conditions(&schedule, 1.0 / 3.0, 0.0, eta, Some(window));
+        let verdict = check_conditions(&schedule, 1.0 / 3.0, 0.0, eta, timeline.windows().first());
         assert_eq!(
             verdict.eq4_violations.is_empty(),
             should_hold,
             "checker verdict unexpected for {extra_corruptions} corruptions"
         );
         let params = Params::builder(n).expiration(eta).build().unwrap();
-        let report =
-            SimBuilder::from_config(SimConfig::new(params, 3).horizon(50).async_window(window))
-                .schedule(schedule)
-                .adversary(ReorgAttacker::new())
-                .build()
-                .expect("valid simulation")
-                .run();
+        let report = SimBuilder::from_config(
+            SimConfig::new(params, 3)
+                .horizon(50)
+                .timeline(timeline.clone()),
+        )
+        .schedule(schedule)
+        .adversary(ReorgAttacker::new())
+        .build()
+        .expect("valid simulation")
+        .run();
         assert_eq!(
             report.resilience_violations.is_empty(),
             should_hold,

@@ -97,3 +97,35 @@ fn engine_message_count_matches_manual() {
     }
     assert_eq!(report.messages_sent, expected);
 }
+
+/// `WorkloadSpec::txs_every`'s drop-when-asleep rule is st-node's
+/// `ClusterPlan::tx_for_round`: with every node asleep through a round
+/// divisible by `txs_every`, the simulation submits exactly the
+/// transactions the plan does, in the same rounds, with the same ids.
+#[test]
+fn txs_every_drops_the_rounds_the_cluster_plan_skips() {
+    let mut plan = sleepy_tob::node::ClusterPlan::full(4, 24);
+    plan.txs_every = 3;
+    for node in 0..4 {
+        plan.sleep(node, 8, 10); // round 9 qualifies but nobody is awake
+    }
+    let params = Params::builder(plan.n)
+        .expiration(plan.eta)
+        .build()
+        .unwrap();
+    let report = SimBuilder::from_config(SimConfig::new(params, plan.seed).horizon(plan.horizon))
+        .workload_spec(WorkloadSpec::txs_every(plan.txs_every))
+        .schedule(Schedule::custom(plan.schedule_matrix()))
+        .run();
+    let simulated: Vec<(u64, u64)> = report
+        .txs
+        .iter()
+        .map(|t| (t.submitted.as_u64(), t.tx.as_u64()))
+        .collect();
+    let planned: Vec<(u64, u64)> = (0..=plan.horizon)
+        .filter_map(|r| plan.tx_for_round(r).map(|tx| (r, tx)))
+        .collect();
+    assert_eq!(simulated, planned);
+    assert!(planned.iter().all(|&(r, _)| r != 9), "{planned:?}");
+    assert_eq!(report.workload.dropped_asleep, 1);
+}

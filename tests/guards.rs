@@ -19,17 +19,9 @@ mod oracle_net;
 use sleepy_tob::prelude::*;
 use sleepy_tob::sim::{TallyCheck, TallyOracle};
 
-fn run_with_oracle(
-    config: SimConfig,
-    schedule: Schedule,
-    adversary: impl Adversary + 'static,
-) -> (SimReport, TallyCheck) {
+fn run_with_oracle(sim: SimBuilder) -> (SimReport, TallyCheck) {
     let (oracle, log) = TallyOracle::new();
-    let report = SimBuilder::from_config(config)
-        .schedule(schedule)
-        .adversary(adversary)
-        .observer(oracle)
-        .run();
+    let report = sim.observer(oracle).run();
     let check = log.borrow().clone();
     (report, check)
 }
@@ -42,8 +34,9 @@ fn run_with_oracle(
 fn full_participation_shares_tallies_without_a_mismatch() {
     let (n, horizon) = (8, 24);
     let params = Params::builder(n).expiration(2).build().unwrap();
-    let config = SimConfig::new(params, 1).horizon(horizon).txs_every(4);
-    let (report, check) = run_with_oracle(config, Schedule::full(n, horizon), SilentAdversary);
+    let config = SimConfig::new(params, 1).horizon(horizon);
+    let (report, check) =
+        run_with_oracle(SimBuilder::from_config(config).workload_spec(WorkloadSpec::txs_every(4)));
     assert_eq!(check.checked, n * horizon as usize);
     assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);
     let rate = report.timeline.tally_cache_hit_rate();
@@ -60,8 +53,8 @@ fn blackout_counterexample_serves_no_stale_tally() {
     let params = Params::builder(n).expiration(0).build().unwrap();
     let config = SimConfig::new(params, 1)
         .horizon(horizon)
-        .async_window(AsyncWindow::new(Round::new(6), 3));
-    let (_, check) = run_with_oracle(config, Schedule::full(n, horizon), BlackoutAdversary);
+        .timeline(Timeline::synchronous().asynchronous(Round::new(6), 3));
+    let (_, check) = run_with_oracle(SimBuilder::from_config(config).adversary(BlackoutAdversary));
     assert!(check.checked > 0, "the oracle checked nothing");
     assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);
 }

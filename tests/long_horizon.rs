@@ -27,7 +27,8 @@ fn four_hundred_rounds_with_churn() {
         },
     )
     .with_static_byzantine(2);
-    let report = SimBuilder::from_config(SimConfig::new(params, 4).horizon(horizon).txs_every(6))
+    let report = SimBuilder::from_config(SimConfig::new(params, 4).horizon(horizon))
+        .workload_spec(WorkloadSpec::txs_every(6))
         .schedule(schedule)
         .adversary(EquivocatingVoter::new())
         .build()
@@ -74,9 +75,9 @@ fn sequential_disturbances_via_chained_runs() {
         let report = SimBuilder::from_config(
             SimConfig::new(params, round_start ^ pi) // distinct seeds
                 .horizon(horizon)
-                .async_window(AsyncWindow::new(Round::new(round_start), pi))
-                .txs_every(4),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(round_start), pi)),
         )
+        .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(Schedule::full(n, horizon))
         .adversary(PartitionAttacker::new())
         .build()

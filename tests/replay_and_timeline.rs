@@ -130,7 +130,7 @@ fn timeline_divergence_indicator() {
         SimBuilder::from_config(
             SimConfig::new(params, 5)
                 .horizon(horizon)
-                .async_window(AsyncWindow::new(Round::new(10), 4)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4)),
         )
         .schedule(Schedule::full(n, horizon))
         .adversary(PartitionAttacker::new())
@@ -165,9 +165,9 @@ fn assert_recovers_after_every_window(
     let report = SimBuilder::from_config(
         SimConfig::new(params, 0x71AE)
             .horizon(horizon)
-            .txs_every(8)
             .timeline(timeline),
     )
+    .workload_spec(WorkloadSpec::txs_every(8))
     .schedule(Schedule::full(n, horizon))
     .adversary(adversary)
     .build()

@@ -53,12 +53,11 @@ fn theorem1_safety_and_liveness_under_synchrony() {
             } else {
                 Box::new(SilentAdversary)
             };
-            let report = SimBuilder::from_config(
-                SimConfig::new(params(n, eta), 31).horizon(50).txs_every(5),
-            )
-            .schedule(schedule.clone())
-            .adversary_boxed(adversary)
-            .run();
+            let report = SimBuilder::from_config(SimConfig::new(params(n, eta), 31).horizon(50))
+                .workload_spec(WorkloadSpec::txs_every(5))
+                .schedule(schedule.clone())
+                .adversary_boxed(adversary)
+                .run();
             assert!(report.is_safe(), "{label}/η={eta}: agreement broken");
             assert!(
                 report.tx_inclusion_rate() > 0.8,
@@ -93,7 +92,7 @@ fn theorem2_resilience_for_pi_less_than_eta() {
             let report = SimBuilder::from_config(
                 SimConfig::new(params(12, eta), 17)
                     .horizon(horizon)
-                    .async_window(AsyncWindow::new(Round::new(14), pi)),
+                    .timeline(Timeline::synchronous().asynchronous(Round::new(14), pi)),
             )
             .schedule(schedule)
             .adversary_boxed(adversary)
@@ -117,7 +116,7 @@ fn theorem2_bound_is_meaningful() {
     let report = SimBuilder::from_config(
         SimConfig::new(params(12, eta), 23)
             .horizon(horizon)
-            .async_window(AsyncWindow::new(Round::new(14), pi)),
+            .timeline(Timeline::synchronous().asynchronous(Round::new(14), pi)),
     )
     .schedule(Schedule::full(12, horizon))
     .adversary(PartitionAttacker::with_blackout(eta + 1))
@@ -132,7 +131,7 @@ fn theorem2_bound_is_meaningful() {
     let report = SimBuilder::from_config(
         SimConfig::new(params(12, eta), 23)
             .horizon(horizon)
-            .async_window(AsyncWindow::new(Round::new(14), pi)),
+            .timeline(Timeline::synchronous().asynchronous(Round::new(14), pi)),
     )
     .schedule(Schedule::full(12, horizon).with_static_byzantine(3))
     .adversary(ReorgAttacker::with_blackout(eta + 1))
@@ -161,9 +160,9 @@ fn theorem3_healing() {
             let report = SimBuilder::from_config(
                 SimConfig::new(params(10, 4), 5)
                     .horizon(horizon)
-                    .async_window(AsyncWindow::new(Round::new(16), pi))
-                    .txs_every(4),
+                    .timeline(Timeline::synchronous().asynchronous(Round::new(16), pi)),
             )
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(Schedule::full(10, horizon).with_static_byzantine(byz))
             .adversary_boxed(adversary)
             .run();
@@ -208,7 +207,7 @@ fn vanilla_mmr_breaks_in_one_async_round() {
         SimBuilder::from_config(
             SimConfig::new(params(10, eta), 5)
                 .horizon(horizon)
-                .async_window(AsyncWindow::new(Round::new(12), pi)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(12), pi)),
         )
         .schedule(Schedule::full(10, horizon).with_static_byzantine(byz))
         .adversary_boxed(adversary)
@@ -255,7 +254,8 @@ fn dynamic_availability_at_99_percent_offline() {
 #[test]
 fn extended_matches_vanilla_under_synchrony() {
     let run = |eta: u64| {
-        SimBuilder::from_config(SimConfig::new(params(8, eta), 77).horizon(40).txs_every(4))
+        SimBuilder::from_config(SimConfig::new(params(8, eta), 77).horizon(40))
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(Schedule::full(8, 40))
             .adversary(SilentAdversary)
             .build()
@@ -289,7 +289,8 @@ fn expiration_holds_across_the_failure_ratio_family() {
             .expiration(4)
             .build()
             .expect("valid parameters");
-        let sync = SimBuilder::from_config(SimConfig::new(params, 3).horizon(50).txs_every(4))
+        let sync = SimBuilder::from_config(SimConfig::new(params, 3).horizon(50))
+            .workload_spec(WorkloadSpec::txs_every(4))
             .schedule(Schedule::full(n, 50).with_static_byzantine(f))
             .adversary(JunkVoter::new())
             .run();
@@ -305,7 +306,7 @@ fn expiration_holds_across_the_failure_ratio_family() {
         let reorg = SimBuilder::from_config(
             SimConfig::new(params, 3)
                 .horizon(50)
-                .async_window(AsyncWindow::new(Round::new(14), 2)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(14), 2)),
         )
         .schedule(Schedule::full(n, 50).with_static_byzantine(f))
         .adversary(ReorgAttacker::new())
@@ -338,7 +339,7 @@ fn small_delta_with_expiration_outpaces_delta_equal_pi() {
         let report = SimBuilder::from_config(
             SimConfig::new(params, 3)
                 .horizon(horizon)
-                .async_window(AsyncWindow::new(Round::new(16), pi)),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(16), pi)),
         )
         .adversary(BlackoutAdversary)
         .run();
@@ -363,9 +364,9 @@ fn determinism_across_runs() {
         SimBuilder::from_config(
             SimConfig::new(params(10, 4), 1234)
                 .horizon(36)
-                .async_window(AsyncWindow::new(Round::new(10), 3))
-                .txs_every(3),
+                .timeline(Timeline::synchronous().asynchronous(Round::new(10), 3)),
         )
+        .workload_spec(WorkloadSpec::txs_every(3))
         .schedule(Schedule::oscillating(10, 36, 0.6, 8))
         .adversary(PartitionAttacker::new())
         .build()
