@@ -1,6 +1,5 @@
 //! Blocks: batches of transactions with a parent reference.
 
-use serde::{Deserialize, Serialize};
 use st_crypto::Hasher64;
 use st_types::{BlockId, ProcessId, TxId, View};
 use std::fmt;
@@ -8,7 +7,7 @@ use std::fmt;
 /// A block: a batch of transactions plus a reference to a parent block
 /// (Definition 1 of the paper). Content-addressed: the [`BlockId`] is a
 /// deterministic hash of `(parent, view, producer, payload)`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Block {
     id: BlockId,
     parent: BlockId,

@@ -92,8 +92,7 @@ fn shuffled_and_duplicated_streams_decide_the_same_chain() {
     assert_eq!(clean.tips, mangled.tips, "decided tips diverged");
     for i in 0..N {
         assert_eq!(
-            serde_json::to_string(&clean.decisions[i]).unwrap(),
-            serde_json::to_string(&mangled.decisions[i]).unwrap(),
+            clean.decisions[i], mangled.decisions[i],
             "process {i}: decision log diverged under shuffle+duplication"
         );
     }
@@ -110,9 +109,6 @@ fn reversed_streams_decide_the_same_chain() {
     });
     assert_eq!(clean.tips, reversed.tips);
     for i in 0..N {
-        assert_eq!(
-            serde_json::to_string(&clean.decisions[i]).unwrap(),
-            serde_json::to_string(&reversed.decisions[i]).unwrap(),
-        );
+        assert_eq!(clean.decisions[i], reversed.decisions[i]);
     }
 }

@@ -8,17 +8,17 @@
 //!
 //! Because the hash is public, unforgeability is enforced *at the type
 //! level* rather than computationally: the only way to obtain a
-//! [`Signature`] value is [`Keypair::sign`] (the tag field is private and
-//! there is no other constructor), and the simulator hands each process —
-//! including Byzantine ones — only its own `Keypair`. A Byzantine process
-//! can therefore sign arbitrary content (equivocate, vote for fabricated
-//! logs, back-date round tags) but can never emit a message that verifies
-//! under another process's public key, which is exactly the power the
-//! paper grants the adversary (Section 2.1: "messages sent by processes
-//! come with an unforgeable signature").
+//! [`Signature`] that verifies is [`Keypair::sign`] (the tag field is
+//! private; [`Signature::from_wire_tag`] rebuilds a decoded one, and a
+//! fabricated tag fails verification), and the simulator hands each
+//! process — including Byzantine ones — only its own `Keypair`. A
+//! Byzantine process can therefore sign arbitrary content (equivocate,
+//! vote for fabricated logs, back-date round tags) but can never emit a
+//! message that verifies under another process's public key, which is
+//! exactly the power the paper grants the adversary (Section 2.1:
+//! "messages sent by processes come with an unforgeable signature").
 
 use crate::hash::Hasher64;
-use serde::{Deserialize, Serialize};
 use st_types::ProcessId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +39,7 @@ pub fn verification_count() -> u64 {
 }
 
 /// A process's public (verification) key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey {
     owner: ProcessId,
     key_material: u64,
@@ -47,9 +47,9 @@ pub struct PublicKey {
 
 /// A signature over a message under some [`Keypair`].
 ///
-/// Constructible only via [`Keypair::sign`]; see the module docs for the
-/// unforgeability argument.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// One that verifies comes only from [`Keypair::sign`]; see the module
+/// docs for the unforgeability argument.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     tag: u64,
 }
@@ -57,10 +57,10 @@ pub struct Signature {
 impl Signature {
     /// The raw 64-bit tag, for compact wire codecs.
     ///
-    /// Exposing the tag grants no forging power the serde surface does not
-    /// already grant: the derived `Deserialize` impl reconstructs a
-    /// `Signature` from untrusted input just the same, and a fabricated tag
-    /// still fails [`PublicKey::verify`].
+    /// Exposing the tag grants no forging power: its only way back into a
+    /// `Signature` is [`Signature::from_wire_tag`], which the wire decoder
+    /// calls on untrusted bytes, and a tag not produced by
+    /// [`Keypair::sign`] for that content still fails [`PublicKey::verify`].
     pub fn as_wire_tag(&self) -> u64 {
         self.tag
     }

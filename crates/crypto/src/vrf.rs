@@ -15,7 +15,6 @@
 
 use crate::hash::Hasher64;
 use crate::keys::{Keypair, PublicKey};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The pseudorandom output `ρ` of a VRF evaluation, compared numerically
@@ -23,7 +22,7 @@ use std::fmt;
 pub type VrfOutput = u64;
 
 /// The proof `π` accompanying a VRF output.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VrfProof {
     tag: u64,
 }

@@ -1,7 +1,5 @@
 //! Quorum thresholds for grading.
 
-use serde::{Deserialize, Serialize};
-
 /// The quorum thresholds of a graded-agreement instance, parameterised by
 /// the failure ratio `β`: grade 1 requires support `> (1 − β)·m`, grade 0
 /// requires support `> β·m`.
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// The MMR protocol uses `β = 1/3` (grade 1 ⇔ `> 2m/3`, grade 0 ⇔
 /// `> m/3`); other deterministically-safe sleepy protocols use other
 /// ratios, so the tally is kept generic.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Thresholds {
     beta: f64,
 }

@@ -7,13 +7,12 @@
 //! [`KeyDirectory`].
 
 use crate::{Propose, Vote};
-use serde::{Deserialize, Serialize};
 use st_crypto::{Keypair, PublicKey, Signature};
 use st_types::{ProcessId, Round};
 use std::fmt;
 
 /// The payload of a signed message: a vote or a proposal.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Payload {
     /// A graded-agreement vote.
     Vote(Vote),
@@ -60,7 +59,7 @@ impl From<Propose> for Payload {
 }
 
 /// A signed protocol message.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Envelope {
     payload: Payload,
     signature: Signature,
@@ -86,8 +85,8 @@ impl Envelope {
     }
 
     /// Reassembles an envelope from decoded wire parts. Crate-internal:
-    /// used by the binary codec, mirroring the derived `Deserialize` path
-    /// (the signature is still checked by [`Envelope::verify`]).
+    /// used by the binary codec (the signature is still checked by
+    /// [`Envelope::verify`]).
     pub(crate) fn from_wire_parts(payload: Payload, signature: Signature) -> Envelope {
         Envelope { payload, signature }
     }

@@ -19,7 +19,6 @@
 //! than served a stale verdict.
 
 use crate::{Envelope, KeyDirectory, Payload};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,22 +91,6 @@ impl SharedEnvelope {
 impl From<Envelope> for SharedEnvelope {
     fn from(envelope: Envelope) -> SharedEnvelope {
         SharedEnvelope::new(envelope)
-    }
-}
-
-/// Serializes as the wrapped [`Envelope`] — the cached verdict is a local
-/// optimization, never part of the wire representation.
-impl Serialize for SharedEnvelope {
-    fn to_value(&self) -> Value {
-        self.inner.envelope.to_value()
-    }
-}
-
-/// Deserializes as an [`Envelope`] and wraps it fresh (verdict cache
-/// empty): a received envelope must always be re-verified locally.
-impl Deserialize for SharedEnvelope {
-    fn from_value(value: &Value) -> Result<SharedEnvelope, DeError> {
-        Envelope::from_value(value).map(SharedEnvelope::new)
     }
 }
 

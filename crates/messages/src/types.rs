@@ -1,6 +1,5 @@
 //! The two message kinds of Algorithm 1: votes and proposals.
 
-use serde::{Deserialize, Serialize};
 use st_blocktree::Block;
 use st_crypto::{VrfOutput, VrfProof};
 use st_types::{BlockId, ProcessId, Round, View};
@@ -15,7 +14,7 @@ use std::sync::Arc;
 /// (Section 2.1: "each message is tagged with the corresponding round
 /// number"), which is what the expiration window and latest-message
 /// selection key on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Vote {
     sender: ProcessId,
     round: Round,
@@ -73,7 +72,7 @@ impl fmt::Debug for Vote {
 /// receiver's tree, and the simulator's global tree can share one
 /// allocation — at n=4096 a block body would otherwise be duplicated
 /// thousands of times.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Propose {
     sender: ProcessId,
     round: Round,

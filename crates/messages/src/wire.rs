@@ -1,8 +1,8 @@
 //! Length-prefixed compact binary wire codec.
 //!
-//! The derived serde impls (over the JSON-shaped `Value` stub) remain the
-//! debug codec and the cross-check oracle; this module is what actually
-//! crosses node sockets. Every frame shares one outer layout:
+//! This is the one encoding of protocol messages: it is what crosses node
+//! sockets, and no message type has another. Every frame shares one outer
+//! layout:
 //!
 //! ```text
 //! [len: u32 LE]  count of bytes after the length field (= 2 + body len)
@@ -269,9 +269,9 @@ pub fn encode_envelope(e: &Envelope) -> Vec<u8> {
     frame(KIND_ENVELOPE, &body)
 }
 
-/// Decodes an [`Envelope`] frame. Like the derived serde path this
-/// reconstructs the claimed payload and signature verbatim; authenticity
-/// is established separately by [`Envelope::verify`].
+/// Decodes an [`Envelope`] frame. This reconstructs the claimed payload
+/// and signature verbatim; authenticity is established separately by
+/// [`Envelope::verify`].
 pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope, WireError> {
     let (kind, body) = split_frame(bytes)?;
     if kind != KIND_ENVELOPE {
@@ -355,12 +355,14 @@ mod tests {
             Payload::Vote(Vote::new(ProcessId::new(1), Round::new(3), BlockId::new(8))),
         );
         let mut bytes = encode_envelope(&env);
-        let tip_offset = bytes.len() - 9; // last body u64 before the signature... tamper the tip field
-        bytes[tip_offset] ^= 1;
-        // Re-frame is unnecessary: length/version unchanged, only body bits.
-        if let Ok(back) = decode_envelope(&bytes) {
-            assert!(!back.verify(&dir), "tampered envelope must not verify");
-        }
+        // The signature is the last 8 bytes; the byte before it is the top
+        // (little-endian) byte of the vote's tip. Length and version are
+        // unchanged, so the frame still decodes.
+        let tip_top = bytes.len() - 9;
+        bytes[tip_top] ^= 1;
+        let back = decode_envelope(&bytes).expect("a body-bit flip still decodes");
+        assert_ne!(back.payload(), env.payload());
+        assert!(!back.verify(&dir), "tampered envelope must not verify");
     }
 
     #[test]

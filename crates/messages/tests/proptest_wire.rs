@@ -2,10 +2,9 @@
 //! is byte-identical for the one protocol frame, the signed envelope, over
 //! every payload shape it nests (votes; proposals of genesis-flag and
 //! ordinary blocks with full-range parent and view and up to 12 txs), and
-//! the binary codec agrees with the serde JSON debug codec on the same
-//! corpus — two independent codecs, one message, same value back. The
-//! garbage-bytes totality check lives with the node's control frames
-//! (`st_node::frame`), which nest this codec.
+//! the decoded envelope still verifies. The garbage-bytes totality check
+//! lives with the node's control frames (`st_node::frame`), which nest
+//! this codec.
 
 use proptest::prelude::*;
 use st_blocktree::Block;
@@ -38,7 +37,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn envelope_binary_identity_json_agreement_and_verification(
+    fn envelope_binary_identity_and_verification(
         sender in 0u32..8,
         round in any::<u64>(),
         tip in any::<u64>(),
@@ -65,10 +64,6 @@ proptest! {
             // The decoder recomputes the content-address.
             prop_assert_eq!(p.block().id(), block_from(genesis, tip, view, sender, &txs).id());
         }
-        prop_assert_eq!(wire::encode_envelope(&back), bytes.clone());
-        let json: Envelope = serde_json::from_str(&serde_json::to_string(&env).unwrap()).unwrap();
-        prop_assert!(json.verify(&dir));
-        prop_assert_eq!(json.payload(), env.payload());
-        prop_assert_eq!(wire::encode_envelope(&json), bytes);
+        prop_assert_eq!(wire::encode_envelope(&back), bytes);
     }
 }

@@ -55,7 +55,7 @@ const FLUSH_WAIT: Duration = Duration::from_millis(500);
 const LINGER_POLL_CAP: u64 = 15_000;
 
 /// What a node writes to its `--out` file: the decided chain plus link
-/// diagnostics. The harness byte-compares `decisions` (and the tip)
+/// diagnostics. The harness compares `decisions` (and the tip)
 /// against the equivalent simulation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NodeOutcome {

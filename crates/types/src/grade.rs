@@ -1,6 +1,5 @@
 //! Graded-agreement output grades.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The grade attached to a log output by a graded-agreement instance
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert!(Grade::Zero < Grade::One);
 /// assert_eq!(Grade::One.as_bit(), 1);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Grade {
     /// Support exceeded `m/3` (but not `2m/3`).
     Zero,

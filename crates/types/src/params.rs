@@ -2,7 +2,6 @@
 //! failure ratio `β̃` of Section 2.3 of the paper.
 
 use crate::TypesError;
-use serde::{Deserialize, Serialize};
 
 /// The failure ratio `β = 1/3` of the MMR protocol (decision threshold
 /// `1 − β = 2/3`), used throughout the paper's Figure 1.
@@ -31,7 +30,7 @@ pub const DEFAULT_FAILURE_RATIO: f64 = 1.0 / 3.0;
 /// assert_eq!(p.expiration(), 8);
 /// # Ok::<(), st_types::TypesError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Params {
     n: usize,
     beta: f64,

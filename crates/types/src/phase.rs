@@ -1,13 +1,12 @@
 //! Round phases and round kinds of the sleepy model.
 
 use crate::{Round, View};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two phases of a round (Section 2.1): a send phase at the beginning
 /// (processes in `O_r` multicast) and a receive phase at the end (processes
 /// awake at the end of the round, i.e. in `O_{r+1}`, receive).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Beginning of a round: awake processes multicast their messages.
     Send,
@@ -26,7 +25,7 @@ impl fmt::Display for Phase {
 
 /// What a round means to Algorithm 1: the bootstrap propose round, the
 /// first round of a view, or the second (decision) round of a view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RoundKind {
     /// Round 0 — view 0's single propose round.
     Bootstrap,

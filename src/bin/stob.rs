@@ -580,12 +580,11 @@ fn cmd_cluster(args: &Args) -> ExitCode {
         }
     };
 
-    // Byte-compare each node's decided chain against the simulation.
+    // Compare each node's decided chain against the simulation.
     let mut divergences = 0usize;
     let mut verdicts = Vec::with_capacity(plan.n);
     for run in &outcome.nodes {
         let i = run.node as usize;
-        let expect = serde_json::to_string(&sim_decisions[i]).unwrap_or_default();
         let (matches, error, tip, count) = match &run.outcome {
             None => (
                 false,
@@ -594,9 +593,8 @@ fn cmd_cluster(args: &Args) -> ExitCode {
                 None,
             ),
             Some(out) => {
-                let got = serde_json::to_string(&out.decisions).unwrap_or_default();
                 let tip_ok = out.decided_tip == sim_tips[i];
-                let log_ok = got == expect;
+                let log_ok = out.decisions == sim_decisions[i];
                 let error = if !tip_ok {
                     Some(format!(
                         "decided tip {} != simulated {}",

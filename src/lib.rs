@@ -76,6 +76,19 @@
 //! assert!(report.is_safe());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! # One encoding per message
+//!
+//! Votes and proposals leave a process only as frames of the binary wire
+//! codec ([`messages::wire`]). They have no second encoding: `serde` is
+//! derived only by what reports, cluster plans and node outcomes carry.
+//!
+//! ```compile_fail,E0277
+//! fn to_json<T: serde::Serialize>(_: &T) {}
+//! fn ship(env: &sleepy_tob::messages::Envelope) {
+//!     to_json(env);
+//! }
+//! ```
 
 // Determinism and panic discipline (clippy.toml; DESIGN §6), tests exempt.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
