@@ -9,9 +9,10 @@ use std::sync::Arc;
 /// Per-block bookkeeping inside the tree. Nodes live in a contiguous
 /// arena and refer to each other by arena index — ancestry walks are
 /// array reads, not hash lookups. The block itself is held behind an
-/// [`Arc`]: in a simulation the same proposal is inserted into every
-/// receiver's tree, and sharing one allocation across all of them is the
-/// difference between ~24 bytes and ~150 bytes per node at `n = 4096`.
+/// [`Arc`]: in a simulation one multicast body reaches every receiver,
+/// and each tree that takes it (a process's, once a vote names the
+/// block; the simulator's global tree) shares that one allocation
+/// instead of copying ~150 bytes of block per node at `n = 4096`.
 #[derive(Clone, Debug)]
 struct Node {
     block: Arc<Block>,

@@ -1,13 +1,23 @@
-//! Orphan-block buffering.
+//! Proposal bodies that have arrived but are not (yet) in a tree.
 //!
 //! During asynchrony the adversary can deliver a proposal whose ancestor
-//! blocks have not arrived yet (selective delivery). The buffer parks such
-//! orphans and retries them whenever a parent lands, so the process's tree
-//! only ever contains fully connected chains.
+//! blocks have not arrived yet (selective delivery), so both stores here
+//! park such orphans and retry them whenever a parent lands: a tree only
+//! ever contains fully connected chains.
+//!
+//! * [`BlockBuffer`] is the eager form: every body enters the tree as
+//!   soon as it connects. `QuorumProcess` and the simulator's global tree
+//!   use it.
+//! * [`BodyStore`] is the lazy form `TobProcess` uses: a connected body
+//!   enters the tree only once something references it — a stored vote
+//!   names it, or a descendant is admitted. Under full participation one
+//!   of a view's `n` proposals is ever voted for, so the other `n − 1`
+//!   bodies stay in a compact id → body map instead of becoming arena
+//!   nodes in every receiver's tree.
 
 use st_blocktree::{Block, BlockTree};
-use st_types::BlockId;
-use st_types::FastMap;
+use st_types::fasthash::mix64;
+use st_types::{BlockId, FastMap, Round};
 use std::sync::Arc;
 
 /// Parks blocks whose parent is unknown and flushes them once the parent
@@ -53,10 +63,7 @@ impl BlockBuffer {
             // the handle into the tree on the (overwhelmingly common)
             // insertable path.
             if !tree.contains(b.parent()) && !tree.contains(b.id()) {
-                let entry = self.waiting.entry(b.parent()).or_default();
-                if !entry.contains(&b) {
-                    entry.push(b);
-                }
+                park(&mut self.waiting, b);
                 continue;
             }
             match tree.insert_or_get(b) {
@@ -74,6 +81,159 @@ impl BlockBuffer {
             }
         }
         inserted
+    }
+}
+
+/// Parks the orphan `b` under its parent, once.
+fn park(waiting: &mut FastMap<BlockId, Vec<Arc<Block>>>, b: Arc<Block>) {
+    let entry = waiting.entry(b.parent()).or_default();
+    if !entry.contains(&b) {
+        entry.push(b);
+    }
+}
+
+/// Every proposal body one process holds, split by whether anything
+/// references it.
+///
+/// A body is *connected* once its whole ancestry down to genesis is
+/// known. A connected body lives in exactly one of two places: the
+/// caller's [`BlockTree`] arena once it is *referenced* — a stored vote
+/// names it ([`BodyStore::reference`]) or a descendant was admitted —
+/// and this store's `loose` map (one id → `Arc` entry, no arena node)
+/// until then. Orphans park until their parent connects.
+///
+/// A caller that passes every vote it stores to [`BodyStore::reference`]
+/// keeps the invariant its tally relies on: every connected body named
+/// by a stored vote is in the arena. A tally reads only the chains of
+/// the tips its votes name, and an arena member's parents are in the
+/// arena too, so a tally over the arena equals the tally over every
+/// connected body.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BodyStore {
+    /// Connected bodies not in the arena.
+    loose: FastMap<BlockId, Arc<Block>>,
+    /// parent id → orphans waiting for it.
+    waiting: FastMap<BlockId, Vec<Arc<Block>>>,
+    /// Tips a stored vote names whose bodies are not connected yet, with
+    /// the latest round of such a vote: admitted the moment they connect,
+    /// forgotten once every vote naming them has been pruned.
+    wanted: FastMap<BlockId, Round>,
+    /// XOR of [`mix64`] over the `loose` ids.
+    loose_fingerprint: u64,
+}
+
+impl BodyStore {
+    /// Creates an empty store.
+    pub(crate) fn new() -> BodyStore {
+        BodyStore::default()
+    }
+
+    /// Whether `id`'s body and its whole ancestry are known (in `tree`
+    /// or loose here).
+    fn is_connected(&self, tree: &BlockTree, id: BlockId) -> bool {
+        tree.contains(id) || self.loose.contains_key(&id)
+    }
+
+    /// XOR of [`mix64`] over every connected body id, in `tree` or not.
+    /// The two sets are disjoint, so this is the fingerprint an eager
+    /// tree holding every connected body would report
+    /// ([`BlockTree::fingerprint`]), whatever has been admitted.
+    pub(crate) fn connected_fingerprint(&self, tree: &BlockTree) -> u64 {
+        tree.fingerprint() ^ self.loose_fingerprint
+    }
+
+    /// Takes a received or self-built body. It parks if its parent is not
+    /// connected; otherwise it connects — entering `tree` at once if a
+    /// stored vote already names it — and so does every orphan waiting on
+    /// it, recursively. Re-delivery of a known body is a no-op.
+    pub(crate) fn insert(&mut self, tree: &mut BlockTree, block: Arc<Block>) {
+        let mut queue = vec![block];
+        while let Some(b) = queue.pop() {
+            let id = b.id();
+            if self.is_connected(tree, id) {
+                continue;
+            }
+            if !self.is_connected(tree, b.parent()) {
+                park(&mut self.waiting, b);
+                continue;
+            }
+            if let Some(children) = self.waiting.remove(&id) {
+                queue.extend(children);
+            }
+            self.loose_fingerprint ^= mix64(id.as_u64());
+            self.loose.insert(id, b);
+            if self.wanted.remove(&id).is_some() {
+                self.admit(tree, id);
+            }
+        }
+    }
+
+    /// Records that a stored vote of `round` names `tip`: admits the body
+    /// if it is connected, else remembers the name until it connects.
+    pub(crate) fn reference(&mut self, tree: &mut BlockTree, tip: BlockId, round: Round) {
+        if !self.admit(tree, tip) {
+            let latest = self.wanted.entry(tip).or_insert(round);
+            *latest = (*latest).max(round);
+        }
+    }
+
+    /// Moves the connected body `tip` and every loose ancestor into
+    /// `tree`, parents first. Returns whether `tip` is in `tree`
+    /// afterwards — `false` exactly when it is not connected.
+    fn admit(&mut self, tree: &mut BlockTree, tip: BlockId) -> bool {
+        if tree.contains(tip) {
+            return true;
+        }
+        if !self.loose.contains_key(&tip) {
+            return false;
+        }
+        // A loose body's parent is connected, so the walk ends at an
+        // arena member.
+        let mut path = Vec::new();
+        let mut cur = tip;
+        while let Some(b) = self.loose.remove(&cur) {
+            self.loose_fingerprint ^= mix64(cur.as_u64());
+            cur = b.parent();
+            path.push(b);
+        }
+        for b in path.into_iter().rev() {
+            match tree.insert_or_get(b) {
+                Ok(_) => {}
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the walk above stopped at an arena member and inserts parents first"
+                )]
+                Err(_) => unreachable!("every parent is admitted before its child"),
+            }
+        }
+        true
+    }
+
+    /// Whether `tip` is connected and its log is compatible with the log
+    /// of `base`, an arena member. A loose body is never an ancestor of an
+    /// arena member (the arena holds the parents of all its members), so
+    /// a loose `tip` is compatible exactly when `base` is a prefix of its
+    /// nearest arena ancestor's log.
+    pub(crate) fn compatible(&self, tree: &BlockTree, tip: BlockId, base: BlockId) -> bool {
+        let mut cur = tip;
+        while !tree.contains(cur) {
+            match self.loose.get(&cur) {
+                Some(b) => cur = b.parent(),
+                None => return false,
+            }
+        }
+        if cur == tip {
+            tree.compatible(tip, base)
+        } else {
+            tree.is_ancestor(base, cur)
+        }
+    }
+
+    /// Forgets wanted tips that only votes of rounds below `lo` named —
+    /// called with the vote store's own pruning edge, so the wanted set
+    /// is bounded by what the vote store holds.
+    pub(crate) fn prune_below(&mut self, lo: Round) {
+        self.wanted.retain(|_, latest| *latest >= lo);
     }
 }
 
@@ -132,6 +292,67 @@ mod tests {
         assert_eq!(buf.len(), 1);
         let ins = buf.insert(&mut tree, chain[0].clone());
         assert_eq!(ins.len(), 2);
+    }
+
+    #[test]
+    fn body_store_admits_only_referenced_bodies_with_their_ancestors() {
+        let mut tree = BlockTree::new();
+        let mut bodies = BodyStore::new();
+        let chain = blocks_chain(3);
+        for b in &chain {
+            bodies.insert(&mut tree, Arc::new(b.clone()));
+        }
+        assert!(tree.is_empty(), "nothing referenced yet");
+        bodies.reference(&mut tree, chain[1].id(), Round::new(1));
+        assert_eq!(tree.len(), 3, "the named body and its parent");
+        assert!(!tree.contains(chain[2].id()));
+        // The chain's tip is compatible with its admitted parent's log,
+        // and not with a sibling of that parent.
+        let side = Block::build(chain[0].id(), View::new(9), ProcessId::new(1), vec![]);
+        bodies.insert(&mut tree, Arc::new(side.clone()));
+        bodies.reference(&mut tree, side.id(), Round::new(1));
+        assert!(bodies.compatible(&tree, chain[2].id(), chain[1].id()));
+        assert!(!bodies.compatible(&tree, chain[2].id(), side.id()));
+    }
+
+    #[test]
+    fn named_orphan_enters_on_connect_and_name_expires_with_its_votes() {
+        let mut tree = BlockTree::new();
+        let mut bodies = BodyStore::new();
+        let chain = blocks_chain(3);
+        bodies.insert(&mut tree, Arc::new(chain[2].clone()));
+        bodies.insert(&mut tree, Arc::new(chain[1].clone()));
+        bodies.reference(&mut tree, chain[2].id(), Round::new(4));
+        assert!(!bodies.compatible(&tree, chain[2].id(), BlockId::GENESIS));
+        bodies.insert(&mut tree, Arc::new(chain[0].clone()));
+        assert_eq!(tree.len(), 4, "the whole chain connects into the tree");
+
+        // A name whose votes were all pruned admits nothing.
+        let late = Block::build(BlockId::GENESIS, View::new(7), ProcessId::new(2), vec![]);
+        bodies.reference(&mut tree, late.id(), Round::new(4));
+        bodies.prune_below(Round::new(5));
+        bodies.insert(&mut tree, Arc::new(late.clone()));
+        assert!(!tree.contains(late.id()));
+    }
+
+    #[test]
+    fn connected_fingerprint_is_the_eager_trees() {
+        let chain = blocks_chain(4);
+        let mut eager = BlockTree::new();
+        let mut buf = BlockBuffer::new();
+        let mut tree = BlockTree::new();
+        let mut bodies = BodyStore::new();
+        // Children first: orphans are not connected, so neither side
+        // counts them until the root lands.
+        for b in chain.iter().rev() {
+            buf.insert(&mut eager, b.clone());
+            bodies.insert(&mut tree, Arc::new(b.clone()));
+            assert_eq!(bodies.connected_fingerprint(&tree), eager.fingerprint());
+            bodies.reference(&mut tree, chain[1].id(), Round::new(1));
+            assert_eq!(bodies.connected_fingerprint(&tree), eager.fingerprint());
+        }
+        assert_eq!(tree.len(), 3);
+        assert_eq!(eager.len(), 5);
     }
 
     #[test]

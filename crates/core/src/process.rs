@@ -1,7 +1,8 @@
 //! The per-process state machine of Algorithm 1 (with message expiration).
 
+use crate::buffer::BodyStore;
 use crate::txpool::TxPool;
-use crate::{BlockBuffer, DecisionEvent, TobConfig};
+use crate::{DecisionEvent, TobConfig};
 use st_blocktree::{Block, BlockTree};
 use st_crypto::Keypair;
 use st_ga::{tally, GaOutput, SupportIndex};
@@ -28,8 +29,10 @@ pub struct TobProcess {
     id: ProcessId,
     config: TobConfig,
     keypair: Keypair,
+    /// The referenced bodies: every connected body a stored vote names,
+    /// with its ancestors. Everything else received waits in `bodies`.
     tree: BlockTree,
-    buffer: BlockBuffer,
+    bodies: BodyStore,
     votes: VoteStore,
     proposes: ProposeStore,
     pool: TxPool,
@@ -79,7 +82,7 @@ impl TobProcess {
             config,
             keypair,
             tree: BlockTree::new(),
-            buffer: BlockBuffer::new(),
+            bodies: BodyStore::new(),
             votes: VoteStore::new(),
             proposes: ProposeStore::new(),
             pool: TxPool::new(),
@@ -106,7 +109,11 @@ impl TobProcess {
         &self.config
     }
 
-    /// The process's view of the block tree.
+    /// The process's block arena: the decided chain and every body a
+    /// stored vote has named (its own votes, hence its leader choices,
+    /// included), with their ancestors. Bodies nothing references wait
+    /// outside it, so this is not every block the process has received;
+    /// [`TobProcess::tally_fingerprint`] still digests all of them.
     pub fn tree(&self) -> &BlockTree {
         &self.tree
     }
@@ -127,9 +134,10 @@ impl TobProcess {
         std::mem::take(&mut self.decisions)
     }
 
-    /// The windowed vote store — bounded by `n · (η + 2)` distinct
-    /// records thanks to per-round pruning (diagnostics; the
-    /// bounded-memory regression suite watches its size).
+    /// The windowed vote store — bounded by `n · (2η + 5)` distinct
+    /// records: per-round pruning keeps the rounds from `r − 2η − 4` on
+    /// (diagnostics; the bounded-memory regression suite watches its
+    /// size).
     pub fn votes(&self) -> &VoteStore {
         &self.votes
     }
@@ -189,16 +197,15 @@ impl TobProcess {
                 // agreement has a send phase there, so a round-0 vote tag
                 // is protocol-invalid (only an adversary would produce
                 // one) and is discarded.
-                if vote.round() > Round::ZERO
-                    && self.votes.insert(*vote) != InsertOutcome::Duplicate
-                {
-                    self.dirty.insert(vote.sender());
+                if vote.round() > Round::ZERO {
+                    self.store_vote(*vote);
                 }
             }
             Payload::Propose(proposal) => {
                 // The shared handle: a multicast block body is stored
-                // once, not once per receiver. Orphans buffer.
-                self.buffer
+                // once, not once per receiver. It enters the tree when a
+                // vote names it; orphans park.
+                self.bodies
                     .insert(&mut self.tree, proposal.block_arc().clone());
                 self.proposes
                     .insert(proposal.clone(), self.config.directory());
@@ -258,12 +265,14 @@ impl TobProcess {
         let l_prev = outputs.longest_any_grade().unwrap_or(BlockId::GENESIS);
 
         // Lines 6–7: vote the proposal with the largest valid VRF(v) not
-        // conflicting with L_{v−1}. The block must be locally known,
-        // otherwise conflict-checking (and later counting) is impossible.
+        // conflicting with L_{v−1}. The block must be connected,
+        // otherwise conflict-checking (and later counting) is impossible;
+        // the own vote below admits the chosen one to the tree. `l_prev`
+        // is a tally output, hence on a voted chain, hence in the tree.
         let proposal_tip = self
             .proposes
             .select_leader_proposal(view, |p| {
-                self.tree.contains(p.tip()) && self.tree.compatible(p.tip(), l_prev)
+                self.bodies.compatible(&self.tree, p.tip(), l_prev)
             })
             .map(|p| p.tip());
         // Fallback outside the model's guarantees (e.g. no proposal was
@@ -295,7 +304,7 @@ impl TobProcess {
         let c_v = outputs.longest_any_grade().unwrap_or(self.last_vote_tip);
 
         // Line 12: propose b‖C_v for view v+1 with VRF(v+1). The body is
-        // built once and shared between the proposal and the local tree.
+        // built once and shared between the proposal and the local store.
         let next_view = view.next();
         let payload = self.pool.payload_for(&self.tree, c_v);
         let block = Arc::new(Block::build(c_v, next_view, self.id, payload));
@@ -309,7 +318,7 @@ impl TobProcess {
             vrf_proof,
         );
         // A process hears its own multicast: record locally right away.
-        self.buffer.insert(&mut self.tree, block);
+        self.bodies.insert(&mut self.tree, block);
         self.proposes
             .insert(proposal.clone(), self.config.directory());
 
@@ -388,8 +397,19 @@ impl TobProcess {
             }
         }
         if !self.dirty.is_empty() {
+            let mut ahead = Vec::new();
             for s in std::mem::take(&mut self.dirty).into_sorted_vec() {
-                match self.votes.latest_of(s, lo, hi) {
+                // One query in the common case; a sender with a record
+                // above the window (delivered before this process reached
+                // its round) stays dirty until the window reaches it.
+                let latest = match self.votes.latest_of(s, lo, Round::new(u64::MAX)) {
+                    Some((r, _)) if r > hi => {
+                        ahead.push(s);
+                        self.votes.latest_of(s, lo, hi)
+                    }
+                    latest => latest,
+                };
+                match latest {
                     Some((r, Some(tip))) => {
                         let prev_round = self.counted.insert(s, (r, tip)).map(|c| c.0);
                         if prev_round != Some(r) {
@@ -413,6 +433,7 @@ impl TobProcess {
                     }
                 }
             }
+            self.dirty.extend(ahead);
         }
         if !self.unknown.is_empty() {
             for s in std::mem::take(&mut self.unknown).into_sorted_vec() {
@@ -453,21 +474,37 @@ impl TobProcess {
         false
     }
 
-    /// Hasher-independent digest of the tally-relevant state (vote store
-    /// combined with block tree): two processes with equal fingerprints
-    /// answer every windowed tally identically.
+    /// Hasher-independent digest of the tally-relevant state: the vote
+    /// store combined with every *connected* body (its whole ancestry
+    /// known), in the tree or not. A tally reads the tree only along the
+    /// chains of the tips stored votes name, and each such tip is in the
+    /// tree exactly when it is connected, so two processes with equal
+    /// fingerprints answer every windowed tally identically — however
+    /// much else either tree holds.
     pub fn tally_fingerprint(&self) -> u64 {
-        mix64_pair(self.votes.fingerprint(), self.tree.fingerprint())
+        mix64_pair(
+            self.votes.fingerprint(),
+            self.bodies.connected_fingerprint(&self.tree),
+        )
     }
 
     fn make_vote(&mut self, round: Round, tip: BlockId) -> Envelope {
         self.last_vote_tip = tip;
         let vote = Vote::new(self.id, round, tip);
         // A process hears its own vote.
-        if self.votes.insert(vote) != InsertOutcome::Duplicate {
-            self.dirty.insert(self.id);
-        }
+        self.store_vote(vote);
         Envelope::sign(&self.keypair, Payload::Vote(vote))
+    }
+
+    /// Records a vote and admits the body it names (or remembers the name
+    /// until the body connects), keeping every connected body a stored
+    /// vote names in the tree.
+    fn store_vote(&mut self, vote: Vote) {
+        if self.votes.insert(vote) != InsertOutcome::Duplicate {
+            self.dirty.insert(vote.sender());
+            self.bodies
+                .reference(&mut self.tree, vote.tip(), vote.round());
+        }
     }
 
     fn record_decision(&mut self, round: Round, view: View, tip: BlockId) {
@@ -488,6 +525,7 @@ impl TobProcess {
         // Keep a safety margin of one extra window to serve diagnostics.
         let horizon = round.saturating_sub(2 * self.config.params().expiration() + 4);
         self.votes.prune_below(horizon);
+        self.bodies.prune_below(horizon);
         let view = RoundKind::of(round).view();
         if view.as_u64() > 1 {
             self.proposes.prune_below(View::new(view.as_u64() - 1));
@@ -536,10 +574,12 @@ mod tests {
                     p.id()
                 );
             }
-            // All decided tips pairwise compatible (checked on p0's tree,
-            // which has absorbed every proposal).
+            // All decided tips pairwise compatible, checked on p0's tree:
+            // under lock-step synchrony every decided tip was voted for
+            // by everyone, so every process's tree holds all of them.
             let tree = procs[0].tree();
             for a in &procs {
+                assert!(tree.contains(a.decided_tip()), "η={eta}: tip unknown to p0");
                 for b in &procs {
                     assert!(
                         tree.compatible(a.decided_tip(), b.decided_tip()),

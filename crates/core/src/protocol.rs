@@ -113,9 +113,11 @@ pub trait Protocol: Sized + 'static {
     /// and keeps a from-genesis rebuild for an implementor that does not.
     fn decided_tip(&self) -> BlockId;
 
-    /// The process's view of the block tree (decided chain + known side
-    /// branches) — the shared vocabulary monitors resolve decision tips
-    /// against.
+    /// The process's view of the block tree: at least the decided chain
+    /// — the shared vocabulary monitors resolve decision tips against.
+    /// Which side branches it holds is the implementor's choice
+    /// ([`crate::TobProcess`] keeps only bodies a stored vote has named;
+    /// [`crate::QuorumProcess`] every body it has received).
     fn tree(&self) -> &BlockTree;
 }
 

@@ -173,12 +173,15 @@ fn proposals_chain_one_block_per_view() {
     for r in 0..=10 {
         let batch = h.round(r).to_vec();
         if r >= 2 && r % 2 == 0 {
-            let proposals = proposals_of(&batch);
-            // All proposals extend the same parent (unanimous C_v)…
-            let tree = h.procs[0].tree();
-            let parents: Vec<BlockId> = proposals
+            // All proposals extend the same parent (unanimous C_v)… (read
+            // off the bodies: a fresh proposal is in no tree until a vote
+            // names it)
+            let parents: Vec<BlockId> = batch
                 .iter()
-                .map(|&(_, _, tip)| tree.parent(tip).unwrap())
+                .filter_map(|e| match e.payload() {
+                    Payload::Propose(p) => Some(p.block().parent()),
+                    _ => None,
+                })
                 .collect();
             assert!(parents.windows(2).all(|w| w[0] == w[1]), "round {r}");
             // …and that parent is the previous view's elected proposal.

@@ -28,7 +28,7 @@ use crate::observer::{
 use crate::schedule::Schedule;
 use crate::workload::{WorkloadInjector, WorkloadSpec};
 use st_blocktree::BlockTree;
-use st_core::{Protocol, TobConfig, TobProcess};
+use st_core::{BlockBuffer, Protocol, TobConfig, TobProcess};
 use st_crypto::Keypair;
 use st_messages::{Envelope, Payload, SharedEnvelope};
 use st_types::FastSet;
@@ -116,6 +116,9 @@ pub struct Simulation<P: Protocol = TobProcess> {
     keypairs: Vec<Keypair>,
     network: Network,
     global_tree: BlockTree,
+    /// Proposals whose parent has not reached `global_tree` yet; they
+    /// enter it the moment it does.
+    global_orphans: BlockBuffer,
     /// The observer pipeline: the built-in monitors (safety, per-window
     /// resilience, tx ledger, decision ledger, round trace) in fixed
     /// order, then user observers in registration order. The final
@@ -201,10 +204,11 @@ macro_rules! adv_ctx {
 
 /// Keeps the global tree complete (the monitors' and the full-knowledge
 /// adversary's view): every block ever proposed enters it, including ones
-/// only a corrupted machine or the adversary built.
-fn absorb_proposal(global_tree: &mut BlockTree, envelope: &Envelope) {
+/// only a corrupted machine or the adversary built, and including one
+/// sent before its parent — it waits in `orphans` until the parent lands.
+fn absorb_proposal(global_tree: &mut BlockTree, orphans: &mut BlockBuffer, envelope: &Envelope) {
     if let Payload::Propose(prop) = envelope.payload() {
-        st_core::BlockBuffer::new().insert(global_tree, prop.block_arc().clone());
+        orphans.insert(global_tree, prop.block_arc().clone());
     }
 }
 
@@ -279,6 +283,7 @@ impl<P: Protocol> Simulation<P> {
             keypairs,
             network: Network::new(n),
             global_tree: BlockTree::new(),
+            global_orphans: BlockBuffer::new(),
             observers,
             wants_deliveries,
             disruptions,
@@ -490,7 +495,7 @@ impl<P: Protocol> Simulation<P> {
     fn send_honest(&mut self, round: Round, honest: &[ProcessId]) {
         for &p in honest {
             for env in self.procs[p.index()].step_send(round) {
-                absorb_proposal(&mut self.global_tree, &env);
+                absorb_proposal(&mut self.global_tree, &mut self.global_orphans, &env);
                 self.network.send(round, p, Recipients::All, env);
             }
         }
@@ -509,7 +514,7 @@ impl<P: Protocol> Simulation<P> {
     fn send_corrupted(&mut self, round: Round, env: EnvView, corrupted: &[ProcessId]) {
         for &p in corrupted {
             for discarded in self.procs[p.index()].step_send(round) {
-                absorb_proposal(&mut self.global_tree, &discarded);
+                absorb_proposal(&mut self.global_tree, &mut self.global_orphans, &discarded);
             }
         }
         // The Byzantine keypair cache is rebuilt iff the corrupted set
@@ -532,7 +537,11 @@ impl<P: Protocol> Simulation<P> {
                 corrupted.contains(&sender),
                 "adversary attempted to send as uncorrupted {sender}"
             );
-            absorb_proposal(&mut self.global_tree, &msg.envelope);
+            absorb_proposal(
+                &mut self.global_tree,
+                &mut self.global_orphans,
+                &msg.envelope,
+            );
             self.network
                 .send(round, sender, msg.recipients, msg.envelope);
         }

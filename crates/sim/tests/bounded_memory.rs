@@ -8,10 +8,15 @@
 //! transaction leaves a process's pending pool once it is decided.
 //! This suite runs a horizon-10⁴ simulation and asserts that the stores
 //! sized by in-flight work — vote window, pool backlog, pending
-//! transactions — are bounded by a horizon-independent constant.
+//! transactions — are bounded by a horizon-independent constant, and
+//! that each process's block tree stays within a small multiple of the
+//! decided chain: a body enters the tree only once a vote names it, so
+//! the `n − 1` proposals of a view nobody votes for stay out.
 //!
 //! Not checked, because they grow with the run by design:
-//! * the block tree, which holds the decided chain;
+//! * each process's body store, which keeps every proposal body it has
+//!   received (one id → body entry each, outside the tree), so it grows
+//!   by `n` bodies per view — nothing prunes unreferenced bodies yet;
 //! * each process's transaction submission index, which remembers every
 //!   transaction ever submitted to it (so a re-submission is recognised)
 //!   and therefore grows with submitted transactions, exactly as the
@@ -44,14 +49,23 @@ fn horizon_10k_stores_stay_bounded() {
     while sim.step().is_some() {}
 
     for p in sim.processes() {
-        // The vote window holds a few rounds of votes per sender (the
-        // [r−1−η, r−1] window plus pruning lag) — horizon-independent.
-        // The bound is deliberately loose; the regression it guards is
-        // O(horizon) growth, which would put ~10⁴ records here.
+        // The vote window holds the rounds pruning keeps, r − 2η − 4 on:
+        // 2η + 5 rounds of one vote per sender — horizon-independent.
+        // O(horizon) growth would put ~10⁴ records here.
+        let window = (2 * eta as usize + 5) * n;
         assert!(
-            p.votes().len() <= 20 * n,
-            "vote window grew past its η-bound: {}",
+            p.votes().len() <= window,
+            "vote window grew past its η-bound {window}: {}",
             p.votes().len()
+        );
+        // The tree holds the decided chain plus the few voted blocks
+        // above it; taking every proposal would put n blocks per view
+        // here (~3 × 10⁴).
+        let height = p.tree().height(p.decided_tip()).unwrap_or(0) as usize;
+        assert!(
+            p.tree().len() <= 3 * height + 8,
+            "tree grew past the referenced chain: {} blocks at decided height {height}",
+            p.tree().len()
         );
         // One transaction every 8 rounds is decided a few rounds after
         // submission, so at most a couple are pending at once; without
