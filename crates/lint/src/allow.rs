@@ -3,21 +3,18 @@
 //! Grammar (inside any `//` or `/* … */` comment):
 //!
 //! ```text
-//! stlint::allow(<rule>, reason = "<non-empty text>")
+//! stlint::allow(deadpub, reason = "<non-empty text>")
 //! ```
 //!
-//! `<rule>` is a rule id (`DP`) or slug (`deadpub`). The reason is
-//! **mandatory**: an annotation without one, or naming a rule that does
-//! not exist (such as a retired one), does not suppress anything and is
-//! itself reported as an `A1` diagnostic — the whole point of the hatch
-//! is that every suppressed site states the invariant that makes it
-//! safe. Only DP findings are suppressible this way; compiler lints take
-//! `#[expect(lint, reason = "…")]` instead.
+//! The reason is **mandatory**: an annotation without one, or naming
+//! anything but `deadpub` (such as a retired rule), does not suppress
+//! anything and is itself a deadpub finding — the whole point of the
+//! hatch is that every kept function states why it is public. Compiler
+//! lints take `#[expect(lint, reason = "…")]` instead.
 //!
 //! Placement: a trailing comment targets its own line; a comment alone
-//! on its line targets the next code line. A DP finding is suppressed by
-//! an annotation targeting any line of the function, signature or body.
-//! Example:
+//! on its line targets the next code line. A function is kept by an
+//! annotation targeting any line of it, signature or body. Example:
 //!
 //! ```text
 //! pub fn set_hasher_seed(seed: u64) {
@@ -26,36 +23,18 @@
 //! }
 //! ```
 
-use crate::diag::{Diagnostic, RuleId};
-use crate::lexer::{lex, Comment, Token};
+use crate::lexer::{Comment, Token};
+use crate::Diagnostic;
 
-/// A parsed, well-formed allow annotation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Allow {
-    /// Rule being suppressed.
-    pub rule: RuleId,
-    /// The stated reason (non-empty by construction).
-    pub reason: String,
-    /// The source line whose diagnostics this annotation suppresses.
-    pub target_line: u32,
-}
-
-/// The A1 findings of one file: every malformed allow annotation in
-/// `src`, in line order. `rel_path` names the file in the diagnostics.
-pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let lexed = lex(src);
-    collect_allows(rel_path, &lexed.comments, &lexed.tokens).1
-}
-
-/// Extracts allow annotations from a file's comments. Malformed
-/// annotations are returned as `A1` diagnostics instead of [`Allow`]s.
+/// The lines a file's well-formed allow annotations target. Malformed
+/// annotations come back as findings instead.
 ///
 /// `tokens` supplies the "next code line" for own-line comments.
 pub fn collect_allows(
     file: &str,
     comments: &[Comment],
     tokens: &[Token],
-) -> (Vec<Allow>, Vec<Diagnostic>) {
+) -> (Vec<u32>, Vec<Diagnostic>) {
     let mut allows = Vec::new();
     let mut diags = Vec::new();
     for c in comments {
@@ -73,7 +52,7 @@ pub fn collect_allows(
             continue;
         };
         match parse_allow(&c.text[at..]) {
-            Ok((rule, reason)) => {
+            Ok(()) => {
                 let target_line = if c.own_line {
                     tokens
                         .iter()
@@ -83,28 +62,25 @@ pub fn collect_allows(
                 } else {
                     c.line
                 };
-                allows.push(Allow {
-                    rule,
-                    reason,
-                    target_line,
-                });
+                allows.push(target_line);
             }
             Err(why) => {
-                diags.push(Diagnostic::new(
-                    RuleId::A1,
-                    file,
-                    c.line,
-                    1,
-                    format!("malformed stlint::allow annotation ({why}); it suppresses nothing"),
-                ));
+                diags.push(Diagnostic {
+                    file: file.to_string(),
+                    line: c.line,
+                    col: 1,
+                    message: format!(
+                        "malformed stlint::allow annotation ({why}); it suppresses nothing"
+                    ),
+                });
             }
         }
     }
     (allows, diags)
 }
 
-/// Parses `stlint::allow(rule, reason = "…")…` from the start of `s`.
-fn parse_allow(s: &str) -> Result<(RuleId, String), String> {
+/// Checks `stlint::allow(deadpub, reason = "…")…` at the start of `s`.
+fn parse_allow(s: &str) -> Result<(), String> {
     let rest = s
         .strip_prefix("stlint::allow")
         .expect("caller located the prefix");
@@ -121,9 +97,11 @@ fn parse_allow(s: &str) -> Result<(RuleId, String), String> {
         None => (body, None),
     };
     let rule_name = rule_part.trim();
-    let Some(rule) = RuleId::parse(rule_name) else {
-        return Err(format!("unknown rule `{rule_name}`"));
-    };
+    if rule_name != "deadpub" {
+        return Err(format!(
+            "unknown rule `{rule_name}`; the only rule is `deadpub`"
+        ));
+    }
     let Some(reason_part) = reason_part else {
         return Err("missing `reason = \"…\"` — every allow must state its invariant".to_string());
     };
@@ -142,11 +120,10 @@ fn parse_allow(s: &str) -> Result<(RuleId, String), String> {
     let Some(end) = value.find('"') else {
         return Err("unterminated reason string".to_string());
     };
-    let reason = value[..end].trim();
-    if reason.is_empty() {
+    if value[..end].trim().is_empty() {
         return Err("reason must not be empty".to_string());
     }
-    Ok((rule, reason.to_string()))
+    Ok(())
 }
 
 /// Index of the `)` closing the annotation body, respecting quoted
@@ -168,7 +145,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_file(src: &str) -> (Vec<Allow>, Vec<Diagnostic>) {
+    fn parse_file(src: &str) -> (Vec<u32>, Vec<Diagnostic>) {
         let lexed = lex(src);
         collect_allows("f.rs", &lexed.comments, &lexed.tokens)
     }
@@ -179,18 +156,15 @@ mod tests {
             "pub fn f() {} // stlint::allow(deadpub, reason = \"driven by the oracle test\")\n",
         );
         assert!(diags.is_empty());
-        assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].rule, RuleId::DP);
-        assert_eq!(allows[0].target_line, 1);
-        assert_eq!(allows[0].reason, "driven by the oracle test");
+        assert_eq!(allows, [1]);
     }
 
     #[test]
     fn own_line_allow_targets_next_code_line() {
-        let src = "// stlint::allow(DP, reason = \"kept for the socket runtime\")\n// more prose\npub fn f() {}\n";
+        let src = "// stlint::allow(deadpub, reason = \"kept for the socket runtime\")\n// more prose\npub fn f() {}\n";
         let (allows, diags) = parse_file(src);
         assert!(diags.is_empty());
-        assert_eq!(allows[0].target_line, 3);
+        assert_eq!(allows, [3]);
     }
 
     #[test]
@@ -198,22 +172,23 @@ mod tests {
         let (allows, diags) = parse_file("pub fn f() {} // stlint::allow(deadpub)\n");
         assert!(allows.is_empty());
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RuleId::A1);
         assert!(diags[0].message.contains("missing `reason"));
     }
 
     #[test]
     fn empty_reason_is_rejected() {
-        let (allows, diags) = parse_file("// stlint::allow(DP, reason = \"  \")\npub fn f() {}\n");
+        let (allows, diags) =
+            parse_file("// stlint::allow(deadpub, reason = \"  \")\npub fn f() {}\n");
         assert!(allows.is_empty());
         assert_eq!(diags.len(), 1);
     }
 
     #[test]
     fn unknown_rule_is_rejected() {
-        // `panic` was a rule until clippy took it over, and N1 until the
-        // hash tables lost their unordered walks; both are unknown now.
-        for rule in ["Z9", "panic", "N1"] {
+        // `panic` was a rule until clippy took it over, N1 until the hash
+        // tables lost their unordered walks, and `DP` was deadpub's alias;
+        // all are unknown now.
+        for rule in ["Z9", "panic", "N1", "DP"] {
             let (allows, diags) = parse_file(&format!(
                 "// stlint::allow({rule}, reason = \"whatever\")\nf();\n"
             ));
@@ -226,8 +201,8 @@ mod tests {
     fn reason_may_contain_parens() {
         let (allows, diags) =
             parse_file("f(); // stlint::allow(deadpub, reason = \"see fn docs (above)\")\n");
-        assert!(diags.is_empty());
-        assert_eq!(allows[0].reason, "see fn docs (above)");
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(allows, [1]);
     }
 
     #[test]

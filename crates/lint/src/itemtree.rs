@@ -18,8 +18,9 @@ pub struct FnItem {
     pub fn_idx: usize,
     /// Token index of the name identifier.
     pub name_idx: usize,
-    /// Whether the definition is `pub` (exactly `pub fn`, not
-    /// `pub(crate) fn`, mirroring what counts as public API).
+    /// Whether the definition is `pub` (exactly `pub`, not `pub(crate)`,
+    /// mirroring what counts as public API), qualifiers such as
+    /// `pub const fn` included.
     pub is_pub: bool,
     /// Brace-matched body as inclusive token indices of `{` and `}`;
     /// `None` for bodyless trait-method declarations.
@@ -43,6 +44,25 @@ fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
     None
 }
 
+/// Whether `pub` precedes the `fn` at `fn_idx`, past the qualifiers
+/// `const`, `async`, `unsafe` and `extern "abi"`.
+fn pub_before(tokens: &[Token], fn_idx: usize) -> bool {
+    let mut k = fn_idx;
+    while k >= 1 {
+        let t = &tokens[k - 1];
+        let abi = t.kind == TokenKind::Literal && k >= 2 && tokens[k - 2].is_ident("extern");
+        if !abi
+            && !["const", "async", "unsafe", "extern"]
+                .iter()
+                .any(|q| t.is_ident(q))
+        {
+            break;
+        }
+        k -= 1;
+    }
+    k >= 1 && tokens[k - 1].is_ident("pub")
+}
+
 /// Every `fn` item in the token stream, in source order (nested fns
 /// included).
 pub fn collect_fns(tokens: &[Token]) -> Vec<FnItem> {
@@ -57,7 +77,7 @@ pub fn collect_fns(tokens: &[Token]) -> Vec<FnItem> {
         if name_tok.kind != TokenKind::Ident {
             continue; // `fn(u8) -> u8` function-pointer type, not an item
         }
-        let is_pub = i >= 1 && tokens[i - 1].is_ident("pub");
+        let is_pub = pub_before(tokens, i);
         // Scan the signature for the body `{` (or a `;` for bodyless
         // trait methods) at parenthesis/bracket depth 0. Braces cannot
         // appear in a signature before the body in the subset of Rust
@@ -101,6 +121,11 @@ pub fn alpha(x: u8) -> u8 { x + 1 }
 fn beta() { if true { } }
 pub(crate) fn gamma();
 trait T { fn delta(&self); fn epsilon(&self) { } }
+pub const fn zeta() -> u8 { 0 }
+pub async fn eta() {}
+pub unsafe fn theta() {}
+pub extern \"C\" fn iota() {}
+const fn kappa() {}
 ";
         let fns = collect_fns(&lex(src).tokens);
         let names: Vec<(&str, bool, bool)> = fns
@@ -115,6 +140,11 @@ trait T { fn delta(&self); fn epsilon(&self) { } }
                 ("gamma", false, false),
                 ("delta", false, false),
                 ("epsilon", false, true),
+                ("zeta", true, true),
+                ("eta", true, true),
+                ("theta", true, true),
+                ("iota", true, true),
+                ("kappa", false, true),
             ]
         );
     }

@@ -39,7 +39,7 @@ pub struct Token {
     /// 1-based line the token starts on.
     pub line: u32,
     /// 1-based byte column the token starts on — diagnostics sort by
-    /// `(path, line, col, rule)`, so two findings on one line keep a
+    /// `(path, line, col, message)`, so two findings on one line keep a
     /// stable order.
     pub col: u32,
 }

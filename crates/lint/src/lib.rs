@@ -1,29 +1,29 @@
-//! `st-lint` — the workspace's offline layering & allow-hygiene analyzer.
+//! `st-lint` — the workspace's dead-public-API gate.
 //!
 //! Every claim the repro makes rests on simulation runs being **pure
-//! functions of their seed**: the timeline-shim, step-vs-run,
-//! observer, protocol-alias and sim-vs-cluster suites all assert
-//! byte-identical [`SimReport`]s across structurally different
-//! executions. Most of the discipline that makes those suites meaningful
-//! is compiler-enforced (root `clippy.toml`, the workspace `[lints]`
-//! table, each crate root's `deny` list, and `st_types::FastMap`/
-//! `FastSet`, which offer no walk in bucket order); `stlint` checks what
-//! the compiler cannot: crate layering, and public API that production
-//! code never reaches.
+//! functions of their seed**, and on public API being what production
+//! code actually runs. The compiler enforces the first (root
+//! `clippy.toml`, the workspace `[lints]` table, each crate root's
+//! `deny` list, and `st_types::FastMap`/`FastSet`, which offer no walk in
+//! bucket order), and Cargo's own graph plus the facade's
+//! `tests/workspace_graph.rs` keep the crate layering. `stlint` checks
+//! the one thing neither can: a `pub fn` that no production code
+//! reaches.
 //!
-//! [`SimReport`]: ../st_sim/struct.SimReport.html
+//! # The one rule
 //!
-//! # Rule families
+//! `stlint deadpub` reports, with file/line/column:
 //!
-//! | id | slug      | scope                         | what it rejects |
-//! |----|-----------|-------------------------------|-----------------|
-//! | L1 | layering  | every workspace `Cargo.toml`  | upward dependencies, `st-bench` as a dependency, `st-node` outside its two consumers, unknown externals |
-//! | A1 | allow     | everywhere scanned            | malformed `stlint::allow` annotations, and those naming an unknown or retired rule |
-//! | DP | deadpub   | crate `src/`, gating          | `pub fn` no production code reaches: only production occurrences count, not tests, `#[cfg(test)]` code or `pub use` re-exports (item-graph resolved) |
+//! * a `pub fn` in crate `src/` that no production code names — only a
+//!   package's `src/` (bins included) and `examples/` count, not
+//!   `tests/`, `#[cfg(test)]` code or `pub use` re-exports (item-graph
+//!   resolved: occurrences inside the function's own body don't count);
+//! * a malformed `stlint::allow` annotation, which suppresses nothing.
 //!
 //! The token rules it used to carry (D1 `hashmap`, D2 `wallclock`, P1
-//! `panic`, U1 `unsafe`) are compiler lints now, and its iteration-order
-//! rule (N1) is a type: DESIGN.md §6 maps each to what replaced it.
+//! `panic`, U1 `unsafe`) are compiler lints now, its iteration-order
+//! rule (N1) is a type, and its layering rule (L1) is Cargo's graph:
+//! DESIGN.md §6 maps each to what replaced it.
 //!
 //! The analyzer is a **hand-rolled lexer plus the file's `fn` items**
 //! ([`itemtree`]), not a `syn` parse: the offline `third_party/` policy
@@ -34,9 +34,9 @@
 //!
 //! # Escape hatch
 //!
-//! A DP finding that is public on purpose gets suppressed in place, with
-//! the reason written down — the reason is mandatory, and a reason-less
-//! annotation is itself a diagnostic (A1):
+//! A function that is public on purpose gets kept in place, with the
+//! reason written down — the reason is mandatory, and a reason-less
+//! annotation is itself a finding:
 //!
 //! ```rust,ignore
 //! pub fn set_hasher_seed(seed: u64) {
@@ -51,23 +51,43 @@
 //! # Driving it
 //!
 //! ```text
-//! cargo run -p st-lint -- check            # lint the workspace, exit 1 on findings
-//! cargo run -p st-lint -- check --json     # machine-readable findings
-//! cargo run -p st-lint -- rules            # the rule table
-//! cargo run -p st-lint -- deadpub          # gating check: pub fns production never reaches
+//! cargo run -p st-lint -- deadpub [--root DIR]   # exit 1 on findings, 2 if nothing was scanned
 //! ```
 
 // No wall clock or OS entropy (clippy.toml; DESIGN §6), tests exempt.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
+use std::fmt;
+
 pub mod allow;
-pub mod diag;
 pub mod itemtree;
 pub mod lexer;
-pub mod manifest;
 pub mod workspace;
 
-pub use allow::lint_source;
-pub use diag::{Diagnostic, RuleId, ALL_RULES};
-pub use workspace::{check_workspace, dead_public_diagnostics, find_workspace_root, CheckReport};
+pub use workspace::{deadpub, find_workspace_root, Report};
+
+/// One finding: location, and a message saying what to do instead.
+/// Findings sort by `(file, line, col, message)`, so a report is
+/// byte-stable across runs.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Diagnostic {
+    /// Workspace-relative file path.
+    pub file: String,
+    /// 1-based line.
+    pub line: u32,
+    /// 1-based byte column (1 for an annotation finding).
+    pub col: u32,
+    /// Human message.
+    pub message: String,
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}:{}: [deadpub] {}",
+            self.file, self.line, self.col, self.message
+        )
+    }
+}

@@ -1,10 +1,9 @@
-//! Workspace discovery and the full `check` / `deadpub` drivers.
+//! Workspace discovery and the deadpub driver.
 
-use crate::allow::{collect_allows, lint_source};
-use crate::diag::{Diagnostic, RuleId};
+use crate::allow::collect_allows;
 use crate::itemtree::collect_fns;
 use crate::lexer::{lex, test_mask, Token, TokenKind};
-use crate::manifest::{check_layering, parse_manifest};
+use crate::Diagnostic;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,10 +24,10 @@ struct SourceFile {
     production: bool,
 }
 
-/// Result of a full workspace check.
-#[derive(Clone, Debug, Default)]
-pub struct CheckReport {
-    /// Diagnostics across all files and manifests, sorted by path/line.
+/// Result of a deadpub scan.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Report {
+    /// Findings across all files, sorted.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
@@ -50,16 +49,11 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Enumerates the workspace's own packages: `crates/*` plus the root
-/// facade package. `third_party/` members are external stand-ins and are
-/// deliberately out of scope.
-fn enumerate_packages(root: &Path) -> Vec<(String, PathBuf)> {
-    let mut packages = Vec::new();
-    if let Some(name) = package_name(&root.join("Cargo.toml")) {
-        packages.push((name, root.to_path_buf()));
-    }
-    let crates_dir = root.join("crates");
-    let mut dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)
+/// The directories of the workspace's own packages: the root facade,
+/// then every `crates/*` with a `Cargo.toml`. `third_party/` members are
+/// external stand-ins and are deliberately out of scope.
+fn package_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
         .map(|rd| {
             rd.filter_map(|e| e.ok().map(|e| e.path()))
                 .filter(|p| p.join("Cargo.toml").is_file())
@@ -67,16 +61,8 @@ fn enumerate_packages(root: &Path) -> Vec<(String, PathBuf)> {
         })
         .unwrap_or_default();
     dirs.sort();
-    for dir in dirs {
-        if let Some(name) = package_name(&dir.join("Cargo.toml")) {
-            packages.push((name, dir));
-        }
-    }
-    packages
-}
-
-fn package_name(manifest: &Path) -> Option<String> {
-    parse_manifest(&fs::read_to_string(manifest).ok()?).package_name
+    dirs.insert(0, root.to_path_buf());
+    dirs
 }
 
 fn rel(root: &Path, p: &Path) -> String {
@@ -132,33 +118,9 @@ fn package_sources(root: &Path, dir: &Path) -> Vec<SourceFile> {
     files
 }
 
-/// Runs every rule family over the whole workspace.
-pub fn check_workspace(root: &Path) -> CheckReport {
-    let mut report = CheckReport::default();
-    for (_, dir) in enumerate_packages(root) {
-        let manifest_path = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest_path) {
-            report.diagnostics.extend(check_layering(
-                &rel(root, &manifest_path),
-                &parse_manifest(&text),
-            ));
-        }
-        for f in package_sources(root, &dir) {
-            let Ok(src) = fs::read_to_string(&f.path) else {
-                continue;
-            };
-            report.files_scanned += 1;
-            report.diagnostics.extend(lint_source(&f.rel_path, &src));
-        }
-    }
-    report
-        .diagnostics
-        .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    report
-}
-
-/// Gating dead-public-API check (DP/deadpub): a `pub fn` defined in
-/// non-test `src/` code is dead when production code never names it.
+/// The gating dead-public-API check: a `pub fn` defined in non-test
+/// `src/` code is dead when production code never names it, and a
+/// malformed allow annotation is a finding of its own.
 ///
 /// Every identifier occurrence is classified by where it appears:
 /// * **production** — a package's `src/` (bins included) or `examples/`,
@@ -177,9 +139,8 @@ pub fn check_workspace(root: &Path) -> CheckReport {
 /// purpose without a production caller (an oracle or simulator API the
 /// paper-claim tests drive) carries `stlint::allow(deadpub, reason = "…")`
 /// anywhere within its span.
-pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
+pub fn deadpub(root: &Path) -> Report {
     struct Def {
-        crate_name: String,
         name: String,
         file: String,
         line: u32,
@@ -187,20 +148,22 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
         /// Token span of the whole item in its file: `fn` keyword
         /// through closing brace (or name, when bodyless).
         span: (usize, usize),
-        suppressed: bool,
     }
+    let mut report = Report::default();
     let mut defs: Vec<Def> = Vec::new();
     // name → production occurrences as (file, token index), excluding
     // `fn name` definition sites.
     let mut refs: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
-    for (crate_name, dir) in enumerate_packages(root) {
+    for dir in package_dirs(root) {
         for f in package_sources(root, &dir) {
             let Ok(src) = fs::read_to_string(&f.path) else {
                 continue;
             };
+            report.files_scanned += 1;
             let lexed = lex(&src);
             let mask = test_mask(&lexed.tokens);
-            let (allows, _) = collect_allows(&f.rel_path, &lexed.comments, &lexed.tokens);
+            let (allows, malformed) = collect_allows(&f.rel_path, &lexed.comments, &lexed.tokens);
+            report.diagnostics.extend(malformed);
             if !f.test_file {
                 for item in collect_fns(&lexed.tokens) {
                     // `pub fn` only (not `pub(crate) fn`): restricted
@@ -222,19 +185,15 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
                     // the annotation from the item it vouches for.
                     let first_line = lexed.tokens[item.fn_idx].line;
                     let last_line = lexed.tokens[span_end].line;
-                    let kept = allows.iter().any(|a| {
-                        a.rule == RuleId::DP
-                            && a.target_line >= first_line
-                            && a.target_line <= last_line
-                    });
+                    if allows.iter().any(|l| (first_line..=last_line).contains(l)) {
+                        continue;
+                    }
                     defs.push(Def {
-                        crate_name: crate_name.clone(),
                         name: item.name,
                         file: f.rel_path.clone(),
                         line: name_tok.line,
                         col: name_tok.col,
                         span: (item.fn_idx, span_end),
-                        suppressed: kept,
                     });
                 }
             }
@@ -252,34 +211,32 @@ pub fn dead_public_diagnostics(root: &Path) -> Vec<Diagnostic> {
             }
         }
     }
-    let mut out: Vec<Diagnostic> = defs
-        .iter()
-        .filter(|d| !d.suppressed)
-        .filter(|d| {
-            let empty = Vec::new();
-            let occ = refs.get(&d.name).unwrap_or(&empty);
-            !occ.iter()
-                .any(|(file, i)| *file != d.file || *i < d.span.0 || *i > d.span.1)
-        })
-        .map(|d| {
-            Diagnostic::new(
-                RuleId::DP,
-                d.file.clone(),
-                d.line,
-                d.col,
-                format!(
-                    "pub fn `{}` in {} is not reached from production code (tests and \
-                     `pub use` re-exports do not count); remove it, reduce its visibility, \
-                     move it into test support, or keep it with \
+    let empty = Vec::new();
+    report.diagnostics.extend(
+        defs.into_iter()
+            .filter(|d| {
+                !refs
+                    .get(&d.name)
+                    .unwrap_or(&empty)
+                    .iter()
+                    .any(|(file, i)| *file != d.file || *i < d.span.0 || *i > d.span.1)
+            })
+            .map(|d| Diagnostic {
+                message: format!(
+                    "pub fn `{}` is not reached from production code (tests and `pub use` \
+                     re-exports do not count); remove it, reduce its visibility, move it \
+                     into test support, or keep it with \
                      `// stlint::allow(deadpub, reason = \"…\")`",
-                    d.name, d.crate_name,
+                    d.name,
                 ),
-            )
-        })
-        .collect();
-    out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    out.dedup();
-    out
+                file: d.file,
+                line: d.line,
+                col: d.col,
+            }),
+    );
+    report.diagnostics.sort();
+    report.diagnostics.dedup();
+    report
 }
 
 /// Marks the tokens of every `pub use …;`, from `pub` through the
@@ -324,20 +281,18 @@ mod tests {
 
     #[test]
     fn enumerates_facade_and_members() {
-        let names: Vec<String> = enumerate_packages(&repo_root())
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert!(names.contains(&"sleepy-tob".to_string()));
-        assert!(names.contains(&"st-core".to_string()));
-        assert!(names.contains(&"st-lint".to_string()));
-        assert!(!names.iter().any(|n| n.contains("serde")));
+        let root = repo_root();
+        let dirs = package_dirs(&root);
+        assert_eq!(dirs[0], root);
+        assert!(dirs.contains(&root.join("crates/core")));
+        assert!(dirs.contains(&root.join("crates/lint")));
+        assert!(!dirs.iter().any(|d| d.starts_with(root.join("third_party"))));
     }
 
     #[test]
     fn scan_skips_fixtures_and_third_party() {
         let root = repo_root();
-        for (_, dir) in enumerate_packages(&root) {
+        for dir in package_dirs(&root) {
             for f in package_sources(&root, &dir) {
                 assert!(!f.rel_path.contains("fixtures/"), "{}", f.rel_path);
                 assert!(!f.rel_path.starts_with("third_party/"), "{}", f.rel_path);

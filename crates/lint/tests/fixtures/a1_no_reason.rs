@@ -1,5 +1,5 @@
-//! A1 failing fixture: allow annotations that are rejected — and that
-//! therefore suppress nothing, so every function here stays dead.
+//! Malformed-annotation fixture: allow annotations deadpub rejects, and
+//! which therefore suppress nothing, so every function here stays dead.
 
 pub fn first() {} // stlint::allow(deadpub)
 

@@ -37,10 +37,11 @@
 //! divergence — the acceptance gate wired into CI.
 //!
 //! Layering: depends on `st-types`/`st-messages`/`st-core` only; nothing
-//! below the bench/facade layer may depend on it (enforced by st-lint's
-//! L1 rule). All of the crate is wallclock-free except [`io`], whose
-//! module-level `expect(clippy::disallowed_methods)` admits
-//! `Instant::now` for socket timeouts and backoff.
+//! but st-bench and the facade may depend on it (checked on Cargo's graph
+//! by the facade's `tests/workspace_graph.rs`). All of the crate is
+//! wallclock-free except [`io`], whose module-level
+//! `expect(clippy::disallowed_methods)` admits `Instant::now` for socket
+//! timeouts and backoff.
 
 // Determinism and panic discipline (clippy.toml; DESIGN §6), tests exempt.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]

@@ -32,11 +32,6 @@ impl Grade {
             Grade::One => 1,
         }
     }
-
-    /// Whether this grade authorises a decision.
-    pub const fn is_decision_grade(self) -> bool {
-        matches!(self, Grade::One)
-    }
 }
 
 impl fmt::Debug for Grade {
@@ -60,7 +55,5 @@ mod tests {
         assert!(Grade::Zero < Grade::One);
         assert_eq!(Grade::Zero.as_bit(), 0);
         assert_eq!(Grade::One.as_bit(), 1);
-        assert!(Grade::One.is_decision_grade());
-        assert!(!Grade::Zero.is_decision_grade());
     }
 }

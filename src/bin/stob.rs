@@ -68,7 +68,7 @@ impl Args {
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.values.get(key) {
             Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("warning: could not parse --{key} {v:?}; using default");
+                eprintln!("invalid value for --{key}: {v:?}");
                 std::process::exit(2);
             }),
             None => default,
@@ -130,6 +130,10 @@ fn cmd_run(args: &Args) -> ExitCode {
         eprintln!("--byz does not apply to the honest-only quorum baseline");
         return ExitCode::from(2);
     }
+    if byz >= n {
+        eprintln!("--byz {byz} leaves no honest process among --n {n}");
+        return ExitCode::from(2);
+    }
     let params = match Params::builder(n)
         .expiration(eta)
         .churn_rate(churn.min(0.32))
@@ -161,8 +165,8 @@ fn cmd_run(args: &Args) -> ExitCode {
     .with_static_byzantine(byz);
 
     let mut config = SimConfig::new(params, seed).horizon(rounds);
-    if let Some(at) = args.opt("async-at") {
-        let at: u64 = at.parse().unwrap_or(0);
+    if args.flag("async-at") {
+        let at: u64 = args.get("async-at", 0);
         let pi: u64 = args.get("pi", 1);
         if at == 0 {
             eprintln!("--async-at must be ≥ 1");

@@ -3,9 +3,9 @@
 
 use std::process::Command;
 
-/// Runs `stob <args>` and asserts a usage error: exit code 2, a message
-/// on stderr, and no panic.
-fn rejects(args: &[&str]) {
+/// Runs `stob <args>` and asserts a usage error: exit code 2, no panic,
+/// and a message on stderr that `says` what went wrong.
+fn rejects(args: &[&str], says: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_stob"))
         .args(args)
         .output()
@@ -13,15 +13,34 @@ fn rejects(args: &[&str]) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stob {args:?}:\n{stderr}");
     assert!(!stderr.contains("panicked"), "stob {args:?}:\n{stderr}");
-    assert!(!stderr.trim().is_empty(), "stob {args:?} gave no message");
+    assert!(
+        stderr.contains(says),
+        "stob {args:?} should say {says:?}:\n{stderr}"
+    );
 }
 
 #[test]
 fn run_rejects_an_empty_asynchronous_window() {
-    rejects(&["run", "--async-at", "5", "--pi", "0"]);
+    rejects(&["run", "--async-at", "5", "--pi", "0"], "--pi must be ≥ 1");
 }
 
 #[test]
 fn explore_rejects_an_empty_asynchronous_window() {
-    rejects(&["explore", "--pi", "0"]);
+    rejects(&["explore", "--pi", "0"], "1 ≤ π ≤ 2");
+}
+
+#[test]
+fn run_rejects_a_value_it_cannot_parse() {
+    rejects(&["run", "--n", "abc"], "invalid value for --n: \"abc\"");
+    rejects(
+        &["run", "--async-at", "abc"],
+        "invalid value for --async-at",
+    );
+    rejects(&["run", "--async-at", "0"], "--async-at must be ≥ 1");
+}
+
+#[test]
+fn run_rejects_a_run_with_no_honest_process() {
+    rejects(&["run", "--n", "4", "--byz", "4"], "no honest process");
+    rejects(&["run", "--n", "4", "--byz", "10"], "no honest process");
 }
