@@ -13,11 +13,14 @@
 //!   names it, or a descendant is admitted. Under full participation one
 //!   of a view's `n` proposals is ever voted for, so the other `n − 1`
 //!   bodies stay in a compact id → body map instead of becoming arena
-//!   nodes in every receiver's tree.
+//!   nodes in every receiver's tree. They leave it once the vote store's
+//!   pruning edge passes their view, so under synchrony the store holds
+//!   the bodies of the last `η + 3` views, not of the whole run.
 
 use st_blocktree::{Block, BlockTree};
 use st_types::fasthash::mix64;
-use st_types::{BlockId, FastMap, Round};
+use st_types::{BlockId, FastMap, Round, View};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Parks blocks whose parent is unknown and flushes them once the parent
@@ -92,26 +95,32 @@ fn park(waiting: &mut FastMap<BlockId, Vec<Arc<Block>>>, b: Arc<Block>) {
     }
 }
 
-/// Every proposal body one process holds, split by whether anything
-/// references it.
+/// Every proposal body one process holds outside its tree, split by
+/// whether its ancestry is known, and kept only while a vote could still
+/// name it.
 ///
 /// A body is *connected* once its whole ancestry down to genesis is
-/// known. A connected body lives in exactly one of two places: the
+/// held. A connected body lives in exactly one of two places: the
 /// caller's [`BlockTree`] arena once it is *referenced* — a stored vote
 /// names it ([`BodyStore::reference`]) or a descendant was admitted —
 /// and this store's `loose` map (one id → `Arc` entry, no arena node)
 /// until then. Orphans park until their parent connects.
 ///
 /// A caller that passes every vote it stores to [`BodyStore::reference`]
-/// keeps the invariant its tally relies on: every connected body named
-/// by a stored vote is in the arena. A tally reads only the chains of
-/// the tips its votes name, and an arena member's parents are in the
-/// arena too, so a tally over the arena equals the tally over every
-/// connected body.
+/// keeps the invariant its tally relies on: no stored vote names a loose
+/// body, so every connected body named by a stored vote is in the arena.
+/// A tally reads only the chains of the tips its votes name, and an
+/// arena member's parents are in the arena too, so a tally over the
+/// arena equals the tally over every connected body.
+///
+/// [`BodyStore::prune_below`] drops the loose and parked bodies of
+/// expired views. A loose body stays while a loose descendant of an
+/// unexpired view does, so the parent of every loose body is connected
+/// and admission never meets a gap. Arena members are never dropped.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BodyStore {
     /// Connected bodies not in the arena.
-    loose: FastMap<BlockId, Arc<Block>>,
+    loose: FastMap<BlockId, Loose>,
     /// parent id → orphans waiting for it.
     waiting: FastMap<BlockId, Vec<Arc<Block>>>,
     /// Tips a stored vote names whose bodies are not connected yet, with
@@ -120,6 +129,22 @@ pub(crate) struct BodyStore {
     wanted: FastMap<BlockId, Round>,
     /// XOR of [`mix64`] over the `loose` ids.
     loose_fingerprint: u64,
+    /// The same XOR split by [`Loose::newest`]: popping the buckets
+    /// below an edge says what leaves the digest, and whether anything
+    /// leaves at all.
+    by_newest: BTreeMap<View, u64>,
+}
+
+/// A connected body outside the arena.
+#[derive(Clone, Debug)]
+struct Loose {
+    block: Arc<Block>,
+    /// The newest view among this body and every loose body that has
+    /// connected below it. It stays at least the body's own view, so the
+    /// body expires only once the last of its loose descendants does, and
+    /// it never shrinks, which is sound because a descendant that leaves
+    /// either takes this body into the arena with it or has expired.
+    newest: View,
 }
 
 impl BodyStore {
@@ -128,24 +153,43 @@ impl BodyStore {
         BodyStore::default()
     }
 
-    /// Whether `id`'s body and its whole ancestry are known (in `tree`
+    /// Number of bodies held outside the arena, loose or parked.
+    pub(crate) fn len(&self) -> usize {
+        let parked: usize = self
+            .waiting
+            .iter_sorted()
+            .map(|(_, orphans)| orphans.len())
+            .sum();
+        self.loose.len() + parked
+    }
+
+    /// Whether `id`'s body and its whole ancestry are held (in `tree`
     /// or loose here).
     fn is_connected(&self, tree: &BlockTree, id: BlockId) -> bool {
         tree.contains(id) || self.loose.contains_key(&id)
     }
 
-    /// XOR of [`mix64`] over every connected body id, in `tree` or not.
-    /// The two sets are disjoint, so this is the fingerprint an eager
-    /// tree holding every connected body would report
-    /// ([`BlockTree::fingerprint`]), whatever has been admitted.
+    /// XOR of [`mix64`] over every connected body id: the tree's and the
+    /// retained loose ones. The two sets are disjoint, so this is the
+    /// [`BlockTree::fingerprint`] of a tree holding exactly the connected
+    /// bodies, whichever of them have been admitted. A pruned body is not
+    /// connected, so its id is not in the digest.
     pub(crate) fn connected_fingerprint(&self, tree: &BlockTree) -> u64 {
         tree.fingerprint() ^ self.loose_fingerprint
+    }
+
+    /// Adds or removes `id`'s term in both loose digests.
+    fn toggle(&mut self, id: BlockId, newest: View) {
+        let term = mix64(id.as_u64());
+        self.loose_fingerprint ^= term;
+        *self.by_newest.entry(newest).or_default() ^= term;
     }
 
     /// Takes a received or self-built body. It parks if its parent is not
     /// connected; otherwise it connects — entering `tree` at once if a
     /// stored vote already names it — and so does every orphan waiting on
-    /// it, recursively. Re-delivery of a known body is a no-op.
+    /// it, recursively. Re-delivery of a held body is a no-op; a pruned
+    /// one is taken again.
     pub(crate) fn insert(&mut self, tree: &mut BlockTree, block: Arc<Block>) {
         let mut queue = vec![block];
         while let Some(b) = queue.pop() {
@@ -160,11 +204,29 @@ impl BodyStore {
             if let Some(children) = self.waiting.remove(&id) {
                 queue.extend(children);
             }
-            self.loose_fingerprint ^= mix64(id.as_u64());
-            self.loose.insert(id, b);
+            let newest = b.view();
+            self.raise_newest(b.parent(), newest);
+            self.toggle(id, newest);
+            self.loose.insert(id, Loose { block: b, newest });
             if self.wanted.remove(&id).is_some() {
                 self.admit(tree, id);
             }
+        }
+    }
+
+    /// Lifts [`Loose::newest`] to at least `view` on the loose body `id`
+    /// and its loose ancestors. Each one's `newest` is at least its
+    /// children's, so the walk stops at the first body already there.
+    fn raise_newest(&mut self, mut id: BlockId, view: View) {
+        while let Some(loose) = self.loose.get_mut(&id) {
+            if loose.newest >= view {
+                return;
+            }
+            let term = mix64(id.as_u64());
+            *self.by_newest.entry(loose.newest).or_default() ^= term;
+            *self.by_newest.entry(view).or_default() ^= term;
+            loose.newest = view;
+            id = loose.block.parent();
         }
     }
 
@@ -191,10 +253,10 @@ impl BodyStore {
         // arena member.
         let mut path = Vec::new();
         let mut cur = tip;
-        while let Some(b) = self.loose.remove(&cur) {
-            self.loose_fingerprint ^= mix64(cur.as_u64());
-            cur = b.parent();
-            path.push(b);
+        while let Some(loose) = self.loose.remove(&cur) {
+            self.toggle(cur, loose.newest);
+            cur = loose.block.parent();
+            path.push(loose.block);
         }
         for b in path.into_iter().rev() {
             match tree.insert_or_get(b) {
@@ -218,7 +280,7 @@ impl BodyStore {
         let mut cur = tip;
         while !tree.contains(cur) {
             match self.loose.get(&cur) {
-                Some(b) => cur = b.parent(),
+                Some(loose) => cur = loose.block.parent(),
                 None => return false,
             }
         }
@@ -229,18 +291,44 @@ impl BodyStore {
         }
     }
 
-    /// Forgets wanted tips that only votes of rounds below `lo` named —
-    /// called with the vote store's own pruning edge, so the wanted set
-    /// is bounded by what the vote store holds.
+    /// Forgets what only rounds below `lo` could use — called with the
+    /// vote store's own pruning edge, so votes and bodies expire together:
+    /// wanted tips that only votes of rounds below `lo` named, and the
+    /// loose and parked bodies of every view `v` with `2v − 1 < lo` (the
+    /// round in which view-`v` bodies are first voted on). A loose body
+    /// stays while a loose descendant of an unexpired view does.
+    ///
+    /// As in the vote store, the digest buckets say whether anything
+    /// leaves, and only then does one pass over the loose map drop it: a
+    /// view expires every other round, and a sequential pass over the
+    /// `(η + 3)·n` bodies held costs less than looking each expired one
+    /// up.
     pub(crate) fn prune_below(&mut self, lo: Round) {
         self.wanted.retain(|_, latest| *latest >= lo);
+        // The first view v with 2v − 1 ≥ lo.
+        let keep_from = View::new(lo.as_u64() / 2 + 1);
+        self.waiting.retain(|_, orphans| {
+            orphans.retain(|b| b.view() >= keep_from);
+            !orphans.is_empty()
+        });
+        let mut expired = false;
+        while let Some(entry) = self.by_newest.first_entry() {
+            if *entry.key() >= keep_from {
+                break;
+            }
+            self.loose_fingerprint ^= entry.remove();
+            expired = true;
+        }
+        if expired {
+            self.loose.retain(|_, loose| loose.newest >= keep_from);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_types::{ProcessId, View};
+    use st_types::ProcessId;
 
     fn blocks_chain(len: usize) -> Vec<Block> {
         let mut out: Vec<Block> = Vec::new();
@@ -333,6 +421,33 @@ mod tests {
         bodies.prune_below(Round::new(5));
         bodies.insert(&mut tree, Arc::new(late.clone()));
         assert!(!tree.contains(late.id()));
+    }
+
+    #[test]
+    fn pruning_keeps_an_expired_body_while_a_loose_child_does() {
+        let mut tree = BlockTree::new();
+        let mut bodies = BodyStore::new();
+        let x = Block::build(BlockId::GENESIS, View::new(1), ProcessId::new(0), vec![]);
+        let y = Block::build(x.id(), View::new(3), ProcessId::new(0), vec![]);
+        let z = Block::build(BlockId::GENESIS, View::new(1), ProcessId::new(1), vec![]);
+        let orphan = Block::build(BlockId::new(7), View::new(1), ProcessId::new(2), vec![]);
+        for b in [&x, &y, &z, &orphan] {
+            bodies.insert(&mut tree, Arc::new(b.clone()));
+        }
+        assert_eq!(bodies.len(), 4);
+        let all = bodies.connected_fingerprint(&tree);
+        // Edge 2 expires view 1 (first voted on in round 1): z and the
+        // orphan go, x stays for its loose child y.
+        bodies.prune_below(Round::new(2));
+        assert_eq!(bodies.len(), 2);
+        assert_eq!(
+            bodies.connected_fingerprint(&tree),
+            all ^ mix64(z.id().as_u64())
+        );
+        // Edge 6 expires view 3: y goes, and x with it.
+        bodies.prune_below(Round::new(6));
+        assert_eq!(bodies.len(), 0);
+        assert_eq!(bodies.connected_fingerprint(&tree), tree.fingerprint());
     }
 
     #[test]

@@ -112,8 +112,10 @@ impl TobProcess {
     /// The process's block arena: the decided chain and every body a
     /// stored vote has named (its own votes, hence its leader choices,
     /// included), with their ancestors. Bodies nothing references wait
-    /// outside it, so this is not every block the process has received;
-    /// [`TobProcess::tally_fingerprint`] still digests all of them.
+    /// outside it until the vote store's pruning edge passes their view,
+    /// so this is not every block the process has received;
+    /// [`TobProcess::tally_fingerprint`] digests it together with the
+    /// waiting bodies still held.
     pub fn tree(&self) -> &BlockTree {
         &self.tree
     }
@@ -150,6 +152,14 @@ impl TobProcess {
     /// The most recent graded-agreement output (diagnostics).
     pub fn last_ga_output(&self) -> Option<&GaOutput> {
         self.last_ga_output.as_deref()
+    }
+
+    /// Proposal bodies held outside the tree: connected ones nothing
+    /// references yet, and orphans waiting for a parent (diagnostics; the
+    /// bounded-memory regression suite watches its size).
+    pub fn bodies_held(&self) -> usize {
+        // stlint::allow(deadpub, reason = "the body-store probe of the bounded-memory regression suite (st-sim's bounded_memory.rs)")
+        self.bodies.len()
     }
 
     /// Submitted transactions not yet on the decided chain — the part of
@@ -476,11 +486,13 @@ impl TobProcess {
 
     /// Hasher-independent digest of the tally-relevant state: the vote
     /// store combined with every *connected* body (its whole ancestry
-    /// known), in the tree or not. A tally reads the tree only along the
-    /// chains of the tips stored votes name, and each such tip is in the
-    /// tree exactly when it is connected, so two processes with equal
-    /// fingerprints answer every windowed tally identically — however
-    /// much else either tree holds.
+    /// held), in the tree or still waiting outside it. A pruned body is
+    /// not held, so its id is not in the digest. A tally reads the tree
+    /// only along the chains of the tips stored votes name, and each such
+    /// tip is in the tree exactly when it is connected (no stored vote
+    /// names a waiting body), so two processes with equal fingerprints
+    /// answer every windowed tally identically, whatever each one's
+    /// admission and pruning history.
     pub fn tally_fingerprint(&self) -> u64 {
         mix64_pair(
             self.votes.fingerprint(),
@@ -519,8 +531,10 @@ impl TobProcess {
     }
 
     /// Drops state that can no longer influence any future tally:
-    /// votes older than one full expiration window behind, proposals for
-    /// past views.
+    /// votes older than one full expiration window behind, unreferenced
+    /// bodies of views whose first round left the vote store (in the
+    /// model no counted vote names one; DESIGN §2.4), proposals for past
+    /// views.
     fn prune(&mut self, round: Round) {
         // Keep a safety margin of one extra window to serve diagnostics.
         let horizon = round.saturating_sub(2 * self.config.params().expiration() + 4);

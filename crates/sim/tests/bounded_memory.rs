@@ -7,20 +7,18 @@
 //! cursor passes a message, the vote window expires old rounds, and a
 //! transaction leaves a process's pending pool once it is decided.
 //! This suite runs a horizon-10⁴ simulation and asserts that the stores
-//! sized by in-flight work — vote window, pool backlog, pending
-//! transactions — are bounded by a horizon-independent constant, and
-//! that each process's block tree stays within a small multiple of the
-//! decided chain: a body enters the tree only once a vote names it, so
-//! the `n − 1` proposals of a view nobody votes for stay out.
+//! sized by in-flight work — vote window, body store, pool backlog,
+//! pending transactions — are bounded by a horizon-independent constant,
+//! and that each process's block tree stays within a small multiple of
+//! the decided chain: a body enters the tree only once a vote names it,
+//! so the `n − 1` proposals of a view nobody votes for stay out, and
+//! leave the body store with the votes that could have named them.
 //!
-//! Not checked, because they grow with the run by design:
-//! * each process's body store, which keeps every proposal body it has
-//!   received (one id → body entry each, outside the tree), so it grows
-//!   by `n` bodies per view — nothing prunes unreferenced bodies yet;
-//! * each process's transaction submission index, which remembers every
-//!   transaction ever submitted to it (so a re-submission is recognised)
-//!   and therefore grows with submitted transactions, exactly as the
-//!   plain submission list it replaced did.
+//! Not checked, because it grows with the run by design: each process's
+//! transaction submission index, which remembers every transaction ever
+//! submitted to it (so a re-submission is recognised) and therefore grows
+//! with submitted transactions, exactly as the plain submission list it
+//! replaced did.
 //!
 //! Decisions are not among the stores checked either: draining is the
 //! only way to read a process's decisions, so observing one removes it
@@ -66,6 +64,16 @@ fn horizon_10k_stores_stay_bounded() {
             p.tree().len() <= 3 * height + 8,
             "tree grew past the referenced chain: {} blocks at decided height {height}",
             p.tree().len()
+        );
+        // Unreferenced bodies leave with the votes that could name them:
+        // the vote store's edge r − 2η − 4 keeps the bodies of the last
+        // η + 3 views, n − 1 unreferenced ones each. Keeping every body
+        // would put n per view here (~3 × 10⁴).
+        let bodies = (eta as usize + 4) * n;
+        assert!(
+            p.bodies_held() <= bodies,
+            "body store grew past its η-bound {bodies}: {}",
+            p.bodies_held()
         );
         // One transaction every 8 rounds is decided a few rounds after
         // submission, so at most a couple are pending at once; without
