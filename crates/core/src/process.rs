@@ -5,7 +5,7 @@ use crate::txpool::TxPool;
 use crate::{DecisionEvent, TobConfig};
 use st_blocktree::{Block, BlockTree};
 use st_crypto::Keypair;
-use st_ga::{tally, GaOutput, SupportIndex};
+use st_ga::{GaOutput, SupportIndex};
 use st_messages::{
     Envelope, InsertOutcome, Payload, Propose, ProposeStore, SharedEnvelope, Vote, VoteStore,
 };
@@ -47,9 +47,7 @@ pub struct TobProcess {
     last_ga_output: Option<Arc<GaOutput>>,
     /// Incremental tally state: chain support of every counted in-window
     /// vote, updated per sender delta instead of being rebuilt from the
-    /// whole window each round. The stateless [`st_ga::tally`] survives
-    /// as [`TobProcess::reference_tally`], the oracle this bookkeeping is
-    /// checked against.
+    /// whole window each round.
     support: SupportIndex,
     /// sender → (round of its counted record, tip it voted for). Present
     /// iff the sender currently contributes to perceived participation
@@ -346,9 +344,9 @@ impl TobProcess {
     ///
     /// Two paths, both producing the same output for the same state:
     /// the tally [`TobProcess::share_tally`] settled on for this round,
-    /// or the incremental support index.
-    /// [`TobProcess::reference_tally`] is the stateless statement of what
-    /// either must return.
+    /// or the incremental support index. The literal Algorithm 1 in
+    /// st-core's tests (`tests/support/literal.rs`) states what either
+    /// must return.
     fn tally_previous_round(&mut self, round: Round) -> Arc<GaOutput> {
         let Some(prev) = round.prev() else {
             return Arc::new(GaOutput::empty());
@@ -363,25 +361,6 @@ impl TobProcess {
         Arc::new(
             self.support
                 .outputs(&self.tree, self.config.thresholds(), self.counted.len()),
-        )
-    }
-
-    /// The paper's rule, stated statelessly: the tally of the latest
-    /// unexpired votes from `[r − 1 − η, r − 1]` over this process's
-    /// current vote store and tree. Read-only and independent of the
-    /// incremental bookkeeping and of any memoised tally, so it
-    /// is the oracle both are checked against: called right before
-    /// [`TobProcess::step_send`]`(round)`, it must equal the
-    /// [`TobProcess::last_ga_output`] that step leaves behind.
-    pub fn reference_tally(&self, round: Round) -> GaOutput {
-        let Some(prev) = round.prev() else {
-            return GaOutput::empty();
-        };
-        let lo = prev.saturating_sub(self.config.params().expiration());
-        tally(
-            &self.tree,
-            &self.votes.latest_in_window(lo, prev),
-            self.config.thresholds(),
         )
     }
 
@@ -744,78 +723,6 @@ mod tests {
                 assert_eq!(dv.round, de.round);
                 assert_eq!(dv.tip, de.tip, "decided different logs at {:?}", dv.round);
             }
-        }
-    }
-
-    #[test]
-    fn reference_tally_exposes_a_wrong_shared_tally() {
-        // The oracle can fail: a memo holding a tally the process would
-        // not have computed is caught by comparing what step_send
-        // consumed against the stateless reference.
-        let mut procs = run_lockstep(4, 2, 5, 17);
-        let round = Round::new(6);
-        let reference = procs[0].reference_tally(round);
-        assert!(!reference.is_empty(), "votes are in flight by round 6");
-        let mut poisoned =
-            BTreeMap::from([(procs[0].tally_fingerprint(), Arc::new(GaOutput::empty()))]);
-        assert!(procs[0].share_tally(round, &mut poisoned));
-        procs[0].step_send(round);
-        assert_ne!(procs[0].last_ga_output(), Some(&reference));
-        // An honest memo passes the same comparison: p1 misses and
-        // publishes, p2 hits and consumes p1's tally.
-        let mut memo = BTreeMap::new();
-        assert!(!procs[1].share_tally(round, &mut memo));
-        assert!(procs[2].share_tally(round, &mut memo));
-        procs[2].step_send(round);
-        assert_eq!(procs[2].last_ga_output(), Some(&reference));
-    }
-
-    #[test]
-    fn equal_received_streams_do_not_mean_equal_tally_state() {
-        // Why the sharing certificate is content, not delivery history:
-        // after a blackout every process has *received* the identical
-        // stream (everything up to round 5, then nothing), yet each
-        // inserted its own round-6 and round-7 votes, so no two states —
-        // and no two tallies' inputs — are equal.
-        let mut procs = run_lockstep(4, 2, 5, 23);
-        let mut withheld: Vec<Envelope> = Vec::new();
-        for r in 6..=7u64 {
-            for p in procs.iter_mut() {
-                withheld.extend(p.step_send(Round::new(r)));
-            }
-        }
-        for (i, a) in procs.iter().enumerate() {
-            for b in &procs[i + 1..] {
-                assert_ne!(a.tally_fingerprint(), b.tally_fingerprint());
-            }
-        }
-        let round = Round::new(8);
-        let mut memo = BTreeMap::new();
-        for p in procs.iter_mut() {
-            assert!(!p.share_tally(round, &mut memo), "nobody may adopt");
-            let reference = p.reference_tally(round);
-            withheld.extend(p.step_send(round));
-            assert_eq!(p.last_ga_output(), Some(&reference));
-        }
-        assert_eq!(memo.len(), procs.len());
-        // One fully delivered round later the states agree again: the
-        // first process computes, everyone else adopts.
-        for env in withheld {
-            for p in procs.iter_mut() {
-                p.on_receive(env.clone());
-            }
-        }
-        let round = Round::new(9);
-        let mut memo = BTreeMap::new();
-        let hits: Vec<bool> = procs
-            .iter_mut()
-            .map(|p| p.share_tally(round, &mut memo))
-            .collect();
-        assert_eq!(hits, [false, true, true, true]);
-        for p in procs.iter_mut() {
-            let reference = p.reference_tally(round);
-            p.step_send(round);
-            assert_eq!(p.last_ga_output(), Some(&reference));
         }
     }
 

@@ -205,33 +205,4 @@ mod tests {
             assert_ne!(Protocol::decided_tip(p), BlockId::GENESIS);
         }
     }
-
-    #[test]
-    fn trait_and_inherent_paths_agree() {
-        // Driving via the trait must be the same computation as driving
-        // via the inherent methods: identical decision streams.
-        let mut via_trait = lockstep::<TobProcess>(4, 12, 9);
-        let params = Params::builder(4).expiration(2).build().unwrap();
-        let config = TobConfig::new(params, 9);
-        let mut direct: Vec<TobProcess> = (0..4u32)
-            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
-            .collect();
-        for r in 0..=12u64 {
-            let batches: Vec<Vec<Envelope>> = direct
-                .iter_mut()
-                .map(|p| p.step_send(Round::new(r)))
-                .collect();
-            for batch in &batches {
-                for env in batch {
-                    for p in direct.iter_mut() {
-                        p.on_receive(env.clone());
-                    }
-                }
-            }
-        }
-        for (t, d) in via_trait.iter_mut().zip(direct.iter_mut()) {
-            assert_eq!(Protocol::drain_decisions(t), d.drain_decisions());
-            assert_eq!(Protocol::decided_tip(t), d.decided_tip());
-        }
-    }
 }

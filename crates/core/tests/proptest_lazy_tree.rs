@@ -1,39 +1,36 @@
-//! Lazy admission and body pruning against two references, under random
-//! delivery.
+//! Lazy admission and body pruning against the literal Algorithm 1
+//! (`support/literal.rs`), under random delivery.
 //!
 //! A `TobProcess` admits a proposal body to its tree only once a stored
 //! vote names it (or a descendant is admitted); everything else it
 //! receives waits outside, until the vote store's pruning edge passes the
-//! body's view. These property tests feed one process random
-//! interleavings of proposals and votes — duplicates, reorders, orphan
-//! chains, votes ahead of their bodies, votes for blocks that never
-//! arrive or that were already dropped — over enough rounds for the edge
-//! to pass the early views, and check each round:
+//! body's view. These property tests feed process 0 random interleavings
+//! of proposals and votes — duplicates, reorders, orphan chains, votes
+//! ahead of their bodies, votes for blocks that never arrive or that were
+//! already dropped — over enough rounds for the edge to pass the early
+//! views. Two copies of it step beside the literal every round, which
+//! checks envelopes, consumed tallies and admitted bodies: one gets every
+//! delivery, the other misses some, and they share one tally memo, so a
+//! tally key weaker than the state it digests serves the second a wrong
+//! tally.
 //!
-//! * against the retention rule restated over plain sets (`Retained`),
-//!   for arbitrary votes: `tally_fingerprint()` equals
-//!   `mix64_pair(votes.fingerprint(), fingerprint of the retained
-//!   connected bodies)`, the tally `step_send` consumes equals
-//!   `reference_tally` and the stateless tally over those bodies, and
-//!   every retained connected body a stored vote names is in the
-//!   process's tree;
-//! * against an eager tree that takes every body and drops none, for
-//!   votes whose tips' chains stay retained through the last round that
-//!   tallies them (views `v` with `2v − 1 ≥ k − η − 4` for a round-`k`
-//!   vote): the consumed tally equals `reference_tally` and the stateless
-//!   tally over the eager tree. That is the in-model case, where pruning
-//!   never changes a tally.
+//! For arbitrary votes the literal's retention rule may change what it
+//! reads. For votes whose tips' chains stay retained through the last
+//! round that tallies them (views `v` with `2v − 1 ≥ k − η − 4` for a
+//! round-`k` vote) it must not: that is the in-model case, where pruning
+//! never changes a tally.
 
-#[path = "support/eager_shadow.rs"]
-mod eager_shadow;
+#[path = "support/literal.rs"]
+mod literal;
 
-use eager_shadow::{Mode, Shadowed};
+use literal::Twin;
 use proptest::prelude::*;
 use st_blocktree::Block;
-use st_core::{TobConfig, TobProcess};
+use st_core::TobConfig;
 use st_crypto::Keypair;
-use st_messages::{Envelope, Payload, Propose, Vote};
+use st_messages::{Envelope, Payload, Propose, SharedEnvelope, Vote};
 use st_types::{BlockId, Params, ProcessId, Round, TxId, View};
+use std::collections::BTreeMap;
 
 const N: usize = 4;
 const SEED: u64 = 5;
@@ -47,16 +44,20 @@ type Delivery = (u64, u64, Envelope);
 /// in round `arrivals[i]`, and again later when that word's top bit is
 /// set. Each `votes` word names a sender, a tip (a block, genesis, or a
 /// block that never exists), a delivery round and how far the vote's own
-/// round trails it. A vote of round `k` naming a block whose chain's
-/// oldest view is `v` is delivered only if `keep(k, v)`.
+/// round trails it. With `in_window = Some(η)` only reads retention
+/// cannot change are delivered: a chain whose oldest view is `v` is read
+/// by a round-`t` tally or leader choice only if `2v − 1` is at least
+/// that round's pruning edge `t − 2η − 5`. A round-`k` vote is read up to
+/// round `k + η + 1`, a view-`w` proposal in round `2w − 1`.
 fn deliveries(
     keys: &[Keypair],
     rounds: u64,
     parents: &[u64],
     arrivals: &[u64],
     votes: &[u64],
-    keep: impl Fn(u64, u64) -> bool,
+    in_window: Option<u64>,
 ) -> Vec<Delivery> {
+    let keep = |read: u64, v: u64| in_window.is_none_or(|eta| 2 * v + 2 * eta + 4 >= read);
     let mut blocks: Vec<Block> = Vec::new();
     // The oldest view on each block's chain, genesis excluded.
     let mut oldest: Vec<u64> = Vec::new();
@@ -89,11 +90,14 @@ fn deliveries(
         );
         let env = Envelope::sign(key, Payload::Propose(prop));
         let arrival = arrivals[i % arrivals.len()];
+        blocks.push(block);
+        if !keep(2 * view - 1, oldest[i]) {
+            continue;
+        }
         out.push((arrival % (rounds + 1), arrival >> 32, env.clone()));
         if arrival >> 63 == 1 {
             out.push(((arrival >> 8) % (rounds + 1), arrival >> 40, env));
         }
-        blocks.push(block);
     }
     for &word in votes {
         let key = &keys[1 + word as usize % (N - 1)];
@@ -103,7 +107,7 @@ fn deliveries(
         let tip = match pick as usize {
             0 => BlockId::GENESIS,
             k if k <= blocks.len() => {
-                if !keep(round, oldest[k - 1]) {
+                if !keep(round + in_window.unwrap_or(0) + 1, oldest[k - 1]) {
                     continue;
                 }
                 blocks[k - 1].id()
@@ -120,33 +124,32 @@ fn deliveries(
     out
 }
 
-/// Runs one case: process 0 of `N`, checked against the `mode`'s
-/// reference every round. In pruned mode it also checks that every
-/// retained connected body a stored vote names is in the process's tree.
-fn run_case(mode: Mode, eta: u64, rounds: u64, plan: &[Delivery]) -> Result<(), TestCaseError> {
+/// Runs one case: two copies of process 0, the second missing every
+/// delivery whose order key is a multiple of 5, stepped beside the
+/// literal with one shared tally memo. Returns the deviations the
+/// literal's retention rule made.
+fn run_case(eta: u64, rounds: u64, plan: &[Delivery]) -> usize {
     let params = Params::builder(N).expiration(eta).build().expect("valid");
     let config = TobConfig::new(params, SEED);
-    let mut h = Shadowed::new(TobProcess::new(ProcessId::new(0), config), mode);
+    let mut twins = [0, 1].map(|_| Twin::new(ProcessId::new(0), &config));
     let mut next = 0;
-    for r in 0..=rounds {
-        h.step(Round::new(r));
+    for r in 0..=rounds + 1 {
+        let mut memo = BTreeMap::new();
+        for t in twins.iter_mut() {
+            t.tob.share_tally(Round::new(r), &mut memo);
+            t.step(Round::new(r));
+        }
         while next < plan.len() && plan[next].0 == r {
-            h.deliver(&plan[next].2);
+            let (_, order, env) = &plan[next];
+            let env = SharedEnvelope::new(env.clone());
+            twins[0].deliver(&env);
+            if order % 5 != 0 {
+                twins[1].deliver(&env);
+            }
             next += 1;
         }
-        if mode == Mode::Pruned {
-            let window = h.p.votes().latest_in_window(Round::ZERO, Round::new(r));
-            for (sender, round, tip) in window.iter() {
-                prop_assert!(
-                    !h.retained.connected(tip) || h.p.tree().contains(tip),
-                    "round {r}: {sender:?}'s round-{round:?} vote names a connected body outside the tree"
-                );
-            }
-        }
     }
-    h.step(Round::new(rounds + 1));
-    prop_assert_eq!(h.checked as u64, rounds + 1);
-    Ok(())
+    twins.iter().map(|t| t.lit.deviations()).sum()
 }
 
 fn keys() -> Vec<Keypair> {
@@ -159,30 +162,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn lazy_tree_tallies_like_the_retained_bodies(
+    fn lazy_tree_matches_the_literal(
         eta in 0u64..4,
         rounds in 4u64..24,
         parents in prop::collection::vec(any::<u64>(), 1..16),
         arrivals in prop::collection::vec(any::<u64>(), 1..16),
         votes in prop::collection::vec(any::<u64>(), 0..48),
     ) {
-        let plan = deliveries(&keys(), rounds, &parents, &arrivals, &votes, |_, _| true);
-        run_case(Mode::Pruned, eta, rounds, &plan)?;
+        let plan = deliveries(&keys(), rounds, &parents, &arrivals, &votes, None);
+        run_case(eta, rounds, &plan);
     }
 
     #[test]
-    fn lazy_tree_tallies_like_an_eager_one_for_votes_in_the_window(
+    fn retention_changes_no_tally_for_votes_in_the_window(
         eta in 0u64..4,
         rounds in 4u64..24,
         parents in prop::collection::vec(any::<u64>(), 1..16),
         arrivals in prop::collection::vec(any::<u64>(), 1..16),
         votes in prop::collection::vec(any::<u64>(), 0..48),
     ) {
-        // A round-k vote is tallied up to round k + η + 1, whose state
-        // was pruned at edge k − η − 4: its tip's chain must be retained
-        // there, 2v − 1 ≥ k − η − 4.
-        let keep = |round: u64, view: u64| 2 * view + eta + 3 >= round;
-        let plan = deliveries(&keys(), rounds, &parents, &arrivals, &votes, keep);
-        run_case(Mode::Eager, eta, rounds, &plan)?;
+        let plan = deliveries(&keys(), rounds, &parents, &arrivals, &votes, Some(eta));
+        prop_assert_eq!(run_case(eta, rounds, &plan), 0);
     }
 }

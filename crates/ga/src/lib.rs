@@ -25,10 +25,10 @@
 //!
 //! The Figure-3 object (an explicit `M₀` plus the current round's votes)
 //! is therefore a vote store and a window: insert `M₀` and the round-`r`
-//! votes, then [`tally`] `latest_in_window(lo, r)`, where `lo` is the
-//! oldest `M₀` round. The protocol crate (`st-core`) does exactly that on
-//! its long-lived store, and Lemma 1's property tests do it on a fresh
-//! one.
+//! votes, then [`tally`] the window `[lo, r]`, where `lo` is the oldest
+//! `M₀` round. Lemma 1's property tests do exactly that on a fresh store;
+//! the protocol crate (`st-core`) keeps the same tally incrementally in a
+//! [`SupportIndex`].
 //!
 //! # Example
 //!
@@ -45,8 +45,7 @@
 //! for i in 0..3 {
 //!     store.insert(Vote::new(ProcessId::new(i), Round::new(1), b1));
 //! }
-//! let votes = store.latest_in_window(Round::new(1), Round::new(1));
-//! let out = tally(&tree, &votes, Thresholds::mmr());
+//! let out = tally(&tree, &store, Round::new(1), Round::new(1), Thresholds::mmr());
 //! assert_eq!(out.grade_of(b1), Some(Grade::One)); // unanimous
 //! # Ok::<(), st_blocktree::BlockTreeError>(())
 //! ```
@@ -67,21 +66,30 @@ pub use support::SupportIndex;
 pub use thresholds::Thresholds;
 
 use st_blocktree::BlockTree;
-use st_messages::LatestVotes;
+use st_messages::VoteStore;
 use st_types::FastMap;
-use st_types::{BlockId, Grade};
+use st_types::{BlockId, Grade, Round};
 
-/// Tallies a set of latest votes over the block tree and grades every
-/// supported log (Figure 2 / Figure 3 receive phase).
+/// Tallies the latest vote of every sender in `store`'s round window
+/// `[lo, hi]` over the block tree and grades every supported log
+/// (Figure 2 / Figure 3 receive phase): the stateless definition
+/// [`SupportIndex`] keeps incrementally.
 ///
-/// `votes` must already be deduplicated to one vote per sender with
-/// equivocators removed — that is exactly what
-/// [`st_messages::VoteStore::latest_in_window`] returns. Votes whose tip is
-/// not in `tree` are skipped (the process cannot interpret them; in a real
-/// deployment it would sync the missing blocks first), but they still count
-/// toward the perceived participation `m` — an adversary cannot *lower*
-/// thresholds by voting for unavailable blocks.
-pub fn tally(tree: &BlockTree, votes: &LatestVotes, thresholds: Thresholds) -> GaOutput {
+/// The window is [`VoteStore::latest_in_window`]: one vote per sender,
+/// equivocators removed. Votes whose tip is not in `tree` are skipped
+/// (the process cannot interpret them; in a real deployment it would sync
+/// the missing blocks first), but they still count toward the perceived
+/// participation `m` — an adversary cannot *lower* thresholds by voting
+/// for unavailable blocks.
+pub fn tally(
+    tree: &BlockTree,
+    store: &VoteStore,
+    lo: Round,
+    hi: Round,
+    thresholds: Thresholds,
+) -> GaOutput {
+    // stlint::allow(deadpub, reason = "the GA definition Lemma 1's proptest (proptest_lemma1.rs) and the SupportIndex property test (proptest_support.rs) check against")
+    let votes = store.latest_in_window(lo, hi);
     let m = votes.participation();
     if m == 0 {
         return GaOutput::empty();
@@ -125,6 +133,11 @@ mod tests {
     use st_types::{ProcessId, Round, View};
 
     /// Builds a tree with a fork: genesis -> a1 -> a2, genesis -> b1.
+    /// The vanilla tally of round `r`: the window `[r, r]`.
+    fn tally_round(tree: &BlockTree, store: &VoteStore, r: u64) -> GaOutput {
+        tally(tree, store, Round::new(r), Round::new(r), Thresholds::mmr())
+    }
+
     fn forked_tree() -> (BlockTree, BlockId, BlockId, BlockId) {
         let mut tree = BlockTree::new();
         let a1 = tree
@@ -149,15 +162,11 @@ mod tests {
         (tree, a1, a2, b1)
     }
 
-    fn window_of(store: &VoteStore, r: u64) -> LatestVotes {
-        store.latest_in_window(Round::new(r), Round::new(r))
-    }
-
     #[test]
     fn empty_votes_empty_output() {
         let (tree, ..) = forked_tree();
         let store = VoteStore::new();
-        let out = tally(&tree, &window_of(&store, 1), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 1);
         assert!(out.is_empty());
         assert_eq!(out.participation(), 0);
     }
@@ -169,7 +178,7 @@ mod tests {
         for i in 0..6 {
             store.insert(Vote::new(ProcessId::new(i), Round::new(1), a2));
         }
-        let out = tally(&tree, &window_of(&store, 1), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 1);
         assert_eq!(out.grade_of(a2), Some(Grade::One));
         assert_eq!(out.grade_of(a1), Some(Grade::One));
         assert_eq!(out.grade_of(BlockId::GENESIS), Some(Grade::One));
@@ -187,7 +196,7 @@ mod tests {
         for i in 4..6 {
             store.insert(Vote::new(ProcessId::new(i), Round::new(1), b1));
         }
-        let out = tally(&tree, &window_of(&store, 1), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 1);
         assert_eq!(out.grade_of(a1), Some(Grade::Zero)); // 4/6 > 1/3, ≤ 2/3
         assert_eq!(out.grade_of(b1), None); // 2 of 6 is not > m/3
     }
@@ -203,7 +212,7 @@ mod tests {
         for i in 2..6 {
             store.insert(Vote::new(ProcessId::new(i), Round::new(1), a1));
         }
-        let out = tally(&tree, &window_of(&store, 1), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 1);
         assert_eq!(out.grade_of(b1), None);
         assert_eq!(out.grade_of(a1), Some(Grade::Zero));
     }
@@ -216,7 +225,7 @@ mod tests {
             store.insert(Vote::new(ProcessId::new(i), Round::new(1), a1));
         }
         store.insert(Vote::new(ProcessId::new(5), Round::new(1), b1));
-        let out = tally(&tree, &window_of(&store, 1), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 1);
         assert_eq!(out.grade_of(a1), Some(Grade::One));
         // Genesis is supported by everyone (both tips extend it).
         assert_eq!(out.grade_of(BlockId::GENESIS), Some(Grade::One));
@@ -234,7 +243,7 @@ mod tests {
             store.insert(Vote::new(ProcessId::new(i), Round::new(1), a1));
         }
         store.insert(Vote::new(ProcessId::new(5), Round::new(1), b1));
-        let out = tally(&tree, &window_of(&store, 1), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 1);
         assert_eq!(out.grade_of(a1), Some(Grade::One)); // 5/6 > 2/3
         assert_eq!(out.grade_of(a2), Some(Grade::Zero)); // 3/6 > 1/3, ≤ 2/3
     }
@@ -255,7 +264,7 @@ mod tests {
                 BlockId::new(0xdead),
             ));
         }
-        let out = tally(&tree, &window_of(&store, 1), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 1);
         assert_eq!(out.participation(), 6);
         assert_eq!(out.grade_of(a1), Some(Grade::Zero));
     }
@@ -272,14 +281,16 @@ mod tests {
             store.insert(Vote::new(ProcessId::new(i), Round::new(3), a2));
         }
         // Vanilla window [3,3]: only the 2 new votes, a2 unanimous.
-        let out = tally(&tree, &window_of(&store, 3), Thresholds::mmr());
+        let out = tally_round(&tree, &store, 3);
         assert_eq!(out.grade_of(a2), Some(Grade::One));
         assert_eq!(out.participation(), 2);
         // Extended window [1,3]: 2 latest for a2, 4 stale-latest for b1;
         // b1 has 4/6 = grade 0, a2 only 2/6 → below grade 0.
         let ext = tally(
             &tree,
-            &store.latest_in_window(Round::new(1), Round::new(3)),
+            &store,
+            Round::new(1),
+            Round::new(3),
             Thresholds::mmr(),
         );
         assert_eq!(ext.participation(), 6);

@@ -85,8 +85,7 @@ fn run_ga(
                 _ => { /* silent toward this receiver */ }
             }
         }
-        let votes = store.latest_in_window(ROUND, ROUND);
-        outputs.push(tally(&tree, &votes, Thresholds::mmr()));
+        outputs.push(tally(&tree, &store, ROUND, ROUND, Thresholds::mmr()));
     }
     Execution {
         tree,
@@ -298,9 +297,14 @@ fn clique_validity_deterministic_scenario() {
     for i in 7..10u32 {
         store.insert(Vote::new(ProcessId::new(i), Round::new(5), rival));
     }
-    let votes = store.latest_in_window(Round::new(1), Round::new(5));
-    assert_eq!(votes.participation(), 10);
-    let out = tally(&tree, &votes, Thresholds::mmr());
+    let out = tally(
+        &tree,
+        &store,
+        Round::new(1),
+        Round::new(5),
+        Thresholds::mmr(),
+    );
+    assert_eq!(out.participation(), 10);
     assert_eq!(
         out.grade_of(lambda),
         Some(Grade::One),

@@ -58,9 +58,8 @@ proptest! {
         for (&sender, &tip) in &final_votes {
             store.insert(Vote::new(ProcessId::new(sender), Round::new(1), tip));
         }
-        let votes = store.latest_in_window(Round::new(1), Round::new(1));
-        let reference = tally(&tree, &votes, Thresholds::mmr());
-        let m = votes.participation();
+        let reference = tally(&tree, &store, Round::new(1), Round::new(1), Thresholds::mmr());
+        let m = reference.participation();
         let incremental = index.outputs(&tree, Thresholds::mmr(), m);
 
         prop_assert_eq!(index.participation(), m);

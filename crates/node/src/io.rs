@@ -279,13 +279,15 @@ pub fn bind_listener(port: u16) -> std::io::Result<TcpListener> {
     Err(last.unwrap_or_else(|| std::io::Error::other("bind failed")))
 }
 
-/// Accept loop: every inbound connection must open with `Hello{from}`;
-/// each then gets a reader thread that groups `Env` frames into round
-/// batches closed by their trailing `Mark` and forwards them to `inbox`.
-/// Batches cut off by a disconnect (no trailing mark) are discarded — the
-/// peer's writer re-sends the whole history on reconnect.
+/// Accept loop of node `me`: every inbound connection must open with
+/// `Hello{from}` naming another node of the cluster; each then gets a
+/// reader thread that groups `Env` frames into round batches closed by
+/// their trailing `Mark` and forwards them to `inbox`. Batches cut off by
+/// a disconnect (no trailing mark) are discarded — the peer's writer
+/// re-sends the whole history on reconnect.
 pub fn spawn_listener(
     listener: TcpListener,
+    me: ProcessId,
     inbox: Sender<RoundBatch>,
     board: Arc<Liveness>,
 ) -> thread::JoinHandle<()> {
@@ -294,12 +296,17 @@ pub fn spawn_listener(
             let Ok(stream) = stream else { continue };
             let inbox = inbox.clone();
             let board = board.clone();
-            thread::spawn(move || read_peer(stream, inbox, board));
+            thread::spawn(move || read_peer(stream, me, inbox, board));
         }
     })
 }
 
-fn read_peer(mut stream: TcpStream, inbox: Sender<RoundBatch>, board: Arc<Liveness>) {
+fn read_peer(
+    mut stream: TcpStream,
+    me: ProcessId,
+    inbox: Sender<RoundBatch>,
+    board: Arc<Liveness>,
+) {
     let Some(first) = read_frame(&mut stream, HELLO_FRAME) else {
         return;
     };
@@ -308,8 +315,9 @@ fn read_peer(mut stream: TcpStream, inbox: Sender<RoundBatch>, board: Arc<Livene
     };
     // `from` is unauthenticated outside input and indexes the liveness
     // board (and the runtime's per-peer inboxes): a claimed id outside
-    // the cluster is dropped at hello, before any of its frames is read.
-    if from.index() >= board.peers.len() {
+    // the cluster, or this node's own (whose marks would switch tick
+    // pacing off), is dropped at hello, before any of its frames is read.
+    if from == me || from.index() >= board.peers.len() {
         return;
     }
     // A round's frames are buffered until its mark. An honest round batch
@@ -446,6 +454,9 @@ mod tests {
     use st_messages::{Payload, Propose, Vote};
     use st_types::{BlockId, Round, TxId, View};
 
+    /// The node the tests' `read_peer` serves.
+    const ME: ProcessId = ProcessId::new(0);
+
     /// Runs `client` against one accepted connection; `read_peer` serves
     /// it **on the test thread** (in production it runs detached, where a
     /// panic would go unseen). Returns what the client returned.
@@ -460,7 +471,7 @@ mod tests {
             client(TcpStream::connect(addr).expect("connect to test listener"))
         });
         let (stream, _) = listener.accept().expect("accept test client");
-        read_peer(stream, inbox.clone(), board.clone());
+        read_peer(stream, ME, inbox.clone(), board.clone());
         client.join().expect("client thread")
     }
 
@@ -506,6 +517,19 @@ mod tests {
         let (from, round, batch) = inbox.try_recv().expect("genuine batch delivered");
         assert_eq!((from, round, batch.len()), (peer, 1, 1));
         assert_ne!(board.snapshot()[1].heard_ms_ago, u64::MAX);
+    }
+
+    #[test]
+    fn hello_claiming_the_nodes_own_id_is_dropped() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let board = Arc::new(Liveness::new(3));
+        let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
+        serve_one(&listener, ME, &tx, &board);
+        assert!(
+            inbox.try_recv().is_err(),
+            "a batch claiming our own id got in"
+        );
+        assert!(board.snapshot().iter().all(|p| p.heard_ms_ago == u64::MAX));
     }
 
     #[test]

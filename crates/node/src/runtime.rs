@@ -192,7 +192,7 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
     let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
     let listener =
         io::bind_listener(plan.port_of(me)).map_err(|e| format!("bind node {me}: {e}"))?;
-    io::spawn_listener(listener, tx, board.clone());
+    io::spawn_listener(listener, id, tx, board.clone());
     let outbound = Arc::new(Outbound::new(n));
     let plan_arc = Arc::new(plan.clone());
     for j in 0..n {

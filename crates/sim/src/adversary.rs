@@ -97,10 +97,9 @@ impl<P: Protocol> AdversaryCtx<'_, P> {
 ///
 /// Generic over the [`Protocol`] under attack, defaulted to
 /// [`TobProcess`]: `impl Adversary for MyStrategy` still targets the
-/// sleepy protocol, while protocol-agnostic strategies (pure delivery
-/// control, like [`SilentAdversary`] / [`BlackoutAdversary`] /
-/// [`PartitionAttacker`]) implement `Adversary<P>` for every `P` and can
-/// attack any protocol the runner drives.
+/// sleepy protocol, while strategies that read no process state (every
+/// built-in one except [`WithholdingLeader`]) implement `Adversary<P>`
+/// for every `P` and can attack any protocol the runner drives.
 pub trait Adversary<P: Protocol = TobProcess> {
     /// Human-readable strategy name (reports and logs).
     fn name(&self) -> &'static str;
@@ -197,12 +196,12 @@ impl EquivocatingVoter {
     }
 }
 
-impl Adversary for EquivocatingVoter {
+impl<P: Protocol> Adversary<P> for EquivocatingVoter {
     fn name(&self) -> &'static str {
         "equivocating-voter"
     }
 
-    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
+    fn send(&mut self, ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
         let Some(&leader) = ctx.corrupted.first() else {
             return Vec::new();
         };
@@ -344,12 +343,12 @@ impl JunkVoter {
     }
 }
 
-impl Adversary for JunkVoter {
+impl<P: Protocol> Adversary<P> for JunkVoter {
     fn name(&self) -> &'static str {
         "junk-voter"
     }
 
-    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
+    fn send(&mut self, ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
         let Some(&leader) = ctx.corrupted.first() else {
             return Vec::new();
         };
@@ -495,12 +494,12 @@ impl ReorgAttacker {
     }
 }
 
-impl Adversary for ReorgAttacker {
+impl<P: Protocol> Adversary<P> for ReorgAttacker {
     fn name(&self) -> &'static str {
         "reorg"
     }
 
-    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
+    fn send(&mut self, ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
         if !ctx.is_async() {
             return Vec::new();
         }
@@ -544,7 +543,7 @@ impl Adversary for ReorgAttacker {
 
     fn deliver(
         &mut self,
-        ctx: &AdversaryCtx<'_>,
+        ctx: &AdversaryCtx<'_, P>,
         _receiver: ProcessId,
         available: &[&SentMessage],
     ) -> Vec<usize> {

@@ -40,9 +40,6 @@
 //! * [`Observer`] + [`SimEvent`] — the execution narrated as an event
 //!   stream; the built-in monitors ride the same trait user probes do,
 //!   and the report is assembled from the observer pipeline;
-//! * [`TallyOracle`] — the per-round, per-process check that every path
-//!   computing the paper's windowed tally (memo-shared or incremental)
-//!   agrees with the stateless reference, on the production path;
 //! * [`Sweep`] — cartesian config grids with deterministic per-cell
 //!   seeds, run across worker threads in input order;
 //!   [`Sweep::compare`] runs the same cells and seeds through two
@@ -57,12 +54,12 @@
 //!   2 and 5), transaction-liveness statistics, per-window recovery
 //!   records;
 //! * [`conditions::check_conditions`] — the paper's model conditions
-//!   (Equations 1–5) verified round by round against a [`Schedule`];
-//! * [`baseline::StaticQuorumBft`] — the closed-form schedule walk that
-//!   cross-checks the message-passing [`st_core::QuorumProcess`]
-//!   baseline used to demonstrate what *dynamic availability* buys
-//!   (`crates/sim/tests/quorum_protocol.rs`, which also runs the two
-//!   protocols head to head).
+//!   (Equations 1–5) verified round by round against a [`Schedule`].
+//!
+//! Nothing here checks the protocol against the paper: st-core's literal
+//! Algorithm 1 (`crates/core/tests/support/literal.rs`) does, and
+//! `tests/determinism_equivalence.rs` runs it as a second
+//! `Simulation` in lockstep with the production one.
 //!
 //! # Example: a synchronous run with churn
 //!
@@ -90,7 +87,6 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod baseline;
 mod builder;
 pub mod conditions;
 pub mod env;
@@ -111,10 +107,7 @@ pub use env::{bounded_delay_of, Disruption, EnvView, EnvWindow, Partition, Segme
 pub use metrics::{RoundSample, RoundTrace};
 pub use monitor::{RecoveryRecord, SafetyViolation, SimReport, TxRecord};
 pub use network::{Network, Recipients, SentMessage};
-pub use observer::{
-    DecisionLog, DecisionTap, ObsCtx, Observer, SimEvent, TallyCheck, TallyCheckLog, TallyOracle,
-    ViolationKind,
-};
+pub use observer::{DecisionLog, DecisionTap, ObsCtx, Observer, SimEvent, ViolationKind};
 pub use runner::{SimConfig, Simulation};
 pub use schedule::{ChurnOptions, Schedule};
 pub use sweep::{Sweep, SweepComparison, SweepReports};

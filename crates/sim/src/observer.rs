@@ -46,7 +46,6 @@ use crate::monitor::{
 use crate::schedule::Schedule;
 use st_blocktree::BlockTree;
 use st_core::{DecisionEvent, Protocol, TobProcess};
-use st_ga::GaOutput;
 use st_types::{BlockId, FastSet, ProcessId, Round, TxId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -566,75 +565,6 @@ impl<P: Protocol> Observer<P> for DecisionTap {
     fn on_event(&mut self, _ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         if let SimEvent::DecisionObserved { process, decision } = *event {
             self.log.borrow_mut()[process.index()].push(decision);
-        }
-    }
-}
-
-/// What a [`TallyOracle`] found, read through the shared handle.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TallyCheck {
-    /// `(process, round ≥ 1)` steps compared so far.
-    pub checked: usize,
-    /// Steps whose consumed tally differed from the stateless reference.
-    pub mismatches: Vec<(Round, ProcessId)>,
-}
-
-/// Shared handle to a [`TallyOracle`]'s findings.
-pub type TallyCheckLog = Rc<RefCell<TallyCheck>>;
-
-/// The per-round tally oracle: checks the paper's one rule — "tally the
-/// latest unexpired votes from `[r − 1 − η, r − 1]`" — on every path that
-/// computes it.
-///
-/// At `RoundStart(r)` it records [`TobProcess::reference_tally`] for every
-/// process that will step in round `r` (honest-awake or Byzantine:
-/// corrupted machines keep executing); at `RoundEnd(r)` it compares each
-/// with the tally `step_send` consumed ([`TobProcess::last_ga_output`]).
-/// A memo-shared tally, the incremental `SupportIndex` bookkeeping and
-/// pool compaction all sit between the two read-outs. The oracle does not
-/// ask for delivery events, so the run it watches is the production
-/// zero-copy path.
-pub struct TallyOracle {
-    expected: Vec<(ProcessId, GaOutput)>,
-    log: TallyCheckLog,
-}
-
-impl TallyOracle {
-    /// An oracle plus the shared handle its findings are read through.
-    pub fn new() -> (TallyOracle, TallyCheckLog) {
-        let log = TallyCheckLog::default();
-        (
-            TallyOracle {
-                expected: Vec::new(),
-                log: Rc::clone(&log),
-            },
-            log,
-        )
-    }
-}
-
-impl Observer for TallyOracle {
-    fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
-        match *event {
-            // Round 0 is the propose-only bootstrap: nothing is tallied.
-            SimEvent::RoundStart { round } if round != Round::ZERO => {
-                self.expected = ctx
-                    .schedule
-                    .online(round)
-                    .into_iter()
-                    .map(|p| (p, ctx.processes[p.index()].reference_tally(round)))
-                    .collect();
-            }
-            SimEvent::RoundEnd { round, .. } => {
-                let mut log = self.log.borrow_mut();
-                for (p, reference) in self.expected.drain(..) {
-                    log.checked += 1;
-                    if ctx.processes[p.index()].last_ga_output() != Some(&reference) {
-                        log.mismatches.push((round, p));
-                    }
-                }
-            }
-            _ => {}
         }
     }
 }

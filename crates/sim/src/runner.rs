@@ -473,8 +473,9 @@ impl<P: Protocol> Simulation<P> {
     /// store, the block tree and the run's parameters, and the memo key
     /// digests the first two — so it holds in every kind of round
     /// (synchronous, asynchronous, bounded-delay, partitioned) and for
-    /// any delivery history; `TallyOracle` checks it against the
-    /// stateless reference. Returns the round's `(hits, misses)`: the
+    /// any delivery history; st-sim's `determinism_equivalence` tests
+    /// check every consumed tally against the literal Algorithm 1 run in
+    /// lockstep. Returns the round's `(hits, misses)`: the
     /// processes that adopted a memoised tally and those that computed
     /// one (both zero in round 0, which has no tally).
     fn share_tallies(&mut self, round: Round, honest: &[ProcessId]) -> (u64, u64) {

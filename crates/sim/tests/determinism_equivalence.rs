@@ -1,30 +1,40 @@
 //! Guards for the simulator's single execution path.
 //!
-//! * **Tally oracle** — the paper's one rule ("tally the latest unexpired
-//!   votes from `[r − 1 − η, r − 1]`") is computed in production once per
-//!   distinct tally state per round (a memo keyed by a digest of the vote
-//!   store and the block tree), from a process's incremental `SupportIndex`.
-//!   A [`TallyOracle`] watches every grid cell and compares, per process
-//!   and round, the tally `step_send` consumed with the stateless
-//!   reference — on the zero-copy path the benchmarks run. (The negative
-//!   test — a wrong shared tally *is* caught — is in st-core.)
+//! * **Lockstep with the literal Algorithm 1** — the paper's one rule
+//!   ("tally the latest unexpired votes from `[r − 1 − η, r − 1]`") is
+//!   computed in production once per distinct tally state per round (a
+//!   memo keyed by a digest of the vote store and the block tree), from a
+//!   process's incremental `SupportIndex`. Every grid cell here runs twice,
+//!   as `Simulation<TobProcess>` on the zero-copy path the benchmarks run
+//!   and as `Simulation<LiteralProcess>` (st-core's
+//!   `tests/support/literal.rs`, which shares and memoises nothing),
+//!   stepped in lockstep: after every round each process's consumed tally
+//!   is equal on both sides, and the final reports are equal but for the
+//!   tally memo's hit and miss counts. (A memo pre-seeded with a wrong
+//!   tally is caught by st-core's `literal_differential.rs`.)
 //! * **Byte identity** — spellings that must not change a report byte:
-//!   `step()` vs `run()`, with vs without user observers, explicit vs
-//!   defaulted protocol parameter, `WorkloadSpec::txs_every` vs the
-//!   equivalent open-loop workload.
+//!   with vs without user observers, explicit vs defaulted protocol
+//!   parameter, `WorkloadSpec::txs_every` vs the equivalent open-loop
+//!   workload. (`step()` vs `run()`: the golden cells here are stepped
+//!   and must match digests the facade's `golden_reports.rs` computes
+//!   with `run()`; `stepping_equivalence.rs` draws random split points.)
 //! * **Golden digests** — every cell of the golden table
-//!   (`support::golden_cells`), run under the oracle, digests to its line
-//!   in the committed `golden/report_digests.txt`. A change to any report
-//!   byte fails here and prints the whole new file. `hasher_perturbation.rs`
-//!   checks the same table under perturbed FxHash seeds, and the facade's
-//!   Tier-1 `tests/golden_reports.rs` without the oracle.
+//!   (`support::golden_cells`), run in lockstep with the literal, digests
+//!   to its line in the committed `golden/report_digests.txt`. A change to
+//!   any report byte fails here and prints the whole new file.
+//!   `hasher_perturbation.rs` checks the same table under perturbed
+//!   FxHash seeds, and the facade's Tier-1 `tests/golden_reports.rs`
+//!   without the literal.
 
+#[path = "support/lockstep.rs"]
+mod lockstep;
 mod support;
 
-use st_sim::adversary::Adversary;
+use lockstep::literal::LiteralProcess;
+use lockstep::lockstep;
+use st_core::TobProcess;
 use st_sim::{
-    ChurnOptions, ConstantRate, Schedule, SimBuilder, SimConfig, SimReport, TallyCheck,
-    TallyOracle, Timeline, WorkloadSpec,
+    ChurnOptions, ConstantRate, Schedule, SimBuilder, SimConfig, SimReport, Timeline, WorkloadSpec,
 };
 use st_types::{ProcessId, Round};
 use support::{
@@ -40,49 +50,42 @@ const CHURN_RATES: [f64; 4] = [0.0, 0.05, 0.15, 0.3];
 /// in a debug build.
 const CASES: u32 = 400;
 
-/// Runs one cell, with one transaction every `txs_every` rounds, under a
-/// [`TallyOracle`]; returns the report and the oracle's findings.
-fn run_with_oracle(
+/// Runs one cell, with one transaction every `txs_every` rounds, in
+/// lockstep with the literal.
+fn run_in_lockstep(
     config: SimConfig,
     txs_every: u64,
     sched: Schedule,
-    adv: Box<dyn Adversary>,
-) -> (SimReport, TallyCheck) {
-    let (oracle, log) = TallyOracle::new();
-    let report = SimBuilder::from_config(config)
+    adv: &str,
+) -> (SimReport, usize) {
+    let tob = SimBuilder::<TobProcess>::for_protocol_config(config.clone())
+        .workload_spec(WorkloadSpec::txs_every(txs_every))
+        .schedule(sched.clone())
+        .adversary_boxed(adversary(adv))
+        .build()
+        .expect("valid sim");
+    let lit = SimBuilder::<LiteralProcess>::for_protocol_config(config)
         .workload_spec(WorkloadSpec::txs_every(txs_every))
         .schedule(sched)
-        .adversary_boxed(adv)
-        .observer(oracle)
-        .run();
-    let check = log.borrow().clone();
-    (report, check)
+        .adversary_boxed(adversary(adv))
+        .build()
+        .expect("valid sim");
+    lockstep(tob, lit, adv)
 }
 
-/// **Shared tally ≡ own tally** on every cell of the golden table: each
-/// tally a process consumed equals the stateless reference, the check is
-/// not vacuous, and the report digests to its committed line. Churn,
-/// corruption windows, multi-window asynchrony, bounded delay and
-/// partitions all make states diverge, so both memo hits and misses are
-/// exercised.
+/// **Production ≡ literal** on every cell of the golden table, and the
+/// report digests to its committed line. Churn, corruption windows,
+/// multi-window asynchrony, bounded delay and partitions all make states
+/// diverge, so both memo hits and misses are exercised.
 #[test]
-fn golden_cells_tallies_match_reference() {
+fn golden_cells_match_the_literal_in_lockstep() {
     let mut lines = Vec::new();
     for cell in golden_cells() {
-        let (oracle, log) = TallyOracle::new();
-        let report = cell.builder().observer(oracle).run();
-        let check = log.borrow().clone();
-        let label = &cell.label;
-        assert!(check.checked > 0, "oracle checked nothing for {label}");
-        assert!(
-            check.mismatches.is_empty(),
-            "{} of {} consumed tallies diverged from the stateless window tally for {label}, \
-             first at {:?}",
-            check.mismatches.len(),
-            check.checked,
-            check.mismatches.first()
-        );
-        lines.push(golden_line(label, &report));
+        let tob = cell.builder().build().expect("valid sim");
+        let lit = cell.builder().build().expect("valid sim");
+        let (report, checked) = lockstep(tob, lit, &cell.label);
+        assert!(checked > 0, "nothing compared for {}", cell.label);
+        lines.push(golden_line(&cell.label, &report));
     }
     assert_golden(&lines);
 }
@@ -144,40 +147,6 @@ impl st_sim::Observer for CountingProbe {
     }
 }
 
-/// **Step-vs-run equivalence**: driving the simulation with an arbitrary
-/// mix of `step()` / `run_until()` calls, then `finish()`, must produce a
-/// report byte-identical to the one-shot `run()`.
-#[test]
-fn stepped_run_is_byte_identical_to_one_shot_run() {
-    for (adv, sched, eta, t, seed) in guard_grid() {
-        let config = guard_config(eta, &t, seed);
-        let one_shot = SimBuilder::from_config(config.clone())
-            .workload_spec(WorkloadSpec::txs_every(4))
-            .schedule(schedule(sched, 10, 28))
-            .adversary_boxed(adversary(adv))
-            .run();
-        let mut stepped = SimBuilder::from_config(config)
-            .workload_spec(WorkloadSpec::txs_every(4))
-            .schedule(schedule(sched, 10, 28))
-            .adversary_boxed(adversary(adv))
-            .build()
-            .expect("valid sim");
-        stepped.step();
-        stepped.run_until(Round::new(9));
-        stepped.step();
-        stepped.run_until(Round::new(7)); // no-op: already past
-        stepped.run_until(Round::new(21));
-        while stepped.step().is_some() {}
-        assert!(stepped.is_done());
-        let stepped = stepped.finish();
-        assert_eq!(
-            serde_json::to_string(&one_shot).unwrap(),
-            serde_json::to_string(&stepped).unwrap(),
-            "step()/run_until() diverged from run() for adversary={adv} schedule={sched} eta={eta}"
-        );
-    }
-}
-
 /// **Observer-vs-seed equivalence**: registering a user observer — even
 /// one that opts into per-envelope delivery events, forcing the
 /// event-generating delivery path — must not change a single report byte
@@ -236,18 +205,16 @@ fn explicit_protocol_parameterisation_matches_defaulted_alias() {
     }
 }
 
-/// **Non-vacuity**: on a full-participation cell the oracle compared
-/// every (process, round ≥ 1) step, and almost all of them were adopted
+/// **Non-vacuity**: on a full-participation cell every (process,
+/// round ≥ 1) tally was compared, and almost all of them were adopted
 /// from the round's memo (one computed tally per round, `n − 1` hits) —
 /// a clean verdict above really is about shared tallies.
 #[test]
-fn oracle_checks_every_step_and_the_cache_actually_shares() {
+fn lockstep_checks_every_step_and_the_cache_actually_shares() {
     let (n, horizon) = (8, 30);
     let config = SimConfig::new(params(n, 2), 1).horizon(horizon);
-    let (report, check) =
-        run_with_oracle(config, 4, Schedule::full(n, horizon), adversary("silent"));
-    assert_eq!(check.checked, n * horizon as usize);
-    assert!(check.mismatches.is_empty(), "{:?}", check.mismatches);
+    let (report, checked) = run_in_lockstep(config, 4, Schedule::full(n, horizon), "silent");
+    assert_eq!(checked, n * horizon as usize);
     let rate = report.timeline.tally_cache_hit_rate();
     assert!(
         rate > 0.8,
@@ -259,7 +226,7 @@ proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(CASES))]
 
     /// **Sharing property**: whatever the delivery history, a process
-    /// only ever consumes a tally equal to the stateless reference over
+    /// only ever consumes the tally the literal Algorithm 1 computes from
     /// its *own* state. The regime is the one in which delivery history
     /// and state come apart: every adversary, every kind of disruption
     /// (in particular the first synchronous round after a blackout, when
@@ -314,15 +281,8 @@ proptest::proptest! {
         let config = SimConfig::new(params(n, eta), seed)
             .horizon(horizon)
             .timeline(timeline);
-        let (_, check) = run_with_oracle(config, 3, sched, adversary(ADVERSARIES[adv]));
-        proptest::prop_assert!(check.checked > 0);
-        proptest::prop_assert!(
-            check.mismatches.is_empty(),
-            "{} of {} consumed tallies were stale, first at {:?}",
-            check.mismatches.len(),
-            check.checked,
-            check.mismatches.first()
-        );
+        let (_, checked) = run_in_lockstep(config, 3, sched, ADVERSARIES[adv]);
+        proptest::prop_assert!(checked > 0);
     }
 }
 

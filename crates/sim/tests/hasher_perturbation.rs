@@ -3,7 +3,7 @@
 //! `FastMap` and `FastSet` offer no walk in bucket order, so a leak can
 //! come only through a path the types do not see: a std table hashed
 //! with `FxHasher`, or a hash value itself reaching an output. This test
-//! is the dynamic check. It replays the golden table (the oracle grids,
+//! is the dynamic check. It replays the golden table (the timeline grids,
 //! the guard grid and four open-loop workload cells behind a tight
 //! mempool, whose admission, drop and hold-over paths reach the
 //! serialised summary and `TxRecord`s) under perturbed FxHash seeds
@@ -34,7 +34,7 @@ const PERTURBED_SEEDS: [u64; 4] = [
 fn golden_lines() -> Vec<String> {
     golden_cells()
         .iter()
-        .map(|cell| golden_line(&cell.label, &cell.builder().run()))
+        .map(|cell| golden_line(&cell.label, &cell.builder::<st_core::TobProcess>().run()))
         .collect()
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Two kinds of guard:
 //!
-//! * **Analytical cross-check** — the closed-form schedule walk
-//!   (`st_sim::baseline::StaticQuorumBft`) predicts, per view, whether
-//!   the static quorum is met on an honest synchronous schedule. The
+//! * **Analytical cross-check** — a closed-form schedule walk
+//!   ([`analytical_decided_views`]) predicts, per view, whether the
+//!   static quorum is met on an honest synchronous schedule. The
 //!   message-passing [`QuorumProcess`] must decide exactly the predicted
 //!   views and stall exactly the predicted ones.
 //! * **Property tests** — the module-doc claims, executed: under full
@@ -17,7 +17,6 @@
 use proptest::prelude::*;
 use st_core::TobProcess;
 use st_sim::adversary::{PartitionAttacker, SilentAdversary};
-use st_sim::baseline::StaticQuorumBft;
 use st_sim::scenario::gst;
 use st_sim::{
     DecisionTap, Protocol, QuorumProcess, Schedule, SimBuilder, SimConfig, SimReport, Simulation,
@@ -56,32 +55,38 @@ fn decidable_by_horizon(view: u64, horizon: u64) -> bool {
     2 * view < horizon
 }
 
+/// The closed-form walk: view `v` (decision round `2v ≤ horizon`)
+/// decides iff more than `2n/3` honest processes are awake in round `2v`
+/// — votes from asleep processes cannot arrive, and the quorum counts
+/// the fixed membership `n`. Returns `(decided, stalled)`.
+fn analytical_decided_views(schedule: &Schedule, n: usize) -> (BTreeSet<u64>, BTreeSet<u64>) {
+    (1..=schedule.horizon() / 2).partition(|&v| {
+        let awake = schedule.honest_awake(Round::new(2 * v)).len();
+        QuorumProcess::quorum_exceeded(n, awake)
+    })
+}
+
 /// The cross-check: simulated decided/stalled views must match the
-/// analytical `BaselineReport` on honest synchronous schedules, up to
-/// the one-round decision lag at the horizon.
+/// analytical walk on honest synchronous schedules, up to the one-round
+/// decision lag at the horizon.
 fn assert_matches_analytical(schedule: &Schedule, n: usize, seed: u64) {
-    let analytical = StaticQuorumBft::new(n).run(schedule);
+    let (predicted, stalled) = analytical_decided_views(schedule, n);
     let simulated = simulated_decided_views(schedule, n, seed);
-    for v in &analytical.decided_views {
-        if decidable_by_horizon(v.as_u64(), schedule.horizon()) {
+    for &v in &predicted {
+        if decidable_by_horizon(v, schedule.horizon()) {
             assert!(
-                simulated.contains(&v.as_u64()),
+                simulated.contains(&v),
                 "analytical decided view {v} missing from simulation (n={n})"
             );
         }
     }
-    for v in &analytical.stalled_views {
+    for v in &stalled {
         assert!(
-            !simulated.contains(&v.as_u64()),
+            !simulated.contains(v),
             "analytically stalled view {v} decided in simulation (n={n})"
         );
     }
     // And nothing beyond the analytical decided set ever decides.
-    let predicted: BTreeSet<u64> = analytical
-        .decided_views
-        .iter()
-        .map(|v| v.as_u64())
-        .collect();
     for v in &simulated {
         assert!(
             predicted.contains(v),
@@ -112,8 +117,7 @@ fn borderline_third_matches_analytical_walk() {
     // strict `> 2n/3` rule rejects — both sides must agree the views
     // stall.
     let schedule = Schedule::mass_sleep(9, 30, 1.0 / 3.0, 8, 20);
-    let analytical = StaticQuorumBft::new(9).run(&schedule);
-    assert!(!analytical.stalled_views.is_empty());
+    assert!(!analytical_decided_views(&schedule, 9).1.is_empty());
     assert_matches_analytical(&schedule, 9, 7);
 }
 

@@ -3,9 +3,9 @@
 //! **arbitrary** split points must be invisible — the finished
 //! [`st_sim::SimReport`] serialises byte-identically to the one-shot
 //! [`st_sim::Simulation::run`] across the (adversary × timeline × η)
-//! grid. This is the property the deterministic guard-grid test in
-//! `determinism_equivalence.rs` spot-checks, quantified over random
-//! split schedules.
+//! grid, quantified over random split schedules. (The golden cells,
+//! stepped in `determinism_equivalence.rs`, must also digest as the
+//! one-shot runs of the facade's `golden_reports.rs` do.)
 
 use proptest::prelude::*;
 use st_sim::adversary::{

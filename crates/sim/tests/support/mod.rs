@@ -1,16 +1,16 @@
 //! The golden table: every report cell whose digest
 //! `golden/report_digests.txt` pins, one labelled [`Cell`] each, in file
-//! order. Shared by `determinism_equivalence.rs` (under the tally oracle),
-//! `hasher_perturbation.rs` (under perturbed FxHash seeds) and the
-//! facade's Tier-1 `tests/golden_reports.rs`.
+//! order. Shared by `determinism_equivalence.rs` (in lockstep with the
+//! literal Algorithm 1), `hasher_perturbation.rs` (under perturbed FxHash
+//! seeds) and the facade's Tier-1 `tests/golden_reports.rs`.
 
 use st_sim::adversary::{
     Adversary, BlackoutAdversary, EquivocatingVoter, PartitionAttacker, ReorgAttacker,
     SilentAdversary,
 };
 use st_sim::{
-    ChurnOptions, ConstantRate, Diurnal, FlashCrowd, Schedule, SimBuilder, SimConfig, SimReport,
-    Timeline, WorkloadSpec,
+    ChurnOptions, ConstantRate, Diurnal, FlashCrowd, Protocol, Schedule, SimBuilder, SimConfig,
+    SimReport, Timeline, WorkloadSpec,
 };
 use st_types::{Params, ProcessId, Round};
 
@@ -18,7 +18,7 @@ pub fn params(n: usize, eta: u64) -> Params {
     Params::builder(n).expiration(eta).build().unwrap()
 }
 
-pub fn adversary(name: &str) -> Box<dyn Adversary> {
+pub fn adversary<P: Protocol>(name: &str) -> Box<dyn Adversary<P>> {
     match name {
         "silent" => Box::new(SilentAdversary),
         "blackout" => Box::new(BlackoutAdversary),
@@ -115,10 +115,10 @@ impl Cell {
         }
     }
 
-    /// The cell's simulation, open for more observers.
-    pub fn builder(&self) -> SimBuilder {
+    /// The cell's simulation of protocol `P`, open for more observers.
+    pub fn builder<P: Protocol>(&self) -> SimBuilder<P> {
         let horizon = self.config.horizon_rounds();
-        SimBuilder::from_config(self.config.clone())
+        SimBuilder::<P>::for_protocol_config(self.config.clone())
             .workload_spec(workload_spec(self.workload))
             .schedule(schedule(self.schedule, 10, horizon))
             .adversary_boxed(adversary(self.adversary))
@@ -126,7 +126,7 @@ impl Cell {
 }
 
 /// The golden table, in the order of `golden/report_digests.txt`: 6
-/// synchronous, 8 single-window and 7 multi-segment oracle cells, the 7
+/// synchronous, 8 single-window and 7 multi-segment cells, the 7
 /// guard-grid cells and 4 open-loop workload cells.
 pub fn golden_cells() -> Vec<Cell> {
     let mut cells = Vec::new();

@@ -140,7 +140,6 @@ pub mod prelude {
     pub use st_sim::adversary::{
         BlackoutAdversary, EquivocatingVoter, PartitionAttacker, ReorgAttacker, SilentAdversary,
     };
-    pub use st_sim::baseline::StaticQuorumBft;
     pub use st_sim::conditions::check_conditions;
     pub use st_sim::scenario::{alternating, gst, Scenario};
     pub use st_sim::{

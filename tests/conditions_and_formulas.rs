@@ -267,8 +267,13 @@ fn ga_instance_matches_protocol_decision() {
         Round::new(3),
         BlockId::GENESIS,
     ));
-    let votes = store.latest_in_window(Round::new(3), Round::new(6));
-    let out = tally(&tree, &votes, Thresholds::mmr());
+    let out = tally(
+        &tree,
+        &store,
+        Round::new(3),
+        Round::new(6),
+        Thresholds::mmr(),
+    );
     assert_eq!(out.participation(), 10);
     assert_eq!(out.grade_of(block), Some(Grade::One));
     assert_eq!(out.longest_grade1(), Some(block));
