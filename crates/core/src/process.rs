@@ -184,7 +184,7 @@ impl TobProcess {
     /// every receiver via [`TobProcess::on_receive_shared`] so the
     /// signature is checked once per envelope, not once per receiver.
     pub fn on_receive(&mut self, envelope: Envelope) {
-        // stlint::allow(deadpub, reason = "the single-receiver entry point for hand-driven processes (crate doc, conformance tests); multicast drivers use on_receive_shared")
+        // stlint::allow(deadpub, reason = "the single-receiver entry point for hand-driven processes (crate doc, protocol_edges.rs, proptest_protocol.rs); multicast drivers use on_receive_shared")
         self.on_receive_shared(&SharedEnvelope::new(envelope));
     }
 

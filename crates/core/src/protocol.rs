@@ -44,9 +44,6 @@ pub trait Protocol: Sized + 'static {
     /// seed, key directory).
     fn new(id: ProcessId, config: TobConfig) -> Self;
 
-    /// This process's id.
-    fn id(&self) -> ProcessId;
-
     /// Queues a transaction for inclusion in future proposals.
     ///
     /// A proposal extending a log carries every transaction submitted to
@@ -131,10 +128,6 @@ impl Protocol for crate::TobProcess {
 
     fn new(id: ProcessId, config: TobConfig) -> Self {
         crate::TobProcess::new(id, config)
-    }
-
-    fn id(&self) -> ProcessId {
-        crate::TobProcess::id(self)
     }
 
     fn submit_tx(&mut self, tx: TxId) {

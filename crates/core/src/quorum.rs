@@ -42,10 +42,11 @@ use std::sync::Arc;
 /// processes sleep through a view's vote round, that view can never
 /// reach quorum and is **permanently stalled** — the protocol only
 /// resumes deciding with the first view whose vote round sees enough
-/// participation again. The closed-form schedule walk in st-sim's
-/// `baseline` module predicts exactly which views decide and which
-/// stall on honest synchronous schedules; a regression test holds this
-/// implementation to that prediction.
+/// participation again. A closed-form schedule walk
+/// (`analytical_decided_views` in st-sim's `tests/quorum_protocol.rs`)
+/// predicts exactly which views decide and which stall on honest
+/// synchronous schedules, and that test holds this implementation to
+/// the prediction.
 #[derive(Clone, Debug)]
 pub struct QuorumProcess {
     id: ProcessId,
@@ -203,10 +204,6 @@ impl Protocol for QuorumProcess {
 
     fn new(id: ProcessId, config: TobConfig) -> Self {
         QuorumProcess::new(id, config)
-    }
-
-    fn id(&self) -> ProcessId {
-        self.id
     }
 
     fn submit_tx(&mut self, tx: TxId) {

@@ -362,10 +362,6 @@ impl Protocol for LiteralProcess {
         }
     }
 
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-
     fn submit_tx(&mut self, tx: TxId) {
         if !self.submitted.contains(&tx) {
             self.submitted.push(tx);

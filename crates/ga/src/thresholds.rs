@@ -30,7 +30,9 @@ impl Thresholds {
 
     /// The MMR thresholds (`β = 1/3`).
     pub fn mmr() -> Thresholds {
-        Thresholds { beta: 1.0 / 3.0 }
+        Thresholds {
+            beta: st_types::DEFAULT_FAILURE_RATIO,
+        }
     }
 
     /// The failure ratio `β`.
@@ -52,12 +54,6 @@ impl Thresholds {
 impl Default for Thresholds {
     fn default() -> Self {
         Thresholds::mmr()
-    }
-}
-
-impl From<st_types::Params> for Thresholds {
-    fn from(p: st_types::Params) -> Thresholds {
-        Thresholds::new(p.failure_ratio())
     }
 }
 
@@ -124,15 +120,5 @@ mod tests {
     #[should_panic(expected = "β must lie")]
     fn invalid_beta_panics() {
         let _ = Thresholds::new(0.7);
-    }
-
-    #[test]
-    fn from_params() {
-        let p = st_types::Params::builder(10)
-            .failure_ratio(0.25)
-            .build()
-            .unwrap();
-        let t = Thresholds::from(p);
-        assert!((t.beta() - 0.25).abs() < 1e-12);
     }
 }

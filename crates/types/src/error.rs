@@ -21,8 +21,6 @@ pub enum TypesError {
         /// The failure ratio it must stay below.
         beta: f64,
     },
-    /// The synchrony bound `δ` must be a positive finite duration.
-    InvalidDelta(f64),
 }
 
 impl fmt::Display for TypesError {
@@ -40,12 +38,6 @@ impl fmt::Display for TypesError {
                 "churn rate γ = {gamma} must be strictly below failure ratio β = {beta} \
                  when message expiration is enabled"
             ),
-            TypesError::InvalidDelta(d) => {
-                write!(
-                    f,
-                    "synchrony bound δ must be positive and finite, got {d} ms"
-                )
-            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Protocol parameters `(n, β, γ, η, π, δ)` and the derived adjusted
+//! Protocol parameters `(n, β, γ, η)` and the derived adjusted
 //! failure ratio `β̃` of Section 2.3 of the paper.
 
 use crate::TypesError;
@@ -14,12 +14,11 @@ pub const DEFAULT_FAILURE_RATIO: f64 = 1.0 / 3.0;
 ///   available protocol (1/3 for MMR);
 /// * `gamma` (`γ`) — maximum churn rate per `η` rounds (Equation 1);
 /// * `eta` (`η`) — message expiration period in rounds; `η = 0` recovers the
-///   vanilla protocol that only uses current-round votes;
-/// * `pi` (`π`) — maximum tolerated asynchronous period; safety under
-///   asynchrony requires `π < η` (Theorem 2);
-/// * `delta_ms` (`δ`) — the synchrony bound in milliseconds; rounds last
-///   `Δ = 3δ` (Section 2.1). Only used to convert round counts into
-///   wall-clock figures in experiments.
+///   vanilla protocol that only uses current-round votes.
+///
+/// The asynchronous period `π` belongs to the environment, not the
+/// protocol: a run states it in its `Timeline`, and Theorem 2's `π < η`
+/// is checked on the report.
 ///
 /// Use [`Params::builder`] to construct validated parameters.
 ///
@@ -36,25 +35,12 @@ pub struct Params {
     beta: f64,
     gamma: f64,
     eta: u64,
-    pi: u64,
-    delta_ms: f64,
 }
 
 impl Params {
     /// Starts building parameters for a system of `n` processes.
     pub fn builder(n: usize) -> ParamsBuilder {
         ParamsBuilder::new(n)
-    }
-
-    /// Convenience constructor for the vanilla MMR protocol (no message
-    /// expiration, no churn bound needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `n == 0`.
-    pub fn vanilla(n: usize) -> Result<Params, TypesError> {
-        // stlint::allow(deadpub, reason = "names the vanilla MMR baseline (η = 0) that the Section-1 attack and Theorem tests run against")
-        Params::builder(n).expiration(0).churn_rate(0.0).build()
     }
 
     /// Number of processes in the system.
@@ -77,16 +63,6 @@ impl Params {
         self.eta
     }
 
-    /// The maximum tolerated asynchronous period `π` in rounds.
-    pub fn max_asynchrony(&self) -> u64 {
-        self.pi
-    }
-
-    /// The synchrony bound `δ` in milliseconds.
-    pub fn delta_ms(&self) -> f64 {
-        self.delta_ms
-    }
-
     /// The adjusted failure ratio `β̃ = (β − γ) / (γ(β − 2) + 1)` that the
     /// modified protocol must enforce per round (Equation 2, Section 2.3).
     ///
@@ -100,46 +76,6 @@ impl Params {
     /// ```
     pub fn adjusted_failure_ratio(&self) -> f64 {
         adjusted_failure_ratio(self.beta, self.gamma)
-    }
-
-    /// Whether the configuration is asynchrony-resilient by Theorem 2,
-    /// i.e. `π < η`.
-    pub fn is_asynchrony_resilient(&self) -> bool {
-        self.pi < self.eta
-    }
-
-    /// Quorum numerator for grade-1 outputs: votes must exceed
-    /// `(1 − β)·m`. With `β = 1/3` this is the `> 2m/3` test of Figure 2.
-    ///
-    /// Returns the threshold as a count: the smallest integer `t` such that
-    /// `t > (1 − β) · m` fails for counts `≤ t − 1`. Callers compare
-    /// `support > grade1_threshold(m)` is *not* needed — use
-    /// `support as f64 > (1.0 - beta) * m as f64` via [`Params::meets_grade1`].
-    pub fn meets_grade1(&self, support: usize, m: usize) -> bool {
-        (support as f64) > (1.0 - self.beta) * (m as f64)
-    }
-
-    /// Whether `support` out of `m` perceived participants meets the
-    /// grade-0 quorum (`> β·m`, the `> m/3` test of Figure 2).
-    pub fn meets_grade0(&self, support: usize, m: usize) -> bool {
-        (support as f64) > self.beta * (m as f64)
-    }
-}
-
-impl Default for Params {
-    /// A small but representative default: 40 processes, `η = 4`, `π = 2`,
-    /// `γ = 0.05`, `β = 1/3`, `δ = 100 ms`.
-    #[expect(
-        clippy::expect_used,
-        reason = "constant builder inputs that satisfy every Params validation rule; exercised by the default_params_are_resilient test"
-    )]
-    fn default() -> Self {
-        Params::builder(40)
-            .expiration(4)
-            .max_asynchrony(2)
-            .churn_rate(0.05)
-            .build()
-            .expect("default parameters are valid")
     }
 }
 
@@ -183,8 +119,6 @@ pub struct ParamsBuilder {
     beta: f64,
     gamma: f64,
     eta: u64,
-    pi: u64,
-    delta_ms: f64,
 }
 
 impl ParamsBuilder {
@@ -194,8 +128,6 @@ impl ParamsBuilder {
             beta: DEFAULT_FAILURE_RATIO,
             gamma: 0.0,
             eta: 0,
-            pi: 0,
-            delta_ms: 100.0,
         }
     }
 
@@ -218,19 +150,6 @@ impl ParamsBuilder {
         self
     }
 
-    /// Sets the maximum asynchronous-period length `π` in rounds
-    /// (default 0).
-    pub fn max_asynchrony(mut self, pi: u64) -> Self {
-        self.pi = pi;
-        self
-    }
-
-    /// Sets the synchrony bound `δ` in milliseconds (default 100).
-    pub fn delta_ms(mut self, delta_ms: f64) -> Self {
-        self.delta_ms = delta_ms;
-        self
-    }
-
     /// Validates and builds the parameter set.
     ///
     /// # Errors
@@ -238,8 +157,7 @@ impl ParamsBuilder {
     /// * [`TypesError::EmptySystem`] if `n == 0`;
     /// * [`TypesError::InvalidFailureRatio`] if `β ∉ (0, 1/2]`;
     /// * [`TypesError::InvalidChurnRate`] if `γ < 0`, or `γ ≥ β` (the paper
-    ///   requires `γ < β`, else Equation 2 demands `|B_r| < 0`);
-    /// * [`TypesError::InvalidDelta`] if `δ ≤ 0` or not finite.
+    ///   requires `γ < β`, else Equation 2 demands `|B_r| < 0`).
     pub fn build(self) -> Result<Params, TypesError> {
         if self.n == 0 {
             return Err(TypesError::EmptySystem);
@@ -259,17 +177,11 @@ impl ParamsBuilder {
                 beta: self.beta,
             });
         }
-        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must fail the check")]
-        if !(self.delta_ms > 0.0) || !self.delta_ms.is_finite() {
-            return Err(TypesError::InvalidDelta(self.delta_ms));
-        }
         Ok(Params {
             n: self.n,
             beta: self.beta,
             gamma: self.gamma,
             eta: self.eta,
-            pi: self.pi,
-            delta_ms: self.delta_ms,
         })
     }
 }
@@ -283,7 +195,6 @@ mod tests {
         let p = Params::builder(10).build().unwrap();
         assert_eq!(p.n(), 10);
         assert_eq!(p.expiration(), 0);
-        assert_eq!(p.max_asynchrony(), 0);
         assert!((p.failure_ratio() - 1.0 / 3.0).abs() < 1e-12);
     }
 
@@ -349,38 +260,5 @@ mod tests {
             assert!(v < prev);
             prev = v;
         }
-    }
-
-    #[test]
-    fn quorum_tests_match_thirds() {
-        let p = Params::builder(10).build().unwrap();
-        // m = 9: grade 1 needs > 6 votes, grade 0 needs > 3 votes.
-        assert!(!p.meets_grade1(6, 9));
-        assert!(p.meets_grade1(7, 9));
-        assert!(!p.meets_grade0(3, 9));
-        assert!(p.meets_grade0(4, 9));
-    }
-
-    #[test]
-    fn asynchrony_resilience_predicate() {
-        let p = Params::builder(10)
-            .expiration(4)
-            .max_asynchrony(3)
-            .build()
-            .unwrap();
-        assert!(p.is_asynchrony_resilient());
-        let q = Params::builder(10)
-            .expiration(4)
-            .max_asynchrony(4)
-            .build()
-            .unwrap();
-        assert!(!q.is_asynchrony_resilient());
-    }
-
-    #[test]
-    fn default_params_are_resilient() {
-        let p = Params::default();
-        assert!(p.is_asynchrony_resilient());
-        assert!(p.adjusted_failure_ratio() > 0.0);
     }
 }

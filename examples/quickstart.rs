@@ -16,14 +16,9 @@ use sleepy_tob::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Validated protocol parameters: n = 10 processes, failure ratio
-    //    β = 1/3 (MMR), expiration η = 4, designed for asynchronous
-    //    periods up to π = 3, churn bounded by γ = 5% per η rounds.
-    let params = Params::builder(10)
-        .expiration(4)
-        .max_asynchrony(3)
-        .churn_rate(0.05)
-        .build()?;
-    println!("asynchrony-resilient: {}", params.is_asynchrony_resilient());
+    //    β = 1/3 (MMR), expiration η = 4 (tolerating asynchronous periods
+    //    up to π = 3), churn bounded by γ = 5% per η rounds.
+    let params = Params::builder(10).expiration(4).churn_rate(0.05).build()?;
     println!(
         "adjusted failure ratio β̃ = {:.3} (β = {:.3}, γ = {:.2})",
         params.adjusted_failure_ratio(),

@@ -4,12 +4,12 @@
 //! stob run        [--n 16] [--eta 4] [--rounds 60] [--seed 1] [--churn 0.0]
 //!                 [--byz 0] [--txs 4] [--async-at R --pi P] [--adversary NAME]
 //!                 [--protocol sleepy|quorum] [--timeline]
-//! stob attack     [--eta 0|4] — the Section-1 attack demo, both protocols
 //! stob curve      [--beta 0.3333] — print the Figure-1 β̃ curve
 //! stob check      [--n 16] [--eta 4] [--gamma 0.1] [--sleep 0.02] — verify
 //!                 Equations 1–3 for a random-churn schedule
 //! stob scenario   [NAME|list] — run a named set-piece (the paper's attacks,
-//!                 the Ethereum incident, …)
+//!                 the Ethereum incident, …); exit 1 when the outcome
+//!                 differs from the scenario's expected one
 //! stob explore    [--pi 1] [--eta 4] — exhaustively enumerate every
 //!                 delivery strategy at n = 4 (Theorem 2, verified)
 //! stob serve      --plan plan.json --id 0 --out node_0.json — run one
@@ -116,6 +116,10 @@ fn cmd_run(args: &Args) -> ExitCode {
     let churn: f64 = args.get("churn", 0.0);
     let byz: usize = args.get("byz", 0);
     let txs: u64 = args.get("txs", 4);
+    if !(0.0..1.0).contains(&churn) {
+        eprintln!("--churn must lie in [0, 1), got {churn}");
+        return ExitCode::from(2);
+    }
     let adversary_name = args.opt("adversary").unwrap_or("silent");
     let protocol = args.opt("protocol").unwrap_or("sleepy");
     if !matches!(protocol, "sleepy" | "quorum") {
@@ -243,31 +247,6 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
 }
 
-fn cmd_attack(args: &Args) -> ExitCode {
-    for eta in [0u64, args.get("eta", 6).max(5)] {
-        let n = 12;
-        let horizon = 32;
-        let params = Params::builder(n).expiration(eta).build().expect("valid");
-        let report = SimBuilder::from_config(
-            SimConfig::new(params, 5)
-                .horizon(horizon)
-                .timeline(Timeline::synchronous().asynchronous(Round::new(12), 4)),
-        )
-        .schedule(Schedule::full(n, horizon))
-        .adversary(PartitionAttacker::new())
-        .build()
-        .expect("valid simulation")
-        .run();
-        println!(
-            "η = {eta:<2} → agreement violations: {:<4} (π = 4 {} η)",
-            report.safety_violations.len(),
-            if 4 < eta { "<" } else { "≥" },
-        );
-    }
-    println!("\nThe Section-1 attack: vanilla breaks, η > π survives (Theorem 2).");
-    ExitCode::SUCCESS
-}
-
 fn cmd_curve(args: &Args) -> ExitCode {
     let beta: f64 = args.get("beta", 1.0 / 3.0);
     println!("γ      β̃(β = {beta:.4})");
@@ -356,7 +335,11 @@ fn cmd_scenario(argv: &[String]) -> ExitCode {
         expect_safe,
         expect_resilient,
     );
-    ExitCode::SUCCESS
+    if (report.is_safe(), report.is_asynchrony_resilient()) == (expect_safe, expect_resilient) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 fn cmd_explore(args: &Args) -> ExitCode {
@@ -686,7 +669,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first().map(String::as_str) else {
         eprintln!(
-            "usage: stob <run|attack|curve|check|scenario|explore|serve|cluster> [--flags]\n\
+            "usage: stob <run|curve|check|scenario|explore|serve|cluster> [--flags]\n\
              see the binary's source header for the full flag list"
         );
         return ExitCode::from(2);
@@ -698,7 +681,6 @@ fn main() -> ExitCode {
     let args = Args::parse(&argv[1..]);
     match command {
         "run" => cmd_run(&args),
-        "attack" => cmd_attack(&args),
         "curve" => cmd_curve(&args),
         "check" => cmd_check(&args),
         "explore" => cmd_explore(&args),
@@ -707,7 +689,7 @@ fn main() -> ExitCode {
         other => {
             eprintln!(
                 "unknown command {other:?} \
-                 (expected run|attack|curve|check|scenario|explore|serve|cluster)"
+                 (expected run|curve|check|scenario|explore|serve|cluster)"
             );
             ExitCode::from(2)
         }

@@ -32,17 +32,12 @@
 //! ```
 //! use sleepy_tob::prelude::*;
 //!
-//! // An asynchrony-resilient configuration: η = 4 tolerates any π ≤ 3.
-//! let params = Params::builder(10)
-//!     .expiration(4)
-//!     .max_asynchrony(3)
-//!     .churn_rate(0.05)
-//!     .build()?;
-//! assert!(params.is_asynchrony_resilient());
+//! // Protocol parameters: η = 4 tolerates any asynchronous period π ≤ 3.
+//! let params = Params::builder(10).expiration(4).churn_rate(0.05).build()?;
 //!
 //! // Run it through a 2-round network partition: safety holds. The
-//! // config holds the run's values (horizon, environment timeline); the
-//! // builder adds its parts — the schedule defaults to full
+//! // config holds the run's values (horizon, environment timeline, so π
+//! // too); the builder adds its parts — the schedule defaults to full
 //! // participation, the adversary is typed (no Box).
 //! let config = SimConfig::new(params, 42)
 //!     .horizon(30)
@@ -52,6 +47,7 @@
 //!     .build()?
 //!     .run();
 //! assert!(report.is_safe());
+//! assert!(report.is_asynchrony_resilient()); // Theorem 2: π = 2 < η = 4
 //!
 //! // The paper's claim is recovery after *every* spell: a two-spell
 //! // timeline yields one recovery record per window.
@@ -106,6 +102,12 @@ pub use st_messages as messages;
 pub use st_node as node;
 pub use st_sim as sim;
 pub use st_types as types;
+
+// The README's Rust quickstart runs as a doctest, so it cannot drift
+// from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+mod readme {}
 
 /// One-stop imports for the common API surface.
 ///

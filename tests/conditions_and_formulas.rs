@@ -225,14 +225,6 @@ fn parameter_validation_matches_theory() {
         .churn_rate(0.34)
         .build()
         .is_ok());
-    // π ≥ η is constructible (you may run outside the guarantee) but
-    // flagged as not asynchrony-resilient.
-    let p = Params::builder(10)
-        .expiration(3)
-        .max_asynchrony(3)
-        .build()
-        .unwrap();
-    assert!(!p.is_asynchrony_resilient());
 }
 
 /// The graded-agreement primitive and the full protocol agree on

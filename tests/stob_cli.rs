@@ -44,3 +44,16 @@ fn run_rejects_a_run_with_no_honest_process() {
     rejects(&["run", "--n", "4", "--byz", "4"], "no honest process");
     rejects(&["run", "--n", "4", "--byz", "10"], "no honest process");
 }
+
+#[test]
+fn run_rejects_a_churn_rate_outside_the_unit_interval() {
+    rejects(&["run", "--churn", "1.5"], "--churn must lie in [0, 1)");
+    rejects(&["run", "--churn", "nan"], "--churn must lie in [0, 1)");
+}
+
+#[test]
+fn attack_is_not_a_command() {
+    // The Section-1 attack runs as `stob scenario partition-vanilla` and
+    // `stob scenario partition-extended`.
+    rejects(&["attack"], "unknown command \"attack\"");
+}

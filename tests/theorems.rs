@@ -356,7 +356,6 @@ fn small_delta_with_expiration_outpaces_delta_equal_pi() {
         let horizon = 40 + 2 * pi;
         let params = Params::builder(12)
             .expiration(eta)
-            .delta_ms(delta_ms)
             .build()
             .expect("valid parameters");
         let report = SimBuilder::from_config(
