@@ -10,9 +10,9 @@ use std::sync::Arc;
 /// arena and refer to each other by arena index — ancestry walks are
 /// array reads, not hash lookups. The block itself is held behind an
 /// [`Arc`]: in a simulation one multicast body reaches every receiver,
-/// and each tree that takes it (a process's, once a vote names the
-/// block; the simulator's global tree) shares that one allocation
-/// instead of copying ~150 bytes of block per node at `n = 4096`.
+/// and each process tree that takes it (once a vote names the block)
+/// shares that one allocation instead of copying ~150 bytes of block per
+/// node at `n = 4096`.
 #[derive(Clone, Debug)]
 struct Node {
     block: Arc<Block>,

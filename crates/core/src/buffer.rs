@@ -6,8 +6,8 @@
 //! ever contains fully connected chains.
 //!
 //! * [`BlockBuffer`] is the eager form: every body enters the tree as
-//!   soon as it connects. `QuorumProcess` and the simulator's global tree
-//!   use it.
+//!   soon as it connects. Only `QuorumProcess` uses it, so it is
+//!   crate-private.
 //! * [`BodyStore`] is the lazy form `TobProcess` uses: a connected body
 //!   enters the tree only once something references it — a stored vote
 //!   names it, or a descendant is admitted. Under full participation one
@@ -27,20 +27,20 @@ use std::sync::Arc;
 /// arrives. Blocks are held behind [`Arc`] handles so parking a multicast
 /// body never copies it.
 #[derive(Clone, Debug, Default)]
-pub struct BlockBuffer {
+pub(crate) struct BlockBuffer {
     /// parent id → orphans waiting for it.
     waiting: FastMap<BlockId, Vec<Arc<Block>>>,
 }
 
 impl BlockBuffer {
     /// Creates an empty buffer.
-    pub fn new() -> BlockBuffer {
+    pub(crate) fn new() -> BlockBuffer {
         BlockBuffer::default()
     }
 
     /// Number of parked orphan blocks.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.waiting
             .iter_sorted()
             .map(|(_, orphans)| orphans.len())
@@ -49,7 +49,7 @@ impl BlockBuffer {
 
     /// Whether no orphans are parked.
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.waiting.is_empty()
     }
 
@@ -57,7 +57,11 @@ impl BlockBuffer {
     /// Whenever an insertion succeeds, any orphans waiting on the new
     /// block are flushed recursively. Returns the ids that actually
     /// entered the tree (in insertion order).
-    pub fn insert(&mut self, tree: &mut BlockTree, block: impl Into<Arc<Block>>) -> Vec<BlockId> {
+    pub(crate) fn insert(
+        &mut self,
+        tree: &mut BlockTree,
+        block: impl Into<Arc<Block>>,
+    ) -> Vec<BlockId> {
         let mut inserted = Vec::new();
         let mut queue = vec![block.into()];
         while let Some(b) = queue.pop() {

@@ -78,7 +78,6 @@ pub mod protocol;
 mod quorum;
 mod txpool;
 
-pub use buffer::BlockBuffer;
 pub use config::TobConfig;
 pub use decision::DecisionEvent;
 pub use process::TobProcess;

@@ -1,7 +1,8 @@
 //! A classic fixed-quorum BFT baseline, [`QuorumProcess`].
 
+use crate::buffer::BlockBuffer;
 use crate::txpool::TxPool;
-use crate::{BlockBuffer, DecisionEvent, Protocol, TobConfig};
+use crate::{DecisionEvent, Protocol, TobConfig};
 use st_blocktree::{Block, BlockTree};
 use st_crypto::Keypair;
 use st_messages::{Envelope, Payload, Propose, ProposeStore, SharedEnvelope, Vote};

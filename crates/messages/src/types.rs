@@ -68,10 +68,9 @@ impl fmt::Debug for Vote {
 /// Ancestor blocks were shipped by earlier proposals; receivers buffer
 /// orphans until the parent arrives.
 ///
-/// The block body is held behind an [`Arc`] so that the proposer, every
-/// receiver's tree, and the simulator's global tree can share one
-/// allocation — at n=4096 a block body would otherwise be duplicated
-/// thousands of times.
+/// The block body is held behind an [`Arc`] so that the proposer and
+/// every receiver's tree can share one allocation — at n=4096 a block
+/// body would otherwise be duplicated thousands of times.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Propose {
     sender: ProcessId,

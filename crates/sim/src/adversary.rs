@@ -30,7 +30,7 @@
 use crate::env::EnvView;
 use crate::network::{Recipients, SentMessage};
 use crate::schedule::Schedule;
-use st_blocktree::{Block, BlockTree};
+use st_blocktree::Block;
 use st_core::{Protocol, TobConfig, TobProcess};
 use st_crypto::Keypair;
 use st_messages::{Envelope, Payload, Propose, Vote};
@@ -70,8 +70,6 @@ pub struct AdversaryCtx<'a, P: Protocol = TobProcess> {
     pub processes: &'a [P],
     /// The participation schedule.
     pub schedule: &'a Schedule,
-    /// A tree absorbing every block ever proposed (global knowledge).
-    pub global_tree: &'a BlockTree,
     /// The shared protocol configuration.
     pub config: &'a TobConfig,
 }
@@ -421,12 +419,13 @@ impl Adversary for WithholdingLeader {
         };
         let next_view = view.next();
         // Extend the canonical chain: the longest vote tip among honest
-        // processes (full knowledge).
+        // processes (full knowledge), measured in the voter's own tree,
+        // which holds every block its votes name.
         let tip = ctx
             .processes
             .iter()
+            .max_by_key(|p| p.tree().height(p.last_vote_tip()).unwrap_or(0))
             .map(|p| p.last_vote_tip())
-            .max_by_key(|&t| ctx.global_tree.height(t).unwrap_or(0))
             .unwrap_or(BlockId::GENESIS);
         let n = ctx.schedule.n();
         let half: Vec<ProcessId> = ProcessId::all(n).filter(|p| p.index() % 2 == 0).collect();

@@ -1,7 +1,8 @@
 //! Invariant monitors and the simulation report.
 //!
 //! Monitors observe the execution from outside (they see every process's
-//! decisions and a global block tree) and check the paper's definitions:
+//! decisions and a tree of the decided chains) and check the paper's
+//! definitions:
 //!
 //! * **Safety** (Definition 2): all decided logs of well-behaved processes
 //!   are pairwise compatible;

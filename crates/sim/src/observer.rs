@@ -52,7 +52,7 @@ use std::rc::Rc;
 
 /// Read-only view of the execution handed to every observer call: the
 /// full-knowledge vantage point the paper's monitors have (every process's
-/// state, the schedule, a tree absorbing every block ever proposed).
+/// state, the schedule, and a tree of every decided chain).
 ///
 /// Generic over the [`Protocol`] being observed, defaulted to
 /// [`TobProcess`] so sleepy-protocol probes read exactly as before.
@@ -64,8 +64,9 @@ pub struct ObsCtx<'a, P: Protocol = TobProcess> {
     pub processes: &'a [P],
     /// The participation/corruption schedule.
     pub schedule: &'a Schedule,
-    /// A tree absorbing every block ever proposed (monitor knowledge).
-    pub global_tree: &'a BlockTree,
+    /// The union of the well-behaved processes' decided chains: a
+    /// decision's chain is in it before the decision is narrated.
+    pub decided: &'a BlockTree,
     /// Cumulative messages sent to the network so far.
     pub messages_sent: usize,
 }
@@ -212,7 +213,7 @@ impl<P: Protocol> Observer<P> for SafetyObserver {
             return;
         };
         let before = self.monitor.violations.len();
-        self.monitor.observe(ctx.global_tree, process, decision);
+        self.monitor.observe(ctx.decided, process, decision);
         // New conflicting pairs become events; witness upgrades of pairs
         // already reported do not re-fire.
         for v in &self.monitor.violations[before..] {
@@ -269,7 +270,7 @@ impl<P: Protocol> Observer<P> for ResilienceObserver {
         };
         for (i, mon) in self.monitors.iter_mut().enumerate() {
             let before = mon.violations.len();
-            mon.observe(ctx.global_tree, process, decision);
+            mon.observe(ctx.decided, process, decision);
             for v in &mon.violations[before..] {
                 emit.push(SimEvent::Violation {
                     kind: ViolationKind::Resilience { window: i },

@@ -28,11 +28,11 @@ use crate::observer::{
 use crate::schedule::Schedule;
 use crate::workload::{WorkloadInjector, WorkloadSpec};
 use st_blocktree::BlockTree;
-use st_core::{BlockBuffer, Protocol, TobConfig, TobProcess};
+use st_core::{Protocol, TobConfig, TobProcess};
 use st_crypto::Keypair;
-use st_messages::{Envelope, Payload, SharedEnvelope};
+use st_messages::SharedEnvelope;
 use st_types::FastSet;
-use st_types::{Params, ProcessId, Round, TxId};
+use st_types::{BlockId, Params, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
 
 /// The values of one simulation run: protocol parameters, seed, horizon
@@ -115,10 +115,9 @@ pub struct Simulation<P: Protocol = TobProcess> {
     procs: Vec<P>,
     keypairs: Vec<Keypair>,
     network: Network,
-    global_tree: BlockTree,
-    /// Proposals whose parent has not reached `global_tree` yet; they
-    /// enter it the moment it does.
-    global_orphans: BlockBuffer,
+    /// The union of the well-behaved processes' decided chains: what the
+    /// monitors ask ancestry of.
+    decided: BlockTree,
     /// The observer pipeline: the built-in monitors (safety, per-window
     /// resilience, tx ledger, decision ledger, round trace) in fixed
     /// order, then user observers in registration order. The final
@@ -178,7 +177,7 @@ macro_rules! obs_ctx {
             env: $env,
             processes: &$sim.procs,
             schedule: &$sim.schedule,
-            global_tree: &$sim.global_tree,
+            decided: &$sim.decided,
             messages_sent: $sent,
         }
     };
@@ -196,19 +195,27 @@ macro_rules! adv_ctx {
             keypairs: &$sim.byz_cache.1,
             processes: &$sim.procs,
             schedule: &$sim.schedule,
-            global_tree: &$sim.global_tree,
             config: &$sim.tob_config,
         }
     };
 }
 
-/// Keeps the global tree complete (the monitors' and the full-knowledge
-/// adversary's view): every block ever proposed enters it, including ones
-/// only a corrupted machine or the adversary built, and including one
-/// sent before its parent — it waits in `orphans` until the parent lands.
-fn absorb_proposal(global_tree: &mut BlockTree, orphans: &mut BlockBuffer, envelope: &Envelope) {
-    if let Payload::Propose(prop) = envelope.payload() {
-        orphans.insert(global_tree, prop.block_arc().clone());
+/// Adds the chain of `tip` in `tree` to `decided`, oldest first. The walk
+/// down from `tip` stops at the first block `decided` already holds
+/// (genesis at the latest), so each decided block is copied once.
+fn record_decided(decided: &mut BlockTree, tree: &BlockTree, tip: BlockId) {
+    let missing: Vec<_> = (tree.chain(tip))
+        .take_while(|&id| !decided.contains(id))
+        .filter_map(|id| tree.block(id))
+        .collect();
+    for block in missing.into_iter().rev() {
+        #[expect(
+            clippy::expect_used,
+            reason = "a tree's chain is connected and inserted oldest first, so every parent is in `decided`"
+        )]
+        decided
+            .insert(block.clone())
+            .expect("the parent was inserted first");
     }
 }
 
@@ -282,8 +289,7 @@ impl<P: Protocol> Simulation<P> {
             procs,
             keypairs,
             network: Network::new(n),
-            global_tree: BlockTree::new(),
-            global_orphans: BlockBuffer::new(),
+            decided: BlockTree::new(),
             observers,
             wants_deliveries,
             disruptions,
@@ -496,7 +502,6 @@ impl<P: Protocol> Simulation<P> {
     fn send_honest(&mut self, round: Round, honest: &[ProcessId]) {
         for &p in honest {
             for env in self.procs[p.index()].step_send(round) {
-                absorb_proposal(&mut self.global_tree, &mut self.global_orphans, &env);
                 self.network.send(round, p, Recipients::All, env);
             }
         }
@@ -510,13 +515,10 @@ impl<P: Protocol> Simulation<P> {
     /// not the silicon): its output is discarded — the adversary speaks
     /// for it via `Adversary::send` — but its internal state keeps
     /// advancing, so a process whose corruption ends (windowed
-    /// corruption, churn experiments) resumes from live state. Discarded
-    /// proposals still enter the global tree.
+    /// corruption, churn experiments) resumes from live state.
     fn send_corrupted(&mut self, round: Round, env: EnvView, corrupted: &[ProcessId]) {
         for &p in corrupted {
-            for discarded in self.procs[p.index()].step_send(round) {
-                absorb_proposal(&mut self.global_tree, &mut self.global_orphans, &discarded);
-            }
+            self.procs[p.index()].step_send(round);
         }
         // The Byzantine keypair cache is rebuilt iff the corrupted set
         // changed, which is also exactly when observers hear about it.
@@ -537,11 +539,6 @@ impl<P: Protocol> Simulation<P> {
             assert!(
                 corrupted.contains(&sender),
                 "adversary attempted to send as uncorrupted {sender}"
-            );
-            absorb_proposal(
-                &mut self.global_tree,
-                &mut self.global_orphans,
-                &msg.envelope,
             );
             self.network
                 .send(round, sender, msg.recipients, msg.envelope);
@@ -680,6 +677,8 @@ impl<P: Protocol> Simulation<P> {
 
     /// Drains new decision events from every process into the observer
     /// pipeline; the violations each one triggers follow it directly.
+    /// Each honest decision's chain enters `decided` before it is
+    /// narrated, so the monitors can ask ancestry of its tip.
     fn observe_decisions(&mut self, round: Round, env: EnvView) {
         for process in ProcessId::all(self.schedule.n()) {
             // Corrupted processes' "decisions" don't count for safety —
@@ -693,6 +692,8 @@ impl<P: Protocol> Simulation<P> {
                 continue;
             }
             for decision in events {
+                let tree = self.procs[process.index()].tree();
+                record_decided(&mut self.decided, tree, decision.tip);
                 self.narrate(env, SimEvent::DecisionObserved { process, decision });
             }
         }

@@ -3,19 +3,12 @@
 //! configurations.
 
 use proptest::prelude::*;
-use st_blocktree::Block;
-use st_messages::{Envelope, Payload, Propose};
 use st_sim::adversary::{
     Adversary, BlackoutAdversary, EquivocatingVoter, JunkVoter, PartitionAttacker, ReorgAttacker,
     SilentAdversary, WithholdingLeader,
 };
-use st_sim::{
-    AdversaryCtx, ChurnOptions, Recipients, Schedule, SimBuilder, SimConfig, TargetedMessage,
-    Timeline, WorkloadSpec,
-};
-use st_types::{BlockId, Params, ProcessId, Round, TxId, View};
-use std::cell::Cell;
-use std::rc::Rc;
+use st_sim::{ChurnOptions, Schedule, SimBuilder, SimConfig, Timeline, WorkloadSpec};
+use st_types::{Params, ProcessId, Round};
 
 fn params(n: usize, eta: u64) -> Params {
     Params::builder(n).expiration(eta).build().unwrap()
@@ -83,81 +76,6 @@ fn withholding_leader_is_liveness_only() {
         .run();
     assert!(clean.is_safe());
     assert_eq!(clean.mean_tx_latency(), Some(4.0));
-}
-
-/// Speaks for one corrupted process: multicasts a child block one round
-/// before its parent, and records, each round, whether the run's global
-/// tree holds the (parent, child) pair.
-struct ChildBeforeParent {
-    speaker: ProcessId,
-    parent: Block,
-    child: Block,
-    held: Rc<Cell<(bool, bool)>>,
-}
-
-impl Adversary for ChildBeforeParent {
-    fn name(&self) -> &'static str {
-        "child-before-parent"
-    }
-
-    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
-        let tree = ctx.global_tree;
-        self.held.set((
-            tree.contains(self.parent.id()),
-            tree.contains(self.child.id()),
-        ));
-        let block = match ctx.round.as_u64() {
-            3 => &self.child,
-            4 => &self.parent,
-            _ => return Vec::new(),
-        };
-        let Some(key) = ctx.keypair_of(self.speaker) else {
-            return Vec::new();
-        };
-        let (value, proof) = key.vrf_eval(block.view().as_u64());
-        let prop = Propose::new(
-            self.speaker,
-            ctx.round,
-            block.view(),
-            block.clone(),
-            value,
-            proof,
-        );
-        vec![TargetedMessage {
-            envelope: Envelope::sign(key, Payload::Propose(prop)),
-            recipients: Recipients::All,
-        }]
-    }
-}
-
-/// Every block ever proposed enters the global tree the monitors and the
-/// full-knowledge adversary read — a child sent before its parent too,
-/// once the parent lands.
-#[test]
-fn child_sent_before_its_parent_still_reaches_the_global_tree() {
-    let n = 4;
-    let speaker = ProcessId::new(3);
-    // A payload no honest proposal carries keeps both blocks apart from
-    // anything the speaker's own machine proposes.
-    let marker = vec![TxId::new(u64::MAX)];
-    let parent = Block::build(BlockId::GENESIS, View::new(2), speaker, marker.clone());
-    let child = Block::build(parent.id(), View::new(3), speaker, marker);
-    let held = Rc::new(Cell::new((false, false)));
-    let report = SimBuilder::from_config(SimConfig::new(params(n, 2), 5).horizon(8))
-        .schedule(Schedule::full(n, 8).with_corrupted(speaker, Round::ZERO))
-        .adversary(ChildBeforeParent {
-            speaker,
-            parent,
-            child,
-            held: Rc::clone(&held),
-        })
-        .run();
-    assert!(report.is_safe());
-    assert_eq!(
-        held.get(),
-        (true, true),
-        "(parent, child) in the global tree"
-    );
 }
 
 /// A growing adversary corrupting processes mid-run (outside any

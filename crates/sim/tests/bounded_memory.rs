@@ -9,10 +9,12 @@
 //! This suite runs a horizon-10⁴ simulation and asserts that the stores
 //! sized by in-flight work — vote window, body store, pool backlog,
 //! pending transactions — are bounded by a horizon-independent constant,
-//! and that each process's block tree stays within a small multiple of
+//! that each process's block tree stays within a small multiple of
 //! the decided chain: a body enters the tree only once a vote names it,
 //! so the `n − 1` proposals of a view nobody votes for stay out, and
-//! leave the body store with the votes that could have named them.
+//! leave the body store with the votes that could have named them — and
+//! that the monitors' tree is exactly the decided chain: the simulator
+//! keeps the well-behaved processes' decided chains, not every proposal.
 //!
 //! Not checked, because it grows with the run by design: each process's
 //! transaction submission index, which remembers every transaction ever
@@ -26,10 +28,26 @@
 //! decisions is that the drained stream kept pace with the horizon.
 
 use st_sim::adversary::SilentAdversary;
-use st_sim::{DecisionTap, Schedule, SimBuilder, SimConfig, WorkloadSpec};
+use st_sim::{
+    DecisionTap, ObsCtx, Observer, Schedule, SimBuilder, SimConfig, SimEvent, SimReport,
+    WorkloadSpec,
+};
 use st_types::Params;
+use std::cell::Cell;
+use std::rc::Rc;
 
 const HORIZON: u64 = 10_000;
+
+/// Reads the size of the monitors' tree when the report is assembled.
+struct DecidedTreeSize(Rc<Cell<usize>>);
+
+impl Observer for DecidedTreeSize {
+    fn on_event(&mut self, _ctx: &ObsCtx<'_>, _event: &SimEvent, _emit: &mut Vec<SimEvent>) {}
+
+    fn finish(&mut self, ctx: &ObsCtx<'_>, _report: &mut SimReport) {
+        self.0.set(ctx.decided.len());
+    }
+}
 
 #[test]
 fn horizon_10k_stores_stay_bounded() {
@@ -37,11 +55,13 @@ fn horizon_10k_stores_stay_bounded() {
     let eta = 2;
     let params = Params::builder(n).expiration(eta).build().expect("valid");
     let (tap, log) = DecisionTap::new(n);
+    let decided_blocks = Rc::new(Cell::new(0));
     let mut sim = SimBuilder::from_config(SimConfig::new(params, 7).horizon(HORIZON))
         .workload_spec(WorkloadSpec::txs_every(8))
         .schedule(Schedule::full(n, HORIZON))
         .adversary(SilentAdversary)
         .observer(tap)
+        .observer(DecidedTreeSize(Rc::clone(&decided_blocks)))
         .build()
         .expect("valid simulation");
     while sim.step().is_some() {}
@@ -100,6 +120,14 @@ fn horizon_10k_stores_stay_bounded() {
     // stream that kept pace with the horizon on every process.
     let report = sim.finish();
     assert!(report.is_safe());
+    // The monitors' tree is the decided chain and genesis, nothing else:
+    // under full participation every process decides the same chain.
+    // Taking every proposal would put n blocks per view here (~3 × 10⁴).
+    assert_eq!(
+        decided_blocks.get() as u64,
+        report.final_decided_height + 1,
+        "the monitors' tree holds more than the decided chain"
+    );
     for (i, events) in log.borrow().iter().enumerate() {
         assert!(
             events.len() as u64 >= HORIZON / 2 - 2,

@@ -35,6 +35,7 @@
 use sleepy_tob::prelude::*;
 use sleepy_tob::sim::adversary::{Adversary, JunkVoter, WithholdingLeader};
 use sleepy_tob::sim::ChurnOptions;
+use sleepy_tob::types::ParamsBuilder;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -108,6 +109,14 @@ fn make_adversary_quorum(name: &str) -> Option<Box<dyn Adversary<QuorumProcess>>
     })
 }
 
+/// Validates a command's parameters by `Params`' own rule, saying what is
+/// wrong when they break it.
+fn build_params(builder: ParamsBuilder) -> Option<Params> {
+    (builder.build())
+        .map_err(|e| eprintln!("invalid parameters: {e}"))
+        .ok()
+}
+
 fn cmd_run(args: &Args) -> ExitCode {
     let n: usize = args.get("n", 16);
     let eta: u64 = args.get("eta", 4);
@@ -138,16 +147,11 @@ fn cmd_run(args: &Args) -> ExitCode {
         eprintln!("--byz {byz} leaves no honest process among --n {n}");
         return ExitCode::from(2);
     }
-    let params = match Params::builder(n)
+    let builder = Params::builder(n)
         .expiration(eta)
-        .churn_rate(churn.min(0.32))
-        .build()
-    {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("invalid parameters: {e}");
-            return ExitCode::from(2);
-        }
+        .churn_rate(churn.min(0.32));
+    let Some(params) = build_params(builder) else {
+        return ExitCode::from(2);
     };
 
     let schedule = if churn > 0.0 {
@@ -181,6 +185,9 @@ fn cmd_run(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
         config = config.timeline(Timeline::synchronous().asynchronous(Round::new(at), pi));
+    } else if args.flag("pi") {
+        eprintln!("--pi sets the length of the --async-at window; give --async-at too");
+        return ExitCode::from(2);
     }
 
     let report = match protocol {
@@ -249,6 +256,9 @@ fn cmd_run(args: &Args) -> ExitCode {
 
 fn cmd_curve(args: &Args) -> ExitCode {
     let beta: f64 = args.get("beta", 1.0 / 3.0);
+    if build_params(Params::builder(1).failure_ratio(beta)).is_none() {
+        return ExitCode::from(2);
+    }
     println!("γ      β̃(β = {beta:.4})");
     let mut g = 0.0;
     while g < beta + 0.07 {
@@ -266,6 +276,13 @@ fn cmd_check(args: &Args) -> ExitCode {
     let gamma: f64 = args.get("gamma", 0.1);
     let sleep: f64 = args.get("sleep", 0.02);
     let seed: u64 = args.get("seed", 1);
+    let Some(params) = build_params(Params::builder(n).churn_rate(gamma).expiration(eta)) else {
+        return ExitCode::from(2);
+    };
+    if !(0.0..=1.0).contains(&sleep) {
+        eprintln!("--sleep is a per-round probability and must lie in [0, 1], got {sleep}");
+        return ExitCode::from(2);
+    }
     let schedule = Schedule::random_churn(
         n,
         60,
@@ -277,7 +294,7 @@ fn cmd_check(args: &Args) -> ExitCode {
             ..Default::default()
         },
     );
-    let report = check_conditions(&schedule, 1.0 / 3.0, gamma, eta, None);
+    let report = check_conditions(&schedule, params.failure_ratio(), gamma, eta, None);
     println!("schedule: n = {n}, 60 rounds, per-round sleep {sleep}, seed {seed}");
     println!(
         "Eq.1 (churn ≤ γ = {gamma}): {} violating rounds",

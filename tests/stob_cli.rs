@@ -52,6 +52,36 @@ fn run_rejects_a_churn_rate_outside_the_unit_interval() {
 }
 
 #[test]
+fn run_rejects_a_window_length_without_a_window() {
+    rejects(&["run", "--pi", "3"], "give --async-at too");
+}
+
+#[test]
+fn curve_and_check_reject_what_params_rejects() {
+    rejects(
+        &["curve", "--beta", "5"],
+        "failure ratio β must lie in (0, 1/2]",
+    );
+    rejects(
+        &["curve", "--beta", "nan"],
+        "failure ratio β must lie in (0, 1/2]",
+    );
+    rejects(&["check", "--n", "0"], "at least one process");
+    rejects(
+        &["check", "--gamma", "nan"],
+        "churn rate γ must lie in [0, 1)",
+    );
+    rejects(
+        &["check", "--sleep", "2"],
+        "--sleep is a per-round probability",
+    );
+    rejects(
+        &["check", "--sleep", "nan"],
+        "--sleep is a per-round probability",
+    );
+}
+
+#[test]
 fn attack_is_not_a_command() {
     // The Section-1 attack runs as `stob scenario partition-vanilla` and
     // `stob scenario partition-extended`.
