@@ -4,7 +4,7 @@ use crate::{Block, BlockTreeError};
 use st_types::fasthash::mix64;
 use st_types::FastMap;
 use st_types::{BlockId, TxId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-block bookkeeping inside the tree. Nodes live in a contiguous
 /// arena and refer to each other by arena index — ancestry walks are
@@ -42,6 +42,7 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct BlockTree {
     nodes: Vec<Node>,
+    /// id → arena index of every block but genesis (index 0).
     index: FastMap<BlockId, u32>,
     /// XOR of [`mix64`] over every member block id — a hasher-independent
     /// content fingerprint, maintained incrementally on insert.
@@ -50,24 +51,28 @@ pub struct BlockTree {
 
 impl BlockTree {
     /// Creates a tree containing only the genesis block `b₀` (an empty
-    /// payload block at height 0, producer `p0`, view 0).
+    /// payload block at height 0, producer `p0`, view 0). One allocation:
+    /// the arena's first node. Every tree shares one genesis body, and
+    /// genesis resolves to arena index 0 without an index entry.
     pub fn new() -> BlockTree {
-        let mut index = FastMap::default();
-        index.insert(BlockId::GENESIS, 0u32);
+        static GENESIS: OnceLock<Arc<Block>> = OnceLock::new();
         BlockTree {
             nodes: vec![Node {
-                block: Arc::new(Block::genesis()),
+                block: Arc::clone(GENESIS.get_or_init(|| Arc::new(Block::genesis()))),
                 height: 0,
                 parent: 0,
                 jump: 0,
             }],
-            index,
+            index: FastMap::default(),
             fingerprint: mix64(BlockId::GENESIS.as_u64()),
         }
     }
 
     #[inline]
     fn idx(&self, id: BlockId) -> Option<u32> {
+        if id == BlockId::GENESIS {
+            return Some(0);
+        }
         self.index.get(&id).copied()
     }
 
@@ -83,7 +88,7 @@ impl BlockTree {
 
     /// Whether `id` is present.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.index.contains_key(&id)
+        id == BlockId::GENESIS || self.index.contains_key(&id)
     }
 
     /// Inserts a block.

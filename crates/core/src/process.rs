@@ -54,7 +54,7 @@ pub struct TobProcess {
     /// `m` (its latest in-window record is a clean vote).
     counted: FastMap<ProcessId, (Round, BlockId)>,
     /// Senders whose vote-store records changed since the last tally.
-    dirty: FastSet<ProcessId>,
+    dirty: SenderBits,
     /// Counted senders whose tip is not (yet) in the tree: they count
     /// toward `m` but support nothing, and are re-checked every tally
     /// because the tree only grows.
@@ -90,7 +90,7 @@ impl TobProcess {
             last_ga_output: None,
             support: SupportIndex::new(),
             counted: FastMap::default(),
-            dirty: FastSet::default(),
+            dirty: SenderBits::default(),
             unknown: FastSet::default(),
             expiries: BTreeMap::new(),
             shared_tally: None,
@@ -212,11 +212,15 @@ impl TobProcess {
             Payload::Propose(proposal) => {
                 // The shared handle: a multicast block body is stored
                 // once, not once per receiver. It enters the tree when a
-                // vote names it; orphans park.
+                // vote names it; orphans park. The body is kept whatever
+                // the VRF says; only a valid VRF(v) makes the proposal a
+                // leader candidate, and that verdict too is checked once
+                // per envelope.
                 self.bodies
                     .insert(&mut self.tree, proposal.block_arc().clone());
-                self.proposes
-                    .insert(proposal.clone(), self.config.directory());
+                if envelope.vrf_valid_cached(self.config.directory()) {
+                    self.proposes.insert_verified(proposal.clone());
+                }
             }
         }
     }
@@ -247,9 +251,9 @@ impl TobProcess {
             vrf_value,
             vrf_proof,
         );
-        // Record own proposal locally (a process hears its own multicast).
-        self.proposes
-            .insert(proposal.clone(), self.config.directory());
+        // Record own proposal locally (a process hears its own multicast);
+        // its VRF is this process's own evaluation.
+        self.proposes.insert_verified(proposal.clone());
         vec![Envelope::sign(&self.keypair, Payload::Propose(proposal))]
     }
 
@@ -327,8 +331,7 @@ impl TobProcess {
         );
         // A process hears its own multicast: record locally right away.
         self.bodies.insert(&mut self.tree, block);
-        self.proposes
-            .insert(proposal.clone(), self.config.directory());
+        self.proposes.insert_verified(proposal.clone());
 
         self.last_ga_output = Some(outputs);
         vec![
@@ -386,8 +389,9 @@ impl TobProcess {
             }
         }
         if !self.dirty.is_empty() {
+            let mut dirty = std::mem::take(&mut self.dirty);
             let mut ahead = Vec::new();
-            for s in std::mem::take(&mut self.dirty).into_sorted_vec() {
+            for s in dirty.iter() {
                 // One query in the common case; a sender with a record
                 // above the window (delivered before this process reached
                 // its round) stays dirty until the window reaches it.
@@ -422,7 +426,11 @@ impl TobProcess {
                     }
                 }
             }
-            self.dirty.extend(ahead);
+            dirty.clear();
+            for s in ahead {
+                dirty.insert(s);
+            }
+            self.dirty = dirty;
         }
         if !self.unknown.is_empty() {
             for s in std::mem::take(&mut self.unknown).into_sorted_vec() {
@@ -523,6 +531,48 @@ impl TobProcess {
         if view.as_u64() > 1 {
             self.proposes.prune_below(View::new(view.as_u64() - 1));
         }
+    }
+}
+
+/// A set of senders as a bitmap indexed by [`ProcessId::index`], grown
+/// on demand: inserting a delivered vote's sender hashes nothing, and the
+/// set iterates in sender order. Members must be in the process set (the
+/// signature check admits no other sender).
+#[derive(Clone, Debug, Default)]
+struct SenderBits {
+    words: Vec<u64>,
+}
+
+impl SenderBits {
+    fn insert(&mut self, s: ProcessId) {
+        let (word, bit) = (s.index() / 64, s.index() % 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << bit;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Empties the set, keeping its allocation.
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The members in sender order.
+    fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    ProcessId::new(i as u32 * 64 + bit)
+                })
+            })
+        })
     }
 }
 
@@ -706,6 +756,50 @@ mod tests {
         p.on_receive(env);
         let w = p.votes.latest_in_window(Round::new(1), Round::new(1));
         assert_eq!(w.participation(), 0);
+    }
+
+    #[test]
+    fn a_sender_outside_the_directory_never_reaches_the_sender_indexed_tables() {
+        // The vote store and the dirty set are indexed by sender: an
+        // envelope naming sender u32::MAX, admitted, would size them to
+        // 2^32 slots. The signature check is the guard — the sender has no
+        // key in the directory — and this pins that it runs first.
+        let params = Params::builder(4).build().unwrap();
+        let config = TobConfig::new(params, 1);
+        let mut p = TobProcess::new(ProcessId::new(0), config.clone());
+        let far = Keypair::derive(ProcessId::new(u32::MAX), 1);
+        let vote = Vote::new(far.owner(), Round::new(1), BlockId::GENESIS);
+        let (value, proof) = far.vrf_eval(1);
+        let block = Block::build(BlockId::GENESIS, View::new(1), far.owner(), Vec::new());
+        let proposal = Propose::new(far.owner(), Round::ZERO, View::new(1), block, value, proof);
+        for payload in [Payload::Vote(vote), Payload::Propose(proposal)] {
+            let env = Envelope::sign(&far, payload);
+            // Checked before delivery, so a broken guard fails here rather
+            // than by allocating the tables.
+            assert!(!env.verify(config.directory()));
+            p.on_receive(env);
+        }
+        assert!(p.votes().is_empty());
+        assert!(p.dirty.words.is_empty());
+        assert!(p
+            .proposes
+            .select_leader_proposal(View::new(1), |_| true)
+            .is_none());
+        assert_eq!(p.bodies_held(), 0);
+    }
+
+    #[test]
+    fn sender_bits_iterate_in_sender_order() {
+        let mut bits = SenderBits::default();
+        assert!(bits.is_empty());
+        for s in [130u32, 3, 64, 0, 63, 3] {
+            bits.insert(ProcessId::new(s));
+        }
+        let members: Vec<u32> = bits.iter().map(ProcessId::as_u32).collect();
+        assert_eq!(members, vec![0, 3, 63, 64, 130]);
+        bits.clear();
+        assert!(bits.is_empty());
+        assert_eq!(bits.iter().count(), 0);
     }
 
     #[test]

@@ -152,8 +152,7 @@ impl QuorumProcess {
         let proposal = Propose::new(self.id, round, view, block.clone(), vrf_value, vrf_proof);
         // A process hears its own multicast: record locally right away.
         self.buffer.insert(&mut self.tree, block);
-        self.proposes
-            .insert(proposal.clone(), self.config.directory());
+        self.proposes.insert_verified(proposal.clone());
         vec![Envelope::sign(&self.keypair, Payload::Propose(proposal))]
     }
 
@@ -223,8 +222,9 @@ impl Protocol for QuorumProcess {
             Payload::Propose(proposal) => {
                 self.buffer
                     .insert(&mut self.tree, proposal.block_arc().clone());
-                self.proposes
-                    .insert(proposal.clone(), self.config.directory());
+                if envelope.vrf_valid_cached(self.config.directory()) {
+                    self.proposes.insert_verified(proposal.clone());
+                }
             }
         }
     }

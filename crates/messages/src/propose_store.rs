@@ -2,9 +2,8 @@
 
 use crate::envelope::KeyDirectory;
 use crate::Propose;
-use st_crypto::Vrf;
-use st_types::FastMap;
-use st_types::{ProcessId, View};
+use st_crypto::VrfOutput;
+use st_types::{BlockId, View};
 use std::collections::BTreeMap;
 
 /// Stores the proposals received for each view and selects the leader's
@@ -17,18 +16,21 @@ use std::collections::BTreeMap;
 /// deterministically so that all honest processes with the same message set
 /// choose the same proposal.
 ///
-/// Proposals are bucketed per `(view, sender)`: the duplicate check on
-/// insert only scans the sender's own (almost always singleton) bucket
-/// instead of every proposal in the view — with `n` proposers per view
-/// the per-view insert cost across a process set drops from `O(n³)` full
-/// `Propose` comparisons to `O(n²)` bucket lookups, which is what lets
-/// simulations scale to four-digit `n`.
+/// Each view's proposals are ordered by `(VRF value, tip)`, the order the
+/// leader rule reads them in: selection walks down from the largest key
+/// and stops at the first admissible proposal — in the common case one
+/// compatibility check, not one per proposer — and an insert is one
+/// `O(log n)` map probe whatever the arrival order.
+///
+/// The key is also the duplicate check. A VRF value belongs to one
+/// sender and one view, so two proposals share a key only when the same
+/// sender proposed the same block, possibly with a different round tag;
+/// the second is dropped. Selection cannot tell the two apart: they tie
+/// on `(VRF, tip)` and callers read only the selected proposal's tip.
 #[derive(Clone, Debug, Default)]
 pub struct ProposeStore {
-    /// view → sender → that sender's proposals (insertion order).
-    /// `BTreeMap` gives deterministic sender-order iteration, so
-    /// selection is reproducible across processes and runs.
-    by_view: FastMap<View, BTreeMap<ProcessId, Vec<Propose>>>,
+    /// view → (VRF value, tip) → proposal.
+    by_view: BTreeMap<View, BTreeMap<(VrfOutput, BlockId), Propose>>,
 }
 
 impl ProposeStore {
@@ -41,36 +43,28 @@ impl ProposeStore {
     /// whether it was accepted (invalid VRFs are discarded, duplicates
     /// ignored).
     pub fn insert(&mut self, proposal: Propose, directory: &KeyDirectory) -> bool {
-        let Some(pk) = directory.key_of(proposal.sender()) else {
-            return false;
-        };
-        if !Vrf::verify(
-            pk,
-            proposal.view().as_u64(),
-            proposal.vrf_value(),
-            proposal.vrf_proof(),
-        ) {
-            return false;
-        }
-        let bucket = self
-            .by_view
-            .entry(proposal.view())
-            .or_default()
-            .entry(proposal.sender())
-            .or_default();
-        if bucket.contains(&proposal) {
+        proposal.vrf_valid(directory) && self.insert_verified(proposal)
+    }
+
+    /// [`ProposeStore::insert`] for a proposal whose VRF the caller has
+    /// already verified (a shared envelope's cached verdict, or the
+    /// process's own evaluation); returns whether it was new.
+    pub fn insert_verified(&mut self, proposal: Propose) -> bool {
+        let key = (proposal.vrf_value(), proposal.tip());
+        let view = self.by_view.entry(proposal.view()).or_default();
+        if view.contains_key(&key) {
             return false;
         }
-        bucket.push(proposal);
+        view.insert(key, proposal);
         true
     }
 
-    /// All proposals recorded for `view`, in (sender, insertion) order.
+    /// All proposals recorded for `view`, in `(VRF, tip)` order.
     #[cfg(test)]
     fn proposals_for(&self, view: View) -> Vec<&Propose> {
         self.by_view
             .get(&view)
-            .map(|senders| senders.values().flatten().collect())
+            .map(|ps| ps.values().collect())
             .unwrap_or_default()
     }
 
@@ -81,7 +75,9 @@ impl ProposeStore {
     ///
     /// Ties (only possible when one sender equivocates, since VRF values
     /// are sender-unique per view) break by larger tip id so that honest
-    /// processes holding the same proposal set agree.
+    /// processes holding the same proposal set agree. `admissible` is
+    /// called in descending `(VRF, tip)` order, only until it first
+    /// accepts.
     pub fn select_leader_proposal<F>(&self, view: View, mut admissible: F) -> Option<&Propose>
     where
         F: FnMut(&Propose) -> bool,
@@ -89,15 +85,14 @@ impl ProposeStore {
         self.by_view
             .get(&view)?
             .values()
-            .flatten()
-            .filter(|p| admissible(p))
-            .max_by_key(|p| (p.vrf_value(), p.tip().as_u64()))
+            .rev()
+            .find(|p| admissible(p))
     }
 
     /// Drops proposals for views strictly below `view` (past views can no
     /// longer be voted on).
     pub fn prune_below(&mut self, view: View) {
-        self.by_view.retain(|&v, _| v >= view);
+        self.by_view = self.by_view.split_off(&view);
     }
 
     /// Number of views with at least one stored proposal.
@@ -106,13 +101,17 @@ impl ProposeStore {
         self.by_view.len()
     }
 
-    /// The distinct proposers recorded for `view`.
+    /// The distinct proposers recorded for `view`, in id order.
     #[cfg(test)]
-    fn proposers_for(&self, view: View) -> Vec<ProcessId> {
-        self.by_view
-            .get(&view)
-            .map(|senders| senders.keys().copied().collect())
-            .unwrap_or_default()
+    fn proposers_for(&self, view: View) -> Vec<st_types::ProcessId> {
+        let mut senders: Vec<_> = self
+            .proposals_for(view)
+            .into_iter()
+            .map(Propose::sender)
+            .collect();
+        senders.sort_unstable();
+        senders.dedup();
+        senders
     }
 }
 
@@ -122,7 +121,7 @@ mod tests {
     use crate::envelope::KeyDirectory;
     use st_blocktree::Block;
     use st_crypto::Keypair;
-    use st_types::{BlockId, Round, TxId};
+    use st_types::{ProcessId, Round, TxId};
 
     fn mk_proposal(kp: &Keypair, view: u64, tx: u64) -> Propose {
         let (value, proof) = kp.vrf_eval(view);

@@ -1,7 +1,8 @@
 //! The two message kinds of Algorithm 1: votes and proposals.
 
+use crate::KeyDirectory;
 use st_blocktree::Block;
-use st_crypto::{VrfOutput, VrfProof};
+use st_crypto::{Vrf, VrfOutput, VrfProof};
 use st_types::{BlockId, ProcessId, Round, View};
 use std::fmt;
 use std::sync::Arc;
@@ -141,6 +142,15 @@ impl Propose {
     /// The VRF proof.
     pub fn vrf_proof(&self) -> &VrfProof {
         &self.vrf_proof
+    }
+
+    /// Whether the VRF evaluation verifies against the sender's key in
+    /// `directory` ("valid VRF(v)", Algorithm 1). `false` for an unknown
+    /// sender.
+    pub fn vrf_valid(&self, directory: &KeyDirectory) -> bool {
+        directory
+            .key_of(self.sender)
+            .is_some_and(|pk| Vrf::verify(pk, self.view.as_u64(), self.vrf_value, &self.vrf_proof))
     }
 
     /// Canonical byte encoding used for signing. The VRF proof is bound by

@@ -8,7 +8,6 @@
 
 use crate::Vote;
 use st_types::fasthash::{mix64, mix64_pair};
-use st_types::FastMap;
 use st_types::{BlockId, ProcessId, Round};
 use std::collections::BTreeMap;
 
@@ -54,15 +53,15 @@ fn record_digest(sender: ProcessId, round: Round, rec: &RoundRecord) -> u64 {
     }
 }
 
-/// What one round's records add up to, across senders: the share of
-/// [`VoteStore::len`] and of [`VoteStore::fingerprint`] that leaves when
-/// the round is pruned.
-#[derive(Clone, Copy, Debug, Default)]
-struct RoundTotals {
-    /// Distinct (sender, tip) votes recorded for the round.
-    votes: usize,
-    /// XOR of [`record_digest`] over the round's records.
-    digest: u64,
+impl RoundRecord {
+    /// How many distinct (sender, round, tip) votes the record holds —
+    /// its share of [`VoteStore::len`].
+    fn votes(&self) -> usize {
+        match self {
+            RoundRecord::Single(_) => 1,
+            RoundRecord::Equivocated(_, _) => 2,
+        }
+    }
 }
 
 /// Stores every vote a process has received and answers latest-in-window
@@ -71,13 +70,19 @@ struct RoundTotals {
 /// See the crate-level docs for an example.
 #[derive(Clone, Debug, Default)]
 pub struct VoteStore {
-    /// sender → (round → record). `BTreeMap` gives cheap
-    /// latest-within-window lookups via `range(..).next_back()`.
-    by_sender: FastMap<ProcessId, BTreeMap<Round, RoundRecord>>,
-    /// round → what that round's records add up to. Kept by
-    /// [`VoteStore::insert`]; [`VoteStore::prune_below`] drops whole
-    /// rounds, so it reads here what leaves.
-    by_round: BTreeMap<Round, RoundTotals>,
+    /// `by_sender[s.index()]`: round → record of sender `s`. Dense over
+    /// the senders seen so far (grown on demand, never sized up front; a
+    /// silent sender's slot is an empty map, which allocates nothing).
+    /// The expiration rule asks one question per sender — its latest
+    /// record in `[r − η, r]` — and the ordered map answers it with
+    /// `range(..).next_back()` in `O(log k)`, whatever order the records
+    /// arrived in.
+    by_sender: Vec<BTreeMap<Round, RoundRecord>>,
+    /// No stored record is older than this round, a lower bound that
+    /// each scan of [`VoteStore::prune_below`] makes exact (round
+    /// `u64::MAX` for an empty store): a prune whose edge does not pass
+    /// it returns at once.
+    oldest: Round,
     /// Total count of distinct (sender, round, tip) votes recorded.
     distinct_votes: usize,
     /// XOR of [`record_digest`] over every stored `(sender, round,
@@ -108,13 +113,22 @@ impl VoteStore {
 
     /// Records a received vote. Returns what happened; equivocations are
     /// remembered as poison for the (sender, round) pair.
+    ///
+    /// The sender's slot is indexed by [`ProcessId::index`], so the
+    /// sender must be a member of the process set: callers admit only
+    /// votes whose signature verified against the key directory.
     pub fn insert(&mut self, vote: Vote) -> InsertOutcome {
-        let rounds = self.by_sender.entry(vote.sender()).or_default();
+        let slot = vote.sender().index();
+        if slot >= self.by_sender.len() {
+            self.by_sender.resize_with(slot + 1, BTreeMap::new);
+        }
+        let rounds = &mut self.by_sender[slot];
         let (digest, outcome) = match rounds.get_mut(&vote.round()) {
             None => {
                 let rec = RoundRecord::Single(vote.tip());
                 let digest = record_digest(vote.sender(), vote.round(), &rec);
                 rounds.insert(vote.round(), rec);
+                self.oldest = self.oldest.min(vote.round());
                 (digest, InsertOutcome::Recorded)
             }
             Some(rec) => match *rec {
@@ -136,9 +150,6 @@ impl VoteStore {
                 }
             },
         };
-        let totals = self.by_round.entry(vote.round()).or_default();
-        totals.votes += 1;
-        totals.digest ^= digest;
         self.distinct_votes += 1;
         self.fingerprint ^= digest;
         outcome
@@ -165,7 +176,7 @@ impl VoteStore {
         lo: Round,
         hi: Round,
     ) -> Option<(Round, Option<BlockId>)> {
-        let rounds = self.by_sender.get(&sender)?;
+        let rounds = self.by_sender.get(sender.index())?;
         let (&round, rec) = rounds.range(lo..=hi).next_back()?;
         match *rec {
             RoundRecord::Single(tip) => Some((round, Some(tip))),
@@ -192,15 +203,12 @@ impl VoteStore {
     /// its allocation (for callers that query every round).
     pub fn latest_in_window_into(&self, lo: Round, hi: Round, out: &mut LatestVotes) {
         out.votes.clear();
-        // Sender-sorted iteration: the output order is a function of the
-        // senders, not the hasher.
-        for (&sender, rounds) in self.by_sender.iter_sorted() {
-            if let Some((&round, rec)) = rounds.range(lo..=hi).next_back() {
-                match rec {
-                    RoundRecord::Single(tip) => out.votes.push((sender, round, *tip)),
-                    RoundRecord::Equivocated(_, _) => { /* discarded */ }
-                }
+        // Slots are in sender order, so the output is sorted by sender.
+        for (slot, rounds) in self.by_sender.iter().enumerate() {
+            if let Some((&round, RoundRecord::Single(tip))) = rounds.range(lo..=hi).next_back() {
+                out.votes.push((ProcessId::new(slot as u32), round, *tip));
             }
+            // An equivocated latest record discards the sender.
         }
     }
 
@@ -210,30 +218,28 @@ impl VoteStore {
     ///
     /// Called once per round from the protocol's send phase, so the cost
     /// must scale with what is *actually removed* (usually one round's
-    /// worth per sender, often nothing), not with what is retained: the
-    /// per-round totals say what leaves, and each sender's round map is
-    /// popped from the front only while its entries are expired
-    /// (rebuilding every sender's whole map each round is an `O(n · η)`
-    /// allocation wall per process per round).
+    /// worth per sender, often nothing), not with what is retained: when
+    /// `lo` does not pass the oldest stored round nothing is visited,
+    /// and otherwise each sender's round map is popped from the front
+    /// only while its entries are expired, each popped record leaving
+    /// the count and the fingerprint as it goes.
     pub fn prune_below(&mut self, lo: Round) {
-        let mut any_expired = false;
-        while let Some(entry) = self.by_round.first_entry() {
-            if *entry.key() >= lo {
-                break;
-            }
-            let totals = entry.remove();
-            self.distinct_votes -= totals.votes;
-            self.fingerprint ^= totals.digest;
-            any_expired = true;
+        if lo <= self.oldest {
+            return;
         }
-        if any_expired {
-            self.by_sender.retain(|_, rounds| {
-                while rounds.first_key_value().is_some_and(|(&r, _)| r < lo) {
-                    rounds.pop_first();
+        let mut oldest = Round::new(u64::MAX);
+        for (slot, rounds) in self.by_sender.iter_mut().enumerate() {
+            while let Some(entry) = rounds.first_entry() {
+                if *entry.key() >= lo {
+                    oldest = oldest.min(*entry.key());
+                    break;
                 }
-                !rounds.is_empty()
-            });
+                let (round, rec) = entry.remove_entry();
+                self.distinct_votes -= rec.votes();
+                self.fingerprint ^= record_digest(ProcessId::new(slot as u32), round, &rec);
+            }
         }
+        self.oldest = oldest;
     }
 }
 
@@ -397,7 +403,7 @@ mod tests {
                 .vote_of(ProcessId::new(1)),
             Some(BlockId::new(50))
         );
-        assert_eq!(s.by_sender.len(), 1);
+        assert_eq!(s.by_sender.iter().filter(|r| !r.is_empty()).count(), 1);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Model-based property tests: `VoteStore` against a naive reference
-//! implementation of the latest-unexpired-vote semantics.
+//! implementation of the latest-unexpired-vote semantics, and
+//! `ProposeStore`'s leader rule against the maximum over a flat list.
 
 use proptest::prelude::*;
-use st_messages::{Vote, VoteStore};
-use st_types::{BlockId, ProcessId, Round};
+use st_blocktree::Block;
+use st_crypto::Keypair;
+use st_messages::{KeyDirectory, Propose, ProposeStore, Vote, VoteStore};
+use st_types::fasthash::mix64;
+use st_types::{BlockId, ProcessId, Round, TxId, View};
 use std::collections::HashMap;
 
 /// The reference model: a flat list of votes, queried by brute force.
@@ -15,6 +19,51 @@ struct NaiveStore {
 impl NaiveStore {
     fn insert(&mut self, vote: Vote) {
         self.votes.push(vote);
+    }
+
+    fn prune_below(&mut self, lo: Round) {
+        self.votes.retain(|v| v.round() >= lo);
+    }
+
+    /// The distinct tips `sender` voted for in `round`, in arrival order.
+    fn tips(&self, sender: ProcessId, round: Round) -> Vec<BlockId> {
+        let mut tips = Vec::new();
+        for v in &self.votes {
+            if v.sender() == sender && v.round() == round && !tips.contains(&v.tip()) {
+                tips.push(v.tip());
+            }
+        }
+        tips
+    }
+
+    /// Distinct (sender, round, tip) votes, at most two per (sender,
+    /// round): a third distinct tip adds no evidence of equivocation.
+    fn len(&self) -> usize {
+        let mut keys: Vec<(ProcessId, Round)> =
+            self.votes.iter().map(|v| (v.sender(), v.round())).collect();
+        keys.sort();
+        keys.dedup();
+        keys.iter()
+            .map(|&(s, r)| self.tips(s, r).len().min(2))
+            .sum()
+    }
+
+    /// The latest record of `sender` in `[lo, hi]`: its round, and its
+    /// tip unless the sender equivocated there.
+    fn latest_of(
+        &self,
+        sender: ProcessId,
+        lo: Round,
+        hi: Round,
+    ) -> Option<(Round, Option<BlockId>)> {
+        let round = self
+            .votes
+            .iter()
+            .filter(|v| v.sender() == sender && v.round() >= lo && v.round() <= hi)
+            .map(|v| v.round())
+            .max()?;
+        let tips = self.tips(sender, round);
+        Some((round, (tips.len() == 1).then(|| tips[0])))
     }
 
     /// Latest vote per sender within `[lo, hi]`, discarding senders whose
@@ -108,5 +157,126 @@ proptest! {
         let w_once = once.latest_in_window(Round::new(0), Round::new(10));
         let w_twice = twice.latest_in_window(Round::new(0), Round::new(10));
         prop_assert_eq!(w_once, w_twice);
+    }
+
+    /// Interleaved inserts and prunes, the prune edge moving in both
+    /// directions and votes arriving below an earlier edge: every query
+    /// agrees with the model after every step, and the fingerprint is
+    /// the fingerprint of a fresh store holding only the surviving votes.
+    #[test]
+    fn interleaved_inserts_and_prunes_match_reference(
+        ops in prop::collection::vec((0u32..10, 0u32..9, 1u64..24, 0u64..4), 1..120),
+        window in (0u64..24, 0u64..8),
+    ) {
+        let mut store = VoteStore::new();
+        let mut naive = NaiveStore::default();
+        for &(kind, sender, round, tip) in &ops {
+            if kind == 0 {
+                store.prune_below(Round::new(round));
+                naive.prune_below(Round::new(round));
+            } else {
+                let vote = Vote::new(ProcessId::new(sender), Round::new(round), BlockId::new(tip));
+                store.insert(vote);
+                naive.insert(vote);
+            }
+            prop_assert_eq!(store.len(), naive.len());
+            let mut fresh = VoteStore::new();
+            for &vote in &naive.votes {
+                fresh.insert(vote);
+            }
+            prop_assert_eq!(store.fingerprint(), fresh.fingerprint());
+        }
+        let lo = Round::new(window.0);
+        let hi = Round::new(window.0 + window.1);
+        let fast = store.latest_in_window(lo, hi);
+        let reference = naive.latest_in_window(lo, hi);
+        prop_assert_eq!(fast.participation(), reference.len());
+        let mut last = None;
+        for (sender, _, tip) in fast.iter() {
+            prop_assert_eq!(reference.get(&sender), Some(&tip));
+            prop_assert!(last < Some(sender), "window not sorted by sender");
+            last = Some(sender);
+        }
+        for sender in ProcessId::all(10) {
+            prop_assert_eq!(store.latest_of(sender, lo, hi), naive.latest_of(sender, lo, hi));
+        }
+    }
+}
+
+/// A proposal by `kp` for `view` carrying transaction `tx`, tagged with
+/// `round`. With `valid_vrf` false the VRF is evaluated on the wrong view.
+fn proposal(kp: &Keypair, view: u64, tx: u64, round: u64, valid_vrf: bool) -> Propose {
+    let (value, proof) = kp.vrf_eval(if valid_vrf { view } else { view + 1 });
+    let block = Block::build(
+        BlockId::GENESIS,
+        View::new(view),
+        kp.owner(),
+        vec![TxId::new(tx)],
+    );
+    Propose::new(
+        kp.owner(),
+        Round::new(round),
+        View::new(view),
+        block,
+        value,
+        proof,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random proposers, equivocating proposers (several blocks per view),
+    /// duplicates under other round tags, invalid VRFs, prunes and any
+    /// arrival order: the selected tip is the one of the largest
+    /// `(VRF, tip)` over the admissible stored proposals, for a random
+    /// admissibility predicate over tips.
+    #[test]
+    fn leader_is_the_largest_admissible_vrf(
+        ops in prop::collection::vec((0usize..6, 1u64..4, 0u64..3, 0u64..6, 0u32..12), 1..60),
+        salt in any::<u64>(),
+        modulus in 1u64..4,
+    ) {
+        let n = 6;
+        let keys: Vec<Keypair> = ProcessId::all(n).map(|p| Keypair::derive(p, 5)).collect();
+        let directory = KeyDirectory::derive(n, 5);
+        let admissible = |tip: BlockId| mix64(tip.as_u64() ^ salt).is_multiple_of(modulus);
+        let mut store = ProposeStore::new();
+        // Every valid proposal delivered and not pruned, duplicates kept.
+        let mut model: Vec<Propose> = Vec::new();
+        for &(sender, view, tx, round, kind) in &ops {
+            if kind == 0 {
+                store.prune_below(View::new(view));
+                model.retain(|p| p.view() >= View::new(view));
+                continue;
+            }
+            let p = proposal(&keys[sender], view, tx, round, kind != 1);
+            let key = |q: &Propose| (q.view(), q.vrf_value(), q.tip());
+            let fresh = kind != 1 && !model.iter().any(|q| key(q) == key(&p));
+            prop_assert_eq!(store.insert(p.clone(), &directory), fresh);
+            if kind != 1 {
+                model.push(p);
+            }
+        }
+        for view in 1..4 {
+            let view = View::new(view);
+            let expected = model
+                .iter()
+                .filter(|p| p.view() == view && admissible(p.tip()))
+                .max_by_key(|p| (p.vrf_value(), p.tip().as_u64()))
+                .map(Propose::tip);
+            let mut asked = 0;
+            let selected = store
+                .select_leader_proposal(view, |p| {
+                    asked += 1;
+                    admissible(p.tip())
+                })
+                .map(Propose::tip);
+            prop_assert_eq!(selected, expected);
+            if modulus == 1 {
+                // Everything admissible: one check, not one per proposal.
+                prop_assert!(asked <= 1);
+            }
+        }
     }
 }

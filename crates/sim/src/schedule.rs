@@ -54,8 +54,9 @@ impl Default for ChurnOptions {
 pub struct Schedule {
     n: usize,
     horizon: u64,
-    /// Round-major awake flags for well-behaved processes.
-    awake: Vec<Vec<bool>>,
+    /// Round-major awake flags for well-behaved processes: round `r`'s
+    /// row is `awake[r·n .. (r+1)·n]`.
+    awake: Vec<bool>,
     /// `corrupt_from[p] = Some(r)` means `p ∈ B_{r'}` for all `r' ≥ r`
     /// (until `corrupt_until[p]`, if set).
     corrupt_from: Vec<Option<u64>>,
@@ -68,13 +69,28 @@ pub struct Schedule {
 impl Schedule {
     /// Everyone awake in every round, nobody corrupted.
     pub fn full(n: usize, horizon: u64) -> Schedule {
+        Schedule::with_rows(n, horizon, vec![true; n * (horizon as usize + 1)])
+    }
+
+    /// A schedule over the flat round-major `awake` flags, nobody
+    /// corrupted.
+    fn with_rows(n: usize, horizon: u64, awake: Vec<bool>) -> Schedule {
         Schedule {
             n,
             horizon,
-            awake: (0..=horizon).map(|_| vec![true; n]).collect(),
+            awake,
             corrupt_from: vec![None; n],
             corrupt_until: vec![None; n],
         }
+    }
+
+    /// A schedule whose flag for (round `r`, process `p`) is `awake(r, p)`.
+    fn from_fn(n: usize, horizon: u64, mut awake: impl FnMut(u64, usize) -> bool) -> Schedule {
+        let mut rows = Vec::with_capacity(n * (horizon as usize + 1));
+        for r in 0..=horizon {
+            rows.extend((0..n).map(|p| awake(r, p)));
+        }
+        Schedule::with_rows(n, horizon, rows)
     }
 
     /// A schedule from an explicit round-major awake matrix
@@ -90,13 +106,7 @@ impl Schedule {
             awake.iter().all(|row| row.len() == n),
             "ragged awake matrix"
         );
-        Schedule {
-            n,
-            horizon: awake.len() as u64 - 1,
-            awake,
-            corrupt_from: vec![None; n],
-            corrupt_until: vec![None; n],
-        }
+        Schedule::with_rows(n, awake.len() as u64 - 1, awake.concat())
     }
 
     /// Random bounded churn: each round, awake processes fall asleep with
@@ -123,14 +133,14 @@ impl Schedule {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_5c4e);
         let min_awake = ((n as f64) * opts.min_awake_frac).ceil().max(1.0) as usize;
         let dropped_frac = opts.max_dropped_frac.clamp(0.0, 1.0);
-        let mut awake = Vec::with_capacity(horizon as usize + 1);
-        let mut cur = vec![true; n];
+        let mut awake = Vec::with_capacity(n * (horizon as usize + 1));
+        // The row being built: round r's flags start as round r − 1's.
+        let mut next = vec![true; n];
         // last_awake[p] = most recent round p was awake (round 0: everyone).
         let mut last_awake = vec![0u64; n];
         let mut order: Vec<usize> = (0..n).collect();
-        awake.push(cur.clone());
+        awake.extend_from_slice(&next);
         for r in 1..=horizon {
-            let mut next = cur.clone();
             // Processes asleep now but awake within the drop window: the
             // set Equation 1 measures. Counted once per round, maintained
             // incrementally; new sleep events are admitted only while it
@@ -188,16 +198,9 @@ impl Schedule {
                     last_awake[p] = r;
                 }
             }
-            awake.push(next.clone());
-            cur = next;
+            awake.extend_from_slice(&next);
         }
-        Schedule {
-            n,
-            horizon,
-            awake,
-            corrupt_from: vec![None; n],
-            corrupt_until: vec![None; n],
-        }
+        Schedule::with_rows(n, horizon, awake)
     }
 
     /// A mass-sleep incident: a fraction `frac` of the processes (the
@@ -205,20 +208,9 @@ impl Schedule {
     /// the May-2023 Ethereum scenario from the introduction.
     pub fn mass_sleep(n: usize, horizon: u64, frac: f64, from: u64, to: u64) -> Schedule {
         let sleepers = ((n as f64) * frac.clamp(0.0, 1.0)).floor() as usize;
-        let awake = (0..=horizon)
-            .map(|r| {
-                (0..n)
-                    .map(|p| !((from..=to).contains(&r) && p >= n - sleepers))
-                    .collect()
-            })
-            .collect();
-        Schedule {
-            n,
-            horizon,
-            awake,
-            corrupt_from: vec![None; n],
-            corrupt_until: vec![None; n],
-        }
+        Schedule::from_fn(n, horizon, |r, p| {
+            !((from..=to).contains(&r) && p >= n - sleepers)
+        })
     }
 
     /// Adversarially-paced churn: a group of `⌊γ·n⌋` processes sleeps for
@@ -234,29 +226,16 @@ impl Schedule {
         // stlint::allow(deadpub, reason = "the worst-case expiration pattern of the Figure-1 budget test (tests/conditions_and_formulas.rs)")
         let group = ((n as f64) * gamma.clamp(0.0, 0.9)).floor() as usize;
         let eta = eta.max(1);
-        let awake = (0..=horizon)
-            .map(|r| {
-                if group == 0 {
-                    return vec![true; n];
-                }
-                let phase = (r / eta) as usize;
-                let start = (phase * group) % n;
-                (0..n)
-                    .map(|p| {
-                        // Sleeping window [start, start+group) cyclically.
-                        let offset = (p + n - start) % n;
-                        offset >= group
-                    })
-                    .collect()
-            })
-            .collect();
-        Schedule {
-            n,
-            horizon,
-            awake,
-            corrupt_from: vec![None; n],
-            corrupt_until: vec![None; n],
-        }
+        Schedule::from_fn(n, horizon, |r, p| {
+            if group == 0 {
+                return true;
+            }
+            let phase = (r / eta) as usize;
+            let start = (phase * group) % n;
+            // Sleeping window [start, start+group) cyclically.
+            let offset = (p + n - start) % n;
+            offset >= group
+        })
     }
 
     /// Oscillating participation: the awake fraction swings between
@@ -264,21 +243,13 @@ impl Schedule {
     pub fn oscillating(n: usize, horizon: u64, min_frac: f64, period: u64) -> Schedule {
         // stlint::allow(deadpub, reason = "the diurnal participation of the dynamic-availability theorem test (tests/theorems.rs)")
         let period = period.max(2);
-        let awake = (0..=horizon)
-            .map(|r| {
-                let phase = (r % period) as f64 / period as f64 * std::f64::consts::TAU;
-                let frac = min_frac + (1.0 - min_frac) * (0.5 + 0.5 * phase.cos());
-                let awake_count = ((n as f64) * frac).round().max(1.0) as usize;
-                (0..n).map(|p| p < awake_count).collect()
-            })
-            .collect();
-        Schedule {
-            n,
-            horizon,
-            awake,
-            corrupt_from: vec![None; n],
-            corrupt_until: vec![None; n],
-        }
+        let awake_count = |r: u64| {
+            let phase = (r % period) as f64 / period as f64 * std::f64::consts::TAU;
+            let frac = min_frac + (1.0 - min_frac) * (0.5 + 0.5 * phase.cos());
+            ((n as f64) * frac).round().max(1.0) as usize
+        };
+        let counts: Vec<usize> = (0..=horizon).map(awake_count).collect();
+        Schedule::from_fn(n, horizon, |r, p| p < counts[r as usize])
     }
 
     /// Marks `p` as corrupted from round `from` onward (growing
@@ -354,7 +325,7 @@ impl Schedule {
     /// round `r`. Rounds beyond the horizon repeat the final row.
     pub fn is_awake(&self, p: ProcessId, r: Round) -> bool {
         let row = (r.as_u64().min(self.horizon)) as usize;
-        self.awake[row][p.index()]
+        self.awake[row * self.n..(row + 1) * self.n][p.index()]
     }
 
     /// Whether `p` is Byzantine at round `r`.
