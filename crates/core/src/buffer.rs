@@ -1,95 +1,22 @@
 //! Proposal bodies that have arrived but are not (yet) in a tree.
 //!
 //! During asynchrony the adversary can deliver a proposal whose ancestor
-//! blocks have not arrived yet (selective delivery), so both stores here
-//! park such orphans and retry them whenever a parent lands: a tree only
-//! ever contains fully connected chains.
-//!
-//! * [`BlockBuffer`] is the eager form: every body enters the tree as
-//!   soon as it connects. Only `QuorumProcess` uses it, so it is
-//!   crate-private.
-//! * [`BodyStore`] is the lazy form `TobProcess` uses: a connected body
-//!   enters the tree only once something references it — a stored vote
-//!   names it, or a descendant is admitted. Under full participation one
-//!   of a view's `n` proposals is ever voted for, so the other `n − 1`
-//!   bodies stay in a compact id → body map instead of becoming arena
-//!   nodes in every receiver's tree. They leave it once the vote store's
-//!   pruning edge passes their view, so under synchrony the store holds
-//!   the bodies of the last `η + 3` views, not of the whole run.
+//! blocks have not arrived yet (selective delivery), so [`BodyStore`]
+//! parks such orphans and retries them whenever a parent lands: a tree
+//! only ever contains fully connected chains. It is lazy: a connected
+//! body enters the tree only once something references it — a stored
+//! vote names it, or a descendant is admitted. Under full participation
+//! one of a view's `n` proposals is ever voted for, so the other `n − 1`
+//! bodies stay in a compact id → body map instead of becoming arena
+//! nodes in every receiver's tree. They leave it once the vote store's
+//! pruning edge passes their view, so under synchrony the store holds
+//! the bodies of the last `η + 3` views, not of the whole run.
 
 use st_blocktree::{Block, BlockTree};
 use st_types::fasthash::mix64;
 use st_types::{BlockId, FastMap, Round, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Parks blocks whose parent is unknown and flushes them once the parent
-/// arrives. Blocks are held behind [`Arc`] handles so parking a multicast
-/// body never copies it.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct BlockBuffer {
-    /// parent id → orphans waiting for it.
-    waiting: FastMap<BlockId, Vec<Arc<Block>>>,
-}
-
-impl BlockBuffer {
-    /// Creates an empty buffer.
-    pub(crate) fn new() -> BlockBuffer {
-        BlockBuffer::default()
-    }
-
-    /// Number of parked orphan blocks.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.waiting
-            .iter_sorted()
-            .map(|(_, orphans)| orphans.len())
-            .sum()
-    }
-
-    /// Whether no orphans are parked.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.waiting.is_empty()
-    }
-
-    /// Inserts `block` into `tree`, parking it if the parent is missing.
-    /// Whenever an insertion succeeds, any orphans waiting on the new
-    /// block are flushed recursively. Returns the ids that actually
-    /// entered the tree (in insertion order).
-    pub(crate) fn insert(
-        &mut self,
-        tree: &mut BlockTree,
-        block: impl Into<Arc<Block>>,
-    ) -> Vec<BlockId> {
-        let mut inserted = Vec::new();
-        let mut queue = vec![block.into()];
-        while let Some(b) = queue.pop() {
-            // Only the unknown-parent path needs `b` back (to park it), so
-            // probe for the parent first and move — rather than clone —
-            // the handle into the tree on the (overwhelmingly common)
-            // insertable path.
-            if !tree.contains(b.parent()) && !tree.contains(b.id()) {
-                park(&mut self.waiting, b);
-                continue;
-            }
-            match tree.insert_or_get(b) {
-                Ok(id) => {
-                    inserted.push(id);
-                    if let Some(children) = self.waiting.remove(&id) {
-                        queue.extend(children);
-                    }
-                }
-                #[expect(
-                    clippy::unreachable,
-                    reason = "insert_or_get only errs on a missing parent, and this arm is reached only after tree.contains(b.parent()) held"
-                )]
-                Err(_) => unreachable!("parent presence checked above"),
-            }
-        }
-        inserted
-    }
-}
 
 /// Parks the orphan `b` under its parent, once.
 fn park(waiting: &mut FastMap<BlockId, Vec<Arc<Block>>>, b: Arc<Block>) {
@@ -347,47 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn in_order_insertion_never_parks() {
-        let mut tree = BlockTree::new();
-        let mut buf = BlockBuffer::new();
-        for b in blocks_chain(5) {
-            let ins = buf.insert(&mut tree, b);
-            assert_eq!(ins.len(), 1);
-        }
-        assert!(buf.is_empty());
-        assert_eq!(tree.len(), 6);
-    }
-
-    #[test]
-    fn out_of_order_insertion_flushes_on_parent_arrival() {
-        let mut tree = BlockTree::new();
-        let mut buf = BlockBuffer::new();
-        let chain = blocks_chain(4);
-        // Deliver children first: all parked.
-        for b in chain[1..].iter().rev() {
-            assert!(buf.insert(&mut tree, b.clone()).is_empty());
-        }
-        assert_eq!(buf.len(), 3);
-        // Delivering the first block flushes the whole chain.
-        let ins = buf.insert(&mut tree, chain[0].clone());
-        assert_eq!(ins.len(), 4);
-        assert!(buf.is_empty());
-        assert!(tree.contains(chain[3].id()));
-    }
-
-    #[test]
-    fn duplicate_orphans_are_not_parked_twice() {
-        let mut tree = BlockTree::new();
-        let mut buf = BlockBuffer::new();
-        let chain = blocks_chain(2);
-        buf.insert(&mut tree, chain[1].clone());
-        buf.insert(&mut tree, chain[1].clone());
-        assert_eq!(buf.len(), 1);
-        let ins = buf.insert(&mut tree, chain[0].clone());
-        assert_eq!(ins.len(), 2);
-    }
-
-    #[test]
     fn body_store_admits_only_referenced_bodies_with_their_ancestors() {
         let mut tree = BlockTree::new();
         let mut bodies = BodyStore::new();
@@ -456,16 +342,38 @@ mod tests {
     }
 
     #[test]
+    fn orphans_park_once_and_connect_when_the_root_lands() {
+        let mut tree = BlockTree::new();
+        let mut bodies = BodyStore::new();
+        let chain = blocks_chain(4);
+        // Children first, each twice: every orphan is parked once.
+        for b in chain[1..].iter().rev() {
+            bodies.insert(&mut tree, Arc::new(b.clone()));
+            bodies.insert(&mut tree, Arc::new(b.clone()));
+        }
+        assert_eq!(bodies.len(), 3);
+        // The root connects the whole chain; naming the tip admits it.
+        bodies.insert(&mut tree, Arc::new(chain[0].clone()));
+        assert_eq!(bodies.len(), 4);
+        bodies.reference(&mut tree, chain[3].id(), Round::new(7));
+        assert_eq!((bodies.len(), tree.len()), (0, 5));
+    }
+
+    #[test]
     fn connected_fingerprint_is_the_eager_trees() {
         let chain = blocks_chain(4);
         let mut eager = BlockTree::new();
-        let mut buf = BlockBuffer::new();
         let mut tree = BlockTree::new();
         let mut bodies = BodyStore::new();
         // Children first: orphans are not connected, so neither side
-        // counts them until the root lands.
+        // counts them until the root lands, and then the eager tree
+        // holds the whole chain.
         for b in chain.iter().rev() {
-            buf.insert(&mut eager, b.clone());
+            if b.id() == chain[0].id() {
+                for c in &chain {
+                    eager.insert(c.clone()).expect("parents first");
+                }
+            }
             bodies.insert(&mut tree, Arc::new(b.clone()));
             assert_eq!(bodies.connected_fingerprint(&tree), eager.fingerprint());
             bodies.reference(&mut tree, chain[1].id(), Round::new(1));
@@ -473,16 +381,5 @@ mod tests {
         }
         assert_eq!(tree.len(), 3);
         assert_eq!(eager.len(), 5);
-    }
-
-    #[test]
-    fn reinsertion_of_known_block_is_noop() {
-        let mut tree = BlockTree::new();
-        let mut buf = BlockBuffer::new();
-        let chain = blocks_chain(1);
-        buf.insert(&mut tree, chain[0].clone());
-        let again = buf.insert(&mut tree, chain[0].clone());
-        assert_eq!(again.len(), 1); // insert_or_get reports the id
-        assert_eq!(tree.len(), 2);
     }
 }

@@ -31,10 +31,11 @@
 //! That driving surface is itself a trait: [`Protocol`] (see the
 //! [`protocol`] module) captures construction, tx submission, receive,
 //! send, and the decision/ledger views, so simulators generic over it can
-//! drive *any* implementor. [`TobProcess`] is the canonical one;
-//! [`QuorumProcess`] is the classic fixed-quorum BFT baseline the paper
-//! compares against, runnable under the same harness for head-to-head
-//! experiments.
+//! drive *any* implementor. [`TobProcess`] is the one in production; the
+//! classic fixed-quorum BFT baseline the paper compares against is the
+//! same process under [`st_types::Participation::Fixed`], which grades
+//! support against all `n` processes instead of the perceived
+//! participation.
 //!
 //! # Example: three processes, one synchronous view cycle
 //!
@@ -75,11 +76,9 @@ mod config;
 mod decision;
 mod process;
 pub mod protocol;
-mod quorum;
 mod txpool;
 
 pub use config::TobConfig;
 pub use decision::DecisionEvent;
 pub use process::TobProcess;
 pub use protocol::Protocol;
-pub use quorum::QuorumProcess;

@@ -10,20 +10,28 @@ use st_messages::{
     Envelope, InsertOutcome, Payload, Propose, ProposeStore, SharedEnvelope, Vote, VoteStore,
 };
 use st_types::fasthash::mix64_pair;
-use st_types::{BlockId, FastMap, FastSet, ProcessId, Round, RoundKind, TxId, View};
+use st_types::{BlockId, FastMap, FastSet, Participation, ProcessId, Round, RoundKind, TxId, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A well-behaved process running Algorithm 1, parameterised by the
-/// expiration period `η` from its [`TobConfig`].
+/// expiration period `η` and the tally's [`Participation`] rule from its
+/// [`TobConfig`].
 ///
 /// The state machine is deterministic and I/O-free: drivers call
-/// [`TobProcess::on_receive`] for every delivered message and
-/// [`TobProcess::step_send`] once per round the process is awake in; the
-/// latter returns the messages to multicast. A process that is asleep for
-/// some rounds is simply not stepped for them — queued messages are
-/// delivered via `on_receive` when it wakes, exactly matching the sleepy
-/// model's message-queueing semantics.
+/// [`TobProcess::on_receive_shared`] for every delivered message (a
+/// multicast is wrapped once and its handle fanned out to every
+/// receiver; [`TobProcess::on_receive`] wraps a single envelope for a
+/// hand-driven process) and [`TobProcess::step_send`] once per round the
+/// process is awake in; the latter returns the messages to multicast. A
+/// process that is asleep for some rounds is simply not stepped for them
+/// — queued messages are delivered through the same receive path when it
+/// wakes, exactly matching the sleepy model's message-queueing semantics.
+///
+/// With [`Participation::Fixed`] the tally grades support against all `n`
+/// processes instead of the perceived participation `m`: the classic
+/// fixed-quorum BFT baseline the paper's introduction contrasts with,
+/// differing from the paper's protocol in that one value.
 #[derive(Clone, Debug)]
 pub struct TobProcess {
     id: ProcessId,
@@ -343,7 +351,9 @@ impl TobProcess {
     /// Tallies the graded agreement whose send phase was the previous
     /// round: latest unexpired votes from `[r − 1 − η, r − 1]`
     /// (Section 2.1's expiration window for round `r`). With `η = 0` this
-    /// is exactly the vanilla single-round tally of Figure 2.
+    /// is exactly the vanilla single-round tally of Figure 2. Support is
+    /// graded against the counted senders `m`, or against all `n` under
+    /// [`Participation::Fixed`].
     ///
     /// Two paths, both producing the same output for the same state:
     /// the tally [`TobProcess::share_tally`] settled on for this round,
@@ -361,9 +371,13 @@ impl TobProcess {
         }
         let lo = prev.saturating_sub(self.config.params().expiration());
         self.reconcile_window(lo, prev);
+        let m = match self.config.params().participation() {
+            Participation::Perceived => self.counted.len(),
+            Participation::Fixed => self.config.params().n(),
+        };
         Arc::new(
             self.support
-                .outputs(&self.tree, self.config.thresholds(), self.counted.len()),
+                .outputs(&self.tree, self.config.thresholds(), m),
         )
     }
 
@@ -455,7 +469,8 @@ impl TobProcess {
     /// the result instead of tallying again.
     ///
     /// Why a hit is sound: the tally reads only the vote store, the block
-    /// tree and the (run-wide) parameters, and the fingerprint digests
+    /// tree and the (run-wide) parameters — `η`, the thresholds and the
+    /// participation rule — and the fingerprint digests
     /// the vote store and the tree — equal fingerprints mean equal
     /// tallies, up to a 64-bit collision, for any two processes in any
     /// kind of round.

@@ -8,11 +8,12 @@
 //! exactly that surface, so the whole simulation stack — builder,
 //! runner, observers, sweeps — is generic over the protocol under test:
 //!
-//! * [`crate::TobProcess`] — the paper's sleepy protocol (Algorithm 1
-//!   with message expiration), the default everywhere;
-//! * [`crate::QuorumProcess`] — the classic fixed-quorum BFT baseline
-//!   the introduction compares against, now an actual message-passing
-//!   participant instead of a closed-form schedule walk.
+//! [`crate::TobProcess`] — the paper's sleepy protocol (Algorithm 1 with
+//! message expiration) — is the one production implementor; its
+//! fixed-quorum baseline is a parameter ([`st_types::Participation`]),
+//! not a second protocol. The trait stays so that the literal
+//! Algorithm 1 in st-core's tests can run under the same simulator as
+//! the oracle `TobProcess` is checked against.
 //!
 //! Decisions are deliberately *not* an associated type: every
 //! implementor reports [`DecisionEvent`]s (round, view, decided tip into
@@ -37,9 +38,6 @@ use std::sync::Arc;
 /// increasing order; queued messages delivered on wake-up arrive through
 /// the ordinary receive path.
 pub trait Protocol: Sized + 'static {
-    /// The protocol's display name (reports, sweep comparisons, CLIs).
-    const NAME: &'static str;
-
     /// Creates the process `id` under the shared `config` (parameters,
     /// seed, key directory).
     fn new(id: ProcessId, config: TobConfig) -> Self;
@@ -103,29 +101,27 @@ pub trait Protocol: Sized + 'static {
 
     /// The tip of the longest decided log (genesis before any decision).
     ///
-    /// Both implementors only ever move it to a descendant of its previous
-    /// value (a conflicting decision is still recorded for the monitors,
-    /// but the tip does not move to it), so readers may extend per-tip state incrementally by
-    /// walking just the newly decided blocks — st-sim's tx ledger does,
-    /// and keeps a from-genesis rebuild for an implementor that does not.
+    /// [`crate::TobProcess`] only ever moves it to a descendant of its
+    /// previous value (a conflicting decision is still recorded for the
+    /// monitors, but the tip does not move to it), so readers may extend
+    /// per-tip state incrementally by walking just the newly decided
+    /// blocks — st-sim's tx ledger does, and keeps a from-genesis rebuild
+    /// for an implementor that does not.
     fn decided_tip(&self) -> BlockId;
 
     /// The process's view of the block tree: at least the decided chain
     /// — the shared vocabulary monitors resolve decision tips against.
     /// Which side branches it holds is the implementor's choice
-    /// ([`crate::TobProcess`] keeps only bodies a stored vote has named;
-    /// [`crate::QuorumProcess`] every body it has received).
+    /// ([`crate::TobProcess`] keeps only bodies a stored vote has named).
     fn tree(&self) -> &BlockTree;
 }
 
-/// The sleepy protocol (Algorithm 1 with message expiration) is the
-/// canonical implementor — every trait method delegates to the inherent
-/// method of the same name, so driving a `TobProcess` through the
-/// generic runner is call-for-call the code path the non-generic runner
-/// used (the determinism suite asserts byte-identical reports).
+/// The sleepy protocol (Algorithm 1 with message expiration), under
+/// either participation rule — every trait method delegates to the
+/// inherent method of the same name, so driving a `TobProcess` through
+/// the generic runner is call-for-call the code path the non-generic
+/// runner used (the determinism suite asserts byte-identical reports).
 impl Protocol for crate::TobProcess {
-    const NAME: &'static str = "sleepy-tob";
-
     fn new(id: ProcessId, config: TobConfig) -> Self {
         crate::TobProcess::new(id, config)
     }

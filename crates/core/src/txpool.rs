@@ -1,4 +1,4 @@
-//! The per-process transaction pool both protocols propose from.
+//! The per-process transaction pool `TobProcess` proposes from.
 //!
 //! The payload rule is stateless: a proposal extending `parent` carries
 //! every transaction this process was submitted, in submission order,
@@ -86,8 +86,8 @@ impl TxPool {
     }
 
     /// Moves `base` to `new_tip`, which must be a descendant of (or equal
-    /// to) the current base — both protocols only ever move their decided
-    /// tip forward. Walks only the newly decided blocks.
+    /// to) the current base — the process only ever moves its decided tip
+    /// forward. Walks only the newly decided blocks.
     pub(crate) fn advance(&mut self, tree: &BlockTree, new_tip: BlockId) {
         let base = self.base;
         if new_tip == base {

@@ -1,5 +1,4 @@
-//! Every proposal's payload against the stateless rule, for both
-//! protocols: "what I was submitted, in order, minus the log I extend"
+//! Every proposal's payload against the stateless rule: "what I was submitted, in order, minus the log I extend"
 //! (`literal::payload_rule`, the rule the literal Algorithm 1 proposes
 //! by). The pool behind `step_send` evaluates that rule relative to the
 //! decided tip and walks only the undecided suffix; these cases cover
@@ -12,26 +11,26 @@ mod literal;
 
 use literal::{forked_lockstep, payload_rule};
 use proptest::prelude::*;
-use st_core::{Protocol, QuorumProcess, TobConfig, TobProcess};
+use st_core::{TobConfig, TobProcess};
 use st_messages::{Envelope, Payload, SharedEnvelope};
 use st_types::{Params, ProcessId, Round, TxId};
 
-/// `n` processes of protocol `P`, each proposal checked against the rule.
-struct Net<P> {
-    procs: Vec<P>,
+/// `n` processes, each proposal checked against the rule.
+struct Net {
+    procs: Vec<TobProcess>,
     /// Per process: every transaction submitted, deduplicated, in order.
     submitted: Vec<Vec<TxId>>,
     /// Proposals compared with the rule.
     checked: usize,
 }
 
-impl<P: Protocol> Net<P> {
-    fn new(n: usize, eta: u64, seed: u64) -> Net<P> {
+impl Net {
+    fn new(n: usize, eta: u64, seed: u64) -> Net {
         let params = Params::builder(n).expiration(eta).build().unwrap();
         let config = TobConfig::new(params, seed);
         Net {
             procs: (0..n as u32)
-                .map(|i| P::new(ProcessId::new(i), config.clone()))
+                .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
                 .collect(),
             submitted: vec![Vec::new(); n],
             checked: 0,
@@ -90,14 +89,15 @@ fn forked_parent_uses_the_from_genesis_rule() {
 
 /// A transaction decided and then submitted again, and one decided
 /// elsewhere and then submitted here, stay out of every later payload.
-fn resubmission_after_decision<P: Protocol>() {
-    let mut net = Net::<P>::new(4, 2, 11);
+#[test]
+fn resubmitted_transactions_stay_out_sleepy() {
+    let mut net = Net::new(4, 2, 11);
     let (mine, theirs) = (TxId::new(5), TxId::new(6));
     for i in 0..4 {
         net.submit(i, mine);
     }
     net.submit(1, theirs);
-    let decided = |net: &Net<P>, tx| {
+    let decided = |net: &Net, tx| {
         let p = &net.procs[0];
         p.tree().log_transactions(p.decided_tip()).contains(&tx)
     };
@@ -105,7 +105,7 @@ fn resubmission_after_decision<P: Protocol>() {
     while !(decided(&net, mine) && decided(&net, theirs)) {
         net.lockstep(Round::new(r));
         r += 1;
-        assert!(r < 40, "{}: never decided", P::NAME);
+        assert!(r < 40, "never decided");
     }
     net.submit(0, mine);
     net.submit(0, theirs);
@@ -113,17 +113,7 @@ fn resubmission_after_decision<P: Protocol>() {
     for r in r..r + 8 {
         net.lockstep(Round::new(r));
     }
-    assert!(net.checked >= before + 4, "{}", P::NAME);
-}
-
-#[test]
-fn resubmitted_transactions_stay_out_sleepy() {
-    resubmission_after_decision::<TobProcess>();
-}
-
-#[test]
-fn resubmitted_transactions_stay_out_quorum() {
-    resubmission_after_decision::<QuorumProcess>();
+    assert!(net.checked >= before + 4);
 }
 
 /// Random per-round delivery: each envelope reaches each receiver now or
@@ -131,8 +121,8 @@ fn resubmitted_transactions_stay_out_quorum() {
 /// round. Submissions draw from a small id space, so transactions are
 /// re-submitted, submitted after being decided elsewhere, and proposed on
 /// competing branches.
-fn random_delivery<P: Protocol>(n: usize, eta: u64, masks: &[u64], txs: &[u8]) -> usize {
-    let mut net = Net::<P>::new(n, eta, 3);
+fn random_delivery(n: usize, eta: u64, masks: &[u64], txs: &[u8]) -> usize {
+    let mut net = Net::new(n, eta, 3);
     let mut backlog: Vec<Vec<SharedEnvelope>> = vec![Vec::new(); n];
     for r in 0..40u64 {
         let t = txs[r as usize % txs.len()];
@@ -170,7 +160,6 @@ proptest! {
         masks in prop::collection::vec(any::<u64>(), 1..12),
         txs in prop::collection::vec(any::<u8>(), 1..10),
     ) {
-        prop_assert!(random_delivery::<TobProcess>(n, eta, &masks, &txs) > 0);
-        prop_assert!(random_delivery::<QuorumProcess>(n, eta, &masks, &txs) > 0);
+        prop_assert!(random_delivery(n, eta, &masks, &txs) > 0);
     }
 }

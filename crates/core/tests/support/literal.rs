@@ -344,8 +344,6 @@ impl LiteralProcess {
 }
 
 impl Protocol for LiteralProcess {
-    const NAME: &'static str = "literal";
-
     fn new(id: ProcessId, config: TobConfig) -> Self {
         LiteralProcess {
             id,

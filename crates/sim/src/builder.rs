@@ -79,9 +79,11 @@ impl std::error::Error for BuildError {}
 ///
 /// Generic over the [`Protocol`] to drive, defaulted to [`TobProcess`]:
 /// [`SimBuilder::from_config`] builds the sleepy protocol, while
-/// `SimBuilder::<QuorumProcess>::for_protocol_config(config)` (or any
-/// other implementor) gets the same chain, validation and observer
-/// pipeline for a different protocol.
+/// `SimBuilder::<P>::for_protocol_config(config)` gets the same chain,
+/// validation and observer pipeline for another implementor `P` (the
+/// lockstep tests drive st-core's literal Algorithm 1 this way). The
+/// fixed-quorum baseline is not another implementor: it is
+/// [`st_types::Participation::Fixed`] in the config's parameters.
 pub struct SimBuilder<P: Protocol = TobProcess> {
     config: SimConfig,
     schedule: Option<Schedule>,
@@ -105,13 +107,17 @@ impl<P: Protocol> SimBuilder<P> {
     /// [`SimBuilder::from_config`]. Name the protocol explicitly:
     ///
     /// ```
-    /// use st_core::QuorumProcess;
+    /// use st_core::TobProcess;
     /// use st_sim::{SimBuilder, SimConfig};
-    /// use st_types::Params;
+    /// use st_types::{Params, Participation};
     ///
-    /// let params = Params::builder(9).build()?;
+    /// // The fixed-quorum baseline: the sleepy protocol grading support
+    /// // against all n processes.
+    /// let params = Params::builder(9)
+    ///     .participation(Participation::Fixed)
+    ///     .build()?;
     /// let config = SimConfig::new(params, 7).horizon(20);
-    /// let report = SimBuilder::<QuorumProcess>::for_protocol_config(config)
+    /// let report = SimBuilder::<TobProcess>::for_protocol_config(config)
     ///     .build()?
     ///     .run();
     /// assert!(report.is_safe());

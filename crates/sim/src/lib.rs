@@ -32,18 +32,16 @@
 //!   observers), with a proper error path;
 //! * [`Simulation`] — the round loop, generic over the
 //!   [`st_core::Protocol`] it drives (defaulted to
-//!   [`st_core::TobProcess`];
-//!   `SimBuilder::<QuorumProcess>::for_protocol_config` runs the
-//!   fixed-quorum baseline under the same harness) — steppable
+//!   [`st_core::TobProcess`], whose fixed-quorum baseline is
+//!   [`st_types::Participation::Fixed`] in the run's parameters) — steppable
 //!   ([`Simulation::step`] / [`Simulation::run_until`] /
 //!   [`Simulation::finish`]) with mid-run inspection and intervention;
 //! * [`Observer`] + [`SimEvent`] — the execution narrated as an event
 //!   stream; the built-in monitors ride the same trait user probes do,
 //!   and the report is assembled from the observer pipeline;
 //! * [`Sweep`] — cartesian config grids with deterministic per-cell
-//!   seeds, run across worker threads in input order;
-//!   [`Sweep::compare`] runs the same cells and seeds through two
-//!   protocols for head-to-head grids;
+//!   seeds, run across worker threads in input order (a head-to-head
+//!   runs one sweep twice, so both sides get the same per-cell seeds);
 //! * [`Workload`] / [`WorkloadSpec`] — the open-loop workload layer
 //!   (st-load) threaded into the round loop: per-round arrivals enter a
 //!   bounded mempool, drained batches reach `submit_tx`, and
@@ -110,7 +108,7 @@ pub use network::{Network, Recipients, SentMessage};
 pub use observer::{DecisionLog, DecisionTap, ObsCtx, Observer, SimEvent, ViolationKind};
 pub use runner::{SimConfig, Simulation};
 pub use schedule::{ChurnOptions, Schedule};
-pub use sweep::{Sweep, SweepComparison, SweepReports};
+pub use sweep::{Sweep, SweepReports};
 pub use workload::{diurnal_schedule, WorkloadSpec, WorkloadSummary};
 
 // The workload layer's own vocabulary (generators, mempool, histogram),
@@ -122,4 +120,4 @@ pub use st_load::{
 
 // The protocol abstraction the whole stack is generic over, re-exported
 // so simulation drivers need only this crate in scope.
-pub use st_core::{Protocol, QuorumProcess};
+pub use st_core::Protocol;

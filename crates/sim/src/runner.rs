@@ -105,8 +105,9 @@ impl SimConfig {
 /// protocol's [`TobProcess`] — `Simulation` without a parameter is the
 /// exact type every pre-existing caller names. The round loop touches
 /// processes only through the [`Protocol`] surface, so any implementor
-/// (e.g. [`st_core::QuorumProcess`]) runs under the same schedules,
-/// network pool, environment timeline and adversarial delivery.
+/// (st-core's literal Algorithm 1, in the lockstep tests) runs under the
+/// same schedules, network pool, environment timeline and adversarial
+/// delivery.
 pub struct Simulation<P: Protocol = TobProcess> {
     config: SimConfig,
     tob_config: TobConfig,

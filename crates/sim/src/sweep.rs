@@ -148,6 +148,31 @@ impl<C: Sync> Sweep<C> {
     /// [`Protocol`] the cells drive (inferred from the builder closure;
     /// the default [`crate::SimBuilder`] chain pins it to the sleepy
     /// protocol).
+    ///
+    /// A head-to-head is two calls on one sweep: the cells and per-cell
+    /// seeds are the same on both sides by construction, so building both
+    /// from the same per-cell inputs leaves the parameters as the only
+    /// difference.
+    ///
+    /// ```
+    /// use st_sim::{Schedule, SimBuilder, SimConfig, Sweep};
+    /// use st_types::{Params, Participation};
+    ///
+    /// // 50% of processes sleep mid-run: the sleepy protocol keeps
+    /// // deciding, its fixed-quorum baseline stalls.
+    /// let sweep = Sweep::over(vec![9usize]).seed(3);
+    /// let side = |participation| {
+    ///     sweep.run_reports(|&n, seed| {
+    ///         let params = Params::builder(n).participation(participation).build().unwrap();
+    ///         SimBuilder::from_config(SimConfig::new(params, seed).horizon(30))
+    ///             .schedule(Schedule::mass_sleep(n, 30, 0.5, 8, 24))
+    ///             .build()
+    ///             .expect("valid cell")
+    ///     })
+    /// };
+    /// let (sleepy, fixed) = (side(Participation::Perceived), side(Participation::Fixed));
+    /// assert!(sleepy.reports[0].decisions_total > fixed.reports[0].decisions_total);
+    /// ```
     pub fn run_reports<P, F>(&self, build: F) -> SweepReports
     where
         P: Protocol,
@@ -155,58 +180,6 @@ impl<C: Sync> Sweep<C> {
     {
         SweepReports {
             reports: self.run(|cell, seed| build(cell, seed).run()),
-        }
-    }
-
-    /// Runs the **same cells under the same per-cell seeds** through two
-    /// protocols and pairs the outcomes — the head-to-head driver behind
-    /// the baseline-comparison experiments. The cell list and per-cell
-    /// seeds are shared by construction; schedules, timelines and
-    /// adversaries come from the two builder closures, so build both
-    /// sides from the same per-cell inputs (as the doctest below does)
-    /// if you want every column difference attributable to the protocol
-    /// alone.
-    ///
-    /// ```
-    /// use st_core::QuorumProcess;
-    /// use st_sim::{Schedule, SimBuilder, SimConfig, Sweep};
-    /// use st_types::Params;
-    ///
-    /// // 50% of processes sleep mid-run: the sleepy protocol keeps
-    /// // deciding, the fixed-quorum baseline stalls.
-    /// let config = |n, seed| SimConfig::new(Params::builder(n).build().unwrap(), seed).horizon(30);
-    /// let sweep = Sweep::over(vec![9usize]).seed(3);
-    /// let duel = sweep.compare(
-    ///     |&n, seed| {
-    ///         SimBuilder::from_config(config(n, seed))
-    ///             .schedule(Schedule::mass_sleep(n, 30, 0.5, 8, 24))
-    ///             .build()
-    ///             .expect("valid cell")
-    ///     },
-    ///     |&n, seed| {
-    ///         SimBuilder::<QuorumProcess>::for_protocol_config(config(n, seed))
-    ///             .schedule(Schedule::mass_sleep(n, 30, 0.5, 8, 24))
-    ///             .build()
-    ///             .expect("valid cell")
-    ///     },
-    /// );
-    /// assert_eq!(duel.left_protocol, "sleepy-tob");
-    /// assert_eq!(duel.right_protocol, "static-quorum");
-    /// let (sleepy, quorum) = duel.pairs().next().unwrap();
-    /// assert!(sleepy.decisions_total > quorum.decisions_total);
-    /// ```
-    pub fn compare<PL, PR, FL, FR>(&self, build_left: FL, build_right: FR) -> SweepComparison
-    where
-        PL: Protocol,
-        PR: Protocol,
-        FL: Fn(&C, u64) -> Simulation<PL> + Sync,
-        FR: Fn(&C, u64) -> Simulation<PR> + Sync,
-    {
-        SweepComparison {
-            left_protocol: PL::NAME.to_string(),
-            right_protocol: PR::NAME.to_string(),
-            left: self.run_reports(build_left),
-            right: self.run_reports(build_right),
         }
     }
 }
@@ -254,45 +227,6 @@ impl SweepReports {
             .iter()
             .filter_map(SimReport::max_recovery_rounds)
             .max()
-    }
-}
-
-/// The paired outcome of a [`Sweep::compare`] call: the same cells and
-/// per-cell seeds run under two protocols, reports side by side.
-#[derive(Clone, Debug)]
-pub struct SweepComparison {
-    /// Protocol name of the left column.
-    pub left_protocol: String,
-    /// Protocol name of the right column.
-    pub right_protocol: String,
-    /// Left-protocol reports, in cell order.
-    pub left: SweepReports,
-    /// Right-protocol reports, in cell order.
-    pub right: SweepReports,
-}
-
-impl SweepComparison {
-    /// Number of cells (both columns always have the same length).
-    pub fn len(&self) -> usize {
-        self.left.len()
-    }
-
-    /// Whether the comparison had no cells.
-    pub fn is_empty(&self) -> bool {
-        self.left.is_empty()
-    }
-
-    /// Iterates cell pairs in cell order.
-    pub fn pairs(&self) -> impl Iterator<Item = (&SimReport, &SimReport)> {
-        self.left.reports.iter().zip(self.right.reports.iter())
-    }
-
-    /// Per-cell decision-count advantage of the left protocol
-    /// (`left.decisions_total − right.decisions_total`).
-    pub fn decision_advantage(&self) -> Vec<i64> {
-        self.pairs()
-            .map(|(l, r)| l.decisions_total as i64 - r.decisions_total as i64)
-            .collect()
     }
 }
 

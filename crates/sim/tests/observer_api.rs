@@ -291,24 +291,28 @@ fn early_finish_reports_partial_run() {
     assert_eq!(report.messages_sent, 0);
 }
 
-/// The observer pipeline is protocol-generic: a probe written against
-/// `Observer<QuorumProcess>` rides the same event stream — and can read
-/// quorum-process state out of `ObsCtx.processes` — while the built-in
-/// monitors assemble the usual report.
+/// The observer pipeline is typed by the driven protocol: a probe
+/// written against `Observer<TobProcess>` rides the same event stream —
+/// and can read process state out of `ObsCtx.processes` — while the
+/// built-in monitors assemble the usual report. The run is the
+/// fixed-quorum baseline (`Participation::Fixed`), and the probe sees it
+/// in each process's parameters.
 #[test]
 fn observers_ride_the_generic_runner() {
-    use st_sim::{Protocol, QuorumProcess};
+    use st_core::TobProcess;
+    use st_types::Participation;
 
     #[derive(Default)]
-    struct QuorumProbe {
+    struct Probe {
         decisions: usize,
         max_seen_height: u64,
+        fixed: bool,
     }
 
-    impl Observer<QuorumProcess> for QuorumProbe {
+    impl Observer<TobProcess> for Probe {
         fn on_event(
             &mut self,
-            ctx: &ObsCtx<'_, QuorumProcess>,
+            ctx: &ObsCtx<'_, TobProcess>,
             event: &SimEvent,
             _emit: &mut Vec<SimEvent>,
         ) {
@@ -324,51 +328,60 @@ fn observers_ride_the_generic_runner() {
                     .max()
                     .unwrap_or(0);
                 self.max_seen_height = self.max_seen_height.max(tallest);
+                self.fixed = ctx
+                    .processes
+                    .iter()
+                    .all(|p| p.config().params().participation() == Participation::Fixed);
             }
         }
     }
 
     // Observers are moved into the pipeline; report state through the
     // assembled SimReport plus a shared cell for the probe's own tally.
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let tally: Rc<RefCell<(usize, u64)>> = Rc::default();
+    let tally: Rc<RefCell<(usize, u64, bool)>> = Rc::default();
 
     struct Sharing {
-        inner: QuorumProbe,
-        out: Rc<RefCell<(usize, u64)>>,
+        inner: Probe,
+        out: Rc<RefCell<(usize, u64, bool)>>,
     }
-    impl Observer<QuorumProcess> for Sharing {
+    impl Observer<TobProcess> for Sharing {
         fn on_event(
             &mut self,
-            ctx: &ObsCtx<'_, QuorumProcess>,
+            ctx: &ObsCtx<'_, TobProcess>,
             event: &SimEvent,
             emit: &mut Vec<SimEvent>,
         ) {
             self.inner.on_event(ctx, event, emit);
-            *self.out.borrow_mut() = (self.inner.decisions, self.inner.max_seen_height);
+            let probe = &self.inner;
+            *self.out.borrow_mut() = (probe.decisions, probe.max_seen_height, probe.fixed);
         }
     }
 
     let n = 9;
     let horizon = 20;
-    let report = SimBuilder::<QuorumProcess>::for_protocol_config(
-        SimConfig::new(Params::builder(n).build().unwrap(), 5).horizon(horizon),
-    )
-    .workload_spec(WorkloadSpec::txs_every(4))
-    .observer(Sharing {
-        inner: QuorumProbe::default(),
-        out: Rc::clone(&tally),
-    })
-    .build()
-    .expect("valid quorum sim")
-    .run();
+    let fixed = Params::builder(n)
+        .participation(Participation::Fixed)
+        .build()
+        .unwrap();
+    let report =
+        SimBuilder::<TobProcess>::for_protocol_config(SimConfig::new(fixed, 5).horizon(horizon))
+            .workload_spec(WorkloadSpec::txs_every(4))
+            .observer(Sharing {
+                inner: Probe::default(),
+                out: Rc::clone(&tally),
+            })
+            .build()
+            .expect("valid fixed-quorum sim")
+            .run();
 
-    let (decisions, height) = *tally.borrow();
-    // Full participation: views 1..=9 decide on all 9 processes.
+    let (decisions, height, fixed) = *tally.borrow();
+    assert!(fixed, "the probe did not see the fixed denominator");
+    // Full participation: views 2..=10 decide on all 9 processes, view v
+    // the block proposed for view v − 1 (height v − 2; view 1's is
+    // genesis).
     assert_eq!(decisions, 81);
     assert_eq!(report.decisions_total, 81);
-    assert_eq!(height, 9);
-    assert_eq!(report.final_decided_height, 9);
+    assert_eq!(height, 8);
+    assert_eq!(report.final_decided_height, 8);
     assert!(report.is_safe());
 }

@@ -1,46 +1,56 @@
-//! The in-simulator fixed-quorum baseline, held to its spec.
+//! The fixed-quorum baseline, held to its spec.
 //!
-//! Two kinds of guard:
+//! The baseline is the sleepy protocol with one value changed: its tally
+//! grades support against all `n` processes ([`Participation::Fixed`])
+//! instead of the perceived participation `m`, at `η = 0`. Three kinds of
+//! guard:
 //!
 //! * **Analytical cross-check** — a closed-form schedule walk
 //!   ([`analytical_decided_views`]) predicts, per view, whether the
 //!   static quorum is met on an honest synchronous schedule. The
-//!   message-passing [`QuorumProcess`] must decide exactly the predicted
-//!   views and stall exactly the predicted ones.
-//! * **Property tests** — the module-doc claims, executed: under full
-//!   participation every view decides; when more than a third of the
-//!   processes sleep, no affected view ever does.
+//!   simulated baseline must decide exactly the predicted views and stall
+//!   exactly the predicted ones.
+//! * **Property tests** — under full participation every view decides,
+//!   and under full participation and synchrony the denominator makes no
+//!   difference at all; when more than a third of the processes sleep, no
+//!   affected view ever decides.
 //! * **Head to head** (EXPERIMENTS.md B2) — the sleepy protocol and the
 //!   baseline on the same cells and seeds: the baseline stalls through
-//!   every disruption while the sleepy protocol decides or recovers.
+//!   every participation dip and the asynchronous window while the sleepy
+//!   protocol decides or recovers.
 
 use proptest::prelude::*;
-use st_core::TobProcess;
+use st_core::DecisionEvent;
 use st_sim::adversary::{PartitionAttacker, SilentAdversary};
 use st_sim::scenario::gst;
 use st_sim::{
-    DecisionTap, Protocol, QuorumProcess, Schedule, SimBuilder, SimConfig, SimReport, Simulation,
-    Sweep, Timeline, WorkloadSpec,
+    DecisionTap, Schedule, SimBuilder, SimConfig, SimReport, Simulation, Sweep, Timeline,
+    WorkloadSpec,
 };
-use st_types::{Params, Round};
+use st_types::{Params, Participation, Round};
 use std::collections::BTreeSet;
 
-/// Runs the in-simulator baseline over `schedule` and returns the set of
-/// decided views (union over processes — under synchrony every awake
-/// process decides the same views, sleepers catch up from the backlog).
-/// The runner drains decision events into its observers each round, so
-/// post-run inspection goes through a [`DecisionTap`].
+/// The baseline's parameters: all `n` as the denominator, no expiration.
+fn fixed(n: usize) -> Params {
+    Params::builder(n)
+        .participation(Participation::Fixed)
+        .build()
+        .expect("valid params")
+}
+
+/// Runs the baseline over `schedule` and returns the set of decided views
+/// (union over processes — under synchrony every awake process decides
+/// the same views). The runner drains decision events into its observers
+/// each round, so post-run inspection goes through a [`DecisionTap`].
 fn simulated_decided_views(schedule: &Schedule, n: usize, seed: u64) -> BTreeSet<u64> {
-    let params = Params::builder(n).build().expect("valid params");
     let (tap, log) = DecisionTap::new(n);
-    let mut sim = SimBuilder::<QuorumProcess>::for_protocol_config(
-        SimConfig::new(params, seed).horizon(schedule.horizon()),
-    )
-    .schedule(schedule.clone())
-    .adversary(SilentAdversary)
-    .observer(tap)
-    .build()
-    .expect("valid simulation");
+    let mut sim =
+        SimBuilder::from_config(SimConfig::new(fixed(n), seed).horizon(schedule.horizon()))
+            .schedule(schedule.clone())
+            .adversary(SilentAdversary)
+            .observer(tap)
+            .build()
+            .expect("valid simulation");
     while sim.step().is_some() {}
     let log = log.borrow();
     log.iter()
@@ -48,51 +58,29 @@ fn simulated_decided_views(schedule: &Schedule, n: usize, seed: u64) -> BTreeSet
         .collect()
 }
 
-/// Views the simulation could have decided by the horizon: a view's
-/// votes (cast in round `2v`) are integrated at the next send step, so
-/// the decision round is `2v + 1`.
-fn decidable_by_horizon(view: u64, horizon: u64) -> bool {
-    2 * view < horizon
-}
-
-/// The closed-form walk: view `v` (decision round `2v ≤ horizon`)
-/// decides iff more than `2n/3` honest processes are awake in round `2v`
-/// — votes from asleep processes cannot arrive, and the quorum counts
-/// the fixed membership `n`. Returns `(decided, stalled)`.
+/// The closed-form walk: view `v ≥ 2` decides in round `2v − 1`, from the
+/// votes of round `2v − 2`, iff strictly more than `2n/3` of all `n`
+/// processes are honest and awake in that round — votes from asleep
+/// processes do not exist, and every awake vote supports genesis at
+/// least. View 1 has no preceding graded agreement. Covers the views
+/// whose decision round fits the horizon. The rule is stated in integers,
+/// apart from the grading code it checks. Returns `(decided, stalled)`.
 fn analytical_decided_views(schedule: &Schedule, n: usize) -> (BTreeSet<u64>, BTreeSet<u64>) {
-    (1..=schedule.horizon() / 2).partition(|&v| {
-        let awake = schedule.honest_awake(Round::new(2 * v)).len();
-        QuorumProcess::quorum_exceeded(n, awake)
+    (2..=schedule.horizon().div_ceil(2)).partition(|&v| {
+        let awake = schedule.honest_awake(Round::new(2 * v - 2)).len();
+        3 * awake > 2 * n
     })
 }
 
 /// The cross-check: simulated decided/stalled views must match the
-/// analytical walk on honest synchronous schedules, up to the one-round
-/// decision lag at the horizon.
+/// analytical walk on honest synchronous schedules.
 fn assert_matches_analytical(schedule: &Schedule, n: usize, seed: u64) {
     let (predicted, stalled) = analytical_decided_views(schedule, n);
     let simulated = simulated_decided_views(schedule, n, seed);
-    for &v in &predicted {
-        if decidable_by_horizon(v, schedule.horizon()) {
-            assert!(
-                simulated.contains(&v),
-                "analytical decided view {v} missing from simulation (n={n})"
-            );
-        }
-    }
-    for v in &stalled {
-        assert!(
-            !simulated.contains(v),
-            "analytically stalled view {v} decided in simulation (n={n})"
-        );
-    }
-    // And nothing beyond the analytical decided set ever decides.
-    for v in &simulated {
-        assert!(
-            predicted.contains(v),
-            "simulation decided view {v} the analytical walk did not predict (n={n})"
-        );
-    }
+    assert_eq!(
+        simulated, predicted,
+        "simulated decided views differ from the analytical walk (n={n}, stalled {stalled:?})"
+    );
 }
 
 #[test]
@@ -113,19 +101,56 @@ fn mass_sleep_matches_analytical_walk() {
 
 #[test]
 fn borderline_third_matches_analytical_walk() {
-    // Exactly a third asleep (3 of 9): 6 awake = 2n/3 exactly, which the
-    // strict `> 2n/3` rule rejects — both sides must agree the views
-    // stall.
-    let schedule = Schedule::mass_sleep(9, 30, 1.0 / 3.0, 8, 20);
-    assert!(!analytical_decided_views(&schedule, 9).1.is_empty());
-    assert_matches_analytical(&schedule, 9, 7);
+    // Exactly a third asleep: 6 of 9 and 8 of 12 awake = 2n/3 exactly,
+    // which the strict `> 2n/3` rule rejects — both sides must agree the
+    // views stall. (`(1 − β)·n` in floating point is 6.000000000000001 at
+    // n = 9 but exactly 8 at n = 12, so only the second cell tells `>`
+    // from `≥`.)
+    for (n, asleep, seed) in [(9, 1.0 / 3.0, 7), (12, 0.34, 8)] {
+        let schedule = Schedule::mass_sleep(n, 30, asleep, 8, 20);
+        assert!(!analytical_decided_views(&schedule, n).1.is_empty());
+        assert_matches_analytical(&schedule, n, seed);
+    }
+}
+
+/// Every process's decision log of a full-participation synchronous run.
+fn full_run_decisions(params: Params, horizon: u64, seed: u64) -> Vec<Vec<DecisionEvent>> {
+    let (tap, log) = DecisionTap::new(params.n());
+    SimBuilder::from_config(SimConfig::new(params, seed).horizon(horizon))
+        .workload_spec(WorkloadSpec::txs_every(3))
+        .observer(tap)
+        .run();
+    log.take()
+}
+
+/// With every process awake and synchrony, every counted vote is one of
+/// all `n`, so `m = n` and the denominator cannot matter: `Fixed` and
+/// `Perceived` decide the same chains, event for event.
+#[test]
+fn fixed_and_perceived_agree_under_full_participation() {
+    for n in [4, 7, 9, 16] {
+        for eta in [0, 2, 4] {
+            let params = |participation| {
+                Params::builder(n)
+                    .expiration(eta)
+                    .participation(participation)
+                    .build()
+                    .expect("valid params")
+            };
+            let seed = 31 * n as u64 + eta;
+            let perceived = full_run_decisions(params(Participation::Perceived), 24, seed);
+            let fixed = full_run_decisions(params(Participation::Fixed), 24, seed);
+            assert!(perceived.iter().all(|log| log.len() >= 10), "n={n} η={eta}");
+            assert_eq!(perceived, fixed, "n={n} η={eta}");
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Under full participation the baseline decides **every** view whose
-    /// decision step fits the horizon — on every process.
+    /// Under full participation the baseline decides **every** view from
+    /// view 2 on whose decision round fits the horizon — on every process.
     #[test]
     fn full_participation_decides_every_view(
         n in 4usize..13,
@@ -133,13 +158,13 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let horizon = 2 * half_views + 1;
-        let params = Params::builder(n).build().expect("valid params");
         let (tap, log) = DecisionTap::new(n);
-        let mut sim = SimBuilder::<QuorumProcess>::for_protocol_config(SimConfig::new(params, seed).horizon(horizon)).observer(tap)
+        let mut sim = SimBuilder::from_config(SimConfig::new(fixed(n), seed).horizon(horizon))
+            .observer(tap)
             .build()
             .expect("valid simulation");
         while sim.step().is_some() {}
-        let expected: Vec<u64> = (1..=half_views).filter(|&v| 2 * v < horizon).collect();
+        let expected: Vec<u64> = (2..=half_views + 1).collect();
         for (i, decisions) in log.borrow().iter().enumerate() {
             let views: Vec<u64> = decisions.iter().map(|d| d.view.as_u64()).collect();
             prop_assert_eq!(&views, &expected, "process {}", i);
@@ -147,8 +172,8 @@ proptest! {
     }
 
     /// With strictly more than a third of the processes asleep, no view
-    /// whose vote round falls in the sleep window ever decides — the
-    /// static quorum over all `n` is unreachable.
+    /// whose vote round (`2v − 2`) falls in the sleep window ever decides
+    /// — the static quorum over all `n` is unreachable.
     #[test]
     fn over_a_third_sleeping_decides_nothing_in_the_window(
         n in 4usize..13,
@@ -163,8 +188,8 @@ proptest! {
         let to = 22;
         let schedule = Schedule::mass_sleep(n, horizon, frac, from, to);
         let decided = simulated_decided_views(&schedule, n, seed);
-        for v in 1..=horizon / 2 {
-            let vote_round = 2 * v;
+        for v in 2..=horizon.div_ceil(2) {
+            let vote_round = 2 * v - 2;
             if (from..=to).contains(&vote_round) {
                 prop_assert!(
                     !decided.contains(&v),
@@ -173,13 +198,13 @@ proptest! {
                     sleepers,
                     n
                 );
-            } else if decidable_by_horizon(v, horizon) && vote_round < from {
+            } else if vote_round < from {
                 // Sanity: views before the window do decide.
                 prop_assert!(decided.contains(&v));
             }
         }
         // And it recovers after the window (horizon leaves room).
-        prop_assert!(decided.iter().any(|&v| 2 * v > to), "no recovery after the window");
+        prop_assert!(decided.iter().any(|&v| 2 * v - 2 > to), "no recovery after the window");
     }
 }
 
@@ -188,18 +213,15 @@ fn quorum_baseline_is_safe_but_stalls_through_asynchrony() {
     // The head-to-head shape: a partition-attacked asynchronous window.
     // The baseline stays safe *in this cell* — each partition half is
     // n/2 < 2n/3, so no quorum (and hence no decision, conflicting or
-    // otherwise) can form inside the window; note the two-round protocol
-    // has no cross-view locking, so this is a property of the delivery
-    // pattern, not a general safety proof. The windowed views stall
-    // permanently, while the sleepy protocol under the same cell
-    // (η > π) recovers — see `sleepy_decides_where_the_quorum_baseline_stalls`.
+    // otherwise) can form inside the window. The windowed views stall,
+    // while the sleepy protocol under the same cell (η > π) recovers —
+    // see `sleepy_decides_where_the_quorum_baseline_stalls`.
     let n = 9;
     let horizon = 40;
-    let params = Params::builder(n).build().expect("valid params");
     let timeline = Timeline::synchronous().asynchronous(Round::new(13), 6);
     let (tap, log) = DecisionTap::new(n);
-    let mut sim = SimBuilder::<QuorumProcess>::for_protocol_config(
-        SimConfig::new(params, 11)
+    let mut sim = SimBuilder::from_config(
+        SimConfig::new(fixed(n), 11)
             .horizon(horizon)
             .timeline(timeline),
     )
@@ -216,10 +238,10 @@ fn quorum_baseline_is_safe_but_stalls_through_asynchrony() {
         .collect();
     let report = sim.finish();
     assert!(report.is_safe(), "{:?}", report.safety_violations);
-    // Views whose proposal or vote round fell inside the window (rounds
-    // 13..=18: views 7, 8, 9) never reach the full-membership quorum —
-    // each partition half is n/2 < 2n/3.
-    for v in [7u64, 8, 9] {
+    // Views whose vote round fell inside the window (rounds 13..=18:
+    // views 8, 9, 10 grade the votes of rounds 14, 16, 18) never reach
+    // the full-membership quorum — each partition half is n/2 < 2n/3.
+    for v in [8u64, 9, 10] {
         assert!(!decided.contains(&v), "windowed view {v} decided");
     }
     // Synchrony resumes and the baseline decides again.
@@ -229,7 +251,7 @@ fn quorum_baseline_is_safe_but_stalls_through_asynchrony() {
 /// One head-to-head cell: a disruption both protocols run through.
 struct Duel {
     name: &'static str,
-    /// The sleepy protocol's expiration (the baseline has none).
+    /// The sleepy protocol's expiration (the baseline's is 0).
     eta: u64,
     /// First and last disrupted round.
     span: (u64, u64),
@@ -240,6 +262,8 @@ struct Duel {
     timeline: fn() -> Timeline,
     /// Partition attacker (else silent), on both sides.
     partition: bool,
+    /// The baseline's decisions inside the span.
+    quorum_in_span: usize,
     /// Decision totals, sleepy then quorum.
     totals: (usize, usize),
 }
@@ -255,6 +279,7 @@ fn duels() -> [Duel; 5] {
         dip: Some((asleep, decisions)),
         timeline: Timeline::synchronous,
         partition: false,
+        quorum_in_span: 0,
         totals: (sleepy_total, 256),
     };
     [
@@ -268,8 +293,15 @@ fn duels() -> [Duel; 5] {
             dip: None,
             timeline: || Timeline::synchronous().asynchronous(Round::new(20), 4),
             partition: true,
+            quorum_in_span: 0,
             totals: (464, 432),
         },
+        // Bounded delay until GST: a vote arrives up to two rounds after
+        // it is cast, and at η = 0 a tally counts only the previous
+        // round's votes, so the baseline decides only in the few rounds
+        // where more than 2n/3 of them happened to arrive on time (4
+        // events under this sweep's seeded delays; the sleepy protocol
+        // grades what arrived and decides in every view).
         Duel {
             name: "gst-delta2",
             eta: 4,
@@ -277,18 +309,19 @@ fn duels() -> [Duel; 5] {
             dip: None,
             timeline: || gst(2, Round::new(DUEL_HORIZON / 2 + 1)),
             partition: false,
-            totals: (464, 224),
+            quorum_in_span: 4,
+            totals: (464, 228),
         },
     ]
 }
 
-fn duel_side<P: Protocol>(duel: &Duel, params: Params, seed: u64) -> Simulation<P> {
+fn duel_side(duel: &Duel, params: Params, seed: u64) -> Simulation {
     let (n, h) = (DUEL_N, DUEL_HORIZON);
     let schedule = match duel.dip {
         Some((asleep, _)) => Schedule::mass_sleep(n, h, asleep, duel.span.0, duel.span.1),
         None => Schedule::full(n, h),
     };
-    let builder = SimBuilder::<P>::for_protocol_config(
+    let builder = SimBuilder::from_config(
         SimConfig::new(params, seed)
             .horizon(h)
             .timeline((duel.timeline)()),
@@ -315,33 +348,31 @@ fn decisions_in_span(report: &SimReport, span: (u64, u64)) -> usize {
 }
 
 /// The paper's comparative claim on three disruption families at n = 16,
-/// same cells, schedules, timelines and per-cell seeds on both sides.
-/// Through participation dips of 40–80 %, an asynchronous window under
-/// the partition attacker (π = 4 < η = 6) and bounded delay until GST, the
-/// static `> 2n/3` quorum decides nothing, while the sleepy protocol stays
-/// safe, decides inside every dip, recovers after every window and
-/// decides more in total.
+/// same cells, schedules, timelines and per-cell seeds on both sides (one
+/// sweep, run once per side). Through participation dips of 40–80 % and
+/// an asynchronous window under the partition attacker (π = 4 < η = 6)
+/// the static `> 2n/3` quorum decides nothing, while the sleepy protocol
+/// stays safe, decides inside every dip, recovers after every window and
+/// decides more in total; with bounded delay until GST it decides in
+/// every view and the baseline in a few.
 #[test]
 fn sleepy_decides_where_the_quorum_baseline_stalls() {
     let duels = duels();
-    let outcome = Sweep::over(0..duels.len()).seed(0xB1B1).compare(
-        |&i, seed| {
-            let params = Params::builder(DUEL_N).expiration(duels[i].eta).build();
-            duel_side::<TobProcess>(&duels[i], params.expect("valid params"), seed)
-        },
-        |&i, seed| {
-            let params = Params::builder(DUEL_N).build().expect("valid params");
-            duel_side::<QuorumProcess>(&duels[i], params, seed)
-        },
-    );
-    for (duel, (sleepy, quorum)) in duels.iter().zip(outcome.pairs()) {
+    let sweep = Sweep::over(0..duels.len()).seed(0xB1B1);
+    let sleepy = sweep.run_reports(|&i, seed| {
+        let params = Params::builder(DUEL_N).expiration(duels[i].eta).build();
+        duel_side(&duels[i], params.expect("valid params"), seed)
+    });
+    let quorum = sweep.run_reports(|&i, seed| duel_side(&duels[i], fixed(DUEL_N), seed));
+    for (duel, (sleepy, quorum)) in duels.iter().zip(sleepy.reports.iter().zip(&quorum.reports)) {
         let name = duel.name;
         assert_eq!(
             decisions_in_span(quorum, duel.span),
-            0,
-            "{name}: the quorum baseline decided inside the disruption"
+            duel.quorum_in_span,
+            "{name}: the quorum baseline's decisions inside the disruption"
         );
         assert!(sleepy.is_safe(), "{name}: {:?}", sleepy.safety_violations);
+        assert!(quorum.is_safe(), "{name}: {:?}", quorum.safety_violations);
         match duel.dip {
             Some((_, expected)) => assert_eq!(
                 decisions_in_span(sleepy, duel.span),

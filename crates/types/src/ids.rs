@@ -164,8 +164,10 @@ impl View {
         }
     }
 
-    /// Second (decision) round of this view, `2v`. View 0 has no second
-    /// round and returns `None`.
+    /// Second round of this view, `2v`. View 0 has no second round and
+    /// returns `None`. Only the tests that pin the view↔round mapping
+    /// need it.
+    #[cfg(test)]
     pub const fn second_round(self) -> Option<Round> {
         match self.0 {
             0 => None,

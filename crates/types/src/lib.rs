@@ -7,8 +7,9 @@
 //! * [`ProcessId`], [`Round`], [`View`] — newtypes for the actors and the
 //!   round/view structure of the protocol (views of two rounds each,
 //!   Algorithm 1 of the paper);
-//! * [`Params`] — the protocol parameters `(n, β, γ, η, π, δ)` together with
-//!   the derived adjusted failure ratio `β̃` of Section 2.3;
+//! * [`Params`] — the protocol parameters `(n, β, γ, η)` and the tally's
+//!   [`Participation`] rule, together with the derived adjusted failure
+//!   ratio `β̃` of Section 2.3;
 //! * [`Grade`] — graded-agreement output grades;
 //! * [`TypesError`] — validation errors for parameters.
 //!
@@ -44,5 +45,7 @@ pub use error::TypesError;
 pub use fasthash::{FastMap, FastSet};
 pub use grade::Grade;
 pub use ids::{BlockId, ProcessId, Round, TxId, View};
-pub use params::{adjusted_failure_ratio, Params, ParamsBuilder, DEFAULT_FAILURE_RATIO};
+pub use params::{
+    adjusted_failure_ratio, Params, ParamsBuilder, Participation, DEFAULT_FAILURE_RATIO,
+};
 pub use phase::{Phase, RoundKind};

@@ -1,11 +1,30 @@
-//! Protocol parameters `(n, β, γ, η)` and the derived adjusted
-//! failure ratio `β̃` of Section 2.3 of the paper.
+//! Protocol parameters `(n, β, γ, η)`, the tally's participation rule,
+//! and the derived adjusted failure ratio `β̃` of Section 2.3 of the
+//! paper.
 
 use crate::TypesError;
 
 /// The failure ratio `β = 1/3` of the MMR protocol (decision threshold
 /// `1 − β = 2/3`), used throughout the paper's Figure 1.
 pub const DEFAULT_FAILURE_RATIO: f64 = 1.0 / 3.0;
+
+/// The denominator a graded-agreement tally grades support against.
+///
+/// The paper's protocol counts against *perceived* participation `m`, the
+/// number of processes whose latest unexpired vote the tally counts: that
+/// is what keeps it deciding while most processes sleep. A traditional BFT
+/// protocol counts against the fixed membership `n` instead, and stalls
+/// unless more than `(1 − β)·n` processes vote ("traditional BFT
+/// protocols get stuck when participation drops below their fixed quorum
+/// threshold"). `Fixed` is that baseline: the same protocol with the one
+/// value changed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Participation {
+    /// Grade against perceived participation `m` (the paper's protocol).
+    Perceived,
+    /// Grade against all `n` processes (the fixed-quorum baseline).
+    Fixed,
+}
 
 /// Protocol and model parameters.
 ///
@@ -14,7 +33,9 @@ pub const DEFAULT_FAILURE_RATIO: f64 = 1.0 / 3.0;
 ///   available protocol (1/3 for MMR);
 /// * `gamma` (`γ`) — maximum churn rate per `η` rounds (Equation 1);
 /// * `eta` (`η`) — message expiration period in rounds; `η = 0` recovers the
-///   vanilla protocol that only uses current-round votes.
+///   vanilla protocol that only uses current-round votes;
+/// * `participation` — the tally's denominator ([`Participation`]),
+///   perceived participation unless set to the fixed-quorum baseline.
 ///
 /// The asynchronous period `π` belongs to the environment, not the
 /// protocol: a run states it in its `Timeline`, and Theorem 2's `π < η`
@@ -35,6 +56,7 @@ pub struct Params {
     beta: f64,
     gamma: f64,
     eta: u64,
+    participation: Participation,
 }
 
 impl Params {
@@ -61,6 +83,11 @@ impl Params {
     /// The message expiration period `η` in rounds.
     pub fn expiration(&self) -> u64 {
         self.eta
+    }
+
+    /// The tally's denominator: perceived participation, or all `n`.
+    pub fn participation(&self) -> Participation {
+        self.participation
     }
 
     /// The adjusted failure ratio `β̃ = (β − γ) / (γ(β − 2) + 1)` that the
@@ -119,6 +146,7 @@ pub struct ParamsBuilder {
     beta: f64,
     gamma: f64,
     eta: u64,
+    participation: Participation,
 }
 
 impl ParamsBuilder {
@@ -128,6 +156,7 @@ impl ParamsBuilder {
             beta: DEFAULT_FAILURE_RATIO,
             gamma: 0.0,
             eta: 0,
+            participation: Participation::Perceived,
         }
     }
 
@@ -147,6 +176,14 @@ impl ParamsBuilder {
     /// vanilla protocol).
     pub fn expiration(mut self, eta: u64) -> Self {
         self.eta = eta;
+        self
+    }
+
+    /// Sets the tally's denominator (default
+    /// [`Participation::Perceived`]; [`Participation::Fixed`] is the
+    /// fixed-quorum baseline).
+    pub fn participation(mut self, participation: Participation) -> Self {
+        self.participation = participation;
         self
     }
 
@@ -182,6 +219,7 @@ impl ParamsBuilder {
             beta: self.beta,
             gamma: self.gamma,
             eta: self.eta,
+            participation: self.participation,
         })
     }
 }
@@ -195,6 +233,7 @@ mod tests {
         let p = Params::builder(10).build().unwrap();
         assert_eq!(p.n(), 10);
         assert_eq!(p.expiration(), 0);
+        assert_eq!(p.participation(), Participation::Perceived);
         assert!((p.failure_ratio() - 1.0 / 3.0).abs() < 1e-12);
     }
 

@@ -14,42 +14,41 @@
 //!    asynchrony-resilient variant keeps dynamic availability,
 //! 3. a classic static-quorum BFT protocol, which stalls for the whole
 //!    outage because its quorum is counted against the fixed membership.
+//!    It is the same protocol with one value changed: support is graded
+//!    against all `n` processes ([`Participation::Fixed`]) instead of the
+//!    perceived participation.
+//!
+//! The run asserts what it prints: both sleepy variants stay safe and
+//! keep deciding, and the baseline's longest stall covers the outage.
 
 use sleepy_tob::prelude::*;
+use sleepy_tob::types::ParamsBuilder;
 use std::collections::BTreeSet;
 
 const N: usize = 20;
 const HORIZON: u64 = 80;
 const OUTAGE_START: u64 = 20;
 const OUTAGE_END: u64 = 60;
+/// The views whose decision reads outage votes: view `v` grades the votes
+/// of round `2v − 2`.
+const OUTAGE_VIEWS: std::ops::RangeInclusive<u64> = OUTAGE_START / 2 + 1..=OUTAGE_END / 2 + 1;
 
-fn run_sleepy(eta: u64, schedule: &Schedule) -> SimReport {
-    let params = Params::builder(N)
-        .expiration(eta)
-        .churn_rate(0.0)
-        .build()
-        .expect("valid parameters");
-    SimBuilder::from_config(SimConfig::new(params, 0xE7B).horizon(HORIZON))
+fn run(params: ParamsBuilder, schedule: &Schedule) -> (SimReport, BTreeSet<u64>) {
+    let params = params.build().expect("valid parameters");
+    let (tap, log) = DecisionTap::new(N);
+    let report = SimBuilder::from_config(SimConfig::new(params, 0xE7B).horizon(HORIZON))
         .workload_spec(WorkloadSpec::txs_every(4))
         .schedule(schedule.clone())
         .adversary(SilentAdversary)
-        .build()
-        .expect("valid simulation")
-        .run()
-}
-
-/// The views some process decided in a fixed-quorum run of `schedule`.
-fn quorum_decided_views(schedule: &Schedule) -> BTreeSet<u64> {
-    let params = Params::builder(N).build().expect("valid parameters");
-    let (tap, log) = DecisionTap::new(N);
-    SimBuilder::<QuorumProcess>::for_protocol_config(
-        SimConfig::new(params, 0xE7B).horizon(HORIZON),
-    )
-    .schedule(schedule.clone())
-    .observer(tap)
-    .run();
-    let log = log.borrow();
-    log.iter().flatten().map(|d| d.view.as_u64()).collect()
+        .observer(tap)
+        .run();
+    let decided = log
+        .borrow()
+        .iter()
+        .flatten()
+        .map(|d| d.view.as_u64())
+        .collect();
+    (report, decided)
 }
 
 /// The longest run of consecutive undecided views up to the last one
@@ -74,7 +73,7 @@ fn main() {
         ("sleepy TOB (vanilla, η=0)", 0u64),
         ("sleepy TOB (extended, η=4)", 4),
     ] {
-        let report = run_sleepy(eta, &schedule);
+        let (report, decided) = run(Params::builder(N).expiration(eta), &schedule);
         println!("{label}:");
         println!("  chain height at end : {}", report.final_decided_height);
         println!("  agreement violations: {}", report.safety_violations.len());
@@ -85,16 +84,27 @@ fn main() {
                 .mean_tx_latency()
                 .map_or("—".into(), |l| format!("{l:.1}")),
         );
+        assert!(report.is_safe(), "{label}: agreement violated");
+        assert!(
+            decided.iter().any(|v| OUTAGE_VIEWS.contains(v)),
+            "{label}: no decision during the outage"
+        );
     }
 
     // The classic fixed-quorum comparator: decisions need > 2n/3 votes of
     // the *total* membership, so a 60% outage freezes it.
-    let decided = quorum_decided_views(&schedule);
+    let (report, decided) = run(
+        Params::builder(N).participation(Participation::Fixed),
+        &schedule,
+    );
+    let stall = longest_stall(&decided);
     println!("static-quorum BFT (fixed 2n/3):");
     println!("  decided views       : {}", decided.len());
-    println!(
-        "  longest stall       : {} consecutive views (the whole outage)",
-        longest_stall(&decided)
+    println!("  longest stall       : {stall} consecutive views (the whole outage)");
+    assert!(report.is_safe(), "the quorum baseline violated agreement");
+    assert!(
+        stall >= OUTAGE_VIEWS.count() as u64,
+        "the quorum baseline stalled only {stall} views"
     );
 
     println!(

@@ -25,9 +25,10 @@
 //! `junk`, `withhold`.
 //!
 //! Protocols (`run` only): `sleepy` (default — Algorithm 1 with
-//! expiration η) and `quorum` (the fixed-quorum BFT baseline; honest-only,
-//! so only the delivery-control adversaries `silent` / `blackout` /
-//! `partition` apply, and `--eta` is ignored).
+//! expiration η, grading support against perceived participation) and
+//! `quorum` (the fixed-quorum BFT baseline: the same protocol grading
+//! against all n processes). Every adversary, `--eta` and `--byz` apply
+//! to both.
 
 // A crate attribute in lib.rs does not reach this bin target.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
@@ -98,17 +99,6 @@ fn make_adversary(name: &str) -> Option<Box<dyn Adversary>> {
     })
 }
 
-/// The quorum baseline is honest-only: the strategies that make sense
-/// against it are the pure delivery-control ones.
-fn make_adversary_quorum(name: &str) -> Option<Box<dyn Adversary<QuorumProcess>>> {
-    Some(match name {
-        "silent" => Box::new(SilentAdversary),
-        "blackout" => Box::new(BlackoutAdversary),
-        "partition" => Box::new(PartitionAttacker::new()),
-        _ => return None,
-    })
-}
-
 /// Validates a command's parameters by `Params`' own rule, saying what is
 /// wrong when they break it.
 fn build_params(builder: ParamsBuilder) -> Option<Params> {
@@ -131,25 +121,22 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
     let adversary_name = args.opt("adversary").unwrap_or("silent");
     let protocol = args.opt("protocol").unwrap_or("sleepy");
-    if !matches!(protocol, "sleepy" | "quorum") {
-        eprintln!("unknown protocol {protocol:?} (expected sleepy|quorum)");
-        return ExitCode::from(2);
-    }
-    if protocol == "quorum" && byz > 0 {
-        // Corrupted machines' output is discarded and the honest-only
-        // baseline's adversaries never speak for them, so --byz would
-        // just shrink the voter set below the fixed quorum forever —
-        // a misleading "stalls everything" result, not a comparison.
-        eprintln!("--byz does not apply to the honest-only quorum baseline");
-        return ExitCode::from(2);
-    }
+    let participation = match protocol {
+        "sleepy" => Participation::Perceived,
+        "quorum" => Participation::Fixed,
+        _ => {
+            eprintln!("unknown protocol {protocol:?} (expected sleepy|quorum)");
+            return ExitCode::from(2);
+        }
+    };
     if byz >= n {
         eprintln!("--byz {byz} leaves no honest process among --n {n}");
         return ExitCode::from(2);
     }
     let builder = Params::builder(n)
         .expiration(eta)
-        .churn_rate(churn.min(0.32));
+        .churn_rate(churn.min(0.32))
+        .participation(participation);
     let Some(params) = build_params(builder) else {
         return ExitCode::from(2);
     };
@@ -190,34 +177,14 @@ fn cmd_run(args: &Args) -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let report = match protocol {
-        "quorum" => {
-            let Some(adversary) = make_adversary_quorum(adversary_name) else {
-                eprintln!(
-                    "adversary {adversary_name:?} is unknown or does not apply to the \
-                     honest-only quorum baseline (try silent|blackout|partition)"
-                );
-                return ExitCode::from(2);
-            };
-            with_txs(
-                SimBuilder::<QuorumProcess>::for_protocol_config(config),
-                txs,
-            )
-            .schedule(schedule)
-            .adversary_boxed(adversary)
-            .run()
-        }
-        _ => {
-            let Some(adversary) = make_adversary(adversary_name) else {
-                eprintln!("unknown adversary {adversary_name:?}");
-                return ExitCode::from(2);
-            };
-            with_txs(SimBuilder::from_config(config), txs)
-                .schedule(schedule)
-                .adversary_boxed(adversary)
-                .run()
-        }
+    let Some(adversary) = make_adversary(adversary_name) else {
+        eprintln!("unknown adversary {adversary_name:?}");
+        return ExitCode::from(2);
     };
+    let report = with_txs(SimBuilder::from_config(config), txs)
+        .schedule(schedule)
+        .adversary_boxed(adversary)
+        .run();
     println!("protocol             : {protocol}");
     println!("adversary            : {}", report.adversary);
     println!("rounds               : 0..={}", report.rounds_run);
@@ -458,7 +425,7 @@ fn build_cluster_plan(args: &Args) -> sleepy_tob::node::ClusterPlan {
 
 /// Installs one transaction every `k` rounds — or, for `k = 0`, no
 /// workload at all, as `ClusterPlan::tx_for_round` submits none.
-fn with_txs<P: Protocol>(builder: SimBuilder<P>, k: u64) -> SimBuilder<P> {
+fn with_txs(builder: SimBuilder, k: u64) -> SimBuilder {
     if k == 0 {
         builder
     } else {

@@ -22,7 +22,7 @@
 //! | [`blocktree`] | `st-blocktree` | logs as chains in a block tree |
 //! | [`messages`] | `st-messages` | votes/proposals, expiration-window stores |
 //! | [`ga`] | `st-ga` | graded agreement (Figures 2–3, Lemma 1) |
-//! | [`core`] | `st-core` | Algorithm 1 with expiration (the contribution); the `Protocol` trait + the fixed-quorum baseline |
+//! | [`core`] | `st-core` | Algorithm 1 with expiration (the contribution), and with a fixed denominator the fixed-quorum baseline; the `Protocol` trait |
 //! | [`load`] | `st-load` | open-loop workload generators, bounded mempool, latency histograms |
 //! | [`sim`] | `st-sim` | sleepy-model simulator (generic over `Protocol`), adversaries, monitors, workload injection, Eq. 1–5 checkers |
 //! | [`node`] | `st-node` | deployable socket node runtime (`stob serve`) + multi-process cluster harness |
@@ -123,19 +123,18 @@ mod readme {}
 /// [`Adversary`](st_sim::Adversary) trait itself with its context and
 /// message types, so a custom strategy compiles from the prelude alone.
 /// The protocol layer is here too: the [`Protocol`](st_core::Protocol)
-/// trait, both implementors ([`TobProcess`](st_core::TobProcess) and the
-/// fixed-quorum [`QuorumProcess`](st_core::QuorumProcess) baseline) and
-/// [`Sweep::compare`](st_sim::Sweep::compare)'s
-/// [`SweepComparison`](st_sim::SweepComparison), so head-to-head
-/// experiments build from the prelude alone
-/// (`examples/baseline_comparison.rs`). The workload layer rides along:
+/// trait, its implementor [`TobProcess`](st_core::TobProcess) and the
+/// [`Participation`](st_types::Participation) rule that turns it into
+/// the fixed-quorum baseline, so head-to-head experiments build from the
+/// prelude alone (`examples/baseline_comparison.rs`). The workload layer
+/// rides along:
 /// the [`Workload`](st_load::Workload) generators, the
 /// [`WorkloadSpec`](st_sim::WorkloadSpec) admission/batch knobs and the
 /// [`WorkloadSummary`](st_sim::WorkloadSummary) latency percentiles in
 /// every report.
 pub mod prelude {
     pub use st_blocktree::{Block, BlockTree};
-    pub use st_core::{DecisionEvent, Protocol, QuorumProcess, TobConfig, TobProcess};
+    pub use st_core::{DecisionEvent, Protocol, TobConfig, TobProcess};
     pub use st_ga::{tally, GaOutput, Thresholds};
     pub use st_load::{ConstantRate, Diurnal, FlashCrowd, Histogram, Mempool, Workload};
     pub use st_messages::{Envelope, Payload, Propose, Vote, VoteStore};
@@ -148,10 +147,11 @@ pub mod prelude {
         diurnal_schedule, Adversary, AdversaryCtx, BuildError, DecisionTap, EnvView, ObsCtx,
         Observer, Recipients, RecoveryRecord, RoundSample, RoundTrace, SafetyViolation, Schedule,
         SegmentKind, SentMessage, SimBuilder, SimConfig, SimEvent, SimReport, Simulation, Sweep,
-        SweepComparison, SweepReports, TargetedMessage, Timeline, TxRecord, ViolationKind,
-        WorkloadSpec, WorkloadSummary,
+        SweepReports, TargetedMessage, Timeline, TxRecord, ViolationKind, WorkloadSpec,
+        WorkloadSummary,
     };
     pub use st_types::{
-        adjusted_failure_ratio, BlockId, Grade, Params, ProcessId, Round, RoundKind, TxId, View,
+        adjusted_failure_ratio, BlockId, Grade, Params, Participation, ProcessId, Round, RoundKind,
+        TxId, View,
     };
 }

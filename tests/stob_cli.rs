@@ -1,5 +1,6 @@
 //! The `stob` command line rejects bad input with a message and exit
-//! code 2, never with a panic.
+//! code 2, never with a panic, and accepts every combination it
+//! documents.
 
 use std::process::Command;
 
@@ -86,4 +87,32 @@ fn attack_is_not_a_command() {
     // The Section-1 attack runs as `stob scenario partition-vanilla` and
     // `stob scenario partition-extended`.
     rejects(&["attack"], "unknown command \"attack\"");
+}
+
+/// The fixed-quorum baseline is the sleepy protocol with a fixed
+/// denominator, so every adversary, `--eta` and `--byz` apply to it.
+#[test]
+fn run_drives_the_quorum_baseline_against_any_adversary() {
+    let args = [
+        "run",
+        "--protocol",
+        "quorum",
+        "--eta",
+        "0",
+        "--adversary",
+        "reorg",
+        "--byz",
+        "1",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_stob"))
+        .args(args)
+        .output()
+        .expect("run stob");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stob {args:?}:\n{stderr}");
+    assert!(
+        stdout.contains("protocol             : quorum"),
+        "stob {args:?}:\n{stdout}"
+    );
 }

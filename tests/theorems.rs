@@ -244,15 +244,18 @@ fn dynamic_availability_at_99_percent_offline() {
         "chain stalled at height {}",
         report.final_decided_height
     );
-    // While the classic fixed-quorum protocol, run over the same
-    // schedule, stalls for the whole incident.
+    // While the classic fixed-quorum protocol — the same protocol grading
+    // support against all n — run over the same schedule, stalls for the
+    // whole incident.
+    let fixed = Params::builder(n)
+        .participation(Participation::Fixed)
+        .build()
+        .expect("valid parameters");
     let (tap, log) = DecisionTap::new(n);
-    SimBuilder::<QuorumProcess>::for_protocol_config(
-        SimConfig::new(params(n, 0), 9).horizon(horizon),
-    )
-    .schedule(schedule)
-    .observer(tap)
-    .run();
+    SimBuilder::from_config(SimConfig::new(fixed, 9).horizon(horizon))
+        .schedule(schedule)
+        .observer(tap)
+        .run();
     let mut decided: Vec<u64> = log
         .borrow()
         .iter()
