@@ -55,12 +55,14 @@ impl TobConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_types::ProcessId;
 
     #[test]
     fn config_derives_directory_of_n_keys() {
         let params = Params::builder(5).build().unwrap();
         let cfg = TobConfig::new(params, 42);
-        assert_eq!(cfg.directory().len(), 5);
+        assert!(cfg.directory().sender(ProcessId::new(4)).is_some());
+        assert!(cfg.directory().sender(ProcessId::new(5)).is_none());
         assert_eq!(cfg.seed(), 42);
         assert!((cfg.thresholds().beta() - 1.0 / 3.0).abs() < 1e-12);
     }

@@ -23,7 +23,7 @@
 //!
 //! [`TobProcess`] is a deterministic, I/O-free state machine: the driver
 //! (the `st-sim` simulator, a test, or a real network shim) feeds received
-//! envelopes via [`TobProcess::on_receive`] and asks for a round's
+//! envelopes via [`TobProcess::on_receive_shared`] and asks for a round's
 //! outgoing messages via [`TobProcess::step_send`]. This makes the exact
 //! same protocol code testable under lock-step simulation, adversarial
 //! delivery, and property-based exploration.
@@ -41,21 +41,21 @@
 //!
 //! ```
 //! use st_core::{TobConfig, TobProcess};
+//! use st_messages::SharedEnvelope;
 //! use st_types::{ProcessId, Round};
 //!
 //! let config = TobConfig::new(st_types::Params::builder(3).expiration(2).build()?, 7);
 //! let mut procs: Vec<TobProcess> =
 //!     (0..3).map(|i| TobProcess::new(ProcessId::new(i), config.clone())).collect();
 //!
-//! // Drive a few lock-step rounds: everyone sends, everyone receives all.
+//! // Drive a few lock-step rounds: everyone sends, everyone receives all
+//! // (each envelope wrapped once, so its signature is checked once).
 //! for r in 0..=6u64 {
 //!     let round = Round::new(r);
 //!     let batches: Vec<_> = procs.iter_mut().map(|p| p.step_send(round)).collect();
-//!     for batch in &batches {
-//!         for env in batch {
-//!             for p in procs.iter_mut() {
-//!                 p.on_receive(env.clone());
-//!             }
+//!     for env in batches.into_iter().flatten().map(SharedEnvelope::new) {
+//!         for p in procs.iter_mut() {
+//!             p.on_receive_shared(&env);
 //!         }
 //!     }
 //! }

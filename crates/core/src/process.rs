@@ -7,10 +7,11 @@ use st_blocktree::{Block, BlockTree};
 use st_crypto::Keypair;
 use st_ga::{GaOutput, SupportIndex};
 use st_messages::{
-    Envelope, InsertOutcome, Payload, Propose, ProposeStore, SharedEnvelope, Vote, VoteStore,
+    Envelope, InsertOutcome, Payload, Propose, ProposeStore, Sender, SharedEnvelope, Verified,
+    Vote, VoteStore,
 };
 use st_types::fasthash::mix64_pair;
-use st_types::{BlockId, FastMap, FastSet, Participation, ProcessId, Round, RoundKind, TxId, View};
+use st_types::{BlockId, Participation, ProcessId, Round, RoundKind, TxId, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -20,13 +21,13 @@ use std::sync::Arc;
 ///
 /// The state machine is deterministic and I/O-free: drivers call
 /// [`TobProcess::on_receive_shared`] for every delivered message (a
-/// multicast is wrapped once and its handle fanned out to every
-/// receiver; [`TobProcess::on_receive`] wraps a single envelope for a
-/// hand-driven process) and [`TobProcess::step_send`] once per round the
-/// process is awake in; the latter returns the messages to multicast. A
-/// process that is asleep for some rounds is simply not stepped for them
-/// — queued messages are delivered through the same receive path when it
-/// wakes, exactly matching the sleepy model's message-queueing semantics.
+/// multicast is wrapped once in a [`SharedEnvelope`] and its handle
+/// fanned out to every receiver) and [`TobProcess::step_send`] once per
+/// round the process is awake in; the latter returns the messages to
+/// multicast. A process that is asleep for some rounds is simply not
+/// stepped for them — queued messages are delivered through the same
+/// receive path when it wakes, exactly matching the sleepy model's
+/// message-queueing semantics.
 ///
 /// With [`Participation::Fixed`] the tally grades support against all `n`
 /// processes instead of the perceived participation `m`: the classic
@@ -35,6 +36,10 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct TobProcess {
     id: ProcessId,
+    /// `id` as a member of the process set; `None` for an id outside the
+    /// key directory, whose votes no process counts, this one included
+    /// (no other process can verify them either).
+    me: Option<Sender>,
     config: TobConfig,
     keypair: Keypair,
     /// The referenced bodies: every connected body a stored vote names,
@@ -54,25 +59,11 @@ pub struct TobProcess {
     /// not copied.
     last_ga_output: Option<Arc<GaOutput>>,
     /// Incremental tally state: chain support of every counted in-window
-    /// vote, updated per sender delta instead of being rebuilt from the
-    /// whole window each round.
+    /// vote whose tip is in the tree, updated per sender delta instead of
+    /// being rebuilt from the whole window each round.
     support: SupportIndex,
-    /// sender → (round of its counted record, tip it voted for). Present
-    /// iff the sender currently contributes to perceived participation
-    /// `m` (its latest in-window record is a clean vote).
-    counted: FastMap<ProcessId, (Round, BlockId)>,
-    /// Senders whose vote-store records changed since the last tally.
-    dirty: SenderBits,
-    /// Counted senders whose tip is not (yet) in the tree: they count
-    /// toward `m` but support nothing, and are re-checked every tally
-    /// because the tree only grows.
-    unknown: FastSet<ProcessId>,
-    /// round → senders counted at that round; when the expiration
-    /// window's lower edge passes a bucket, its senders are re-derived.
-    /// Entries are lazily invalidated (a sender re-counted at a later
-    /// round leaves its old entry behind), so each pop re-checks against
-    /// `counted` before acting.
-    expiries: BTreeMap<Round, Vec<ProcessId>>,
+    /// What the tally last derived for each sender.
+    senders: SenderTable,
     /// The tally [`TobProcess::share_tally`] settled on for a specific
     /// round (adopted from the driver's memo, or computed and published);
     /// consumed by the next [`TobProcess::step_send`] for that round.
@@ -85,6 +76,7 @@ impl TobProcess {
         let keypair = Keypair::derive(id, config.seed());
         TobProcess {
             id,
+            me: config.directory().sender(id),
             config,
             keypair,
             tree: BlockTree::new(),
@@ -97,10 +89,7 @@ impl TobProcess {
             last_vote_tip: BlockId::GENESIS,
             last_ga_output: None,
             support: SupportIndex::new(),
-            counted: FastMap::default(),
-            dirty: SenderBits::default(),
-            unknown: FastSet::default(),
-            expiries: BTreeMap::new(),
+            senders: SenderTable::default(),
             shared_tally: None,
         }
     }
@@ -182,51 +171,37 @@ impl TobProcess {
         self.pool.submit(tx);
     }
 
-    /// Handles a received message: verifies the signature (unverifiable
-    /// messages are discarded per Section 2.1), then routes votes to the
-    /// vote store and proposals to the propose store / block tree.
-    ///
-    /// This convenience wrapper wraps the envelope into a fresh
-    /// [`SharedEnvelope`] and therefore re-verifies it; multicast drivers
-    /// should wrap each envelope **once** and fan the shared handle out to
-    /// every receiver via [`TobProcess::on_receive_shared`] so the
-    /// signature is checked once per envelope, not once per receiver.
-    pub fn on_receive(&mut self, envelope: Envelope) {
-        // stlint::allow(deadpub, reason = "the single-receiver entry point for hand-driven processes (crate doc, protocol_edges.rs, proptest_protocol.rs); multicast drivers use on_receive_shared")
-        self.on_receive_shared(&SharedEnvelope::new(envelope));
-    }
-
-    /// Handles a received shared envelope. The signature verdict is read
-    /// from the envelope's verification cache — over a whole process set,
-    /// a multicast envelope is verified exactly once (the first receiver
-    /// pays the hash; everyone else reuses the verdict). Behaviour is
-    /// identical to [`TobProcess::on_receive`]: honest envelopes are
+    /// Handles a received shared envelope: [`SharedEnvelope::verified`]
+    /// discards an unverifiable message (Section 2.1), then votes go to
+    /// the vote store and proposals to the body and propose stores. Over
+    /// a whole process set, a multicast envelope's signature (and a
+    /// proposal's VRF) is checked once: the first receiver pays the hash
+    /// and everyone else reuses the cached verdict. Honest envelopes are
     /// immutable after signing and forgeries fail deterministically, so
-    /// caching the verdict cannot change any accept/discard outcome.
+    /// caching a verdict cannot change any accept/discard outcome.
     pub fn on_receive_shared(&mut self, envelope: &SharedEnvelope) {
-        if !envelope.verify_cached(self.config.directory()) {
-            return;
-        }
-        match envelope.payload() {
-            Payload::Vote(vote) => {
-                // Round 0 is view 0's propose-only round: no graded
-                // agreement has a send phase there, so a round-0 vote tag
-                // is protocol-invalid (only an adversary would produce
-                // one) and is discarded.
-                if vote.round() > Round::ZERO {
-                    self.store_vote(*vote);
-                }
+        match envelope.verified(self.config.directory()) {
+            // Round 0 is view 0's propose-only round: no graded agreement
+            // has a send phase there, so a round-0 vote tag is
+            // protocol-invalid (only an adversary would produce one) and
+            // is discarded below.
+            Some(Verified::Vote(sender, vote)) if vote.round() > Round::ZERO => {
+                self.store_vote(sender, *vote);
             }
-            Payload::Propose(proposal) => {
+            None | Some(Verified::Vote(..)) => {}
+            Some(Verified::Propose {
+                proposal,
+                vrf_valid,
+                ..
+            }) => {
                 // The shared handle: a multicast block body is stored
                 // once, not once per receiver. It enters the tree when a
                 // vote names it; orphans park. The body is kept whatever
                 // the VRF says; only a valid VRF(v) makes the proposal a
-                // leader candidate, and that verdict too is checked once
-                // per envelope.
+                // leader candidate.
                 self.bodies
                     .insert(&mut self.tree, proposal.block_arc().clone());
-                if envelope.vrf_valid_cached(self.config.directory()) {
+                if vrf_valid {
                     self.proposes.insert_verified(proposal.clone());
                 }
             }
@@ -370,9 +345,9 @@ impl TobProcess {
             }
         }
         let lo = prev.saturating_sub(self.config.params().expiration());
-        self.reconcile_window(lo, prev);
+        let counted = self.reconcile_window(lo, prev);
         let m = match self.config.params().participation() {
-            Participation::Perceived => self.counted.len(),
+            Participation::Perceived => counted,
             Participation::Fixed => self.config.params().n(),
         };
         Arc::new(
@@ -382,82 +357,51 @@ impl TobProcess {
     }
 
     /// Brings the incremental tally state in line with the window
-    /// `[lo, hi]`: re-derives every sender whose counted record expired
-    /// or whose vote-store records changed, and re-checks whether
-    /// previously unknown tips have landed in the (grow-only) tree. Work
-    /// is proportional to what changed, not to the window size.
-    fn reconcile_window(&mut self, lo: Round, hi: Round) {
-        // Expired buckets: a counted record that dropped below the window
-        // can only be replaced by a record inserted since (already dirty)
-        // or by nothing — either way re-derivation settles it.
-        while let Some((&bucket_round, _)) = self.expiries.first_key_value() {
-            if bucket_round >= lo {
-                break;
-            }
-            if let Some((_, senders)) = self.expiries.pop_first() {
-                for s in senders {
-                    if self.counted.get(&s).is_some_and(|c| c.0 == bucket_round) {
-                        self.dirty.insert(s);
-                    }
-                }
-            }
-        }
-        if !self.dirty.is_empty() {
-            let mut dirty = std::mem::take(&mut self.dirty);
-            let mut ahead = Vec::new();
-            for s in dirty.iter() {
+    /// `[lo, hi]` in one pass over the sender table, and returns how many
+    /// senders are counted (the perceived participation `m`). A slot is
+    /// re-derived from the vote store when its records changed since the
+    /// last tally, when its counted vote dropped below `lo`, or when its
+    /// counted tip is not in the tree yet (the tree only grows); any
+    /// other slot still holds its latest in-window vote.
+    fn reconcile_window(&mut self, lo: Round, hi: Round) -> usize {
+        let mut counted = 0;
+        for (index, slot) in self.senders.slots.iter_mut().enumerate() {
+            let stale = slot
+                .counted
+                .is_some_and(|(round, _)| round < lo || !slot.in_support);
+            if slot.dirty || stale {
+                let sender = ProcessId::new(index as u32);
+                slot.dirty = false;
                 // One query in the common case; a sender with a record
                 // above the window (delivered before this process reached
                 // its round) stays dirty until the window reaches it.
-                let latest = match self.votes.latest_of(s, lo, Round::new(u64::MAX)) {
+                let latest = match self.votes.latest_of(sender, lo, Round::new(u64::MAX)) {
                     Some((r, _)) if r > hi => {
-                        ahead.push(s);
-                        self.votes.latest_of(s, lo, hi)
+                        slot.dirty = true;
+                        self.votes.latest_of(sender, lo, hi)
                     }
                     latest => latest,
                 };
                 match latest {
-                    Some((r, Some(tip))) => {
-                        let prev_round = self.counted.insert(s, (r, tip)).map(|c| c.0);
-                        if prev_round != Some(r) {
-                            self.expiries.entry(r).or_default().push(s);
-                        }
-                        if self.tree.contains(tip) {
-                            self.support.set_vote(&self.tree, s, tip);
-                            self.unknown.remove(&s);
-                        } else {
-                            self.support.remove_vote(&self.tree, s);
-                            self.unknown.insert(s);
+                    Some((round, Some(tip))) => {
+                        slot.counted = Some((round, tip));
+                        slot.in_support = self.support.set_vote(&self.tree, sender, tip);
+                        if !slot.in_support {
+                            self.support.remove_vote(&self.tree, sender);
                         }
                     }
                     // No record in the window, or the latest record is an
                     // equivocation: the sender is discarded entirely.
                     _ => {
-                        if self.counted.remove(&s).is_some() {
-                            self.support.remove_vote(&self.tree, s);
-                            self.unknown.remove(&s);
-                        }
+                        slot.counted = None;
+                        slot.in_support = false;
+                        self.support.remove_vote(&self.tree, sender);
                     }
                 }
             }
-            dirty.clear();
-            for s in ahead {
-                dirty.insert(s);
-            }
-            self.dirty = dirty;
+            counted += usize::from(slot.counted.is_some());
         }
-        if !self.unknown.is_empty() {
-            for s in std::mem::take(&mut self.unknown).into_sorted_vec() {
-                let Some(&(_, tip)) = self.counted.get(&s) else {
-                    continue;
-                };
-                if self.tree.contains(tip) {
-                    self.support.set_vote(&self.tree, s, tip);
-                } else {
-                    self.unknown.insert(s);
-                }
-            }
-        }
+        counted
     }
 
     /// Tally sharing keyed by content alone. `memo` is a driver's
@@ -505,17 +449,22 @@ impl TobProcess {
     fn make_vote(&mut self, round: Round, tip: BlockId) -> Envelope {
         self.last_vote_tip = tip;
         let vote = Vote::new(self.id, round, tip);
-        // A process hears its own vote.
-        self.store_vote(vote);
+        // A process hears its own vote. One outside the process set has
+        // no slot to count it in; its vote still admits the body it names.
+        match self.me {
+            Some(me) => self.store_vote(me, vote),
+            None => self.bodies.reference(&mut self.tree, tip, round),
+        }
         Envelope::sign(&self.keypair, Payload::Vote(vote))
     }
 
-    /// Records a vote and admits the body it names (or remembers the name
-    /// until the body connects), keeping every connected body a stored
-    /// vote names in the tree.
-    fn store_vote(&mut self, vote: Vote) {
+    /// Records `sender`'s vote, marks its slot for the next tally, and
+    /// admits the body the vote names (or remembers the name until the
+    /// body connects), keeping every connected body a stored vote names
+    /// in the tree.
+    fn store_vote(&mut self, sender: Sender, vote: Vote) {
         if self.votes.insert(vote) != InsertOutcome::Duplicate {
-            self.dirty.insert(vote.sender());
+            self.senders.slot(sender).dirty = true;
             self.bodies
                 .reference(&mut self.tree, vote.tip(), vote.round());
         }
@@ -549,46 +498,38 @@ impl TobProcess {
     }
 }
 
-/// A set of senders as a bitmap indexed by [`ProcessId::index`], grown
-/// on demand: inserting a delivered vote's sender hashes nothing, and the
-/// set iterates in sender order. Members must be in the process set (the
-/// signature check admits no other sender).
+/// The per-sender records, indexable only by a directory-issued
+/// [`Sender`]: at most `n` slots, grown on demand, never sized up front.
 #[derive(Clone, Debug, Default)]
-struct SenderBits {
-    words: Vec<u64>,
+struct SenderTable {
+    slots: Vec<SenderSlot>,
 }
 
-impl SenderBits {
-    fn insert(&mut self, s: ProcessId) {
-        let (word, bit) = (s.index() / 64, s.index() % 64);
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
+impl SenderTable {
+    /// `sender`'s slot, growing the table to reach it.
+    fn slot(&mut self, sender: Sender) -> &mut SenderSlot {
+        if sender.index() >= self.slots.len() {
+            self.slots
+                .resize_with(sender.index() + 1, SenderSlot::default);
         }
-        self.words[word] |= 1 << bit;
+        &mut self.slots[sender.index()]
     }
+}
 
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Empties the set, keeping its allocation.
-    fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// The members in sender order.
-    fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    ProcessId::new(i as u32 * 64 + bit)
-                })
-            })
-        })
-    }
+/// One sender's record in the tally state: the paper's expiration rule
+/// reads one thing per sender, its latest unexpired vote.
+#[derive(Clone, Copy, Debug, Default)]
+struct SenderSlot {
+    /// The (round, tip) of the sender's latest in-window record if it is
+    /// a clean vote, else `None` (no record, or an equivocation): `Some`
+    /// exactly for the senders in the perceived participation `m`.
+    counted: Option<(Round, BlockId)>,
+    /// Whether the counted tip is in the tree, hence in the support index;
+    /// a vote on an unknown tip counts toward `m` but supports nothing.
+    in_support: bool,
+    /// Whether the sender's vote-store records changed since the last
+    /// tally (or one waits above the window).
+    dirty: bool,
 }
 
 #[cfg(test)]
@@ -596,14 +537,23 @@ mod tests {
     use super::*;
     use st_types::Params;
 
+    /// The processes `ids` of an `n`-process system with expiration `eta`.
+    fn processes(
+        n: usize,
+        eta: u64,
+        seed: u64,
+        ids: impl IntoIterator<Item = u32>,
+    ) -> Vec<TobProcess> {
+        let config = TobConfig::new(Params::builder(n).expiration(eta).build().unwrap(), seed);
+        ids.into_iter()
+            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
+            .collect()
+    }
+
     /// Lock-step synchronous driver: every round, all processes send and
     /// every message reaches everyone before the next round.
     fn run_lockstep(n: usize, eta: u64, rounds: u64, seed: u64) -> Vec<TobProcess> {
-        let params = Params::builder(n).expiration(eta).build().unwrap();
-        let config = TobConfig::new(params, seed);
-        let mut procs: Vec<TobProcess> = (0..n as u32)
-            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
-            .collect();
+        let mut procs = processes(n, eta, seed, 0..n as u32);
         for r in 0..=rounds {
             lockstep_round(&mut procs, Round::new(r));
         }
@@ -612,11 +562,10 @@ mod tests {
 
     fn lockstep_round(procs: &mut [TobProcess], round: Round) {
         let batches: Vec<Vec<Envelope>> = procs.iter_mut().map(|p| p.step_send(round)).collect();
-        for batch in &batches {
-            for env in batch {
-                for p in procs.iter_mut() {
-                    p.on_receive(env.clone());
-                }
+        for env in batches.into_iter().flatten() {
+            let env = SharedEnvelope::new(env);
+            for p in procs.iter_mut() {
+                p.on_receive_shared(&env);
             }
         }
     }
@@ -650,11 +599,7 @@ mod tests {
 
     #[test]
     fn decided_log_grows_monotonically() {
-        let params = Params::builder(4).expiration(2).build().unwrap();
-        let config = TobConfig::new(params, 3);
-        let mut procs: Vec<TobProcess> = (0..4u32)
-            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
-            .collect();
+        let mut procs = processes(4, 2, 3, 0..4);
         let mut tips: Vec<BlockId> = vec![BlockId::GENESIS; 4];
         for r in 0..=20u64 {
             lockstep_round(&mut procs, Round::new(r));
@@ -672,11 +617,7 @@ mod tests {
 
     #[test]
     fn submitted_transaction_reaches_decided_log() {
-        let params = Params::builder(4).expiration(2).build().unwrap();
-        let config = TobConfig::new(params, 11);
-        let mut procs: Vec<TobProcess> = (0..4u32)
-            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
-            .collect();
+        let mut procs = processes(4, 2, 11, 0..4);
         let tx = TxId::new(777);
         procs[2].submit_tx(tx);
         for r in 0..=16u64 {
@@ -713,13 +654,9 @@ mod tests {
 
     #[test]
     fn sleeping_process_catches_up_on_wake() {
-        let params = Params::builder(4).expiration(4).build().unwrap();
-        let config = TobConfig::new(params, 9);
-        let mut procs: Vec<TobProcess> = (0..4u32)
-            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
-            .collect();
+        let mut procs = processes(4, 4, 9, 0..4);
         // p3 sleeps during rounds 3..=6: it neither sends nor receives.
-        let mut queued: Vec<Envelope> = Vec::new();
+        let mut queued: Vec<SharedEnvelope> = Vec::new();
         for r in 0..=12u64 {
             let round = Round::new(r);
             let asleep = (3..=6).contains(&r);
@@ -728,27 +665,26 @@ mod tests {
             } else {
                 vec![0, 1, 2, 3]
             };
-            let mut batches: Vec<Envelope> = Vec::new();
-            for &i in &active {
-                batches.extend(procs[i].step_send(round));
-            }
+            let batches: Vec<SharedEnvelope> = active
+                .iter()
+                .flat_map(|&i| procs[i].step_send(round))
+                .map(SharedEnvelope::new)
+                .collect();
             if asleep {
                 queued.extend(batches.iter().cloned());
                 for &i in &active {
                     for env in &batches {
-                        procs[i].on_receive(env.clone());
+                        procs[i].on_receive_shared(env);
                     }
                 }
             } else {
                 // Wake-up: deliver everything queued while asleep first.
-                if !queued.is_empty() {
-                    for env in queued.drain(..) {
-                        procs[3].on_receive(env);
-                    }
+                for env in queued.drain(..) {
+                    procs[3].on_receive_shared(&env);
                 }
                 for env in &batches {
                     for p in procs.iter_mut() {
-                        p.on_receive(env.clone());
+                        p.on_receive_shared(env);
                     }
                 }
             }
@@ -761,41 +697,33 @@ mod tests {
 
     #[test]
     fn invalid_signature_is_discarded() {
-        let params = Params::builder(3).build().unwrap();
-        let config = TobConfig::new(params, 1);
-        let mut p = TobProcess::new(ProcessId::new(0), config.clone());
+        let mut p = processes(3, 0, 1, [0]).remove(0);
         // An envelope signed under a different seed fails verification.
         let alien = Keypair::derive(ProcessId::new(1), 999);
         let vote = Vote::new(ProcessId::new(1), Round::new(1), BlockId::GENESIS);
         let env = Envelope::sign(&alien, Payload::Vote(vote));
-        p.on_receive(env);
+        p.on_receive_shared(&SharedEnvelope::new(env));
         let w = p.votes.latest_in_window(Round::new(1), Round::new(1));
         assert_eq!(w.participation(), 0);
     }
 
     #[test]
     fn a_sender_outside_the_directory_never_reaches_the_sender_indexed_tables() {
-        // The vote store and the dirty set are indexed by sender: an
+        // The vote store and the sender table are indexed by sender: an
         // envelope naming sender u32::MAX, admitted, would size them to
-        // 2^32 slots. The signature check is the guard — the sender has no
-        // key in the directory — and this pins that it runs first.
-        let params = Params::builder(4).build().unwrap();
-        let config = TobConfig::new(params, 1);
-        let mut p = TobProcess::new(ProcessId::new(0), config.clone());
+        // 2^32 slots. `verified` issues no `Sender` outside the directory,
+        // and only a `Sender` indexes the table.
+        let mut p = processes(4, 0, 1, [0]).remove(0);
         let far = Keypair::derive(ProcessId::new(u32::MAX), 1);
         let vote = Vote::new(far.owner(), Round::new(1), BlockId::GENESIS);
         let (value, proof) = far.vrf_eval(1);
         let block = Block::build(BlockId::GENESIS, View::new(1), far.owner(), Vec::new());
         let proposal = Propose::new(far.owner(), Round::ZERO, View::new(1), block, value, proof);
         for payload in [Payload::Vote(vote), Payload::Propose(proposal)] {
-            let env = Envelope::sign(&far, payload);
-            // Checked before delivery, so a broken guard fails here rather
-            // than by allocating the tables.
-            assert!(!env.verify(config.directory()));
-            p.on_receive(env);
+            p.on_receive_shared(&SharedEnvelope::new(Envelope::sign(&far, payload)));
         }
         assert!(p.votes().is_empty());
-        assert!(p.dirty.words.is_empty());
+        assert!(p.senders.slots.is_empty());
         assert!(p
             .proposes
             .select_leader_proposal(View::new(1), |_| true)
@@ -804,17 +732,24 @@ mod tests {
     }
 
     #[test]
-    fn sender_bits_iterate_in_sender_order() {
-        let mut bits = SenderBits::default();
-        assert!(bits.is_empty());
-        for s in [130u32, 3, 64, 0, 63, 3] {
-            bits.insert(ProcessId::new(s));
+    fn a_process_outside_the_directory_runs_and_counts_no_vote_of_its_own() {
+        // Its own votes would index the vote store and the sender table by
+        // a raw id; with no `Sender` they reach neither, and it still
+        // follows the members' chain.
+        let mut procs = processes(4, 2, 5, [0, 1, 2, 3, u32::MAX]);
+        for r in 0..=12 {
+            lockstep_round(&mut procs, Round::new(r));
         }
-        let members: Vec<u32> = bits.iter().map(ProcessId::as_u32).collect();
-        assert_eq!(members, vec![0, 3, 63, 64, 130]);
-        bits.clear();
-        assert!(bits.is_empty());
-        assert_eq!(bits.iter().count(), 0);
+        let outsider = &procs[4];
+        assert_eq!(outsider.senders.slots.len(), 4);
+        let own = outsider
+            .votes()
+            .latest_of(outsider.id(), Round::ZERO, Round::new(12));
+        assert_eq!(own, None);
+        assert_ne!(outsider.decided_tip(), BlockId::GENESIS);
+        assert!(procs[0]
+            .tree()
+            .compatible(procs[0].decided_tip(), outsider.decided_tip()));
     }
 
     #[test]
@@ -837,11 +772,7 @@ mod tests {
 
     #[test]
     fn pool_dedupes_and_drains() {
-        let params = Params::builder(4).expiration(2).build().unwrap();
-        let config = TobConfig::new(params, 2);
-        let mut procs: Vec<TobProcess> = (0..4u32)
-            .map(|i| TobProcess::new(ProcessId::new(i), config.clone()))
-            .collect();
+        let mut procs = processes(4, 2, 2, 0..4);
         let tx = TxId::new(1);
         procs[0].submit_tx(tx);
         procs[0].submit_tx(tx);
@@ -874,9 +805,10 @@ mod tests {
                     .iter_mut()
                     .map(|p| p.step_send(Round::new(round))),
             );
-            for env in batches.iter().flatten() {
+            for env in batches.into_iter().flatten() {
+                let env = SharedEnvelope::new(env);
                 for p in procs.iter_mut() {
-                    p.on_receive(env.clone());
+                    p.on_receive_shared(&env);
                 }
             }
         }

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use st_blocktree::BlockTree;
 use st_core::{DecisionEvent, TobConfig, TobProcess};
-use st_messages::{Envelope, Payload};
+use st_messages::{Payload, SharedEnvelope};
 use st_types::{Params, ProcessId, Round, TxId};
 
 struct Execution {
@@ -60,7 +60,7 @@ fn run(n: usize, eta: u64, rounds: u64, sleep_bits: &[u64], txs: &[u8]) -> Execu
     };
 
     // Queued messages for sleeping processes.
-    let mut queued: Vec<Vec<Envelope>> = vec![Vec::new(); n];
+    let mut queued: Vec<Vec<SharedEnvelope>> = vec![Vec::new(); n];
     let mut global = BlockTree::new();
 
     for r in 0..=rounds {
@@ -77,10 +77,10 @@ fn run(n: usize, eta: u64, rounds: u64, sleep_bits: &[u64], txs: &[u8]) -> Execu
         }
 
         // Send phase: processes awake at the beginning of round r.
-        let mut batch: Vec<Envelope> = Vec::new();
+        let mut batch: Vec<SharedEnvelope> = Vec::new();
         for (i, p) in procs.iter_mut().enumerate() {
             if awake[i] {
-                batch.extend(p.step_send(round));
+                batch.extend(p.step_send(round).into_iter().map(SharedEnvelope::new));
             }
         }
         // A proposal extends a block proposed in an earlier round, so
@@ -96,10 +96,10 @@ fn run(n: usize, eta: u64, rounds: u64, sleep_bits: &[u64], txs: &[u8]) -> Execu
         for (i, p) in procs.iter_mut().enumerate() {
             if awake_next[i] {
                 for env in queued[i].drain(..) {
-                    p.on_receive(env);
+                    p.on_receive_shared(&env);
                 }
                 for env in &batch {
-                    p.on_receive(env.clone());
+                    p.on_receive_shared(env);
                 }
             } else {
                 queued[i].extend(batch.iter().cloned());

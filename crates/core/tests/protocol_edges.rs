@@ -4,11 +4,19 @@
 use st_blocktree::Block;
 use st_core::{TobConfig, TobProcess};
 use st_crypto::Keypair;
-use st_messages::{Envelope, Payload, Propose, Vote};
+use st_messages::{Envelope, Payload, Propose, SharedEnvelope, Vote};
 use st_types::{BlockId, Params, ProcessId, Round, TxId, View};
 
 fn config(n: usize, eta: u64) -> TobConfig {
     TobConfig::new(Params::builder(n).expiration(eta).build().unwrap(), 7)
+}
+
+/// Every process of an `n`-process system with expiration `eta`.
+fn processes(n: usize, eta: u64) -> Vec<TobProcess> {
+    let cfg = config(n, eta);
+    (0..n as u32)
+        .map(|i| TobProcess::new(ProcessId::new(i), cfg.clone()))
+        .collect()
 }
 
 fn keypair(i: u32) -> Keypair {
@@ -18,16 +26,14 @@ fn keypair(i: u32) -> Keypair {
 /// Lock-step helper: run all processes through rounds 0..=last with full
 /// delivery.
 fn lockstep(procs: &mut [TobProcess], last: u64) {
-    for r in 0..=last {
-        let round = Round::new(r);
-        let batches: Vec<Vec<Envelope>> = procs.iter_mut().map(|p| p.step_send(round)).collect();
-        for batch in &batches {
-            for env in batch {
-                for p in procs.iter_mut() {
-                    p.on_receive(env.clone());
-                }
-            }
-        }
+    lockstep_from(procs, 0, last);
+}
+
+/// Delivers `env` to every process, wrapped once.
+fn deliver(procs: &mut [TobProcess], env: Envelope) {
+    let env = SharedEnvelope::new(env);
+    for p in procs.iter_mut() {
+        p.on_receive_shared(&env);
     }
 }
 
@@ -36,11 +42,7 @@ fn lockstep(procs: &mut [TobProcess], last: u64) {
 /// voting identically.
 #[test]
 fn equivocating_proposer_does_not_split_honest_votes() {
-    let n = 4;
-    let cfg = config(n, 2);
-    let mut procs: Vec<TobProcess> = (0..n as u32)
-        .map(|i| TobProcess::new(ProcessId::new(i), cfg.clone()))
-        .collect();
+    let mut procs = processes(4, 2);
     lockstep(&mut procs, 4);
 
     // A (Byzantine-ish) fifth keypair is not in the directory, so instead
@@ -51,24 +53,11 @@ fn equivocating_proposer_does_not_split_honest_votes() {
     for salt in [1u64, 2] {
         let block = Block::build(parent, View::new(4), kp.owner(), vec![TxId::new(salt)]);
         let prop = Propose::new(kp.owner(), Round::new(6), View::new(4), block, value, proof);
-        let env = Envelope::sign(&kp, Payload::Propose(prop));
-        for p in procs.iter_mut() {
-            p.on_receive(env.clone());
-        }
+        deliver(&mut procs, Envelope::sign(&kp, Payload::Propose(prop)));
     }
     // Advance through view 4's first round: all honest processes must
     // have voted for the same tip.
-    for r in 5..=7u64 {
-        let round = Round::new(r);
-        let batches: Vec<Vec<Envelope>> = procs.iter_mut().map(|p| p.step_send(round)).collect();
-        for batch in &batches {
-            for env in batch {
-                for p in procs.iter_mut() {
-                    p.on_receive(env.clone());
-                }
-            }
-        }
-    }
+    lockstep_from(&mut procs, 5, 7);
     let tips: Vec<BlockId> = procs.iter().map(|p| p.last_vote_tip()).collect();
     assert!(
         tips.windows(2).all(|w| w[0] == w[1]),
@@ -80,11 +69,7 @@ fn equivocating_proposer_does_not_split_honest_votes() {
 /// even with the highest VRF in its view.
 #[test]
 fn conflicting_proposal_is_filtered() {
-    let n = 4;
-    let cfg = config(n, 2);
-    let mut procs: Vec<TobProcess> = (0..n as u32)
-        .map(|i| TobProcess::new(ProcessId::new(i), cfg.clone()))
-        .collect();
+    let mut procs = processes(4, 2);
     lockstep(&mut procs, 8);
     let established = procs[0].decided_tip();
     assert_ne!(established, BlockId::GENESIS);
@@ -100,10 +85,7 @@ fn conflicting_proposal_is_filtered() {
     let fork_id = fork.id();
     let (value, proof) = kp.vrf_eval(6);
     let prop = Propose::new(kp.owner(), Round::new(10), View::new(6), fork, value, proof);
-    let env = Envelope::sign(&kp, Payload::Propose(prop));
-    for p in procs.iter_mut() {
-        p.on_receive(env.clone());
-    }
+    deliver(&mut procs, Envelope::sign(&kp, Payload::Propose(prop)));
     lockstep_from(&mut procs, 9, 13);
     for p in &procs {
         assert_ne!(
@@ -116,16 +98,50 @@ fn conflicting_proposal_is_filtered() {
     }
 }
 
+/// A signed proposal whose VRF does not verify is never a leader
+/// candidate, even claiming the largest value on the parent every honest
+/// proposal of its view extends.
+#[test]
+fn a_proposal_with_an_invalid_vrf_is_never_voted_for() {
+    let mut procs = processes(4, 2);
+    lockstep(&mut procs, 9);
+    // Round 10 proposes for view 6, which round 11 votes on.
+    let round = Round::new(10);
+    let sent: Vec<Envelope> = procs.iter_mut().flat_map(|p| p.step_send(round)).collect();
+    // C_5, the log every honest view-6 proposal extends.
+    let parent = procs[0]
+        .last_ga_output()
+        .unwrap()
+        .longest_any_grade()
+        .unwrap();
+    let kp = keypair(3);
+    let block = Block::build(parent, View::new(6), kp.owner(), vec![TxId::new(666)]);
+    let forged = block.id();
+    let (_, proof) = kp.vrf_eval(7);
+    let prop = Propose::new(kp.owner(), round, View::new(6), block, u64::MAX, proof);
+    for env in sent
+        .into_iter()
+        .chain([Envelope::sign(&kp, Payload::Propose(prop))])
+    {
+        deliver(&mut procs, env);
+    }
+    lockstep_from(&mut procs, 11, 11);
+    for p in &procs {
+        assert_ne!(
+            p.last_vote_tip(),
+            forged,
+            "{:?} voted an invalid VRF",
+            p.id()
+        );
+    }
+}
+
 fn lockstep_from(procs: &mut [TobProcess], from: u64, to: u64) {
     for r in from..=to {
         let round = Round::new(r);
         let batches: Vec<Vec<Envelope>> = procs.iter_mut().map(|p| p.step_send(round)).collect();
-        for batch in &batches {
-            for env in batch {
-                for p in procs.iter_mut() {
-                    p.on_receive(env.clone());
-                }
-            }
+        for env in batches.into_iter().flatten() {
+            deliver(procs, env);
         }
     }
 }
@@ -134,19 +150,13 @@ fn lockstep_from(procs: &mut [TobProcess], from: u64, to: u64) {
 /// phase in the bootstrap round).
 #[test]
 fn round_zero_votes_rejected() {
-    let cfg = config(3, 0);
-    let mut p = TobProcess::new(ProcessId::new(0), cfg);
+    let mut procs = processes(3, 0);
     let kp = keypair(1);
     let vote = Vote::new(kp.owner(), Round::ZERO, BlockId::GENESIS);
-    p.on_receive(Envelope::sign(&kp, Payload::Vote(vote)));
+    deliver(&mut procs[..1], Envelope::sign(&kp, Payload::Vote(vote)));
     // Drive a few rounds: an accepted round-0 vote would produce a
     // grade-1 output and a (bogus) decision at round 1; instead the first
     // legitimate decision arrives at round 3 (view 2 tallying GA_{1,2}).
-    let mut procs = vec![
-        p,
-        TobProcess::new(ProcessId::new(1), config(3, 0)),
-        TobProcess::new(ProcessId::new(2), config(3, 0)),
-    ];
     lockstep(&mut procs, 5);
     let decisions = procs[0].drain_decisions();
     assert!(!decisions.is_empty());
@@ -157,12 +167,7 @@ fn round_zero_votes_rejected() {
 /// only a window of recent rounds.
 #[test]
 fn state_is_pruned_over_long_runs() {
-    let n = 4;
-    let eta = 3;
-    let cfg = config(n, eta);
-    let mut procs: Vec<TobProcess> = (0..n as u32)
-        .map(|i| TobProcess::new(ProcessId::new(i), cfg.clone()))
-        .collect();
+    let mut procs = processes(4, 3);
     lockstep(&mut procs, 100);
     // The tree grows with the chain, but the decisions list and chain are
     // the only unbounded state; proposals and votes are windowed.
@@ -179,30 +184,24 @@ fn state_is_pruned_over_long_runs() {
 /// converges to the same decided log.
 #[test]
 fn late_joiner_converges() {
-    let n = 4;
-    let cfg = config(n, 2);
-    let mut procs: Vec<TobProcess> = (0..n as u32)
-        .map(|i| TobProcess::new(ProcessId::new(i), cfg.clone()))
-        .collect();
+    let mut procs = processes(4, 2);
     // Record every message.
-    let mut history: Vec<Envelope> = Vec::new();
+    let mut history: Vec<SharedEnvelope> = Vec::new();
     for r in 0..=20u64 {
         let round = Round::new(r);
         let batches: Vec<Vec<Envelope>> = procs.iter_mut().map(|p| p.step_send(round)).collect();
-        for batch in &batches {
-            history.extend(batch.iter().cloned());
-            for env in batch {
-                for p in procs.iter_mut() {
-                    p.on_receive(env.clone());
-                }
+        for env in batches.into_iter().flatten().map(SharedEnvelope::new) {
+            for p in procs.iter_mut() {
+                p.on_receive_shared(&env);
             }
+            history.push(env);
         }
     }
     // A brand-new observer replays the history (a light client / late
     // joiner) and then participates in one tally-only step.
-    let mut observer = TobProcess::new(ProcessId::new(0), cfg);
+    let mut observer = processes(4, 2).remove(0);
     for env in &history {
-        observer.on_receive(env.clone());
+        observer.on_receive_shared(env);
     }
     let _ = observer.step_send(Round::new(21));
     assert!(observer

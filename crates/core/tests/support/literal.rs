@@ -28,7 +28,7 @@ use st_blocktree::{Block, BlockTree};
 use st_core::{DecisionEvent, Protocol, TobConfig, TobProcess};
 use st_crypto::{Keypair, Vrf};
 use st_messages::wire::encode_envelope;
-use st_messages::{Envelope, Payload, Propose, SharedEnvelope, Vote};
+use st_messages::{Envelope, Payload, Propose, SharedEnvelope, Verified, Vote};
 use st_types::{BlockId, Grade, ProcessId, Round, RoundKind, TxId, View};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -367,12 +367,12 @@ impl Protocol for LiteralProcess {
     }
 
     fn on_receive_shared(&mut self, envelope: &SharedEnvelope) {
-        if !envelope.verify_cached(self.config.directory()) {
-            return;
-        }
-        match envelope.payload() {
-            Payload::Vote(vote) => self.receive_vote(*vote),
-            Payload::Propose(proposal) => self.receive_propose(proposal),
+        // The signature check is shared with `TobProcess`; the VRF is
+        // checked below from the paper's text, not read from the verdict.
+        match envelope.verified(self.config.directory()) {
+            None => {}
+            Some(Verified::Vote(_, vote)) => self.receive_vote(*vote),
+            Some(Verified::Propose { proposal, .. }) => self.receive_propose(proposal),
         }
     }
 

@@ -1,9 +1,9 @@
 //! Incremental subtree-support index.
 //!
 //! The stateless [`crate::tally`] recomputes every block's support from
-//! scratch — simple, obviously correct, and what the protocol crate uses.
-//! A deployment processing thousands of votes per round wants the
-//! incremental version: when a sender's counted vote moves from tip `A`
+//! scratch — simple, obviously correct, and what Lemma 1's property tests
+//! run. The protocol crate (st-core) tallies through this incremental
+//! version instead: when a sender's counted vote moves from tip `A`
 //! to tip `B`, only the blocks on the symmetric difference of their
 //! chains — the two paths down to `LCA(A, B)` — change support, and the
 //! index updates in `O(depth(A) + depth(B) − 2·depth(LCA))` instead of
@@ -41,6 +41,10 @@ use st_types::{BlockId, Grade, ProcessId};
 #[derive(Clone, Debug, Default)]
 pub struct SupportIndex {
     support: FastMap<BlockId, usize>,
+    /// sender → the tip its counted vote supports. Keyed by a raw
+    /// [`ProcessId`] because stbench's `ga` replay drives
+    /// [`SupportIndex::set_vote`] directly; st-core's sender table knows
+    /// the same membership and can take over once that replay leaves.
     current: FastMap<ProcessId, BlockId>,
 }
 

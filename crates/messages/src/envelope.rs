@@ -154,19 +154,45 @@ impl KeyDirectory {
         self.fingerprint
     }
 
-    /// The number of registered processes.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the directory is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// The public key of `p`, if registered.
     pub fn key_of(&self, p: ProcessId) -> Option<PublicKey> {
         self.keys.get(p.index()).copied()
+    }
+
+    /// `p` as a member of the process set: `Some` exactly when its index
+    /// is below the directory's `n`. The only way to obtain a [`Sender`].
+    pub fn sender(&self, p: ProcessId) -> Option<Sender> {
+        (p.index() < self.keys.len()).then_some(Sender(p))
+    }
+}
+
+/// A process id the [`KeyDirectory`] vouches for: its index is below `n`,
+/// so a table indexed by `Sender` is bounded by the process set, whatever
+/// id a message claims. [`KeyDirectory::sender`] is the only constructor;
+/// a raw [`ProcessId`] does not convert:
+///
+/// ```compile_fail,E0277
+/// let _: st_messages::Sender = st_types::ProcessId::new(0).into();
+/// ```
+///
+/// ```compile_fail,E0599
+/// let _ = st_messages::Sender::new(st_types::ProcessId::new(0));
+/// ```
+///
+/// ```compile_fail,E0423
+/// let _ = st_messages::Sender(st_types::ProcessId::new(0));
+/// ```
+///
+/// ```compile_fail,E0451
+/// let _ = st_messages::Sender { 0: st_types::ProcessId::new(0) };
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Sender(ProcessId);
+
+impl Sender {
+    /// The dense index, below the issuing directory's `n`.
+    pub fn index(self) -> usize {
+        self.0.index()
     }
 }
 
@@ -205,6 +231,10 @@ mod tests {
         let vote = Vote::new(ghost.owner(), Round::new(1), BlockId::new(5));
         let env = Envelope::sign(&ghost, vote.into());
         assert!(!env.verify(&dir));
+        // The directory issues a `Sender` below its `n` only.
+        assert_eq!(dir.sender(ProcessId::new(0)).map(Sender::index), Some(0));
+        assert_eq!(dir.sender(ProcessId::new(1)), None);
+        assert_eq!(dir.sender(ProcessId::new(u32::MAX)), None);
     }
 
     #[test]

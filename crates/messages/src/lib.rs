@@ -11,7 +11,9 @@
 //! * [`Vote`] / [`Propose`] — the two message kinds of Algorithm 1, with
 //!   canonical byte encodings for signing;
 //! * [`Envelope`] — a signed message; [`KeyDirectory`] — the public-key
-//!   registry receivers verify against;
+//!   registry receivers verify against, and the only issuer of a
+//!   [`Sender`]; [`SharedEnvelope::verified`] — the one verification
+//!   step, yielding a [`Verified`] payload;
 //! * [`VoteStore`] — per-process store answering "the latest vote of every
 //!   sender within a round window, equivocators discarded" (the tally input
 //!   of the extended graded agreement, Figure 3);
@@ -52,8 +54,8 @@ mod types;
 mod vote_store;
 pub mod wire;
 
-pub use envelope::{Envelope, KeyDirectory, Payload};
+pub use envelope::{Envelope, KeyDirectory, Payload, Sender};
 pub use propose_store::ProposeStore;
-pub use shared::SharedEnvelope;
+pub use shared::{SharedEnvelope, Verified};
 pub use types::{Propose, Vote};
 pub use vote_store::{InsertOutcome, LatestVotes, VoteStore};

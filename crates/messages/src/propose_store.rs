@@ -47,8 +47,10 @@ impl ProposeStore {
     }
 
     /// [`ProposeStore::insert`] for a proposal whose VRF the caller has
-    /// already verified (a shared envelope's cached verdict, or the
-    /// process's own evaluation); returns whether it was new.
+    /// already verified (the verdict [`crate::SharedEnvelope::verified`]
+    /// yields, or the process's own evaluation); returns whether it was
+    /// new. The two methods stay apart while stbench's proposal-store
+    /// replay calls the verifying one.
     pub fn insert_verified(&mut self, proposal: Propose) -> bool {
         let key = (proposal.vrf_value(), proposal.tip());
         let view = self.by_view.entry(proposal.view()).or_default();

@@ -4,21 +4,20 @@
 //! signing: storing one [`Envelope`] per receiver and re-checking it at
 //! every receiver is pure waste — `O(n)` deep clones and `O(n)` hash
 //! verifications per message, `O(n²)` per round. A [`SharedEnvelope`] is
-//! an [`Arc`]-backed envelope with two cached verdicts: delivery is a
-//! reference-count bump, the signature is checked **once per unique
-//! envelope** (at first receipt), and so is a proposal's VRF evaluation;
-//! every later receiver reuses both verdicts.
+//! an [`Arc`]-backed envelope with two cached verdicts behind one step,
+//! [`SharedEnvelope::verified`]: delivery is a reference-count bump, the
+//! signature is checked **once per unique envelope** (at first receipt),
+//! and so is a proposal's VRF evaluation; every later receiver reuses
+//! both verdicts.
 //!
-//! Honest-path behaviour is unchanged because honest envelopes are
-//! immutable after signing, so each verdict is a pure function of the
-//! envelope and the key directory. Adversarial forgeries still fail for
-//! every receiver exactly as before — the cache just remembers the
-//! (deterministic) failure. Each verdict is keyed by
-//! [`KeyDirectory::fingerprint`], so an envelope checked against a
-//! *different* directory (another simulated system) is re-verified rather
-//! than served a stale verdict.
+//! Honest envelopes are immutable after signing, so each verdict is a
+//! pure function of the envelope and the key directory, and a forgery
+//! fails for every receiver exactly as before. Each verdict is keyed by
+//! [`KeyDirectory::fingerprint`], so an envelope checked against another
+//! directory (another simulated system) is re-verified, not served a
+//! stale verdict.
 
-use crate::{Envelope, KeyDirectory, Payload};
+use crate::{Envelope, KeyDirectory, Payload, Propose, Sender, Vote};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,12 +42,9 @@ struct Inner {
 /// result there.
 ///
 /// A slot holds `(directory fingerprint << 1) | valid`; `0` means "not
-/// verified yet". Fingerprints are nonzero by construction, so every
-/// filled slot is nonzero. The encoding packs fingerprint and verdict
-/// into one atomic so a (cross-thread) race can only ever publish a
-/// *consistent* pair; and because the verdict is a deterministic function
-/// of (envelope, directory), racing writers for the same directory write
-/// the same value.
+/// verified yet" (fingerprints are nonzero). One atomic holds both, so a
+/// race only ever publishes a consistent pair, and racing writers for one
+/// directory write the same value.
 fn cached(slot: &AtomicU64, directory: &KeyDirectory, check: impl FnOnce() -> bool) -> bool {
     let key = directory.fingerprint() << 1;
     let filled = slot.load(Ordering::Acquire);
@@ -82,27 +78,29 @@ impl SharedEnvelope {
         self.inner.envelope.payload()
     }
 
-    /// Verifies the signature against `directory`, reusing a cached
-    /// verdict when this envelope was already checked against the same
-    /// directory (by fingerprint). Semantically identical to
-    /// [`Envelope::verify`] — only the amount of hashing differs.
-    pub fn verify_cached(&self, directory: &KeyDirectory) -> bool {
-        cached(&self.inner.verdict, directory, || {
+    /// The one verification step a receiver runs: `None` unless the
+    /// claimed sender is in `directory` and the signature verifies
+    /// ([`Envelope::verify`]; unverifiable messages are discarded,
+    /// Section 2.1), else the payload with its [`Sender`] and, for a
+    /// proposal, whether its VRF verifies ([`Propose::vrf_valid`]). Both
+    /// verdicts are cached, so each is computed once per envelope.
+    pub fn verified(&self, directory: &KeyDirectory) -> Option<Verified<'_>> {
+        let payload = self.payload();
+        let sender = directory.sender(payload.sender())?;
+        if !cached(&self.inner.verdict, directory, || {
             self.inner.envelope.verify(directory)
-        })
-    }
-
-    /// Whether the payload is a proposal whose VRF evaluation verifies
-    /// against `directory` ([`crate::Propose::vrf_valid`]), reusing a cached
-    /// verdict the same way [`SharedEnvelope::verify_cached`] does: over
-    /// a whole process set, a multicast proposal's VRF is checked once.
-    /// `false` for a vote.
-    pub fn vrf_valid_cached(&self, directory: &KeyDirectory) -> bool {
-        let Payload::Propose(proposal) = self.payload() else {
-            return false;
-        };
-        cached(&self.inner.vrf_verdict, directory, || {
-            proposal.vrf_valid(directory)
+        }) {
+            return None;
+        }
+        Some(match payload {
+            Payload::Vote(vote) => Verified::Vote(sender, vote),
+            Payload::Propose(proposal) => Verified::Propose {
+                sender,
+                proposal,
+                vrf_valid: cached(&self.inner.vrf_verdict, directory, || {
+                    proposal.vrf_valid(directory)
+                }),
+            },
         })
     }
 
@@ -112,6 +110,24 @@ impl SharedEnvelope {
     fn same_allocation(a: &SharedEnvelope, b: &SharedEnvelope) -> bool {
         Arc::ptr_eq(&a.inner, &b.inner)
     }
+}
+
+/// A payload whose signature verified, as [`SharedEnvelope::verified`]
+/// yields it, with its sender as a member of the process set.
+#[derive(Clone, Copy, Debug)]
+pub enum Verified<'a> {
+    /// A vote.
+    Vote(Sender, &'a Vote),
+    /// A proposal. Its body is usable whatever the VRF says; only a valid
+    /// VRF(v) makes it a leader candidate (Algorithm 1).
+    Propose {
+        /// The proposer.
+        sender: Sender,
+        /// The proposal.
+        proposal: &'a Propose,
+        /// Whether the VRF evaluation verifies against the proposer's key.
+        vrf_valid: bool,
+    },
 }
 
 impl From<Envelope> for SharedEnvelope {
@@ -137,7 +153,6 @@ impl fmt::Debug for SharedEnvelope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Propose, Vote};
     use st_blocktree::Block;
     use st_crypto::Keypair;
     use st_types::{BlockId, ProcessId, Round, View};
@@ -148,18 +163,28 @@ mod tests {
         Envelope::sign(&kp, Payload::Vote(vote))
     }
 
+    /// The VRF verdict `verified` yields under `dir` (`None` when the
+    /// signature fails; a vote never gets here).
+    fn vrf_verdict(shared: &SharedEnvelope, dir: &KeyDirectory) -> Option<bool> {
+        match shared.verified(dir)? {
+            Verified::Propose { vrf_valid, .. } => Some(vrf_valid),
+            Verified::Vote(..) => panic!("a proposal verified as a vote"),
+        }
+    }
+
     #[test]
     fn verifies_once_per_directory() {
         let dir = KeyDirectory::derive(2, 42);
         let shared = SharedEnvelope::new(signed(42));
         for _ in 0..10 {
-            assert!(shared.verify_cached(&dir));
+            let verified = shared.verified(&dir);
+            assert!(matches!(verified, Some(Verified::Vote(s, _)) if s.index() == 0));
         }
         // One real verification; nine cache hits. Other tests in this
         // binary verify concurrently, so the global counter is asserted
         // exactly in st-sim's `tests/verify_once.rs`, a binary of its own.
         let clone = shared.clone();
-        assert!(clone.verify_cached(&dir));
+        assert!(clone.verified(&dir).is_some());
         assert!(SharedEnvelope::same_allocation(&shared, &clone));
     }
 
@@ -167,8 +192,8 @@ mod tests {
     fn cached_rejection_stays_rejected() {
         let dir = KeyDirectory::derive(2, 42);
         let forged = SharedEnvelope::new(signed(977)); // wrong system seed
-        assert!(!forged.verify_cached(&dir));
-        assert!(!forged.verify_cached(&dir));
+        assert!(forged.verified(&dir).is_none());
+        assert!(forged.verified(&dir).is_none());
         assert!(!forged.envelope().verify(&dir));
     }
 
@@ -177,16 +202,18 @@ mod tests {
         let dir_a = KeyDirectory::derive(2, 42);
         let dir_b = KeyDirectory::derive(2, 977);
         let shared = SharedEnvelope::new(signed(42));
-        assert!(shared.verify_cached(&dir_a));
+        assert!(shared.verified(&dir_a).is_some());
         // Same envelope, different process set: must re-verify and fail.
-        assert!(!shared.verify_cached(&dir_b));
+        assert!(shared.verified(&dir_b).is_none());
         // And flipping back re-verifies again rather than reusing dir_b's.
-        assert!(shared.verify_cached(&dir_a));
+        assert!(shared.verified(&dir_a).is_some());
     }
 
-    fn proposal(seed: u64) -> SharedEnvelope {
+    /// A signed proposal of process 1 for view 3 whose VRF evaluation is
+    /// for `vrf_view` (a valid VRF(3) only when `vrf_view` is 3).
+    fn proposal(seed: u64, vrf_view: u64) -> SharedEnvelope {
         let kp = Keypair::derive(ProcessId::new(1), seed);
-        let (value, proof) = kp.vrf_eval(3);
+        let (value, proof) = kp.vrf_eval(vrf_view);
         let block = Block::build(BlockId::GENESIS, View::new(3), kp.owner(), Vec::new());
         let propose = Propose::new(kp.owner(), Round::new(4), View::new(3), block, value, proof);
         SharedEnvelope::new(Envelope::sign(&kp, Payload::Propose(propose)))
@@ -196,31 +223,24 @@ mod tests {
     fn vrf_verdict_is_never_served_across_directories() {
         let dir_a = KeyDirectory::derive(2, 42);
         let dir_b = KeyDirectory::derive(2, 977);
-        let shared = proposal(42);
-        assert!(shared.vrf_valid_cached(&dir_a));
-        assert!(shared.vrf_valid_cached(&dir_a));
-        // The same evaluation under another process set's keys fails,
-        // and the verdict cached for `dir_a` is not served for `dir_b`.
-        assert!(!shared.vrf_valid_cached(&dir_b));
-        assert!(shared.vrf_valid_cached(&dir_a));
+        let shared = proposal(42, 3);
+        assert_eq!(vrf_verdict(&shared, &dir_a), Some(true));
+        // Under another process set's keys the proposal does not verify,
+        // and what was cached for `dir_a` is not served for `dir_b`.
+        assert_eq!(vrf_verdict(&shared, &dir_b), None);
+        assert_eq!(vrf_verdict(&shared, &dir_a), Some(true));
         // A directory without the sender rejects it too.
-        assert!(!shared.vrf_valid_cached(&KeyDirectory::derive(1, 42)));
+        assert_eq!(vrf_verdict(&shared, &KeyDirectory::derive(1, 42)), None);
         // And a rejection cached for one directory is not served for
         // the other.
-        let alien = proposal(977);
-        assert!(!alien.vrf_valid_cached(&dir_a));
-        assert!(alien.vrf_valid_cached(&dir_b));
-        // The two verdicts are kept apart: a verified signature does not
-        // vouch for the VRF, nor the other way round.
-        assert!(shared.verify_cached(&dir_a));
-        assert!(!shared.vrf_valid_cached(&dir_b));
-        assert!(shared.verify_cached(&dir_a));
-    }
-
-    #[test]
-    fn a_vote_has_no_valid_vrf() {
-        let dir = KeyDirectory::derive(2, 42);
-        assert!(!SharedEnvelope::new(signed(42)).vrf_valid_cached(&dir));
+        let alien = proposal(977, 3);
+        assert_eq!(vrf_verdict(&alien, &dir_a), None);
+        assert_eq!(vrf_verdict(&alien, &dir_b), Some(true));
+        // A verified signature does not vouch for the VRF: an evaluation
+        // for another view is signed but no valid VRF(3).
+        let wrong_view = proposal(42, 4);
+        assert_eq!(vrf_verdict(&wrong_view, &dir_a), Some(false));
+        assert_eq!(vrf_verdict(&wrong_view, &dir_a), Some(false));
     }
 
     #[test]

@@ -116,7 +116,9 @@ impl VoteStore {
     ///
     /// The sender's slot is indexed by [`ProcessId::index`], so the
     /// sender must be a member of the process set: callers admit only
-    /// votes whose signature verified against the key directory.
+    /// votes that [`crate::SharedEnvelope::verified`] issued a
+    /// [`crate::Sender`] for. The raw key stays while stbench's vote-store
+    /// replay inserts votes directly.
     pub fn insert(&mut self, vote: Vote) -> InsertOutcome {
         let slot = vote.sender().index();
         if slot >= self.by_sender.len() {

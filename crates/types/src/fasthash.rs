@@ -160,8 +160,8 @@ type FxBuild = BuildHasherDefault<FxHasher>;
 // FastMap and FastSet wrap the std tables and leave out every way to
 // walk them in that order: no `iter`, `keys`, `values`, `drain`,
 // `IntoIterator` or `Deref`. What they offer instead is keyed access,
-// key-sorted walks (`iter_sorted`, `FastSet::into_sorted_vec`, and
-// `Debug`, which prints in key order), `FastMap::retain` with an `Fn`
+// key-sorted walks (`iter_sorted`, and `Debug`, which prints in key
+// order), `FastMap::retain` with an `Fn`
 // predicate, and reductions whose result cannot depend on order
 // (`FastSet::min`). Each exists because a caller needs it.
 // The hasher-perturbation test in st-sim replays the golden grid under
@@ -338,13 +338,6 @@ impl<T: Ord> FastSet<T> {
         elems.into_iter()
     }
 
-    /// Consumes the set into its elements, in order.
-    pub fn into_sorted_vec(self) -> Vec<T> {
-        let mut elems: Vec<T> = self.0.into_iter().collect();
-        elems.sort_unstable();
-        elems
-    }
-
     /// The least element: a reduction no walk order can change.
     pub fn min(&self) -> Option<&T> {
         self.0.iter().min()
@@ -433,7 +426,6 @@ mod tests {
             s.iter_sorted().copied().collect::<Vec<_>>(),
             [1, 3, 5, 7, 9]
         );
-        assert_eq!(s.into_sorted_vec(), vec![1, 3, 5, 7, 9]);
     }
 
     #[test]
@@ -454,7 +446,6 @@ mod tests {
                 s.iter_sorted().copied().collect::<Vec<_>>(),
                 format!("{s:?}"),
                 s.min().copied(),
-                s.into_sorted_vec(),
             );
             set_hasher_seed(0);
             reads
