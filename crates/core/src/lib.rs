@@ -28,14 +28,13 @@
 //! same protocol code testable under lock-step simulation, adversarial
 //! delivery, and property-based exploration.
 //!
-//! That driving surface is itself a trait: [`Protocol`] (see the
-//! [`protocol`] module) captures construction, tx submission, receive,
-//! send, and the decision/ledger views, so simulators generic over it can
-//! drive *any* implementor. [`TobProcess`] is the one in production; the
-//! classic fixed-quorum BFT baseline the paper compares against is the
-//! same process under [`st_types::Participation::Fixed`], which grades
-//! support against all `n` processes instead of the perceived
-//! participation.
+//! Both runtimes, st-sim's `Simulation` and st-node's `stob serve`, drive
+//! [`TobProcess`] directly. The classic fixed-quorum BFT baseline the
+//! paper compares against is the same process under
+//! [`st_types::Participation::Fixed`], which grades support against all
+//! `n` processes instead of the perceived participation. The driving
+//! surface is also written down as a trait, [`Protocol`] (see the
+//! [`protocol`] module), which `TobProcess` alone implements.
 //!
 //! # Example: three processes, one synchronous view cycle
 //!

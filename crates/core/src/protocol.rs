@@ -1,25 +1,18 @@
-//! The pluggable protocol abstraction.
+//! The driving surface of a per-process state machine, as a trait.
 //!
-//! The simulator's round loop (st-sim's `Simulation`) does not care
-//! *which* consensus protocol it is driving: it constructs one state
-//! machine per process, feeds delivered envelopes in, asks each awake
-//! machine for a round's outgoing messages, and drains decisions and
-//! reads decided-log views out for the monitors. [`Protocol`] captures
-//! exactly that surface, so the whole simulation stack — builder,
-//! runner, observers, sweeps — is generic over the protocol under test:
+//! A driver constructs one state machine per process, feeds delivered
+//! envelopes in, asks each awake machine for a round's outgoing
+//! messages, and drains decisions and reads decided-log views out for
+//! the monitors. [`Protocol`] writes exactly that surface down.
 //!
 //! [`crate::TobProcess`] — the paper's sleepy protocol (Algorithm 1 with
-//! message expiration) — is the one production implementor; its
-//! fixed-quorum baseline is a parameter ([`st_types::Participation`]),
-//! not a second protocol. The trait stays so that the literal
-//! Algorithm 1 in st-core's tests can run under the same simulator as
-//! the oracle `TobProcess` is checked against.
-//!
-//! Decisions are deliberately *not* an associated type: every
-//! implementor reports [`DecisionEvent`]s (round, view, decided tip into
-//! a shared [`BlockTree`] vocabulary), which is what lets the safety and
-//! resilience monitors — statements about decided logs, not about any
-//! particular protocol — work unchanged for any implementor.
+//! message expiration) — is its one implementor; its fixed-quorum
+//! baseline is a parameter ([`st_types::Participation`]), not a second
+//! protocol. st-sim and st-node drive `TobProcess` directly, and the
+//! literal Algorithm 1 in st-core's tests has the same methods as
+//! inherent ones. The trait stays because the benchmark's frozen
+//! `stbench` probe (`crates/bench/src/bin/stbench/probe.rs`) calls the
+//! process through it.
 
 use crate::{DecisionEvent, TobConfig};
 use st_blocktree::BlockTree;
@@ -29,7 +22,7 @@ use st_types::{BlockId, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A per-process consensus state machine the simulator can drive.
+/// A per-process consensus state machine a driver can step.
 ///
 /// Implementors are deterministic and I/O-free: the driver delivers
 /// received messages via [`Protocol::on_receive_shared`] and asks for a
@@ -105,8 +98,7 @@ pub trait Protocol: Sized + 'static {
     /// previous value (a conflicting decision is still recorded for the
     /// monitors, but the tip does not move to it), so readers may extend
     /// per-tip state incrementally by walking just the newly decided
-    /// blocks — st-sim's tx ledger does, and keeps a from-genesis rebuild
-    /// for an implementor that does not.
+    /// blocks — st-sim's tx ledger does.
     fn decided_tip(&self) -> BlockId;
 
     /// The process's view of the block tree: at least the decided chain
@@ -118,9 +110,8 @@ pub trait Protocol: Sized + 'static {
 
 /// The sleepy protocol (Algorithm 1 with message expiration), under
 /// either participation rule — every trait method delegates to the
-/// inherent method of the same name, so driving a `TobProcess` through
-/// the generic runner is call-for-call the code path the non-generic
-/// runner used (the determinism suite asserts byte-identical reports).
+/// inherent method of the same name, so a driver calling through the
+/// trait runs call-for-call the code the runtimes run.
 impl Protocol for crate::TobProcess {
     fn new(id: ProcessId, config: TobConfig) -> Self {
         crate::TobProcess::new(id, config)

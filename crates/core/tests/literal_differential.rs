@@ -26,7 +26,7 @@ mod literal;
 use literal::{consumed, lockstep, Twin};
 use proptest::prelude::*;
 use st_blocktree::Block;
-use st_core::{Protocol, TobConfig};
+use st_core::TobConfig;
 use st_crypto::Keypair;
 use st_ga::GaOutput;
 use st_messages::wire::encode_envelope;

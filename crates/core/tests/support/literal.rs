@@ -20,12 +20,16 @@
 //! the model (no Byzantine sender, asynchrony shorter than `η`) it stays
 //! zero.
 //!
-//! Included by path wherever a test compares `TobProcess` with it.
+//! It is driven through the same calls as `TobProcess` (`new`,
+//! `submit_tx`, `on_receive_shared`, `step_send`, `drain_decisions`), and
+//! [`assert_matches`] is the one comparison of the two. Included by path
+//! wherever a test compares `TobProcess` with it: beside it as a [`Twin`],
+//! or replaying a recorded simulation (st-sim's `tests/support/replay.rs`).
 
 #![allow(dead_code, reason = "each including test uses a different part")]
 
 use st_blocktree::{Block, BlockTree};
-use st_core::{DecisionEvent, Protocol, TobConfig, TobProcess};
+use st_core::{DecisionEvent, TobConfig, TobProcess};
 use st_crypto::{Keypair, Vrf};
 use st_messages::wire::encode_envelope;
 use st_messages::{Envelope, Payload, Propose, SharedEnvelope, Verified, Vote};
@@ -341,10 +345,8 @@ impl LiteralProcess {
             self.decided_tip = tip;
         }
     }
-}
 
-impl Protocol for LiteralProcess {
-    fn new(id: ProcessId, config: TobConfig) -> Self {
+    pub fn new(id: ProcessId, config: TobConfig) -> LiteralProcess {
         LiteralProcess {
             id,
             keypair: Keypair::derive(id, config.seed()),
@@ -360,13 +362,13 @@ impl Protocol for LiteralProcess {
         }
     }
 
-    fn submit_tx(&mut self, tx: TxId) {
+    pub fn submit_tx(&mut self, tx: TxId) {
         if !self.submitted.contains(&tx) {
             self.submitted.push(tx);
         }
     }
 
-    fn on_receive_shared(&mut self, envelope: &SharedEnvelope) {
+    pub fn on_receive_shared(&mut self, envelope: &SharedEnvelope) {
         // The signature check is shared with `TobProcess`; the VRF is
         // checked below from the paper's text, not read from the verdict.
         match envelope.verified(self.config.directory()) {
@@ -376,7 +378,7 @@ impl Protocol for LiteralProcess {
         }
     }
 
-    fn step_send(&mut self, round: Round) -> Vec<Envelope> {
+    pub fn step_send(&mut self, round: Round) -> Vec<Envelope> {
         let out = match RoundKind::of(round) {
             // View 0: propose [b₀] for view 1.
             RoundKind::Bootstrap => vec![self.propose(round, View::new(1), Block::genesis())],
@@ -421,17 +423,49 @@ impl Protocol for LiteralProcess {
         out
     }
 
-    fn drain_decisions(&mut self) -> Vec<DecisionEvent> {
+    pub fn drain_decisions(&mut self) -> Vec<DecisionEvent> {
         std::mem::take(&mut self.decisions)
     }
 
-    fn decided_tip(&self) -> BlockId {
+    pub fn decided_tip(&self) -> BlockId {
         self.decided_tip
     }
 
-    fn tree(&self) -> &BlockTree {
+    pub fn tree(&self) -> &BlockTree {
         &self.bodies.tree
     }
+}
+
+/// What a process sent (each envelope's wire bytes) and decided in one
+/// step.
+pub type Output = (Vec<Vec<u8>>, Vec<DecisionEvent>);
+
+/// The wire bytes of each of `envelopes`, in order.
+pub fn encoded(envelopes: &[Envelope]) -> Vec<Vec<u8>> {
+    envelopes.iter().map(encode_envelope).collect()
+}
+
+/// Asserts that `lit` is where `tob` is after the same steps and
+/// deliveries: equal consumed tallies, decided tips and admitted bodies,
+/// and, when `outputs` holds what each sent and decided in `round`'s step,
+/// byte-equal envelopes and equal decisions. `label` names the run.
+pub fn assert_matches(
+    label: &str,
+    round: Round,
+    tob: &TobProcess,
+    lit: &LiteralProcess,
+    outputs: Option<(&Output, &Output)>,
+) {
+    let id = tob.id();
+    if let Some((t, l)) = outputs {
+        assert_eq!(t, l, "{label}: {id:?} in {round:?}: sends and decisions");
+    }
+    let state = |tally, tip, tree: &BlockTree| (tally, tip, tree.fingerprint());
+    assert_eq!(
+        state(consumed(tob), tob.decided_tip(), tob.tree()),
+        state(lit.last_tally.clone(), lit.decided_tip(), lit.tree()),
+        "{label}: {id:?} in {round:?}: tally, decided tip, admitted bodies"
+    );
 }
 
 /// A `TobProcess` and a `LiteralProcess` with the same id, fed the same
@@ -447,7 +481,7 @@ impl Twin {
     pub fn new(id: ProcessId, config: &TobConfig) -> Twin {
         let (tob, lit) = (
             TobProcess::new(id, config.clone()),
-            Protocol::new(id, config.clone()),
+            LiteralProcess::new(id, config.clone()),
         );
         Twin {
             tob,
@@ -466,33 +500,18 @@ impl Twin {
         self.lit.on_receive_shared(env);
     }
 
-    /// Steps both through `round` and asserts byte-equal envelopes, equal
-    /// consumed tallies, decisions, decided tips and admitted bodies. A
-    /// driver that shares tallies calls `tob.share_tally` first.
+    /// Steps both through `round` and asserts they match
+    /// ([`assert_matches`], outputs included). A driver that shares
+    /// tallies calls `tob.share_tally` first.
     pub fn step(&mut self, round: Round) -> Vec<Envelope> {
         let out = self.tob.step_send(round);
-        let bytes = |envs: &[Envelope]| envs.iter().map(encode_envelope).collect::<Vec<_>>();
-        let (t, l) = (&mut self.tob, &mut self.lit);
-        let tob = (
-            bytes(&out),
-            consumed(t),
-            t.drain_decisions(),
-            t.decided_tip(),
-        );
+        let tob = (encoded(&out), self.tob.drain_decisions());
         let lit = (
-            bytes(&l.step_send(round)),
-            l.last_tally.clone(),
-            l.drain_decisions(),
-            l.decided_tip(),
+            encoded(&self.lit.step_send(round)),
+            self.lit.drain_decisions(),
         );
-        assert_eq!(tob, lit, "{:?} in {round:?}", t.id());
-        assert_eq!(
-            t.tree().fingerprint(),
-            l.tree().fingerprint(),
-            "{:?} in {round:?}",
-            t.id()
-        );
-        self.decided += tob.2.len();
+        assert_matches("twin", round, &self.tob, &self.lit, Some((&tob, &lit)));
+        self.decided += tob.1.len();
         out
     }
 }

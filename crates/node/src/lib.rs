@@ -1,10 +1,10 @@
 //! A deployable socket-based node runtime for the sleepy TOB protocol.
 //!
 //! Every line of protocol code in this workspace is a deterministic,
-//! I/O-free state machine behind the [`st_core::Protocol`] seam; until
-//! this crate it had only ever been driven by the lockstep simulator.
-//! `st-node` is the second runtime: a standalone process (`stob serve`)
-//! that runs any `Protocol` impl over real TCP sockets using
+//! I/O-free state machine, [`st_core::TobProcess`]; until this crate it
+//! had only ever been driven by the lockstep simulator. `st-node` is the
+//! second runtime: a standalone process (`stob serve`) that runs one
+//! `TobProcess` over real TCP sockets using
 //! thread-per-peer `std::net` I/O — no async runtime, std only — plus a
 //! local multi-process cluster harness (`stob cluster`) that spawns N
 //! node processes, injects sleep / kill / partition faults at the socket

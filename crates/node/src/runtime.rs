@@ -8,8 +8,8 @@
 //! beyond it. Batches are deduplicated wholesale by round (reconnecting
 //! writers re-send their full history), so the protocol sees each
 //! `(sender, round)` batch exactly once, at the correct round boundary.
-//! Within a boundary the `Protocol` contract already tolerates duplicates
-//! and reordering — see `Protocol::on_receive_shared`.
+//! Within a boundary the process already tolerates duplicates and
+//! reordering — see `st_core::Protocol::on_receive_shared`.
 //!
 //! Pacing: each awake round takes at least `tick_ms`, except when the
 //! node is demonstrably behind the cluster (a peer's mark is ahead of
@@ -33,7 +33,7 @@ use crate::frame::{self, NodeFrame};
 use crate::io::{self, Liveness, Outbound, PeerStat, RoundBatch};
 use crate::plan::ClusterPlan;
 use serde::{Deserialize, Serialize};
-use st_core::{DecisionEvent, Protocol, TobConfig, TobProcess};
+use st_core::{DecisionEvent, TobConfig, TobProcess};
 use st_messages::SharedEnvelope;
 use st_types::{Params, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
@@ -149,7 +149,7 @@ fn wait_until(
 /// order; true once `required` is consumed. `drain` files only rounds
 /// past `consumed`, and this pops in key order, so every filed batch is
 /// new.
-fn ingest<P: Protocol>(proc: &mut P, p: &mut PeerInbox, required: u64) -> bool {
+fn ingest(proc: &mut TobProcess, p: &mut PeerInbox, required: u64) -> bool {
     while let Some(entry) = p.batches.first_entry().filter(|e| *e.key() <= required) {
         p.consumed = Some(*entry.key());
         for env in entry.remove() {
@@ -176,9 +176,9 @@ fn lagging(
     })
 }
 
-/// Runs `P` as node `id` of `plan` to completion. Blocks for the whole
-/// run; spawns the listener, reader, and writer threads internally.
-pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOutcome, String> {
+/// Runs node `id` of `plan` to completion. Blocks for the whole run;
+/// spawns the listener, reader, and writer threads internally.
+pub fn run_node(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOutcome, String> {
     plan.validate()?;
     let me = id.index();
     let n = plan.n;
@@ -186,7 +186,7 @@ pub fn run_node<P: Protocol>(plan: &ClusterPlan, id: ProcessId) -> Result<NodeOu
         .expiration(plan.eta)
         .build()
         .map_err(|e| format!("bad params: {e:?}"))?;
-    let mut proc = P::new(id, TobConfig::new(params, plan.seed));
+    let mut proc = TobProcess::new(id, TobConfig::new(params, plan.seed));
 
     let board = Arc::new(Liveness::new(n));
     let (tx, inbox) = std::sync::mpsc::channel::<RoundBatch>();
@@ -332,7 +332,7 @@ pub fn serve(plan_path: &str, id: u32, out_path: &str) -> Result<(), String> {
     if id as usize >= plan.n {
         return Err(format!("node id {id} out of range (n = {})", plan.n));
     }
-    let outcome = run_node::<TobProcess>(&plan, ProcessId::new(id))?;
+    let outcome = run_node(&plan, ProcessId::new(id))?;
     let rendered = serde_json::to_string(&outcome).map_err(|e| format!("render outcome: {e:?}"))?;
     std::fs::write(out_path, rendered).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     Ok(())

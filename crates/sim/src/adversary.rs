@@ -31,7 +31,7 @@ use crate::env::EnvView;
 use crate::network::{Recipients, SentMessage};
 use crate::schedule::Schedule;
 use st_blocktree::Block;
-use st_core::{Protocol, TobConfig, TobProcess};
+use st_core::{TobConfig, TobProcess};
 use st_crypto::Keypair;
 use st_messages::{Envelope, Payload, Propose, Vote};
 use st_types::{BlockId, ProcessId, Round, TxId, View};
@@ -48,11 +48,7 @@ pub struct TargetedMessage {
 /// Everything the adversary can see when acting: full knowledge of the
 /// execution (Section 2.3's adversary controls corrupted processes and,
 /// during asynchrony, message delivery).
-///
-/// Generic over the [`Protocol`] under attack; the default is the
-/// sleepy protocol's [`TobProcess`], so existing strategies read (and
-/// are written) exactly as before.
-pub struct AdversaryCtx<'a, P: Protocol = TobProcess> {
+pub struct AdversaryCtx<'a> {
     /// The current round.
     pub round: Round,
     /// The environment at this round: current segment kind, offsets
@@ -67,14 +63,14 @@ pub struct AdversaryCtx<'a, P: Protocol = TobProcess> {
     /// `corrupted`): the only keys the adversary may sign with.
     pub keypairs: &'a [Keypair],
     /// Read-only view of every process's state (full knowledge).
-    pub processes: &'a [P],
+    pub processes: &'a [TobProcess],
     /// The participation schedule.
     pub schedule: &'a Schedule,
     /// The shared protocol configuration.
     pub config: &'a TobConfig,
 }
 
-impl<P: Protocol> AdversaryCtx<'_, P> {
+impl AdversaryCtx<'_> {
     /// Whether the current round is adversary-scheduled asynchrony.
     pub fn is_async(&self) -> bool {
         self.env.is_async()
@@ -92,19 +88,13 @@ impl<P: Protocol> AdversaryCtx<'_, P> {
 /// A Byzantine strategy. Both hooks are optional: the default sends
 /// nothing and (during asynchrony) delivers everything — i.e. a purely
 /// passive adversary.
-///
-/// Generic over the [`Protocol`] under attack, defaulted to
-/// [`TobProcess`]: `impl Adversary for MyStrategy` still targets the
-/// sleepy protocol, while strategies that read no process state (every
-/// built-in one except [`WithholdingLeader`]) implement `Adversary<P>`
-/// for every `P` and can attack any protocol the runner drives.
-pub trait Adversary<P: Protocol = TobProcess> {
+pub trait Adversary {
     /// Human-readable strategy name (reports and logs).
     fn name(&self) -> &'static str;
 
     /// Send phase of round `ctx.round`: messages the corrupted processes
     /// multicast or target.
-    fn send(&mut self, ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
+    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
         let _ = ctx;
         Vec::new()
     }
@@ -115,7 +105,7 @@ pub trait Adversary<P: Protocol = TobProcess> {
     /// everything, i.e. the asynchronous round behaves synchronously.
     fn deliver(
         &mut self,
-        ctx: &AdversaryCtx<'_, P>,
+        ctx: &AdversaryCtx<'_>,
         receiver: ProcessId,
         available: &[&SentMessage],
     ) -> Vec<usize> {
@@ -133,7 +123,7 @@ pub trait Adversary<P: Protocol = TobProcess> {
     /// unbounded asynchrony.
     fn delay(
         &mut self,
-        ctx: &AdversaryCtx<'_, P>,
+        ctx: &AdversaryCtx<'_>,
         receiver: ProcessId,
         msg: &SentMessage,
         delta: u64,
@@ -148,7 +138,7 @@ pub trait Adversary<P: Protocol = TobProcess> {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SilentAdversary;
 
-impl<P: Protocol> Adversary<P> for SilentAdversary {
+impl Adversary for SilentAdversary {
     fn name(&self) -> &'static str {
         "silent"
     }
@@ -160,14 +150,14 @@ impl<P: Protocol> Adversary<P> for SilentAdversary {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BlackoutAdversary;
 
-impl<P: Protocol> Adversary<P> for BlackoutAdversary {
+impl Adversary for BlackoutAdversary {
     fn name(&self) -> &'static str {
         "blackout"
     }
 
     fn deliver(
         &mut self,
-        _ctx: &AdversaryCtx<'_, P>,
+        _ctx: &AdversaryCtx<'_>,
         _receiver: ProcessId,
         _available: &[&SentMessage],
     ) -> Vec<usize> {
@@ -194,12 +184,12 @@ impl EquivocatingVoter {
     }
 }
 
-impl<P: Protocol> Adversary<P> for EquivocatingVoter {
+impl Adversary for EquivocatingVoter {
     fn name(&self) -> &'static str {
         "equivocating-voter"
     }
 
-    fn send(&mut self, ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
+    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
         let Some(&leader) = ctx.corrupted.first() else {
             return Vec::new();
         };
@@ -341,12 +331,12 @@ impl JunkVoter {
     }
 }
 
-impl<P: Protocol> Adversary<P> for JunkVoter {
+impl Adversary for JunkVoter {
     fn name(&self) -> &'static str {
         "junk-voter"
     }
 
-    fn send(&mut self, ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
+    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
         let Some(&leader) = ctx.corrupted.first() else {
             return Vec::new();
         };
@@ -493,12 +483,12 @@ impl ReorgAttacker {
     }
 }
 
-impl<P: Protocol> Adversary<P> for ReorgAttacker {
+impl Adversary for ReorgAttacker {
     fn name(&self) -> &'static str {
         "reorg"
     }
 
-    fn send(&mut self, ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
+    fn send(&mut self, ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
         if !ctx.is_async() {
             return Vec::new();
         }
@@ -542,7 +532,7 @@ impl<P: Protocol> Adversary<P> for ReorgAttacker {
 
     fn deliver(
         &mut self,
-        ctx: &AdversaryCtx<'_, P>,
+        ctx: &AdversaryCtx<'_>,
         _receiver: ProcessId,
         available: &[&SentMessage],
     ) -> Vec<usize> {
@@ -559,19 +549,19 @@ impl<P: Protocol> Adversary<P> for ReorgAttacker {
     }
 }
 
-impl<P: Protocol> Adversary<P> for PartitionAttacker {
+impl Adversary for PartitionAttacker {
     fn name(&self) -> &'static str {
         "partition-split-vote"
     }
 
-    fn send(&mut self, _ctx: &AdversaryCtx<'_, P>) -> Vec<TargetedMessage> {
+    fn send(&mut self, _ctx: &AdversaryCtx<'_>) -> Vec<TargetedMessage> {
         // Pure delivery attack: corrupted processes (if any) stay silent.
         Vec::new()
     }
 
     fn deliver(
         &mut self,
-        ctx: &AdversaryCtx<'_, P>,
+        ctx: &AdversaryCtx<'_>,
         receiver: ProcessId,
         available: &[&SentMessage],
     ) -> Vec<usize> {

@@ -7,7 +7,6 @@ use crate::observer::Observer;
 use crate::runner::{SimConfig, Simulation};
 use crate::schedule::Schedule;
 use crate::workload::WorkloadSpec;
-use st_core::{Protocol, TobProcess};
 use st_types::ProcessId;
 
 /// Why a [`SimBuilder::build`] was rejected.
@@ -75,55 +74,21 @@ impl std::error::Error for BuildError {}
 ///
 /// The schedule defaults to full participation over the configured
 /// horizon; the adversary defaults to [`SilentAdversary`]; without a
-/// workload no transaction is submitted.
-///
-/// Generic over the [`Protocol`] to drive, defaulted to [`TobProcess`]:
-/// [`SimBuilder::from_config`] builds the sleepy protocol, while
-/// `SimBuilder::<P>::for_protocol_config(config)` gets the same chain,
-/// validation and observer pipeline for another implementor `P` (the
-/// lockstep tests drive st-core's literal Algorithm 1 this way). The
-/// fixed-quorum baseline is not another implementor: it is
+/// workload no transaction is submitted. The processes are
+/// [`st_core::TobProcess`]es; the fixed-quorum baseline is
 /// [`st_types::Participation::Fixed`] in the config's parameters.
-pub struct SimBuilder<P: Protocol = TobProcess> {
+pub struct SimBuilder {
     config: SimConfig,
     schedule: Option<Schedule>,
-    adversary: Box<dyn Adversary<P>>,
-    observers: Vec<Box<dyn Observer<P>>>,
+    adversary: Box<dyn Adversary>,
+    observers: Vec<Box<dyn Observer>>,
     workload: Option<WorkloadSpec>,
 }
 
 impl SimBuilder {
-    /// Starts a builder for a run of the (sleepy) protocol configured by
-    /// `config`, with full participation, a silent adversary and no
-    /// workload. For a different protocol, start from
-    /// [`SimBuilder::for_protocol_config`].
+    /// Starts a builder for the run `config` describes, with full
+    /// participation, a silent adversary and no workload.
     pub fn from_config(config: SimConfig) -> SimBuilder {
-        SimBuilder::for_protocol_config(config)
-    }
-}
-
-impl<P: Protocol> SimBuilder<P> {
-    /// Starts a builder for protocol `P` — the generic form of
-    /// [`SimBuilder::from_config`]. Name the protocol explicitly:
-    ///
-    /// ```
-    /// use st_core::TobProcess;
-    /// use st_sim::{SimBuilder, SimConfig};
-    /// use st_types::{Params, Participation};
-    ///
-    /// // The fixed-quorum baseline: the sleepy protocol grading support
-    /// // against all n processes.
-    /// let params = Params::builder(9)
-    ///     .participation(Participation::Fixed)
-    ///     .build()?;
-    /// let config = SimConfig::new(params, 7).horizon(20);
-    /// let report = SimBuilder::<TobProcess>::for_protocol_config(config)
-    ///     .build()?
-    ///     .run();
-    /// assert!(report.is_safe());
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn for_protocol_config(config: SimConfig) -> SimBuilder<P> {
         SimBuilder {
             config,
             schedule: None,
@@ -139,7 +104,7 @@ impl<P: Protocol> SimBuilder<P> {
     /// an awake honest proposer ([`WorkloadSpec::txs_every`] is the
     /// one-transaction-every-`k`-rounds workload).
     #[must_use]
-    pub fn workload_spec(mut self, spec: WorkloadSpec) -> SimBuilder<P> {
+    pub fn workload_spec(mut self, spec: WorkloadSpec) -> SimBuilder {
         self.workload = Some(spec);
         self
     }
@@ -147,14 +112,14 @@ impl<P: Protocol> SimBuilder<P> {
     /// Sets the participation/corruption [`Schedule`]. Defaults to
     /// [`Schedule::full`] over the configured horizon.
     #[must_use]
-    pub fn schedule(mut self, schedule: Schedule) -> SimBuilder<P> {
+    pub fn schedule(mut self, schedule: Schedule) -> SimBuilder {
         self.schedule = Some(schedule);
         self
     }
 
     /// Sets the adversary — typed, no `Box` required.
     #[must_use]
-    pub fn adversary(mut self, adversary: impl Adversary<P> + 'static) -> SimBuilder<P> {
+    pub fn adversary(mut self, adversary: impl Adversary + 'static) -> SimBuilder {
         self.adversary = Box::new(adversary);
         self
     }
@@ -163,7 +128,7 @@ impl<P: Protocol> SimBuilder<P> {
     /// [`SimBuilder::adversary`] when the strategy type is known
     /// statically.
     #[must_use]
-    pub fn adversary_boxed(mut self, adversary: Box<dyn Adversary<P>>) -> SimBuilder<P> {
+    pub fn adversary_boxed(mut self, adversary: Box<dyn Adversary>) -> SimBuilder {
         self.adversary = adversary;
         self
     }
@@ -172,7 +137,7 @@ impl<P: Protocol> SimBuilder<P> {
     /// monitors, in registration order, and see every [`crate::SimEvent`]
     /// of the run.
     #[must_use]
-    pub fn observer(mut self, observer: impl Observer<P> + 'static) -> SimBuilder<P> {
+    pub fn observer(mut self, observer: impl Observer + 'static) -> SimBuilder {
         self.observers.push(Box::new(observer));
         self
     }
@@ -185,7 +150,7 @@ impl<P: Protocol> SimBuilder<P> {
     /// differs from `params.n()`;
     /// [`BuildError::PartitionMemberOutOfRange`] if a timeline partition
     /// group names a process outside the system.
-    pub fn build(self) -> Result<Simulation<P>, BuildError> {
+    pub fn build(self) -> Result<Simulation, BuildError> {
         let schedule = self.schedule.unwrap_or_else(|| {
             Schedule::full(self.config.params().n(), self.config.horizon_rounds())
         });

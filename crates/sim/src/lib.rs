@@ -30,9 +30,8 @@
 //!   the run's values (parameters, seed, horizon, timeline), the builder
 //!   its pluggable parts (schedule, workload, typed adversary, user
 //!   observers), with a proper error path;
-//! * [`Simulation`] — the round loop, generic over the
-//!   [`st_core::Protocol`] it drives (defaulted to
-//!   [`st_core::TobProcess`], whose fixed-quorum baseline is
+//! * [`Simulation`] — the round loop over one [`st_core::TobProcess`] per
+//!   process (the fixed-quorum baseline is
 //!   [`st_types::Participation::Fixed`] in the run's parameters) — steppable
 //!   ([`Simulation::step`] / [`Simulation::run_until`] /
 //!   [`Simulation::finish`]) with mid-run inspection and intervention;
@@ -56,8 +55,9 @@
 //!
 //! Nothing here checks the protocol against the paper: st-core's literal
 //! Algorithm 1 (`crates/core/tests/support/literal.rs`) does, and
-//! `tests/determinism_equivalence.rs` runs it as a second
-//! `Simulation` in lockstep with the production one.
+//! `tests/determinism_equivalence.rs` has it replay each recorded run
+//! (the [`SimEvent`] stream with the per-envelope events on) and compares
+//! every process, every round.
 //!
 //! # Example: a synchronous run with churn
 //!
@@ -117,7 +117,3 @@ pub use st_load::{
     ConstantRate, Diurnal, FlashCrowd, Histogram, LatencyStats, Mempool, MempoolStats, PendingTx,
     Workload,
 };
-
-// The protocol abstraction the whole stack is generic over, re-exported
-// so simulation drivers need only this crate in scope.
-pub use st_core::Protocol;

@@ -23,20 +23,27 @@
 //! 1. [`SimEvent::RoundStart`], then one [`SimEvent::WindowEnter`] per
 //!    disruption whose window opens this round;
 //! 2. [`SimEvent::TxSubmitted`] for the round's workload (if any);
-//! 3. [`SimEvent::CorruptionChange`] if `B_r` differs from the previous
-//!    round's corrupted set;
-//! 4. one [`SimEvent::DecisionObserved`] per decision event drained from
+//! 3. [`SimEvent::EnvelopeSent`] per honest multicast, in process order;
+//! 4. [`SimEvent::CorruptionChange`] if `B_r` differs from the previous
+//!    round's corrupted set, then [`SimEvent::EnvelopeSent`] per message
+//!    the adversary authored;
+//! 5. one [`SimEvent::DecisionObserved`] per decision event drained from
 //!    a well-behaved process, each directly followed by the
 //!    [`SimEvent::Violation`]s it triggered: the monitors push those into
 //!    [`Observer::on_event`]'s `emit`, and the round loop forwards what
 //!    one event's handlers emitted to every observer before it narrates
 //!    the next event;
-//! 5. [`SimEvent::EnvelopeDelivered`] per honest delivery — only
-//!    generated when some registered observer returns `true` from
-//!    [`Observer::wants_delivery_events`], so the fast path pays nothing
-//!    by default;
-//! 6. one [`SimEvent::WindowExit`] per disruption whose window closed
+//! 6. [`SimEvent::EnvelopeDelivered`] per delivery, receiver by receiver:
+//!    the honest receivers first, then the corrupted machines' feed;
+//! 7. one [`SimEvent::WindowExit`] per disruption whose window closed
 //!    this round, then [`SimEvent::RoundEnd`].
+//!
+//! The two per-envelope events are generated only when some registered
+//! observer returns `true` from [`Observer::wants_delivery_events`], so
+//! the fast path pays nothing by default. With them, the stream and the
+//! schedule record the whole run: what each process was submitted (the
+//! round's honest awake processes get every `TxSubmitted`), sent and
+//! received, in order.
 
 use crate::env::{Disruption, EnvView, Timeline};
 use crate::metrics::{RoundSample, RoundTrace};
@@ -45,7 +52,8 @@ use crate::monitor::{
 };
 use crate::schedule::Schedule;
 use st_blocktree::BlockTree;
-use st_core::{DecisionEvent, Protocol, TobProcess};
+use st_core::{DecisionEvent, TobProcess};
+use st_messages::SharedEnvelope;
 use st_types::{BlockId, FastSet, ProcessId, Round, TxId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,15 +61,12 @@ use std::rc::Rc;
 /// Read-only view of the execution handed to every observer call: the
 /// full-knowledge vantage point the paper's monitors have (every process's
 /// state, the schedule, and a tree of every decided chain).
-///
-/// Generic over the [`Protocol`] being observed, defaulted to
-/// [`TobProcess`] so sleepy-protocol probes read exactly as before.
-pub struct ObsCtx<'a, P: Protocol = TobProcess> {
+pub struct ObsCtx<'a> {
     /// The environment at the current round (segment kind, window offsets,
     /// partition overlay).
     pub env: EnvView,
     /// Every process's state, read-only.
-    pub processes: &'a [P],
+    pub processes: &'a [TobProcess],
     /// The participation/corruption schedule.
     pub schedule: &'a Schedule,
     /// The union of the well-behaved processes' decided chains: a
@@ -131,14 +136,27 @@ pub enum SimEvent {
         /// The decision.
         decision: DecisionEvent,
     },
-    /// An envelope reached an honest receiver (generated only when some
-    /// observer opted in via [`Observer::wants_delivery_events`]; the
-    /// corrupted machines' full-knowledge feed is not reported).
+    /// An envelope entered the network pool: an honest process's
+    /// multicast, or a message the adversary authored for a corrupted
+    /// one (generated only when some observer opted in via
+    /// [`Observer::wants_delivery_events`]).
+    EnvelopeSent {
+        /// The pool's handle to the envelope; its payload names the
+        /// sender.
+        envelope: SharedEnvelope,
+    },
+    /// An envelope reached a receiver (generated only when some observer
+    /// opted in via [`Observer::wants_delivery_events`]).
     EnvelopeDelivered {
         /// The receiving process.
         receiver: ProcessId,
-        /// The original sender.
-        sender: ProcessId,
+        /// The pool's handle to the envelope; its payload names the
+        /// sender.
+        envelope: SharedEnvelope,
+        /// Whether `receiver` is a corrupted machine. Those are fed the
+        /// whole pool every round (the full-knowledge adversary's view),
+        /// and [`SimEvent::RoundEnd`]'s `delivered` does not count them.
+        corrupted: bool,
     },
     /// A monitor flagged a violation of one of the paper's definitions.
     Violation {
@@ -173,25 +191,26 @@ pub enum SimEvent {
 /// keeps forwarding until nothing more is emitted — so an observer must
 /// not emit in response to emitted events without a termination
 /// condition.
-pub trait Observer<P: Protocol = TobProcess> {
-    /// Opt-in for per-envelope [`SimEvent::EnvelopeDelivered`] events.
-    /// The default `false` keeps the zero-copy delivery fast path free of
-    /// per-envelope event construction; return `true` only if the
-    /// observer actually consumes deliveries (checked once at build).
+pub trait Observer {
+    /// Opt-in for the per-envelope [`SimEvent::EnvelopeSent`] and
+    /// [`SimEvent::EnvelopeDelivered`] events. The default `false` keeps
+    /// the zero-copy delivery fast path free of per-envelope event
+    /// construction; return `true` only if the observer actually consumes
+    /// them (checked once at build).
     fn wants_delivery_events(&self) -> bool {
         false
     }
 
     /// Handles one event; events to publish to every observer go into
     /// `emit`.
-    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, emit: &mut Vec<SimEvent>);
+    fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, emit: &mut Vec<SimEvent>);
 
     /// Contribute this observer's findings to the final report. Built-in
     /// observers fill the [`SimReport`] fields they own; user observers
     /// typically keep their conclusions internal (the report's shape is
     /// fixed), but may post-process fields already filled by the
     /// built-ins, which always run first.
-    fn finish(&mut self, ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
+    fn finish(&mut self, ctx: &ObsCtx<'_>, report: &mut SimReport) {
         let _ = (ctx, report);
     }
 }
@@ -207,8 +226,8 @@ pub(crate) struct SafetyObserver {
     monitor: SafetyMonitor,
 }
 
-impl<P: Protocol> Observer<P> for SafetyObserver {
-    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, emit: &mut Vec<SimEvent>) {
+impl Observer for SafetyObserver {
+    fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, emit: &mut Vec<SimEvent>) {
         let SimEvent::DecisionObserved { process, decision } = *event else {
             return;
         };
@@ -224,7 +243,7 @@ impl<P: Protocol> Observer<P> for SafetyObserver {
         }
     }
 
-    fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
+    fn finish(&mut self, _ctx: &ObsCtx<'_>, report: &mut SimReport) {
         report.safety_violations = std::mem::take(&mut self.monitor.violations);
     }
 }
@@ -263,8 +282,8 @@ impl ResilienceObserver {
     }
 }
 
-impl<P: Protocol> Observer<P> for ResilienceObserver {
-    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, emit: &mut Vec<SimEvent>) {
+impl Observer for ResilienceObserver {
+    fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, emit: &mut Vec<SimEvent>) {
         let SimEvent::DecisionObserved { process, decision } = *event else {
             return;
         };
@@ -285,7 +304,7 @@ impl<P: Protocol> Observer<P> for ResilienceObserver {
         }
     }
 
-    fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
+    fn finish(&mut self, _ctx: &ObsCtx<'_>, report: &mut SimReport) {
         report.recoveries = self
             .disruptions
             .iter()
@@ -327,7 +346,7 @@ impl TxLedger {
 
     /// Refreshes the decided-log cache and the inclusion marks at the end
     /// of `round`.
-    fn round_end<P: Protocol>(&mut self, ctx: &ObsCtx<'_, P>, round: Round) {
+    fn round_end(&mut self, ctx: &ObsCtx<'_>, round: Round) {
         if self.txs.is_empty() {
             return;
         }
@@ -339,20 +358,12 @@ impl TxLedger {
             if *cached == tip {
                 continue;
             }
-            // A decided tip only moves to a descendant (`Protocol::
-            // decided_tip`), so the cache grows by the newly decided
-            // blocks; a tip that does not extend it is rebuilt from genesis
-            // and reported as it stands.
-            if tree.is_ancestor(*cached, tip) {
-                let fresh = tree.chain(tip).take_while(|&b| b != *cached);
-                set.extend(
-                    fresh
-                        .filter_map(|b| tree.block(b))
-                        .flat_map(|b| b.payload().iter().copied()),
-                );
-            } else {
-                *set = tree.log_transactions(tip).into_iter().collect();
-            }
+            // A decided tip only moves to a descendant
+            // (`TobProcess::decided_tip`), so the cache grows by the
+            // newly decided blocks.
+            let fresh = tree.chain(tip).take_while(|&b| b != *cached);
+            let fresh = fresh.filter_map(|b| tree.block(b));
+            set.extend(fresh.flat_map(|b| b.payload().iter().copied()));
             *cached = tip;
         }
         let awake_next: Vec<ProcessId> = ctx.schedule.honest_awake(next).into_iter().collect();
@@ -385,8 +396,8 @@ impl TxLedger {
     }
 }
 
-impl<P: Protocol> Observer<P> for TxLedger {
-    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+impl Observer for TxLedger {
+    fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         match *event {
             SimEvent::TxSubmitted { tx, round } => self.txs.push(TxRecord {
                 tx,
@@ -399,7 +410,7 @@ impl<P: Protocol> Observer<P> for TxLedger {
         }
     }
 
-    fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
+    fn finish(&mut self, _ctx: &ObsCtx<'_>, report: &mut SimReport) {
         report.txs = std::mem::take(&mut self.txs);
     }
 }
@@ -423,8 +434,8 @@ impl DecisionLedger {
     }
 }
 
-impl<P: Protocol> Observer<P> for DecisionLedger {
-    fn on_event(&mut self, _ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+impl Observer for DecisionLedger {
+    fn on_event(&mut self, _ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         match event {
             SimEvent::DecisionObserved { process, .. } => {
                 self.observed[process.index()] += 1;
@@ -438,7 +449,7 @@ impl<P: Protocol> Observer<P> for DecisionLedger {
         }
     }
 
-    fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
+    fn finish(&mut self, _ctx: &ObsCtx<'_>, report: &mut SimReport) {
         report.decisions_total = self.observed.iter().sum();
         report.per_process_decisions = std::mem::take(&mut self.observed);
         report.deciding_rounds = self.deciding_rounds;
@@ -455,9 +466,9 @@ pub(crate) struct TraceObserver {
 
 impl TraceObserver {
     /// Appends the sample of the round that just ended.
-    fn sample<P: Protocol>(
+    fn sample(
         &mut self,
-        ctx: &ObsCtx<'_, P>,
+        ctx: &ObsCtx<'_>,
         round: Round,
         delivered: usize,
         tally_cache_hits: u64,
@@ -492,8 +503,8 @@ impl TraceObserver {
     }
 }
 
-impl<P: Protocol> Observer<P> for TraceObserver {
-    fn on_event(&mut self, ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+impl Observer for TraceObserver {
+    fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         match *event {
             SimEvent::RoundStart { .. } => {
                 self.messages_at_round_start = ctx.messages_sent;
@@ -510,7 +521,7 @@ impl<P: Protocol> Observer<P> for TraceObserver {
         }
     }
 
-    fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
+    fn finish(&mut self, _ctx: &ObsCtx<'_>, report: &mut SimReport) {
         report.timeline = std::mem::take(&mut self.trace);
     }
 }
@@ -523,7 +534,7 @@ pub type DecisionLog = Rc<RefCell<Vec<Vec<DecisionEvent>>>>;
 /// reading *after* the run: **the** way to keep decisions past a
 /// [`crate::Simulation`].
 ///
-/// [`Protocol::drain_decisions`] is the only way to read a process's
+/// [`TobProcess::drain_decisions`] is the only way to read a process's
 /// decisions, and the round loop drains every process every round (so
 /// per-process event storage stays bounded on long horizons). Once a run
 /// is over the processes hold no decisions; everything went into the
@@ -562,8 +573,8 @@ impl DecisionTap {
     }
 }
 
-impl<P: Protocol> Observer<P> for DecisionTap {
-    fn on_event(&mut self, _ctx: &ObsCtx<'_, P>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+impl Observer for DecisionTap {
+    fn on_event(&mut self, _ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         if let SimEvent::DecisionObserved { process, decision } = *event {
             self.log.borrow_mut()[process.index()].push(decision);
         }

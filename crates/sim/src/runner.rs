@@ -28,9 +28,9 @@ use crate::observer::{
 use crate::schedule::Schedule;
 use crate::workload::{WorkloadInjector, WorkloadSpec};
 use st_blocktree::BlockTree;
-use st_core::{Protocol, TobConfig, TobProcess};
+use st_core::{TobConfig, TobProcess};
 use st_crypto::Keypair;
-use st_messages::SharedEnvelope;
+use st_messages::{Envelope, SharedEnvelope};
 use st_types::FastSet;
 use st_types::{BlockId, Params, ProcessId, Round, TxId};
 use std::collections::BTreeMap;
@@ -100,20 +100,12 @@ impl SimConfig {
 /// [`Simulation::run`], or drive it round by round with
 /// [`Simulation::step`] / [`Simulation::run_until`] and close with
 /// [`Simulation::finish`].
-///
-/// Generic over the [`Protocol`] being driven, defaulted to the sleepy
-/// protocol's [`TobProcess`] — `Simulation` without a parameter is the
-/// exact type every pre-existing caller names. The round loop touches
-/// processes only through the [`Protocol`] surface, so any implementor
-/// (st-core's literal Algorithm 1, in the lockstep tests) runs under the
-/// same schedules, network pool, environment timeline and adversarial
-/// delivery.
-pub struct Simulation<P: Protocol = TobProcess> {
+pub struct Simulation {
     config: SimConfig,
     tob_config: TobConfig,
     schedule: Schedule,
-    adversary: Box<dyn Adversary<P>>,
-    procs: Vec<P>,
+    adversary: Box<dyn Adversary>,
+    procs: Vec<TobProcess>,
     keypairs: Vec<Keypair>,
     network: Network,
     /// The union of the well-behaved processes' decided chains: what the
@@ -123,10 +115,11 @@ pub struct Simulation<P: Protocol = TobProcess> {
     /// resilience, tx ledger, decision ledger, round trace) in fixed
     /// order, then user observers in registration order. The final
     /// [`SimReport`] is assembled from these at [`Simulation::finish`].
-    observers: Vec<Box<dyn Observer<P>>>,
-    /// Whether any registered observer opted into per-envelope
-    /// [`SimEvent::EnvelopeDelivered`] events (checked once at build so
-    /// the zero-copy delivery path stays event-free by default).
+    observers: Vec<Box<dyn Observer>>,
+    /// Whether any registered observer opted into the per-envelope
+    /// [`SimEvent::EnvelopeSent`] and [`SimEvent::EnvelopeDelivered`]
+    /// events (checked once at build so the send and delivery paths stay
+    /// event-free by default).
     wants_deliveries: bool,
     /// One disruption per timeline window/partition (start order) —
     /// drives the `WindowEnter`/`WindowExit` events.
@@ -150,11 +143,7 @@ pub struct Simulation<P: Protocol = TobProcess> {
 /// whatever that dispatch emitted (violations, mostly) the same way —
 /// each emitted event right after the event that caused it — until
 /// nothing more is emitted.
-fn dispatch<P: Protocol>(
-    observers: &mut [Box<dyn Observer<P>>],
-    ctx: &ObsCtx<'_, P>,
-    event: &SimEvent,
-) {
+fn dispatch(observers: &mut [Box<dyn Observer>], ctx: &ObsCtx<'_>, event: &SimEvent) {
     let mut emitted = Vec::new();
     for o in observers.iter_mut() {
         o.on_event(ctx, event, &mut emitted);
@@ -236,16 +225,16 @@ enum DeliveryPlan {
     Deadline { delta: u64, early: Vec<usize> },
 }
 
-impl<P: Protocol> Simulation<P> {
+impl Simulation {
     /// Validates and assembles a simulation (the [`crate::SimBuilder`]
     /// back end).
     pub(crate) fn assemble(
         config: SimConfig,
         schedule: Schedule,
-        adversary: Box<dyn Adversary<P>>,
-        user_observers: Vec<Box<dyn Observer<P>>>,
+        adversary: Box<dyn Adversary>,
+        user_observers: Vec<Box<dyn Observer>>,
         workload: Option<WorkloadSpec>,
-    ) -> Result<Simulation<P>, BuildError> {
+    ) -> Result<Simulation, BuildError> {
         let n = config.params.n();
         if schedule.n() != n {
             return Err(BuildError::ScheduleMismatch {
@@ -259,14 +248,14 @@ impl<P: Protocol> Simulation<P> {
             }
         }
         let tob_config = TobConfig::new(config.params, config.seed);
-        let procs: Vec<P> = ProcessId::all(n)
-            .map(|p| P::new(p, tob_config.clone()))
+        let procs: Vec<TobProcess> = ProcessId::all(n)
+            .map(|p| TobProcess::new(p, tob_config.clone()))
             .collect();
         let keypairs: Vec<Keypair> = ProcessId::all(n)
             .map(|p| Keypair::derive(p, config.seed))
             .collect();
         let disruptions = config.timeline.disruptions();
-        let mut observers: Vec<Box<dyn Observer<P>>> = vec![
+        let mut observers: Vec<Box<dyn Observer>> = vec![
             Box::new(SafetyObserver::default()),
             Box::new(ResilienceObserver::new(&config.timeline)),
             Box::new(TxLedger::new(n)),
@@ -369,7 +358,7 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Read-only view of every process's state (mid-run inspection).
-    pub fn processes(&self) -> &[P] {
+    pub fn processes(&self) -> &[TobProcess] {
         &self.procs
     }
 
@@ -389,7 +378,7 @@ impl<P: Protocol> Simulation<P> {
         let honest = self.schedule.honest_awake(round);
         let tallies = self.share_tallies(round, &honest);
 
-        self.send_honest(round, &honest);
+        self.send_honest(round, env, &honest);
         self.send_corrupted(round, env, &corrupted);
 
         // Decisions happen in step_send.
@@ -473,7 +462,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Shared once-per-round tally: every honest awake process looks its
     /// tally-relevant state up in one round-scoped memo
-    /// ([`Protocol::share_tally`]); the first process with a given state
+    /// ([`TobProcess::share_tally`]); the first process with a given state
     /// computes the tally, everyone else with that state adopts it, and
     /// `step_send` consumes it instead of recomputing. The certificate is
     /// content equality alone — the tally is a function of the vote
@@ -481,8 +470,8 @@ impl<P: Protocol> Simulation<P> {
     /// digests the first two — so it holds in every kind of round
     /// (synchronous, asynchronous, bounded-delay, partitioned) and for
     /// any delivery history; st-sim's `determinism_equivalence` tests
-    /// check every consumed tally against the literal Algorithm 1 run in
-    /// lockstep. Returns the round's `(hits, misses)`: the
+    /// check every consumed tally against the literal Algorithm 1
+    /// replaying the recorded run. Returns the round's `(hits, misses)`: the
     /// processes that adopted a memoised tally and those that computed
     /// one (both zero in round 0, which has no tally).
     fn share_tallies(&mut self, round: Round, honest: &[ProcessId]) -> (u64, u64) {
@@ -497,13 +486,26 @@ impl<P: Protocol> Simulation<P> {
         (hits, honest.len() as u64 - hits)
     }
 
-    /// Send phase, honest processes: each envelope moves into one shared
-    /// pool allocation (the process already recorded its own multicast
-    /// locally).
-    fn send_honest(&mut self, round: Round, honest: &[ProcessId]) {
+    /// Moves one envelope into the network pool as one shared allocation,
+    /// narrating it when an observer opted in.
+    fn send(&mut self, round: Round, env: EnvView, recipients: Recipients, envelope: Envelope) {
+        let sender = envelope.payload().sender();
+        let envelope = SharedEnvelope::new(envelope);
+        if self.wants_deliveries {
+            let event = SimEvent::EnvelopeSent {
+                envelope: envelope.clone(),
+            };
+            self.narrate(env, event);
+        }
+        self.network.send(round, sender, recipients, envelope);
+    }
+
+    /// Send phase, honest processes: each multicast goes to the pool (the
+    /// process already recorded its own multicast locally).
+    fn send_honest(&mut self, round: Round, env: EnvView, honest: &[ProcessId]) {
         for &p in honest {
-            for env in self.procs[p.index()].step_send(round) {
-                self.network.send(round, p, Recipients::All, env);
+            for envelope in self.procs[p.index()].step_send(round) {
+                self.send(round, env, Recipients::All, envelope);
             }
         }
     }
@@ -541,8 +543,7 @@ impl<P: Protocol> Simulation<P> {
                 corrupted.contains(&sender),
                 "adversary attempted to send as uncorrupted {sender}"
             );
-            self.network
-                .send(round, sender, msg.recipients, msg.envelope);
+            self.send(round, env, msg.recipients, msg.envelope);
         }
     }
 
@@ -556,45 +557,50 @@ impl<P: Protocol> Simulation<P> {
             .filter(|&p| self.schedule.is_awake(p, next) && !self.schedule.is_byzantine(p, next))
             .collect();
         let plans = self.plan_deliveries(round, env, corrupted, &receivers);
+        // Corrupted machines receive everything regardless of the round's
+        // synchrony — the full-knowledge adversary already sees the whole
+        // pool, so feeding its machines the complete traffic models that
+        // knowledge (and keeps their delivery cursors advancing, which is
+        // what lets the pool compact under static corruption). Narrated
+        // as such, and not counted.
+        let feed = self.schedule.byzantine(next);
+        let honest = receivers
+            .into_iter()
+            .zip(plans)
+            .map(|(p, plan)| (p, plan, false));
+        let corrupted = feed.into_iter().map(|p| (p, DeliveryPlan::Sweep, true));
 
         let messages_sent = self.network.messages_sent();
         let mut delivered = 0usize;
-        for (&p, plan) in receivers.iter().zip(plans) {
+        for (p, plan, corrupted) in honest.chain(corrupted) {
             let receive = |envelope: &SharedEnvelope| {
                 self.procs[p.index()].on_receive_shared(envelope);
                 if self.wants_deliveries {
                     let ctx = obs_ctx!(self, env, messages_sent);
                     let event = SimEvent::EnvelopeDelivered {
                         receiver: p,
-                        sender: envelope.payload().sender(),
+                        envelope: envelope.clone(),
+                        corrupted,
                     };
                     dispatch(&mut self.observers, &ctx, &event);
                 }
             };
-            let batch = match plan {
-                DeliveryPlan::Sweep => {
-                    delivered += self.network.deliver_sync_with(p, round, receive);
-                    continue;
+            let count = match plan {
+                DeliveryPlan::Sweep => self.network.deliver_sync_with(p, round, receive),
+                DeliveryPlan::Marked(chosen) => {
+                    let batch = self.network.deliver_async(p, round, &chosen);
+                    batch.iter().for_each(receive);
+                    batch.len()
                 }
-                DeliveryPlan::Marked(chosen) => self.network.deliver_async(p, round, &chosen),
                 DeliveryPlan::Deadline { delta, early } => {
-                    self.network.deliver_bounded(p, round, delta, &early)
+                    let batch = self.network.deliver_bounded(p, round, delta, &early);
+                    batch.iter().for_each(receive);
+                    batch.len()
                 }
             };
-            batch.iter().for_each(receive);
-            delivered += batch.len();
-        }
-
-        // Corrupted machines receive everything regardless of the round's
-        // synchrony — the full-knowledge adversary already sees the whole
-        // pool, so feeding its machines the complete traffic models that
-        // knowledge (and keeps their delivery cursors advancing, which is
-        // what lets the pool compact under static corruption). Not
-        // counted and not narrated.
-        for p in self.schedule.byzantine(next) {
-            let machine = &mut self.procs[p.index()];
-            self.network
-                .deliver_sync_with(p, round, |envelope| machine.on_receive_shared(envelope));
+            if !corrupted {
+                delivered += count;
+            }
         }
         delivered
     }

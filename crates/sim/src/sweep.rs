@@ -2,7 +2,6 @@
 
 use crate::monitor::SimReport;
 use crate::runner::Simulation;
-use st_core::Protocol;
 
 /// A deterministic cartesian sweep over configuration cells.
 ///
@@ -144,10 +143,7 @@ impl<C: Sync> Sweep<C> {
     }
 
     /// Builds one [`Simulation`] per cell, runs them all, and returns the
-    /// collected reports with aggregate helpers. Generic over the
-    /// [`Protocol`] the cells drive (inferred from the builder closure;
-    /// the default [`crate::SimBuilder`] chain pins it to the sleepy
-    /// protocol).
+    /// collected reports with aggregate helpers.
     ///
     /// A head-to-head is two calls on one sweep: the cells and per-cell
     /// seeds are the same on both sides by construction, so building both
@@ -173,10 +169,9 @@ impl<C: Sync> Sweep<C> {
     /// let (sleepy, fixed) = (side(Participation::Perceived), side(Participation::Fixed));
     /// assert!(sleepy.reports[0].decisions_total > fixed.reports[0].decisions_total);
     /// ```
-    pub fn run_reports<P, F>(&self, build: F) -> SweepReports
+    pub fn run_reports<F>(&self, build: F) -> SweepReports
     where
-        P: Protocol,
-        F: Fn(&C, u64) -> Simulation<P> + Sync,
+        F: Fn(&C, u64) -> Simulation + Sync,
     {
         SweepReports {
             reports: self.run(|cell, seed| build(cell, seed).run()),

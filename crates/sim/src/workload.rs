@@ -31,7 +31,6 @@ use crate::monitor::SimReport;
 use crate::observer::{ObsCtx, Observer, SimEvent};
 use crate::schedule::Schedule;
 use serde::Serialize;
-use st_core::Protocol;
 use st_load::{Histogram, Mempool, PendingTx, Workload};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -206,10 +205,10 @@ pub(crate) struct WorkloadLedger {
     clients: usize,
 }
 
-impl<P: Protocol> Observer<P> for WorkloadLedger {
-    fn on_event(&mut self, _ctx: &ObsCtx<'_, P>, _event: &SimEvent, _emit: &mut Vec<SimEvent>) {}
+impl Observer for WorkloadLedger {
+    fn on_event(&mut self, _ctx: &ObsCtx<'_>, _event: &SimEvent, _emit: &mut Vec<SimEvent>) {}
 
-    fn finish(&mut self, _ctx: &ObsCtx<'_, P>, report: &mut SimReport) {
+    fn finish(&mut self, _ctx: &ObsCtx<'_>, report: &mut SimReport) {
         let mempool = self.mempool.borrow();
         let stats = mempool.stats();
         let w = &mut report.workload;

@@ -1,38 +1,37 @@
 //! Guards for the simulator's single execution path.
 //!
-//! * **Lockstep with the literal Algorithm 1** — the paper's one rule
+//! * **Replayed by the literal Algorithm 1** — the paper's one rule
 //!   ("tally the latest unexpired votes from `[r − 1 − η, r − 1]`") is
 //!   computed in production once per distinct tally state per round (a
 //!   memo keyed by a digest of the vote store and the block tree), from a
-//!   process's incremental `SupportIndex`. Every grid cell here runs twice,
-//!   as `Simulation<TobProcess>` on the zero-copy path the benchmarks run
-//!   and as `Simulation<LiteralProcess>` (st-core's
-//!   `tests/support/literal.rs`, which shares and memoises nothing),
-//!   stepped in lockstep: after every round each process's consumed tally
-//!   is equal on both sides, and the final reports are equal but for the
-//!   tally memo's hit and miss counts. (A memo pre-seeded with a wrong
-//!   tally is caught by st-core's `literal_differential.rs`.)
+//!   process's incremental `SupportIndex`. Every grid cell here runs once,
+//!   on the zero-copy path the benchmarks run, with a recorder on; st-core's
+//!   `LiteralProcess` (`tests/support/literal.rs`, which shares and
+//!   memoises nothing) replays what each process submitted, stepped and
+//!   received (`support/replay.rs`). After every round each process's
+//!   consumed tally, decided tip and admitted bodies equal its literal
+//!   twin's, and an honest process's sends and decisions are equal too,
+//!   the sends byte for byte. (A memo pre-seeded with a wrong tally is
+//!   caught by st-core's `literal_differential.rs`.)
 //! * **Byte identity** — spellings that must not change a report byte:
-//!   with vs without user observers, explicit vs defaulted protocol
-//!   parameter, `WorkloadSpec::txs_every` vs the equivalent open-loop
-//!   workload. (`step()` vs `run()`: the golden cells here are stepped
-//!   and must match digests the facade's `golden_reports.rs` computes
-//!   with `run()`; `stepping_equivalence.rs` draws random split points.)
+//!   with vs without user observers (the recorder among them),
+//!   `WorkloadSpec::txs_every` vs the equivalent open-loop workload.
+//!   (`step()` vs `run()`: the golden cells here are stepped and must
+//!   match digests the facade's `golden_reports.rs` computes with
+//!   `run()`; `stepping_equivalence.rs` draws random split points.)
 //! * **Golden digests** — every cell of the golden table
-//!   (`support::golden_cells`), run in lockstep with the literal, digests
-//!   to its line in the committed `golden/report_digests.txt`. A change to
-//!   any report byte fails here and prints the whole new file.
+//!   (`support::golden_cells`), replayed by the literal, digests to its
+//!   line in the committed `golden/report_digests.txt`. A change to any
+//!   report byte fails here and prints the whole new file.
 //!   `hasher_perturbation.rs` checks the same table under perturbed
 //!   FxHash seeds, and the facade's Tier-1 `tests/golden_reports.rs`
 //!   without the literal.
 
-#[path = "support/lockstep.rs"]
-mod lockstep;
+#[path = "support/replay.rs"]
+mod replay;
 mod support;
 
-use lockstep::literal::LiteralProcess;
-use lockstep::lockstep;
-use st_core::TobProcess;
+use replay::{replay, Recorder};
 use st_sim::{
     ChurnOptions, ConstantRate, Schedule, SimBuilder, SimConfig, SimReport, Timeline, WorkloadSpec,
 };
@@ -41,7 +40,15 @@ use support::{
     adversary, assert_golden, golden_cells, golden_line, guard_config, guard_grid, params, schedule,
 };
 
-const ADVERSARIES: [&str; 5] = ["silent", "blackout", "partition", "reorg", "equivocator"];
+const ADVERSARIES: [&str; 7] = [
+    "silent",
+    "blackout",
+    "partition",
+    "reorg",
+    "equivocator",
+    "withhold",
+    "junk",
+];
 
 /// Per-round sleep probabilities the sharing property draws from.
 const CHURN_RATES: [f64; 4] = [0.0, 0.05, 0.15, 0.3];
@@ -50,27 +57,19 @@ const CHURN_RATES: [f64; 4] = [0.0, 0.05, 0.15, 0.3];
 /// in a debug build.
 const CASES: u32 = 400;
 
-/// Runs one cell, with one transaction every `txs_every` rounds, in
-/// lockstep with the literal.
-fn run_in_lockstep(
+/// Runs one cell, with one transaction every `txs_every` rounds, replayed
+/// by the literal.
+fn run_replayed(
     config: SimConfig,
     txs_every: u64,
     sched: Schedule,
     adv: &str,
 ) -> (SimReport, usize) {
-    let tob = SimBuilder::<TobProcess>::for_protocol_config(config.clone())
-        .workload_spec(WorkloadSpec::txs_every(txs_every))
-        .schedule(sched.clone())
-        .adversary_boxed(adversary(adv))
-        .build()
-        .expect("valid sim");
-    let lit = SimBuilder::<LiteralProcess>::for_protocol_config(config)
+    let builder = SimBuilder::from_config(config)
         .workload_spec(WorkloadSpec::txs_every(txs_every))
         .schedule(sched)
-        .adversary_boxed(adversary(adv))
-        .build()
-        .expect("valid sim");
-    lockstep(tob, lit, adv)
+        .adversary_boxed(adversary(adv));
+    replay(builder, adv)
 }
 
 /// **Production ≡ literal** on every cell of the golden table, and the
@@ -78,16 +77,32 @@ fn run_in_lockstep(
 /// multi-window asynchrony, bounded delay and partitions all make states
 /// diverge, so both memo hits and misses are exercised.
 #[test]
-fn golden_cells_match_the_literal_in_lockstep() {
+fn golden_cells_match_the_literal_replay() {
     let mut lines = Vec::new();
     for cell in golden_cells() {
-        let tob = cell.builder().build().expect("valid sim");
-        let lit = cell.builder().build().expect("valid sim");
-        let (report, checked) = lockstep(tob, lit, &cell.label);
-        assert!(checked > 0, "nothing compared for {}", cell.label);
+        let (report, _) = replay(cell.builder(), &cell.label);
         lines.push(golden_line(&cell.label, &report));
     }
     assert_golden(&lines);
+}
+
+/// The two adversaries outside the golden table, over the guard grid's
+/// schedules, replayed: `WithholdingLeader` (proposals extending the
+/// tallest honest vote, shown to half the processes) and `JunkVoter`
+/// (every corrupted process votes for one block off genesis, every round).
+#[test]
+fn withholding_and_junk_adversaries_match_the_literal_replay() {
+    for adv in ["withhold", "junk"] {
+        for (_, sched, eta, t, seed) in guard_grid() {
+            let config = guard_config(eta, &t, seed);
+            let label = format!("{adv}/{sched}/eta{eta}/seed{seed}");
+            let builder = SimBuilder::from_config(config)
+                .workload_spec(WorkloadSpec::txs_every(4))
+                .schedule(schedule(sched, 10, 28))
+                .adversary_boxed(adversary(adv));
+            replay(builder, &label);
+        }
+    }
 }
 
 /// An explicitly all-synchronous timeline is the same run as the seed's
@@ -147,9 +162,10 @@ impl st_sim::Observer for CountingProbe {
     }
 }
 
-/// **Observer-vs-seed equivalence**: registering a user observer — even
-/// one that opts into per-envelope delivery events, forcing the
-/// event-generating delivery path — must not change a single report byte
+/// **Observer-vs-seed equivalence**: registering user observers — even
+/// ones that opt into the per-envelope events, forcing the
+/// event-generating send and delivery paths, and the replay's recorder,
+/// which keeps every event — must not change a single report byte
 /// relative to the observer-less run (the seed behaviour).
 #[test]
 fn user_observers_do_not_change_the_report() {
@@ -165,6 +181,7 @@ fn user_observers_do_not_change_the_report() {
             .schedule(schedule(sched, 10, 28))
             .adversary_boxed(adversary(adv))
             .observer(CountingProbe::default())
+            .observer(Recorder::default())
             .run();
         assert_eq!(
             serde_json::to_string(&bare).unwrap(),
@@ -174,46 +191,15 @@ fn user_observers_do_not_change_the_report() {
     }
 }
 
-/// **Generic-runner equivalence**: `Simulation` / `SimBuilder` are
-/// generic over the protocol with `TobProcess` as the default. Naming
-/// the protocol explicitly (`SimBuilder::<TobProcess>::for_protocol_config`,
-/// the path every non-default protocol takes through the runner) must
-/// be byte-identical to the defaulted `SimBuilder::from_config` — i.e.
-/// the genericization added no observable behaviour. Runs
-/// over the full (adversary × schedule × η × timeline) guard grid.
-#[test]
-fn explicit_protocol_parameterisation_matches_defaulted_alias() {
-    use st_core::TobProcess;
-    for (adv, sched, eta, t, seed) in guard_grid() {
-        let config = guard_config(eta, &t, seed);
-        let defaulted = SimBuilder::from_config(config.clone())
-            .workload_spec(WorkloadSpec::txs_every(4))
-            .schedule(schedule(sched, 10, 28))
-            .adversary_boxed(adversary(adv))
-            .run();
-        let explicit = SimBuilder::<TobProcess>::for_protocol_config(config)
-            .workload_spec(WorkloadSpec::txs_every(4))
-            .schedule(schedule(sched, 10, 28))
-            .adversary_boxed(adversary(adv))
-            .run();
-        assert_eq!(
-            serde_json::to_string(&defaulted).unwrap(),
-            serde_json::to_string(&explicit).unwrap(),
-            "generic runner diverged from the defaulted alias for \
-             adversary={adv} schedule={sched} eta={eta}"
-        );
-    }
-}
-
 /// **Non-vacuity**: on a full-participation cell every (process,
 /// round ≥ 1) tally was compared, and almost all of them were adopted
 /// from the round's memo (one computed tally per round, `n − 1` hits) —
 /// a clean verdict above really is about shared tallies.
 #[test]
-fn lockstep_checks_every_step_and_the_cache_actually_shares() {
+fn replay_checks_every_step_and_the_cache_actually_shares() {
     let (n, horizon) = (8, 30);
     let config = SimConfig::new(params(n, 2), 1).horizon(horizon);
-    let (report, checked) = run_in_lockstep(config, 4, Schedule::full(n, horizon), "silent");
+    let (report, checked) = run_replayed(config, 4, Schedule::full(n, horizon), "silent");
     assert_eq!(checked, n * horizon as usize);
     let rate = report.timeline.tally_cache_hit_rate();
     assert!(
@@ -281,8 +267,7 @@ proptest::proptest! {
         let config = SimConfig::new(params(n, eta), seed)
             .horizon(horizon)
             .timeline(timeline);
-        let (_, checked) = run_in_lockstep(config, 3, sched, ADVERSARIES[adv]);
-        proptest::prop_assert!(checked > 0);
+        run_replayed(config, 3, sched, ADVERSARIES[adv]);
     }
 }
 

@@ -34,7 +34,7 @@ const PERTURBED_SEEDS: [u64; 4] = [
 fn golden_lines() -> Vec<String> {
     golden_cells()
         .iter()
-        .map(|cell| golden_line(&cell.label, &cell.builder::<st_core::TobProcess>().run()))
+        .map(|cell| golden_line(&cell.label, &cell.builder().run()))
         .collect()
 }
 

@@ -1,6 +1,6 @@
 //! Behavioural tests of the event-driven driving API: the `SimEvent`
 //! stream an [`Observer`] sees and the order emitted events join it in,
-//! the delivery-event opt-in gate, and mid-run interventions through the
+//! the per-envelope opt-in gate, and mid-run interventions through the
 //! stepping surface.
 
 use std::cell::RefCell;
@@ -27,7 +27,10 @@ struct Seen {
     window_enters: Vec<(usize, u64)>,
     window_exits: Vec<(usize, u64)>,
     decisions: usize,
+    sends: usize,
     deliveries: usize,
+    /// The corrupted machines' feed: (round, receiver) per delivery.
+    fed: Vec<(u64, ProcessId)>,
     safety_violations: usize,
     resilience_violations: usize,
 }
@@ -35,6 +38,19 @@ struct Seen {
 struct Probe {
     seen: Rc<RefCell<Seen>>,
     want_deliveries: bool,
+    round: u64,
+}
+
+impl Probe {
+    fn new(want_deliveries: bool) -> (Probe, Rc<RefCell<Seen>>) {
+        let seen = Rc::new(RefCell::new(Seen::default()));
+        let probe = Probe {
+            seen: Rc::clone(&seen),
+            want_deliveries,
+            round: 0,
+        };
+        (probe, seen)
+    }
 }
 
 impl Observer for Probe {
@@ -45,7 +61,10 @@ impl Observer for Probe {
     fn on_event(&mut self, _ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
         let mut seen = self.seen.borrow_mut();
         match event {
-            SimEvent::RoundStart { .. } => seen.round_starts += 1,
+            SimEvent::RoundStart { round } => {
+                seen.round_starts += 1;
+                self.round = round.as_u64();
+            }
             SimEvent::RoundEnd { .. } => seen.round_ends += 1,
             SimEvent::TxSubmitted { .. } => seen.txs += 1,
             SimEvent::CorruptionChange { round, corrupted } => seen
@@ -58,7 +77,15 @@ impl Observer for Probe {
                 seen.window_exits.push((*index, disruption.end.as_u64()))
             }
             SimEvent::DecisionObserved { .. } => seen.decisions += 1,
-            SimEvent::EnvelopeDelivered { .. } => seen.deliveries += 1,
+            SimEvent::EnvelopeSent { .. } => seen.sends += 1,
+            SimEvent::EnvelopeDelivered {
+                receiver,
+                corrupted,
+                ..
+            } => match corrupted {
+                false => seen.deliveries += 1,
+                true => seen.fed.push((self.round, *receiver)),
+            },
             SimEvent::Violation { kind, .. } => match kind {
                 ViolationKind::Safety => seen.safety_violations += 1,
                 ViolationKind::Resilience { .. } => seen.resilience_violations += 1,
@@ -67,13 +94,19 @@ impl Observer for Probe {
     }
 }
 
+/// Sum of the trace's per-round honest deliveries.
+fn delivered(report: &st_sim::SimReport) -> usize {
+    let samples = report.timeline.samples();
+    samples.iter().map(|s| s.messages_delivered).sum()
+}
+
 /// The stream narrates the whole run: one start/end pair per round,
 /// window enter/exit per disruption, tx submissions, decisions, and —
-/// only with the opt-in — per-envelope deliveries.
+/// only with the opt-in — per-envelope sends and deliveries.
 #[test]
 fn event_stream_narrates_the_run() {
     let horizon = 30u64;
-    let seen = Rc::new(RefCell::new(Seen::default()));
+    let (probe, seen) = Probe::new(true);
     let timeline = Timeline::synchronous()
         .asynchronous(Round::new(10), 3)
         .bounded_delay(Round::new(20), 4, 2);
@@ -83,10 +116,7 @@ fn event_stream_narrates_the_run() {
             .timeline(timeline),
     )
     .workload_spec(WorkloadSpec::txs_every(5))
-    .observer(Probe {
-        seen: seen.clone(),
-        want_deliveries: true,
-    })
+    .observer(probe)
     .build()
     .expect("valid sim")
     .run();
@@ -97,28 +127,48 @@ fn event_stream_narrates_the_run() {
     assert_eq!(seen.window_exits, vec![(0, 12), (1, 23)]);
     assert_eq!(seen.txs, report.txs.len());
     assert_eq!(seen.decisions, report.decisions_total);
-    // Every honest delivery of the trace was narrated.
-    let delivered: usize = report
-        .timeline
-        .samples()
-        .iter()
-        .map(|s| s.messages_delivered)
-        .sum();
-    assert_eq!(seen.deliveries, delivered);
+    // Every send and every honest delivery of the trace was narrated.
+    assert_eq!(seen.sends, report.messages_sent);
+    assert_eq!(seen.deliveries, delivered(&report));
     assert!(seen.deliveries > 0);
+    assert!(seen.fed.is_empty());
     assert_eq!(seen.safety_violations, 0);
+}
+
+/// With a corrupted window the corrupted machine's full-knowledge feed is
+/// narrated too, marked: exactly the rounds whose next round it is
+/// corrupted in, and only to it. The unmarked deliveries still add up to
+/// the trace's honest count, and the adversary's messages are narrated
+/// sends.
+#[test]
+fn the_corrupted_feed_is_narrated_and_marked() {
+    let (probe, seen) = Probe::new(true);
+    let p2 = ProcessId::new(2);
+    let schedule = Schedule::full(8, 20).with_corrupted_window(p2, Round::new(5), Round::new(11));
+    let report = SimBuilder::from_config(SimConfig::new(params(8, 2), 3).horizon(20))
+        .workload_spec(WorkloadSpec::txs_every(4))
+        .schedule(schedule)
+        .adversary(st_sim::adversary::EquivocatingVoter::new())
+        .observer(probe)
+        .run();
+    let seen = seen.borrow();
+    assert_eq!(seen.deliveries, delivered(&report));
+    assert_eq!(seen.sends, report.messages_sent);
+    // p2 is corrupted in rounds 5..=10, so it is fed at the end of
+    // rounds 4..=9.
+    let mut fed_rounds: Vec<u64> = seen.fed.iter().map(|&(r, _)| r).collect();
+    fed_rounds.dedup();
+    assert_eq!(fed_rounds, (4..=9).collect::<Vec<_>>());
+    assert!(seen.fed.iter().all(|&(_, p)| p == p2));
 }
 
 /// Without the opt-in, no delivery events are generated (the zero-copy
 /// fast path is kept), while every other event still flows.
 #[test]
 fn delivery_events_are_opt_in() {
-    let seen = Rc::new(RefCell::new(Seen::default()));
+    let (probe, seen) = Probe::new(false);
     SimBuilder::from_config(SimConfig::new(params(8, 2), 5).horizon(20))
-        .observer(Probe {
-            seen: seen.clone(),
-            want_deliveries: false,
-        })
+        .observer(probe)
         .build()
         .expect("valid sim")
         .run();
@@ -133,17 +183,14 @@ fn delivery_events_are_opt_in() {
 /// the count matches the report.
 #[test]
 fn violation_events_reach_user_observers() {
-    let seen = Rc::new(RefCell::new(Seen::default()));
+    let (probe, seen) = Probe::new(false);
     let report = SimBuilder::from_config(
         SimConfig::new(params(8, 0), 5)
             .horizon(22)
             .timeline(Timeline::synchronous().asynchronous(Round::new(10), 4)),
     )
     .adversary(PartitionAttacker::new())
-    .observer(Probe {
-        seen: seen.clone(),
-        want_deliveries: false,
-    })
+    .observer(probe)
     .build()
     .expect("valid sim")
     .run();
@@ -212,7 +259,7 @@ fn violations_directly_follow_the_decision_that_produced_them() {
 /// Corruption changes are narrated with the new set when `B_r` shifts.
 #[test]
 fn corruption_changes_are_narrated() {
-    let seen = Rc::new(RefCell::new(Seen::default()));
+    let (probe, seen) = Probe::new(false);
     let schedule = Schedule::full(8, 20).with_corrupted_window(
         ProcessId::new(2),
         Round::new(5),
@@ -220,10 +267,7 @@ fn corruption_changes_are_narrated() {
     );
     SimBuilder::from_config(SimConfig::new(params(8, 2), 3).horizon(20))
         .schedule(schedule)
-        .observer(Probe {
-            seen: seen.clone(),
-            want_deliveries: false,
-        })
+        .observer(probe)
         .build()
         .expect("valid sim")
         .run();
@@ -291,90 +335,49 @@ fn early_finish_reports_partial_run() {
     assert_eq!(report.messages_sent, 0);
 }
 
-/// The observer pipeline is typed by the driven protocol: a probe
-/// written against `Observer<TobProcess>` rides the same event stream —
-/// and can read process state out of `ObsCtx.processes` — while the
+/// An observer reads process state through `ObsCtx.processes` while the
 /// built-in monitors assemble the usual report. The run is the
 /// fixed-quorum baseline (`Participation::Fixed`), and the probe sees it
 /// in each process's parameters.
 #[test]
-fn observers_ride_the_generic_runner() {
-    use st_core::TobProcess;
+fn observers_read_process_state_from_the_context() {
     use st_types::Participation;
 
-    #[derive(Default)]
-    struct Probe {
-        decisions: usize,
-        max_seen_height: u64,
-        fixed: bool,
-    }
+    /// Decisions seen, the tallest decided chain, and whether every
+    /// process runs the fixed denominator.
+    struct Probe(Rc<RefCell<(usize, u64, bool)>>);
 
-    impl Observer<TobProcess> for Probe {
-        fn on_event(
-            &mut self,
-            ctx: &ObsCtx<'_, TobProcess>,
-            event: &SimEvent,
-            _emit: &mut Vec<SimEvent>,
-        ) {
-            if let SimEvent::DecisionObserved { .. } = event {
-                self.decisions += 1;
-            }
-            if let SimEvent::RoundEnd { .. } = event {
-                // Typed access to the driven protocol's state.
-                let tallest = ctx
-                    .processes
-                    .iter()
-                    .filter_map(|p| p.tree().height(p.decided_tip()))
-                    .max()
-                    .unwrap_or(0);
-                self.max_seen_height = self.max_seen_height.max(tallest);
-                self.fixed = ctx
-                    .processes
-                    .iter()
-                    .all(|p| p.config().params().participation() == Participation::Fixed);
+    impl Observer for Probe {
+        fn on_event(&mut self, ctx: &ObsCtx<'_>, event: &SimEvent, _emit: &mut Vec<SimEvent>) {
+            let (decisions, height, fixed) = &mut *self.0.borrow_mut();
+            match event {
+                SimEvent::DecisionObserved { .. } => *decisions += 1,
+                SimEvent::RoundEnd { .. } => {
+                    let procs = ctx.processes;
+                    let tallest = procs
+                        .iter()
+                        .filter_map(|p| p.tree().height(p.decided_tip()));
+                    *height = (*height).max(tallest.max().unwrap_or(0));
+                    *fixed = (procs.iter())
+                        .all(|p| p.config().params().participation() == Participation::Fixed);
+                }
+                _ => {}
             }
         }
     }
 
-    // Observers are moved into the pipeline; report state through the
-    // assembled SimReport plus a shared cell for the probe's own tally.
-    let tally: Rc<RefCell<(usize, u64, bool)>> = Rc::default();
-
-    struct Sharing {
-        inner: Probe,
-        out: Rc<RefCell<(usize, u64, bool)>>,
-    }
-    impl Observer<TobProcess> for Sharing {
-        fn on_event(
-            &mut self,
-            ctx: &ObsCtx<'_, TobProcess>,
-            event: &SimEvent,
-            emit: &mut Vec<SimEvent>,
-        ) {
-            self.inner.on_event(ctx, event, emit);
-            let probe = &self.inner;
-            *self.out.borrow_mut() = (probe.decisions, probe.max_seen_height, probe.fixed);
-        }
-    }
-
-    let n = 9;
-    let horizon = 20;
+    let seen: Rc<RefCell<(usize, u64, bool)>> = Rc::default();
+    let (n, horizon) = (9, 20);
     let fixed = Params::builder(n)
         .participation(Participation::Fixed)
         .build()
         .unwrap();
-    let report =
-        SimBuilder::<TobProcess>::for_protocol_config(SimConfig::new(fixed, 5).horizon(horizon))
-            .workload_spec(WorkloadSpec::txs_every(4))
-            .observer(Sharing {
-                inner: Probe::default(),
-                out: Rc::clone(&tally),
-            })
-            .build()
-            .expect("valid fixed-quorum sim")
-            .run();
+    let report = SimBuilder::from_config(SimConfig::new(fixed, 5).horizon(horizon))
+        .workload_spec(WorkloadSpec::txs_every(4))
+        .observer(Probe(Rc::clone(&seen)))
+        .run();
 
-    let (decisions, height, fixed) = *tally.borrow();
+    let (decisions, height, fixed) = *seen.borrow();
     assert!(fixed, "the probe did not see the fixed denominator");
     // Full participation: views 2..=10 decide on all 9 processes, view v
     // the block proposed for view v − 1 (height v − 2; view 1's is

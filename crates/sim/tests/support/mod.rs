@@ -1,16 +1,16 @@
 //! The golden table: every report cell whose digest
 //! `golden/report_digests.txt` pins, one labelled [`Cell`] each, in file
-//! order. Shared by `determinism_equivalence.rs` (in lockstep with the
-//! literal Algorithm 1), `hasher_perturbation.rs` (under perturbed FxHash
-//! seeds) and the facade's Tier-1 `tests/golden_reports.rs`.
+//! order. Shared by `determinism_equivalence.rs` (replayed by the literal
+//! Algorithm 1), `hasher_perturbation.rs` (under perturbed FxHash seeds)
+//! and the facade's Tier-1 `tests/golden_reports.rs`.
 
 use st_sim::adversary::{
-    Adversary, BlackoutAdversary, EquivocatingVoter, PartitionAttacker, ReorgAttacker,
-    SilentAdversary,
+    Adversary, BlackoutAdversary, EquivocatingVoter, JunkVoter, PartitionAttacker, ReorgAttacker,
+    SilentAdversary, WithholdingLeader,
 };
 use st_sim::{
-    ChurnOptions, ConstantRate, Diurnal, FlashCrowd, Protocol, Schedule, SimBuilder, SimConfig,
-    SimReport, Timeline, WorkloadSpec,
+    ChurnOptions, ConstantRate, Diurnal, FlashCrowd, Schedule, SimBuilder, SimConfig, SimReport,
+    Timeline, WorkloadSpec,
 };
 use st_types::{Params, ProcessId, Round};
 
@@ -18,13 +18,15 @@ pub fn params(n: usize, eta: u64) -> Params {
     Params::builder(n).expiration(eta).build().unwrap()
 }
 
-pub fn adversary<P: Protocol>(name: &str) -> Box<dyn Adversary<P>> {
+pub fn adversary(name: &str) -> Box<dyn Adversary> {
     match name {
         "silent" => Box::new(SilentAdversary),
         "blackout" => Box::new(BlackoutAdversary),
         "partition" => Box::new(PartitionAttacker::new()),
         "reorg" => Box::new(ReorgAttacker::new()),
         "equivocator" => Box::new(EquivocatingVoter::new()),
+        "withhold" => Box::new(WithholdingLeader::new()),
+        "junk" => Box::new(JunkVoter::new()),
         other => panic!("unknown adversary {other}"),
     }
 }
@@ -115,10 +117,10 @@ impl Cell {
         }
     }
 
-    /// The cell's simulation of protocol `P`, open for more observers.
-    pub fn builder<P: Protocol>(&self) -> SimBuilder<P> {
+    /// The cell's simulation, open for more observers.
+    pub fn builder(&self) -> SimBuilder {
         let horizon = self.config.horizon_rounds();
-        SimBuilder::<P>::for_protocol_config(self.config.clone())
+        SimBuilder::from_config(self.config.clone())
             .workload_spec(workload_spec(self.workload))
             .schedule(schedule(self.schedule, 10, horizon))
             .adversary_boxed(adversary(self.adversary))

@@ -22,9 +22,9 @@
 //! | [`blocktree`] | `st-blocktree` | logs as chains in a block tree |
 //! | [`messages`] | `st-messages` | votes/proposals, expiration-window stores |
 //! | [`ga`] | `st-ga` | graded agreement (Figures 2–3, Lemma 1) |
-//! | [`core`] | `st-core` | Algorithm 1 with expiration (the contribution), and with a fixed denominator the fixed-quorum baseline; the `Protocol` trait |
+//! | [`core`] | `st-core` | Algorithm 1 with expiration (the contribution), and with a fixed denominator the fixed-quorum baseline |
 //! | [`load`] | `st-load` | open-loop workload generators, bounded mempool, latency histograms |
-//! | [`sim`] | `st-sim` | sleepy-model simulator (generic over `Protocol`), adversaries, monitors, workload injection, Eq. 1–5 checkers |
+//! | [`sim`] | `st-sim` | sleepy-model simulator, adversaries, monitors, workload injection, Eq. 1–5 checkers |
 //! | [`node`] | `st-node` | deployable socket node runtime (`stob serve`) + multi-process cluster harness |
 //!
 //! # Quickstart
@@ -122,8 +122,8 @@ mod readme {}
 /// trace types they produce — plus the
 /// [`Adversary`](st_sim::Adversary) trait itself with its context and
 /// message types, so a custom strategy compiles from the prelude alone.
-/// The protocol layer is here too: the [`Protocol`](st_core::Protocol)
-/// trait, its implementor [`TobProcess`](st_core::TobProcess) and the
+/// The protocol layer is here too: the process
+/// [`TobProcess`](st_core::TobProcess) and the
 /// [`Participation`](st_types::Participation) rule that turns it into
 /// the fixed-quorum baseline, so head-to-head experiments build from the
 /// prelude alone (`examples/baseline_comparison.rs`). The workload layer
@@ -134,7 +134,7 @@ mod readme {}
 /// every report.
 pub mod prelude {
     pub use st_blocktree::{Block, BlockTree};
-    pub use st_core::{DecisionEvent, Protocol, TobConfig, TobProcess};
+    pub use st_core::{DecisionEvent, TobConfig, TobProcess};
     pub use st_ga::{tally, GaOutput, Thresholds};
     pub use st_load::{ConstantRate, Diurnal, FlashCrowd, Histogram, Mempool, Workload};
     pub use st_messages::{Envelope, Payload, Propose, Vote, VoteStore};

@@ -11,7 +11,7 @@ mod support;
 fn every_golden_cell_reproduces_its_committed_digest() {
     let lines: Vec<String> = support::golden_cells()
         .iter()
-        .map(|cell| support::golden_line(&cell.label, &cell.builder::<st_core::TobProcess>().run()))
+        .map(|cell| support::golden_line(&cell.label, &cell.builder().run()))
         .collect();
     support::assert_golden(&lines);
 }

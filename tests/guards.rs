@@ -2,11 +2,13 @@
 //! checked against the literal Algorithm 1
 //! (`crates/core/tests/support/literal.rs`).
 //!
-//! * The shared tally: a cell runs as `Simulation<TobProcess>` and as
-//!   `Simulation<LiteralProcess>` in lockstep. Every tally a process
-//!   consumed (usually adopted from the round's shared memo) must equal
-//!   the literal's, and the reports must agree but for the memo's hit and
-//!   miss counts. The golden grid and the 400-case property test live in
+//! * The shared tally: a cell's `Simulation` runs with a recorder on, and
+//!   the literal replays what each process submitted, stepped and
+//!   received (`crates/sim/tests/support/replay.rs`). Every tally a
+//!   process consumed (usually adopted from the round's shared memo) must
+//!   equal the literal's, and so must its decided tip, its admitted bodies
+//!   and, for an honest process, its sends (byte for byte) and decisions.
+//!   The golden grid and the 400-case property test live in
 //!   `crates/sim/tests/determinism_equivalence.rs`.
 //! * The transaction pool: a proposal on a forked parent must carry what
 //!   the literal's from-genesis payload rule says. The other cases live in
@@ -15,29 +17,22 @@
 //! These cells keep the facade-only test command tripping when either
 //! shortcut does.
 
-#[path = "../crates/sim/tests/support/lockstep.rs"]
-mod lockstep;
+#[path = "../crates/sim/tests/support/replay.rs"]
+mod replay;
 
-use lockstep::literal::{forked_lockstep, LiteralProcess};
-use lockstep::lockstep;
+use replay::literal::forked_lockstep;
 use sleepy_tob::prelude::*;
 
-/// `config`'s run under `adversary`, in lockstep with the literal.
-fn run_in_lockstep<A>(config: SimConfig, adversary: A, label: &str) -> (SimReport, usize)
-where
-    A: Adversary<TobProcess> + Adversary<LiteralProcess> + Clone + 'static,
-{
-    let tob = SimBuilder::<TobProcess>::for_protocol_config(config.clone())
+/// `config`'s run under `adversary`, replayed by the literal.
+fn run_replayed(
+    config: SimConfig,
+    adversary: impl Adversary + 'static,
+    label: &str,
+) -> (SimReport, usize) {
+    let builder = SimBuilder::from_config(config)
         .workload_spec(WorkloadSpec::txs_every(4))
-        .adversary(adversary.clone())
-        .build()
-        .expect("valid sim");
-    let lit = SimBuilder::<LiteralProcess>::for_protocol_config(config)
-        .workload_spec(WorkloadSpec::txs_every(4))
-        .adversary(adversary)
-        .build()
-        .expect("valid sim");
-    lockstep(tob, lit, label)
+        .adversary(adversary);
+    replay::replay(builder, label)
 }
 
 /// Full participation: every (process, round ≥ 1) tally is compared, and
@@ -48,7 +43,7 @@ fn full_participation_shares_tallies_without_a_mismatch() {
     let (n, horizon) = (8, 24);
     let params = Params::builder(n).expiration(2).build().unwrap();
     let config = SimConfig::new(params, 1).horizon(horizon);
-    let (report, checked) = run_in_lockstep(config, SilentAdversary, "full participation");
+    let (report, checked) = run_replayed(config, SilentAdversary, "full participation");
     assert_eq!(checked, n * horizon as usize);
     let rate = report.timeline.tally_cache_hit_rate();
     assert!(rate > 0.8, "hit rate {rate} under full participation");
@@ -65,8 +60,7 @@ fn blackout_counterexample_serves_no_stale_tally() {
     let config = SimConfig::new(params, 1)
         .horizon(horizon)
         .timeline(Timeline::synchronous().asynchronous(Round::new(6), 3));
-    let (_, checked) = run_in_lockstep(config, BlackoutAdversary, "blackout");
-    assert!(checked > 0, "nothing was compared");
+    run_replayed(config, BlackoutAdversary, "blackout");
 }
 
 /// A proposal whose parent conflicts with the proposer's decided tip: the
