@@ -229,9 +229,8 @@ impl BodyStore {
     /// round in which view-`v` bodies are first voted on). A loose body
     /// stays while a loose descendant of an unexpired view does.
     ///
-    /// The digest buckets say whether anything leaves (as the vote
-    /// store's oldest-round watermark does there), and only then does one
-    /// pass over the loose map drop it: a
+    /// The digest buckets say whether anything leaves, and only then
+    /// does one pass over the loose map drop it: a
     /// view expires every other round, and a sequential pass over the
     /// `(η + 3)·n` bodies held costs less than looking each expired one
     /// up.

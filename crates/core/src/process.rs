@@ -362,8 +362,10 @@ impl TobProcess {
     /// re-derived from the vote store when its records changed since the
     /// last tally, when its counted vote dropped below `lo`, or when its
     /// counted tip is not in the tree yet (the tree only grows); any
-    /// other slot still holds its latest in-window vote.
+    /// other slot still holds its latest in-window vote. The first call
+    /// sizes the table to the `n` members, every slot to be derived.
     fn reconcile_window(&mut self, lo: Round, hi: Round) -> usize {
+        self.senders.fill(self.config.params().n());
         let mut counted = 0;
         for (index, slot) in self.senders.slots.iter_mut().enumerate() {
             let stale = slot
@@ -371,18 +373,11 @@ impl TobProcess {
                 .is_some_and(|(round, _)| round < lo || !slot.in_support);
             if slot.dirty || stale {
                 let sender = ProcessId::new(index as u32);
-                slot.dirty = false;
-                // One query in the common case; a sender with a record
-                // above the window (delivered before this process reached
-                // its round) stays dirty until the window reaches it.
-                let latest = match self.votes.latest_of(sender, lo, Round::new(u64::MAX)) {
-                    Some((r, _)) if r > hi => {
-                        slot.dirty = true;
-                        self.votes.latest_of(sender, lo, hi)
-                    }
-                    latest => latest,
-                };
-                match latest {
+                // A sender with a record above the window (delivered
+                // before this process reached its round) stays dirty
+                // until the window reaches it.
+                slot.dirty = self.votes.has_record_above(sender, hi);
+                match self.votes.latest_of(sender, lo, hi) {
                     Some((round, Some(tip))) => {
                         slot.counted = Some((round, tip));
                         slot.in_support = self.support.set_vote(&self.tree, sender, tip);
@@ -458,13 +453,13 @@ impl TobProcess {
         Envelope::sign(&self.keypair, Payload::Vote(vote))
     }
 
-    /// Records `sender`'s vote, marks its slot for the next tally, and
-    /// admits the body the vote names (or remembers the name until the
-    /// body connects), keeping every connected body a stored vote names
-    /// in the tree.
+    /// Records `sender`'s vote, marks its slot for the next tally (once
+    /// the table is sized), and admits the body the vote names (or
+    /// remembers the name until the body connects), keeping every
+    /// connected body a stored vote names in the tree.
     fn store_vote(&mut self, sender: Sender, vote: Vote) {
         if self.votes.insert(vote) != InsertOutcome::Duplicate {
-            self.senders.slot(sender).dirty = true;
+            self.senders.mark(sender);
             self.bodies
                 .reference(&mut self.tree, vote.tip(), vote.round());
         }
@@ -498,21 +493,34 @@ impl TobProcess {
     }
 }
 
-/// The per-sender records, indexable only by a directory-issued
-/// [`Sender`]: at most `n` slots, grown on demand, never sized up front.
+/// The per-sender records, marked only through a directory-issued
+/// [`Sender`]: empty until the process computes a tally of its own (a
+/// process whose tallies a driver's memo serves never fills it), then
+/// one slot per member.
 #[derive(Clone, Debug, Default)]
 struct SenderTable {
     slots: Vec<SenderSlot>,
 }
 
 impl SenderTable {
-    /// `sender`'s slot, growing the table to reach it.
-    fn slot(&mut self, sender: Sender) -> &mut SenderSlot {
-        if sender.index() >= self.slots.len() {
-            self.slots
-                .resize_with(sender.index() + 1, SenderSlot::default);
+    /// Sizes the table to `n` slots, each new one to be derived at the
+    /// next reconcile pass.
+    fn fill(&mut self, n: usize) {
+        if self.slots.len() < n {
+            let derive = SenderSlot {
+                dirty: true,
+                ..SenderSlot::default()
+            };
+            self.slots.resize(n, derive);
         }
-        &mut self.slots[sender.index()]
+    }
+
+    /// Marks `sender`'s slot for the next tally; before the table is
+    /// sized there is nothing to mark, as every slot starts dirty.
+    fn mark(&mut self, sender: Sender) {
+        if let Some(slot) = self.slots.get_mut(sender.index()) {
+            slot.dirty = true;
+        }
     }
 }
 

@@ -25,42 +25,78 @@ pub enum InsertOutcome {
     Equivocation,
 }
 
-/// Per-(sender, round) record of what was voted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum RoundRecord {
-    /// A single, unequivocal vote for this tip.
-    Single(BlockId),
-    /// The sender equivocated in this round; the record keeps the first
-    /// two distinct tips as evidence (further tips add no information).
-    Equivocated(BlockId, BlockId),
-}
-
 /// Hasher-independent digest of one `(sender, round, record)` entry, used
-/// as the XOR term this entry contributes to [`VoteStore::fingerprint`].
+/// as the XOR term this entry contributes to [`VoteStore::fingerprint`]:
+/// a single vote for `first`, or, with `second`, an equivocation whose
+/// evidence is the first two distinct tips.
 ///
 /// The equivocated arm is symmetric in the two evidence tips: which of a
 /// pair of equivocating votes arrived first is a delivery-order accident
 /// that never affects the tally (the sender is discarded either way), so
 /// it must not split otherwise-identical stores into different
 /// fingerprints.
-fn record_digest(sender: ProcessId, round: Round, rec: &RoundRecord) -> u64 {
+fn record_digest(sender: ProcessId, round: Round, first: BlockId, second: Option<BlockId>) -> u64 {
     let key = mix64_pair(mix64(u64::from(sender.as_u32())), round.as_u64());
-    match *rec {
-        RoundRecord::Single(tip) => mix64_pair(key, tip.as_u64()),
-        RoundRecord::Equivocated(a, b) => {
-            mix64_pair(key, u64::MAX) ^ mix64_pair(key, a.as_u64()) ^ mix64_pair(key, b.as_u64())
+    match second {
+        None => mix64_pair(key, first.as_u64()),
+        Some(second) => {
+            mix64_pair(key, u64::MAX)
+                ^ mix64_pair(key, first.as_u64())
+                ^ mix64_pair(key, second.as_u64())
         }
     }
 }
 
-impl RoundRecord {
-    /// How many distinct (sender, round, tip) votes the record holds —
-    /// its share of [`VoteStore::len`].
-    fn votes(&self) -> usize {
-        match self {
-            RoundRecord::Single(_) => 1,
-            RoundRecord::Equivocated(_, _) => 2,
+/// One sender's record in one round: the first tip it voted for, and
+/// whether it equivocated there (the second tip waits in the round's
+/// [`RoundVotes::seconds`]; further tips add no evidence).
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    sender: ProcessId,
+    equivocated: bool,
+    tip: BlockId,
+}
+
+// A stored vote costs one entry, whatever `n` is.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 16);
+
+/// The records of one round.
+#[derive(Clone, Debug, Default)]
+struct RoundVotes {
+    /// One entry per sender with a vote in this round, sorted by sender.
+    /// Senders step in index order, so the common insert is an append.
+    records: Vec<Entry>,
+    /// `(sender, second tip)` of each equivocated entry, in arrival order
+    /// (rare, so searched by a scan).
+    seconds: Vec<(ProcessId, BlockId)>,
+    /// XOR of [`record_digest`] over the round's records: what the round
+    /// takes out of [`VoteStore::fingerprint`] when it expires.
+    digest: u64,
+    /// Distinct (sender, tip) votes in the round, an equivocated record
+    /// counting 2: what the round takes out of [`VoteStore::len`].
+    votes: usize,
+}
+
+impl RoundVotes {
+    /// Where `sender`'s entry is (`Ok`) or would go (`Err`), checking
+    /// the end first.
+    fn position(&self, sender: ProcessId) -> Result<usize, usize> {
+        match self.records.last() {
+            None => Err(0),
+            Some(last) if last.sender < sender => Err(self.records.len()),
+            Some(_) => self.records.binary_search_by_key(&sender, |e| e.sender),
         }
+    }
+
+    fn get(&self, sender: ProcessId) -> Option<&Entry> {
+        self.position(sender).ok().map(|at| &self.records[at])
+    }
+
+    fn second_of(&self, sender: ProcessId) -> Option<BlockId> {
+        self.seconds
+            .iter()
+            .find(|&&(s, _)| s == sender)
+            .map(|&(_, tip)| tip)
     }
 }
 
@@ -70,19 +106,17 @@ impl RoundRecord {
 /// See the crate-level docs for an example.
 #[derive(Clone, Debug, Default)]
 pub struct VoteStore {
-    /// `by_sender[s.index()]`: round → record of sender `s`. Dense over
-    /// the senders seen so far (grown on demand, never sized up front; a
-    /// silent sender's slot is an empty map, which allocates nothing).
-    /// The expiration rule asks one question per sender — its latest
-    /// record in `[r − η, r]` — and the ordered map answers it with
-    /// `range(..).next_back()` in `O(log k)`, whatever order the records
-    /// arrived in.
-    by_sender: Vec<BTreeMap<Round, RoundRecord>>,
-    /// No stored record is older than this round, a lower bound that
-    /// each scan of [`VoteStore::prune_below`] makes exact (round
-    /// `u64::MAX` for an empty store): a prune whose edge does not pass
-    /// it returns at once.
-    oldest: Round,
+    /// Round → that round's records. Votes expire a round at a time, so
+    /// [`VoteStore::prune_below`] pops whole rounds from the front; the
+    /// expiration rule's per-sender question walks the few rounds of its
+    /// window newest first, one binary search in each.
+    by_round: BTreeMap<Round, RoundVotes>,
+    /// `newest[s.index()]`: the newest round sender `s` has a record in
+    /// (grown on demand; `Round::ZERO` for a sender not seen). When that
+    /// record expires, every older one of `s` has expired with it, so
+    /// the slot names a round `s` holds exactly when `s` holds any;
+    /// the next insert of `s` resets it.
+    newest: Vec<Round>,
     /// Total count of distinct (sender, round, tip) votes recorded.
     distinct_votes: usize,
     /// XOR of [`record_digest`] over every stored `(sender, round,
@@ -114,47 +148,79 @@ impl VoteStore {
     /// Records a received vote. Returns what happened; equivocations are
     /// remembered as poison for the (sender, round) pair.
     ///
-    /// The sender's slot is indexed by [`ProcessId::index`], so the
-    /// sender must be a member of the process set: callers admit only
-    /// votes that [`crate::SharedEnvelope::verified`] issued a
+    /// The sender's newest-round slot is indexed by [`ProcessId::index`],
+    /// so the sender must be a member of the process set: callers admit
+    /// only votes that [`crate::SharedEnvelope::verified`] issued a
     /// [`crate::Sender`] for. The raw key stays while stbench's vote-store
     /// replay inserts votes directly.
     pub fn insert(&mut self, vote: Vote) -> InsertOutcome {
-        let slot = vote.sender().index();
-        if slot >= self.by_sender.len() {
-            self.by_sender.resize_with(slot + 1, BTreeMap::new);
-        }
-        let rounds = &mut self.by_sender[slot];
-        let (digest, outcome) = match rounds.get_mut(&vote.round()) {
-            None => {
-                let rec = RoundRecord::Single(vote.tip());
-                let digest = record_digest(vote.sender(), vote.round(), &rec);
-                rounds.insert(vote.round(), rec);
-                self.oldest = self.oldest.min(vote.round());
-                (digest, InsertOutcome::Recorded)
+        let (sender, round, tip) = (vote.sender(), vote.round(), vote.tip());
+        let votes = self.by_round.entry(round).or_default();
+        let (digest, outcome) = match votes.position(sender) {
+            Err(at) => {
+                let entry = Entry {
+                    sender,
+                    equivocated: false,
+                    tip,
+                };
+                votes.records.insert(at, entry);
+                (
+                    record_digest(sender, round, tip, None),
+                    InsertOutcome::Recorded,
+                )
             }
-            Some(rec) => match *rec {
-                RoundRecord::Single(tip) if tip == vote.tip() => return InsertOutcome::Duplicate,
-                RoundRecord::Single(first) => {
-                    let before = record_digest(vote.sender(), vote.round(), rec);
-                    *rec = RoundRecord::Equivocated(first, vote.tip());
-                    let after = record_digest(vote.sender(), vote.round(), rec);
-                    (before ^ after, InsertOutcome::Equivocation)
+            Ok(at) => {
+                let entry = &mut votes.records[at];
+                if entry.tip == tip {
+                    return InsertOutcome::Duplicate;
                 }
-                RoundRecord::Equivocated(a, b) => {
+                if entry.equivocated {
                     // A third distinct tip adds no evidence: the record —
                     // and with it the fingerprint — stays as-is.
-                    return if a == vote.tip() || b == vote.tip() {
+                    return if votes.second_of(sender) == Some(tip) {
                         InsertOutcome::Duplicate
                     } else {
                         InsertOutcome::Equivocation
                     };
                 }
-            },
+                entry.equivocated = true;
+                let first = entry.tip;
+                votes.seconds.push((sender, tip));
+                let before = record_digest(sender, round, first, None);
+                let after = record_digest(sender, round, first, Some(tip));
+                (before ^ after, InsertOutcome::Equivocation)
+            }
         };
+        votes.digest ^= digest;
+        votes.votes += 1;
         self.distinct_votes += 1;
         self.fingerprint ^= digest;
+        if outcome == InsertOutcome::Recorded {
+            self.note_newest(sender, round);
+        }
         outcome
+    }
+
+    /// Keeps `newest` an upper bound on `sender`'s stored rounds after a
+    /// record at `round` was added: a newer round raises it, and an older
+    /// one replaces it when the record it names has expired (the sender
+    /// then has no other record, so `round` is its newest).
+    fn note_newest(&mut self, sender: ProcessId, round: Round) {
+        let slot = sender.index();
+        if slot >= self.newest.len() {
+            self.newest.resize(slot + 1, Round::ZERO);
+        }
+        let newest = self.newest[slot];
+        if round > newest || !self.holds(sender, newest) {
+            self.newest[slot] = round;
+        }
+    }
+
+    /// Whether `sender` has a record in `round`.
+    fn holds(&self, sender: ProcessId, round: Round) -> bool {
+        self.by_round
+            .get(&round)
+            .is_some_and(|votes| votes.get(sender).is_some())
     }
 
     /// The store's content fingerprint (see the field docs). Two stores
@@ -172,18 +238,35 @@ impl VoteStore {
     /// [`VoteStore::latest_in_window`], used by the incremental tally to
     /// re-derive one sender's contribution after an insert instead of
     /// re-scanning every sender.
+    ///
+    /// Walks the rounds of `[lo, min(hi, newest)]` newest first, where
+    /// `newest` bounds the sender's stored rounds, so rounds other
+    /// senders filled above the sender's own are never visited.
     pub fn latest_of(
         &self,
         sender: ProcessId,
         lo: Round,
         hi: Round,
     ) -> Option<(Round, Option<BlockId>)> {
-        let rounds = self.by_sender.get(sender.index())?;
-        let (&round, rec) = rounds.range(lo..=hi).next_back()?;
-        match *rec {
-            RoundRecord::Single(tip) => Some((round, Some(tip))),
-            RoundRecord::Equivocated(_, _) => Some((round, None)),
+        let hi = hi.min(*self.newest.get(sender.index())?);
+        if lo > hi {
+            return None;
         }
+        self.by_round
+            .range(lo..=hi)
+            .rev()
+            .find_map(|(&round, votes)| {
+                let entry = votes.get(sender)?;
+                Some((round, (!entry.equivocated).then_some(entry.tip)))
+            })
+    }
+
+    /// Whether `sender` has a record in some round above `hi` — one read
+    /// of its newest round unless that round is above `hi`.
+    pub fn has_record_above(&self, sender: ProcessId, hi: Round) -> bool {
+        self.newest
+            .get(sender.index())
+            .is_some_and(|&newest| newest > hi && self.holds(sender, newest))
     }
 
     /// The latest vote of every sender within the closed round window
@@ -196,21 +279,40 @@ impl VoteStore {
     /// discarded", Section 3.3) — it contributes neither a vote nor to the
     /// perceived participation count.
     pub fn latest_in_window(&self, lo: Round, hi: Round) -> LatestVotes {
-        let mut out = LatestVotes { votes: Vec::new() };
+        let mut out = LatestVotes::empty();
         self.latest_in_window_into(lo, hi, &mut out);
         out
     }
 
     /// [`VoteStore::latest_in_window`] into a caller-owned buffer, reusing
-    /// its allocation (for callers that query every round).
+    /// its allocations (for callers that query every round).
+    ///
+    /// Walks the window's rounds newest first into the buffer's dense
+    /// per-sender scratch, where the first record seen for a sender is
+    /// its latest, then reads the scratch in sender order: the output is
+    /// sorted by sender without a sort.
     pub fn latest_in_window_into(&self, lo: Round, hi: Round, out: &mut LatestVotes) {
         out.votes.clear();
-        // Slots are in sender order, so the output is sorted by sender.
-        for (slot, rounds) in self.by_sender.iter().enumerate() {
-            if let Some((&round, RoundRecord::Single(tip))) = rounds.range(lo..=hi).next_back() {
-                out.votes.push((ProcessId::new(slot as u32), round, *tip));
+        if lo > hi {
+            return;
+        }
+        let latest = &mut out.latest;
+        for (&round, votes) in self.by_round.range(lo..=hi).rev() {
+            for entry in &votes.records {
+                let slot = entry.sender.index();
+                if slot >= latest.len() {
+                    latest.resize(slot + 1, None);
+                }
+                if latest[slot].is_none() {
+                    latest[slot] = Some((round, (!entry.equivocated).then_some(entry.tip)));
+                }
             }
+        }
+        for (slot, seen) in latest.iter_mut().enumerate() {
             // An equivocated latest record discards the sender.
+            if let Some((round, Some(tip))) = seen.take() {
+                out.votes.push((ProcessId::new(slot as u32), round, tip));
+            }
         }
     }
 
@@ -219,41 +321,42 @@ impl VoteStore {
     /// memory proportional to `n · η`.
     ///
     /// Called once per round from the protocol's send phase, so the cost
-    /// must scale with what is *actually removed* (usually one round's
-    /// worth per sender, often nothing), not with what is retained: when
-    /// `lo` does not pass the oldest stored round nothing is visited,
-    /// and otherwise each sender's round map is popped from the front
-    /// only while its entries are expired, each popped record leaving
-    /// the count and the fingerprint as it goes.
+    /// scales with what is *actually removed*: whole rounds are popped
+    /// from the front while they are expired (usually one, often none),
+    /// each leaving the count and the fingerprint in one step, its
+    /// records unvisited.
     pub fn prune_below(&mut self, lo: Round) {
-        if lo <= self.oldest {
-            return;
-        }
-        let mut oldest = Round::new(u64::MAX);
-        for (slot, rounds) in self.by_sender.iter_mut().enumerate() {
-            while let Some(entry) = rounds.first_entry() {
-                if *entry.key() >= lo {
-                    oldest = oldest.min(*entry.key());
-                    break;
-                }
-                let (round, rec) = entry.remove_entry();
-                self.distinct_votes -= rec.votes();
-                self.fingerprint ^= record_digest(ProcessId::new(slot as u32), round, &rec);
+        while let Some(first) = self.by_round.first_entry() {
+            if *first.key() >= lo {
+                break;
             }
+            let expired = first.remove();
+            self.distinct_votes -= expired.votes;
+            self.fingerprint ^= expired.digest;
         }
-        self.oldest = oldest;
     }
 }
 
 /// The result of a latest-in-window query: at most one vote per sender,
 /// equivocators excluded. This is the set `M_i^r` the graded-agreement
 /// tally runs over.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct LatestVotes {
     /// `(sender, round the vote was cast in, tip voted for)`, sorted by
     /// sender.
     votes: Vec<(ProcessId, Round, BlockId)>,
+    /// Query scratch, indexed by sender: the latest record seen so far
+    /// (its tip unless equivocated). Empty between queries.
+    latest: Vec<Option<(Round, Option<BlockId>)>>,
 }
+
+impl PartialEq for LatestVotes {
+    fn eq(&self, other: &LatestVotes) -> bool {
+        self.votes == other.votes
+    }
+}
+
+impl Eq for LatestVotes {}
 
 impl LatestVotes {
     /// An empty vote set — the starting value for a reusable scratch
@@ -405,7 +508,7 @@ mod tests {
                 .vote_of(ProcessId::new(1)),
             Some(BlockId::new(50))
         );
-        assert_eq!(s.by_sender.iter().filter(|r| !r.is_empty()).count(), 1);
+        assert_eq!(s.by_round.len(), 1);
     }
 
     #[test]
@@ -491,5 +594,88 @@ mod tests {
             .map(|(s, _, _)| s.as_u32())
             .collect();
         assert_eq!(senders, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn record_above_is_exact_across_expiry() {
+        let mut s = VoteStore::new();
+        let p1 = ProcessId::new(1);
+        s.insert(v(1, 9, 90));
+        assert!(s.has_record_above(p1, Round::new(8)));
+        assert!(!s.has_record_above(p1, Round::new(9)));
+        assert!(!s.has_record_above(ProcessId::new(7), Round::ZERO));
+        // Round 9 expires; a late round-6 vote is the sender's newest.
+        s.prune_below(Round::new(10));
+        assert!(!s.has_record_above(p1, Round::new(5)));
+        assert_eq!(s.latest_of(p1, Round::ZERO, Round::new(u64::MAX)), None);
+        s.insert(v(1, 6, 60));
+        assert!(s.has_record_above(p1, Round::new(5)));
+        assert!(!s.has_record_above(p1, Round::new(6)));
+        assert_eq!(
+            s.latest_of(p1, Round::ZERO, Round::new(u64::MAX)),
+            Some((Round::new(6), Some(BlockId::new(60))))
+        );
+    }
+
+    #[test]
+    fn a_future_flood_from_one_sender_leaves_the_others_exact() {
+        let mut s = VoteStore::new();
+        for sender in 0..4 {
+            for round in 1..=6 {
+                s.insert(v(sender, round, u64::from(sender) * 100 + round));
+            }
+        }
+        s.insert(v(2, 6, 999)); // p2 equivocates in its latest round
+        let flooder = ProcessId::new(3);
+        for round in 1_000..11_000 {
+            s.insert(v(3, round, round));
+        }
+        let (lo, hi) = (Round::new(2), Round::new(5));
+        let window = s.latest_in_window(lo, Round::new(6));
+        assert_eq!(window.participation(), 3, "p2 is discarded, p3 counted");
+        for sender in [0u32, 1] {
+            let p = ProcessId::new(sender);
+            let latest = Some(BlockId::new(u64::from(sender) * 100 + 6));
+            assert_eq!(window.vote_of(p), latest);
+            assert_eq!(
+                s.latest_of(p, lo, Round::new(u64::MAX)),
+                Some((Round::new(6), latest))
+            );
+            assert_eq!(
+                s.latest_of(p, lo, hi),
+                Some((hi, Some(BlockId::new(u64::from(sender) * 100 + 5))))
+            );
+            assert!(!s.has_record_above(p, Round::new(6)));
+        }
+        assert_eq!(
+            s.latest_of(ProcessId::new(2), lo, Round::new(u64::MAX)),
+            Some((Round::new(6), None))
+        );
+        assert!(s.has_record_above(flooder, Round::new(6)));
+        assert_eq!(
+            s.latest_of(flooder, lo, Round::new(u64::MAX)),
+            Some((Round::new(10_999), Some(BlockId::new(10_999))))
+        );
+        assert_eq!(s.len(), 4 * 6 + 1 + 10_000);
+        // Pruning takes exactly the expired rounds: 1 and 2 of the
+        // honest senders, then the flood's rounds below 5 000.
+        s.prune_below(Round::new(3));
+        assert_eq!(s.len(), 4 * 4 + 1 + 10_000);
+        assert_eq!(s.by_round.len(), 4 + 10_000);
+        s.prune_below(Round::new(5_000));
+        assert_eq!(s.len(), 6_000);
+        assert_eq!(s.by_round.len(), 6_000);
+        assert_eq!(s.latest_of(ProcessId::new(0), Round::ZERO, hi), None);
+        assert!(s
+            .latest_in_window(Round::ZERO, Round::new(4_999))
+            .is_empty());
+    }
+
+    #[test]
+    fn a_new_store_holds_no_allocation() {
+        let s = VoteStore::new();
+        assert_eq!(s.newest.capacity(), 0);
+        assert!(s.by_round.is_empty());
+        assert_eq!(LatestVotes::empty().latest.capacity(), 0);
     }
 }

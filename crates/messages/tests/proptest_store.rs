@@ -1,5 +1,6 @@
 //! Model-based property tests: `VoteStore` against a naive reference
-//! implementation of the latest-unexpired-vote semantics, and
+//! implementation of the latest-unexpired-vote semantics (rounds in any
+//! order, far above the prune edge too), and
 //! `ProposeStore`'s leader rule against the maximum over a flat list.
 
 use proptest::prelude::*;
@@ -64,6 +65,28 @@ impl NaiveStore {
             .max()?;
         let tips = self.tips(sender, round);
         Some((round, (tips.len() == 1).then(|| tips[0])))
+    }
+
+    /// The surviving votes a store keeps as evidence: per (sender,
+    /// round), the votes for its first two distinct tips.
+    fn evidence(&self) -> Vec<Vote> {
+        self.votes
+            .iter()
+            .filter(|v| {
+                self.tips(v.sender(), v.round())
+                    .iter()
+                    .take(2)
+                    .any(|&t| t == v.tip())
+            })
+            .copied()
+            .collect()
+    }
+
+    /// Whether `sender` has a vote in a round above `hi`.
+    fn has_record_above(&self, sender: ProcessId, hi: Round) -> bool {
+        self.votes
+            .iter()
+            .any(|v| v.sender() == sender && v.round() > hi)
     }
 
     /// Latest vote per sender within `[lo, hi]`, discarding senders whose
@@ -199,6 +222,73 @@ proptest! {
         }
         for sender in ProcessId::all(10) {
             prop_assert_eq!(store.latest_of(sender, lo, hi), naive.latest_of(sender, lo, hi));
+        }
+    }
+}
+
+/// A round from one of four bands: two near the start, one a thousand
+/// rounds on, one at the top of the round space.
+fn banded_round(band: u32, offset: u64) -> Round {
+    Round::new(match band {
+        0 | 1 => 1 + offset,
+        2 => 1_000 + offset,
+        _ => u64::MAX - 30 + offset,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Rounds in any order within and across senders, many far above the
+    /// prune edge, and prunes to any band: after every step the store's
+    /// length and fingerprint are those of a fresh store fed the
+    /// surviving votes in reverse order (a third distinct tip in a round
+    /// is no evidence, so it survives in neither), and every sender's latest
+    /// record up to `Round::new(u64::MAX)` (the tally's question for a
+    /// record above its window) and up to the window's top agree with
+    /// the model.
+    #[test]
+    fn shuffled_rounds_far_above_the_edge_match_reference(
+        ops in prop::collection::vec((0u32..8, 0u32..6, 0u32..4, 0u64..24, 0u64..3), 1..100),
+        window in (0u32..4, 0u64..24, 0u64..6),
+    ) {
+        let mut store = VoteStore::new();
+        let mut naive = NaiveStore::default();
+        let lo = banded_round(window.0, window.1);
+        let hi = Round::new(lo.as_u64().saturating_add(window.2));
+        let top = Round::new(u64::MAX);
+        for &(kind, sender, band, offset, tip) in &ops {
+            let round = banded_round(band, offset);
+            if kind == 0 {
+                store.prune_below(round);
+                naive.prune_below(round);
+            } else {
+                let vote = Vote::new(ProcessId::new(sender), round, BlockId::new(tip));
+                store.insert(vote);
+                naive.insert(vote);
+            }
+            let mut fresh = VoteStore::new();
+            for vote in naive.evidence().into_iter().rev() {
+                fresh.insert(vote);
+            }
+            prop_assert_eq!(store.len(), fresh.len());
+            prop_assert_eq!(store.len(), naive.len());
+            prop_assert_eq!(store.fingerprint(), fresh.fingerprint());
+            for sender in ProcessId::all(6) {
+                prop_assert_eq!(store.latest_of(sender, lo, top), naive.latest_of(sender, lo, top));
+                prop_assert_eq!(store.latest_of(sender, lo, hi), naive.latest_of(sender, lo, hi));
+                prop_assert_eq!(
+                    store.has_record_above(sender, hi),
+                    naive.has_record_above(sender, hi)
+                );
+            }
+        }
+        let fast = store.latest_in_window(lo, hi);
+        let reference = naive.latest_in_window(lo, hi);
+        prop_assert_eq!(fast.participation(), reference.len());
+        for (sender, round, tip) in fast.iter() {
+            prop_assert_eq!(reference.get(&sender), Some(&tip));
+            prop_assert_eq!(naive.latest_of(sender, lo, hi), Some((round, Some(tip))));
         }
     }
 }

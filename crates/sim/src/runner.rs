@@ -106,7 +106,6 @@ pub struct Simulation {
     schedule: Schedule,
     adversary: Box<dyn Adversary>,
     procs: Vec<TobProcess>,
-    keypairs: Vec<Keypair>,
     network: Network,
     /// The union of the well-behaved processes' decided chains: what the
     /// monitors ask ancestry of.
@@ -126,9 +125,10 @@ pub struct Simulation {
     disruptions: Vec<Disruption>,
     /// Cached Byzantine keypair set: `(corrupted processes, their
     /// keypairs)`. Corruption sets change at most a handful of times per
-    /// run (growing adversary / corruption windows), so the per-round
-    /// keypair clones are hoisted into this cache and rebuilt only when
-    /// the set itself changes — not twice per asynchronous round.
+    /// run (growing adversary / corruption windows), so the set's
+    /// keypairs are derived into this cache only when the set itself
+    /// changes — not at set-up for every process, nor twice per
+    /// asynchronous round.
     byz_cache: (Vec<ProcessId>, Vec<Keypair>),
     /// The workload injector, when a workload is configured: the one seam
     /// allowed to call `submit_tx`.
@@ -251,9 +251,6 @@ impl Simulation {
         let procs: Vec<TobProcess> = ProcessId::all(n)
             .map(|p| TobProcess::new(p, tob_config.clone()))
             .collect();
-        let keypairs: Vec<Keypair> = ProcessId::all(n)
-            .map(|p| Keypair::derive(p, config.seed))
-            .collect();
         let disruptions = config.timeline.disruptions();
         let mut observers: Vec<Box<dyn Observer>> = vec![
             Box::new(SafetyObserver::default()),
@@ -277,7 +274,6 @@ impl Simulation {
             schedule,
             adversary,
             procs,
-            keypairs,
             network: Network::new(n),
             decided: BlockTree::new(),
             observers,
@@ -529,7 +525,7 @@ impl Simulation {
             self.byz_cache.0 = corrupted.to_vec();
             self.byz_cache.1 = corrupted
                 .iter()
-                .map(|p| self.keypairs[p.index()].clone())
+                .map(|&p| Keypair::derive(p, self.config.seed))
                 .collect();
             let corrupted = corrupted.to_vec();
             self.narrate(env, SimEvent::CorruptionChange { round, corrupted });
