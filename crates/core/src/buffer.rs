@@ -122,8 +122,10 @@ impl BodyStore {
     /// it, recursively. Re-delivery of a held body is a no-op; a pruned
     /// one is taken again.
     pub(crate) fn insert(&mut self, tree: &mut BlockTree, block: Arc<Block>) {
-        let mut queue = vec![block];
-        while let Some(b) = queue.pop() {
+        // The work queue allocates only once parked children connect.
+        let mut queue = Vec::new();
+        let mut next = Some(block);
+        while let Some(b) = next.take().or_else(|| queue.pop()) {
             let id = b.id();
             if self.is_connected(tree, id) {
                 continue;

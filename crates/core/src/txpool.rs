@@ -152,3 +152,38 @@ impl TxPool {
         self.pending.len()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use st_blocktree::Block;
+    use st_types::{ProcessId, View};
+
+    /// A parent that conflicts with the decided tip takes the from-genesis
+    /// arm, which lists the submitted transactions in submission order,
+    /// not in id order. (A simulated run submits ascending ids to every
+    /// process, so no simulated cell can tell the two orders apart.)
+    #[test]
+    fn the_from_genesis_arm_keeps_submission_order() {
+        let block = |producer, tx| {
+            let payload = vec![TxId::new(tx)];
+            Block::build(
+                BlockId::GENESIS,
+                View::new(1),
+                ProcessId::new(producer),
+                payload,
+            )
+        };
+        let (decided, fork) = (block(0, 1), block(1, 2));
+        let mut tree = BlockTree::new();
+        tree.insert(decided.clone()).unwrap();
+        tree.insert(fork.clone()).unwrap();
+        let mut pool = TxPool::new();
+        for tx in [5, 1, 4, 2, 3] {
+            pool.submit(TxId::new(tx));
+        }
+        pool.advance(&tree, decided.id());
+        let payload = pool.payload_for(&tree, fork.id());
+        assert_eq!(payload, [5, 1, 4, 3].map(TxId::new));
+    }
+}

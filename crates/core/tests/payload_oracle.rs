@@ -2,14 +2,16 @@
 //! (`literal::payload_rule`, the rule the literal Algorithm 1 proposes
 //! by). The pool behind `step_send` evaluates that rule relative to the
 //! decided tip and walks only the undecided suffix; these cases cover
-//! both of its arms and the transactions whose status the decided chain
-//! changes. The forked case steps `TobProcess` beside the literal, which
-//! checks its whole output.
+//! the transactions whose status the decided chain changes. (The
+//! recorded-run replay compares every simulated proposal with the
+//! literal's, both arms included, and the Tier-1 `tests/guards.rs`
+//! checks the from-genesis arm with transactions submitted out of id
+//! order.)
 
 #[path = "support/literal.rs"]
 mod literal;
 
-use literal::{forked_lockstep, payload_rule};
+use literal::payload_rule;
 use proptest::prelude::*;
 use st_core::{TobConfig, TobProcess};
 use st_messages::{Envelope, Payload, SharedEnvelope};
@@ -72,19 +74,6 @@ impl Net {
             }
         }
     }
-}
-
-/// A proposal on a branch that conflicts with the decided tip re-proposes
-/// a transaction decided off that branch and leaves out one on it.
-#[test]
-fn forked_parent_uses_the_from_genesis_rule() {
-    let (_, [a, _], solo, off_decided) = forked_lockstep(7);
-    let expected: Vec<TxId> = std::iter::once(a).chain(solo).collect();
-    assert_eq!(
-        off_decided.first(),
-        Some(&expected),
-        "the fork was not proposed on"
-    );
 }
 
 /// A transaction decided and then submitted again, and one decided

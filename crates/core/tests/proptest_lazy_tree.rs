@@ -12,7 +12,7 @@
 //! checks envelopes, consumed tallies and admitted bodies: one gets every
 //! delivery, the other misses some, and they share one tally memo, so a
 //! tally key weaker than the state it digests serves the second a wrong
-//! tally.
+//! tally. A memo pre-seeded with a wrong tally is caught too.
 //!
 //! For arbitrary votes the literal's retention rule may change what it
 //! reads. For votes whose tips' chains stay retained through the last
@@ -23,14 +23,16 @@
 #[path = "support/literal.rs"]
 mod literal;
 
-use literal::Twin;
+use literal::{consumed, Twin};
 use proptest::prelude::*;
 use st_blocktree::Block;
 use st_core::TobConfig;
 use st_crypto::Keypair;
+use st_ga::GaOutput;
 use st_messages::{Envelope, Payload, Propose, SharedEnvelope, Vote};
 use st_types::{BlockId, Params, ProcessId, Round, TxId, View};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const N: usize = 4;
 const SEED: u64 = 5;
@@ -129,16 +131,10 @@ fn deliveries(
 /// literal with one shared tally memo. Returns the deviations the
 /// literal's retention rule made.
 fn run_case(eta: u64, rounds: u64, plan: &[Delivery]) -> usize {
-    let params = Params::builder(N).expiration(eta).build().expect("valid");
-    let config = TobConfig::new(params, SEED);
-    let mut twins = [0, 1].map(|_| Twin::new(ProcessId::new(0), &config));
+    let mut twins = copies::<2>(eta);
     let mut next = 0;
     for r in 0..=rounds + 1 {
-        let mut memo = BTreeMap::new();
-        for t in twins.iter_mut() {
-            t.tob.share_tally(Round::new(r), &mut memo);
-            t.step(Round::new(r));
-        }
+        step(&mut twins, Round::new(r));
         while next < plan.len() && plan[next].0 == r {
             let (_, order, env) = &plan[next];
             let env = SharedEnvelope::new(env.clone());
@@ -150,6 +146,22 @@ fn run_case(eta: u64, rounds: u64, plan: &[Delivery]) -> usize {
         }
     }
     twins.iter().map(|t| t.lit.deviations()).sum()
+}
+
+/// `K` copies of process 0 of an `N`-process network.
+fn copies<const K: usize>(eta: u64) -> [Twin; K] {
+    let params = Params::builder(N).expiration(eta).build().expect("valid");
+    let config = TobConfig::new(params, SEED);
+    std::array::from_fn(|_| Twin::new(ProcessId::new(0), &config))
+}
+
+/// Steps every copy through `round`, sharing tallies through one memo.
+fn step(twins: &mut [Twin], round: Round) {
+    let mut memo = BTreeMap::new();
+    for t in twins.iter_mut() {
+        t.tob.share_tally(round, &mut memo);
+        t.step(round);
+    }
 }
 
 fn keys() -> Vec<Keypair> {
@@ -184,4 +196,31 @@ proptest! {
         let plan = deliveries(&keys(), rounds, &parents, &arrivals, &votes, Some(eta));
         prop_assert_eq!(run_case(eta, rounds, &plan), 0);
     }
+}
+
+/// The comparison can fail: a memo holding a tally the process would not
+/// have computed is caught, and an honest memo is not.
+#[test]
+fn a_wrong_shared_tally_is_caught() {
+    let mut twins = copies::<3>(2);
+    for r in 0..6 {
+        step(&mut twins, Round::new(r));
+    }
+    let round = Round::new(6);
+    let t = &mut twins[0];
+    let mut poisoned = BTreeMap::from([(t.tob.tally_fingerprint(), Arc::new(GaOutput::empty()))]);
+    assert!(t.tob.share_tally(round, &mut poisoned));
+    t.tob.step_send(round);
+    t.lit.step_send(round);
+    assert!(
+        t.lit.last_tally().is_some_and(|l| l.m > 0),
+        "its own votes are in the window by round 6"
+    );
+    assert_ne!(consumed(&t.tob).as_ref(), t.lit.last_tally());
+    // The second copy misses and publishes, the third hits and consumes
+    // the second's tally.
+    let mut memo = BTreeMap::new();
+    assert!(!twins[1].tob.share_tally(round, &mut memo));
+    assert!(twins[2].tob.share_tally(round, &mut memo));
+    twins[2].step(round);
 }

@@ -23,8 +23,9 @@
 //! It is driven through the same calls as `TobProcess` (`new`,
 //! `submit_tx`, `on_receive_shared`, `step_send`, `drain_decisions`), and
 //! [`assert_matches`] is the one comparison of the two. Included by path
-//! wherever a test compares `TobProcess` with it: beside it as a [`Twin`],
-//! or replaying a recorded simulation (st-sim's `tests/support/replay.rs`).
+//! wherever a test compares `TobProcess` with it: replaying a recorded
+//! simulation of `n` processes (st-sim's `tests/support/replay.rs`, the
+//! one driver of whole networks), or beside one process as a [`Twin`].
 
 #![allow(dead_code, reason = "each including test uses a different part")]
 
@@ -469,30 +470,19 @@ pub fn assert_matches(
 }
 
 /// A `TobProcess` and a `LiteralProcess` with the same id, fed the same
-/// envelopes and compared at every step.
+/// envelopes and compared at every step: one process's harness, for
+/// tests that speak for the others by hand.
 pub struct Twin {
     pub tob: TobProcess,
     pub lit: LiteralProcess,
-    /// Decisions compared so far.
-    pub decided: usize,
 }
 
 impl Twin {
     pub fn new(id: ProcessId, config: &TobConfig) -> Twin {
-        let (tob, lit) = (
-            TobProcess::new(id, config.clone()),
-            LiteralProcess::new(id, config.clone()),
-        );
         Twin {
-            tob,
-            lit,
-            decided: 0,
+            tob: TobProcess::new(id, config.clone()),
+            lit: LiteralProcess::new(id, config.clone()),
         }
-    }
-
-    pub fn submit(&mut self, tx: TxId) {
-        self.tob.submit_tx(tx);
-        self.lit.submit_tx(tx);
     }
 
     pub fn deliver(&mut self, env: &SharedEnvelope) {
@@ -500,9 +490,9 @@ impl Twin {
         self.lit.on_receive_shared(env);
     }
 
-    /// Steps both through `round` and asserts they match
-    /// ([`assert_matches`], outputs included). A driver that shares
-    /// tallies calls `tob.share_tally` first.
+    /// Steps both through `round`, asserts they match ([`assert_matches`],
+    /// outputs included) and returns what `tob` sent. A driver that
+    /// shares tallies calls `tob.share_tally` first.
     pub fn step(&mut self, round: Round) -> Vec<Envelope> {
         let out = self.tob.step_send(round);
         let tob = (encoded(&out), self.tob.drain_decisions());
@@ -511,117 +501,6 @@ impl Twin {
             self.lit.drain_decisions(),
         );
         assert_matches("twin", round, &self.tob, &self.lit, Some((&tob, &lit)));
-        self.decided += tob.1.len();
         out
     }
-}
-
-/// One synchronous round over `twins`: tallies shared through one memo,
-/// everyone steps, and each envelope reaches each twin `i` with `to(i,
-/// envelope)`. Returns what was sent.
-pub fn lockstep_to(
-    twins: &mut [Twin],
-    round: Round,
-    to: impl Fn(usize, &Envelope) -> bool,
-) -> Vec<Envelope> {
-    let mut memo = BTreeMap::new();
-    for t in twins.iter_mut() {
-        t.tob.share_tally(round, &mut memo);
-    }
-    let sent: Vec<Envelope> = twins.iter_mut().flat_map(|t| t.step(round)).collect();
-    for env in &sent {
-        let shared = SharedEnvelope::new(env.clone());
-        for (i, t) in twins.iter_mut().enumerate() {
-            if to(i, env) {
-                t.deliver(&shared);
-            }
-        }
-    }
-    sent
-}
-
-/// [`lockstep_to`] everyone.
-pub fn lockstep(twins: &mut [Twin], round: Round) -> Vec<Envelope> {
-    lockstep_to(twins, round, |_, _| true)
-}
-
-fn signed(key: &Keypair, payload: Payload) -> SharedEnvelope {
-    SharedEnvelope::new(Envelope::sign(key, payload))
-}
-
-/// Forces p0 of a 4-process, `η = 0` network onto a fork. A transaction
-/// `a` submitted everywhere is decided; a block `fork` holding `y` is
-/// built on the parent of the block carrying `a` and reaches p0 as p3's
-/// (signed, far-future view) proposal, the path every block takes; in the
-/// next first round of a view p0 hears, besides its own vote, only forged
-/// votes for `fork` from p1..p3. Its next proposal then extends `fork`,
-/// which conflicts with its decided tip: `a` is decided but not on that
-/// branch, so it must be proposed again, while `y` (submitted to p0 too)
-/// is on it and must not. Sixteen more were submitted to p0 alone, in
-/// descending id order, which the pool's hash index does not reproduce:
-/// the from-genesis payload is in submission order only if it is sorted.
-///
-/// Runs a few synchronous rounds more and returns the twins, `[a, y]`,
-/// the p0-only transactions in submission order and the payload of every
-/// proposal p0 built on a parent off its decided chain.
-pub fn forked_lockstep(seed: u64) -> (Vec<Twin>, [TxId; 2], Vec<TxId>, Vec<Vec<TxId>>) {
-    let params = st_types::Params::builder(4).expiration(0).build().unwrap();
-    let config = TobConfig::new(params, seed);
-    let mut twins: Vec<Twin> = (0..4)
-        .map(|i| Twin::new(ProcessId::new(i), &config))
-        .collect();
-    let [a, y] = [TxId::new(1), TxId::new(2)];
-    let solo: Vec<TxId> = (3..19).rev().map(TxId::new).collect();
-    twins.iter_mut().for_each(|t| t.submit(a));
-    let on_chain = |p: &TobProcess, tx| p.tree().log_transactions(p.decided_tip()).contains(&tx);
-    let mut r = 0;
-    while !on_chain(&twins[0].tob, a) {
-        lockstep(&mut twins, Round::new(r));
-        r += 1;
-        assert!(r < 20, "a was never decided");
-    }
-    let key = |j| Keypair::derive(ProcessId::new(j), seed);
-    let tree = twins[0].tob.tree();
-    let mut chain = tree.chain(twins[0].tob.decided_tip());
-    let carrier = chain.find(|&b| tree.block(b).unwrap().payload().contains(&a));
-    let parent = tree.parent(carrier.unwrap()).unwrap();
-    let view = View::new(1_000);
-    let fork = Block::build(parent, view, ProcessId::new(3), vec![y]);
-    let (rho, proof) = key(3).vrf_eval(view.as_u64());
-    let propose = Propose::new(
-        ProcessId::new(3),
-        Round::new(1_999),
-        view,
-        fork.clone(),
-        rho,
-        proof,
-    );
-    twins[0].deliver(&signed(&key(3), Payload::Propose(propose)));
-    for tx in std::iter::once(y).chain(solo.iter().copied()) {
-        twins[0].submit(tx);
-    }
-    while !matches!(RoundKind::of(Round::new(r)), RoundKind::ViewFirst(_)) {
-        lockstep(&mut twins, Round::new(r));
-        r += 1;
-    }
-    // p0 hears only its own vote of this round, plus forged ones for `fork`.
-    let own = |i: usize, env: &Envelope| i != 0 || env.payload().sender() == ProcessId::new(0);
-    lockstep_to(&mut twins, Round::new(r), own);
-    for j in 1..4 {
-        let vote = Vote::new(ProcessId::new(j), Round::new(r), fork.id());
-        twins[0].deliver(&signed(&key(j), Payload::Vote(vote)));
-    }
-    let mut off_decided = Vec::new();
-    for r in r + 1..r + 8 {
-        for env in lockstep(&mut twins, Round::new(r)) {
-            let p0 = &twins[0].tob;
-            if let Payload::Propose(p) = env.payload() {
-                let parent = p.block().parent();
-                if p.sender() == p0.id() && !p0.tree().is_ancestor(p0.decided_tip(), parent) {
-                    off_decided.push(p.block().payload().to_vec());
-                }
-            }
-        }
-    }
-    (twins, [a, y], solo, off_decided)
 }

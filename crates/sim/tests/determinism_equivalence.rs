@@ -12,7 +12,8 @@
 //!   consumed tally, decided tip and admitted bodies equal its literal
 //!   twin's, and an honest process's sends and decisions are equal too,
 //!   the sends byte for byte. (A memo pre-seeded with a wrong tally is
-//!   caught by st-core's `literal_differential.rs`.)
+//!   caught by st-core's `proptest_lazy_tree.rs`; `chaos_replay.rs`
+//!   replays a seeded grid under a chaos adversary.)
 //! * **Byte identity** — spellings that must not change a report byte:
 //!   with vs without user observers (the recorder among them),
 //!   `WorkloadSpec::txs_every` vs the equivalent open-loop workload.
@@ -31,10 +32,8 @@
 mod replay;
 mod support;
 
-use replay::{replay, Recorder};
-use st_sim::{
-    ChurnOptions, ConstantRate, Schedule, SimBuilder, SimConfig, SimReport, Timeline, WorkloadSpec,
-};
+use replay::{replay, Recorder, Replayed};
+use st_sim::{ChurnOptions, ConstantRate, Schedule, SimBuilder, SimConfig, Timeline, WorkloadSpec};
 use st_types::{ProcessId, Round};
 use support::{
     adversary, assert_golden, golden_cells, golden_line, guard_config, guard_grid, params, schedule,
@@ -59,12 +58,7 @@ const CASES: u32 = 400;
 
 /// Runs one cell, with one transaction every `txs_every` rounds, replayed
 /// by the literal.
-fn run_replayed(
-    config: SimConfig,
-    txs_every: u64,
-    sched: Schedule,
-    adv: &str,
-) -> (SimReport, usize) {
+fn run_replayed(config: SimConfig, txs_every: u64, sched: Schedule, adv: &str) -> Replayed {
     let builder = SimBuilder::from_config(config)
         .workload_spec(WorkloadSpec::txs_every(txs_every))
         .schedule(sched)
@@ -80,8 +74,8 @@ fn run_replayed(
 fn golden_cells_match_the_literal_replay() {
     let mut lines = Vec::new();
     for cell in golden_cells() {
-        let (report, _) = replay(cell.builder(), &cell.label);
-        lines.push(golden_line(&cell.label, &report));
+        let replayed = replay(cell.builder(), &cell.label);
+        lines.push(golden_line(&cell.label, &replayed.report));
     }
     assert_golden(&lines);
 }
@@ -199,9 +193,10 @@ fn user_observers_do_not_change_the_report() {
 fn replay_checks_every_step_and_the_cache_actually_shares() {
     let (n, horizon) = (8, 30);
     let config = SimConfig::new(params(n, 2), 1).horizon(horizon);
-    let (report, checked) = run_replayed(config, 4, Schedule::full(n, horizon), "silent");
-    assert_eq!(checked, n * horizon as usize);
-    let rate = report.timeline.tally_cache_hit_rate();
+    let replayed = run_replayed(config, 4, Schedule::full(n, horizon), "silent");
+    assert_eq!(replayed.compared, n * horizon as usize);
+    assert_eq!(replayed.deviations, 0);
+    let rate = replayed.report.timeline.tally_cache_hit_rate();
     assert!(
         rate > 0.8,
         "expected near-(n-1)/n cache hit rate under full participation, got {rate}"

@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 /// Keeps every event of the round in progress, for the replay to drain.
 #[derive(Default)]
-pub struct Recorder(Rc<RefCell<Vec<SimEvent>>>);
+pub struct Recorder(pub Rc<RefCell<Vec<SimEvent>>>);
 
 impl Observer for Recorder {
     fn wants_delivery_events(&self) -> bool {
@@ -38,10 +38,20 @@ impl Observer for Recorder {
     }
 }
 
+/// What a replayed run checked.
+pub struct Replayed {
+    pub report: SimReport,
+    /// Honest (process, round ≥ 1) steps whose tally, sends and decisions
+    /// were compared.
+    pub compared: usize,
+    /// How often the literal's retention rule changed what it read
+    /// (`LiteralProcess::deviations`, summed): 0 in the model.
+    pub deviations: usize,
+}
+
 /// Runs `builder`'s simulation with the literal replaying it, round by
-/// round. Returns the report and the number of (process, round ≥ 1)
-/// tallies compared.
-pub fn replay(builder: SimBuilder, label: &str) -> (SimReport, usize) {
+/// round.
+pub fn replay(builder: SimBuilder, label: &str) -> Replayed {
     let recorder = Recorder::default();
     let log = Rc::clone(&recorder.0);
     let mut sim = builder.observer(recorder).build().expect("valid sim");
@@ -92,10 +102,14 @@ pub fn replay(builder: SimBuilder, label: &str) -> (SimReport, usize) {
                 let lit = stepped[p.index()].as_ref().expect("stepped");
                 (&recorded[p.index()], lit)
             });
+            compared += usize::from(outputs.is_some() && round > Round::ZERO);
             assert_matches(label, round, tob, lit, outputs);
-            compared += usize::from(round > Round::ZERO);
         }
     }
     assert!(compared > 0, "{label}: nothing compared");
-    (sim.finish(), compared)
+    Replayed {
+        report: sim.finish(),
+        compared,
+        deviations: lits.iter().map(LiteralProcess::deviations).sum(),
+    }
 }

@@ -229,3 +229,34 @@ fn externals_are_offline_stand_ins_and_proptest_is_dev_only() {
         }
     }
 }
+
+/// No plain (unquoted) value in the CI workflow holds `": "`: YAML reads
+/// it as a second mapping, the file does not parse, and no CI step runs.
+/// Block scalars (`run: |`) are shell, not YAML, and are skipped.
+#[test]
+fn ci_plain_scalars_hold_no_colon_space() {
+    let path = graph().root.join(".github/workflows/ci.yml");
+    let text = std::fs::read_to_string(&path).expect("read ci.yml");
+    let mut block: Option<usize> = None;
+    for (number, line) in text.lines().enumerate() {
+        let indent = line.len() - line.trim_start().len();
+        let entry = line.trim_start().trim_start_matches("- ");
+        if block.is_some_and(|key| indent > key || entry.is_empty()) || entry.starts_with('#') {
+            continue;
+        }
+        block = None;
+        let Some((_, value)) = entry.split_once(": ") else {
+            continue;
+        };
+        let value = value.trim();
+        if value.starts_with(['|', '>']) {
+            block = Some(indent);
+        } else if !value.starts_with(['"', '\'', '[', '{']) {
+            assert!(
+                !value.contains(": "),
+                "ci.yml:{}: quote the value, YAML reads its \": \" as a mapping: {line}",
+                number + 1
+            );
+        }
+    }
+}
